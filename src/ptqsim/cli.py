@@ -33,8 +33,8 @@ from .errors import (
 from .model import SystemParams
 from .sensing import qfi, sensing_sweep, sensitivity_variance, coherence_expectation
 from .spectrum import (
+    _labeled_eigenvalues,
     classify_phase,
-    eigenvalues_closed_form,
     eigenvectors_closed_form,
     spectrum_closed_form,
     spectrum_oracle,
@@ -130,6 +130,14 @@ def _sweep_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}")
 
 
+def _require_sweep(args):
+    """The sweep commands' shared argument check: --sweep-range and --n >= 1."""
+    if args.sweep_range is None or args.n is None:
+        raise ValidationError(f"{args.command} sweep requires --sweep-range and --n")
+    if args.n < 1:
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -192,6 +200,7 @@ def cmd_ep_locate(args) -> int:
 
 
 def cmd_ep_curve(args) -> int:
+    _require_sweep(args)
     entries = ep_curve(args.sweep_range, args.n, gamma=args.gamma)
     header = ["omega", "j_c", "residual_theta", "residual_x", "gap",
               "re_e_degenerate", "im_e_degenerate", "failure"]
@@ -227,8 +236,7 @@ def cmd_concurrence(args) -> int:
         header = ["c_psi3", "c_psi4", "c_closed_psi3", "c_closed_psi4"]
         _emit_object(args, _params_desc(params), results, {}, header, [[c3, c4, cc3, cc4]])
         return 0
-    if args.sweep_range is None or args.n is None:
-        raise ValidationError("sweep requires --sweep-range and --n")
+    _require_sweep(args)
     grid = np.linspace(args.sweep_range[0], args.sweep_range[1], args.n)
     rows = []
     for x in grid:
@@ -239,21 +247,24 @@ def cmd_concurrence(args) -> int:
     return 0
 
 
-def cmd_evolve(args) -> int:
+def _trajectory(args):
+    """The evolve/revivals run and its params description."""
     params = _params_from(args)
     traj = propagate(params, initial_state(args.theta), args.tmax, args.dt,
                      record_every=args.record_every)
+    return traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt)
+
+
+def cmd_evolve(args) -> int:
+    traj, desc = _trajectory(args)
     header = ["t", "concurrence", "coherence_x", "norm_log"]
     rows = list(zip(traj.times, traj.concurrence, traj.coherence_x, traj.norm_log))
-    desc = _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt)
     _emit(args, desc, header, rows, {})
     return 0
 
 
 def cmd_revivals(args) -> int:
-    params = _params_from(args)
-    traj = propagate(params, initial_state(args.theta), args.tmax, args.dt,
-                     record_every=args.record_every)
+    traj, desc = _trajectory(args)
     revivals = detect_revivals(traj, envelope_window=args.envelope_window,
                                collapse_fraction=args.collapse_fraction)
     meta = {
@@ -262,7 +273,6 @@ def cmd_revivals(args) -> int:
         "envelope_window": args.envelope_window,
         "collapse_fraction": args.collapse_fraction,
     }
-    desc = _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt)
     _emit(args, desc, ["revival_index", "revival_time"],
           [[k, t] for k, t in enumerate(revivals)], meta)
     return 0
@@ -288,14 +298,9 @@ def cmd_qfi(args) -> int:
     return 0
 
 
-def cmd_sense(args) -> int:
-    kappa = args.sweep_axis
-    if kappa is None:
-        raise ValidationError("sense requires --sweep-axis j|omega")
-    if args.sweep_range is None or args.n is None:
-        raise ValidationError("sense requires --sweep-range and --n")
-    fixed_value = args.omega if kappa == "j" else args.j
-    points = sensing_sweep(kappa, fixed_value, args.sweep_range, args.n, gamma=args.gamma)
+def _sense_table(kappa: str, fixed_value: float, rng: tuple, n: int, gamma: float):
+    """The `sense` sweep as (params description, header, rows, points)."""
+    points = sensing_sweep(kappa, fixed_value, rng, n, gamma=gamma)
     header = [kappa, "qfi", "variance_sq", "inv_variance_sq", "coherence", "cr_bound", "flag"]
     rows = [
         [p.value, p.qfi, p.variance_sq,
@@ -304,8 +309,19 @@ def cmd_sense(args) -> int:
         for p in points
     ]
     fixed_name = "omega" if kappa == "j" else "j"
-    desc = f"kappa={kappa} {fixed_name}={_fmt(fixed_value)} gamma={_fmt(args.gamma)} " \
-           f"range={_fmt(args.sweep_range[0])}:{_fmt(args.sweep_range[1])} n={args.n}"
+    desc = f"kappa={kappa} {fixed_name}={_fmt(fixed_value)} gamma={_fmt(gamma)} " \
+           f"range={_fmt(rng[0])}:{_fmt(rng[1])} n={n}"
+    return desc, header, rows, points
+
+
+def cmd_sense(args) -> int:
+    kappa = args.sweep_axis
+    if kappa is None:
+        raise ValidationError("sense requires --sweep-axis j|omega")
+    _require_sweep(args)
+    fixed_value = args.omega if kappa == "j" else args.j
+    desc, header, rows, points = _sense_table(
+        kappa, fixed_value, args.sweep_range, args.n, args.gamma)
     _emit(args, desc, header, rows,
           {"n_flagged": sum(p.flag is not None for p in points)})
     return 0
@@ -320,114 +336,71 @@ def _preset_fig2(args):
     rows = []
     for om in omegas:
         for j in js:
-            p = SystemParams(omega=float(om), j=float(j), gamma=1.0)
-            try:
-                values = eigenvalues_closed_form(p)
-            except DegenerateCubicError:
-                values = spectrum_oracle(p).eigenvalues
+            values = _labeled_eigenvalues(SystemParams(omega=float(om), j=float(j), gamma=1.0))
             rows.append([om, j, values[2].real, values[2].imag,
                          values[3].real, values[3].imag])
     header = ["omega", "j", "re_e3", "im_e3", "re_e4", "im_e4"]
     _emit(args, "gamma=1 omega=0:3 j=0:1.2 grid=61x61", header, rows, {})
 
 
-def _preset_fig3(args, fix: str, fixed_value: float, sweep: tuple, n: int, bracket: tuple):
-    point = locate_ep(fix, fixed_value, bracket)
-    grid = np.linspace(sweep[0], sweep[1], n)
+def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
+    fix = "omega" if axis == "j" else "j"
+    point = locate_ep(fix, fixed_value, sweep)
     rows = []
-    for x in grid:
-        if fix == "omega":
-            p = SystemParams(omega=fixed_value, j=float(x), gamma=1.0)
-        else:
-            p = SystemParams(omega=float(x), j=fixed_value, gamma=1.0)
+    for x in np.linspace(sweep[0], sweep[1], n):
+        p = SystemParams(**{fix: fixed_value, axis: float(x)}, gamma=1.0)
         rows.append([x, eigenstate_concurrence_wootters(p, 3),
                      eigenstate_concurrence_wootters(p, 4)])
-    axis = "j" if fix == "omega" else "omega"
     header = [axis, "c_psi3", "c_psi4"]
-    critical = {"j_c": point.j_c} if fix == "omega" else {"omega_c": point.omega_c}
+    critical = {"j_c": point.j_c} if axis == "j" else {"omega_c": point.omega_c}
     desc = f"{fix}={_fmt(fixed_value)} gamma=1 {axis}={_fmt(sweep[0])}:{_fmt(sweep[1])} n={n}"
     _emit(args, desc, header, rows, critical)
 
 
-def _evolve_columns(runs, t_max, dt, record_every, theta=np.pi / 2):
-    series = []
-    times = None
-    for params in runs:
+def _evolve_columns(args, desc: str, runs, t_max: float, dt: float, record_every: int):
+    """Concurrence of each (column, params, theta) run on their shared time grid."""
+    header, series = ["t"], []
+    for column, params, theta in runs:
         traj = propagate(params, initial_state(theta), t_max, dt, record_every=record_every)
-        times = traj.times
+        header.append(column)
         series.append(traj.concurrence)
-    return times, series
+    _emit(args, desc, header, list(zip(traj.times, *series)), {})
 
 
-def _preset_fig4(args):
-    runs = [SystemParams(2.0, 0.4), SystemParams(2.0, 0.7)]
-    times, (c_pts, c_ptb) = _evolve_columns(runs, 40.0, 1e-3, 10)
-    rows = list(zip(times, c_pts, c_ptb))
-    _emit(args, "gamma=1 theta=pi/2 tmax=40 dt=0.001 pts=(2.0,0.4) ptb=(2.0,0.7)",
-          ["t", "concurrence_pts", "concurrence_ptb"], rows, {})
-
-
-def _preset_fig5(args, fixed: str):
-    if fixed == "a":
-        runs = [SystemParams(1.7, 0.336), SystemParams(1.7, 0.337)]
-        cols = ["concurrence_j0336", "concurrence_j0337"]
-        desc = "omega=1.7 gamma=1 j=0.336,0.337 theta=pi/2 tmax=2000 dt=0.005"
-    else:
-        runs = [SystemParams(1.901, 0.5), SystemParams(1.902, 0.5)]
-        cols = ["concurrence_omega1901", "concurrence_omega1902"]
-        desc = "j=0.5 gamma=1 omega=1.901,1.902 theta=pi/2 tmax=2000 dt=0.005"
-    times, series = _evolve_columns(runs, 2000.0, 5e-3, 4)
-    rows = list(zip(times, *series))
-    _emit(args, desc, ["t"] + cols, rows, {})
-
-
-def _preset_fig6(args, gamma: float):
-    runs = [SystemParams(1.5, 0.01, gamma)] * 2
-    thetas = (np.pi / 2, np.pi / 4)
-    series = []
-    times = None
-    for params, theta in zip(runs, thetas):
-        traj = propagate(params, initial_state(theta), 200.0, 1e-3, record_every=10)
-        times = traj.times
-        series.append(traj.concurrence)
-    rows = list(zip(times, *series))
-    _emit(args, f"omega=1.5 j=0.01 gamma={_fmt(gamma)} tmax=200 dt=0.001 theta=pi/2,pi/4",
-          ["t", "c_theta_pi_2", "c_theta_pi_4"], rows, {})
-
-
-def _preset_sense(args, kappa, fixed_value, rng, n, fix, bracket):
-    point = locate_ep(fix, fixed_value, bracket)
-    sense_args = argparse.Namespace(
-        sweep_axis=kappa, sweep_range=rng, n=n, omega=fixed_value, j=fixed_value,
-        gamma=1.0, format="csv", out=args.out)
-    points = sensing_sweep(kappa, fixed_value, rng, n, gamma=1.0)
-    header = [kappa, "qfi", "variance_sq", "inv_variance_sq", "coherence", "cr_bound", "flag"]
-    rows = [
-        [p.value, p.qfi, p.variance_sq,
-         (1.0 / p.variance_sq) if p.variance_sq and not math.isnan(p.variance_sq) else float("nan"),
-         p.coherence, p.cr_bound, p.flag]
-        for p in points
-    ]
-    fixed_name = "omega" if kappa == "j" else "j"
-    critical = {"j_c": point.j_c, "omega_c": point.omega_c}
-    desc = f"kappa={kappa} {fixed_name}={_fmt(fixed_value)} gamma=1 " \
-           f"range={_fmt(rng[0])}:{_fmt(rng[1])} n={n}"
-    _emit(sense_args, desc, header, rows, critical)
+def _preset_sense(args, kappa, fixed_value, rng, n):
+    point = locate_ep("j" if kappa == "omega" else "omega", fixed_value, rng)
+    desc, header, rows, _ = _sense_table(kappa, fixed_value, rng, n, 1.0)
+    _emit(args, desc, header, rows, {"j_c": point.j_c, "omega_c": point.omega_c})
 
 
 PRESETS = {
     "fig2": _preset_fig2,
-    "fig3a": lambda a: _preset_fig3(a, "omega", 2.000, (0.30, 0.90), 121, (0.3, 0.9)),
-    "fig3b": lambda a: _preset_fig3(a, "j", 0.300, (1.20, 2.20), 201, (1.2, 2.2)),
-    "fig4": _preset_fig4,
-    "fig5a": lambda a: _preset_fig5(a, "a"),
-    "fig5b": lambda a: _preset_fig5(a, "b"),
-    "fig6a": lambda a: _preset_fig6(a, 0.0),
-    "fig6b": lambda a: _preset_fig6(a, 1.1),
-    "fig7a": lambda a: _preset_sense(a, "omega", 0.300, (1.4, 2.0), 601, "j", (1.4, 2.0)),
-    "fig7b": lambda a: _preset_sense(a, "j", 2.000, (0.3, 0.9), 601, "omega", (0.3, 0.9)),
-    "fig8a": lambda a: _preset_sense(a, "omega", 0.300, (1.4, 2.0), 200, "j", (1.4, 2.0)),
-    "fig8b": lambda a: _preset_sense(a, "j", 1.700, (0.25, 0.45), 200, "omega", (0.25, 0.45)),
+    "fig3a": lambda a: _preset_fig3(a, "j", 2.000, (0.30, 0.90), 121),
+    "fig3b": lambda a: _preset_fig3(a, "omega", 0.300, (1.20, 2.20), 201),
+    "fig4": lambda a: _evolve_columns(
+        a, "gamma=1 theta=pi/2 tmax=40 dt=0.001 pts=(2.0,0.4) ptb=(2.0,0.7)",
+        [("concurrence_pts", SystemParams(2.0, 0.4), np.pi / 2),
+         ("concurrence_ptb", SystemParams(2.0, 0.7), np.pi / 2)], 40.0, 1e-3, 10),
+    "fig5a": lambda a: _evolve_columns(
+        a, "omega=1.7 gamma=1 j=0.336,0.337 theta=pi/2 tmax=2000 dt=0.005",
+        [("concurrence_j0336", SystemParams(1.7, 0.336), np.pi / 2),
+         ("concurrence_j0337", SystemParams(1.7, 0.337), np.pi / 2)], 2000.0, 5e-3, 4),
+    "fig5b": lambda a: _evolve_columns(
+        a, "j=0.5 gamma=1 omega=1.901,1.902 theta=pi/2 tmax=2000 dt=0.005",
+        [("concurrence_omega1901", SystemParams(1.901, 0.5), np.pi / 2),
+         ("concurrence_omega1902", SystemParams(1.902, 0.5), np.pi / 2)], 2000.0, 5e-3, 4),
+    "fig6a": lambda a: _evolve_columns(
+        a, "omega=1.5 j=0.01 gamma=0 tmax=200 dt=0.001 theta=pi/2,pi/4",
+        [("c_theta_pi_2", SystemParams(1.5, 0.01, 0.0), np.pi / 2),
+         ("c_theta_pi_4", SystemParams(1.5, 0.01, 0.0), np.pi / 4)], 200.0, 1e-3, 10),
+    "fig6b": lambda a: _evolve_columns(
+        a, "omega=1.5 j=0.01 gamma=1.1 tmax=200 dt=0.001 theta=pi/2,pi/4",
+        [("c_theta_pi_2", SystemParams(1.5, 0.01, 1.1), np.pi / 2),
+         ("c_theta_pi_4", SystemParams(1.5, 0.01, 1.1), np.pi / 4)], 200.0, 1e-3, 10),
+    "fig7a": lambda a: _preset_sense(a, "omega", 0.300, (1.4, 2.0), 601),
+    "fig7b": lambda a: _preset_sense(a, "j", 2.000, (0.3, 0.9), 601),
+    "fig8a": lambda a: _preset_sense(a, "omega", 0.300, (1.4, 2.0), 200),
+    "fig8b": lambda a: _preset_sense(a, "j", 1.700, (0.25, 0.45), 200),
 }
 
 

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    NonFiniteError,
-    NotNormalizedError,
-    NumericalError,
-    StepTooLargeError,
-)
-from .model import SIGMA_X1, SystemParams, as_state, build_hamiltonian
+from .errors import NonFiniteError, NumericalError, StepTooLargeError
+from .model import SIGMA_X1, SystemParams, as_state, as_unit_state, build_hamiltonian
 from .spectrum import eigensystem_oracle
 
 #: dt * (max row sum of |H|) must stay below this for the fixed-step scheme.
@@ -77,9 +72,7 @@ def propagate(
     validate=True cross-checks the final state against the
     eigendecomposition propagator (overlap >= 1 - 1e-8).
     """
-    psi0 = as_state(psi0)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise NotNormalizedError("psi0 must be unit-norm")
+    psi0 = as_unit_state(psi0)
     if dt <= 0 or t_max < dt:
         raise ValueError("require dt > 0 and t_max >= dt")
     if record_every < 1:

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DiscrepancyError,
-    InvalidDensityError,
-    NotNormalizedError,
-    OmegaSingularError,
+from .errors import DiscrepancyError, InvalidDensityError, OmegaSingularError
+from .model import SIGMA_YY, SystemParams, as_unit_state
+from .spectrum import (
+    _char_poly,
+    _eigvec_coefficients,
+    eigenvalues_closed_form,
+    eigenvectors_closed_form,
 )
-from .model import SIGMA_YY, SystemParams, as_state
-from .spectrum import _char_poly, eigenvalues_closed_form, eigenvectors_closed_form
-
-_NORM_TOL = 1e-10
 
 
 def _validate_density(rho: np.ndarray):
@@ -60,9 +58,7 @@ def concurrence_mixed(rho, validate: bool = True) -> float:
 
 def concurrence_pure(psi) -> float:
     """Concurrence of a unit state via the spin-flip overlap |<psi|sy x sy|psi*>|."""
-    psi = as_state(psi)
-    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
-        raise NotNormalizedError(f"norm {np.linalg.norm(psi)} != 1 within {_NORM_TOL}")
+    psi = as_unit_state(psi)
     return float(min(1.0, 2.0 * abs(psi[1] * psi[2] - psi[0] * psi[3])))
 
 
@@ -72,8 +68,7 @@ def _radical_coefficients(params: SystemParams, s: int):
     if params.omega <= 1e-12:
         raise OmegaSingularError("closed-form coefficients divide by omega")
     e = eigenvalues_closed_form(params)[s - 1]
-    r1 = -2 * (params.j + e) * (params.j - e + 1j * params.gamma) / params.omega**2 - 1
-    r2 = -(params.j - e + 1j * params.gamma) / params.omega
+    r1, r2 = _eigvec_coefficients(params.omega, params.j, params.gamma, e)
     n2 = 1.0 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)  # |N|^2
     return r1, r2, n2
 

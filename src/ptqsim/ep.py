@@ -1,9 +1,11 @@
 """Exceptional-point location, the critical curve, and the coalesced eigenvector.
 
-The primary locator bisects the phase label (max |Im E| above tolerance or
-not), which is monotone across a second-order coalescence; the analytic
-residual pair from the cubic radical serves as a certificate of the found
-point, not as the search objective.
+The primary locator bisects the phase label, which is monotone across a
+second-order coalescence.  The label is spectrum's one phase decision
+(max |Im E| against its threshold, with the label-aligned oracle standing
+in where the cubic radical degenerates).  The analytic residual pair from
+the cubic radical serves as a certificate of the found point, not as the
+search objective.
 """
 from __future__ import annotations
 
@@ -18,16 +20,16 @@ from .errors import (
     NotAtEpError,
     NotConvergedError,
 )
-from .model import SystemParams, build_hamiltonian
+from .model import SystemParams
 from .spectrum import (
+    _SQ27,
     _cubic_data,
+    _eigvec_coefficients,
     _phase_fix,
+    _phase_probe,
     auxiliary_quantities,
-    eigensystem_oracle,
     eigenvalues_closed_form,
 )
-
-_SQ27 = 3.0 * np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,6 @@ def ep_residual(params: SystemParams) -> tuple[float, float]:
     return float(res_theta), float(aux.x - aux.r**2)
 
 
-def _max_imag(params: SystemParams) -> float:
-    try:
-        values = eigenvalues_closed_form(params)
-    except DegenerateCubicError:
-        values = eigensystem_oracle(
-            build_hamiltonian(params), deflate_root=-params.j
-        ).eigenvalues
-    return float(np.max(np.abs(values.imag)))
-
-
 def _degenerate_eigenvalue(params: SystemParams) -> complex:
     """Common eigenvalue at a coalescence, from the real-branch radical."""
     x, z, a = _cubic_data(params)
@@ -90,7 +82,6 @@ def locate_ep(
     bracket: tuple[float, float],
     tol: float = 1e-8,
     gamma: float = 1.0,
-    tol_phase: float = 1e-8,
     max_iter: int = 200,
 ) -> EpPoint:
     """Bisect the swept parameter across the phase transition.
@@ -111,8 +102,8 @@ def locate_ep(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    broken_lo = _max_imag(make(lo)) > tol_phase
-    broken_hi = _max_imag(make(hi)) > tol_phase
+    broken = lambda x: _phase_probe(make(x))[2]
+    broken_lo, broken_hi = broken(lo), broken(hi)
     if broken_lo == broken_hi:
         raise NoSignChangeError(
             f"both bracket ends are in the same phase at {fix}={value} "
@@ -122,7 +113,7 @@ def locate_ep(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if (_max_imag(make(mid)) > tol_phase) == broken_lo:
+        if broken(mid) == broken_lo:
             lo = mid
         else:
             hi = mid
@@ -208,11 +199,8 @@ def coalesced_eigenvector(ep: EpPoint) -> np.ndarray:
     |11> and the unit amplitude on |00> in the fixed basis.
     """
     _check_point_or_raise(ep)
-    om, j, g = ep.omega_c, ep.j_c, ep.gamma
-    e = ep.e_degenerate
-    c0 = -2 * (j + e) * (j - e + 1j * g) / om**2 - 1
-    c1 = -(j - e + 1j * g) / om
-    vec = np.array([1, c1, c1, c0], dtype=complex)
+    r1, r2 = _eigvec_coefficients(ep.omega_c, ep.j_c, ep.gamma, ep.e_degenerate)
+    vec = np.array([1, r2, r2, r1], dtype=complex)
     return _phase_fix(vec / np.linalg.norm(vec))
 
 

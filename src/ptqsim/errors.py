@@ -63,7 +63,7 @@ class EmptyCurveError(NumericalError):
 
 
 class NonFiniteError(NumericalError):
-    """Amplitudes left the finite range during propagation."""
+    """Values left the finite float range (propagated amplitudes, cubic invariants)."""
 
 
 class EpTooCloseError(NumericalError):

@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotNormalizedError
+
 BASIS_LABELS = ("00", "01", "10", "11")
+_NORM_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,4 +89,13 @@ def as_state(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=complex)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-component state vector, got shape {v.shape}")
+    return v
+
+
+def as_unit_state(vec) -> np.ndarray:
+    """as_state of a unit-norm vector; a NaN or infinite norm fails the check too."""
+    v = as_state(vec)
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise NotNormalizedError(f"state norm {norm} != 1 within {_NORM_TOL}")
     return v

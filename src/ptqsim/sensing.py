@@ -6,10 +6,14 @@ step-halving agreement check (3 significant digits, up to four halvings).
 Differenced vectors are additionally phase-aligned to the center vector by
 overlap, which makes the result exactly independent of the deterministic
 phase-fixing convention.
+
+Sweeps mark the phase transition with spectrum's one phase decision
+(max |Im E| against its threshold, with the label-aligned oracle standing
+in where the cubic radical degenerates).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,12 +21,12 @@ from .errors import (
     DegenerateCubicError,
     EpTooCloseError,
     NoDerivativeConvergenceError,
-    NotNormalizedError,
+    NumericalError,
     OmegaSingularError,
     ZeroSlopeError,
 )
-from .model import SIGMA_X1, SystemParams, as_state
-from .spectrum import eigenvalues_closed_form, eigenvectors_closed_form
+from .model import SIGMA_X1, SystemParams, as_state, as_unit_state
+from .spectrum import _phase_probe, eigenvalues_closed_form, eigenvectors_closed_form
 
 KAPPAS = ("j", "omega")
 _RICHARDSON_REL_TOL = 1e-3
@@ -82,11 +86,10 @@ def qfi_from_states(psi_minus, psi_center, psi_plus, h: float) -> float:
 
 def coherence_expectation(psi) -> float:
     """<sigma_x^1> of a unit state; Hermitian, so the tiny imaginary residue is dropped."""
-    psi = as_state(psi)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise NotNormalizedError("state must be unit-norm")
+    psi = as_unit_state(psi)
     value = np.vdot(psi, SIGMA_X1 @ psi)
-    assert abs(value.imag) <= 1e-12
+    if abs(value.imag) > 1e-12:
+        raise NumericalError(f"<sigma_x^1> has imaginary part {value.imag:.3e}")
     return float(value.real)
 
 
@@ -152,7 +155,6 @@ def sensing_sweep(
     n: int,
     gamma: float = 1.0,
     h: float = 1e-5,
-    tol_phase: float = 1e-8,
 ) -> list[SensingPoint]:
     """Ordered grid of sensing points over kappa; failures become flags, not gaps.
 
@@ -175,11 +177,7 @@ def sensing_sweep(
     broken: list[bool] = []
     for x in grid:
         p = _params_at(base, kappa, float(x))
-        try:
-            values = eigenvalues_closed_form(p)
-            broken.append(float(np.max(np.abs(values.imag))) > tol_phase)
-        except DegenerateCubicError:
-            broken.append(False)
+        broken.append(_phase_probe(p)[2])
         try:
             f = qfi(p, kappa, h)
             var = sensitivity_variance(p, kappa, h)
@@ -201,29 +199,15 @@ def sensing_sweep(
             OmegaSingularError,
             DegenerateCubicError,
         ) as exc:
+            nan = float("nan")
             points.append(
-                SensingPoint(
-                    kappa=kappa,
-                    value=float(x),
-                    qfi=float("nan"),
-                    variance_sq=float("nan"),
-                    coherence=float("nan"),
-                    cr_bound=float("nan"),
-                    flag=type(exc).__name__.removesuffix("Error"),
-                )
+                SensingPoint(kappa, float(x), nan, nan, nan, nan,
+                             flag=type(exc).__name__.removesuffix("Error"))
             )
 
     for i in range(n - 1):
         if broken[i] != broken[i + 1]:
             for k in (i, i + 1):
                 if points[k].flag is None:
-                    points[k] = SensingPoint(
-                        kappa=points[k].kappa,
-                        value=points[k].value,
-                        qfi=points[k].qfi,
-                        variance_sq=points[k].variance_sq,
-                        coherence=points[k].coherence,
-                        cr_bound=points[k].cr_bound,
-                        flag="ep_bracket",
-                    )
+                    points[k] = replace(points[k], flag="ep_bracket")
     return points

@@ -16,6 +16,7 @@ degenerate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -26,6 +27,7 @@ from .errors import (
     DegenerateCubicError,
     NearDefectiveError,
     NoConvergenceError,
+    NonFiniteError,
     OmegaSingularError,
 )
 from .model import SystemParams, build_hamiltonian
@@ -38,6 +40,8 @@ _SQ27 = 3.0 * np.sqrt(3.0)
 RESIDUAL_TOL = 1e-9
 NEAR_EP_GAP = 1e-4
 NEAR_EP_RESIDUAL_TOL = 1e-6
+#: max|Im E| above which a spectrum is labeled PT-broken.
+_PHASE_TOL = 1e-8
 
 
 class Source(Enum):
@@ -79,12 +83,24 @@ class Spectrum:
 
 
 def _cubic_data(params: SystemParams):
-    """(x, z, a) with a the real part of the cubed radical."""
-    om2, j, g2 = params.omega**2, params.j, params.gamma**2
-    x = 4 * j * j + 3 * om2 - 3 * g2
-    z = 16 * j**4 * g2 + j * j * (8 * g2 * g2 + 20 * g2 * om2 - om2 * om2) + (g2 - om2) ** 3
-    a = -8 * j**3 - 9 * j * (om2 + 2 * g2)
-    return x, z, a
+    """(x, z, a) with a the real part of the cubed radical.
+
+    Raises NonFiniteError when they leave the float range (float powers
+    raise OverflowError, products silently become inf).
+    """
+    try:
+        om2, j, g2 = params.omega**2, params.j, params.gamma**2
+        x = 4 * j * j + 3 * om2 - 3 * g2
+        z = 16 * j**4 * g2 + j * j * (8 * g2 * g2 + 20 * g2 * om2 - om2 * om2) + (g2 - om2) ** 3
+        a = -8 * j**3 - 9 * j * (om2 + 2 * g2)
+        if math.isfinite(x) and math.isfinite(z) and math.isfinite(a):
+            return x, z, a
+    except OverflowError:
+        pass
+    raise NonFiniteError(
+        f"cubic invariants overflow at omega={params.omega}, j={params.j}, "
+        f"gamma={params.gamma}"
+    )
 
 
 def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
@@ -160,16 +176,29 @@ def _phase_fix(vec: np.ndarray) -> np.ndarray:
     return vec * (mags[k] / vec[k])
 
 
+def _eigvec_coefficients(omega: float, j: float, gamma: float, e: complex):
+    """(r1, r2) of the symmetric-sector eigenvector N(1, r2, r2, r1) of eigenvalue e.
+
+    The unit amplitude sits on |00> and the quadratic coefficient r1 on |11>.
+    """
+    d = j - e + 1j * gamma
+    return -2 * (j + e) * d / omega**2 - 1, -d / omega
+
+
 def eigenvectors_closed_form(
     params: SystemParams, eigenvalues: np.ndarray | None = None
 ) -> np.ndarray:
     """Unit right eigenvectors as rows, phase-fixed; Psi1 is the singlet.
 
-    Component layout in the fixed basis puts the unit amplitude on |00>
-    and the quadratic coefficient on |11>; residuals ||Hv - Ev|| are
-    checked against RESIDUAL_TOL (relaxed to NEAR_EP_RESIDUAL_TOL when the
-    smallest eigenvalue gap is below NEAR_EP_GAP).
+    Residuals ||Hv - Ev|| are checked against RESIDUAL_TOL (relaxed to
+    NEAR_EP_RESIDUAL_TOL when the smallest eigenvalue gap is below
+    NEAR_EP_GAP).
     """
+    return _closed_form_eigenpairs(params, eigenvalues)[0]
+
+
+def _closed_form_eigenpairs(params: SystemParams, eigenvalues: np.ndarray | None = None):
+    """(eigenvectors, H, max residual) behind eigenvectors_closed_form."""
     om, j, g = params.omega, params.j, params.gamma
     if om <= 1e-12:
         raise OmegaSingularError(
@@ -180,9 +209,7 @@ def eigenvectors_closed_form(
     vecs = np.zeros((4, 4), dtype=complex)
     vecs[0] = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
     for k in (1, 2, 3):
-        e = eigenvalues[k]
-        r1 = -2 * (j + e) * (j - e + 1j * g) / om**2 - 1
-        r2 = -(j - e + 1j * g) / om
+        r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[k])
         norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
         vecs[k] = _phase_fix(norm * np.array([1, r2, r2, r1]))
     h = build_hamiltonian(params)
@@ -195,7 +222,7 @@ def eigenvectors_closed_form(
             f"eigenvector residual {residual:.3e} exceeds {tol:.0e} at "
             f"omega={om}, j={j}, gamma={g} (min gap {_min_gap(eigenvalues):.3e})"
         )
-    return vecs
+    return vecs, h, residual
 
 
 def _min_gap(values: np.ndarray) -> float:
@@ -335,11 +362,7 @@ def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
 def spectrum_closed_form(params: SystemParams) -> Spectrum:
     """Closed-form spectrum, cross-checked against the oracle multiset."""
     values = eigenvalues_closed_form(params)
-    vecs = eigenvectors_closed_form(params, values)
-    h = build_hamiltonian(params)
-    residual = max(
-        float(np.linalg.norm(h @ vecs[k] - values[k] * vecs[k])) for k in range(4)
-    )
+    vecs, h, residual = _closed_form_eigenpairs(params, values)
     oracle = eigensystem_oracle(h, deflate_root=-params.j)
     dev = pairing_distance(values, oracle.eigenvalues)
     if dev > 1e-9:
@@ -368,23 +391,30 @@ def spectrum_oracle(params: SystemParams) -> Spectrum:
     )
 
 
-def classify_phase(
-    params: SystemParams, tol_phase: float = 1e-8, tol_gap: float = 1e-6
-) -> PhaseLabel:
+def _labeled_eigenvalues(params: SystemParams) -> np.ndarray:
+    """E1..E4 in closed form, or from the label-aligned oracle where the radical vanishes."""
+    try:
+        return eigenvalues_closed_form(params)
+    except DegenerateCubicError:
+        return spectrum_oracle(params).eigenvalues
+
+
+def _phase_probe(params: SystemParams) -> tuple[np.ndarray, float, bool]:
+    """(labeled eigenvalues, max|Im E|, PT-broken) - the one phase decision."""
+    values = _labeled_eigenvalues(params)
+    max_imag = float(np.max(np.abs(values.imag)))
+    return values, max_imag, max_imag > _PHASE_TOL
+
+
+def classify_phase(params: SystemParams, tol_gap: float = 1e-6) -> PhaseLabel:
     """Phase from max |Im E|; NEAR_EP when a real spectrum also nearly degenerates.
 
     Real crossings that are not coalescences (e.g. j = 0, where the singlet
     meets a symmetric-sector root) also report NEAR_EP.
     """
-    try:
-        values = eigenvalues_closed_form(params)
-    except DegenerateCubicError:
-        values = eigensystem_oracle(
-            build_hamiltonian(params), deflate_root=-params.j
-        ).eigenvalues
-    max_imag = float(np.max(np.abs(values.imag)))
-    if max_imag <= tol_phase:
-        if _min_gap(values) <= tol_gap:
-            return PhaseLabel(Phase.NEAR_EP, max_imag)
-        return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)
-    return PhaseLabel(Phase.PT_BROKEN, max_imag)
+    values, max_imag, broken = _phase_probe(params)
+    if broken:
+        return PhaseLabel(Phase.PT_BROKEN, max_imag)
+    if _min_gap(values) <= tol_gap:
+        return PhaseLabel(Phase.NEAR_EP, max_imag)
+    return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)

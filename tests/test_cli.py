@@ -33,6 +33,13 @@ class TestSpectrumCommand:
         assert cols["label"] == ["E1", "E2", "E3", "E4"]
         assert meta["phase"] == "pt-symmetric"
 
+    def test_overflow_exits_3(self, capsys):
+        code, out, err = invoke(capsys, "spectrum", "--omega", "1e200", "--j", "1e200")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonFiniteError"
+
 
 class TestEpCommands:
     def test_locate_json(self, capsys):
@@ -97,11 +104,17 @@ class TestEvolveCommand:
         assert column(cols, "t")[-1] == pytest.approx(5.0)
 
     def test_validation_error_exits_2(self, capsys):
-        code, _, err = invoke(
-            capsys, "evolve", "--omega", 2.0, "--j", 0.7, "--tmax", 5, "--dt", "-0.1",
-        )
-        assert code == 2
-        assert "error" in json.loads(err)
+        sweep = ["concurrence", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"]
+        for argv in (
+            ["evolve", "--omega", 2.0, "--j", 0.7, "--tmax", 5, "--dt", "-0.1"],
+            sweep + ["--n", 0],
+            sweep + ["--n", -3],
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert "error" in json.loads(err)
 
 
 class TestSenseCommand:

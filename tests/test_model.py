@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptqsim import SystemParams, build_hamiltonian, pt_residual_of_matrix, pt_symmetry_residual
+from ptqsim import (
+    SystemParams,
+    build_hamiltonian,
+    coherence_expectation,
+    concurrence_pure,
+    propagate,
+    pt_residual_of_matrix,
+    pt_symmetry_residual,
+)
+from ptqsim.errors import NotNormalizedError
 from ptqsim.model import EXCHANGE, exchange_residual
 
 params_st = st.builds(
@@ -91,3 +100,18 @@ class TestSystemParams:
     def test_replace(self):
         p = SystemParams(2.0, 0.3).replace(j=0.7)
         assert (p.omega, p.j, p.gamma) == (2.0, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        concurrence_pure,
+        coherence_expectation,
+        lambda psi: propagate(SystemParams(2.0, 0.4), psi, 0.01, 1e-3),
+    ],
+    ids=["concurrence_pure", "coherence_expectation", "propagate"],
+)
+def test_non_finite_state_is_not_normalized(entry, amplitude):
+    with pytest.raises(NotNormalizedError):
+        entry(np.array([amplitude, 0, 0, 0], dtype=complex))
