@@ -130,10 +130,19 @@ def _sweep_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}")
 
 
+def _require_range(args):
+    """The range commands' shared argument check: --sweep-range with finite ends."""
+    if args.sweep_range is None:
+        raise ValidationError(f"{args.command} requires --sweep-range")
+    if not all(math.isfinite(x) for x in args.sweep_range):
+        raise ValidationError(f"--sweep-range ends must be finite, got {args.sweep_range}")
+
+
 def _require_sweep(args):
-    """The sweep commands' shared argument check: --sweep-range and --n >= 1."""
-    if args.sweep_range is None or args.n is None:
-        raise ValidationError(f"{args.command} sweep requires --sweep-range and --n")
+    """The sweep commands' shared argument check: a range and --n >= 1."""
+    _require_range(args)
+    if args.n is None:
+        raise ValidationError(f"{args.command} sweep requires --n")
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
 
@@ -186,6 +195,7 @@ def _ep_point_payload(point):
 
 
 def cmd_ep_locate(args) -> int:
+    _require_range(args)
     if args.sweep_axis == "j":
         fix, fixed_value = "omega", args.omega
     else:

@@ -70,10 +70,6 @@ class EpTooCloseError(NumericalError):
     """Requested derivative is ill-defined this close to an EP."""
 
 
-class NoDerivativeConvergenceError(NumericalError):
-    """Finite-difference derivative failed its step-halving check."""
-
-
 class ZeroSlopeError(NumericalError):
     """Error-propagation sensitivity undefined: response slope is zero."""
 

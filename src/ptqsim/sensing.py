@@ -1,11 +1,12 @@
 """Parameter sensing on the third eigenstate: quantum Fisher information and
 the single-qubit coherence error-propagation sensitivity.
 
-Derivatives are central differences of the phase-fixed eigenvector with a
-step-halving agreement check (3 significant digits, up to four halvings).
-Differenced vectors are additionally phase-aligned to the center vector by
-overlap, which makes the result exactly independent of the deterministic
-phase-fixing convention.
+Both use the closed-form derivative of Psi3 = N(1, r2, r2, r1): r1 and r2
+are explicit in E3, and dE3 is first-order perturbation theory for the
+complex-symmetric H, so no step size enters and the Hermitian limit gives
+an exact zero.  Points whose smallest eigenvalue gap is below 1e-4 are
+refused as too close to an EP.  qfi_from_states keeps the central-difference
+form (states phase-aligned by overlap) as an independent reference.
 
 Sweeps mark the phase transition with spectrum's one phase decision
 (max |Im E| against its threshold, with the label-aligned oracle standing
@@ -20,17 +21,21 @@ import numpy as np
 from .errors import (
     DegenerateCubicError,
     EpTooCloseError,
-    NoDerivativeConvergenceError,
     NumericalError,
     OmegaSingularError,
     ZeroSlopeError,
 )
 from .model import SIGMA_X1, SystemParams, as_state, as_unit_state
-from .spectrum import _phase_probe, eigenvalues_closed_form, eigenvectors_closed_form
+from .spectrum import (
+    _min_gap,
+    _phase_probe,
+    eigenvalues_closed_form,
+    eigenvectors_closed_form,
+)
 
 KAPPAS = ("j", "omega")
-_RICHARDSON_REL_TOL = 1e-3
-_MAX_HALVINGS = 4
+#: Smallest eigenvalue gap at which the derivative of Psi3 is still computed.
+_EP_GUARD_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -49,19 +54,6 @@ class SensingPoint:
 def _check_kappa(kappa: str):
     if kappa not in KAPPAS:
         raise ValueError(f"kappa must be one of {KAPPAS}, got {kappa!r}")
-
-
-def _params_at(params: SystemParams, kappa: str, value: float) -> SystemParams:
-    return params.replace(j=value) if kappa == "j" else params.replace(omega=value)
-
-
-def _psi3(params: SystemParams) -> np.ndarray:
-    return eigenvectors_closed_form(params)[2]
-
-
-def _gap34(params: SystemParams) -> float:
-    values = eigenvalues_closed_form(params)
-    return float(abs(values[2] - values[3]))
 
 
 def _align(vec: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -93,54 +85,49 @@ def coherence_expectation(psi) -> float:
     return float(value.real)
 
 
-def _guard_gap(params: SystemParams, h: float):
-    if _gap34(params) < 10.0 * h:
+def _psi3_derivative(params: SystemParams, kappa: str) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, dpsi): unit Psi3 and its exact kappa-derivative up to a multiple of psi.
+
+    H is complex symmetric, so dE3 = u^T dH u / u^T u for u = (1, r2, r2, r1);
+    differentiating r2 = -d/omega and r1 = -2(j+E3)d/omega^2 - 1 with
+    d = j - E3 + i*gamma gives du.  The normalization and phase fixing only
+    add multiples of psi, which the QFI and the coherence slope ignore.
+    """
+    values = eigenvalues_closed_form(params)
+    if _min_gap(values) < _EP_GUARD_GAP:
         raise EpTooCloseError(
-            f"eigenvalue gap {_gap34(params):.3e} below 10*h = {10 * h:.1e}; "
+            f"eigenvalue gap {_min_gap(values):.3e} below {_EP_GUARD_GAP:.0e}; "
             "derivative ill-defined this close to the EP"
         )
+    psi = eigenvectors_closed_form(params, values)[2]
+    om, j, e = params.omega, params.j, values[2]
+    r2, r1 = psi[1] / psi[0], psi[3] / psi[0]
+    d = j - e + 1j * params.gamma
+    utu = 1 + 2 * r2 * r2 + r1 * r1
+    if kappa == "j":
+        de = (1 - 2 * r2 * r2 + r1 * r1) / utu
+        dr2 = -(1 - de) / om
+        dr1 = -2 * ((1 + de) * d + (j + e) * (1 - de)) / om**2
+    else:
+        de = 2 * r2 * (1 + r1) / utu
+        dr2 = (de + d / om) / om
+        dr1 = -2 * (de * d - (j + e) * de) / om**2 + 4 * (j + e) * d / om**3
+    return psi, psi[0] * np.array([0, dr2, dr2, dr1])
 
 
-def qfi(params: SystemParams, kappa: str, h: float = 1e-5) -> float:
+def qfi(params: SystemParams, kappa: str) -> float:
     """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
     _check_kappa(kappa)
-    _guard_gap(params, h)
-    x0 = params.j if kappa == "j" else params.omega
-    p0 = _psi3(params)
-
-    def value_at(step: float) -> float:
-        pm = _psi3(_params_at(params, kappa, x0 - step))
-        pp = _psi3(_params_at(params, kappa, x0 + step))
-        return qfi_from_states(pm, p0, pp, step)
-
-    return _richardson(value_at, h, "qfi")
+    psi, dpsi = _psi3_derivative(params, kappa)
+    return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
 
 
-def _richardson(value_at, h: float, what: str) -> float:
-    for _ in range(_MAX_HALVINGS + 1):
-        coarse, fine = value_at(h), value_at(h / 2)
-        if abs(coarse - fine) <= _RICHARDSON_REL_TOL * max(abs(fine), 1e-300):
-            return fine
-        h /= 2
-    raise NoDerivativeConvergenceError(
-        f"{what} finite difference did not stabilize to 3 significant digits "
-        f"(last pair {coarse:.6g} / {fine:.6g})"
-    )
-
-
-def sensitivity_variance(params: SystemParams, kappa: str, h: float = 1e-5) -> float:
+def sensitivity_variance(params: SystemParams, kappa: str) -> float:
     """Error-propagation variance (delta kappa)^2 of the coherence measurement."""
     _check_kappa(kappa)
-    _guard_gap(params, h)
-    x0 = params.j if kappa == "j" else params.omega
-    m0 = coherence_expectation(_psi3(params))
-
-    def slope_at(step: float) -> float:
-        mm = coherence_expectation(_psi3(_params_at(params, kappa, x0 - step)))
-        mp = coherence_expectation(_psi3(_params_at(params, kappa, x0 + step)))
-        return (mp - mm) / (2.0 * step)
-
-    slope = _richardson(slope_at, h, "coherence slope")
+    psi, dpsi = _psi3_derivative(params, kappa)
+    m0 = coherence_expectation(psi)
+    slope = 2.0 * np.vdot(dpsi, SIGMA_X1 @ psi - m0 * psi).real
     if abs(slope) < 1e-12:
         raise ZeroSlopeError(
             f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12; sensitivity undefined"
@@ -154,7 +141,6 @@ def sensing_sweep(
     value_range: tuple[float, float],
     n: int,
     gamma: float = 1.0,
-    h: float = 1e-5,
 ) -> list[SensingPoint]:
     """Ordered grid of sensing points over kappa; failures become flags, not gaps.
 
@@ -176,12 +162,12 @@ def sensing_sweep(
     points: list[SensingPoint] = []
     broken: list[bool] = []
     for x in grid:
-        p = _params_at(base, kappa, float(x))
+        p = base.replace(**{kappa: float(x)})
         broken.append(_phase_probe(p)[2])
         try:
-            f = qfi(p, kappa, h)
-            var = sensitivity_variance(p, kappa, h)
-            coh = coherence_expectation(_psi3(p))
+            f = qfi(p, kappa)
+            var = sensitivity_variance(p, kappa)
+            coh = coherence_expectation(eigenvectors_closed_form(p)[2])
             points.append(
                 SensingPoint(
                     kappa=kappa,
@@ -194,7 +180,6 @@ def sensing_sweep(
             )
         except (
             EpTooCloseError,
-            NoDerivativeConvergenceError,
             ZeroSlopeError,
             OmegaSingularError,
             DegenerateCubicError,

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import column, parse_csv, run_cli
 from ptqsim.cli import main
@@ -69,6 +72,21 @@ class TestEpCommands:
         assert "failure" in header
         assert cols["failure"][0] == "NoSignChangeError"
         assert cols["failure"][-1] == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["ep-locate", "--omega", 2, "--sweep-axis", "j"],
+        ["ep-curve", "--sweep-range", "1:inf", "--n", 3],
+        ["sense", "--sweep-axis", "j", "--omega", 2, "--sweep-range", "inf:0.4", "--n", 3],
+        ["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "nan:0.9"],
+    ])
+    def test_missing_or_non_finite_range_exits_2(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == "" and not caught
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ValidationError"
 
 
 class TestConcurrenceCommand:
@@ -174,6 +192,16 @@ class TestQfiCommand:
         assert results["cr_bound"] == pytest.approx(1 / np.sqrt(results["qfi"]))
         assert results["inv_variance_sq"] <= results["qfi"] * (1 + 1e-6)
 
+    def test_hermitian_limit_exits_3(self, capsys):
+        """gamma = 0: Psi3 does not move with j, so the coherence slope is zero."""
+        code, out, err = invoke(
+            capsys, "qfi", "--omega", 2, "--j", 0.4, "--sweep-axis", "j", "--gamma", 0,
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ZeroSlopeError"
+
     def test_sweep_delegates_to_sense(self, capsys):
         code, out, _ = invoke(
             capsys, "qfi", "--omega", 2.0, "--sweep-axis", "j",
@@ -217,3 +245,51 @@ class TestProcessLevel:
     def test_unknown_preset_exits_2(self):
         proc = run_cli(["reproduce", "fig99"])
         assert proc.returncode == 2
+
+
+_EXTREMES = st.sampled_from(
+    ["0", "-0.0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300"]
+)
+_VALUES = st.one_of(_EXTREMES, st.floats(-3.0, 3.0).map(repr))
+
+
+@st.composite
+def _argv(draw):
+    argv = [draw(st.sampled_from(["qfi", "sense", "ep-locate", "ep-curve"]))]
+    for flag in ("--omega", "--j", "--gamma"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_VALUES)}")
+    axis = draw(st.sampled_from([None, "j", "omega"]))
+    if axis is not None:
+        argv.append(f"--sweep-axis={axis}")
+    if draw(st.booleans()):
+        argv.append(f"--sweep-range={draw(_VALUES)}:{draw(_VALUES)}")
+    n = draw(st.one_of(st.none(), st.integers(-2, 5)))
+    if n is not None:
+        argv.append(f"--n={n}")
+    argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+    return argv
+
+
+@seed(20260809)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_cli_contract_fuzz(capsys, argv):
+    """Exit 0, 2 or 3; a failure is one JSON line on stderr and nothing else."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert err == ""
+        if "--format=json" in argv:
+            json.loads(out)
+        else:
+            assert out.startswith("# ptq-sim v1\n")
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "error" in json.loads(err)

@@ -4,6 +4,7 @@ import pytest
 from ptqsim import (
     SystemParams,
     coherence_expectation,
+    eigenvalues_closed_form,
     eigenvectors_closed_form,
     locate_ep,
     qfi,
@@ -11,11 +12,10 @@ from ptqsim import (
     sensing_sweep,
     sensitivity_variance,
 )
-from ptqsim.errors import (
-    EpTooCloseError,
-    NoDerivativeConvergenceError,
-    NotNormalizedError,
-)
+from ptqsim.errors import EpTooCloseError, NotNormalizedError, ZeroSlopeError
+from ptqsim.spectrum import _min_gap
+
+SEED = 20260809
 
 SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2)
 
@@ -68,19 +68,55 @@ class TestQfi:
         )
         assert abs(plain - alt) / plain < 1e-6
 
-    def test_matches_richardson_path(self):
-        value = qfi(SystemParams(2.0, 0.45, 1.0), "j")
-        assert value > 0
+    def test_matches_finite_difference_oracle(self):
+        """QFI and coherence slope against central differences on seeded points."""
+        rng = np.random.default_rng(SEED)
+        h, checked = 1e-5, 0
+        while checked < 60:
+            params = SystemParams(
+                rng.uniform(0.3, 3.0), rng.uniform(0.05, 1.2), rng.uniform(0.0, 1.5)
+            )
+            if _min_gap(eigenvalues_closed_form(params)) <= 1e-2:
+                continue
+            for kappa in ("j", "omega"):
+                x0 = getattr(params, kappa)
+                states = [
+                    eigenvectors_closed_form(params.replace(**{kappa: x0 + s * h}))[2]
+                    for s in (-1, 0, 1)
+                ]
+                expected_qfi = qfi_from_states(*states, h)
+                assert qfi(params, kappa) == pytest.approx(expected_qfi, rel=1e-5)
+                m = [coherence_expectation(v) for v in states]
+                expected_slope = (m[2] - m[0]) / (2 * h)
+                # the variance (1 - m^2) / slope^2 fixes the slope's magnitude
+                slope = np.sqrt((1 - m[1] ** 2) / sensitivity_variance(params, kappa))
+                assert slope == pytest.approx(abs(expected_slope), rel=1e-5)
+            checked += 1
 
     def test_ep_too_close(self):
         jc = locate_ep("omega", 2.000, (0.3, 0.9)).j_c
         with pytest.raises(EpTooCloseError):
             qfi(SystemParams(2.0, jc + 1e-9, 1.0), "j")
 
-    def test_derivative_breakdown_reported(self):
+    def test_near_ep_matches_fine_difference(self):
+        """Where step halving broke down, the exact derivative still holds."""
         jc = locate_ep("omega", 2.000, (0.3, 0.9)).j_c
-        with pytest.raises(NoDerivativeConvergenceError):
-            qfi(SystemParams(2.0, jc + 1e-6, 1.0), "j")
+        params, h = SystemParams(2.0, jc + 1e-6, 1.0), 1e-9
+        states = [_psi3_at(params.j + s * h) for s in (-1, 0, 1)]
+        value = qfi(params, "j")
+        assert np.isfinite(value)
+        assert value == pytest.approx(qfi_from_states(*states, h), rel=1e-5)
+
+    @pytest.mark.parametrize("kappa", ["j", "omega"])
+    def test_hermitian_limit_is_exactly_zero(self, kappa):
+        """At gamma = 0 Psi3 = (|11> - |00>)/sqrt(2) for every j and omega."""
+        assert abs(qfi(SystemParams(2.0, 0.4, 0.0), kappa)) <= 1e-20
+
+    def test_label_crossing_refused(self):
+        """A crossing of non-coalescing labels is refused like an EP."""
+        for kappa in ("j", "omega"):
+            with pytest.raises(EpTooCloseError):
+                qfi(SystemParams(1.0, 0.0, 0.0), kappa)
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
@@ -93,6 +129,10 @@ class TestSensitivityVariance:
         var = sensitivity_variance(params, "j")
         assert var > 0
         assert 1.0 / var <= qfi(params, "j") * (1 + 1e-6)
+
+    def test_hermitian_limit_has_zero_slope(self):
+        with pytest.raises(ZeroSlopeError):
+            sensitivity_variance(SystemParams(2.0, 0.4, 0.0), "j")
 
     def test_cramer_rao_on_grid(self):
         for j in np.linspace(0.35, 0.55, 9):
@@ -134,7 +174,7 @@ class TestSensingSweep:
         jc = locate_ep("omega", 2.000, (0.3, 0.9)).j_c
         points = sensing_sweep("j", 2.0, (jc - 1e-7, jc + 1e-7), 3)
         middle = points[1]  # lands within the guarded distance of the EP
-        assert middle.flag in ("EpTooClose", "NoDerivativeConvergence")
+        assert middle.flag == "EpTooClose"
         assert np.isnan(middle.qfi) and np.isnan(middle.variance_sq)
 
 
