@@ -11,6 +11,7 @@ column.  JSON output is one object with ``params``, ``results`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,11 +32,10 @@ from .errors import (
     ValidationError,
 )
 from .model import SystemParams
-from .sensing import qfi, sensing_sweep, sensitivity_variance, coherence_expectation
+from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
     _labeled_eigenvalues,
     classify_phase,
-    eigenvectors_closed_form,
     spectrum_closed_form,
     spectrum_oracle,
 )
@@ -293,15 +293,14 @@ def cmd_qfi(args) -> int:
     if args.sweep_range is not None:
         return cmd_sense(args)
     kappa = args.sweep_axis or "omega"
-    f = qfi(params, kappa)
-    var = sensitivity_variance(params, kappa)
+    f, coh, var = _sense_point(params, kappa)
     results = {
         "kappa": kappa,
         "qfi": f,
         "cr_bound": 1.0 / math.sqrt(f),
         "variance_sq": var,
         "inv_variance_sq": 1.0 / var,
-        "coherence": coherence_expectation(eigenvectors_closed_form(params)[2]),
+        "coherence": coh,
     }
     header = list(results)
     _emit_object(args, _params_desc(params), results, {}, header, [list(results.values())])
@@ -487,8 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, ValueError) as exc:

@@ -10,6 +10,7 @@ within exp(5) between renormalizations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .spectrum import eigensystem_oracle
 
 #: dt * (max row sum of |H|) must stay below this for the fixed-step scheme.
 STABILITY_LIMIT = 0.1
+#: Step counts are int64 indices (np.arange); t_max/dt must stay below this.
+_MAX_STEPS = 2.0**63
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,14 @@ def propagate(
     eigendecomposition propagator (overlap >= 1 - 1e-8).
     """
     psi0 = as_unit_state(psi0)
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
     if dt <= 0 or t_max < dt:
         raise ValueError("require dt > 0 and t_max >= dt")
+    if not t_max / dt < _MAX_STEPS:
+        raise ValueError(
+            f"t_max/dt = {t_max / dt:.3e} steps does not fit a 64-bit step count"
+        )
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 

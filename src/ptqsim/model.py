@@ -59,12 +59,32 @@ class SystemParams:
 
 
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Assemble H = (omega*sx - i*gamma*sz)/2 per qubit + j*sz(x)sz, 4x4 complex."""
+    """H = (omega*sx - i*gamma*sz)/2 per qubit + j*sz(x)sz as a literal 4x4 complex array.
+
+    The entries are the float operations the Kronecker-product form
+    kron(s, 1) + kron(1, s) + j*kron(sz, sz) performs, reduced to what
+    reaches H, so every bit agrees with it: the signed zeros, which take
+    their signs from omega, j and gamma (gamma = -0.0 included), and the
+    halvings of subnormal rates.
+    """
     om, j, g = params.omega, params.j, params.gamma
-    single = 0.5 * (om * SIGMA_X - 1j * g * SIGMA_Z)
-    h = np.kron(single, IDENTITY_2) + np.kron(IDENTITY_2, single)
-    h += j * np.kron(SIGMA_Z, SIGMA_Z)
-    return h
+    # zg, zj, t: signed zeros; ho ~ omega/2, hg ~ gamma/2; d*: diagonal; u, w: single
+    # flips touching |00>, |11>; v: the (zero) |00>-|11> and |01>-|10> entries
+    zg, zj = 0.0 * g, 0.0 * j
+    ho = 0.5 * (om - zg)
+    hg = 0.5 * (g + 0.0)
+    t = (0.0 * om - zg) - 0.0 * (0.0 - g)
+    d0r, d0i, d1r = j + 0.0, hg + hg, 0.0 - j
+    d3r, d3i = t + j, 0.0 - (hg + hg)
+    u = (0.0 * om + zg + ho) - zj
+    v = 0.0 * ho + zj
+    w = (ho + t) + zj
+    return np.array([
+        [d0r, d0i, u, 0.0, u, 0.0, v, 0.0],
+        [u, 0.0, d1r, 0.0, v, 0.0, w, 0.0],
+        [u, 0.0, v, 0.0, d1r, 0.0, w, 0.0],
+        [v, 0.0, w, 0.0, w, 0.0, d3r, d3i],
+    ]).view(complex)
 
 
 def pt_residual_of_matrix(h: np.ndarray) -> float:

@@ -8,9 +8,11 @@ an exact zero.  Points whose smallest eigenvalue gap is below 1e-4 are
 refused as too close to an EP.  qfi_from_states keeps the central-difference
 form (states phase-aligned by overlap) as an independent reference.
 
-Sweeps mark the phase transition with spectrum's one phase decision
-(max |Im E| against its threshold, with the label-aligned oracle standing
-in where the cubic radical degenerates).
+A sweep point costs one closed-form eigensolve: its eigenvalues give the
+phase label and Psi3, and one (psi, dpsi) pair gives the QFI, the
+coherence and its variance together.  Sweeps mark the phase transition
+with spectrum's one phase decision (max |Im E| against its threshold, with
+the label-aligned oracle standing in where the cubic radical degenerates).
 """
 from __future__ import annotations
 
@@ -85,15 +87,19 @@ def coherence_expectation(psi) -> float:
     return float(value.real)
 
 
-def _psi3_derivative(params: SystemParams, kappa: str) -> tuple[np.ndarray, np.ndarray]:
+def _psi3_derivative(
+    params: SystemParams, kappa: str, values: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi): unit Psi3 and its exact kappa-derivative up to a multiple of psi.
 
     H is complex symmetric, so dE3 = u^T dH u / u^T u for u = (1, r2, r2, r1);
     differentiating r2 = -d/omega and r1 = -2(j+E3)d/omega^2 - 1 with
     d = j - E3 + i*gamma gives du.  The normalization and phase fixing only
     add multiples of psi, which the QFI and the coherence slope ignore.
+    values, when given, are the point's closed-form E1..E4.
     """
-    values = eigenvalues_closed_form(params)
+    if values is None:
+        values = eigenvalues_closed_form(params)
     if _min_gap(values) < _EP_GUARD_GAP:
         raise EpTooCloseError(
             f"eigenvalue gap {_min_gap(values):.3e} below {_EP_GUARD_GAP:.0e}; "
@@ -115,24 +121,38 @@ def _psi3_derivative(params: SystemParams, kappa: str) -> tuple[np.ndarray, np.n
     return psi, psi[0] * np.array([0, dr2, dr2, dr1])
 
 
-def qfi(params: SystemParams, kappa: str) -> float:
-    """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
-    _check_kappa(kappa)
-    psi, dpsi = _psi3_derivative(params, kappa)
+def _fisher(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
 
 
-def sensitivity_variance(params: SystemParams, kappa: str) -> float:
-    """Error-propagation variance (delta kappa)^2 of the coherence measurement."""
-    _check_kappa(kappa)
-    psi, dpsi = _psi3_derivative(params, kappa)
+def _sense_point(
+    params: SystemParams, kappa: str, values: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2) from one (psi, dpsi).
+
+    Raises what _psi3_derivative raises (EpTooCloseError first), then
+    ZeroSlopeError when the coherence does not move with kappa.
+    """
+    psi, dpsi = _psi3_derivative(params, kappa, values)
     m0 = coherence_expectation(psi)
     slope = 2.0 * np.vdot(dpsi, SIGMA_X1 @ psi - m0 * psi).real
     if abs(slope) < 1e-12:
         raise ZeroSlopeError(
             f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12; sensitivity undefined"
         )
-    return (1.0 - m0 * m0) / (slope * slope)
+    return _fisher(psi, dpsi), m0, (1.0 - m0 * m0) / (slope * slope)
+
+
+def qfi(params: SystemParams, kappa: str) -> float:
+    """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
+    _check_kappa(kappa)
+    return _fisher(*_psi3_derivative(params, kappa))
+
+
+def sensitivity_variance(params: SystemParams, kappa: str) -> float:
+    """Error-propagation variance (delta kappa)^2 of the coherence measurement."""
+    _check_kappa(kappa)
+    return _sense_point(params, kappa)[2]
 
 
 def sensing_sweep(
@@ -163,11 +183,10 @@ def sensing_sweep(
     broken: list[bool] = []
     for x in grid:
         p = base.replace(**{kappa: float(x)})
-        broken.append(_phase_probe(p)[2])
+        values = None  # a DegenerateCubic point leaves the phase to the oracle
         try:
-            f = qfi(p, kappa)
-            var = sensitivity_variance(p, kappa)
-            coh = coherence_expectation(eigenvectors_closed_form(p)[2])
+            values = eigenvalues_closed_form(p)
+            f, coh, var = _sense_point(p, kappa, values)
             points.append(
                 SensingPoint(
                     kappa=kappa,
@@ -189,6 +208,7 @@ def sensing_sweep(
                 SensingPoint(kappa, float(x), nan, nan, nan, nan,
                              flag=type(exc).__name__.removesuffix("Error"))
             )
+        broken.append(_phase_probe(p, values)[2])
 
     for i in range(n - 1):
         if broken[i] != broken[i + 1]:

@@ -399,9 +399,15 @@ def _labeled_eigenvalues(params: SystemParams) -> np.ndarray:
         return spectrum_oracle(params).eigenvalues
 
 
-def _phase_probe(params: SystemParams) -> tuple[np.ndarray, float, bool]:
-    """(labeled eigenvalues, max|Im E|, PT-broken) - the one phase decision."""
-    values = _labeled_eigenvalues(params)
+def _phase_probe(
+    params: SystemParams, values: np.ndarray | None = None
+) -> tuple[np.ndarray, float, bool]:
+    """(labeled eigenvalues, max|Im E|, PT-broken) - the one phase decision.
+
+    values, when given, are the point's closed-form E1..E4 and are not solved again.
+    """
+    if values is None:
+        values = _labeled_eigenvalues(params)
     max_imag = float(np.max(np.abs(values.imag)))
     return values, max_imag, max_imag > _PHASE_TOL
 

@@ -135,6 +135,22 @@ class TestEvolveCommand:
             assert "error" in json.loads(err)
 
 
+    @pytest.mark.parametrize(
+        "times",
+        [["--tmax", "inf"], ["--tmax", "1e300", "--dt", "1e-300"], ["--tmax", "5", "--dt", "nan"]],
+        ids=["tmax-inf", "steps-overflow", "dt-nan"],
+    )
+    @pytest.mark.parametrize("command", ["evolve", "revivals"])
+    def test_unrepresentable_step_count_exits_2(self, capsys, command, times):
+        code, out, err = invoke(capsys, command, "--omega", 2, "--j", 0.4, *times)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert "finite" in error["message"] or "64-bit" in error["message"]
+
+
 class TestSenseCommand:
     def test_two_endpoints_one_phase(self, capsys):
         code, out, _ = invoke(
@@ -233,6 +249,21 @@ class TestRemainingPresets:
 
 
 class TestProcessLevel:
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        """Repeated in-process main calls print what a fresh interpreter prints."""
+        runs = [
+            ["spectrum", "--omega", "2", "--j", "0.4"],
+            ["reproduce", "fig3a"],
+            ["spectrum", "--omega", "2", "--j", "0.4"],
+        ]
+        for argv in runs:
+            assert main(argv) == 0
+            in_process = capsys.readouterr().out
+            fresh = run_cli(argv)
+            assert fresh.returncode == 0
+            assert in_process == fresh.stdout
+        assert json.loads(in_process)["params"] == "omega=2 j=0.4 gamma=1"
+
     def test_version_runs(self):
         proc = run_cli(["--version"])
         assert proc.returncode == 0

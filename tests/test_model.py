@@ -13,7 +13,13 @@ from ptqsim import (
     pt_symmetry_residual,
 )
 from ptqsim.errors import NotNormalizedError
-from ptqsim.model import EXCHANGE, exchange_residual
+from ptqsim.model import (
+    EXCHANGE,
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Z,
+    exchange_residual,
+)
 
 params_st = st.builds(
     SystemParams,
@@ -42,6 +48,29 @@ class TestHamiltonian:
         h = build_hamiltonian(SystemParams(omega=2.0, j=0.7, gamma=1.0))
         assert abs(np.trace(h)) == 0
         assert h[0, 3] == 0 and h[3, 0] == 0
+
+    def test_literal_matches_kronecker_form_bitwise(self):
+        """Every bit of H, signed zeros included, equals the Kronecker-product formula."""
+
+        def kron_form(params):
+            om, j, g = params.omega, params.j, params.gamma
+            single = 0.5 * (om * SIGMA_X - 1j * g * SIGMA_Z)
+            h = np.kron(single, IDENTITY_2) + np.kron(IDENTITY_2, single)
+            h += j * np.kron(SIGMA_Z, SIGMA_Z)
+            return h
+
+        rng = np.random.default_rng(20260809)
+        edges = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300]
+        rates = list(rng.uniform(-3.0, 3.0, 12)) + edges
+        gammas = [0.0, -0.0, 5e-324, 1e300] + list(rng.uniform(0.0, 2.0, 6))
+        for om in rates:
+            for j in rates:
+                for g in gammas:
+                    params = SystemParams(float(om), float(j), float(g))
+                    got = build_hamiltonian(params)
+                    assert got.dtype == np.complex128 and got.shape == (4, 4)
+                    assert (got.view(float).tobytes()
+                            == kron_form(params).view(float).tobytes()), params
 
 
 class TestPtSymmetry:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ptqsim import (
+    Phase,
     SystemParams,
+    classify_phase,
     coherence_expectation,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
@@ -12,7 +14,13 @@ from ptqsim import (
     sensing_sweep,
     sensitivity_variance,
 )
-from ptqsim.errors import EpTooCloseError, NotNormalizedError, ZeroSlopeError
+from ptqsim.errors import (
+    DegenerateCubicError,
+    EpTooCloseError,
+    NotNormalizedError,
+    OmegaSingularError,
+    ZeroSlopeError,
+)
 from ptqsim.spectrum import _min_gap
 
 SEED = 20260809
@@ -176,6 +184,64 @@ class TestSensingSweep:
         middle = points[1]  # lands within the guarded distance of the EP
         assert middle.flag == "EpTooClose"
         assert np.isnan(middle.qfi) and np.isnan(middle.variance_sq)
+
+
+def _per_point_sweep(kappa, fixed_value, value_range, n, gamma):
+    """(qfi, variance, coherence, flag) per grid point from the public per-point calls."""
+    if kappa == "j":
+        base = SystemParams(omega=fixed_value, j=0.0, gamma=gamma)
+    else:
+        base = SystemParams(omega=1.0, j=fixed_value, gamma=gamma)
+    rows, broken = [], []
+    for x in np.linspace(value_range[0], value_range[1], n):
+        p = base.replace(**{kappa: float(x)})
+        broken.append(classify_phase(p).phase is Phase.PT_BROKEN)
+        try:
+            rows.append([qfi(p, kappa), sensitivity_variance(p, kappa),
+                         coherence_expectation(eigenvectors_closed_form(p)[2]), None])
+        except (EpTooCloseError, ZeroSlopeError, OmegaSingularError,
+                DegenerateCubicError) as exc:
+            rows.append([None, None, None, type(exc).__name__.removesuffix("Error")])
+    for i in range(n - 1):
+        if broken[i] != broken[i + 1]:
+            for k in (i, i + 1):
+                if rows[k][3] is None:
+                    rows[k][3] = "ep_bracket"
+    return rows
+
+
+_JC_OMEGA2 = 0.5899798397854931  # locate_ep("omega", 2.0, (0.3, 0.9)).j_c
+
+
+@pytest.mark.parametrize(
+    "kappa, fixed_value, value_range, n, gamma, flags",
+    [
+        # through the EP, with the middle point on it
+        ("j", 2.0, (_JC_OMEGA2 - 0.2, _JC_OMEGA2 + 0.2), 41, 1.0, {"EpTooClose"}),
+        ("omega", 0.3, (1.4, 2.0), 37, 1.0, {"ep_bracket"}),
+        # Hermitian limit: the coherence does not move
+        ("j", 2.0, (0.3, 0.9), 13, 0.0, {"ZeroSlope"}),
+        # omega = 0 is refused by the gap guard ahead of OmegaSingular (the
+        # singlet and (|01>+|10>)/sqrt2 coincide there); omega = gamma at j = 0
+        # is the DegenerateCubic triple point, labelled by the oracle
+        ("omega", 0.3, (0.0, 2.0), 21, 1.0, {"EpTooClose", "ep_bracket"}),
+        ("omega", 0.0, (0.0, 2.0), 5, 1.0, {"EpTooClose", "DegenerateCubic"}),
+    ],
+)
+def test_sweep_matches_per_point_calls_bitwise(kappa, fixed_value, value_range, n, gamma,
+                                               flags):
+    """The fused sweep gives exactly what qfi, sensitivity_variance and the coherence give."""
+    points = sensing_sweep(kappa, fixed_value, value_range, n, gamma=gamma)
+    expected = _per_point_sweep(kappa, fixed_value, value_range, n, gamma)
+    assert [p.flag for p in points] == [row[3] for row in expected]
+    assert flags <= {p.flag for p in points}
+    for point, (f, var, coh, _) in zip(points, expected):
+        if f is None:
+            assert np.isnan([point.qfi, point.variance_sq, point.coherence,
+                             point.cr_bound]).all()
+        else:
+            assert (point.qfi, point.variance_sq, point.coherence) == (f, var, coh)
+            assert point.cr_bound == 1.0 / np.sqrt(f)
 
 
 def test_monotone_approach_both_sides():
