@@ -290,8 +290,6 @@ def cmd_revivals(args) -> int:
 
 def cmd_qfi(args) -> int:
     params = _params_from(args)
-    if args.sweep_range is not None:
-        return cmd_sense(args)
     kappa = args.sweep_axis or "omega"
     f, coh, var = _sense_point(params, kappa)
     results = {
@@ -421,63 +419,68 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so main reports them as one JSON line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+#: Every flag a subcommand may declare; each subcommand takes only those it reads.
+_FLAGS = {
+    "--omega": dict(type=float, default=0.0),
+    "--j": dict(type=float, default=0.0),
+    "--gamma": dict(type=float, default=1.0),
+    "--sweep-axis": dict(choices=("j", "omega"), default=None),
+    "--sweep-range": dict(type=_sweep_range, default=None, metavar="A:B"),
+    "--n": dict(type=int, default=None),
+    "--theta": dict(type=float, default=np.pi / 2),
+    "--tmax": dict(type=float, required=True),
+    "--dt": dict(type=float, default=1e-3),
+    "--record-every": dict(type=int, default=1),
+    "--envelope-window": dict(type=float, default=5.0),
+    "--collapse-fraction": dict(type=float, default=0.3),
+}
+_POINT = ("--omega", "--j", "--gamma")
+_SWEEP = ("--sweep-axis", "--sweep-range", "--n")
+_RUN = ("--theta", "--tmax", "--dt", "--record-every")
+
+#: (name, handler, default format, flags, help) of every subcommand but reproduce.
+_COMMANDS = (
+    ("spectrum", cmd_spectrum, "json", _POINT,
+     "eigenvalues, eigenvectors, phase label"),
+    ("ep-locate", cmd_ep_locate, "json", _POINT + ("--sweep-axis", "--sweep-range"),
+     "bisect one critical point"),
+    ("ep-curve", cmd_ep_curve, "csv", ("--gamma", "--sweep-range", "--n"),
+     "critical curve j_c(omega)"),
+    ("concurrence", cmd_concurrence, "json", _POINT + _SWEEP,
+     "eigenstate concurrence (point or sweep)"),
+    ("evolve", cmd_evolve, "csv", _POINT + _RUN,
+     "propagate and record concurrence / coherence"),
+    ("revivals", cmd_revivals, "csv", _POINT + _RUN + ("--envelope-window", "--collapse-fraction"),
+     "propagate and detect envelope revivals"),
+    ("qfi", cmd_qfi, "json", _POINT + ("--sweep-axis",),
+     "Fisher information and coherence sensitivity at a point"),
+    ("sense", cmd_sense, "csv", _POINT + _SWEEP,
+     "QFI + coherence-sensitivity sweep"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptq-sim",
         description="Gain/loss two-qubit simulator: spectra, critical points, "
                     "entanglement dynamics, parameter sensing.",
     )
     parser.add_argument("--version", action="version", version=f"ptq-sim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_default):
-        p.add_argument("--omega", type=float, default=0.0)
-        p.add_argument("--j", type=float, default=0.0)
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--sweep-axis", choices=("j", "omega"), default=None)
-        p.add_argument("--sweep-range", type=_sweep_range, default=None, metavar="A:B")
-        p.add_argument("--n", type=int, default=None)
+    for name, handler, fmt_default, flags, helptext in _COMMANDS:
+        p = sub.add_parser(name, help=helptext)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default="-", metavar="PATH")
         p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-
-    p = sub.add_parser("spectrum", help="eigenvalues, eigenvectors, phase label")
-    common(p, "json")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("ep-locate", help="bisect one critical point")
-    common(p, "json")
-    p.set_defaults(func=cmd_ep_locate)
-
-    p = sub.add_parser("ep-curve", help="critical curve j_c(omega)")
-    common(p, "csv")
-    p.set_defaults(func=cmd_ep_curve)
-
-    p = sub.add_parser("concurrence", help="eigenstate concurrence (point or sweep)")
-    common(p, "json")
-    p.set_defaults(func=cmd_concurrence)
-
-    for name, handler, helptext in (
-        ("evolve", cmd_evolve, "propagate and record concurrence / coherence"),
-        ("revivals", cmd_revivals, "propagate and detect envelope revivals"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p, "csv")
-        p.add_argument("--theta", type=float, default=np.pi / 2)
-        p.add_argument("--tmax", type=float, required=True)
-        p.add_argument("--dt", type=float, default=1e-3)
-        p.add_argument("--record-every", type=int, default=1)
-        if name == "revivals":
-            p.add_argument("--envelope-window", type=float, default=5.0)
-            p.add_argument("--collapse-fraction", type=float, default=0.3)
         p.set_defaults(func=handler)
-
-    p = sub.add_parser("qfi", help="Fisher information at a point (or sweep)")
-    common(p, "json")
-    p.set_defaults(func=cmd_qfi)
-
-    p = sub.add_parser("sense", help="QFI + coherence-sensitivity sweep")
-    common(p, "csv")
-    p.set_defaults(func=cmd_sense)
 
     p = sub.add_parser("reproduce", help="bundled figure-data presets")
     p.add_argument("preset", choices=sorted(PRESETS))
@@ -493,8 +496,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         sys.stderr.write(json.dumps(

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DiscrepancyError, InvalidDensityError, OmegaSingularError
+from .errors import DiscrepancyError, InvalidDensityError
 from .model import SIGMA_YY, SystemParams, as_unit_state
 from .spectrum import (
     _char_poly,
     _eigvec_coefficients,
+    _require_omega,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
 )
@@ -31,16 +32,15 @@ def _validate_density(rho: np.ndarray):
         raise InvalidDensityError("negative eigenvalue below -1e-10 floor")
 
 
-def concurrence_mixed(rho, validate: bool = True) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence_mixed(rho) -> float:
+    """Wootters concurrence of a validated two-qubit density matrix.
 
     Uses the characteristic-quartic oracle for the eigenvalues of
     rho * (sy x sy) * conj(rho) * (sy x sy); round-off negatives are
     clamped at zero before the square roots.
     """
     rho = np.asarray(rho, dtype=complex)
-    if validate:
-        _validate_density(rho)
+    _validate_density(rho)
     flipped = SIGMA_YY @ rho.conj() @ SIGMA_YY
     coeff = _char_poly(rho @ flipped)
     # Deflate exact-zero eigenvalues first (rank-deficient products are the
@@ -65,8 +65,7 @@ def concurrence_pure(psi) -> float:
 def _radical_coefficients(params: SystemParams, s: int):
     if s not in (3, 4):
         raise ValueError(f"s must be 3 or 4, got {s}")
-    if params.omega <= 1e-12:
-        raise OmegaSingularError("closed-form coefficients divide by omega")
+    _require_omega(params)
     e = eigenvalues_closed_form(params)[s - 1]
     r1, r2 = _eigvec_coefficients(params.omega, params.j, params.gamma, e)
     n2 = 1.0 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)  # |N|^2
@@ -109,11 +108,11 @@ def eigenstate_concurrence_wootters(params: SystemParams, s: int) -> float:
     return concurrence_pure(vec)
 
 
-def scan_closed_form_discrepancies(points, states=(3, 4)) -> list[dict]:
-    """Closed-form vs Wootters table over parameter points; one record per (point, s)."""
+def scan_closed_form_discrepancies(points) -> list[dict]:
+    """Closed-form vs Wootters table over parameter points; one record per (point, s in 3, 4)."""
     records = []
     for params in points:
-        for s in states:
+        for s in (3, 4):
             closed = eigenstate_concurrence_closed(params, s, check=False)
             wootters = eigenstate_concurrence_wootters(params, s)
             records.append(

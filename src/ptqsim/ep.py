@@ -32,6 +32,11 @@ from .spectrum import (
 )
 
 
+#: Widest final bisection bracket locate_ep accepts, and its iteration budget.
+_BRACKET_TOL = 1e-8
+_MAX_BISECTIONS = 200
+
+
 @dataclass(frozen=True)
 class EpPoint:
     """A located critical pair with its certificate residuals.
@@ -80,17 +85,15 @@ def locate_ep(
     fix: str,
     value: float,
     bracket: tuple[float, float],
-    tol: float = 1e-8,
     gamma: float = 1.0,
-    max_iter: int = 200,
 ) -> EpPoint:
     """Bisect the swept parameter across the phase transition.
 
     fix="omega" holds omega at `value` and sweeps j over `bracket`
     (fix="j" the other way round).  The bracket ends must lie in different
     phases.  Bisection runs until the bracket collapses to machine
-    precision (tol is only validated as an upper bound), because the gap
-    certificate scales like the square root of the parameter error.
+    precision (_BRACKET_TOL is only validated as an upper bound), because
+    the gap certificate scales like the square root of the parameter error.
     """
     if fix == "omega":
         make = lambda x: SystemParams(omega=value, j=x, gamma=gamma)
@@ -109,7 +112,7 @@ def locate_ep(
             f"both bracket ends are in the same phase at {fix}={value} "
             f"(broken={broken_lo})"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -117,10 +120,10 @@ def locate_ep(
             lo = mid
         else:
             hi = mid
-    if hi - lo > tol:
+    if hi - lo > _BRACKET_TOL:
         raise NotConvergedError(
-            f"bracket width {hi - lo:.3e} still above tol={tol:.1e} "
-            f"after {max_iter} iterations"
+            f"bracket width {hi - lo:.3e} still above tol={_BRACKET_TOL:.1e} "
+            f"after {_MAX_BISECTIONS} iterations"
         )
 
     # report the unbroken-side endpoint, where the pair is exactly real
@@ -154,12 +157,12 @@ def _check_point(point: EpPoint):
         )
 
 
-def ep_order_is_two(point: EpPoint, separation: float = 1e-3) -> bool:
-    """Exactly one coalescing pair (E3, E4); E1 and E2 stay separated."""
+def ep_order_is_two(point: EpPoint) -> bool:
+    """Exactly one coalescing pair (E3, E4); every other pair stays more than 1e-3 apart."""
     values = eigenvalues_closed_form(point.params())
     e1, e2, e3, e4 = values
     others = [abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4)]
-    return abs(e3 - e4) <= 1e-6 and min(others) > separation
+    return abs(e3 - e4) <= 1e-6 and min(others) > 1e-3
 
 
 def ep_curve(
@@ -167,7 +170,6 @@ def ep_curve(
     n_points: int,
     gamma: float = 1.0,
     j_bracket: tuple[float, float] = (1e-9, 1.5),
-    tol: float = 1e-8,
 ) -> list[EpCurveEntry]:
     """Critical curve j_c(omega) over a monotone omega grid.
 
@@ -181,7 +183,7 @@ def ep_curve(
     entries: list[EpCurveEntry] = []
     for om in omegas:
         try:
-            point = locate_ep("omega", float(om), j_bracket, tol=tol, gamma=gamma)
+            point = locate_ep("omega", float(om), j_bracket, gamma=gamma)
             entries.append(EpCurveEntry(float(om), point))
         except (NoSignChangeError, NotConvergedError, DegenerateCubicError) as exc:
             entries.append(EpCurveEntry(float(om), None, failure=type(exc).__name__))

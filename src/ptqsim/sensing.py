@@ -31,6 +31,7 @@ from .model import SIGMA_X1, SystemParams, as_state, as_unit_state
 from .spectrum import (
     _min_gap,
     _phase_probe,
+    _require_omega,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
 )
@@ -100,6 +101,9 @@ def _psi3_derivative(
     """
     if values is None:
         values = eigenvalues_closed_form(params)
+    # at omega ~ 0 the singlet and the symmetric sector share E = -j, so the
+    # gap guard would name an EP that is not there
+    _require_omega(params)
     if _min_gap(values) < _EP_GUARD_GAP:
         raise EpTooCloseError(
             f"eigenvalue gap {_min_gap(values):.3e} below {_EP_GUARD_GAP:.0e}; "
@@ -130,8 +134,9 @@ def _sense_point(
 ) -> tuple[float, float, float]:
     """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2) from one (psi, dpsi).
 
-    Raises what _psi3_derivative raises (EpTooCloseError first), then
-    ZeroSlopeError when the coherence does not move with kappa.
+    Raises what _psi3_derivative raises (OmegaSingularError, then
+    EpTooCloseError), then ZeroSlopeError when the coherence does not move
+    with kappa.
     """
     psi, dpsi = _psi3_derivative(params, kappa, values)
     m0 = coherence_expectation(psi)

@@ -42,6 +42,8 @@ NEAR_EP_GAP = 1e-4
 NEAR_EP_RESIDUAL_TOL = 1e-6
 #: max|Im E| above which a spectrum is labeled PT-broken.
 _PHASE_TOL = 1e-8
+#: Smallest gap at or below which a real spectrum is labeled NEAR_EP.
+_NEAR_EP_LABEL_GAP = 1e-6
 
 
 class Source(Enum):
@@ -138,12 +140,8 @@ def _branch_pair(params: SystemParams):
     return y, v
 
 
-def eigenvalues_closed_form(params: SystemParams, verify: bool = False) -> np.ndarray:
-    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
-
-    verify=True additionally checks the multiset against the oracle within
-    1e-9 (optimal pairing); useful outside hot loops.
-    """
+def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
+    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair."""
     j = params.j
     y, v = _branch_pair(params)
     if abs(y) < 1e-12:
@@ -154,15 +152,7 @@ def eigenvalues_closed_form(params: SystemParams, verify: bool = False) -> np.nd
     e2 = (j + v + y) / 3.0
     e3 = (j + _W3.conjugate() * v + _W3 * y) / 3.0
     e4 = (j + _W3 * v + _W3.conjugate() * y) / 3.0
-    values = np.array([-j, e2, e3, e4], dtype=complex)
-    if verify:
-        oracle = eigensystem_oracle(build_hamiltonian(params), deflate_root=-j)
-        dev = pairing_distance(values, oracle.eigenvalues)
-        if dev > 1e-9:
-            raise NoConvergenceError(
-                f"closed-form eigenvalues deviate from oracle by {dev:.3e}"
-            )
-    return values
+    return np.array([-j, e2, e3, e4], dtype=complex)
 
 
 def _phase_fix(vec: np.ndarray) -> np.ndarray:
@@ -197,13 +187,19 @@ def eigenvectors_closed_form(
     return _closed_form_eigenpairs(params, eigenvalues)[0]
 
 
+def _require_omega(params: SystemParams):
+    """The one omega ~ 0 decision: the (r1, r2) coefficients divide by omega."""
+    if params.omega <= 1e-12:
+        raise OmegaSingularError(
+            f"eigenvector coefficients divide by omega (omega={params.omega}); "
+            "use the oracle"
+        )
+
+
 def _closed_form_eigenpairs(params: SystemParams, eigenvalues: np.ndarray | None = None):
     """(eigenvectors, H, max residual) behind eigenvectors_closed_form."""
+    _require_omega(params)
     om, j, g = params.omega, params.j, params.gamma
-    if om <= 1e-12:
-        raise OmegaSingularError(
-            f"eigenvector coefficients divide by omega (omega={om}); use the oracle"
-        )
     if eigenvalues is None:
         eigenvalues = eigenvalues_closed_form(params)
     vecs = np.zeros((4, 4), dtype=complex)
@@ -412,8 +408,8 @@ def _phase_probe(
     return values, max_imag, max_imag > _PHASE_TOL
 
 
-def classify_phase(params: SystemParams, tol_gap: float = 1e-6) -> PhaseLabel:
-    """Phase from max |Im E|; NEAR_EP when a real spectrum also nearly degenerates.
+def classify_phase(params: SystemParams) -> PhaseLabel:
+    """Phase from max |Im E|; NEAR_EP when a real spectrum's smallest gap is <= 1e-6.
 
     Real crossings that are not coalescences (e.g. j = 0, where the singlet
     meets a symmetric-sector root) also report NEAR_EP.
@@ -421,6 +417,6 @@ def classify_phase(params: SystemParams, tol_gap: float = 1e-6) -> PhaseLabel:
     values, max_imag, broken = _phase_probe(params)
     if broken:
         return PhaseLabel(Phase.PT_BROKEN, max_imag)
-    if _min_gap(values) <= tol_gap:
+    if _min_gap(values) <= _NEAR_EP_LABEL_GAP:
         return PhaseLabel(Phase.NEAR_EP, max_imag)
     return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)

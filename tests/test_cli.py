@@ -218,14 +218,20 @@ class TestQfiCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ZeroSlopeError"
 
-    def test_sweep_delegates_to_sense(self, capsys):
-        code, out, _ = invoke(
-            capsys, "qfi", "--omega", 2.0, "--sweep-axis", "j",
-            "--sweep-range", "0.40:0.45", "--n", 3, "--format", "csv",
-        )
+    def test_sweep_is_refused_sense_writes_it(self, capsys):
+        """qfi takes one point; the sweep table is sense's, with the same flags."""
+        sweep = ["--omega", 2.0, "--sweep-axis", "j", "--sweep-range", "0.40:0.45",
+                 "--n", 3, "--format", "csv"]
+        code, out, err = invoke(capsys, "qfi", *sweep)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ValidationError"
+        code, out, _ = invoke(capsys, "sense", *sweep)
         assert code == 0
-        _, header, _ = parse_csv(out)
+        _, header, cols = parse_csv(out)
         assert header[0] == "j" and "qfi" in header
+        assert len(cols["j"]) == 3
 
 
 class TestRemainingPresets:
@@ -278,42 +284,140 @@ class TestProcessLevel:
         assert proc.returncode == 2
 
 
+#: Each flag that some subcommand declares but this one does not, as its handler does not read it.
+_UNDECLARED = [
+    ["spectrum", "--sweep-axis", "j"],
+    ["spectrum", "--sweep-range", "0:1"],
+    ["ep-locate", "--omega", 2, "--sweep-range", "0.3:0.9", "--n", 3],
+    ["ep-curve", "--sweep-range", "0.5:2", "--n", 3, "--omega", 5],
+    ["ep-curve", "--sweep-range", "0.5:2", "--n", 3, "--j", 0.3],
+    ["ep-curve", "--sweep-range", "0.5:2", "--n", 3, "--sweep-axis", "j"],
+    ["qfi", "--omega", 2, "--j", 0.45, "--sweep-range", "0.4:0.5"],
+    ["qfi", "--omega", 2, "--j", 0.45, "--n", 3],
+] + [
+    [command, "--tmax", 1, *flag]
+    for command in ("evolve", "revivals")
+    for flag in (["--sweep-axis", "j"], ["--sweep-range", "0:1"], ["--n", 3])
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega", "abc"],
+    ["spectrum", "--bogus", 1],
+    [],
+    ["reproduce", "fig99"],
+    ["evolve", "--omega", 2],
+    ["spectrum", "--n", 3],
+] + _UNDECLARED)
+def test_usage_error_is_one_json_line(capsys, argv):
+    """A bad value, an unknown or undeclared flag, a missing argument: exit 2, one JSON line."""
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 _EXTREMES = st.sampled_from(
     ["0", "-0.0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300"]
 )
-_VALUES = st.one_of(_EXTREMES, st.floats(-3.0, 3.0).map(repr))
+# in-domain values (omega, j, gamma, windows >= 0) a third of the time
+_VALUES = st.one_of(_EXTREMES, st.floats(-3.0, 3.0).map(repr), st.floats(0.0, 3.0).map(repr))
+#: A value drawn for each flag; --tmax and --dt are drawn together by _run_length.
+_FLAG_VALUES = {
+    "--omega": _VALUES,
+    "--j": _VALUES,
+    "--gamma": _VALUES,
+    "--sweep-axis": st.sampled_from(["j", "omega"]),
+    "--sweep-range": st.tuples(_VALUES, _VALUES).map(":".join),
+    "--n": st.integers(-2, 5).map(str),
+    "--theta": _VALUES,
+    "--record-every": st.integers(-2, 50).map(str),
+    "--envelope-window": _VALUES,
+    "--collapse-fraction": _VALUES,
+}
+_POINT = ("--omega", "--j", "--gamma", "--format")
+_SWEEP = _POINT + ("--sweep-axis", "--sweep-range", "--n")
+_RUN = _POINT + ("--theta", "--tmax", "--dt", "--record-every")
+#: The flags each subcommand declares besides --out.
+_DECLARED = {
+    "spectrum": _POINT,
+    "ep-locate": _POINT + ("--sweep-axis", "--sweep-range"),
+    "ep-curve": ("--gamma", "--format", "--sweep-range", "--n"),
+    "concurrence": _SWEEP,
+    "evolve": _RUN,
+    "revivals": _RUN + ("--envelope-window", "--collapse-fraction"),
+    "qfi": _POINT + ("--sweep-axis",),
+    "sense": _SWEEP,
+    "reproduce": (),
+}
+_ALL_FLAGS = tuple(_FLAG_VALUES) + ("--tmax", "--dt", "--format")
+
+
+@st.composite
+def _run_length(draw):
+    """--tmax (and maybe --dt) for a run that takes at most 1e4 steps if it passes validation.
+
+    At omega = j = gamma = 0 H vanishes and the dt*||H|| check never fires,
+    so tmax/dt alone sets the run length: tmax is dt times a step count of
+    at most 1e4, or times a factor propagate must refuse.
+    """
+    dt = draw(st.one_of(st.none(), _VALUES))
+    steps = draw(st.one_of(
+        st.floats(0.0, 1e4),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, 1e19, 1e300]),
+    ))
+    tmax = (1e-3 if dt is None else float(dt)) * steps
+    return [f"--tmax={tmax!r}"] + ([] if dt is None else [f"--dt={dt}"])
 
 
 @st.composite
 def _argv(draw):
-    argv = [draw(st.sampled_from(["qfi", "sense", "ep-locate", "ep-curve"]))]
-    for flag in ("--omega", "--j", "--gamma"):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(_VALUES)}")
-    axis = draw(st.sampled_from([None, "j", "omega"]))
-    if axis is not None:
-        argv.append(f"--sweep-axis={axis}")
-    if draw(st.booleans()):
-        argv.append(f"--sweep-range={draw(_VALUES)}:{draw(_VALUES)}")
-    n = draw(st.one_of(st.none(), st.integers(-2, 5)))
-    if n is not None:
-        argv.append(f"--n={n}")
-    argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
-    return argv
+    """(argv, usage_error): the declared flags of one subcommand, maybe plus one usage error."""
+    command = draw(st.sampled_from(sorted(_DECLARED)))
+    argv = [command]
+    if command == "reproduce":
+        # the fast presets; every preset's bytes are pinned in test_presets
+        argv.append(draw(st.sampled_from(["fig3a", "fig3b"])))
+    declared = _DECLARED[command]
+    for flag in declared:
+        if flag in _FLAG_VALUES and draw(st.integers(0, 3)):  # present 3 times in 4
+            argv.append(f"{flag}={draw(_FLAG_VALUES[flag])}")
+    if "--tmax" in declared:
+        argv += draw(_run_length())
+    if "--format" in declared:
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+    mistake = draw(st.sampled_from([None] * 8 + ["undeclared", "unparsable"]))
+    if mistake == "undeclared":
+        flag = draw(st.sampled_from([f for f in _ALL_FLAGS if f not in declared]))
+        argv.append(f"{flag}={draw(_FLAG_VALUES.get(flag, _VALUES))}")
+    elif mistake == "unparsable" and command == "reproduce":
+        argv[1] = draw(st.sampled_from(["fig99", "FIG3A", ""]))
+    elif mistake == "unparsable":
+        flag = draw(st.sampled_from(declared))
+        argv.append(f"{flag}={draw(st.sampled_from(['abc', '', '1,5', '0x']))}")
+    return argv, mistake is not None
 
 
 @seed(20260809)
-@settings(max_examples=300, deadline=None, database=None,
+@settings(max_examples=500, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_argv())
-def test_cli_contract_fuzz(capsys, argv):
-    """Exit 0, 2 or 3; a failure is one JSON line on stderr and nothing else."""
+@given(case=_argv())
+def test_cli_contract_fuzz(capsys, case):
+    """Exit 0, 2 or 3; a failure is one JSON line on stderr and nothing else.
+
+    Every subcommand is drawn with the flags it declares; an undeclared flag
+    or an unparsable value is a usage error and exits 2.
+    """
+    argv, usage_error = case
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3)
     assert not caught, [str(w.message) for w in caught]
+    if usage_error:
+        assert code == 2
     if code == 0:
         assert err == ""
         if "--format=json" in argv:

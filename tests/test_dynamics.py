@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,11 @@ from ptqsim import (
     passive_pt_map,
     propagate,
 )
-from ptqsim.dynamics import revival_times_of_series, steady_state_of_series
+from ptqsim.dynamics import (
+    envelope_of_series,
+    revival_times_of_series,
+    steady_state_of_series,
+)
 from ptqsim.errors import NotNormalizedError, StepTooLargeError
 
 KET_00 = initial_state(np.pi / 2)
@@ -35,6 +41,13 @@ class TestInitialState:
     def test_unit_norm(self, theta):
         assert np.linalg.norm(initial_state(theta)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_theta_rejected_without_warning(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                initial_state(theta)
+
 
 class TestPropagate:
     def test_hermitian_norm_conserved(self):
@@ -50,7 +63,7 @@ class TestPropagate:
 
     def test_matches_eigendecomposition_propagator(self):
         params = SystemParams(2.0, 0.7, 1.0)
-        traj = propagate(params, KET_00, 20.0, 1e-3, record_every=10**9, validate=True)
+        traj = propagate(params, KET_00, 20.0, 1e-3, record_every=10**9)
         exact = exact_state(params, KET_00, 20.0)
         assert abs(np.vdot(traj.states[-1], exact)) >= 1 - 1e-8
 
@@ -73,6 +86,11 @@ class TestPropagate:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
             propagate(SystemParams(2.0, 0.7, 1.0), np.array([1, 1, 0, 0.0]), 1.0, 1e-3)
+
+    def test_subnormal_step_runs(self):
+        """5/dt overflows to inf below dt ~ 3e-308; the chunk length must not."""
+        traj = propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 1e-310, 1e-311)
+        assert len(traj) == 11
 
     def test_record_every_includes_final_step(self):
         traj = propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 1.0, 1e-3, record_every=7)
@@ -115,6 +133,19 @@ class TestSteadyState:
 
 
 class TestRevivals:
+    def test_window_past_the_end_gives_suffix_maxima(self):
+        times = np.linspace(0.0, 10.0, 101)
+        values = np.abs(np.sin(times))
+        suffix_max = np.maximum.accumulate(values[::-1])[::-1]
+        for window in (1e3, 1e300):
+            assert np.array_equal(envelope_of_series(times, values, window), suffix_max)
+
+    @pytest.mark.parametrize("window", [np.inf, np.nan])
+    def test_non_finite_window_rejected(self, window):
+        times = np.linspace(0.0, 10.0, 101)
+        with pytest.raises(ValueError, match="finite"):
+            envelope_of_series(times, np.abs(np.sin(times)), window)
+
     def test_plain_sinusoid_has_no_revivals(self):
         times = np.arange(0, 200, 0.01)
         assert len(revival_times_of_series(times, np.abs(np.sin(times)))) == 0

@@ -21,6 +21,7 @@ from ptqsim.errors import (
     OmegaSingularError,
     ZeroSlopeError,
 )
+from ptqsim.sensing import _sense_point
 from ptqsim.spectrum import _min_gap
 
 SEED = 20260809
@@ -119,6 +120,11 @@ class TestQfi:
     def test_hermitian_limit_is_exactly_zero(self, kappa):
         """At gamma = 0 Psi3 = (|11> - |00>)/sqrt(2) for every j and omega."""
         assert abs(qfi(SystemParams(2.0, 0.4, 0.0), kappa)) <= 1e-20
+
+    def test_omega_singular_named_ahead_of_gap_guard(self):
+        """At omega ~ 0 the singlet meets the symmetric sector; no EP is there."""
+        with pytest.raises(OmegaSingularError):
+            _sense_point(SystemParams(1e-13, 0.3, 1.0), "j")
 
     def test_label_crossing_refused(self):
         """A crossing of non-coalescing labels is refused like an EP."""
@@ -221,11 +227,13 @@ _JC_OMEGA2 = 0.5899798397854931  # locate_ep("omega", 2.0, (0.3, 0.9)).j_c
         ("omega", 0.3, (1.4, 2.0), 37, 1.0, {"ep_bracket"}),
         # Hermitian limit: the coherence does not move
         ("j", 2.0, (0.3, 0.9), 13, 0.0, {"ZeroSlope"}),
-        # omega = 0 is refused by the gap guard ahead of OmegaSingular (the
-        # singlet and (|01>+|10>)/sqrt2 coincide there); omega = gamma at j = 0
-        # is the DegenerateCubic triple point, labelled by the oracle
-        ("omega", 0.3, (0.0, 2.0), 21, 1.0, {"EpTooClose", "ep_bracket"}),
-        ("omega", 0.0, (0.0, 2.0), 5, 1.0, {"EpTooClose", "DegenerateCubic"}),
+        # omega = 0 is OmegaSingular ahead of the gap guard (the singlet and
+        # (|01>+|10>)/sqrt2 coincide there, which is no EP); at j = 0 every
+        # other point has a zero gap, and omega = gamma is the DegenerateCubic
+        # triple point, labelled by the oracle
+        ("omega", 0.3, (0.0, 2.0), 21, 1.0, {"OmegaSingular", "ep_bracket"}),
+        ("omega", 0.0, (0.0, 2.0), 5, 1.0,
+         {"OmegaSingular", "EpTooClose", "DegenerateCubic"}),
     ],
 )
 def test_sweep_matches_per_point_calls_bitwise(kappa, fixed_value, value_range, n, gamma,

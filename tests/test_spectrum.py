@@ -81,8 +81,10 @@ class TestClosedFormEigenvalues:
             eigenvalues_closed_form(SystemParams(1.0, 0.0, 1.0))
 
     def test_verify_against_oracle(self):
-        values = eigenvalues_closed_form(SystemParams(2.0, 0.55, 1.0), verify=True)
-        assert len(values) == 4
+        params = SystemParams(2.0, 0.55, 1.0)
+        values = eigenvalues_closed_form(params)
+        oracle = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
+        assert pairing_distance(values, oracle.eigenvalues) <= 1e-9
 
 
 class TestClosedFormEigenvectors:
