@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -274,6 +275,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_revivals(args) -> int:
+    if not 0.0 <= args.collapse_fraction <= 1.0:
+        raise ValueError(f"--collapse-fraction must lie in [0, 1], got {args.collapse_fraction}")
+    if not args.envelope_window > 0:
+        raise ValueError(f"--envelope-window must be > 0, got {args.envelope_window}")
     traj, desc = _trajectory(args)
     revivals = detect_revivals(traj, envelope_window=args.envelope_window,
                                collapse_fraction=args.collapse_fraction)
@@ -420,7 +425,15 @@ def cmd_reproduce(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValidationError, so main reports them as one JSON line."""
+    """Usage errors raise ValidationError, so main reports them as one JSON line.
+
+    Any float literal is a value, so `--omega -1e-3` and `--sweep-range -inf:0`
+    parse like their `=` forms (argparse alone takes only -<digits>[.<digits>]).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValidationError(message)
@@ -450,7 +463,7 @@ _COMMANDS = (
     ("spectrum", cmd_spectrum, "json", _POINT,
      "eigenvalues, eigenvectors, phase label"),
     ("ep-locate", cmd_ep_locate, "json", _POINT + ("--sweep-axis", "--sweep-range"),
-     "bisect one critical point"),
+     "locate one critical point"),
     ("ep-curve", cmd_ep_curve, "csv", ("--gamma", "--sweep-range", "--n"),
      "critical curve j_c(omega)"),
     ("concurrence", cmd_concurrence, "json", _POINT + _SWEEP,

@@ -1,14 +1,12 @@
 """Exceptional-point location, the critical curve, and the coalesced eigenvector.
 
-The primary locator bisects the phase label, which is monotone across a
-second-order coalescence.  The label is spectrum's one phase decision
-(max |Im E| against its threshold, with the label-aligned oracle standing
-in where the cubic radical degenerates).  The analytic residual pair from
-the cubic radical serves as a certificate of the found point, not as the
-search objective.
+E3 and E4 coalesce where the cubic invariant z, a quadratic in j**2, vanishes:
+the locator evaluates that root in closed form.  The phase label only checks the
+bracket and picks the unbroken side; the radical's residuals certify the point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +28,6 @@ from .spectrum import (
     auxiliary_quantities,
     eigenvalues_closed_form,
 )
-
-
-#: Widest final bisection bracket locate_ep accepts, and its iteration budget.
-_BRACKET_TOL = 1e-8
-_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -81,64 +74,70 @@ def _degenerate_eigenvalue(params: SystemParams) -> complex:
     return complex((params.j - 0.5 * (x / rho + rho)) / 3.0)
 
 
-def locate_ep(
-    fix: str,
-    value: float,
-    bracket: tuple[float, float],
-    gamma: float = 1.0,
-) -> EpPoint:
-    """Bisect the swept parameter across the phase transition.
+def _critical_square(fix: str, value: float, gamma: float) -> float:
+    """Square of the swept parameter on z = 0 (negative when no real root exists).
 
-    fix="omega" holds omega at `value` and sweeps j over `bracket`
-    (fix="j" the other way round).  The bracket ends must lie in different
-    phases.  Bisection runs until the bracket collapses to machine
-    precision (_BRACKET_TOL is only validated as an upper bound), because
-    the gap certificate scales like the square root of the parameter error.
+    fix="omega": z = 16g^2 J^2 + B J + C in J = j^2, solved without cancellation.  fix="j":
+    w = omega^2 - g^2 solves w^3 + J w^2 - 18g^2 J w - (27g^4 + 16g^2 J) J = 0, convex for
+    w >= 0 with one positive root, which Newton reaches from above from Fujiwara's bound.
     """
+    g2 = gamma * gamma
     if fix == "omega":
-        make = lambda x: SystemParams(omega=value, j=x, gamma=gamma)
-    elif fix == "j":
-        make = lambda x: SystemParams(omega=x, j=value, gamma=gamma)
-    else:
-        raise ValueError(f"fix must be 'omega' or 'j', got {fix!r}")
+        om2 = value * value
+        b = 8 * g2 * g2 + 20 * g2 * om2 - om2 * om2
+        s = om2 + 8 * g2
+        sqrt_d = abs(value) * s * math.sqrt(s)  # sqrt(B^2 - 64g^2 C)
+        c = ((abs(gamma) - abs(value)) * (abs(gamma) + abs(value))) ** 3  # C, no cancellation
+        return 2 * c / (-b - sqrt_d) if b > 0 else (sqrt_d - b) / (32 * g2)
+    jj = value * value
+    a, b, c = jj, -18 * g2 * jj, -(27 * g2 * g2 + 16 * g2 * jj) * jj
+    w = 2 * max(a, math.sqrt(-b), math.cbrt(-c / 2))
+    while (f := ((w + a) * w + b) * w + c) > 0:
+        step = w - f / ((3 * w + 2 * a) * w + b)
+        if not step < w:
+            break
+        w = step
+    return w + g2
 
+
+def locate_ep(fix: str, value: float, bracket: tuple[float, float],
+              gamma: float = 1.0) -> EpPoint:
+    """The root of z = 0 on the swept axis inside `bracket`, in closed form.
+
+    fix="omega" holds omega at `value` and sweeps j over `bracket` (fix="j" the
+    other way round).  NoSignChangeError unless the bracket ends lie in different
+    phases and the root whose sign fits the bracket lies in it.  A root probed
+    broken steps toward the unbroken end, 1, 3, 7, ... ulp; `gap` is the last probe's.
+    """
+    if fix not in ("omega", "j"):
+        raise ValueError(f"fix must be 'omega' or 'j', got {fix!r}")
+    swept = "j" if fix == "omega" else "omega"
+    make = lambda x: SystemParams(**{fix: value, swept: x}, gamma=gamma)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    broken = lambda x: _phase_probe(make(x))[2]
-    broken_lo, broken_hi = broken(lo), broken(hi)
-    if broken_lo == broken_hi:
-        raise NoSignChangeError(
-            f"both bracket ends are in the same phase at {fix}={value} "
-            f"(broken={broken_lo})"
-        )
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    broken_lo = _phase_probe(make(lo))[2]
+    if broken_lo == _phase_probe(make(hi))[2]:
+        raise NoSignChangeError(f"both bracket ends are in the same phase at "
+                                f"{fix}={value} (broken={broken_lo})")
+    square = _critical_square(fix, value, gamma)
+    root = math.sqrt(square) if square >= 0 else math.nan
+    inside = [x for x in (root, -root) if lo <= x <= hi]
+    if not inside:
+        raise NoSignChangeError(f"the critical {swept} +-{root} at {fix}={value} "
+                                f"lies outside the bracket {lo}:{hi}")
+    x, unbroken = inside[0], (hi if broken_lo else lo)
+    while True:
+        found = make(x)
+        values = eigenvalues_closed_form(found)
+        if not _phase_probe(found, values)[2] or x == unbroken:
             break
-        if broken(mid) == broken_lo:
-            lo = mid
-        else:
-            hi = mid
-    if hi - lo > _BRACKET_TOL:
-        raise NotConvergedError(
-            f"bracket width {hi - lo:.3e} still above tol={_BRACKET_TOL:.1e} "
-            f"after {_MAX_BISECTIONS} iterations"
-        )
-
-    # report the unbroken-side endpoint, where the pair is exactly real
-    found = make(hi if broken_lo else lo)
+        x = float(np.clip(np.nextafter(2 * x - inside[0], unbroken), lo, hi))
     res_theta, res_x = ep_residual(found)
-    values = eigenvalues_closed_form(found)
-    gap = float(abs(values[2] - values[3]))
     point = EpPoint(
-        j_c=found.j,
-        omega_c=found.omega,
-        gamma=found.gamma,
-        residual_theta=res_theta,
-        residual_x=res_x,
-        gap=gap,
-        e_degenerate=_degenerate_eigenvalue(found),
+        j_c=found.j, omega_c=found.omega, gamma=found.gamma,
+        residual_theta=res_theta, residual_x=res_x,
+        gap=float(abs(values[2] - values[3])), e_degenerate=_degenerate_eigenvalue(found),
     )
     _check_point(point)
     return point

@@ -51,11 +51,11 @@ class NoConvergenceError(NumericalError):
 
 
 class NoSignChangeError(NumericalError):
-    """Bisection bracket endpoints lie in the same phase."""
+    """The bracket ends lie in the same phase, or the critical point lies outside it."""
 
 
 class NotConvergedError(NumericalError):
-    """Root locator exhausted its budget before reaching tolerance."""
+    """A located critical point fails its certificate (residuals or gap above tolerance)."""
 
 
 class EmptyCurveError(NumericalError):

@@ -180,6 +180,24 @@ class TestRevivalsCommand:
         assert int(meta["n_revivals"]) >= 1
         assert float(meta["first_revival"]) == pytest.approx(128.0, abs=10.0)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--collapse-fraction", "nan"),
+        ("--collapse-fraction", "inf"),
+        ("--collapse-fraction", "-0.1"),
+        ("--collapse-fraction", "1.5"),
+        ("--envelope-window", "0"),
+        ("--envelope-window", "-1"),
+    ])
+    def test_detector_option_out_of_range_exits_2(self, capsys, flag, value):
+        code, out, err = invoke(
+            capsys, "revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 3, "--dt", 0.02,
+            f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+        assert flag in json.loads(err)["message"]
+
 
 class TestReproduce:
     def test_fig3a_metadata_and_shape(self, tmp_path, capsys):
@@ -252,6 +270,34 @@ class TestRemainingPresets:
         _, header, cols = parse_csv(out_file.read_text())
         assert header == ["t", "concurrence_omega1901", "concurrence_omega1902"]
         assert column(cols, "t")[-1] == pytest.approx(2000.0)
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5", "-2", "-1E+2"])
+    def test_space_form_equals_equals_form(self, capsys, value):
+        """`--omega -1e-3` is a value, as `--omega=-1e-3` is."""
+        spaced = invoke(capsys, "spectrum", "--omega", value, "--j", "0.3")
+        joined = invoke(capsys, "spectrum", f"--omega={value}", "--j", "0.3")
+        assert spaced[0] == 0
+        assert spaced == joined
+
+    def test_non_finite_after_a_space_is_a_value(self, capsys):
+        code, _, err = invoke(capsys, "spectrum", "--omega", "-inf", "--j", "-nan")
+        assert code == 2
+        assert json.loads(err) == {"error": "ValueError", "message": "omega must be finite, got -inf"}
+
+    @pytest.mark.parametrize("argv, key, expected", [
+        (["--sweep-axis", "j", "--omega", "-2.0", "--sweep-range", "0.3:0.9"],
+         "j_c", 0.5899798397854931),
+        (["--sweep-axis", "j", "--omega", "2.0", "--sweep-range", "-0.9:-0.3"],
+         "j_c", -0.5899798397854931),
+        (["--sweep-axis", "omega", "--j", "0.3", "--sweep-range", "-2.2:-1.2"],
+         "omega_c", -1.6488931098618156),
+    ])
+    def test_ep_locate_negative_brackets(self, capsys, argv, key, expected):
+        code, out, _ = invoke(capsys, "ep-locate", *argv)
+        assert code == 0
+        assert json.loads(out)["results"][key] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestProcessLevel:
@@ -368,35 +414,42 @@ def _run_length(draw):
         st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, 1e19, 1e300]),
     ))
     tmax = (1e-3 if dt is None else float(dt)) * steps
-    return [f"--tmax={tmax!r}"] + ([] if dt is None else [f"--dt={dt}"])
+    return [("--tmax", repr(tmax))] + ([] if dt is None else [("--dt", dt)])
 
 
 @st.composite
 def _argv(draw):
-    """(argv, usage_error): the declared flags of one subcommand, maybe plus one usage error."""
+    """(argv, spaced, usage_error, json): one subcommand's declared flags, maybe one usage error.
+
+    argv writes each value after `=`; spaced, drawn half the time (else None),
+    is the same argv with each value after a space (`--omega -1e-3`).
+    """
     command = draw(st.sampled_from(sorted(_DECLARED)))
-    argv = [command]
+    head = [command]
     if command == "reproduce":
         # the fast presets; every preset's bytes are pinned in test_presets
-        argv.append(draw(st.sampled_from(["fig3a", "fig3b"])))
+        head.append(draw(st.sampled_from(["fig3a", "fig3b"])))
     declared = _DECLARED[command]
+    pairs = []
     for flag in declared:
         if flag in _FLAG_VALUES and draw(st.integers(0, 3)):  # present 3 times in 4
-            argv.append(f"{flag}={draw(_FLAG_VALUES[flag])}")
+            pairs.append((flag, draw(_FLAG_VALUES[flag])))
     if "--tmax" in declared:
-        argv += draw(_run_length())
+        pairs += draw(_run_length())
     if "--format" in declared:
-        argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+        pairs.append(("--format", draw(st.sampled_from(["csv", "json"]))))
     mistake = draw(st.sampled_from([None] * 8 + ["undeclared", "unparsable"]))
     if mistake == "undeclared":
         flag = draw(st.sampled_from([f for f in _ALL_FLAGS if f not in declared]))
-        argv.append(f"{flag}={draw(_FLAG_VALUES.get(flag, _VALUES))}")
+        pairs.append((flag, draw(_FLAG_VALUES.get(flag, _VALUES))))
     elif mistake == "unparsable" and command == "reproduce":
-        argv[1] = draw(st.sampled_from(["fig99", "FIG3A", ""]))
+        head[1] = draw(st.sampled_from(["fig99", "FIG3A", ""]))
     elif mistake == "unparsable":
         flag = draw(st.sampled_from(declared))
-        argv.append(f"{flag}={draw(st.sampled_from(['abc', '', '1,5', '0x']))}")
-    return argv, mistake is not None
+        pairs.append((flag, draw(st.sampled_from(["abc", "", "1,5", "0x"]))))
+    argv = head + [f"{flag}={value}" for flag, value in pairs]
+    spaced = head + [arg for pair in pairs for arg in pair] if draw(st.booleans()) else None
+    return argv, spaced, mistake is not None, ("--format", "json") in pairs
 
 
 @seed(20260809)
@@ -407,9 +460,11 @@ def test_cli_contract_fuzz(capsys, case):
     """Exit 0, 2 or 3; a failure is one JSON line on stderr and nothing else.
 
     Every subcommand is drawn with the flags it declares; an undeclared flag
-    or an unparsable value is a usage error and exits 2.
+    or an unparsable value is a usage error and exits 2.  Writing the values
+    after a space instead of `=` changes neither the exit code, the output
+    nor the error's name.
     """
-    argv, usage_error = case
+    argv, spaced, usage_error, json_format = case
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
@@ -420,7 +475,7 @@ def test_cli_contract_fuzz(capsys, case):
         assert code == 2
     if code == 0:
         assert err == ""
-        if "--format=json" in argv:
+        if json_format:
             json.loads(out)
         else:
             assert out.startswith("# ptq-sim v1\n")
@@ -428,3 +483,9 @@ def test_cli_contract_fuzz(capsys, case):
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "error" in json.loads(err)
+    if spaced is not None:
+        spaced_code = main(spaced)
+        spaced_out, spaced_err = capsys.readouterr()
+        assert (spaced_code, spaced_out) == (code, out)
+        if code:
+            assert json.loads(spaced_err)["error"] == json.loads(err)["error"]

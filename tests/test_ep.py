@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,34 @@ from ptqsim import (
     locate_ep,
 )
 from ptqsim.ep import EpPoint, ep_order_is_two
-from ptqsim.errors import EmptyCurveError, NoSignChangeError, NotAtEpError
+from ptqsim.errors import (
+    DegenerateCubicError,
+    EmptyCurveError,
+    NoSignChangeError,
+    NotAtEpError,
+)
+from ptqsim.spectrum import _phase_probe
+
+
+def bisect_phase_label(fix, value, bracket, gamma=1.0):
+    """Independent oracle: bisect the phase label down to adjacent floats.
+
+    Returns the unbroken-side end of the final bracket, as the locator did
+    before the closed form replaced it.
+    """
+    swept = "j" if fix == "omega" else "omega"
+    broken = lambda x: _phase_probe(SystemParams(**{fix: value, swept: x}, gamma=gamma))[2]
+    lo, hi = bracket
+    broken_lo = broken(lo)
+    assert broken_lo != broken(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi if broken_lo else lo
+        if broken(mid) == broken_lo:
+            lo = mid
+        else:
+            hi = mid
 
 
 class TestEpResidual:
@@ -74,7 +103,7 @@ class TestLocateEp:
             locate_ep("theta", 2.000, (0.1, 0.2))
 
     def test_agrees_with_radical_zero(self):
-        """Phase bisection lands on the zero of the radical discriminant."""
+        """The located point is the zero of the radical discriminant."""
         point = locate_ep("omega", 2.000, (0.3, 0.9))
         lo, hi = 0.3, 0.9
         for _ in range(100):
@@ -96,6 +125,56 @@ class TestLocateEp:
             pts = eigenvalues_closed_form(SystemParams(2.0, jc - d, 1.0))
             assert np.max(np.abs(pts.imag)) == 0.0
         assert imags[0] < imags[1] < imags[2]
+
+    @pytest.mark.parametrize("fix, low, high, bracket", [
+        ("omega", 1.0005, 3.0, (1e-9, 2.5)),
+        ("j", 0.01, 1.5, (1.0, 5.0)),
+    ])
+    def test_seeded_roots_match_both_oracles(self, fix, low, high, bracket):
+        """Within 1e-12 of the label bisection, and z (in exact rationals)
+        changes sign within 2 ulp of the root."""
+        def z(omega, j):
+            om2, jj = Fraction(omega) ** 2, Fraction(j) ** 2
+            return 16 * jj * jj + jj * (8 + 20 * om2 - om2 * om2) + (1 - om2) ** 3
+
+        rng = np.random.default_rng(20261018)
+        for value in np.concatenate([[low, high], rng.uniform(low, high, 40)]):
+            point = locate_ep(fix, float(value), bracket)
+            x = point.j_c if fix == "omega" else point.omega_c
+            oracle = bisect_phase_label(fix, float(value), bracket)
+            assert x == pytest.approx(oracle, rel=1e-12, abs=0.0), value
+            ends = [x - 2 * np.spacing(x), x + 2 * np.spacing(x)]
+            signs = [z(*((value, e) if fix == "omega" else (e, value))) > 0 for e in ends]
+            assert signs[0] != signs[1], value
+
+    @pytest.mark.parametrize("fix, value, bracket, expected", [
+        ("omega", -2.0, (0.3, 0.9), 0.5899798397854931),
+        ("omega", 2.0, (-0.9, -0.3), -0.5899798397854931),
+        ("omega", 2.0, (-0.9, 0.3), -0.5899798397854931),
+        ("j", -0.3, (1.2, 2.2), 1.6488931098618156),
+        ("j", 0.3, (-2.2, -1.2), -1.6488931098618156),
+    ])
+    def test_signs_follow_the_bracket(self, fix, value, bracket, expected):
+        """Negative fixed values and negative brackets give the bisection's results."""
+        point = locate_ep(fix, value, bracket)
+        found = point.j_c if fix == "omega" else point.omega_c
+        assert found == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert (point.omega_c if fix == "omega" else point.j_c) == value
+
+    def test_third_order_point_is_degenerate(self):
+        # at j = 0 the critical omega is gamma, where all four eigenvalues meet
+        with pytest.raises(DegenerateCubicError):
+            locate_ep("j", 0.0, (0.5, 2.0))
+
+    def test_hermitian_limit_has_no_phase_change(self):
+        with pytest.raises(NoSignChangeError):
+            locate_ep("omega", 2.0, (0.3, 0.9), gamma=0.0)
+
+    def test_root_outside_bracket_refused(self):
+        # both ends differ in phase by the label, whose 1e-8 threshold biases
+        # it above the closed-form root; the root itself lies below lo
+        with pytest.raises(NoSignChangeError):
+            locate_ep("omega", 1.0005, (6.086059771521042e-06, 2.5))
 
 
 class TestEpCurve:
