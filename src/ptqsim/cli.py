@@ -42,6 +42,8 @@ from .spectrum import (
 )
 
 MAGIC = "# ptq-sim v1"
+#: A whole CSV field that reads nan (a NaN float) or None (a missing flag or failure).
+_EMPTY_FIELD = re.compile(r"(?<![^,\n])(?:nan|None)(?![^,\n])")
 
 
 def _fmt(x) -> str:
@@ -81,7 +83,7 @@ def _write(out_path: str, text: str):
             fh.write(text)
 
 
-def _emit(args, params_desc: str, header: list[str], rows: list[list], meta: dict):
+def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict):
     if args.format == "json":
         payload = {
             "params": params_desc,
@@ -94,8 +96,15 @@ def _emit(args, params_desc: str, header: list[str], rows: list[list], meta: dic
     for key, value in meta.items():
         lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    if len(rows):
+        # one template per table: each column formats as its first row's value does
+        template = ",".join(
+            "%d" if isinstance(v, (int, np.integer))
+            else "%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in rows[0])
+        body = "\n".join([template % tuple(row) for row in rows])
+        # a field reads nan only for a NaN float and None only for None: both print empty
+        lines.append(_EMPTY_FIELD.sub("", body) if "nan" in body or "None" in body else body)
     _write(args.out, "\n".join(lines) + "\n")
 
 
@@ -269,16 +278,12 @@ def _trajectory(args):
 def cmd_evolve(args) -> int:
     traj, desc = _trajectory(args)
     header = ["t", "concurrence", "coherence_x", "norm_log"]
-    rows = list(zip(traj.times, traj.concurrence, traj.coherence_x, traj.norm_log))
+    rows = np.column_stack((traj.times, traj.concurrence, traj.coherence_x, traj.norm_log))
     _emit(args, desc, header, rows, {})
     return 0
 
 
 def cmd_revivals(args) -> int:
-    if not 0.0 <= args.collapse_fraction <= 1.0:
-        raise ValueError(f"--collapse-fraction must lie in [0, 1], got {args.collapse_fraction}")
-    if not args.envelope_window > 0:
-        raise ValueError(f"--envelope-window must be > 0, got {args.envelope_window}")
     traj, desc = _trajectory(args)
     revivals = detect_revivals(traj, envelope_window=args.envelope_window,
                                collapse_fraction=args.collapse_fraction)
@@ -376,7 +381,7 @@ def _evolve_columns(args, desc: str, runs, t_max: float, dt: float, record_every
         traj = propagate(params, initial_state(theta), t_max, dt, record_every=record_every)
         header.append(column)
         series.append(traj.concurrence)
-    _emit(args, desc, header, list(zip(traj.times, *series)), {})
+    _emit(args, desc, header, np.column_stack((traj.times, *series)), {})
 
 
 def _preset_sense(args, kappa, fixed_value, rng, n):

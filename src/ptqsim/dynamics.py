@@ -6,7 +6,12 @@ time-independent generator its one-step map is the quartic Taylor matrix of
 exp(-iH dt), so steps are applied from a precomputed power table in chunks.
 Per-step renormalization semantics (states and cumulative log-norm) are
 preserved exactly; chunk length is capped so unnormalized growth stays
-within exp(5) between renormalizations.
+within exp(5) between renormalizations.  The recorded count is known before
+the first step, so recorded rows are written into preallocated arrays, picked
+from each chunk by an index stride.
+
+The envelope (a forward-looking sliding maximum) costs O(n) for any window:
+block prefix and suffix maxima (van Herk / Gil-Werman), exact because max is.
 """
 from __future__ import annotations
 
@@ -103,14 +108,21 @@ def propagate(
     powers = np.empty((chunk, 4, 4), dtype=complex)
     powers[0] = step
     for m in range(1, chunk):
-        powers[m] = step @ powers[m - 1]
+        np.matmul(step, powers[m - 1], out=powers[m])
 
-    rec_idx = [0]
-    rec_states = [psi0.copy()]
-    rec_norm = [0.0]
-    psi = psi0.copy()
+    # t=0, every record_every-th step, and the final step when off that grid
+    n_rec = n_steps // record_every + 1 + (n_steps % record_every != 0)
+    try:
+        rec_idx = np.zeros(n_rec, dtype=np.int64)
+        states = np.empty((n_rec, 4), dtype=complex)
+        norm_log = np.zeros(n_rec)
+    except MemoryError:
+        raise ValueError(f"{n_rec} recorded states do not fit in memory "
+                         f"(raise record_every)") from None
+    states[0] = psi0
+    psi = psi0
     log_acc = 0.0
-    done = 0
+    done, r = 0, 1
     while done < n_steps:
         k = min(chunk, n_steps - done)
         block = powers[:k] @ psi
@@ -119,22 +131,23 @@ def propagate(
             raise NonFiniteError(f"amplitudes left the finite range near t={done * dt}")
         block /= norms[:, None]
         logs = log_acc + np.log(norms)
-        steps = np.arange(done + 1, done + k + 1)
-        mask = (steps % record_every == 0) | (steps == n_steps)
-        if mask.any():
-            rec_idx.extend(steps[mask].tolist())
-            rec_states.extend(block[mask])
-            rec_norm.extend(logs[mask].tolist())
+        rows = np.arange((-(done + 1)) % record_every, k, record_every)
+        if done + k == n_steps and n_steps % record_every:
+            rows = np.append(rows, k - 1)
+        rec = slice(r, r + len(rows))
+        rec_idx[rec] = done + 1 + rows
+        states[rec] = block[rows]
+        norm_log[rec] = logs[rows]
+        r += len(rows)
         psi = block[-1]
         log_acc = logs[-1]
         done += k
 
-    states = np.asarray(rec_states)
-    times = np.asarray(rec_idx, dtype=float) * dt
+    times = rec_idx.astype(float) * dt
     return Trajectory(
         times,
         states,
-        np.asarray(rec_norm),
+        norm_log,
         2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3]),
         np.einsum("ti,ij,tj->t", states.conj(), SIGMA_X1, states).real,
     )
@@ -198,35 +211,36 @@ def envelope_of_series(times, values, window: float) -> np.ndarray:
     """Sliding-window maxima (forward-looking, end-padded with the final value)."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    n = len(values)
     # a window past the end sees the same suffix maxima as one of len(values)
-    w = min(_window_len(times, window), len(values))
-    padded = np.concatenate([values, np.full(w - 1, values[-1])])
-    return sliding_window_view(padded, w).max(axis=1)
+    w = min(_window_len(times, window), n)
+    # window i spans blocks i // w and (i + w - 1) // w: a suffix max and a prefix max
+    padded = np.full(-(-(n + w - 1) // w) * w, values[-1])
+    padded[:n] = values
+    blocks = padded.reshape(-1, w)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n], prefix[w - 1 : n + w - 1])
 
 
 def revival_times_of_series(
     times, values, envelope_window: float = 5.0, collapse_fraction: float = 0.3
 ) -> np.ndarray:
     """Times of envelope maxima separated by collapses (dips below the fraction)."""
+    # the messages name the CLI flags too: revivals passes these through unchecked
+    if not 0.0 <= collapse_fraction <= 1.0:
+        raise ValueError(f"collapse_fraction (--collapse-fraction) must lie in [0, 1], "
+                         f"got {collapse_fraction}")
+    if not envelope_window > 0:
+        raise ValueError(f"envelope_window (--envelope-window) must be > 0, got {envelope_window}")
     times = np.asarray(times, dtype=float)
     env = envelope_of_series(times, values, envelope_window)
-    threshold = collapse_fraction * env.max()
-    active = env >= threshold
-    revivals = []
-    seen_collapse = False
-    i, n = 0, len(env)
-    while i < n:
-        if active[i]:
-            stop = i
-            while stop < n and active[stop]:
-                stop += 1
-            if seen_collapse:
-                revivals.append(times[i + int(np.argmax(env[i:stop]))])
-            i = stop
-        else:
-            seen_collapse = True
-            i += 1
-    return np.asarray(revivals)
+    active = env >= collapse_fraction * env.max()
+    edges = np.diff(np.concatenate(([0], active, [0])))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    # a run that starts at t0 follows no collapse
+    peaks = [s + int(np.argmax(env[s:e])) for s, e in zip(starts, stops) if s > 0]
+    return times[np.asarray(peaks, dtype=int)]
 
 
 def detect_revivals(

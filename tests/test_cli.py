@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import column, parse_csv, run_cli
-from ptqsim.cli import main
+from ptqsim.cli import MAGIC, _emit, _fmt, main
 
 
 def invoke(capsys, *args):
@@ -197,6 +198,58 @@ class TestRevivalsCommand:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
         assert flag in json.loads(err)["message"]
+
+
+class TestCsvWriter:
+    """_emit's row templates print what a per-value _fmt join prints, byte for byte.
+
+    None appears only in text columns (flag, failure), as in every table the CLI writes.
+    """
+
+    @staticmethod
+    def _per_value(header, rows, meta):
+        lines = [MAGIC, "# params: p=1"] + [f"# {k}: {_fmt(v)}" for k, v in meta.items()]
+        lines.append(",".join(header))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _emitted(capsys, header, rows, meta):
+        _emit(argparse.Namespace(format="csv", out="-"), "p=1", header, rows, meta)
+        return capsys.readouterr().out
+
+    _FLOATS = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0, 123456789012345.0]
+
+    def test_mixed_list_table(self, capsys):
+        rows = [
+            [k if k % 2 else np.int64(k) * 10**13, x, np.float64(-x),
+             "NearDefective" if k % 3 else None]
+            for k, x in enumerate(self._FLOATS)
+        ]
+        rows.append([np.int64(-7), np.nan, np.nan, "NoConvergence"])
+        header = ["index", "x", "minus_x", "flag"]
+        meta = {"n_flagged": 6, "first": None, "value": np.nan}
+        assert self._emitted(capsys, header, rows, meta) == self._per_value(header, rows, meta)
+
+    def test_first_row_sets_text_columns(self, capsys):
+        rows = [[1.5, None, "E1"], [np.nan, "OmegaSingular", "E2"], [2.5, None, "E3"]]
+        header = ["omega", "failure", "label"]
+        assert self._emitted(capsys, header, rows, {}) == self._per_value(header, rows, {})
+
+    def test_float_array_table(self, capsys):
+        rng = np.random.default_rng(3)
+        table = np.concatenate([
+            np.array(self._FLOATS).reshape(-1, 3),
+            rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3)),
+        ])
+        header = ["t", "a", "b"]
+        rows = list(zip(*table.T))
+        assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_zero_rows(self, capsys, rows):
+        header = ["t", "a", "b"]
+        assert self._emitted(capsys, header, rows, {"n": 0}) == self._per_value(header, [], {"n": 0})
 
 
 class TestReproduce:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ptqsim import (
     SystemParams,
@@ -17,11 +18,14 @@ from ptqsim import (
     propagate,
 )
 from ptqsim.dynamics import (
+    _rk4_step_matrix,
+    _window_len,
     envelope_of_series,
     revival_times_of_series,
     steady_state_of_series,
 )
 from ptqsim.errors import NotNormalizedError, StepTooLargeError
+from ptqsim.model import SIGMA_X1, build_hamiltonian
 
 KET_00 = initial_state(np.pi / 2)
 
@@ -92,6 +96,11 @@ class TestPropagate:
         traj = propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 1e-310, 1e-311)
         assert len(traj) == 11
 
+    def test_record_beyond_memory_rejected(self):
+        """1e16 recorded states need 6e17 bytes, more than any address space."""
+        with pytest.raises(ValueError, match="memory"):
+            propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 1e13, 1e-3)
+
     def test_record_every_includes_final_step(self):
         traj = propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 1.0, 1e-3, record_every=7)
         assert traj.times[0] == 0.0
@@ -104,6 +113,64 @@ class TestPropagate:
         start = int(np.argmax(overlap > 0.9))
         assert np.all(np.diff(overlap[start:]) > -1e-9)
         assert overlap[-1] > 1 - 1e-6
+
+    @pytest.mark.parametrize("params, t_max, dt, record_every", [
+        (SystemParams(2.0, 0.4, 1.0), 1.0, 1e-3, 7),  # 1000 steps, off-grid final step
+        (SystemParams(2.0, 0.4, 1.0), 0.01, 1e-3, 50),  # fewer steps than record_every
+        (SystemParams(2.0, 0.7, 1.0), 4.095, 1e-3, 3),  # one chunk (4096 steps) minus 1
+        (SystemParams(2.0, 0.7, 1.0), 4.096, 1e-3, 3),  # exactly one chunk
+        (SystemParams(2.0, 0.7, 1.0), 4.097, 1e-3, 1),  # one chunk plus 1
+        (SystemParams(2.0, 0.7, 1.0), 4.097, 1e-3, 4097),  # only t=0 and the final step
+        (SystemParams(1.5, 0.01, 0.0), 20.0, 1e-3, 10),  # 5 chunks, Hermitian limit
+        (SystemParams(1.5, 0.01, 1.1), 30.0, 5e-3, 4),  # 7 chunks of 909 steps
+        (SystemParams(1.5, 0.01, 1.1), 30.0, 5e-3, 909),  # one record per chunk
+    ])
+    def test_recording_grid_matches_list_recorder_bitwise(self, params, t_max, dt, record_every):
+        psi0 = initial_state(np.pi / 4)
+        traj = propagate(params, psi0, t_max, dt, record_every=record_every)
+        expected = _propagate_reference(params, psi0, t_max, dt, record_every)
+        got = (traj.times, traj.states, traj.norm_log, traj.concurrence, traj.coherence_x)
+        for name, a, b in zip(("times", "states", "norm_log", "concurrence", "coherence_x"),
+                              got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _propagate_reference(params, psi0, t_max, dt, record_every):
+    """propagate's earlier recorder: a masked list of per-step views, then np.asarray.
+
+    Kept as the oracle of the preallocated recorder (validation omitted).
+    """
+    n_steps = int(round(t_max / dt))
+    step = _rk4_step_matrix(build_hamiltonian(params), dt)
+    chunk = min(n_steps, max(1, round(min(5.0 / (dt * max(params.gamma, 1.0)), 4096))))
+    powers = np.empty((chunk, 4, 4), dtype=complex)
+    powers[0] = step
+    for m in range(1, chunk):
+        powers[m] = step @ powers[m - 1]
+    rec_idx, rec_states, rec_norm = [0], [psi0.copy()], [0.0]
+    psi, log_acc, done = psi0.copy(), 0.0, 0
+    while done < n_steps:
+        k = min(chunk, n_steps - done)
+        block = powers[:k] @ psi
+        norms = np.linalg.norm(block, axis=1)
+        block /= norms[:, None]
+        logs = log_acc + np.log(norms)
+        steps = np.arange(done + 1, done + k + 1)
+        mask = (steps % record_every == 0) | (steps == n_steps)
+        if mask.any():
+            rec_idx.extend(steps[mask].tolist())
+            rec_states.extend(block[mask])
+            rec_norm.extend(logs[mask].tolist())
+        psi, log_acc = block[-1], logs[-1]
+        done += k
+    states = np.asarray(rec_states)
+    return (
+        np.asarray(rec_idx, dtype=float) * dt,
+        states,
+        np.asarray(rec_norm),
+        2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3]),
+        np.einsum("ti,ij,tj->t", states.conj(), SIGMA_X1, states).real,
+    )
 
 
 class TestSteadyState:
@@ -160,6 +227,91 @@ class TestRevivals:
         traj = propagate(SystemParams(1.7, 0.337, 1.0), KET_00, 300.0, 0.02)
         shallow = detect_revivals(traj, collapse_fraction=0.05)
         assert len(shallow) == 0  # envelope floor never dips that far
+
+    @pytest.mark.parametrize("keywords", [
+        {"collapse_fraction": np.nan},
+        {"collapse_fraction": np.inf},
+        {"collapse_fraction": -0.1},
+        {"collapse_fraction": 1.5},
+        {"envelope_window": 0.0},
+        {"envelope_window": -1.0},
+        {"envelope_window": np.nan},
+    ])
+    def test_detector_inputs_out_of_range_rejected(self, keywords):
+        traj = propagate(SystemParams(1.7, 0.337, 1.0), KET_00, 300.0, 0.02)
+        with pytest.raises(ValueError, match=next(iter(keywords))):
+            detect_revivals(traj, **keywords)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 97])
+    def test_envelope_matches_sliding_window_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        times = _grid(n)
+        for values in _series(rng, n):
+            for window in range(2, n + 6):
+                got = envelope_of_series(times, values, float(window))
+                assert got.tobytes() == _envelope_reference(times, values, window).tobytes()
+
+    @pytest.mark.parametrize("window", [2.0, 3.0, 64.0, 1000.0, 0.4, 2.5])
+    def test_long_envelope_matches_sliding_window_bitwise(self, window):
+        rng = np.random.default_rng(7)
+        n = 10**5
+        times = _grid(n)
+        for values in _series(rng, n):
+            got = envelope_of_series(times, values, window)
+            assert got.tobytes() == _envelope_reference(times, values, window).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 97, 10**5])
+    def test_revival_times_match_sample_loop_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        times = _grid(n) * 0.01
+        windows = range(2, n + 6) if n < 100 else (2, 64)
+        fractions = (0.0, 0.3, 0.7, 1.0) if n < 100 else (0.3, 0.7)
+        for values in _series(rng, n):
+            for window in windows:
+                for fraction in fractions:
+                    got = revival_times_of_series(times, values, 0.01 * window, fraction)
+                    want = _revivals_reference(times, values, 0.01 * window, fraction)
+                    assert got.tobytes() == want.tobytes(), (window, fraction)
+
+
+def _grid(n):
+    """A unit-spaced time grid; one sample still needs two times for its spacing."""
+    return np.arange(max(n, 2), dtype=float)
+
+
+def _series(rng, n):
+    """Seeded series: bursty noise, one starting and one ending high, all equal, all negative."""
+    bursts = rng.random(n) ** 8
+    rising = np.linspace(0.0, 1.0, n) * rng.random(n)
+    return [bursts, rising[::-1].copy(), rising, np.full(n, 0.25), -1.0 - rng.random(n)]
+
+
+def _envelope_reference(times, values, window):
+    """envelope_of_series as a sliding_window_view max, kept as the O(n w) oracle."""
+    w = min(_window_len(times, window), len(values))
+    padded = np.concatenate([values, np.full(w - 1, values[-1])])
+    return sliding_window_view(padded, w).max(axis=1)
+
+
+def _revivals_reference(times, values, envelope_window, collapse_fraction):
+    """revival_times_of_series as a per-sample loop, kept as the oracle."""
+    env = _envelope_reference(times, values, envelope_window)
+    active = env >= collapse_fraction * env.max()
+    revivals = []
+    seen_collapse = False
+    i, n = 0, len(env)
+    while i < n:
+        if active[i]:
+            stop = i
+            while stop < n and active[stop]:
+                stop += 1
+            if seen_collapse:
+                revivals.append(times[i + int(np.argmax(env[i:stop]))])
+            i = stop
+        else:
+            seen_collapse = True
+            i += 1
+    return np.asarray(revivals)
 
 
 class TestHermitianPeriodicity:
