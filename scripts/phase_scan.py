@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from ptqsim import SystemParams, classify_phase, ep_curve, eigenvalues_closed_form
-from ptqsim.errors import DegenerateCubicError
 
 outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "out")
 outdir.mkdir(parents=True, exist_ok=True)
@@ -25,11 +24,8 @@ with open(outdir / "phase_map.csv", "w") as fh:
         for j in js:
             params = SystemParams(float(om), float(j), 1.0)
             label = classify_phase(params)
-            try:
-                values = eigenvalues_closed_form(params)
-                gap = abs(values[2] - values[3])
-            except DegenerateCubicError:
-                gap = float("nan")
+            values = eigenvalues_closed_form(params)
+            gap = abs(values[2] - values[3])
             fh.write(f"{om:.6g},{j:.6g},{label.phase.value},"
                      f"{label.max_imag:.6g},{gap:.6g}\n")
 

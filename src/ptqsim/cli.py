@@ -26,17 +26,12 @@ from .entanglement import (
     eigenstate_concurrence_wootters,
 )
 from .ep import ep_curve, locate_ep
-from .errors import (
-    DegenerateCubicError,
-    NumericalError,
-    OmegaSingularError,
-    ValidationError,
-)
+from .errors import NumericalError, OmegaSingularError, ValidationError
 from .model import SystemParams
 from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
-    _labeled_eigenvalues,
     classify_phase,
+    eigenvalues_closed_form,
     spectrum_closed_form,
     spectrum_oracle,
 )
@@ -83,20 +78,23 @@ def _write(out_path: str, text: str):
             fh.write(text)
 
 
-def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict):
+def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict,
+          results: dict | None = None):
+    """Write one table as CSV, or as JSON {params, results, diagnostics}.
+
+    results, when given, is a point command's JSON object; its CSV is the table.
+    """
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     if args.format == "json":
-        payload = {
-            "params": params_desc,
-            "results": {"columns": header, "rows": [_jsonable(r) for r in rows]},
-            "diagnostics": _jsonable(meta),
-        }
-        _write(args.out, json.dumps(payload, indent=2) + "\n")
+        if results is None:
+            results = {"columns": header, "rows": rows}
+        payload = {"params": params_desc, "results": results, "diagnostics": meta}
+        _write(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
         return
     lines = [MAGIC, f"# params: {params_desc}"]
     for key, value in meta.items():
         lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(header))
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     if len(rows):
         # one template per table: each column formats as its first row's value does
         template = ",".join(
@@ -106,20 +104,6 @@ def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarr
         # a field reads nan only for a NaN float and None only for None: both print empty
         lines.append(_EMPTY_FIELD.sub("", body) if "nan" in body or "None" in body else body)
     _write(args.out, "\n".join(lines) + "\n")
-
-
-def _emit_object(args, params_desc: str, results: dict, meta: dict,
-                 header: list[str] | None = None, rows: list[list] | None = None):
-    """JSON-first commands; CSV fallback uses the supplied tabular form."""
-    if args.format == "csv":
-        _emit(args, params_desc, header, rows, meta)
-        return
-    payload = {
-        "params": params_desc,
-        "results": _jsonable(results),
-        "diagnostics": _jsonable(meta),
-    }
-    _write(args.out, json.dumps(payload, indent=2) + "\n")
 
 
 def _params_from(args) -> SystemParams:
@@ -164,7 +148,7 @@ def cmd_spectrum(args) -> int:
     params = _params_from(args)
     try:
         spec = spectrum_closed_form(params)
-    except (DegenerateCubicError, OmegaSingularError):
+    except OmegaSingularError:
         spec = spectrum_oracle(params)
     label = classify_phase(params)
     results = {
@@ -187,7 +171,7 @@ def cmd_spectrum(args) -> int:
         rows.append(row)
     meta = {"source": spec.source.value, "phase": label.phase.value,
             "max_residual": spec.max_residual}
-    _emit_object(args, _params_desc(params), results, meta, header, rows)
+    _emit(args, _params_desc(params), header, rows, meta, results)
     return 0
 
 
@@ -215,7 +199,7 @@ def cmd_ep_locate(args) -> int:
     header = list(payload)
     desc = f"fix={fix} value={_fmt(fixed_value)} gamma={_fmt(args.gamma)} " \
            f"bracket={_fmt(args.sweep_range[0])}:{_fmt(args.sweep_range[1])}"
-    _emit_object(args, desc, payload, {}, header, [list(payload.values())])
+    _emit(args, desc, header, [list(payload.values())], {}, payload)
     return 0
 
 
@@ -254,7 +238,7 @@ def cmd_concurrence(args) -> int:
                    "closed_form": {"c_psi3": cc3, "c_psi4": cc4},
                    "max_closed_form_discrepancy": max(abs(c3 - cc3), abs(c4 - cc4))}
         header = ["c_psi3", "c_psi4", "c_closed_psi3", "c_closed_psi4"]
-        _emit_object(args, _params_desc(params), results, {}, header, [[c3, c4, cc3, cc4]])
+        _emit(args, _params_desc(params), header, [[c3, c4, cc3, cc4]], {}, results)
         return 0
     _require_sweep(args)
     grid = np.linspace(args.sweep_range[0], args.sweep_range[1], args.n)
@@ -311,7 +295,7 @@ def cmd_qfi(args) -> int:
         "coherence": coh,
     }
     header = list(results)
-    _emit_object(args, _params_desc(params), results, {}, header, [list(results.values())])
+    _emit(args, _params_desc(params), header, [list(results.values())], {}, results)
     return 0
 
 
@@ -353,7 +337,7 @@ def _preset_fig2(args):
     rows = []
     for om in omegas:
         for j in js:
-            values = _labeled_eigenvalues(SystemParams(omega=float(om), j=float(j), gamma=1.0))
+            values = eigenvalues_closed_form(SystemParams(omega=float(om), j=float(j), gamma=1.0))
             rows.append([om, j, values[2].real, values[2].imag,
                          values[3].real, values[3].imag])
     header = ["omega", "j", "re_e3", "im_e3", "re_e4", "im_e4"]

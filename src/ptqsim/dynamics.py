@@ -10,8 +10,9 @@ within exp(5) between renormalizations.  The recorded count is known before
 the first step, so recorded rows are written into preallocated arrays, picked
 from each chunk by an index stride.
 
-The envelope (a forward-looking sliding maximum) costs O(n) for any window:
-block prefix and suffix maxima (van Herk / Gil-Werman), exact because max is.
+The envelope and the steady-state variation (forward-looking sliding maxima,
+and minima as maxima of the negated series) cost O(n) for any window: block
+prefix and suffix maxima (van Herk / Gil-Werman), exact because max is.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteError, StepTooLargeError
 from .model import SIGMA_X1, SystemParams, as_state, as_unit_state, build_hamiltonian
@@ -180,6 +180,18 @@ def _window_len(times: np.ndarray, width: float) -> int:
     return max(2, int(round(samples)))
 
 
+def _window_max(values: np.ndarray, w: int) -> np.ndarray:
+    """max(values[i:i + w]) for every i, windows past the end padded with the final value."""
+    n = len(values)
+    # window i spans blocks i // w and (i + w - 1) // w: a suffix max and a prefix max
+    padded = np.full(-(-(n + w - 1) // w) * w, values[-1])
+    padded[:n] = values
+    blocks = padded.reshape(-1, w)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n], prefix[w - 1 : n + w - 1])
+
+
 def steady_state_of_series(times, values, window: float, tol: float):
     """Earliest time after which every trailing window varies less than tol.
 
@@ -190,8 +202,8 @@ def steady_state_of_series(times, values, window: float, tol: float):
     if window >= times[-1] - times[0]:
         raise ValueError("window must be shorter than the trajectory")
     w = _window_len(times, window)
-    spans = sliding_window_view(values, w)
-    variation = spans.max(axis=1) - spans.min(axis=1)
+    m = len(values) - w + 1  # windows that fit: max - min is max + max of the negation
+    variation = _window_max(values, w)[:m] + _window_max(-values, w)[:m]
     bad = np.nonzero(variation >= tol)[0]
     if len(bad) == 0:
         start = 0
@@ -211,16 +223,8 @@ def envelope_of_series(times, values, window: float) -> np.ndarray:
     """Sliding-window maxima (forward-looking, end-padded with the final value)."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    n = len(values)
     # a window past the end sees the same suffix maxima as one of len(values)
-    w = min(_window_len(times, window), n)
-    # window i spans blocks i // w and (i + w - 1) // w: a suffix max and a prefix max
-    padded = np.full(-(-(n + w - 1) // w) * w, values[-1])
-    padded[:n] = values
-    blocks = padded.reshape(-1, w)
-    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n], prefix[w - 1 : n + w - 1])
+    return _window_max(values, min(_window_len(times, window), len(values)))
 
 
 def revival_times_of_series(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateCubicError,
     EmptyCurveError,
     NoSignChangeError,
     NotAtEpError,
@@ -20,8 +19,6 @@ from .errors import (
 )
 from .model import SystemParams
 from .spectrum import (
-    _SQ27,
-    _cubic_data,
     _eigvec_coefficients,
     _phase_fix,
     _phase_probe,
@@ -65,13 +62,6 @@ def ep_residual(params: SystemParams) -> tuple[float, float]:
     aux = auxiliary_quantities(params)
     res_theta = aux.theta_y - (np.pi / 3) * np.round(aux.theta_y / (np.pi / 3))
     return float(res_theta), float(aux.x - aux.r**2)
-
-
-def _degenerate_eigenvalue(params: SystemParams) -> complex:
-    """Common eigenvalue at a coalescence, from the real-branch radical."""
-    x, z, a = _cubic_data(params)
-    rho = np.cbrt(a + _SQ27 * np.sqrt(max(z, 0.0)))
-    return complex((params.j - 0.5 * (x / rho + rho)) / 3.0)
 
 
 def _critical_square(fix: str, value: float, gamma: float) -> float:
@@ -137,7 +127,7 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
     point = EpPoint(
         j_c=found.j, omega_c=found.omega, gamma=found.gamma,
         residual_theta=res_theta, residual_x=res_x,
-        gap=float(abs(values[2] - values[3])), e_degenerate=_degenerate_eigenvalue(found),
+        gap=float(abs(values[2] - values[3])), e_degenerate=complex(0.5 * (values[2] + values[3])),
     )
     _check_point(point)
     return point
@@ -184,7 +174,7 @@ def ep_curve(
         try:
             point = locate_ep("omega", float(om), j_bracket, gamma=gamma)
             entries.append(EpCurveEntry(float(om), point))
-        except (NoSignChangeError, NotConvergedError, DegenerateCubicError) as exc:
+        except (NoSignChangeError, NotConvergedError) as exc:
             entries.append(EpCurveEntry(float(om), None, failure=type(exc).__name__))
     if all(entry.point is None for entry in entries):
         raise EmptyCurveError(

@@ -39,7 +39,8 @@ class NotAtEpError(ValidationError):
 
 
 class DegenerateCubicError(NumericalError):
-    """Cube-root radical vanishes; closed forms unusable, use the oracle."""
+    """Formerly raised where the cube-root radical vanished; the closed form now
+    holds at every finite point, so nothing raises it.  Kept for importers."""
 
 
 class NearDefectiveError(NumericalError):

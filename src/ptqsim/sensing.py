@@ -11,8 +11,8 @@ form (states phase-aligned by overlap) as an independent reference.
 A sweep point costs one closed-form eigensolve: its eigenvalues give the
 phase label and Psi3, and one (psi, dpsi) pair gives the QFI, the
 coherence and its variance together.  Sweeps mark the phase transition
-with spectrum's one phase decision (max |Im E| against its threshold, with
-the label-aligned oracle standing in where the cubic radical degenerates).
+with spectrum's one phase decision (max |Im E| against its threshold) on
+the same closed-form eigenvalues.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DegenerateCubicError,
     EpTooCloseError,
     NumericalError,
     OmegaSingularError,
@@ -188,9 +187,8 @@ def sensing_sweep(
     broken: list[bool] = []
     for x in grid:
         p = base.replace(**{kappa: float(x)})
-        values = None  # a DegenerateCubic point leaves the phase to the oracle
+        values = eigenvalues_closed_form(p)
         try:
-            values = eigenvalues_closed_form(p)
             f, coh, var = _sense_point(p, kappa, values)
             points.append(
                 SensingPoint(
@@ -202,12 +200,7 @@ def sensing_sweep(
                     cr_bound=1.0 / np.sqrt(f),
                 )
             )
-        except (
-            EpTooCloseError,
-            ZeroSlopeError,
-            OmegaSingularError,
-            DegenerateCubicError,
-        ) as exc:
+        except (EpTooCloseError, ZeroSlopeError, OmegaSingularError) as exc:
             nan = float("nan")
             points.append(
                 SensingPoint(kappa, float(x), nan, nan, nan, nan,

@@ -9,10 +9,10 @@ cube-root branch is fixed so that
 * eigenvalues are produced as exact conjugate pairs / exact reals, so the
   unbroken phase has max|Im E| == 0 in floating point.
 
-An independent oracle path (characteristic polynomial by trace recursion,
-companion-matrix roots, SVD null-space eigenvectors) cross-checks every
-closed form and handles the rare parameter sets where the radicals
-degenerate.
+The closed form holds at every finite point, the third-order point
+x = z = 0 included (its cube-root pair is 0, a triple root).  An independent
+oracle path (characteristic polynomial by trace recursion, companion-matrix
+roots, SVD null-space eigenvectors) cross-checks every closed form.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from itertools import permutations
 import numpy as np
 
 from .errors import (
-    DegenerateCubicError,
     NearDefectiveError,
     NoConvergenceError,
     NonFiniteError,
@@ -33,6 +32,7 @@ from .errors import (
 from .model import SystemParams, build_hamiltonian
 
 _W3 = np.exp(2j * np.pi / 3)  # primitive cube root of unity
+_W3C = _W3.conjugate()
 _SQ27 = 3.0 * np.sqrt(3.0)
 
 #: Residual tolerance for eigenpairs, relaxed near a coalescence where
@@ -118,21 +118,27 @@ def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
 
 
 def _branch_pair(params: SystemParams):
-    """Cube-root pair (y, v) with v = x/y, on the label-continuous branch.
+    """Cube-root pair (y, v) with y*v = x, on the label-continuous branch.
 
-    z >= 0: both radicands are real; the real cube roots are used (exact,
-    cancellation-free since x^3 = a^2 - 27z factors through them).
+    z >= 0: both radicands a +- sqrt(27z) are real, and the one whose terms
+    have opposite signs cancels; its root is taken as x over the other's,
+    since x^3 = a^2 - 27z = (a + sqrt(27z))(a - sqrt(27z)).  At a = 0 neither
+    cancels and both real cube roots are used.
     z < 0: |y|^2 = x there, so v is exactly conj(y); the principal root is
     rotated onto the continuation of the negative-real branch when the
     radicand has negative real part.
     """
     x, z, a = _cubic_data(params)
     if z >= 0:
-        s = _SQ27 * np.sqrt(z)
-        y = complex(np.cbrt(a + s))
-        v = complex(np.cbrt(a - s))
+        s = _SQ27 * math.sqrt(z)
+        y, v = np.cbrt(a + s), np.cbrt(a - s)
+        if a < 0:
+            y = x / v
+        elif a > 0:
+            v = x / y
+        y, v = complex(y), complex(v)
     else:
-        radicand = complex(a, _SQ27 * np.sqrt(-z))
+        radicand = complex(a, _SQ27 * math.sqrt(-z))
         y = radicand ** (1.0 / 3.0)
         if radicand.real < 0:
             y = y * _W3
@@ -141,17 +147,24 @@ def _branch_pair(params: SystemParams):
 
 
 def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
-    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair."""
+    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
+
+    The invariant z scales as the sixth power of the rates and underflows
+    below about 1e-52, so rates below 2**-150 are solved at unit scale, by
+    exact power-of-two scaling.
+    """
     j = params.j
+    scale = max(abs(params.omega), abs(j), abs(params.gamma))
+    if 0 < scale < 2.0**-150:
+        e = math.frexp(scale)[1]
+        unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
+        values = eigenvalues_closed_form(unit)
+        values.real, values.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
+        return values
     y, v = _branch_pair(params)
-    if abs(y) < 1e-12:
-        raise DegenerateCubicError(
-            f"cube-root radical vanished at omega={params.omega}, j={j}, "
-            f"gamma={params.gamma}; use eigensystem_oracle"
-        )
     e2 = (j + v + y) / 3.0
-    e3 = (j + _W3.conjugate() * v + _W3 * y) / 3.0
-    e4 = (j + _W3 * v + _W3.conjugate() * y) / 3.0
+    e3 = (j + _W3C * v + _W3 * y) / 3.0
+    e4 = (j + _W3 * v + _W3C * y) / 3.0
     return np.array([-j, e2, e3, e4], dtype=complex)
 
 
@@ -369,30 +382,17 @@ def spectrum_closed_form(params: SystemParams) -> Spectrum:
 def spectrum_oracle(params: SystemParams) -> Spectrum:
     """Oracle spectrum with labels aligned to the closed-form convention."""
     spec = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
-    try:
-        reference = eigenvalues_closed_form(params)
-    except DegenerateCubicError:
-        order = np.lexsort((spec.eigenvalues.imag, spec.eigenvalues.real))
-    else:
-        best = min(
-            permutations(range(4)),
-            key=lambda p: max(abs(spec.eigenvalues[list(p)] - reference)),
-        )
-        order = np.array(best)
+    reference = eigenvalues_closed_form(params)
+    order = list(min(
+        permutations(range(4)),
+        key=lambda p: max(abs(spec.eigenvalues[list(p)] - reference)),
+    ))
     return Spectrum(
         spec.eigenvalues[order],
         spec.eigenvectors[order],
         Source.ORACLE,
         spec.max_residual,
     )
-
-
-def _labeled_eigenvalues(params: SystemParams) -> np.ndarray:
-    """E1..E4 in closed form, or from the label-aligned oracle where the radical vanishes."""
-    try:
-        return eigenvalues_closed_form(params)
-    except DegenerateCubicError:
-        return spectrum_oracle(params).eigenvalues
 
 
 def _phase_probe(
@@ -403,7 +403,7 @@ def _phase_probe(
     values, when given, are the point's closed-form E1..E4 and are not solved again.
     """
     if values is None:
-        values = _labeled_eigenvalues(params)
+        values = eigenvalues_closed_form(params)
     max_imag = float(np.max(np.abs(values.imag)))
     return values, max_imag, max_imag > _PHASE_TOL
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import column, parse_csv, run_cli
-from ptqsim.cli import MAGIC, _emit, _fmt, main
+from ptqsim.cli import MAGIC, _emit, _fmt, _jsonable, main
 
 
 def invoke(capsys, *args):
@@ -28,6 +29,12 @@ class TestSpectrumCommand:
         )
         expected = sorted([(-0.3, 0.0), (-0.3, 0.0), (0.3, 1.0), (0.3, -1.0)])
         assert np.allclose(values, expected, atol=1e-9)
+
+    def test_next_to_third_order_point_closed_form(self, capsys):
+        # the closed form agrees with the oracle within 1e-9 here too
+        code, out, _ = invoke(capsys, "spectrum", "--omega", 1, "--j", 1e-3)
+        assert code == 0
+        assert json.loads(out)["results"]["source"] == "closed-form"
 
     def test_csv_format(self, capsys):
         code, out, _ = invoke(capsys, "spectrum", "--omega", 2, "--j", 0.4, "--format", "csv")
@@ -250,6 +257,89 @@ class TestCsvWriter:
     def test_zero_rows(self, capsys, rows):
         header = ["t", "a", "b"]
         assert self._emitted(capsys, header, rows, {"n": 0}) == self._per_value(header, [], {"n": 0})
+
+
+class TestJsonWriter:
+    """_emit's JSON is the per-row _jsonable payload, byte for byte."""
+
+    @staticmethod
+    def _per_row(desc, header, rows, meta, results=None):
+        if results is None:
+            results = {"columns": header, "rows": [_jsonable(r) for r in rows]}
+        else:
+            results = _jsonable(results)
+        payload = {"params": desc, "results": results, "diagnostics": _jsonable(meta)}
+        return json.dumps(payload, indent=2) + "\n"
+
+    @staticmethod
+    def _emitted(capsys, header, rows, meta, results=None):
+        _emit(argparse.Namespace(format="json", out="-"), "p=1", header, rows, meta, results)
+        return capsys.readouterr().out
+
+    _FLOATS = TestCsvWriter._FLOATS[:3] + TestCsvWriter._FLOATS[5:]  # JSON has no inf
+
+    def test_mixed_list_table(self, capsys):
+        rows = [[np.int64(k), x, np.float64(-x), complex(x, k), None if k % 2 else "EpTooClose"]
+                for k, x in enumerate(self._FLOATS)]
+        header = ["index", "x", "minus_x", "z", "flag"]
+        meta = {"n_flagged": np.int64(3), "first": None, "value": np.nan}
+        want = self._per_row("p=1", header, rows, meta)
+        assert self._emitted(capsys, header, rows, meta) == want
+
+    def test_float_array_table(self, capsys):
+        rng = np.random.default_rng(4)
+        table = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        table[::7, 1] = np.nan
+        want = self._per_row("p=1", ["t", "a", "b"], table, {})
+        assert self._emitted(capsys, ["t", "a", "b"], table, {}) == want
+
+    def test_point_object(self, capsys):
+        results = {"qfi": np.float64(2.5), "nested": {"v": np.array([1 + 2j, np.nan])},
+                   "eigenvalues": [{"re": 0.5, "im": np.nan}]}
+        want = self._per_row("p=1", ["qfi"], [[2.5]], {"k": 1}, results)
+        assert self._emitted(capsys, ["qfi"], [[2.5]], {"k": 1}, results) == want
+
+
+#: sha256 of every subcommand's --format json output.  All twelve equal the
+#: per-row JSON writer's output on the same numbers; the points and sweeps that
+#: reach the PT-broken phase or an EP carry the exact cube-root pair's digits.
+_JSON_CASES = {
+    "spectrum": (["spectrum", "--omega", 2, "--j", 0.4],
+                 "26a0926175726b89e8c12933404124fd0034074850c43bfa335c3f3573c186ad"),
+    "spectrum-broken": (["spectrum", "--omega", 1.7, "--j", 0.45],
+                        "6567faab667a46099234530aff905aa11a115ba35be6f14fedd9c819265975be"),
+    "spectrum-omega0": (["spectrum", "--omega", 0, "--j", 0.3],
+                        "75f3116632d2090d41d16779c619315716fcaa689c3c500c24741b0fe80befd1"),
+    "ep-locate": (["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"],
+                  "9c969676d43f96fc9d0fdbd1e45d9ac7c5b40b2f99a048786e4bb74d514ea33f"),
+    "ep-locate-j": (["ep-locate", "--j", 0.3, "--sweep-axis", "omega", "--sweep-range", "1.2:2.2"],
+                    "fab41d5302ca066f207a8a08a02b6944aee02e775f5dc523bf55df8cec015073"),
+    "ep-curve": (["ep-curve", "--sweep-range", "0.5:2.5", "--n", 9],
+                 "000d38a2300b2436b3960c62819243eaafc91553440a3a52677dd614b193335b"),
+    "concurrence": (["concurrence", "--omega", 2, "--j", 0.4],
+                    "fc71cfd03e3c2e671e6eba5da32a8f6f8bfbd9f3d6e3f0551f76b2bf5e59cc48"),
+    "concurrence-sweep": (["concurrence", "--omega", 2, "--sweep-axis", "j",
+                           "--sweep-range", "0.3:0.9", "--n", 7],
+                          "c82ba8b71f6f686933c341b7edf7a1d1fdd6e9688c54670544255f9f786af088"),
+    "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
+               "335abbd4f17bdbfec78edbf83c7788cb82db8da29cfbcfa15e90bcabdb280a50"),
+    "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
+                  "--collapse-fraction", 0.45],
+                 "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),
+    "qfi": (["qfi", "--omega", 2, "--j", 0.4, "--sweep-axis", "j"],
+            "f87ffb15b4e93c82b4e0a0288915e98340a60f9c862d419ef463feba6a64244a"),
+    "sense": (["sense", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
+               "--n", 13],
+              "61701eb7ecfa51d144c96bd9f09e0f851cee0fb28eef8a2d8b65e1438e268e7b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_CASES))
+def test_json_output_sha256_pinned(name, tmp_path):
+    argv, digest = _JSON_CASES[name]
+    out_file = tmp_path / "out.json"
+    assert main([str(a) for a in argv] + ["--format", "json", "--out", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 class TestReproduce:

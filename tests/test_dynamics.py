@@ -198,6 +198,20 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             detect_steady_state(traj, window=5.0, tol=0.01)
 
+    @pytest.mark.parametrize("n", [3, 10, 97, 10**5])
+    def test_matches_sliding_window_bitwise(self, n):
+        rng = np.random.default_rng(200 + n)
+        times = _grid(n)
+        damped = 0.5 + np.exp(-times / (0.1 * n)) * np.sin(times)
+        windows = np.arange(1, n - 1) - 0.5 if n < 100 else (1.0, 7.0, 500.0)
+        tols = (0.0, 1e-3, 0.3, 1.0, 2.0) if n < 100 else (1e-3, 0.3)
+        for values in [damped, *_series(rng, n)]:
+            for window in windows:
+                for tol in tols:
+                    got = steady_state_of_series(times, values, window, tol)
+                    want = _steady_state_reference(times, values, window, tol)
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (window, tol)
+
 
 class TestRevivals:
     def test_window_past_the_end_gives_suffix_maxima(self):
@@ -284,6 +298,19 @@ def _series(rng, n):
     bursts = rng.random(n) ** 8
     rising = np.linspace(0.0, 1.0, n) * rng.random(n)
     return [bursts, rising[::-1].copy(), rising, np.full(n, 0.25), -1.0 - rng.random(n)]
+
+
+def _steady_state_reference(times, values, window, tol):
+    """steady_state_of_series with a sliding_window_view max and min, kept as the O(n w) oracle."""
+    spans = sliding_window_view(values, _window_len(times, window))
+    bad = np.nonzero(spans.max(axis=1) - spans.min(axis=1) >= tol)[0]
+    if len(bad) == 0:
+        start = 0
+    elif bad[-1] + 1 >= len(spans):
+        return None
+    else:
+        start = bad[-1] + 1
+    return float(times[start]), float(values[start:].mean())
 
 
 def _envelope_reference(times, values, window):

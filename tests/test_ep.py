@@ -13,10 +13,10 @@ from ptqsim import (
     ep_curve,
     ep_residual,
     locate_ep,
+    pairing_distance,
 )
 from ptqsim.ep import EpPoint, ep_order_is_two
 from ptqsim.errors import (
-    DegenerateCubicError,
     EmptyCurveError,
     NoSignChangeError,
     NotAtEpError,
@@ -163,8 +163,10 @@ class TestLocateEp:
 
     def test_third_order_point_is_degenerate(self):
         # at j = 0 the critical omega is gamma, where all four eigenvalues meet
-        with pytest.raises(DegenerateCubicError):
-            locate_ep("j", 0.0, (0.5, 2.0))
+        point = locate_ep("j", 0.0, (0.5, 2.0))
+        assert point.omega_c == 1.0
+        assert point.gap == 0.0 and point.e_degenerate == 0
+        assert not ep_order_is_two(point)
 
     def test_hermitian_limit_has_no_phase_change(self):
         with pytest.raises(NoSignChangeError):
@@ -200,6 +202,40 @@ class TestEpCurve:
         assert len(entries) == 4
         assert entries[0].point is None and entries[0].failure
         assert entries[-1].point is not None
+
+
+class TestThirdOrderPoint:
+    """(omega, j) = (gamma, 0) ends the critical curve: E2..E4 meet in an EP3 there.
+
+    The spread of E2..E4 opens as eps**(1/3) along j = eps, the EP3 signature,
+    and as eps**(1/2) along omega = gamma - eps at j = 0, where only E3 and E4
+    leave E2 = 0 (Demange & Graefe, J. Phys. A 45, 025303 (2012)).
+    """
+
+    EPS = 10.0 ** -np.arange(2, 11)
+
+    @pytest.mark.parametrize("path, exponent", [
+        (lambda eps: SystemParams(1.0, eps, 1.0), 1 / 3),
+        (lambda eps: SystemParams(1.0 - eps, 0.0, 1.0), 1 / 2),
+    ], ids=["along_j", "along_omega"])
+    def test_splitting_exponent(self, path, exponent):
+        spreads = []
+        for eps in self.EPS:
+            params = path(eps)
+            values = eigenvalues_closed_form(params)
+            # the oracle is only a loose check: it is near-defective here
+            oracle = np.linalg.eigvals(build_hamiltonian(params))
+            assert pairing_distance(values, oracle) < 1e-4
+            spreads.append(np.max(np.abs(values[1:] - values[1:].mean())))
+        slope = np.polyfit(np.log(self.EPS), np.log(spreads), 1)[0]
+        assert slope == pytest.approx(exponent, abs=1e-3)
+
+    def test_coalesced_eigenvector(self):
+        # E = 0 and d = i*gamma give r2 = -i, r1 = -1: the vector (1, -i, -i, -1)/2
+        point = locate_ep("j", 0.0, (0.5, 2.0))
+        vec = coalesced_eigenvector(point)
+        assert np.allclose(vec, -np.array([1, -1j, -1j, -1]) / 2, rtol=0, atol=1e-15)
+        assert not np.any(build_hamiltonian(point.params()) @ vec)
 
 
 @pytest.fixture(scope="module")

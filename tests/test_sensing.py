@@ -15,7 +15,6 @@ from ptqsim import (
     sensitivity_variance,
 )
 from ptqsim.errors import (
-    DegenerateCubicError,
     EpTooCloseError,
     NotNormalizedError,
     OmegaSingularError,
@@ -205,8 +204,7 @@ def _per_point_sweep(kappa, fixed_value, value_range, n, gamma):
         try:
             rows.append([qfi(p, kappa), sensitivity_variance(p, kappa),
                          coherence_expectation(eigenvectors_closed_form(p)[2]), None])
-        except (EpTooCloseError, ZeroSlopeError, OmegaSingularError,
-                DegenerateCubicError) as exc:
+        except (EpTooCloseError, ZeroSlopeError, OmegaSingularError) as exc:
             rows.append([None, None, None, type(exc).__name__.removesuffix("Error")])
     for i in range(n - 1):
         if broken[i] != broken[i + 1]:
@@ -229,11 +227,10 @@ _JC_OMEGA2 = 0.5899798397854931  # locate_ep("omega", 2.0, (0.3, 0.9)).j_c
         ("j", 2.0, (0.3, 0.9), 13, 0.0, {"ZeroSlope"}),
         # omega = 0 is OmegaSingular ahead of the gap guard (the singlet and
         # (|01>+|10>)/sqrt2 coincide there, which is no EP); at j = 0 every
-        # other point has a zero gap, and omega = gamma is the DegenerateCubic
-        # triple point, labelled by the oracle
+        # other point has a zero gap, and the gap guard refuses omega = gamma,
+        # the triple point
         ("omega", 0.3, (0.0, 2.0), 21, 1.0, {"OmegaSingular", "ep_bracket"}),
-        ("omega", 0.0, (0.0, 2.0), 5, 1.0,
-         {"OmegaSingular", "EpTooClose", "DegenerateCubic"}),
+        ("omega", 0.0, (0.0, 2.0), 5, 1.0, {"OmegaSingular", "EpTooClose"}),
     ],
 )
 def test_sweep_matches_per_point_calls_bitwise(kappa, fixed_value, value_range, n, gamma,

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from ptqsim import (
     spectrum_closed_form,
     spectrum_oracle,
 )
-from ptqsim.errors import DegenerateCubicError, OmegaSingularError
+from ptqsim.errors import OmegaSingularError
 
 params_st = st.builds(
     SystemParams,
@@ -75,16 +78,72 @@ class TestClosedFormEigenvalues:
         values = eigenvalues_closed_form(SystemParams(1.3, 0.77, 1.0))
         assert values[0] == -0.77
 
-    def test_degenerate_cubic_raises(self):
-        # single-qubit critical point with no coupling: the radical vanishes
-        with pytest.raises(DegenerateCubicError):
-            eigenvalues_closed_form(SystemParams(1.0, 0.0, 1.0))
+    def test_third_order_point_is_exact_triple_root(self):
+        # single-qubit critical point with no coupling: x = z = a = 0, so the
+        # cube-root pair is 0 and the symmetric-sector cubic has the triple root j/3
+        values = eigenvalues_closed_form(SystemParams(1.0, 0.0, 1.0))
+        assert values.tolist() == [0, 0, 0, 0]
+        assert not np.any(values.imag)
+        assert eigenvalues_closed_form(SystemParams(0.0, 0.0, 0.0)).tolist() == [0, 0, 0, 0]
 
     def test_verify_against_oracle(self):
         params = SystemParams(2.0, 0.55, 1.0)
         values = eigenvalues_closed_form(params)
         oracle = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
         assert pairing_distance(values, oracle.eigenvalues) <= 1e-9
+
+
+def _newton_steps(params: SystemParams, scale: float = 1.0) -> list:
+    """|p/p'|/3 at each of E2..E4 over max(scale, |E|), in exact rationals.
+
+    t = 3E - j solves p(t) = t^3 - 3x t - 2a, with x and a exact in the float
+    rates, so the Newton step bounds E's distance to the nearest true root.
+    A root where p' = 0 exactly gives None, and must be exactly 0 and a root.
+    """
+    om, j, g = (Fraction(r) for r in (params.omega, params.j, params.gamma))
+    x = 4 * j * j + 3 * om * om - 3 * g * g
+    a = -8 * j**3 - 9 * j * (om * om + 2 * g * g)
+    steps = []
+    for e in eigenvalues_closed_form(params)[1:]:
+        er, ei = Fraction(e.real), Fraction(e.imag)
+        tr, ti = 3 * er - j, 3 * ei
+        ur, ui = tr * tr - ti * ti - x, 2 * tr * ti  # t^2 - x = p'/3
+        pr = tr * (ur - 2 * x) - ti * ui - 2 * a
+        pi = ti * (ur - 2 * x) + tr * ui
+        dp2 = 9 * (ur * ur + ui * ui)
+        if dp2 == 0:
+            assert e == 0 and pr == pi == 0, (params, e)
+            steps.append(None)
+            continue
+        # the ratio stays a Fraction until it is dimensionless: at 1e-200 rates |p|^2 underflows
+        ratio = (pr * pr + pi * pi) / (9 * dp2 * max(Fraction(scale) ** 2, er * er + ei * ei))
+        steps.append(math.sqrt(ratio))
+    return steps
+
+
+class TestClosedFormAccuracy:
+    """Every closed-form eigenvalue lies within 4e-15 max(1, |E|) of a true root (rate units)."""
+
+    BOUND = 4e-15
+
+    def test_fig2_grid(self):
+        steps = [
+            s for om in np.linspace(0.0, 3.0, 61) for j in np.linspace(0.0, 1.2, 61)
+            for s in _newton_steps(SystemParams(float(om), float(j), 1.0))
+        ]
+        assert steps.count(None) == 3  # the triple root at (omega, j) = (gamma, 0)
+        assert max(s for s in steps if s is not None) <= self.BOUND
+
+    @pytest.mark.parametrize("sign", [1, -1])  # j < 0 makes a > 0: the other radicand cancels
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_next_to_third_order_point(self, k, sign):
+        assert max(_newton_steps(SystemParams(1.0, sign * 10.0**-k, 1.0))) <= self.BOUND
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-60, 1e-110, 1e-200])
+    @pytest.mark.parametrize("shape", [(2.0, 0.4, 1.0), (0.5, 0.3, 1.0)])
+    def test_tiny_rates(self, shape, scale):
+        params = SystemParams(*(r * scale for r in shape))
+        assert max(_newton_steps(params, scale)) <= self.BOUND
 
 
 class TestClosedFormEigenvectors:
@@ -191,20 +250,14 @@ class TestClassifyPhase:
 @settings(max_examples=60)
 def test_conjugate_pair_symmetry(params):
     """The eigenvalue multiset equals its conjugate multiset."""
-    try:
-        values = eigenvalues_closed_form(params)
-    except DegenerateCubicError:
-        return
+    values = eigenvalues_closed_form(params)
     assert pairing_distance(values, values.conj()) < 1e-10
 
 
 @given(params_st)
 @settings(max_examples=60)
 def test_eigenvalue_sum_is_trace(params):
-    try:
-        values = eigenvalues_closed_form(params)
-    except DegenerateCubicError:
-        return
+    values = eigenvalues_closed_form(params)
     assert abs(values.sum()) < 1e-10
 
 
