@@ -22,6 +22,7 @@ from .spectrum import (
     _eigvec_coefficients,
     _phase_fix,
     _phase_probe,
+    _rate_scale,
     auxiliary_quantities,
     eigenvalues_closed_form,
 )
@@ -102,12 +103,18 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
     if fix not in ("omega", "j"):
         raise ValueError(f"fix must be 'omega' or 'j', got {fix!r}")
     swept = "j" if fix == "omega" else "omega"
-    make = lambda x: SystemParams(**{fix: value, swept: x}, gamma=gamma)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    broken_lo = _phase_probe(make(lo))[2]
-    if broken_lo == _phase_probe(make(hi))[2]:
+
+    def probe(x):
+        """(point, its eigenvalues, PT-broken) at swept = x."""
+        found = SystemParams(**{fix: value, swept: x}, gamma=gamma)
+        values = eigenvalues_closed_form(found)
+        return found, values, _phase_probe(values, _rate_scale(found))[1]
+
+    broken_lo = probe(lo)[2]
+    if broken_lo == probe(hi)[2]:
         raise NoSignChangeError(f"both bracket ends are in the same phase at "
                                 f"{fix}={value} (broken={broken_lo})")
     square = _critical_square(fix, value, gamma)
@@ -118,9 +125,8 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
                                 f"lies outside the bracket {lo}:{hi}")
     x, unbroken = inside[0], (hi if broken_lo else lo)
     while True:
-        found = make(x)
-        values = eigenvalues_closed_form(found)
-        if not _phase_probe(found, values)[2] or x == unbroken:
+        found, values, broken = probe(x)
+        if not broken or x == unbroken:
             break
         x = float(np.clip(np.nextafter(2 * x - inside[0], unbroken), lo, hi))
     res_theta, res_x = ep_residual(found)

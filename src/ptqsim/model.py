@@ -115,7 +115,12 @@ def as_state(vec) -> np.ndarray:
 def as_unit_state(vec) -> np.ndarray:
     """as_state of a unit-norm vector; a NaN or infinite norm fails the check too."""
     v = as_state(vec)
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise NotNormalizedError(f"state norm {norm} != 1 within {_NORM_TOL}")
+    _require_unit_rows(v)
     return v
+
+
+def _require_unit_rows(states: np.ndarray):
+    """Raise NotNormalizedError for the first state (a row) whose norm is not 1 within 1e-10."""
+    for norm in np.sqrt(np.square(np.abs(states)).sum(axis=-1)).reshape(-1).tolist():
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise NotNormalizedError(f"state norm {norm} != 1 within {_NORM_TOL}")

@@ -4,40 +4,51 @@ the single-qubit coherence error-propagation sensitivity.
 Both use the closed-form derivative of Psi3 = N(1, r2, r2, r1): r1 and r2
 are explicit in E3, and dE3 is first-order perturbation theory for the
 complex-symmetric H, so no step size enters and the Hermitian limit gives
-an exact zero.  Points whose smallest eigenvalue gap is below 1e-4 are
-refused as too close to an EP.  qfi_from_states keeps the central-difference
-form (states phase-aligned by overlap) as an independent reference.
+an exact zero.  Points whose smallest eigenvalue gap is below 1e-4 (times
+the largest rate, when that is below 1) are refused as too close to an EP.
+qfi_from_states keeps the central-difference form (states phase-aligned by
+overlap) as an independent reference.
 
-A sweep point costs one closed-form eigensolve: its eigenvalues give the
-phase label and Psi3, and one (psi, dpsi) pair gives the QFI, the
-coherence and its variance together.  Sweeps mark the phase transition
-with spectrum's one phase decision (max |Im E| against its threshold) on
-the same closed-form eigenvalues.
+The kernels work on a leading axis of points.  A sweep solves each point's
+eigenvalues once, refuses the points too close to an EP or at omega ~ 0,
+and passes the rest to one batched call: one closed-form eigenpair solve
+gives every Psi3, and one (psi, dpsi) batch gives the QFI, the coherence
+and its variance together.  qfi, sensitivity_variance and
+coherence_expectation are batches of one of the same kernels, so a point
+gets the same bits either way.  Sweeps mark the phase transition with
+spectrum's one phase decision (max |Im E| against its threshold) on the
+same closed-form eigenvalues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EpTooCloseError,
+    NonFiniteError,
     NumericalError,
     OmegaSingularError,
+    PtqsimError,
     ZeroSlopeError,
 )
-from .model import SIGMA_X1, SystemParams, as_state, as_unit_state
+from .model import SIGMA_X1, SystemParams, _require_unit_rows, as_state
 from .spectrum import (
+    _closed_form_eigenpairs,
     _min_gap,
     _phase_probe,
+    _rate_scale,
+    _rates,
     _require_omega,
     eigenvalues_closed_form,
-    eigenvectors_closed_form,
 )
 
 KAPPAS = ("j", "omega")
 #: Smallest eigenvalue gap at which the derivative of Psi3 is still computed.
 _EP_GUARD_GAP = 1e-4
+#: Smallest |d<sigma_x^1>/d kappa| at which the coherence variance is defined.
+_MIN_SLOPE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,38 +91,75 @@ def qfi_from_states(psi_minus, psi_center, psi_plus, h: float) -> float:
 
 def coherence_expectation(psi) -> float:
     """<sigma_x^1> of a unit state; Hermitian, so the tiny imaginary residue is dropped."""
-    psi = as_unit_state(psi)
-    value = np.vdot(psi, SIGMA_X1 @ psi)
-    if abs(value.imag) > 1e-12:
-        raise NumericalError(f"<sigma_x^1> has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return float(_coherence(as_state(psi)[None])[0])
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot of each pair of rows."""
+    return (a.conj() * b).sum(axis=-1)
+
+
+def _coherence(psi: np.ndarray) -> np.ndarray:
+    """<sigma_x^1> of (n, 4) unit-state rows.
+
+    Raises NotNormalizedError for the first row that is not a unit state,
+    then NumericalError for the first whose imaginary part exceeds 1e-12.
+    """
+    _require_unit_rows(psi)
+    value = _rowdot(psi, psi @ SIGMA_X1)
+    imag = np.abs(value.imag) > 1e-12
+    if imag.any():
+        raise NumericalError(f"<sigma_x^1> has imaginary part {value.imag[np.argmax(imag)]:.3e}")
+    return value.real
+
+
+def _refusals(points: list[SystemParams], values: np.ndarray) -> list[PtqsimError | None]:
+    """Per point, the error that leaves Psi3's derivative undefined there, or None.
+
+    OmegaSingularError comes ahead of EpTooCloseError: at omega ~ 0 the
+    singlet and the symmetric sector share E = -j, so the gap guard would
+    name an EP that is not there.  The gap guard is in units of the largest
+    rate below unit scale.
+    """
+    refusals = []
+    for p, gap in zip(points, _min_gap(values).tolist()):
+        threshold = _EP_GUARD_GAP * _rate_scale(p)
+        try:
+            _require_omega(p)
+            refusals.append(None if gap >= threshold else EpTooCloseError(
+                f"eigenvalue gap {gap:.3e} below {threshold:.0e}; "
+                "derivative ill-defined this close to the EP"))
+        except OmegaSingularError as exc:
+            refusals.append(exc)
+    return refusals
+
+
+def _guarded(params: SystemParams) -> np.ndarray:
+    """The point's closed-form E1..E4 as a (1, 4) batch; raises its refusal, if any."""
+    values = eigenvalues_closed_form(params)[None]
+    refusal = _refusals([params], values)[0]
+    if refusal is not None:
+        raise refusal
+    return values
 
 
 def _psi3_derivative(
-    params: SystemParams, kappa: str, values: np.ndarray | None = None
+    points: list[SystemParams], kappa: str, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi): unit Psi3 and its exact kappa-derivative up to a multiple of psi.
+    """(psi, dpsi) rows: each point's unit Psi3 and its exact kappa-derivative, up to psi.
 
     H is complex symmetric, so dE3 = u^T dH u / u^T u for u = (1, r2, r2, r1);
     differentiating r2 = -d/omega and r1 = -2(j+E3)d/omega^2 - 1 with
     d = j - E3 + i*gamma gives du.  The normalization and phase fixing only
     add multiples of psi, which the QFI and the coherence slope ignore.
-    values, when given, are the point's closed-form E1..E4.
+    values are the points' closed-form E1..E4, shape (n, 4); no point may
+    have a refusal (_refusals).
     """
-    if values is None:
-        values = eigenvalues_closed_form(params)
-    # at omega ~ 0 the singlet and the symmetric sector share E = -j, so the
-    # gap guard would name an EP that is not there
-    _require_omega(params)
-    if _min_gap(values) < _EP_GUARD_GAP:
-        raise EpTooCloseError(
-            f"eigenvalue gap {_min_gap(values):.3e} below {_EP_GUARD_GAP:.0e}; "
-            "derivative ill-defined this close to the EP"
-        )
-    psi = eigenvectors_closed_form(params, values)[2]
-    om, j, e = params.omega, params.j, values[2]
-    r2, r1 = psi[1] / psi[0], psi[3] / psi[0]
-    d = j - e + 1j * params.gamma
+    psi = _closed_form_eigenpairs(points, values)[0][:, 2]
+    om, j, g = _rates(points)
+    e = values[:, 2]
+    r2, r1 = psi[:, 1] / psi[:, 0], psi[:, 3] / psi[:, 0]
+    d = j - e + 1j * g
     utu = 1 + 2 * r2 * r2 + r1 * r1
     if kappa == "j":
         de = (1 - 2 * r2 * r2 + r1 * r1) / utu
@@ -121,36 +169,52 @@ def _psi3_derivative(
         de = 2 * r2 * (1 + r1) / utu
         dr2 = (de + d / om) / om
         dr1 = -2 * (de * d - (j + e) * de) / om**2 + 4 * (j + e) * d / om**3
-    return psi, psi[0] * np.array([0, dr2, dr2, dr1])
+    du = np.zeros_like(psi)
+    du[:, 1] = du[:, 2] = dr2
+    du[:, 3] = dr1
+    return psi, psi[:, :1] * du
 
 
-def _fisher(psi: np.ndarray, dpsi: np.ndarray) -> float:
-    return 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+def _fisher(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    return 4.0 * (_rowdot(dpsi, dpsi).real - abs(_rowdot(psi, dpsi)) ** 2)
 
 
-def _sense_point(
-    params: SystemParams, kappa: str, values: np.ndarray | None = None
-) -> tuple[float, float, float]:
-    """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2) from one (psi, dpsi).
+def _variance(m0, slope):
+    """Error-propagation variance (1 - m0^2) / slope^2 of the coherence."""
+    return (1.0 - m0 * m0) / (slope * slope)
 
-    Raises what _psi3_derivative raises (OmegaSingularError, then
-    EpTooCloseError), then ZeroSlopeError when the coherence does not move
-    with kappa.
+
+def _sense_rows(
+    points: list[SystemParams], kappa: str, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qfi, m0 = <sigma_x^1>, d m0/d kappa) rows from one batch of (psi, dpsi).
+
+    Raises what _closed_form_eigenpairs and _coherence raise.
     """
-    psi, dpsi = _psi3_derivative(params, kappa, values)
-    m0 = coherence_expectation(psi)
-    slope = 2.0 * np.vdot(dpsi, SIGMA_X1 @ psi - m0 * psi).real
-    if abs(slope) < 1e-12:
+    psi, dpsi = _psi3_derivative(points, kappa, values)
+    m0 = _coherence(psi)
+    slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
+    return _fisher(psi, dpsi), m0, slope
+
+
+def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float]:
+    """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2): a batch of one of _sense_rows.
+
+    Raises the point's refusal (OmegaSingularError, then EpTooCloseError),
+    then ZeroSlopeError when the coherence does not move with kappa.
+    """
+    f, m0, slope = (float(a[0]) for a in _sense_rows([params], kappa, _guarded(params)))
+    if abs(slope) < _MIN_SLOPE:
         raise ZeroSlopeError(
             f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12; sensitivity undefined"
         )
-    return _fisher(psi, dpsi), m0, (1.0 - m0 * m0) / (slope * slope)
+    return f, m0, _variance(m0, slope)
 
 
 def qfi(params: SystemParams, kappa: str) -> float:
     """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
     _check_kappa(kappa)
-    return _fisher(*_psi3_derivative(params, kappa))
+    return float(_fisher(*_psi3_derivative([params], kappa, _guarded(params)))[0])
 
 
 def sensitivity_variance(params: SystemParams, kappa: str) -> float:
@@ -172,7 +236,8 @@ def sensing_sweep(
     payloads and the error name; additionally the pair of grid points
     bracketing a detected phase transition is flagged "ep_bracket" (their
     values are kept), so exported data marks the divergence location
-    honestly without storing infinities.
+    honestly without storing infinities.  Any other error is raised for the
+    first point in grid order that has one, as a per-point loop would.
     """
     _check_kappa(kappa)
     if n < 2:
@@ -181,36 +246,53 @@ def sensing_sweep(
         base = SystemParams(omega=fixed_value, j=0.0, gamma=gamma)
     else:
         base = SystemParams(omega=1.0, j=fixed_value, gamma=gamma)
-    grid = np.linspace(value_range[0], value_range[1], n)
+    grid = np.linspace(value_range[0], value_range[1], n).tolist()
 
-    points: list[SensingPoint] = []
-    broken: list[bool] = []
+    points, values, failure = [], [], None
     for x in grid:
-        p = base.replace(**{kappa: float(x)})
-        values = eigenvalues_closed_form(p)
         try:
-            f, coh, var = _sense_point(p, kappa, values)
-            points.append(
-                SensingPoint(
-                    kappa=kappa,
-                    value=float(x),
-                    qfi=f,
-                    variance_sq=var,
-                    coherence=coh,
-                    cr_bound=1.0 / np.sqrt(f),
-                )
-            )
-        except (EpTooCloseError, ZeroSlopeError, OmegaSingularError) as exc:
-            nan = float("nan")
-            points.append(
-                SensingPoint(kappa, float(x), nan, nan, nan, nan,
-                             flag=type(exc).__name__.removesuffix("Error"))
-            )
-        broken.append(_phase_probe(p, values)[2])
+            p = base.replace(**{kappa: x})
+            values.append(eigenvalues_closed_form(p))
+        except (ValueError, NonFiniteError) as exc:
+            failure = exc  # raised after the points before it, as a per-point loop would
+            break
+        points.append(p)
+    values = np.array(values).reshape(-1, 4)
+    flags = [None if refusal is None else type(refusal).__name__.removesuffix("Error")
+             for refusal in _refusals(points, values)]
+    kept = np.flatnonzero([flag is None for flag in flags])
+    f = m0 = slope = np.empty(0)
+    if len(kept):
+        f, m0, slope = _sense_rows_in_order([points[k] for k in kept], kappa, values[kept])
+    if failure is not None:
+        raise failure
 
-    for i in range(n - 1):
-        if broken[i] != broken[i + 1]:
-            for k in (i, i + 1):
-                if points[k].flag is None:
-                    points[k] = replace(points[k], flag="ep_bracket")
-    return points
+    payload = [(float("nan"),) * 4] * len(points)
+    moves = np.abs(slope) >= _MIN_SLOPE
+    f, m0, slope = f[moves], m0[moves], slope[moves]
+    columns = (f, _variance(m0, slope), m0, 1.0 / np.sqrt(f))
+    for k, row in zip(kept[moves].tolist(), zip(*(c.tolist() for c in columns))):
+        payload[k] = row
+    for k in kept[~moves].tolist():
+        flags[k] = "ZeroSlope"
+    broken = _phase_probe(values, np.array([_rate_scale(p) for p in points]))[1]
+    for i in np.flatnonzero(broken[:-1] != broken[1:]).tolist():
+        for k in (i, i + 1):
+            if flags[k] is None:
+                flags[k] = "ep_bracket"
+    return [SensingPoint(kappa, x, *row, flag=flag) for x, row, flag in zip(grid, payload, flags)]
+
+
+def _sense_rows_in_order(points, kappa, values):
+    """_sense_rows of a sweep's unflagged points, raising what a per-point loop would.
+
+    Each check names the first point it fails on, but two checks may fail on
+    different points; replaying the points one at a time then finds the first
+    failing point in grid order.  A point's bits do not depend on its batch.
+    """
+    try:
+        return _sense_rows(points, kappa, values)
+    except PtqsimError:
+        for k in range(len(points)):
+            _sense_rows(points[k:k + 1], kappa, values[k:k + 1])
+        raise

@@ -146,6 +146,16 @@ def _branch_pair(params: SystemParams):
     return y, v
 
 
+def _rate_scale(params: SystemParams) -> float:
+    """min(1, max(|omega|, |j|, |gamma|)): the unit that absolute thresholds shrink with.
+
+    Every rate-valued quantity (eigenvalues, gaps, max|Im E|) is proportional to
+    the largest rate, so a threshold times this factor labels a point the same at
+    any scale below 1; at and above unit scale the thresholds stay as they are.
+    """
+    return min(1.0, max(abs(params.omega), abs(params.j), abs(params.gamma)))
+
+
 def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
 
@@ -154,7 +164,7 @@ def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     exact power-of-two scaling.
     """
     j = params.j
-    scale = max(abs(params.omega), abs(j), abs(params.gamma))
+    scale = _rate_scale(params)
     if 0 < scale < 2.0**-150:
         e = math.frexp(scale)[1]
         unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
@@ -168,21 +178,23 @@ def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     return np.array([-j, e2, e3, e4], dtype=complex)
 
 
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude real-positive (deterministic output).
+def _phase_fix(vecs: np.ndarray) -> np.ndarray:
+    """Make each vector's largest-magnitude amplitude real-positive (last axis).
 
     Magnitude ties resolve toward the higher index, which keeps the
     canonical singlet sign pattern (0, -1, 1, 0)/sqrt(2).
     """
-    mags = np.abs(vec)
-    k = len(vec) - 1 - int(np.argmax(mags[::-1]))
-    return vec * (mags[k] / vec[k])
+    m = vecs.shape[-1]
+    rows = vecs.reshape(-1, m)
+    pivot = rows[np.arange(len(rows)), m - 1 - np.abs(rows[:, ::-1]).argmax(axis=1)]
+    return vecs * (np.abs(pivot) / pivot).reshape(vecs.shape[:-1] + (1,))
 
 
-def _eigvec_coefficients(omega: float, j: float, gamma: float, e: complex):
+def _eigvec_coefficients(omega, j, gamma, e):
     """(r1, r2) of the symmetric-sector eigenvector N(1, r2, r2, r1) of eigenvalue e.
 
     The unit amplitude sits on |00> and the quadratic coefficient r1 on |11>.
+    Elementwise, so the arguments may be broadcastable arrays.
     """
     d = j - e + 1j * gamma
     return -2 * (j + e) * d / omega**2 - 1, -d / omega
@@ -191,52 +203,82 @@ def _eigvec_coefficients(omega: float, j: float, gamma: float, e: complex):
 def eigenvectors_closed_form(
     params: SystemParams, eigenvalues: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unit right eigenvectors as rows, phase-fixed; Psi1 is the singlet.
+    """Unit right eigenvectors as the rows of a (4, 4) array, phase-fixed; Psi1 is the singlet.
 
-    Residuals ||Hv - Ev|| are checked against RESIDUAL_TOL (relaxed to
-    NEAR_EP_RESIDUAL_TOL when the smallest eigenvalue gap is below
-    NEAR_EP_GAP).
+    eigenvalues, when given, are the point's closed-form E1..E4, shape (4,).
+    A batch of one of _closed_form_eigenpairs: residuals ||Hv - Ev|| are
+    checked against RESIDUAL_TOL (relaxed to NEAR_EP_RESIDUAL_TOL when the
+    smallest eigenvalue gap is below NEAR_EP_GAP).
     """
-    return _closed_form_eigenpairs(params, eigenvalues)[0]
+    values = None if eigenvalues is None else np.asarray(eigenvalues)[None]
+    return _closed_form_eigenpairs([params], values)[0][0]
 
 
 def _require_omega(params: SystemParams):
     """The one omega ~ 0 decision: the (r1, r2) coefficients divide by omega."""
-    if params.omega <= 1e-12:
+    if abs(params.omega) <= 1e-12:
         raise OmegaSingularError(
             f"eigenvector coefficients divide by omega (omega={params.omega}); "
             "use the oracle"
         )
 
 
-def _closed_form_eigenpairs(params: SystemParams, eigenvalues: np.ndarray | None = None):
-    """(eigenvectors, H, max residual) behind eigenvectors_closed_form."""
-    _require_omega(params)
-    om, j, g = params.omega, params.j, params.gamma
+def _rates(points: list[SystemParams]) -> np.ndarray:
+    """(omega, j, gamma) of n points as a (3, n) array."""
+    return np.array([(p.omega, p.j, p.gamma) for p in points]).T
+
+
+_SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
+
+
+def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray | None = None):
+    """(eigenvectors, H, residuals) of n points: shapes (n, 4, 4), (n, 4, 4) and (n,).
+
+    eigenvalues are the points' closed-form E1..E4, shape (n, 4); when None
+    they are solved here.  eigenvectors[i, k] is the unit right eigenvector of
+    eigenvalues[i, k] and residuals[i] the largest ||Hv - Ev|| of point i.
+    Raises OmegaSingularError, then NearDefectiveError, for the first point
+    that fails.  Every operation is elementwise or per point, so a point's
+    bits do not depend on the batch it is in.
+    """
+    for p in points:
+        _require_omega(p)
     if eigenvalues is None:
-        eigenvalues = eigenvalues_closed_form(params)
-    vecs = np.zeros((4, 4), dtype=complex)
-    vecs[0] = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
-    for k in (1, 2, 3):
-        r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[k])
-        norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
-        vecs[k] = _phase_fix(norm * np.array([1, r2, r2, r1]))
-    h = build_hamiltonian(params)
-    residual = max(
-        float(np.linalg.norm(h @ vecs[k] - eigenvalues[k] * vecs[k])) for k in range(4)
-    )
-    tol = NEAR_EP_RESIDUAL_TOL if _min_gap(eigenvalues) < NEAR_EP_GAP else RESIDUAL_TOL
-    if residual > tol:
-        raise NearDefectiveError(
-            f"eigenvector residual {residual:.3e} exceeds {tol:.0e} at "
-            f"omega={om}, j={j}, gamma={g} (min gap {_min_gap(eigenvalues):.3e})"
-        )
-    return vecs, h, residual
+        eigenvalues = np.array([eigenvalues_closed_form(p) for p in points])
+    om, j, g = _rates(points)[..., None]
+    r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[:, 1:])
+    norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
+    vecs = np.empty((len(points), 4, 4), dtype=complex)
+    vecs[:, 0] = _SINGLET
+    vecs[:, 1:, 0] = norm
+    vecs[:, 1:, 1] = vecs[:, 1:, 2] = norm * r2
+    vecs[:, 1:, 3] = norm * r1
+    vecs[:, 1:] = _phase_fix(vecs[:, 1:])
+    h = np.array([build_hamiltonian(p) for p in points])
+    residuals = np.linalg.norm(
+        vecs @ np.swapaxes(h, -1, -2) - eigenvalues[..., None] * vecs, axis=-1).max(axis=-1)
+    if (residuals > RESIDUAL_TOL).any():  # no tolerance is below RESIDUAL_TOL
+        gaps = _min_gap(eigenvalues)
+        tol = np.where(gaps < NEAR_EP_GAP, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL)
+        failed = residuals > tol
+        if failed.any():
+            i = int(np.argmax(failed))
+            p = points[i]
+            raise NearDefectiveError(
+                f"eigenvector residual {residuals[i]:.3e} exceeds {tol[i]:.0e} at "
+                f"omega={p.omega}, j={p.j}, gamma={p.gamma} (min gap {gaps[i]:.3e})"
+            )
+    return vecs, h, residuals
 
 
-def _min_gap(values: np.ndarray) -> float:
-    diffs = [abs(values[i] - values[k]) for i in range(4) for k in range(i + 1, 4)]
-    return float(min(diffs))
+#: The six index pairs (i, k), i < k, of four eigenvalues: the i's, then the k's.
+_PAIRS = np.concatenate(np.triu_indices(4, 1))
+
+
+def _min_gap(values: np.ndarray) -> np.ndarray:
+    """Smallest |E_i - E_k| over the last axis of (..., 4) eigenvalues."""
+    ends = values[..., _PAIRS]
+    return np.abs(ends[..., :6] - ends[..., 6:]).min(axis=-1)
 
 
 def _char_poly(h: np.ndarray) -> np.ndarray:
@@ -287,11 +329,10 @@ def eigensystem_oracle(
         )
 
     scale = max(1.0, float(np.max(np.abs(h))))
-    roots = _refine_close_pair(coeff, roots, scale)
+    roots = _refine_close_pair(coeff, roots, scale, start)
 
     eye = np.eye(4, dtype=complex)
     vecs = np.zeros((4, 4), dtype=complex)
-    residuals = np.zeros(4)
     assigned = np.zeros(4, dtype=bool)
     for k in range(4):
         if assigned[k]:
@@ -303,11 +344,10 @@ def eigensystem_oracle(
         # hand out as many independent ones as are numerically null
         null_dim = max(1, int(np.sum(sing <= 1e-7 * scale)))
         for slot, m in enumerate(group):
-            row = vh[-1 - min(slot, null_dim - 1)]
-            vec = _phase_fix(row.conj())
-            vecs[m] = vec
-            residuals[m] = np.linalg.norm(h @ vec - roots[m] * vec)
+            vecs[m] = vh[-1 - min(slot, null_dim - 1)].conj()
             assigned[m] = True
+    vecs = _phase_fix(vecs)
+    residuals = np.array([np.linalg.norm(h @ vec - root * vec) for vec, root in zip(vecs, roots)])
 
     if residuals.max() > 1e-5 * scale:
         raise NoConvergenceError(
@@ -322,13 +362,19 @@ def eigensystem_oracle(
     )
 
 
-def _refine_close_pair(coeff: np.ndarray, roots: np.ndarray, scale: float) -> np.ndarray:
+def _refine_close_pair(
+    coeff: np.ndarray, roots: np.ndarray, scale: float, start: int
+) -> np.ndarray:
     """Re-solve the closest root pair from a deflated quadratic.
 
     Companion/Newton accuracy degrades to ~sqrt(eps) on (nearly) repeated
     roots; dividing out the two well-separated roots and solving the
     remaining quadratic in closed form restores full precision for the
     cluster (the usual double-eigenvalue case, e.g. a coalescing pair).
+    roots[:start] are exact (start = 1 for the deflated root).  When the
+    exact root is in the pair it stays, and its partner is its reflection
+    through the pair's mean, so a near pair (the singlet and E2 at small
+    omega) is not merged.
     """
     pairs = [
         (abs(roots[i] - roots[k]), i, k) for i in range(4) for k in range(i + 1, 4)
@@ -348,11 +394,14 @@ def _refine_close_pair(coeff: np.ndarray, roots: np.ndarray, scale: float) -> np
         poly = out
     b, c = poly[1], poly[2]
     refined = roots.copy()
+    mean = -0.5 * b  # a Newton sum, fully conditioned
+    if i < start:
+        refined[k] = mean + (mean - roots[0])
+        return refined
     disc_sq = b * b - 4.0 * c
     if abs(disc_sq) <= 1e-12 * max(1.0, abs(b) ** 2, abs(c)):
-        # at coefficient noise level the pair is a genuine double root; its
-        # mean -b/2 is a Newton sum and fully conditioned
-        refined[i] = refined[k] = -0.5 * b
+        # at coefficient noise level the pair is a genuine double root
+        refined[i] = refined[k] = mean
         return refined
     disc = np.sqrt(disc_sq)
     if abs(-b + disc) < abs(-b - disc):
@@ -371,12 +420,12 @@ def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
 def spectrum_closed_form(params: SystemParams) -> Spectrum:
     """Closed-form spectrum, cross-checked against the oracle multiset."""
     values = eigenvalues_closed_form(params)
-    vecs, h, residual = _closed_form_eigenpairs(params, values)
-    oracle = eigensystem_oracle(h, deflate_root=-params.j)
+    vecs, h, residuals = _closed_form_eigenpairs([params], values[None])
+    oracle = eigensystem_oracle(h[0], deflate_root=-params.j)
     dev = pairing_distance(values, oracle.eigenvalues)
     if dev > 1e-9:
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
-    return Spectrum(values, vecs, Source.CLOSED_FORM, residual)
+    return Spectrum(values, vecs[0], Source.CLOSED_FORM, float(residuals[0]))
 
 
 def spectrum_oracle(params: SystemParams) -> Spectrum:
@@ -395,28 +444,27 @@ def spectrum_oracle(params: SystemParams) -> Spectrum:
     )
 
 
-def _phase_probe(
-    params: SystemParams, values: np.ndarray | None = None
-) -> tuple[np.ndarray, float, bool]:
-    """(labeled eigenvalues, max|Im E|, PT-broken) - the one phase decision.
+def _phase_probe(values: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """(max|Im E|, PT-broken) of closed-form E1..E4 on the last axis - the one phase decision.
 
-    values, when given, are the point's closed-form E1..E4 and are not solved again.
+    scale is each point's _rate_scale: below unit rate scale the threshold
+    shrinks with the rates, so the label does not depend on their units.
     """
-    if values is None:
-        values = eigenvalues_closed_form(params)
-    max_imag = float(np.max(np.abs(values.imag)))
-    return values, max_imag, max_imag > _PHASE_TOL
+    max_imag = np.abs(values.imag).max(axis=-1)
+    return max_imag, max_imag > _PHASE_TOL * scale
 
 
 def classify_phase(params: SystemParams) -> PhaseLabel:
     """Phase from max |Im E|; NEAR_EP when a real spectrum's smallest gap is <= 1e-6.
 
-    Real crossings that are not coalescences (e.g. j = 0, where the singlet
-    meets a symmetric-sector root) also report NEAR_EP.
+    Both thresholds are in units of the largest rate below unit scale.  Real
+    crossings that are not coalescences (e.g. j = 0, where the singlet meets a
+    symmetric-sector root) also report NEAR_EP.
     """
-    values, max_imag, broken = _phase_probe(params)
+    values, scale = eigenvalues_closed_form(params), _rate_scale(params)
+    max_imag, broken = _phase_probe(values, scale)
     if broken:
-        return PhaseLabel(Phase.PT_BROKEN, max_imag)
-    if _min_gap(values) <= _NEAR_EP_LABEL_GAP:
-        return PhaseLabel(Phase.NEAR_EP, max_imag)
-    return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)
+        return PhaseLabel(Phase.PT_BROKEN, float(max_imag))
+    if _min_gap(values) <= _NEAR_EP_LABEL_GAP * scale:
+        return PhaseLabel(Phase.NEAR_EP, float(max_imag))
+    return PhaseLabel(Phase.PT_SYMMETRIC, float(max_imag))

@@ -36,6 +36,13 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["results"]["source"] == "closed-form"
 
+    @pytest.mark.parametrize("omega", [-2, 1e-3, -1e-3])
+    def test_negative_and_small_omega_closed_form(self, capsys, omega):
+        # only |omega| <= 1e-12 is singular; at 1e-3 E2 sits 4.4e-7 from the singlet
+        code, out, _ = invoke(capsys, "spectrum", "--omega", omega, "--j", 0.4)
+        assert code == 0
+        assert json.loads(out)["results"]["source"] == "closed-form"
+
     def test_csv_format(self, capsys):
         code, out, _ = invoke(capsys, "spectrum", "--omega", 2, "--j", 0.4, "--format", "csv")
         assert code == 0
@@ -305,9 +312,9 @@ class TestJsonWriter:
 #: reach the PT-broken phase or an EP carry the exact cube-root pair's digits.
 _JSON_CASES = {
     "spectrum": (["spectrum", "--omega", 2, "--j", 0.4],
-                 "26a0926175726b89e8c12933404124fd0034074850c43bfa335c3f3573c186ad"),
+                 "04008b7f1402c88353a47b964c5eaf8b62f455faed98cb9da73fb755b11621a5"),
     "spectrum-broken": (["spectrum", "--omega", 1.7, "--j", 0.45],
-                        "6567faab667a46099234530aff905aa11a115ba35be6f14fedd9c819265975be"),
+                        "8333e749061f96adae3c4d93087ac8b1bcbd19db8af1636cee5e74999f6259b1"),
     "spectrum-omega0": (["spectrum", "--omega", 0, "--j", 0.3],
                         "75f3116632d2090d41d16779c619315716fcaa689c3c500c24741b0fe80befd1"),
     "ep-locate": (["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"],
@@ -320,17 +327,17 @@ _JSON_CASES = {
                     "fc71cfd03e3c2e671e6eba5da32a8f6f8bfbd9f3d6e3f0551f76b2bf5e59cc48"),
     "concurrence-sweep": (["concurrence", "--omega", 2, "--sweep-axis", "j",
                            "--sweep-range", "0.3:0.9", "--n", 7],
-                          "c82ba8b71f6f686933c341b7edf7a1d1fdd6e9688c54670544255f9f786af088"),
+                          "d761ed05c9239bc54dcad0b404651c894d8f12df6a025af25ba9462770e9905e"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
                "335abbd4f17bdbfec78edbf83c7788cb82db8da29cfbcfa15e90bcabdb280a50"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
                   "--collapse-fraction", 0.45],
                  "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),
     "qfi": (["qfi", "--omega", 2, "--j", 0.4, "--sweep-axis", "j"],
-            "f87ffb15b4e93c82b4e0a0288915e98340a60f9c862d419ef463feba6a64244a"),
+            "e0e5536a22d1c6a720785dcb4e7ad44b2ee8a2562f2619e887ec08930bc0c796"),
     "sense": (["sense", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
                "--n", 13],
-              "61701eb7ecfa51d144c96bd9f09e0f851cee0fb28eef8a2d8b65e1438e268e7b"),
+              "5ad680c1937d3f0707590f51cda58a762884d868c321ee4bf63b8b68466d339f"),
 }
 
 
@@ -368,6 +375,19 @@ class TestQfiCommand:
         results = json.loads(out)["results"]
         assert results["cr_bound"] == pytest.approx(1 / np.sqrt(results["qfi"]))
         assert results["inv_variance_sq"] <= results["qfi"] * (1 + 1e-6)
+
+    @pytest.mark.parametrize("kappa", ["j", "omega"])
+    def test_negative_omega_mirrors_positive(self, capsys, kappa):
+        """U = sz(x)sz maps H(omega) to H(-omega): the same QFI, the coherence negated."""
+        results = {}
+        for omega in (2, -2):
+            code, out, _ = invoke(capsys, "qfi", "--omega", omega, "--j", 0.4,
+                                  "--sweep-axis", kappa)
+            assert code == 0
+            results[omega] = json.loads(out)["results"]
+        for key in ("qfi", "variance_sq"):
+            assert results[-2][key] == pytest.approx(results[2][key], rel=1e-12)
+        assert results[-2]["coherence"] == pytest.approx(-results[2]["coherence"], rel=1e-12)
 
     def test_hermitian_limit_exits_3(self, capsys):
         """gamma = 0: Psi3 does not move with j, so the coherence slope is zero."""

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ptqsim import (
+    Phase,
     SystemParams,
     auxiliary_quantities,
     build_hamiltonian,
+    classify_phase,
     coalesced_eigenvector,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
@@ -21,7 +23,6 @@ from ptqsim.errors import (
     NoSignChangeError,
     NotAtEpError,
 )
-from ptqsim.spectrum import _phase_probe
 
 
 def bisect_phase_label(fix, value, bracket, gamma=1.0):
@@ -31,7 +32,8 @@ def bisect_phase_label(fix, value, bracket, gamma=1.0):
     before the closed form replaced it.
     """
     swept = "j" if fix == "omega" else "omega"
-    broken = lambda x: _phase_probe(SystemParams(**{fix: value, swept: x}, gamma=gamma))[2]
+    broken = lambda x: (classify_phase(SystemParams(**{fix: value, swept: x}, gamma=gamma)).phase
+                        is Phase.PT_BROKEN)
     lo, hi = bracket
     broken_lo = broken(lo)
     assert broken_lo != broken(hi)

@@ -18,10 +18,10 @@ PINNED = {
     "fig5b": "5cf9d294c7ee185e7aeec7bef85b8e3289a4fee7f00d4da97d6d32177fc25c05",
     "fig6a": "abc6e1368bc254e5a12b88c8963a617d432cc243f7e3c1a67348cbd8537e87ba",
     "fig6b": "f951c479ac7a7036705da5e0b2d6d27fce8b30124ca83a654a7efd30a7ba0492",
-    "fig7a": "261901a71a0591693dd9789fda139aa16b12d7fda0831798481a3f703721e336",
-    "fig7b": "dac33f53e1e6845af82ad2083b0df312359118943d99153dc9d73f63843c9216",
+    "fig7a": "4579869158c895d8639b18099907f514f9368bb5980c75c9cd93ac37ac52a341",
+    "fig7b": "48a3f94beee07e2b1b42d7551647f573f27524df509477f6f0cfbdd6c7323c92",
     "fig8a": "926caec2027fec39843551716da30e1d096861fc47f1fc12e177f367c3f5f6e6",
-    "fig8b": "f79dc43dc9dacbe98c11c4bf97631bc5f2cda2518c0f7525c64fe8c27803c4ff",
+    "fig8b": "db36b2d74bc6d887ed2a94f27dc8bca07f7f66e70956af3eb91ccf4a7c64c20a",
 }
 
 

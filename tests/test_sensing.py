@@ -14,13 +14,17 @@ from ptqsim import (
     sensing_sweep,
     sensitivity_variance,
 )
+from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
 from ptqsim.errors import (
     EpTooCloseError,
+    NearDefectiveError,
+    NonFiniteError,
     NotNormalizedError,
     OmegaSingularError,
     ZeroSlopeError,
 )
-from ptqsim.sensing import _sense_point
+from ptqsim.model import SIGMA_X1
+from ptqsim.sensing import _sense_point, _sense_rows
 from ptqsim.spectrum import _min_gap
 
 SEED = 20260809
@@ -257,3 +261,142 @@ def test_monotone_approach_both_sides():
             for d in (1e-1, 3e-2, 1e-2)
         ]
         assert values[0] < values[1] < values[2]
+
+
+def _psi3_derivative_reference(params, kappa, values):
+    """The per-point (psi, dpsi) the batched _psi3_derivative replaced; guards omitted."""
+    psi = eigenpairs_reference(params, values)[0][2]
+    om, j, e = params.omega, params.j, values[2]
+    r2, r1 = psi[1] / psi[0], psi[3] / psi[0]
+    d = j - e + 1j * params.gamma
+    utu = 1 + 2 * r2 * r2 + r1 * r1
+    if kappa == "j":
+        de = (1 - 2 * r2 * r2 + r1 * r1) / utu
+        dr2 = -(1 - de) / om
+        dr1 = -2 * ((1 + de) * d + (j + e) * (1 - de)) / om**2
+    else:
+        de = 2 * r2 * (1 + r1) / utu
+        dr2 = (de + d / om) / om
+        dr1 = -2 * (de * d - (j + e) * de) / om**2 + 4 * (j + e) * d / om**3
+    return psi, psi[0] * np.array([0, dr2, dr2, dr1])
+
+
+def _sense_reference(params, kappa, values):
+    """(qfi, coherence, variance, flag) of one point by the per-point sense path."""
+    if params.omega <= 1e-12:
+        return None, None, None, "OmegaSingular"
+    if _min_gap(values) < 1e-4:
+        return None, None, None, "EpTooClose"
+    psi, dpsi = _psi3_derivative_reference(params, kappa, values)
+    m0 = np.vdot(psi, SIGMA_X1 @ psi).real
+    slope = 2.0 * np.vdot(dpsi, SIGMA_X1 @ psi - m0 * psi).real
+    if abs(slope) < 1e-12:
+        return None, None, None, "ZeroSlope"
+    f = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+    return f, m0, (1.0 - m0 * m0) / (slope * slope), None
+
+
+class TestBatchedSensing:
+    """The batched derivative and sensing rows against the per-point path they replaced."""
+
+    @pytest.mark.parametrize("sweep", FIG_SWEEPS)
+    def test_fig_sweeps_match_per_point_reference(self, sweep):
+        kappa = sweep[0]
+        points = fig_sweep_points(*sweep)
+        values = [eigenvalues_closed_form(p) for p in points]
+        broken = [classify_phase(p).phase is Phase.PT_BROKEN for p in points]
+        expected = [list(_sense_reference(p, kappa, v)) for p, v in zip(points, values)]
+        for i in range(len(points) - 1):
+            if broken[i] != broken[i + 1]:
+                for k in (i, i + 1):
+                    if expected[k][3] is None:
+                        expected[k][3] = "ep_bracket"
+        got = sensing_sweep(*sweep)
+        assert [p.flag for p in got] == [row[3] for row in expected]
+        for point, v, (f, m0, var, _) in zip(got, values, expected):
+            if f is not None and _min_gap(v) >= 1e-3:
+                assert point.qfi == pytest.approx(f, rel=1e-11)
+                assert point.variance_sq == pytest.approx(var, rel=1e-11)
+                assert point.coherence == pytest.approx(m0, rel=1e-11, abs=1e-14)
+
+    def test_seeded_points_match_per_point_reference(self):
+        rng = np.random.default_rng(SEED)
+        checked = 0
+        while checked < 100:
+            params = SystemParams(rng.uniform(0.3, 3.0) * rng.choice([-1, 1]),
+                                  rng.uniform(0.05, 1.2), rng.uniform(0.05, 1.5))
+            values = eigenvalues_closed_form(params)
+            if _min_gap(values) < 1e-3:
+                continue
+            for kappa in ("j", "omega"):
+                f, m0, var, flag = _sense_reference(params.replace(omega=abs(params.omega)),
+                                                    kappa, values)
+                assert flag is None
+                got = _sense_point(params, kappa)
+                # U = sz(x)sz maps H(|omega|) to H(-|omega|) and flips <sigma_x^1>
+                sign = np.sign(params.omega)
+                assert got[0] == pytest.approx(f, rel=1e-11)
+                assert got[1] == pytest.approx(sign * m0, rel=1e-11, abs=1e-14)
+                assert got[2] == pytest.approx(var, rel=1e-11)
+                assert qfi(params, kappa) == got[0]
+            checked += 1
+
+    @pytest.mark.parametrize("kappa", ["j", "omega"])
+    def test_a_row_does_not_depend_on_its_batch(self, kappa):
+        points = fig_sweep_points(*FIG_SWEEPS[0])
+        values = np.array([eigenvalues_closed_form(p) for p in points])
+        keep = np.flatnonzero(_min_gap(values) >= 1e-4)
+        points, values = [points[k] for k in keep], values[keep]
+        batch = _sense_rows(points, kappa, values)
+        for i, p in enumerate(points):
+            one = _sense_rows([p], kappa, values[i:i + 1])
+            assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
+
+
+class TestSweepErrorOrder:
+    """An error the sweep does not flag is the first one in grid order."""
+
+    def test_non_finite_after_a_good_point(self):
+        x = float(np.linspace(0.3, 1e200, 3)[1])
+        with pytest.raises(NonFiniteError) as point:
+            eigenvalues_closed_form(SystemParams(2.0, x, 1.0))
+        with pytest.raises(NonFiniteError) as sweep:
+            sensing_sweep("j", 2.0, (0.3, 1e200), 3)
+        assert str(sweep.value) == str(point.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_near_defective_ahead_of_non_finite(self):
+        with pytest.raises(NearDefectiveError, match="j=1e\\+20"):
+            sensing_sweep("j", 1e-11, (1e20, 1e200), 2, gamma=0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_coherence_error_ahead_of_later_near_defective(self):
+        """Point 0's state overflows to NaN (its residual is NaN, so it passes the
+        residual check) and point 1 is near-defective: point 0's error comes first."""
+        with pytest.raises(NotNormalizedError):
+            sensing_sweep("j", 1e-11, (1e75, 1e20), 2, gamma=0.0)
+        with pytest.raises(NearDefectiveError, match="j=1e\\+20"):
+            sensing_sweep("j", 1e-11, (1e20, 1e75), 2, gamma=0.0)
+
+
+def test_sweep_does_not_depend_on_units():
+    """Below unit rate scale the gap guard and the phase threshold shrink with the rates."""
+    s = 2.0**-30
+    unit = sensing_sweep("j", 2.0, (0.3, 0.9), 7)
+    small = sensing_sweep("j", 2 * s, (0.3 * s, 0.9 * s), 7, gamma=s)
+    assert [p.flag for p in unit] == [None, None, "ep_bracket", "ep_bracket", None, None, None]
+    assert [p.flag for p in small] == [p.flag for p in unit]
+    for a, b in zip(unit, small):
+        assert b.qfi * s * s == pytest.approx(a.qfi, rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa", ["j", "omega"])
+@pytest.mark.parametrize("omega, j", [(2.0, 0.4), (2.0, 0.7), (1.7, 0.3)])
+def test_negative_omega_mirrors_positive(kappa, omega, j):
+    """U = sz(x)sz maps H(omega) to H(-omega): the same QFI and variance, and the
+    coherence changes sign."""
+    f, m0, var = _sense_point(SystemParams(omega, j, 1.0), kappa)
+    f_neg, m0_neg, var_neg = _sense_point(SystemParams(-omega, j, 1.0), kappa)
+    assert f_neg == pytest.approx(f, rel=1e-12)
+    assert var_neg == pytest.approx(var, rel=1e-12)
+    assert m0_neg == pytest.approx(-m0, rel=1e-12)

@@ -20,7 +20,9 @@ from ptqsim import (
     spectrum_closed_form,
     spectrum_oracle,
 )
-from ptqsim.errors import OmegaSingularError
+from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
+from ptqsim.errors import NearDefectiveError, OmegaSingularError
+from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap
 
 params_st = st.builds(
     SystemParams,
@@ -179,6 +181,68 @@ class TestClosedFormEigenvectors:
             assert vec[k].real > 0
 
 
+def _seeded_points(n, seed=20261018):
+    rng = np.random.default_rng(seed)
+    return [SystemParams(rng.uniform(0.05, 3.0) * rng.choice([-1, 1]), rng.uniform(-1.2, 1.2),
+                         rng.uniform(0.0, 1.5)) for _ in range(n)]
+
+
+def _assert_same_vector(got, want):
+    """Within 1e-14; where two amplitudes tie in magnitude to rounding (|r1| = 1 in
+    the unbroken phase), the phase fix may pivot on either, so up to that phase."""
+    if np.max(np.abs(got - want)) <= 1e-14:
+        return
+    second, first = np.sort(np.abs(want))[-2:]
+    assert first - second <= 4e-16
+    phase = np.vdot(want, got)
+    assert np.max(np.abs(got - want * phase / abs(phase))) <= 1e-14
+
+
+class TestBatchedEigenpairs:
+    """_closed_form_eigenpairs on a leading axis of points against the per-point loop."""
+
+    @pytest.mark.parametrize("sweep", FIG_SWEEPS + ["seeded"])
+    def test_matches_per_point_reference(self, sweep):
+        points = _seeded_points(400) if sweep == "seeded" else fig_sweep_points(*sweep)
+        values = np.array([eigenvalues_closed_form(p) for p in points])
+        keep = _min_gap(values) >= 1e-4  # the points a sense sweep solves
+        points = [p for p, k in zip(points, keep) if k]
+        vecs, h, residuals = _closed_form_eigenpairs(points, values[keep])
+        assert vecs.shape == h.shape == (len(points), 4, 4) and residuals.shape == (len(points),)
+        for p, v, hp, res, e in zip(points, vecs, h, residuals, values[keep]):
+            want, want_res = eigenpairs_reference(p, e)
+            for got_k, want_k in zip(v, want):
+                _assert_same_vector(got_k, want_k)
+            assert hp.tobytes() == build_hamiltonian(p).tobytes()
+            assert res == pytest.approx(want_res, rel=0.5, abs=1e-15)
+
+    def test_a_point_does_not_depend_on_its_batch(self):
+        points = fig_sweep_points(*FIG_SWEEPS[0]) + _seeded_points(50)
+        values = np.array([eigenvalues_closed_form(p) for p in points])
+        keep = _min_gap(values) >= 1e-4
+        points, values = [p for p, k in zip(points, keep) if k], values[keep]
+        batch = _closed_form_eigenpairs(points, values)
+        for i, p in enumerate(points):
+            one = _closed_form_eigenpairs([p], values[i:i + 1])
+            assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
+        assert eigenvectors_closed_form(points[7]).tobytes() == batch[0][7].tobytes()
+
+    def test_min_gap_on_last_axis(self):
+        values = np.array([eigenvalues_closed_form(p) for p in _seeded_points(20)])
+        gaps = _min_gap(values.reshape(4, 5, 4))
+        assert gaps.shape == (4, 5)
+        assert gaps.reshape(-1).tolist() == [_min_gap(v) for v in values]
+
+    def test_near_defective_names_first_failing_point(self):
+        good, bad = SystemParams(2.0, 0.4, 1.0), [SystemParams(2e8, 0.4e8, 1e8),
+                                                   SystemParams(3e8, 0.4e8, 1e8)]
+        with pytest.raises(NearDefectiveError) as single:
+            eigenvectors_closed_form(bad[0])
+        with pytest.raises(NearDefectiveError) as batch:
+            _closed_form_eigenpairs([good] + bad)
+        assert str(batch.value) == str(single.value)
+
+
 class TestOracle:
     def test_diagonal_matrix(self):
         h = np.diag([0.3 + 1j, -0.3, -0.3, 0.3 - 1j])
@@ -202,6 +266,15 @@ class TestOracle:
         with pytest.raises(ValueError):
             eigensystem_oracle(np.full((4, 4), np.nan, dtype=complex))
 
+    @pytest.mark.parametrize("omega", [1e-3, -1e-3, 3e-4])
+    def test_keeps_exact_root_next_to_near_pair(self, omega):
+        """E2 = -j - O(omega^2) sits next to the exact singlet root -j at small omega;
+        neither is moved onto their mean."""
+        params = SystemParams(omega, 0.3, 1.0)
+        spec = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
+        assert spec.eigenvalues[0] == -0.3
+        assert pairing_distance(spec.eigenvalues, eigenvalues_closed_form(params)) < 1e-12
+
     def test_handles_defective_input(self):
         # both qubits exactly critical: a fourfold zero eigenvalue
         spec = eigensystem_oracle(build_hamiltonian(SystemParams(1.0, 0.0, 1.0)))
@@ -214,6 +287,17 @@ class TestSpectrumTypes:
         assert spec.source is Source.CLOSED_FORM
         assert spec.eigenvalues[0] == -0.4
         assert spec.max_residual < 1e-9
+
+    @pytest.mark.parametrize("omega, j", [(2.0, 0.4), (1.7, 0.45), (1e-3, 0.3)])
+    def test_negative_omega_mirrors_positive(self, omega, j):
+        """U = sz(x)sz maps H(omega) to H(-omega): the same eigenvalues, vectors U v."""
+        plus = spectrum_closed_form(SystemParams(omega, j, 1.0))
+        minus = spectrum_closed_form(SystemParams(-omega, j, 1.0))
+        assert minus.source is Source.CLOSED_FORM
+        assert minus.eigenvalues.tobytes() == plus.eigenvalues.tobytes()
+        u = np.array([1, -1, -1, 1])
+        for a, b in zip(minus.eigenvectors, plus.eigenvectors):
+            assert abs(np.vdot(u * b, a)) == pytest.approx(1.0, abs=1e-12)
 
     def test_oracle_labels_aligned(self):
         params = SystemParams(2.0, 0.55, 1.0)
@@ -240,6 +324,17 @@ class TestClassifyPhase:
         # a hair inside the unbroken phase: real spectrum with a closing gap
         label = classify_phase(SystemParams(2.0, 0.5899798397854932 - 1e-13, 1.0))
         assert label.phase is Phase.NEAR_EP
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-110])
+    @pytest.mark.parametrize("shape, expected", [
+        ((2.0, 0.7, 1.0), Phase.PT_BROKEN),
+        ((2.0, 0.4, 1.0), Phase.PT_SYMMETRIC),
+    ])
+    def test_label_does_not_depend_on_units(self, shape, expected, scale):
+        """max|Im E| and the gaps scale with the rates, and so do the thresholds below 1."""
+        params = SystemParams(*(r * scale for r in shape))
+        assert classify_phase(params).phase is expected
+        assert classify_phase(SystemParams(*shape)).phase is expected
 
     def test_max_imag_reported(self):
         label = classify_phase(SystemParams(0.0, 0.5, 1.0))
