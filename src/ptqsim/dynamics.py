@@ -2,13 +2,17 @@
 collapse/revival detection, and the passive gain/loss rescaling map.
 
 The integrator is the classical fixed-step 4th-order scheme; for a
-time-independent generator its one-step map is the quartic Taylor matrix of
-exp(-iH dt), so steps are applied from a precomputed power table in chunks.
-Per-step renormalization semantics (states and cumulative log-norm) are
-preserved exactly; chunk length is capped so unnormalized growth stays
-within exp(5) between renormalizations.  The recorded count is known before
-the first step, so recorded rows are written into preallocated arrays, picked
-from each chunk by an index stride.
+time-independent generator its one-step map P is the quartic Taylor matrix of
+exp(-iH dt), so steps are applied from a precomputed power table
+P, P^2, .. (each P times the previous power) in chunks: the state m steps
+into a chunk is P^m times the state that starts it.  Chunk length is capped
+so unnormalized growth stays within exp(5) between renormalizations.  Only
+the states a trajectory records are formed, plus each chunk's last state,
+which starts the next: one matrix-vector product over the stacked powers per
+chunk, with the same bits as one product per power.  Every formed state is
+renormalized and its log-norm accumulated exactly as if every step were.  The
+recorded count is known before the first step, so recorded rows are written
+into preallocated arrays.
 
 The envelope and the steady-state variation (forward-looking sliding maxima,
 and minima as maxima of the negated series) cost O(n) for any window: block
@@ -17,12 +21,13 @@ prefix and suffix maxima (van Herk / Gil-Werman), exact because max is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, StepTooLargeError
-from .model import SIGMA_X1, SystemParams, as_state, as_unit_state, build_hamiltonian
+from .model import SystemParams, as_state, as_unit_state, build_hamiltonian
 from .spectrum import eigensystem_oracle
 
 #: dt * (max row sum of |H|) must stay below this for the fixed-step scheme.
@@ -77,7 +82,9 @@ def propagate(
 ) -> Trajectory:
     """Integrate d(psi)/dt = -iH psi, renormalizing every step.
 
-    Records every record_every-th step (plus t=0 and the final step).
+    Records every record_every-th step (plus t=0 and the final step); only
+    those states and each chunk's last one are computed, by one product of
+    the chunk's stacked step powers with the state that starts it.
     """
     psi0 = as_unit_state(psi0)
     if not (math.isfinite(t_max) and math.isfinite(dt)):
@@ -88,8 +95,8 @@ def propagate(
         raise ValueError(
             f"t_max/dt = {t_max / dt:.3e} steps does not fit a 64-bit step count"
         )
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
 
     h = build_hamiltonian(params)
     row_sum = float(np.max(np.abs(h).sum(axis=1)))
@@ -100,15 +107,10 @@ def propagate(
         )
 
     n_steps = int(round(t_max / dt))
-    step = _rk4_step_matrix(h, dt)
-
-    # Power table: growth within a chunk stays below exp(~5).  The cap applies
-    # before rounding, where 5/dt overflows to inf for subnormal dt.
+    # Growth within a chunk stays below exp(~5).  The cap applies before
+    # rounding, where 5/dt overflows to inf for subnormal dt.
     chunk = min(n_steps, max(1, round(min(5.0 / (dt * max(params.gamma, 1.0)), 4096))))
-    powers = np.empty((chunk, 4, 4), dtype=complex)
-    powers[0] = step
-    for m in range(1, chunk):
-        np.matmul(step, powers[m - 1], out=powers[m])
+    powers = _power_table(_rk4_step_matrix(h, dt), chunk)
 
     # t=0, every record_every-th step, and the final step when off that grid
     n_rec = n_steps // record_every + 1 + (n_steps % record_every != 0)
@@ -125,20 +127,24 @@ def propagate(
     done, r = 0, 1
     while done < n_steps:
         k = min(chunk, n_steps - done)
-        block = powers[:k] @ psi
+        rows = np.arange((-(done + 1)) % record_every, k, record_every)
+        if not len(rows) or rows[-1] != k - 1:
+            rows = np.append(rows, k - 1)
+        # the last row starts the next chunk; it is recorded when on the grid or final
+        n_new = len(rows) - (done + k < n_steps and (done + k) % record_every != 0)
+        # one gemv over the stacked powers: the same bits as a (4, 4) @ (4,) product each
+        mats = powers[:k] if len(rows) == k else powers[rows]
+        block = (mats.reshape(-1, 4) @ psi).reshape(-1, 4)
         norms = np.linalg.norm(block, axis=1)
         if not np.all(np.isfinite(norms)) or np.any(norms == 0):
             raise NonFiniteError(f"amplitudes left the finite range near t={done * dt}")
         block /= norms[:, None]
         logs = log_acc + np.log(norms)
-        rows = np.arange((-(done + 1)) % record_every, k, record_every)
-        if done + k == n_steps and n_steps % record_every:
-            rows = np.append(rows, k - 1)
-        rec = slice(r, r + len(rows))
-        rec_idx[rec] = done + 1 + rows
-        states[rec] = block[rows]
-        norm_log[rec] = logs[rows]
-        r += len(rows)
+        rec = slice(r, r + n_new)
+        rec_idx[rec] = done + 1 + rows[:n_new]
+        states[rec] = block[:n_new]
+        norm_log[rec] = logs[:n_new]
+        r += n_new
         psi = block[-1]
         log_acc = logs[-1]
         done += k
@@ -149,8 +155,28 @@ def propagate(
         states,
         norm_log,
         2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3]),
-        np.einsum("ti,ij,tj->t", states.conj(), SIGMA_X1, states).real,
+        _coherence_x1(states),
     )
+
+
+def _coherence_x1(states: np.ndarray) -> np.ndarray:
+    """<sigma_x^1> of (n, 4) unit-state rows: 2 Re(conj(psi0) psi2 + conj(psi1) psi3).
+
+    The same bits as the row sum of conj(psi) * (psi @ SIGMA_X1), whose four
+    terms are these two twice; + 0.0 gives an underflowed -0 the sum's sign.
+    """
+    half = states[:, 0].conj() * states[:, 2] + states[:, 1].conj() * states[:, 3]
+    return 2.0 * half.real + 0.0
+
+
+def _power_table(step: np.ndarray, n: int) -> np.ndarray:
+    """step**1 .. step**n as an (n, 4, 4) array, each power step @ (the previous one)."""
+    powers = np.empty((n, 4, 4), dtype=complex)
+    views = list(powers)  # np.dot on 2-D views costs less per call than a matmul ufunc
+    views[0][...] = step
+    for prev, cur in zip(views, views[1:]):
+        np.dot(step, prev, out=cur)
+    return powers
 
 
 def exact_state(params: SystemParams, psi0, t: float) -> np.ndarray:

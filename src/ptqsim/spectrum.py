@@ -36,7 +36,8 @@ _W3C = _W3.conjugate()
 _SQ27 = 3.0 * np.sqrt(3.0)
 
 #: Residual tolerance for eigenpairs, relaxed near a coalescence where
-#: eigenvector conditioning diverges.
+#: eigenvector conditioning diverges.  All three are in units of the largest
+#: rate above unit scale (_tolerance_scale).
 RESIDUAL_TOL = 1e-9
 NEAR_EP_GAP = 1e-4
 NEAR_EP_RESIDUAL_TOL = 1e-6
@@ -156,6 +157,16 @@ def _rate_scale(params: SystemParams) -> float:
     return min(1.0, max(abs(params.omega), abs(params.j), abs(params.gamma)))
 
 
+def _tolerance_scale(rates: np.ndarray) -> np.ndarray:
+    """max(1, max(|omega|, |j|, |gamma|)) of each point of (3, n) rates.
+
+    Eigenvalues, gaps and the rounding error of ||Hv - Ev|| grow with the
+    largest rate, so a residual or gap tolerance times this factor holds at
+    any scale above 1; below unit scale the tolerances stay as they are.
+    """
+    return np.maximum(1.0, np.abs(rates).max(axis=0))
+
+
 def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
 
@@ -208,7 +219,7 @@ def eigenvectors_closed_form(
     eigenvalues, when given, are the point's closed-form E1..E4, shape (4,).
     A batch of one of _closed_form_eigenpairs: residuals ||Hv - Ev|| are
     checked against RESIDUAL_TOL (relaxed to NEAR_EP_RESIDUAL_TOL when the
-    smallest eigenvalue gap is below NEAR_EP_GAP).
+    smallest eigenvalue gap is below NEAR_EP_GAP), each times _tolerance_scale.
     """
     values = None if eigenvalues is None else np.asarray(eigenvalues)[None]
     return _closed_form_eigenpairs([params], values)[0][0]
@@ -245,7 +256,8 @@ def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray 
         _require_omega(p)
     if eigenvalues is None:
         eigenvalues = np.array([eigenvalues_closed_form(p) for p in points])
-    om, j, g = _rates(points)[..., None]
+    rates = _rates(points)
+    om, j, g = rates[..., None]
     r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[:, 1:])
     norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
     vecs = np.empty((len(points), 4, 4), dtype=complex)
@@ -257,9 +269,10 @@ def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray 
     h = np.array([build_hamiltonian(p) for p in points])
     residuals = np.linalg.norm(
         vecs @ np.swapaxes(h, -1, -2) - eigenvalues[..., None] * vecs, axis=-1).max(axis=-1)
-    if (residuals > RESIDUAL_TOL).any():  # no tolerance is below RESIDUAL_TOL
+    unit = _tolerance_scale(rates)
+    if (residuals > RESIDUAL_TOL * unit).any():  # no tolerance is below RESIDUAL_TOL
         gaps = _min_gap(eigenvalues)
-        tol = np.where(gaps < NEAR_EP_GAP, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL)
+        tol = np.where(gaps < NEAR_EP_GAP * unit, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL) * unit
         failed = residuals > tol
         if failed.any():
             i = int(np.argmax(failed))
@@ -423,7 +436,7 @@ def spectrum_closed_form(params: SystemParams) -> Spectrum:
     vecs, h, residuals = _closed_form_eigenpairs([params], values[None])
     oracle = eigensystem_oracle(h[0], deflate_root=-params.j)
     dev = pairing_distance(values, oracle.eigenvalues)
-    if dev > 1e-9:
+    if dev > 1e-9 * _tolerance_scale(_rates([params]))[0]:
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
     return Spectrum(values, vecs[0], Source.CLOSED_FORM, float(residuals[0]))
 

@@ -36,6 +36,13 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["results"]["source"] == "closed-form"
 
+    @pytest.mark.parametrize("command", ["spectrum", "qfi", "concurrence"])
+    def test_large_rates_answer(self, capsys, command):
+        # the residual 4.6e-7 here is 2.3e-15 in units of the largest rate
+        code, out, err = invoke(capsys, command, "--omega", 2e8, "--j", 4e7, "--gamma", 1e8)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]
+
     @pytest.mark.parametrize("omega", [-2, 1e-3, -1e-3])
     def test_negative_and_small_omega_closed_form(self, capsys, omega):
         # only |omega| <= 1e-12 is singular; at 1e-3 E2 sits 4.4e-7 from the singlet
@@ -329,7 +336,7 @@ _JSON_CASES = {
                            "--sweep-range", "0.3:0.9", "--n", 7],
                           "d761ed05c9239bc54dcad0b404651c894d8f12df6a025af25ba9462770e9905e"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
-               "335abbd4f17bdbfec78edbf83c7788cb82db8da29cfbcfa15e90bcabdb280a50"),
+               "4764adc01b0b0727a68931b22d09c8b915063a84762c7db9e82a5349365ae29b"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
                   "--collapse-fraction", 0.45],
                  "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -18,6 +18,9 @@ from ptqsim import (
     propagate,
 )
 from ptqsim.dynamics import (
+    STABILITY_LIMIT,
+    _coherence_x1,
+    _power_table,
     _rk4_step_matrix,
     _window_len,
     envelope_of_series,
@@ -26,6 +29,7 @@ from ptqsim.dynamics import (
 )
 from ptqsim.errors import NotNormalizedError, StepTooLargeError
 from ptqsim.model import SIGMA_X1, build_hamiltonian
+from ptqsim.sensing import _rowdot
 
 KET_00 = initial_state(np.pi / 2)
 
@@ -124,6 +128,11 @@ class TestPropagate:
         (SystemParams(1.5, 0.01, 0.0), 20.0, 1e-3, 10),  # 5 chunks, Hermitian limit
         (SystemParams(1.5, 0.01, 1.1), 30.0, 5e-3, 4),  # 7 chunks of 909 steps
         (SystemParams(1.5, 0.01, 1.1), 30.0, 5e-3, 909),  # one record per chunk
+        (SystemParams(1.5, 0.01, 1.1), 30.0, 5e-3, 2000),  # 4 of 7 chunks record nothing
+        (SystemParams(2.0, 0.7, 1.0), 10.0, 1e-3, 7),  # 3 chunks, off-grid final step
+        (SystemParams(2.0, 0.4, 1.0), 0.5, 1e-3, 1),  # fewer steps than the cap: one chunk
+        (SystemParams(2.0, 0.4, 0.0), 8.193, 1e-3, 1),  # gamma = 0: 4096-step chunks, every row
+        (SystemParams(2.0, 0.4, 0.0), 8.193, 1e-3, 5),  # gamma = 0: 4096-step chunks, off grid
     ])
     def test_recording_grid_matches_list_recorder_bitwise(self, params, t_max, dt, record_every):
         psi0 = initial_state(np.pi / 4)
@@ -133,6 +142,76 @@ class TestPropagate:
         for name, a, b in zip(("times", "states", "norm_log", "concurrence", "coherence_x"),
                               got, expected):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(omega=st.floats(0.2, 2.5), j=st.floats(0.0, 1.2),
+           gamma=st.sampled_from([0.0, 0.3, 1.0, 2.5]), margin=st.floats(0.02, 1.0),
+           n_steps=st.integers(1, 9000), theta=st.floats(0.0, np.pi),
+           record_every=st.one_of(st.integers(1, 8), st.integers(1, 3000)))
+    def test_matches_list_recorder_bitwise(self, omega, j, gamma, margin, n_steps, theta,
+                                           record_every):
+        params = SystemParams(omega, j, gamma)
+        # dt * ||H|| = margin * STABILITY_LIMIT: chunks from 4096 steps down to ~50
+        dt = margin * STABILITY_LIMIT / np.abs(build_hamiltonian(params)).sum(axis=1).max()
+        psi0 = initial_state(theta)
+        traj = propagate(params, psi0, n_steps * dt, dt, record_every=record_every)
+        expected = _propagate_reference(params, psi0, n_steps * dt, dt, record_every)
+        got = (traj.times, traj.states, traj.norm_log, traj.concurrence, traj.coherence_x)
+        for name, a, b in zip(("times", "states", "norm_log", "concurrence", "coherence_x"),
+                              got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("params, dt, n", [
+        (SystemParams(1.7, 0.337, 1.0), 2e-3, 2500),  # fig5-like chunk
+        (SystemParams(2.0, 0.4, 0.0), 1e-3, 4096),  # Hermitian limit at the cap
+    ])
+    def test_power_table_matches_matmul_chain_bitwise(self, params, dt, n):
+        step = _rk4_step_matrix(build_hamiltonian(params), dt)
+        chain = np.empty((n, 4, 4), dtype=complex)
+        chain[0] = step
+        for m in range(1, n):
+            chain[m] = step @ chain[m - 1]
+        assert _power_table(step, n).tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("record_every", [2.5, 4.0, "3", None, 0, -2])
+    def test_record_every_must_be_a_positive_integer(self, record_every):
+        with pytest.raises(ValueError, match="record_every"):
+            propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 0.1, 1e-3, record_every=record_every)
+
+    def test_numpy_integer_record_every(self):
+        args = (SystemParams(2.0, 0.4, 1.0), KET_00, 0.1, 1e-3)
+        got = propagate(*args, record_every=np.int64(7))
+        assert got.states.tobytes() == propagate(*args, record_every=7).states.tobytes()
+
+
+class TestCoherence:
+    """coherence_x is 2 Re(conj(psi0) psi2 + conj(psi1) psi3), the row sum's two halves."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150])
+    def test_matches_row_sum_bitwise(self, scale):
+        rng = np.random.default_rng(20261018)
+        rows = scale * (rng.normal(size=(200_000, 4)) + 1j * rng.normal(size=(200_000, 4)))
+        want = _rowdot(rows, rows @ SIGMA_X1).real
+        assert _coherence_x1(rows).tobytes() == want.tobytes()
+
+    def test_error_bound_and_no_worse_than_einsum(self):
+        """Four products and three sums over terms of total size <= 1 err by <= 1.5 eps.
+
+        Row by row either form can be the closer one; the two-term form's worst
+        case is the smaller.
+        """
+        rng = np.random.default_rng(20261019)
+        rows = rng.normal(size=(200_000, 4)) + 1j * rng.normal(size=(200_000, 4))
+        traj = propagate(SystemParams(1.7, 0.337, 1.0), initial_state(0.3), 40.0, 2e-3)
+        rows = np.vstack((rows / np.linalg.norm(rows, axis=1)[:, None], traj.states))
+        wide = rows.astype(np.clongdouble)
+        exact = 2 * (wide[:, 0].conj() * wide[:, 2] + wide[:, 1].conj() * wide[:, 3]).real
+        err = np.abs(_coherence_x1(rows) - exact).astype(float)
+        einsum = np.einsum("ti,ij,tj->t", rows.conj(), SIGMA_X1, rows).real
+        assert err.max() <= 1.5 * np.finfo(float).eps
+        assert err.max() <= np.abs(einsum - exact).astype(float).max()
 
 
 def _propagate_reference(params, psi0, t_max, dt, record_every):
@@ -169,7 +248,7 @@ def _propagate_reference(params, psi0, t_max, dt, record_every):
         states,
         np.asarray(rec_norm),
         2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3]),
-        np.einsum("ti,ij,tj->t", states.conj(), SIGMA_X1, states).real,
+        _rowdot(states, states @ SIGMA_X1).real,
     )
 
 

@@ -22,6 +22,7 @@ from ptqsim import (
 )
 from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
 from ptqsim.errors import NearDefectiveError, OmegaSingularError
+from ptqsim import locate_ep, spectrum
 from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap
 
 params_st = st.builds(
@@ -234,13 +235,55 @@ class TestBatchedEigenpairs:
         assert gaps.reshape(-1).tolist() == [_min_gap(v) for v in values]
 
     def test_near_defective_names_first_failing_point(self):
-        good, bad = SystemParams(2.0, 0.4, 1.0), [SystemParams(2e8, 0.4e8, 1e8),
-                                                   SystemParams(3e8, 0.4e8, 1e8)]
+        # at omega << gamma the coefficients divide a 1e-15 gap by omega
+        good, bad = SystemParams(2.0, 0.4, 1.0), [SystemParams(1e-7, 0.3, 1.0),
+                                                   SystemParams(1e-6, 0.3, 1.0)]
         with pytest.raises(NearDefectiveError) as single:
             eigenvectors_closed_form(bad[0])
         with pytest.raises(NearDefectiveError) as batch:
             _closed_form_eigenpairs([good] + bad)
         assert str(batch.value) == str(single.value)
+
+
+class TestToleranceScale:
+    """Residual and gap tolerances are in units of the largest rate above 1.
+
+    Every rate scales the eigenvalues, the gaps and the rounding error of
+    ||Hv - Ev||, so a point and the same point at s times the rates get the
+    same verdict and the same eigenvectors.
+    """
+
+    SCALES = [1.0, 1e4, 1e8, 1e12, 1e30]
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_eigenvectors_are_scale_free(self, s):
+        unit = eigenvectors_closed_form(SystemParams(2.0, 0.4, 1.0))
+        vecs = eigenvectors_closed_form(SystemParams(2.0 * s, 0.4 * s, s))
+        assert np.max(np.abs(vecs - unit)) < 1e-14
+
+    def test_named_large_point_solves(self):
+        params = SystemParams(2e8, 0.4e8, 1e8)  # residual 4.6e-7 = 2.3e-15 in rate units
+        vecs, h, residuals = _closed_form_eigenpairs([params])
+        assert residuals[0] < 1e-14 * 2e8
+        assert spectrum_closed_form(params).max_residual == residuals[0]
+
+    @pytest.mark.parametrize("s", SCALES[:4])
+    @pytest.mark.parametrize("offset", [1e-6, 1e-10])
+    def test_near_ep_cross_check_is_scale_free(self, s, offset):
+        j_c = locate_ep("omega", 2.0, (0.3, 0.9)).j_c
+        spec = spectrum_closed_form(SystemParams(2.0 * s, (j_c + offset) * s, s))
+        assert spec.max_residual < 1e-14 * s
+
+    @pytest.mark.parametrize("s", SCALES[:4])
+    def test_relaxed_tolerance_follows_the_gap_in_rate_units(self, s, monkeypatch):
+        """With the strict tolerance at 0 only points with gap < NEAR_EP_GAP (rate units) pass."""
+        monkeypatch.setattr(spectrum, "RESIDUAL_TOL", 0.0)
+        j_c = locate_ep("omega", 2.0, (0.3, 0.9)).j_c
+        near = SystemParams(2.0 * s, (j_c + 1e-10) * s, s)  # gap 1.9e-5 s
+        far = SystemParams(2.0 * s, (j_c + 1e-6) * s, s)  # gap 1.9e-3 s
+        _closed_form_eigenpairs([near])
+        with pytest.raises(NearDefectiveError):
+            _closed_form_eigenpairs([far])
 
 
 class TestOracle:
