@@ -21,8 +21,7 @@ from .model import SystemParams
 from .spectrum import (
     _eigvec_coefficients,
     _phase_fix,
-    _phase_probe,
-    _rate_scale,
+    _probe_point,
     auxiliary_quantities,
     eigenvalues_closed_form,
 )
@@ -110,8 +109,8 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
     def probe(x):
         """(point, its eigenvalues, PT-broken) at swept = x."""
         found = SystemParams(**{fix: value, swept: x}, gamma=gamma)
-        values = eigenvalues_closed_form(found)
-        return found, values, _phase_probe(values, _rate_scale(found))[1]
+        values, _, _, broken = _probe_point(found)
+        return found, values, broken
 
     broken_lo = probe(lo)[2]
     if broken_lo == probe(hi)[2]:

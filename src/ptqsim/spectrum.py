@@ -13,6 +13,16 @@ The closed form holds at every finite point, the third-order point
 x = z = 0 included (its cube-root pair is 0, a triple root).  An independent
 oracle path (characteristic polynomial by trace recursion, companion-matrix
 roots, SVD null-space eigenvectors) cross-checks every closed form.
+
+The scalar kernel _eigenvalues, which the phase label and the EP locator call
+once per point, runs in Python floats and complexes (no numpy scalars or
+arrays) and gives the bits of the numpy-scalar form that tests keep as its
+reference.  The cube roots stay np.cbrt: math.cbrt differs in the last bit.
+numpy divides a complex128 by 3 with Smith's algorithm, which multiplies by
+1/3, while Python divides truly; _third rounds as numpy does wherever that
+form divided a numpy complex: E3 and E4 (their terms carry the cube root of
+unity, a numpy scalar there) and E2 on the z < 0 branch where the root was
+rotated by it.  Every other E2 is a true division there as here.
 """
 from __future__ import annotations
 
@@ -31,9 +41,9 @@ from .errors import (
 )
 from .model import SystemParams, build_hamiltonian
 
-_W3 = np.exp(2j * np.pi / 3)  # primitive cube root of unity
+_W3 = complex(np.exp(2j * np.pi / 3))  # primitive cube root of unity
 _W3C = _W3.conjugate()
-_SQ27 = 3.0 * np.sqrt(3.0)
+_SQ27 = 3.0 * math.sqrt(3.0)
 
 #: Residual tolerance for eigenpairs, relaxed near a coalescence where
 #: eigenvector conditioning diverges.  All three are in units of the largest
@@ -119,7 +129,8 @@ def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
 
 
 def _branch_pair(params: SystemParams):
-    """Cube-root pair (y, v) with y*v = x, on the label-continuous branch.
+    """Cube-root pair (y, v) with y*v = x, on the label-continuous branch, and
+    whether y was rotated by the cube root of unity.
 
     z >= 0: both radicands a +- sqrt(27z) are real, and the one whose terms
     have opposite signs cancels; its root is taken as x over the other's,
@@ -137,14 +148,13 @@ def _branch_pair(params: SystemParams):
             y = x / v
         elif a > 0:
             v = x / y
-        y, v = complex(y), complex(v)
-    else:
-        radicand = complex(a, _SQ27 * math.sqrt(-z))
-        y = radicand ** (1.0 / 3.0)
-        if radicand.real < 0:
-            y = y * _W3
-        v = y.conjugate()
-    return y, v
+        return complex(y), complex(v), False
+    radicand = complex(a, _SQ27 * math.sqrt(-z))
+    y = radicand ** (1.0 / 3.0)
+    rotated = radicand.real < 0
+    if rotated:
+        y = y * _W3
+    return y, y.conjugate(), rotated
 
 
 def _rate_scale(params: SystemParams) -> float:
@@ -167,8 +177,13 @@ def _tolerance_scale(rates: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(rates).max(axis=0))
 
 
-def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
-    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
+def _third(c: complex) -> complex:
+    """c / 3 rounded as numpy's complex128 division rounds it: Smith's algorithm times 1/3."""
+    return complex((c.real + c.imag * 0.0) * (1 / 3), (c.imag - c.real * 0.0) * (1 / 3))
+
+
+def _eigenvalues(params: SystemParams) -> tuple:
+    """Labeled eigenvalues (E1, E2, E3, E4) as Python scalars; E1 = -j exactly.
 
     The invariant z scales as the sixth power of the rates and underflows
     below about 1e-52, so rates below 2**-150 are solved at unit scale, by
@@ -179,14 +194,17 @@ def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     if 0 < scale < 2.0**-150:
         e = math.frexp(scale)[1]
         unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
-        values = eigenvalues_closed_form(unit)
-        values.real, values.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
-        return values
-    y, v = _branch_pair(params)
-    e2 = (j + v + y) / 3.0
-    e3 = (j + _W3C * v + _W3 * y) / 3.0
-    e4 = (j + _W3 * v + _W3C * y) / 3.0
-    return np.array([-j, e2, e3, e4], dtype=complex)
+        return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                     for c in _eigenvalues(unit))
+    y, v, rotated = _branch_pair(params)
+    sum2 = j + v + y
+    return (-j, _third(sum2) if rotated else sum2 / 3.0,
+            _third(j + _W3C * v + _W3 * y), _third(j + _W3 * v + _W3C * y))
+
+
+def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
+    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair."""
+    return np.array(_eigenvalues(params), dtype=complex)
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -255,7 +273,7 @@ def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray 
     for p in points:
         _require_omega(p)
     if eigenvalues is None:
-        eigenvalues = np.array([eigenvalues_closed_form(p) for p in points])
+        eigenvalues = np.array([_eigenvalues(p) for p in points], dtype=complex)
     rates = _rates(points)
     om, j, g = rates[..., None]
     r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[:, 1:])
@@ -457,14 +475,35 @@ def spectrum_oracle(params: SystemParams) -> Spectrum:
     )
 
 
+def _broken(max_imag, scale):
+    """PT-broken: max|Im E| above _PHASE_TOL times the rate scale - the one broken decision.
+
+    Elementwise, so max_imag and scale may be floats or arrays.
+    """
+    return max_imag > _PHASE_TOL * scale
+
+
+def _near_ep(gap, scale):
+    """A real spectrum's smallest gap at or below _NEAR_EP_LABEL_GAP times the rate scale."""
+    return gap <= _NEAR_EP_LABEL_GAP * scale
+
+
 def _phase_probe(values: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
-    """(max|Im E|, PT-broken) of closed-form E1..E4 on the last axis - the one phase decision.
+    """(max|Im E|, PT-broken) of closed-form E1..E4 on the last axis.
 
     scale is each point's _rate_scale: below unit rate scale the threshold
     shrinks with the rates, so the label does not depend on their units.
     """
     max_imag = np.abs(values.imag).max(axis=-1)
-    return max_imag, max_imag > _PHASE_TOL * scale
+    return max_imag, _broken(max_imag, scale)
+
+
+def _probe_point(params: SystemParams):
+    """(E1..E4, rate scale, max|Im E|, PT-broken) of one point: _phase_probe in Python scalars."""
+    values, scale = _eigenvalues(params), _rate_scale(params)
+    _, e2, e3, e4 = values  # E1 = -j is real
+    max_imag = max(abs(e2.imag), abs(e3.imag), abs(e4.imag))
+    return values, scale, max_imag, _broken(max_imag, scale)
 
 
 def classify_phase(params: SystemParams) -> PhaseLabel:
@@ -474,10 +513,11 @@ def classify_phase(params: SystemParams) -> PhaseLabel:
     crossings that are not coalescences (e.g. j = 0, where the singlet meets a
     symmetric-sector root) also report NEAR_EP.
     """
-    values, scale = eigenvalues_closed_form(params), _rate_scale(params)
-    max_imag, broken = _phase_probe(values, scale)
+    values, scale, max_imag, broken = _probe_point(params)
     if broken:
-        return PhaseLabel(Phase.PT_BROKEN, float(max_imag))
-    if _min_gap(values) <= _NEAR_EP_LABEL_GAP * scale:
-        return PhaseLabel(Phase.NEAR_EP, float(max_imag))
-    return PhaseLabel(Phase.PT_SYMMETRIC, float(max_imag))
+        return PhaseLabel(Phase.PT_BROKEN, max_imag)
+    e1, e2, e3, e4 = values
+    gap = min(abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4), abs(e3 - e4))
+    if _near_ep(gap, scale):
+        return PhaseLabel(Phase.NEAR_EP, max_imag)
+    return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)

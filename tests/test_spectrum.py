@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ptqsim import (
     Phase,
+    PhaseLabel,
     Source,
     SystemParams,
     auxiliary_quantities,
@@ -382,6 +383,161 @@ class TestClassifyPhase:
     def test_max_imag_reported(self):
         label = classify_phase(SystemParams(0.0, 0.5, 1.0))
         assert label.max_imag == pytest.approx(1.0)
+
+
+# The numpy-scalar kernel the Python-scalar _eigenvalues replaced, verbatim but for
+# module-qualified names: the reference it must equal bit for bit.
+_REF_W3 = np.exp(2j * np.pi / 3)
+_REF_W3C = _REF_W3.conjugate()
+_REF_SQ27 = 3.0 * np.sqrt(3.0)
+
+
+def _branch_pair_reference(params):
+    x, z, a = spectrum._cubic_data(params)
+    if z >= 0:
+        s = _REF_SQ27 * math.sqrt(z)
+        y, v = np.cbrt(a + s), np.cbrt(a - s)
+        if a < 0:
+            y = x / v
+        elif a > 0:
+            v = x / y
+        y, v = complex(y), complex(v)
+    else:
+        radicand = complex(a, _REF_SQ27 * math.sqrt(-z))
+        y = radicand ** (1.0 / 3.0)
+        if radicand.real < 0:
+            y = y * _REF_W3
+        v = y.conjugate()
+    return y, v
+
+
+def _eigenvalues_reference(params):
+    j = params.j
+    scale = spectrum._rate_scale(params)
+    if 0 < scale < 2.0**-150:
+        e = math.frexp(scale)[1]
+        unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
+        values = _eigenvalues_reference(unit)
+        values.real, values.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
+        return values
+    y, v = _branch_pair_reference(params)
+    e2 = (j + v + y) / 3.0
+    e3 = (j + _REF_W3C * v + _REF_W3 * y) / 3.0
+    e4 = (j + _REF_W3 * v + _REF_W3C * y) / 3.0
+    return np.array([-j, e2, e3, e4], dtype=complex)
+
+
+def _classify_reference(params):
+    values, scale = _eigenvalues_reference(params), spectrum._rate_scale(params)
+    max_imag, broken = spectrum._phase_probe(values, scale)
+    if broken:
+        return PhaseLabel(Phase.PT_BROKEN, float(max_imag))
+    if _min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP * scale:
+        return PhaseLabel(Phase.NEAR_EP, float(max_imag))
+    return PhaseLabel(Phase.PT_SYMMETRIC, float(max_imag))
+
+
+#: Points at the kernel's branch edges: a = 0 (j = +-0); z = 0 (omega = gamma = 0,
+#: the origin, the EP3); z < 0 with the root rotated (a < 0) and not (a >= 0);
+#: omega = 0, gamma = 0, signed zeros; rates below 2**-150; near-EP points.
+_EDGE_POINTS = [
+    (2.0, 0.0, 1.0), (2.0, -0.0, 1.0), (0.5, 0.0, 1.0), (0.5, -0.0, 1.0),
+    (0.0, 0.7, 0.0), (0.0, -0.7, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, 0.0),
+    (1.0, 0.0, 1.0), (0.5, 0.0, 0.5), (-1.0, -0.0, 1.0), (3.0, 0.0, 3.0),
+    (2.0, 0.4, 1.0), (2.0, -0.4, 1.0), (-2.0, 0.4, 1.0), (2.0, 0.7, 1.0), (2.0, -0.7, 1.0),
+    (0.0, 0.5, 1.0), (-0.0, 0.5, 1.0), (0.0, -0.5, 1.0), (0.0, 0.0, 1.0),
+    (1.3, 0.77, 0.0), (1.3, -0.77, 0.0), (1.3, 0.0, 0.0), (1.3, -0.0, 0.0),
+    (2e-60, 4e-61, 1e-60), (2e-200, 0.7e-200, 1e-200), (2.0**-151, 2.0**-152, 2.0**-153),
+    (0.0, 5e-324, 0.0), (5e-324, -0.0, 5e-324), (1e-300, 1e-46, 0.0),
+    (2.0, 0.5899798397854931, 1.0), (2.0, 0.5899798397854932 - 1e-13, 1.0),
+    (2.0, -0.5899798397854931, 1.0), (2.0, 3.75e-7, 1.0), (2.0, -1e-7, 1.0),
+    (1.0, 1e-9, 1.0), (1.0, -1e-9, 1.0), (1.0 + 1e-8, 0.0, 1.0), (1.0 - 1e-8, 0.0, 1.0),
+]
+
+
+def _seeded_edge_draw(n, seed):
+    """n points over every regime of the kernel: a broad box, the critical band, rates
+    from 1e-200 to 1e40, signed-zero and dyadic grids, and the EP3's neighbourhood."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        kind = k % 5
+        if kind == 0:
+            rates = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5), rng.uniform(0, 2)
+        elif kind == 1:
+            rates = rng.uniform(1.05, 3.0), rng.uniform(0.0, 1.5), 1.0
+        elif kind == 2:
+            s = 10.0 ** rng.uniform(-200, 40)
+            rates = rng.uniform(-3, 3) * s, rng.uniform(-1.5, 1.5) * s, rng.uniform(0, 2) * s
+        elif kind == 3:
+            rates = (rng.choice([0.0, -0.0, 1.0, -2.0, 0.5]),
+                     rng.choice([0.0, -0.0, 0.3, -0.3, 0.5899798397854931]),
+                     rng.choice([0.0, 1.0, 0.5]))
+        else:
+            g = rng.uniform(0, 2)
+            rates = (g * (1 + rng.choice([0, 1e-8, -1e-8, 1e-15])),
+                     rng.choice([0.0, -0.0, 1e-9, -1e-9]), g)
+        points.append(SystemParams(*(float(r) for r in rates)))
+    return points
+
+
+def _fig2_grid():
+    return [SystemParams(float(om), float(j), 1.0)
+            for om in np.linspace(0.0, 3.0, 61) for j in np.linspace(0.0, 1.2, 61)]
+
+
+class TestScalarKernelBitwise:
+    """eigenvalues_closed_form and classify_phase equal the numpy-scalar kernel bit for bit."""
+
+    @pytest.mark.parametrize("source", ["edges", "fig2", "seeded"])
+    def test_matches_numpy_scalar_reference(self, source):
+        points = {"edges": lambda: [SystemParams(*r) for r in _EDGE_POINTS],
+                  "fig2": _fig2_grid,
+                  "seeded": lambda: _seeded_edge_draw(50_000, 20261018)}[source]()
+        got = np.array([eigenvalues_closed_form(p) for p in points])
+        want = np.array([_eigenvalues_reference(p) for p in points])
+        assert got.dtype == np.complex128
+        mismatch = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
+        assert not len(mismatch), [points[i] for i in mismatch[:5]]
+        for p in points:
+            label, ref = classify_phase(p), _classify_reference(p)
+            assert label.phase is ref.phase, p
+            assert np.float64(label.max_imag).view(np.uint64) == np.float64(
+                ref.max_imag).view(np.uint64), p
+
+    def test_edges_reach_every_branch(self):
+        """The fixed list exercises both radicand signs, the rotation and the rescale."""
+        seen = set()
+        for r in _EDGE_POINTS:
+            p = SystemParams(*r)
+            x, z, a = spectrum._cubic_data(p)
+            rotated = spectrum._branch_pair(p)[2]
+            seen.add(("z>0" if z > 0 else "z=0" if z == 0 else "z<0", rotated, a == 0))
+            seen.add(("rescaled", 0 < spectrum._rate_scale(p) < 2.0**-150))
+        assert {("z<0", True, False), ("z<0", False, False), ("z<0", False, True),
+                ("z>0", False, True), ("z>0", False, False), ("z=0", False, False),
+                ("z=0", False, True), ("rescaled", True)} <= seen
+
+
+class TestScalarBatchPhaseAgreement:
+    """classify_phase's decisions equal the batch path's on the same eigenvalues."""
+
+    def test_same_decisions(self):
+        crossings = [SystemParams(om, sign * d, 1.0) for om in (1.5, 2.0, 3.0)
+                     for sign in (1, -1) for d in (0.0, 1e-7, 3e-7, 3.75e-7, 4e-7, 1e-6)]
+        points = _fig2_grid() + crossings + _seeded_points(2000) + _seeded_edge_draw(2000, 7)
+        values = np.array([eigenvalues_closed_form(p) for p in points])
+        scales = np.array([spectrum._rate_scale(p) for p in points])
+        max_imag, broken = spectrum._phase_probe(values, scales)
+        near = ~broken & spectrum._near_ep(_min_gap(values), scales)
+        labels = [classify_phase(p) for p in points]
+        assert [lab.phase is Phase.PT_BROKEN for lab in labels] == broken.tolist()
+        assert [lab.phase is Phase.NEAR_EP for lab in labels] == near.tolist()
+        assert np.array([lab.max_imag for lab in labels]).tobytes() == max_imag.tobytes()
+        # both sides of each threshold are reached, the j = 0 crossings among them
+        assert broken.any() and not broken.all() and 0 < near.sum() < (~broken).sum()
+        crossing_near = [classify_phase(p).phase is Phase.NEAR_EP for p in crossings]
+        assert any(crossing_near) and not all(crossing_near)
 
 
 @given(params_st)
