@@ -15,6 +15,7 @@ from .model import SIGMA_YY, SystemParams, as_unit_state
 from .spectrum import (
     _char_poly,
     _eigvec_coefficients,
+    _poly_roots,
     _require_omega,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
@@ -36,8 +37,11 @@ def concurrence_mixed(rho) -> float:
     """Wootters concurrence of a validated two-qubit density matrix.
 
     Uses the characteristic-quartic oracle for the eigenvalues of
-    rho * (sy x sy) * conj(rho) * (sy x sy); round-off negatives are
-    clamped at zero before the square roots.
+    rho * (sy x sy) * conj(rho) * (sy x sy): coefficients below 1e-12 at the
+    low end are exact-zero roots and are dropped, and the rest go to
+    spectrum._poly_roots (np.roots' companion solve, without its per-call
+    overhead).  Round-off negatives are clamped at zero before the square
+    roots.
     """
     rho = np.asarray(rho, dtype=complex)
     _validate_density(rho)
@@ -50,7 +54,7 @@ def concurrence_mixed(rho) -> float:
         degree -= 1
     mu = np.zeros(4, dtype=complex)
     if degree > 0:
-        mu[:degree] = np.roots(coeff[: degree + 1])
+        mu[:degree] = _poly_roots(coeff[: degree + 1])
     mu = np.clip(np.sort(mu.real)[::-1], 0.0, None)
     roots = np.sqrt(mu)
     return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))

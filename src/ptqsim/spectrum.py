@@ -11,8 +11,11 @@ cube-root branch is fixed so that
 
 The closed form holds at every finite point, the third-order point
 x = z = 0 included (its cube-root pair is 0, a triple root).  An independent
-oracle path (characteristic polynomial by trace recursion, companion-matrix
-roots, SVD null-space eigenvectors) cross-checks every closed form.
+oracle path cross-checks every closed form: the characteristic polynomial by
+trace recursion, its roots from one companion-matrix eigvals call
+(_poly_roots, np.roots' bits without its per-call overhead), a Newton polish
+that skips roots whose p' is at rounding level relative to max|H|**3, and the
+null-space eigenvectors of every root group from one stacked SVD.
 
 The scalar kernel _eigenvalues, which the phase label and the EP locator call
 once per point, runs in Python floats and complexes (no numpy scalars or
@@ -258,6 +261,7 @@ def _rates(points: list[SystemParams]) -> np.ndarray:
 
 
 _SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
+_EYE = np.eye(4, dtype=complex)
 
 
 def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray | None = None):
@@ -317,11 +321,43 @@ def _char_poly(h: np.ndarray) -> np.ndarray:
     coeff = np.zeros(5, dtype=complex)
     coeff[0] = 1.0
     m = np.zeros_like(h)
-    eye = np.eye(4, dtype=complex)
     for k in range(1, 5):
-        m = h @ (m + coeff[k - 1] * eye)
-        coeff[k] = -np.trace(m) / k
+        m = h @ (m + coeff[k - 1] * _EYE)
+        coeff[k] = -m.trace() / k
     return coeff
+
+
+#: The 24 orderings of four labels, in itertools.permutations order.
+_PERMS = np.array(list(permutations(range(4))))
+#: np.polyder's weights: the derivative of sum_k c[k] x**(4-k) is sum_k (4-k) c[k] x**(3-k).
+_DERIVATIVE_WEIGHTS = np.arange(4, 0, -1)
+
+
+def _poly_roots(p: np.ndarray) -> np.ndarray:
+    """Roots of p[0] x**n + ... + p[n], with the bits of np.roots(p).
+
+    The companion matrix np.roots builds, solved by np.linalg.eigvals without
+    np.roots' stripping and casting; a zero first or last coefficient goes to
+    np.roots, which strips it (a trailing zero is a root at 0).
+    """
+    if p[0] == 0 or p[-1] == 0:
+        return np.roots(p)
+    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+    companion[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
+
+
+def _horner(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval(coeff, x) without its wrapper: the same Horner steps from zeros."""
+    y = np.zeros(x.shape, dtype=x.dtype)
+    for c in coeff:
+        y = y * x + c
+    return y
+
+
+def _mean_of_one(c: complex) -> complex:
+    """The mean of a one-element complex array: c / 1, rounded as numpy's Smith division."""
+    return complex(c.real + c.imag * 0.0, c.imag - c.real * 0.0)
 
 
 def eigensystem_oracle(
@@ -330,66 +366,81 @@ def eigensystem_oracle(
     """Independent eigensolve: characteristic quartic + SVD null spaces.
 
     deflate_root, when given, is divided out synthetically before the
-    companion-matrix solve (used for the exactly known singlet root).
+    companion-matrix solve (used for the exactly known singlet root).  Two
+    Newton steps polish the other roots; a root whose |p'| is at or below
+    1e-12 * scale**3 (scale = max(1, max|h|)) is left as the companion solve
+    gave it, since a step there (a double root such as the singlet and E2 at
+    omega = 0) only amplifies rounding.  Roots within 1e-9 * scale form one
+    group, and one SVD of the stacked (groups, 4, 4) array h - lam*I gives
+    every group's null vectors.
     Raises NoConvergenceError when residuals stay above tolerance; callers
     may retry with a ~1e-8 perturbation of the matrix.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(float))):
+    if not np.isfinite(h.view(float)).all():
         raise ValueError("matrix entries must be finite")
+    scale = max(1.0, float(np.abs(h).max()))
 
     coeff = _char_poly(h)
+    roots = np.empty(4, dtype=complex)
     if deflate_root is not None:
         reduced = np.zeros(4, dtype=complex)
         reduced[0] = coeff[0]
         for i in range(1, 4):
             reduced[i] = coeff[i] + deflate_root * reduced[i - 1]
-        roots = np.concatenate([[complex(deflate_root)], np.roots(reduced)]).astype(complex)
+        roots[0] = deflate_root
+        roots[1:] = _poly_roots(reduced)
     else:
-        roots = np.roots(coeff).astype(complex)
+        roots[:] = _poly_roots(coeff)
 
-    deriv = np.polyder(coeff)
     start = 0 if deflate_root is None else 1  # keep the exact root untouched
+    deriv = coeff[:-1] * _DERIVATIVE_WEIGHTS
+    guard = 1e-12 * scale * scale * scale  # p' grows as scale**3; a product cannot raise
+    x = roots[start:]
     for _ in range(2):  # Newton polish
-        dp = np.polyval(deriv, roots[start:])
-        ok = np.abs(dp) > 1e-30
-        roots[start:] = np.where(
-            ok, roots[start:] - np.polyval(coeff, roots[start:]) / np.where(ok, dp, 1.0), roots[start:]
-        )
-
-    scale = max(1.0, float(np.max(np.abs(h))))
+        dp = _horner(deriv, x)
+        ok = np.abs(dp) > guard
+        x = np.where(ok, x - _horner(coeff, x) / np.where(ok, dp, 1.0), x)
+    roots[start:] = x
     roots = _refine_close_pair(coeff, roots, scale, start)
 
-    eye = np.eye(4, dtype=complex)
-    vecs = np.zeros((4, 4), dtype=complex)
-    assigned = np.zeros(4, dtype=bool)
+    values = roots.tolist()
+    groups, lams, assigned = [], [], [False] * 4
     for k in range(4):
         if assigned[k]:
             continue
-        group = [m for m in range(4) if abs(roots[m] - roots[k]) <= 1e-9 * scale]
-        lam = roots[group].mean()
-        _, sing, vh = np.linalg.svd(h - lam * eye)
-        # a repeated eigenvalue may still span several null directions;
-        # hand out as many independent ones as are numerically null
-        null_dim = max(1, int(np.sum(sing <= 1e-7 * scale)))
-        for slot, m in enumerate(group):
-            vecs[m] = vh[-1 - min(slot, null_dim - 1)].conj()
+        group = [m for m in range(4) if abs(values[m] - values[k]) <= 1e-9 * scale]
+        for m in group:
             assigned[m] = True
+        groups.append(group)
+        lams.append(_mean_of_one(values[k]) if len(group) == 1 else roots[group].mean())
+    _, sing, vh = np.linalg.svd(h - np.array(lams)[:, None, None] * _EYE)
+    null = vh.conj()
+    # a repeated eigenvalue may still span several null directions;
+    # hand out as many independent ones as are numerically null
+    null_dims = (sing <= 1e-7 * scale).sum(axis=1).tolist()
+    vecs = np.empty((4, 4), dtype=complex)
+    for g, group in enumerate(groups):  # a later group overrides a shared member
+        null_dim = max(1, null_dims[g])
+        for slot, m in enumerate(group):
+            vecs[m] = null[g, -1 - min(slot, null_dim - 1)]
     vecs = _phase_fix(vecs)
-    residuals = np.array([np.linalg.norm(h @ vec - root * vec) for vec, root in zip(vecs, roots)])
+    diff = (h @ vecs[:, :, None])[..., 0] - roots[:, None] * vecs
+    # the per-row dots are the sum np.linalg.norm takes, so the residual keeps its bits
+    worst = float(np.sqrt(np.max([d.real.dot(d.real) + d.imag.dot(d.imag) for d in diff])))
 
-    if residuals.max() > 1e-5 * scale:
+    if worst > 1e-5 * scale:
         raise NoConvergenceError(
-            f"oracle residual {residuals.max():.3e} above budget; matrix may be "
+            f"oracle residual {worst:.3e} above budget; matrix may be "
             "defective - retry with a 1e-8 perturbation"
         )
     return Spectrum(
         eigenvalues=roots,
         eigenvectors=vecs,
         source=Source.ORACLE,
-        max_residual=float(residuals.max()),
+        max_residual=worst,
     )
 
 
@@ -407,14 +458,15 @@ def _refine_close_pair(
     through the pair's mean, so a near pair (the singlet and E2 at small
     omega) is not merged.
     """
+    values = roots.tolist()
     pairs = [
-        (abs(roots[i] - roots[k]), i, k) for i in range(4) for k in range(i + 1, 4)
+        (abs(values[i] - values[k]), i, k) for i in range(4) for k in range(i + 1, 4)
     ]
     gap, i, k = min(pairs, key=lambda t: t[0])
     if gap > 1e-6 * scale:
         return roots
     others = [m for m in range(4) if m not in (i, k)]
-    if min(abs(roots[m] - roots[n]) for m in (i, k) for n in others) < 1e-3 * scale:
+    if min(abs(values[m] - values[n]) for m in (i, k) for n in others) < 1e-3 * scale:
         return roots  # three-way cluster: leave to the caller's tolerance
     poly = coeff
     for m in others:  # synthetic division by the accurate simple roots
@@ -443,9 +495,14 @@ def _refine_close_pair(
     return refined
 
 
+def _pairing_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max|a[p] - b| for each ordering p of a, in _PERMS order."""
+    return np.abs(a[_PERMS] - b).max(axis=1)
+
+
 def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest max-deviation between two eigenvalue quadruples over all pairings."""
-    return min(max(abs(a[list(p)] - b)) for p in permutations(range(4)))
+    return _pairing_deviations(a, b).min()
 
 
 def spectrum_closed_form(params: SystemParams) -> Spectrum:
@@ -463,10 +520,7 @@ def spectrum_oracle(params: SystemParams) -> Spectrum:
     """Oracle spectrum with labels aligned to the closed-form convention."""
     spec = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
     reference = eigenvalues_closed_form(params)
-    order = list(min(
-        permutations(range(4)),
-        key=lambda p: max(abs(spec.eigenvalues[list(p)] - reference)),
-    ))
+    order = _PERMS[_pairing_deviations(spec.eigenvalues, reference).argmin()]
     return Spectrum(
         spec.eigenvalues[order],
         spec.eigenvectors[order],

@@ -30,6 +30,13 @@ class TestSpectrumCommand:
         expected = sorted([(-0.3, 0.0), (-0.3, 0.0), (0.3, 1.0), (0.3, -1.0)])
         assert np.allclose(values, expected, atol=1e-9)
 
+    def test_omega_zero_double_root_answers(self, capsys):
+        # E2 and the singlet are a double root -j: the oracle no longer polishes it away
+        code, out, err = invoke(capsys, "spectrum", "--omega", 0, "--j", 0.42)
+        assert (code, err) == (0, "")
+        values = [(e["re"], e["im"]) for e in json.loads(out)["results"]["eigenvalues"]]
+        assert values == [(-0.42, 0.0), (-0.42, 0.0), (0.42, 1.0), (0.42, -1.0)]
+
     def test_next_to_third_order_point_closed_form(self, capsys):
         # the closed form agrees with the oracle within 1e-9 here too
         code, out, _ = invoke(capsys, "spectrum", "--omega", 1, "--j", 1e-3)

@@ -1,5 +1,6 @@
 """End-to-end runs of the bundled scripts in a subprocess."""
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,3 +38,33 @@ def test_phase_scan(tmp_path):
     omega_jc = "\n".join(f"{o},{j}" for o, j in zip(curve["omega"], curve["j_c"]))
     assert hashlib.sha256(omega_jc.encode()).hexdigest() == EP_CURVE_OMEGA_JC_SHA256
     assert "critical curve: 80/80 located" in proc.stdout
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    """The pair summary alone; running the benchmark is not part of the test suite."""
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.parse_seeds("401-403,7") == [401, 402, 403, 7]
+    parent = [100, 104, 98, 102, 101, 99, 103, 100, 97, 105]
+    change = [130, 128, 131, 99, 126, 127, 129, 132, 125, 128]
+    pairs = [({"rate": p, "ms": 1 / p}, {"rate": c, "ms": 1 / c}) for p, c in zip(parent, change)]
+    rate, ms = bench_pairs.summarize(pairs, {"rate": "higher", "ms": "lower"})
+    assert (rate["metric"], rate["parent"], rate["change"]) == ("rate", 100.5, 128)
+    assert rate["parent_quartiles"] == [99.25, 102.75]
+    assert rate["relative"] == (128 - 100.5) / 100.5
+    assert (rate["wins"], rate["pairs"]) == (9, 10) and rate["clear"]
+    assert ms["wins"] == 9 and ms["change"] == 1 / 128 and ms["clear"]
+    assert bench_pairs.format_row(rate).startswith("rate ")
+    # 8 of 9 wins, too few pairs, or a move inside the parent's quartile spread is not clear
+    assert not bench_pairs.summarize(pairs[1:], {"rate": "higher"})[0]["clear"]
+    assert not bench_pairs.summarize(pairs[:3], {"rate": "higher"})[0]["clear"]
+    noisy = [({"rate": p}, {"rate": p + 1}) for p in range(90, 140, 5)]
+    assert not bench_pairs.summarize(noisy, {"rate": "higher"})[0]["clear"]
+    # one pair: the quartiles are its value
+    assert bench_pairs.summarize(pairs[:1], {"rate": "higher"})[0]["parent_quartiles"] == [100, 100]

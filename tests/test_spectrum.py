@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ptqsim import (
     auxiliary_quantities,
     build_hamiltonian,
     classify_phase,
+    concurrence_mixed,
     eigensystem_oracle,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
@@ -22,8 +24,9 @@ from ptqsim import (
     spectrum_oracle,
 )
 from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
-from ptqsim.errors import NearDefectiveError, OmegaSingularError
-from ptqsim import locate_ep, spectrum
+from ptqsim.errors import NearDefectiveError, NoConvergenceError, OmegaSingularError
+from ptqsim import entanglement, locate_ep, spectrum
+from ptqsim.model import SIGMA_YY
 from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap
 
 params_st = st.builds(
@@ -319,6 +322,17 @@ class TestOracle:
         assert spec.eigenvalues[0] == -0.3
         assert pairing_distance(spec.eigenvalues, eigenvalues_closed_form(params)) < 1e-12
 
+    @pytest.mark.parametrize("band", [(-16, -12), (-12, -9), (-9, -6), None])
+    def test_small_omega_answers(self, band):
+        """Below omega ~ 1e-6, E2 is within omega**2 of the deflated singlet root -j: a
+        double root of the quartic whose p' is at rounding level, left unpolished."""
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            omega = 0.0 if band is None else 10.0 ** rng.uniform(*band)
+            params = SystemParams(omega, rng.uniform(0.01, 1.2), 1.0)
+            spec = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
+            assert pairing_distance(spec.eigenvalues, eigenvalues_closed_form(params)) <= 1e-9
+
     def test_handles_defective_input(self):
         # both qubits exactly critical: a fourfold zero eigenvalue
         spec = eigensystem_oracle(build_hamiltonian(SystemParams(1.0, 0.0, 1.0)))
@@ -573,3 +587,233 @@ def test_gamma_zero_real_and_orthogonal():
         vecs = eigenvectors_closed_form(params, values)
         gram = vecs @ vecs.conj().T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-9
+
+
+# The oracle-side kernels that eigensystem_oracle's stacked SVD, _poly_roots, the
+# inline Horner polish, the _PERMS table and concurrence_mixed's _poly_roots
+# replaced, verbatim but for module-qualified names: the reference they must
+# equal bit for bit wherever it answers.
+def _eigensystem_oracle_reference(h, deflate_root=None):
+    h = np.asarray(h, dtype=complex)
+    coeff = spectrum._char_poly(h)
+    if deflate_root is not None:
+        reduced = np.zeros(4, dtype=complex)
+        reduced[0] = coeff[0]
+        for i in range(1, 4):
+            reduced[i] = coeff[i] + deflate_root * reduced[i - 1]
+        roots = np.concatenate([[complex(deflate_root)], np.roots(reduced)]).astype(complex)
+    else:
+        roots = np.roots(coeff).astype(complex)
+
+    deriv = np.polyder(coeff)
+    start = 0 if deflate_root is None else 1  # keep the exact root untouched
+    for _ in range(2):  # Newton polish
+        dp = np.polyval(deriv, roots[start:])
+        ok = np.abs(dp) > 1e-30
+        roots[start:] = np.where(
+            ok, roots[start:] - np.polyval(coeff, roots[start:]) / np.where(ok, dp, 1.0), roots[start:]
+        )
+
+    scale = max(1.0, float(np.max(np.abs(h))))
+    roots = _refine_close_pair_reference(coeff, roots, scale, start)
+
+    eye = np.eye(4, dtype=complex)
+    vecs = np.zeros((4, 4), dtype=complex)
+    assigned = np.zeros(4, dtype=bool)
+    for k in range(4):
+        if assigned[k]:
+            continue
+        group = [m for m in range(4) if abs(roots[m] - roots[k]) <= 1e-9 * scale]
+        lam = roots[group].mean()
+        _, sing, vh = np.linalg.svd(h - lam * eye)
+        # a repeated eigenvalue may still span several null directions;
+        # hand out as many independent ones as are numerically null
+        null_dim = max(1, int(np.sum(sing <= 1e-7 * scale)))
+        for slot, m in enumerate(group):
+            vecs[m] = vh[-1 - min(slot, null_dim - 1)].conj()
+            assigned[m] = True
+    vecs = spectrum._phase_fix(vecs)
+    residuals = np.array([np.linalg.norm(h @ vec - root * vec) for vec, root in zip(vecs, roots)])
+
+    if residuals.max() > 1e-5 * scale:
+        raise spectrum.NoConvergenceError(
+            f"oracle residual {residuals.max():.3e} above budget; matrix may be "
+            "defective - retry with a 1e-8 perturbation"
+        )
+    return spectrum.Spectrum(
+        eigenvalues=roots,
+        eigenvectors=vecs,
+        source=spectrum.Source.ORACLE,
+        max_residual=float(residuals.max()),
+    )
+
+
+def _refine_close_pair_reference(coeff, roots, scale, start):
+    pairs = [
+        (abs(roots[i] - roots[k]), i, k) for i in range(4) for k in range(i + 1, 4)
+    ]
+    gap, i, k = min(pairs, key=lambda t: t[0])
+    if gap > 1e-6 * scale:
+        return roots
+    others = [m for m in range(4) if m not in (i, k)]
+    if min(abs(roots[m] - roots[n]) for m in (i, k) for n in others) < 1e-3 * scale:
+        return roots  # three-way cluster: leave to the caller's tolerance
+    poly = coeff
+    for m in others:  # synthetic division by the accurate simple roots
+        out = np.empty(len(poly) - 1, dtype=complex)
+        out[0] = poly[0]
+        for q in range(1, len(out)):
+            out[q] = poly[q] + roots[m] * out[q - 1]
+        poly = out
+    b, c = poly[1], poly[2]
+    refined = roots.copy()
+    mean = -0.5 * b  # a Newton sum, fully conditioned
+    if i < start:
+        refined[k] = mean + (mean - roots[0])
+        return refined
+    disc_sq = b * b - 4.0 * c
+    if abs(disc_sq) <= 1e-12 * max(1.0, abs(b) ** 2, abs(c)):
+        # at coefficient noise level the pair is a genuine double root
+        refined[i] = refined[k] = mean
+        return refined
+    disc = np.sqrt(disc_sq)
+    if abs(-b + disc) < abs(-b - disc):
+        disc = -disc
+    r_big = 0.5 * (-b + disc)
+    r_small = c / r_big if r_big != 0 else 0.5 * (-b - disc)
+    refined[i], refined[k] = r_big, r_small
+    return refined
+
+
+def _pairing_distance_reference(a, b):
+    return min(max(abs(a[list(p)] - b)) for p in permutations(range(4)))
+
+
+def _oracle_order_reference(values, reference):
+    """spectrum_oracle's label order as the 24-way min over permutations found it."""
+    return list(min(
+        permutations(range(4)),
+        key=lambda p: max(abs(values[list(p)] - reference)),
+    ))
+
+
+def _concurrence_mixed_reference(rho):
+    rho = np.asarray(rho, dtype=complex)
+    entanglement._validate_density(rho)
+    flipped = SIGMA_YY @ rho.conj() @ SIGMA_YY
+    coeff = spectrum._char_poly(rho @ flipped)
+    # Deflate exact-zero eigenvalues first (rank-deficient products are the
+    # norm here, and companion solves lose half the digits on repeated zeros).
+    degree = 4
+    while degree > 0 and abs(coeff[degree]) < 1e-12:
+        degree -= 1
+    mu = np.zeros(4, dtype=complex)
+    if degree > 0:
+        mu[:degree] = np.roots(coeff[: degree + 1])
+    mu = np.clip(np.sort(mu.real)[::-1], 0.0, None)
+    roots = np.sqrt(mu)
+    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float).view(np.uint64)
+
+
+def _spectra_pool(n, seed):
+    """n points of the spectra benchmark's domain: omega in [0, 3), j in [0, 1.2),
+    gamma = 1, with a tenth at gamma = 0 and a twentieth at omega = 0."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        om, j = 3.0 * rng.random(), 1.2 * rng.random()
+        points.append(SystemParams(0.0 if k % 20 == 7 else om, j, 0.0 if k % 10 == 3 else 1.0))
+    return points
+
+
+#: Matrices whose characteristic polynomial ends in an exact zero (H(1, 0, 1) is
+#: the fourfold zero eigenvalue, p = x**4): _poly_roots hands those to np.roots.
+_SINGULAR = [np.diag([1.0, 2.0, 3.0, 0.0]).astype(complex),
+             np.diag([0.5 + 1j, -0.5, 0.0, 0.5 - 1j]),
+             np.diag([1j, 2.0, 0.0, -1j]),
+             build_hamiltonian(SystemParams(0.0, 0.0, 1.0)),
+             build_hamiltonian(SystemParams(1.0, 0.0, 1.0))]
+
+
+class TestOracleKernelsBitwise:
+    """eigensystem_oracle, pairing_distance, spectrum_oracle's order and
+    concurrence_mixed equal the kernels they replaced bit for bit."""
+
+    def _assert_oracle_matches(self, h, deflate_root):
+        try:
+            want = _eigensystem_oracle_reference(h, deflate_root)
+        except NoConvergenceError:
+            return False
+        got = eigensystem_oracle(h, deflate_root)
+        assert (_bits(got.eigenvalues) == _bits(want.eigenvalues)).all(), h
+        assert (_bits(got.eigenvectors) == _bits(want.eigenvectors)).all(), h
+        assert _bits(got.max_residual) == _bits(want.max_residual), h
+        return True
+
+    @pytest.mark.parametrize("seed", [301, 302, 303])
+    def test_spectra_pools(self, seed):
+        answered = 0
+        for p in _spectra_pool(400, seed):
+            h = build_hamiltonian(p)
+            if not self._assert_oracle_matches(h, -p.j):
+                continue
+            answered += 1
+            oracle = eigensystem_oracle(h, -p.j).eigenvalues
+            values = eigenvalues_closed_form(p)
+            got, want = pairing_distance(values, oracle), _pairing_distance_reference(values, oracle)
+            assert type(got) is type(want) and _bits(got) == _bits(want), p
+            assert spectrum_oracle(p).eigenvalues.tobytes() == oracle[
+                _oracle_order_reference(oracle, values)].tobytes(), p
+            if p.omega != 0.0:
+                psi3, psi4 = eigenvectors_closed_form(p, values)[2:]
+                rho = np.outer(psi3, psi3.conj()) + np.outer(psi4, psi4.conj())
+                for r in (rho / np.trace(rho).real, np.outer(psi3, psi3.conj())):
+                    assert _bits(concurrence_mixed(r)) == _bits(_concurrence_mixed_reference(r))
+        assert answered >= 370
+
+    def test_fig2_grid(self):
+        # every other point of the row-major 61 x 61 grid still visits every omega and j
+        for p in _fig2_grid()[::2]:
+            self._assert_oracle_matches(build_hamiltonian(p), -p.j)
+
+    def test_random_matrices_undeflated(self):
+        rng = np.random.default_rng(20261018)
+        for k in range(600):
+            h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h *= 10.0 ** rng.uniform(-3, 3) if k % 2 else 1.0
+            assert self._assert_oracle_matches(h, None)
+            values = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            oracle = eigensystem_oracle(h).eigenvalues
+            assert _bits(pairing_distance(values, oracle)) == _bits(
+                _pairing_distance_reference(values, oracle))
+
+    def test_singular_matrices_take_the_np_roots_branch(self):
+        for h in _SINGULAR:
+            coeff = spectrum._char_poly(h)
+            assert coeff[4] == 0
+            assert (_bits(spectrum._poly_roots(coeff)) == _bits(np.roots(coeff))).all()
+            assert self._assert_oracle_matches(h, None)
+        # the singlet root -j = -0.0 deflated at omega = j = 0 leaves x**3 + x
+        assert self._assert_oracle_matches(_SINGULAR[3], -0.0)
+        leading_zero = np.array([0j, 1, 2])
+        assert (_bits(spectrum._poly_roots(leading_zero)) == _bits(np.roots(leading_zero))).all()
+
+    def test_rank_deficient_concurrence(self):
+        rng = np.random.default_rng(11)
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+        singlet = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
+        states = [bell, np.array([1, 0, 0, 0], dtype=complex), singlet]
+        states += [v / np.linalg.norm(v) for v in
+                   rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))]
+        inputs = [np.eye(4, dtype=complex) / 4]
+        for rank in (1, 2, 3):
+            for start in range(0, len(states) - rank, rank):
+                group = states[start:start + rank]
+                rho = sum(np.outer(v, v.conj()) for v in group)
+                inputs.append(rho / np.trace(rho).real)
+        for rho in inputs:
+            assert _bits(concurrence_mixed(rho)) == _bits(_concurrence_mixed_reference(rho))
