@@ -5,12 +5,13 @@ For each seed, runs
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-once in a checkout of the parent revision and once in this working tree,
-alternating which side goes first, then prints for each end-to-end metric of
-BENCHMARK.json the parent and change medians, the relative move, the parent's
-quartiles, the number of pairs in which the change is better, and whether the
-move is clear: at least 10 pairs, the change better in at least 9 of 10, and the
-medians further apart than the parent's quartile spread.
+with S the run_seconds of BENCHMARK.json, once in a checkout of the parent
+revision and once in this working tree, alternating which side goes first,
+then prints for each end-to-end metric of BENCHMARK.json the parent and change
+medians, the relative move, the parent's quartiles, the number of pairs in
+which the change is better, and whether the move is clear: at least 10 pairs,
+the change better in at least 9 of 10, the medians further apart than the
+parent's quartile spread, and no larger share of failed ops than the parent's.
 
 Usage (from the repository root):
 
@@ -19,8 +20,9 @@ Usage (from the repository root):
 
 The parent revision (default HEAD: the comparison is then against uncommitted
 changes) is checked out with `git worktree add --detach` in a temporary
-directory, which is removed afterwards; --parent-dir uses an existing checkout
-instead.  The last line of stdout is one JSON object with every row.
+directory, which is removed afterwards.  The script refuses a parent whose
+tracked files equal the working tree's: it would compare the code with itself.
+The last line of stdout is one JSON object with every row.
 """
 import argparse
 import contextlib
@@ -51,14 +53,20 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def _failed_share(sides: list[dict]) -> float:
+    return sum(s["failed"] for s in sides) / max(1, sum(s["attempted"] for s in sides))
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
     """One row per metric of better ({name: "lower" | "higher"}) from (parent, change) pairs.
 
-    Each pair holds the two sides' metric values of one seed.  A pair counts as
-    a win when the change is strictly better; the move is clear when there are
-    at least 10 pairs, at least 90% of them are wins and the medians differ by
-    more than the parent's interquartile range.
+    Each pair holds the two sides' metric values of one seed and their
+    "failed" and "attempted" op counts.  A pair counts as a win when the change
+    is strictly better; the move is clear when there are at least 10 pairs, at
+    least 90% of them are wins, the medians differ by more than the parent's
+    interquartile range and the change fails no larger share of its ops.
     """
+    failed = [_failed_share([p for p, _ in pairs]), _failed_share([c for _, c in pairs])]
     rows = []
     for name, direction in better.items():
         parent = [p[name] for p, _ in pairs]
@@ -71,8 +79,9 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "metric": name, "parent": p_med, "change": c_med,
             "relative": (c_med - p_med) / p_med if p_med else 0.0,
             "parent_quartiles": [q1, q3], "wins": wins, "pairs": len(pairs),
+            "failed_share": failed,
             "clear": (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
-                      and abs(c_med - p_med) > q3 - q1),
+                      and abs(c_med - p_med) > q3 - q1 and failed[1] <= failed[0]),
         })
     return rows
 
@@ -85,7 +94,7 @@ def format_row(row: dict) -> str:
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """{metric: value} of one untraced benchmark run in checkout."""
+    """{metric: value} of one untraced benchmark run in checkout, with its op counts."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -96,15 +105,14 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"]:
         print(f"warning: {checkout} seed {seed}: {result['failed']} failed ops", file=sys.stderr)
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    side = {k: v["value"] for k, v in result["metrics"].items()}
+    side.update(failed=result["failed"], attempted=result["attempted"])
+    return side
 
 
 @contextlib.contextmanager
-def parent_checkout(rev: str, parent_dir: str | None):
-    """A checkout of rev: parent_dir as given, else a temporary detached worktree."""
-    if parent_dir:
-        yield Path(parent_dir)
-        return
+def parent_checkout(rev: str):
+    """A temporary detached worktree of rev, removed on exit."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     path = tmp / "parent"
     subprocess.run(["git", "worktree", "add", "--detach", str(path), rev],
@@ -123,20 +131,21 @@ def main(argv=None) -> int:
                         choices=("sense", "scan", "evolve", "spectra"))
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seeds as a list of numbers and ranges, e.g. 401-410 or 1,2,5")
-    parser.add_argument("--seconds", type=int, default=24)
     parser.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
-    parser.add_argument("--parent-dir", help="an existing checkout of the parent to use")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if subprocess.run(["git", "diff", "--quiet", args.parent, "--"], cwd=ROOT).returncode == 0:
+        parser.error(f"the working tree's tracked files equal {args.parent}'s: "
+                     "name the parent revision with --parent")
 
     pairs = []
-    with parent_checkout(args.parent, args.parent_dir) as parent:
+    with parent_checkout(args.parent) as parent:
         for i, seed in enumerate(args.seeds):
             sides = [("parent", parent), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
-            got = {label: run_side(path, args.workload, seed, args.seconds)
+            got = {label: run_side(path, args.workload, seed, spec["run_seconds"])
                    for label, path in sides}
             pairs.append((got["parent"], got["change"]))
             print(f"seed {seed} ({sides[0][0]} first): " + "  ".join(
@@ -147,6 +156,7 @@ def main(argv=None) -> int:
           "[parent quartiles] change-better pairs")
     for row in rows:
         print("  " + format_row(row))
+    print("  failed ops: parent {:.2%}, change {:.2%}".format(*rows[0]["failed_share"]))
     print(json.dumps({"workload": args.workload, "seeds": args.seeds, "rows": rows}), flush=True)
     return 0
 

@@ -355,11 +355,6 @@ def _horner(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _mean_of_one(c: complex) -> complex:
-    """The mean of a one-element complex array: c / 1, rounded as numpy's Smith division."""
-    return complex(c.real + c.imag * 0.0, c.imag - c.real * 0.0)
-
-
 def eigensystem_oracle(
     h: np.ndarray, deflate_root: complex | None = None
 ) -> Spectrum:
@@ -368,11 +363,11 @@ def eigensystem_oracle(
     deflate_root, when given, is divided out synthetically before the
     companion-matrix solve (used for the exactly known singlet root).  Two
     Newton steps polish the other roots; a root whose |p'| is at or below
-    1e-12 * scale**3 (scale = max(1, max|h|)) is left as the companion solve
-    gave it, since a step there (a double root such as the singlet and E2 at
-    omega = 0) only amplifies rounding.  Roots within 1e-9 * scale form one
-    group, and one SVD of the stacked (groups, 4, 4) array h - lam*I gives
-    every group's null vectors.
+    max(1e-30, 1e-12 * max|h|**3) is left as the companion solve gave it,
+    since a step there (a double root such as the singlet and E2 at
+    omega = 0) only amplifies rounding.  With scale = max(1, max|h|), roots
+    within 1e-9 * scale form one group, and one SVD of the stacked
+    (groups, 4, 4) array h - lam*I gives every group's null vectors.
     Raises NoConvergenceError when residuals stay above tolerance; callers
     may retry with a ~1e-8 perturbation of the matrix.
     """
@@ -381,7 +376,8 @@ def eigensystem_oracle(
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     if not np.isfinite(h.view(float)).all():
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(h).max()))
+    rate = float(np.abs(h).max())
+    scale = max(1.0, rate)
 
     coeff = _char_poly(h)
     roots = np.empty(4, dtype=complex)
@@ -397,7 +393,9 @@ def eigensystem_oracle(
 
     start = 0 if deflate_root is None else 1  # keep the exact root untouched
     deriv = coeff[:-1] * _DERIVATIVE_WEIGHTS
-    guard = 1e-12 * scale * scale * scale  # p' grows as scale**3; a product cannot raise
+    # p' at a simple root grows as max|h|**3, below 1 too; at or below 1e-30 it
+    # counts as zero at any scale (a product cannot raise OverflowError)
+    guard = max(1e-30, 1e-12 * rate * rate * rate)
     x = roots[start:]
     for _ in range(2):  # Newton polish
         dp = _horner(deriv, x)
@@ -415,7 +413,7 @@ def eigensystem_oracle(
         for m in group:
             assigned[m] = True
         groups.append(group)
-        lams.append(_mean_of_one(values[k]) if len(group) == 1 else roots[group].mean())
+        lams.append(roots[group].mean())
     _, sing, vh = np.linalg.svd(h - np.array(lams)[:, None, None] * _EYE)
     null = vh.conj()
     # a repeated eigenvalue may still span several null directions;

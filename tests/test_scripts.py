@@ -53,18 +53,25 @@ def test_bench_pairs_summary():
     assert bench_pairs.parse_seeds("401-403,7") == [401, 402, 403, 7]
     parent = [100, 104, 98, 102, 101, 99, 103, 100, 97, 105]
     change = [130, 128, 131, 99, 126, 127, 129, 132, 125, 128]
-    pairs = [({"rate": p, "ms": 1 / p}, {"rate": c, "ms": 1 / c}) for p, c in zip(parent, change)]
+    ops = {"failed": 0, "attempted": 1000}
+    pairs = [({"rate": p, "ms": 1 / p, **ops}, {"rate": c, "ms": 1 / c, **ops})
+             for p, c in zip(parent, change)]
     rate, ms = bench_pairs.summarize(pairs, {"rate": "higher", "ms": "lower"})
     assert (rate["metric"], rate["parent"], rate["change"]) == ("rate", 100.5, 128)
     assert rate["parent_quartiles"] == [99.25, 102.75]
     assert rate["relative"] == (128 - 100.5) / 100.5
     assert (rate["wins"], rate["pairs"]) == (9, 10) and rate["clear"]
     assert ms["wins"] == 9 and ms["change"] == 1 / 128 and ms["clear"]
+    assert rate["failed_share"] == [0, 0]
     assert bench_pairs.format_row(rate).startswith("rate ")
     # 8 of 9 wins, too few pairs, or a move inside the parent's quartile spread is not clear
     assert not bench_pairs.summarize(pairs[1:], {"rate": "higher"})[0]["clear"]
     assert not bench_pairs.summarize(pairs[:3], {"rate": "higher"})[0]["clear"]
-    noisy = [({"rate": p}, {"rate": p + 1}) for p in range(90, 140, 5)]
+    noisy = [({"rate": p, **ops}, {"rate": p + 1, **ops}) for p in range(90, 140, 5)]
     assert not bench_pairs.summarize(noisy, {"rate": "higher"})[0]["clear"]
+    # nor is a gain bought with a larger share of failed ops
+    failing = [(p, {**c, "failed": 1}) for p, c in pairs]
+    rate = bench_pairs.summarize(failing, {"rate": "higher"})[0]
+    assert rate["failed_share"] == [0, 0.001] and not rate["clear"]
     # one pair: the quartiles are its value
     assert bench_pairs.summarize(pairs[:1], {"rate": "higher"})[0]["parent_quartiles"] == [100, 100]

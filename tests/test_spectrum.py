@@ -791,6 +791,24 @@ class TestOracleKernelsBitwise:
             assert _bits(pairing_distance(values, oracle)) == _bits(
                 _pairing_distance_reference(values, oracle))
 
+    def test_small_rates(self):
+        # every rate below 1e-4: p' at a simple root is of order max|H|**3, far
+        # below one, and the polish must still run where the reference's ran
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            s = 10.0 ** rng.uniform(-8, -5)
+            h = s * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            assert self._assert_oracle_matches(h, None)
+            p = SystemParams(s * 3.0 * rng.random(), s * 1.2 * rng.random(), s)
+            assert self._assert_oracle_matches(build_hamiltonian(p), -p.j)
+        # a near-double root at rates 1e-9 to 1e-7: |p'| falls below the
+        # reference's absolute 1e-30, which must still skip the polish there
+        for _ in range(100):
+            s, d = 10.0 ** rng.uniform(-9, -7), 10.0 ** rng.uniform(-9, -5)
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            h = s * (q @ np.diag([1.0, 1.0 + d, 2.0 + 1j, -1.5]) @ q.conj().T)
+            assert self._assert_oracle_matches(h, None)
+
     def test_singular_matrices_take_the_np_roots_branch(self):
         for h in _SINGULAR:
             coeff = spectrum._char_poly(h)
