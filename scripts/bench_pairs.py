@@ -12,6 +12,8 @@ medians, the relative move, the parent's quartiles, the number of pairs in
 which the change is better, and whether the move is clear: at least 10 pairs,
 the change better in at least 9 of 10, the medians further apart than the
 parent's quartile spread, and no larger share of failed ops than the parent's.
+A metric whose change median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json (a relative move) is marked regressed.
 
 Usage (from the repository root):
 
@@ -57,15 +59,19 @@ def _failed_share(sides: list[dict]) -> float:
     return sum(s["failed"] for s in sides) / max(1, sum(s["attempted"] for s in sides))
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of better ({name: "lower" | "higher"}) from (parent, change) pairs.
 
     Each pair holds the two sides' metric values of one seed and their
     "failed" and "attempted" op counts.  A pair counts as a win when the change
     is strictly better; the move is clear when there are at least 10 pairs, at
     least 90% of them are wins, the medians differ by more than the parent's
-    interquartile range and the change fails no larger share of its ops.
+    interquartile range and the change fails no larger share of its ops.  A
+    metric with a bound ({name: relative move}) is regressed when the change
+    median is worse than the parent's by more than bound times the parent's.
     """
+    bounds = bounds or {}
     failed = [_failed_share([p for p, _ in pairs]), _failed_share([c for _, c in pairs])]
     rows = []
     for name, direction in better.items():
@@ -75,6 +81,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = _quartiles(parent)
+        bound = bounds.get(name)
         rows.append({
             "metric": name, "parent": p_med, "change": c_med,
             "relative": (c_med - p_med) / p_med if p_med else 0.0,
@@ -82,15 +89,19 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "failed_share": failed,
             "clear": (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
                       and abs(c_med - p_med) > q3 - q1 and failed[1] <= failed[0]),
+            "bound": bound,
+            "regressed": bound is not None and sign * (p_med - c_med) > bound * abs(p_med),
         })
     return rows
 
 
 def format_row(row: dict) -> str:
     q1, q3 = row["parent_quartiles"]
+    bound = "" if row["bound"] is None else f" bound {row['bound']:.0%}"
     return (f"{row['metric']:14s} {row['parent']:.4g} -> {row['change']:.4g} "
             f"({row['relative']:+.1%}) [{q1:.4g}, {q3:.4g}] "
-            f"{row['wins']}/{row['pairs']}{'  clear' if row['clear'] else ''}")
+            f"{row['wins']}/{row['pairs']}{bound}{'  clear' if row['clear'] else ''}"
+            f"{'  REGRESSED' if row['regressed'] else ''}")
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -135,6 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     if subprocess.run(["git", "diff", "--quiet", args.parent, "--"], cwd=ROOT).returncode == 0:
         parser.error(f"the working tree's tracked files equal {args.parent}'s: "
                      "name the parent revision with --parent")
@@ -151,9 +163,9 @@ def main(argv=None) -> int:
             print(f"seed {seed} ({sides[0][0]} first): " + "  ".join(
                 f"{name} {got['parent'][name]:.4g}/{got['change'][name]:.4g}" for name in better),
                 flush=True)
-    rows = summarize(pairs, better)
+    rows = summarize(pairs, better, bounds)
     print(f"{args.workload}, {len(pairs)} pairs: median parent -> change (move) "
-          "[parent quartiles] change-better pairs")
+          "[parent quartiles] change-better pairs, regression bound")
     for row in rows:
         print("  " + format_row(row))
     print("  failed ops: parent {:.2%}, change {:.2%}".format(*rows[0]["failed_share"]))

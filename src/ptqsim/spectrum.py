@@ -26,6 +26,16 @@ numpy divides a complex128 by 3 with Smith's algorithm, which multiplies by
 form divided a numpy complex: E3 and E4 (their terms carry the cube root of
 unity, a numpy scalar there) and E2 on the z < 0 branch where the root was
 rotated by it.  Every other E2 is a true division there as here.
+
+A point is solved once: the first _eigenvalues call on a SystemParams instance
+stores its (E1, E2, E3, E4) tuple in that instance's attributes, and later calls
+on it (the phase label, eigenvalues_closed_form, the eigenpair batch, the EP
+probes) return the stored tuple.  The instance is frozen, so the tuple cannot
+go stale, and replace() builds a new instance.  The store is keyed by the
+instance, never by equality: SystemParams(0.0, -0.0) equals SystemParams(0.0,
+0.0) but its E1 = -j has the other sign, and an equality-keyed cache would also
+keep every point alive.  Errors are not stored (a NonFiniteError raises again);
+eq, hash and repr read only the fields, so the store is invisible to them.
 """
 from __future__ import annotations
 
@@ -185,8 +195,28 @@ def _third(c: complex) -> complex:
     return complex((c.real + c.imag * 0.0) * (1 / 3), (c.imag - c.real * 0.0) * (1 / 3))
 
 
+#: The private instance attribute under which _eigenvalues keeps a point's tuple.
+_MEMO_KEY = "_ptqsim_eigenvalues"
+
+
 def _eigenvalues(params: SystemParams) -> tuple:
     """Labeled eigenvalues (E1, E2, E3, E4) as Python scalars; E1 = -j exactly.
+
+    Solved once per SystemParams instance: the tuple is kept on the instance
+    (see the module docstring), and a raised error is not kept.  It is read
+    with getattr and set with object.__setattr__, as the frozen dataclass's
+    own __init__ sets its fields: touching params.__dict__ would make CPython
+    build a dict for the instance and slow every later field read.
+    """
+    values = getattr(params, _MEMO_KEY, None)
+    if values is None:
+        values = _solve_eigenvalues(params)
+        object.__setattr__(params, _MEMO_KEY, values)
+    return values
+
+
+def _solve_eigenvalues(params: SystemParams) -> tuple:
+    """The closed-form solve behind _eigenvalues.
 
     The invariant z scales as the sixth power of the rates and underflows
     below about 1e-52, so rates below 2**-150 are solved at unit scale, by
@@ -198,7 +228,7 @@ def _eigenvalues(params: SystemParams) -> tuple:
         e = math.frexp(scale)[1]
         unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
         return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
-                     for c in _eigenvalues(unit))
+                     for c in _solve_eigenvalues(unit))
     y, v, rotated = _branch_pair(params)
     sum2 = j + v + y
     return (-j, _third(sum2) if rotated else sum2 / 3.0,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
@@ -14,6 +15,23 @@ def pytest_runtest_logreport(report):
     if match and report.when == "call":
         status = "PASS" if report.passed else "FAIL"
         print(f"\n[acceptance] criterion {match.group(1)}: {status}", flush=True)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test; returns a reader of its calls."""
+
+    def install(module, name):
+        fn, count = getattr(module, name), [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return lambda: count[0]
+
+    return install
 
 
 def run_cli(args, timeout=300):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import column, parse_csv, run_cli
+from ptqsim import spectrum
 from ptqsim.cli import MAGIC, _emit, _fmt, _jsonable, main
 
 
@@ -136,6 +137,21 @@ class TestConcurrenceCommand:
         assert header == ["j", "c_psi3", "c_psi4", "c_closed_psi3", "c_closed_psi4"]
         c3 = column(cols, "c_psi3")
         assert np.all(np.diff(c3) < 0)  # falls with j below the critical point
+
+    @pytest.mark.parametrize("argv, n, probes", [
+        (["concurrence", "--omega", 2.0, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
+          "--n", 7], 7, 0),
+        (["reproduce", "fig3a"], 121, 3),
+        (["reproduce", "fig3b"], 201, 4),
+    ])
+    def test_one_eigenpair_solve_per_point(self, capsys, count_calls, argv, n, probes):
+        """Psi3 and Psi4 come from one eigenvector solve; every eigenvalue solve is one point's."""
+        eigenpairs = count_calls(spectrum, "_closed_form_eigenpairs")
+        solves = count_calls(spectrum, "_solve_eigenvalues")
+        assert invoke(capsys, *argv)[0] == 0
+        assert eigenpairs() == n
+        # the swept points, plus the bracket ends and root probes of fig3's locate_ep
+        assert solves() == n + probes
 
 
 class TestEvolveCommand:

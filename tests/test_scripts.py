@@ -1,6 +1,7 @@
 """End-to-end runs of the bundled scripts in a subprocess."""
 import hashlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -75,3 +76,39 @@ def test_bench_pairs_summary():
     assert rate["failed_share"] == [0, 0.001] and not rate["clear"]
     # one pair: the quartiles are its value
     assert bench_pairs.summarize(pairs[:1], {"rate": "higher"})[0]["parent_quartiles"] == [100, 100]
+    # a median worse than the parent's by more than the metric's bound is regressed
+    directions, bounds = {"rate": "higher", "ms": "lower"}, {"rate": 0.25, "ms": 0.25}
+    assert not any(row["regressed"] for row in bench_pairs.summarize(pairs, directions, bounds))
+
+    def slower(factor):
+        return [(p, {**p, "rate": p["rate"] * factor, "ms": p["ms"] / factor}) for p, _ in pairs]
+
+    rate, ms = bench_pairs.summarize(slower(0.7), directions, bounds)
+    assert rate["regressed"] and ms["regressed"] and rate["bound"] == ms["bound"] == 0.25
+    assert "bound 25%" in bench_pairs.format_row(rate) and "REGRESSED" in bench_pairs.format_row(ms)
+    rate, ms = bench_pairs.summarize(slower(0.85), directions, bounds)
+    assert not rate["regressed"] and not ms["regressed"]
+    # a metric without a bound is never regressed
+    rate = bench_pairs.summarize(slower(0.1), {"rate": "higher"})[0]
+    assert rate["bound"] is None and not rate["regressed"]
+    assert "REGRESSED" not in bench_pairs.format_row(rate)
+
+
+def _readme_entry_points() -> list[str]:
+    """The names in the README's "Library entry points" import block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library entry points", 1)[1]
+    block = section.split("from ptqsim import (", 1)[1].split(")", 1)[0]
+    return [name.strip() for name in block.split(",") if name.strip()]
+
+
+def test_readme_lists_every_public_function():
+    import ptqsim
+
+    listed = _readme_entry_points()
+    assert len(listed) == len(set(listed))
+    for name in listed:
+        assert hasattr(ptqsim, name), name
+    functions = {name for name, obj in vars(ptqsim).items()
+                 if not name.startswith("_") and inspect.isfunction(obj)}
+    assert functions - set(listed) == set()

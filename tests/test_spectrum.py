@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -24,8 +25,13 @@ from ptqsim import (
     spectrum_oracle,
 )
 from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
-from ptqsim.errors import NearDefectiveError, NoConvergenceError, OmegaSingularError
-from ptqsim import entanglement, locate_ep, spectrum
+from ptqsim.errors import (
+    NearDefectiveError,
+    NoConvergenceError,
+    NonFiniteError,
+    OmegaSingularError,
+)
+from ptqsim import cli, entanglement, locate_ep, spectrum
 from ptqsim.model import SIGMA_YY
 from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap
 
@@ -552,6 +558,89 @@ class TestScalarBatchPhaseAgreement:
         assert broken.any() and not broken.all() and 0 < near.sum() < (~broken).sum()
         crossing_near = [classify_phase(p).phase is Phase.NEAR_EP for p in crossings]
         assert any(crossing_near) and not all(crossing_near)
+
+
+@pytest.fixture
+def solves(count_calls):
+    """The number of closed-form eigenvalue solves since the test started."""
+    return count_calls(spectrum, "_solve_eigenvalues")
+
+
+class TestEigenvalueMemo:
+    """A SystemParams instance is solved once; the stored tuple never leaks or goes stale."""
+
+    def test_label_then_values_solve_once(self, solves):
+        p = SystemParams(2.0, 0.7, 1.0)
+        label = classify_phase(p)
+        values = eigenvalues_closed_form(p)
+        assert solves() == 1
+        assert label == _classify_reference(p)
+        assert _bits(values).tolist() == _bits(_eigenvalues_reference(p)).tolist()
+        eigenvectors_closed_form(p)
+        classify_phase(p)
+        assert solves() == 1
+
+    def test_spectrum_command_solves_once(self, solves, tmp_path):
+        for argv in (["--omega", "2", "--j", "0.4"], ["--omega", "0", "--j", "0.3"]):
+            before = solves()
+            assert cli.main(["spectrum", *argv, "--out", str(tmp_path / "s.json")]) == 0
+            assert solves() - before == 1
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_equal_points_keep_their_own_signed_zero(self, first):
+        points = [(j, SystemParams(0.0, j, 1.0)) for j in (first, -first)]
+        assert points[0][1] == points[1][1] and hash(points[0][1]) == hash(points[1][1])
+        for j, p in points:  # `first` is solved first
+            e1 = eigenvalues_closed_form(p)[0]
+            assert e1 == 0 and math.copysign(1.0, e1.real) == -math.copysign(1.0, j)
+        for j, p in points:  # and again, from the store
+            assert math.copysign(1.0, classify_phase(p).max_imag) == 1.0
+            assert math.copysign(1.0, eigenvalues_closed_form(p)[0].real) == -math.copysign(1.0, j)
+
+    def test_returned_array_is_a_copy(self):
+        p = SystemParams(1.7, 0.45, 1.0)
+        values = eigenvalues_closed_form(p)
+        want = values.copy()
+        values[:] = 0
+        assert _bits(eigenvalues_closed_form(p)).tolist() == _bits(want).tolist()
+        assert classify_phase(p).max_imag == np.abs(want.imag).max()
+
+    def test_eq_hash_repr_and_replace_ignore_the_store(self):
+        solved, fresh = SystemParams(2.0, 0.4, 1.0), SystemParams(2.0, 0.4, 1.0)
+        eigenvalues_closed_form(solved)
+        assert spectrum._MEMO_KEY in vars(solved) and spectrum._MEMO_KEY not in vars(fresh)
+        assert solved == fresh and hash(solved) == hash(fresh)
+        assert repr(solved) == repr(fresh) == "SystemParams(omega=2.0, j=0.4, gamma=1.0)"
+        assert dataclasses.asdict(solved) == {"omega": 2.0, "j": 0.4, "gamma": 1.0}
+        for moved in (solved.replace(j=0.7), dataclasses.replace(solved, j=0.7)):
+            assert spectrum._MEMO_KEY not in vars(moved)
+            assert _bits(eigenvalues_closed_form(moved)).tolist() == _bits(
+                _eigenvalues_reference(SystemParams(2.0, 0.7, 1.0))).tolist()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solved.j = 0.7
+
+    def test_errors_are_not_stored(self, solves):
+        p = SystemParams(1e200, 1e200, 1.0)
+        for k in range(1, 4):
+            with pytest.raises(NonFiniteError):
+                classify_phase(p)
+            assert solves() == k
+        with pytest.raises(NonFiniteError):
+            eigenvalues_closed_form(p)
+        assert solves() == 4 and spectrum._MEMO_KEY not in vars(p)
+
+    def test_tiny_rates_stay_bitwise(self, solves):
+        points = [SystemParams(*r) for r in _EDGE_POINTS if 0 < spectrum._rate_scale(
+            SystemParams(*r)) < 2.0**-150]
+        assert len(points) >= 4
+        for p in points:
+            want = _bits(_eigenvalues_reference(p)).tolist()
+            before = solves()
+            assert _bits(eigenvalues_closed_form(p)).tolist() == want
+            assert solves() - before == 2  # the point and its fresh unit-scale instance
+            assert classify_phase(p) == _classify_reference(p)
+            assert _bits(eigenvalues_closed_form(p)).tolist() == want
+            assert solves() - before == 2
 
 
 @given(params_st)
