@@ -21,18 +21,21 @@ Usage (from the repository root):
     python3 scripts/bench_pairs.py --workload scan --seeds 1,2,3 --parent HEAD~1
 
 The parent revision (default HEAD: the comparison is then against uncommitted
-changes) is checked out with `git worktree add --detach` in a temporary
-directory, which is removed afterwards.  The script refuses a parent whose
-tracked files equal the working tree's: it would compare the code with itself.
+changes) is exported with `git archive` into a temporary directory, which is
+removed afterwards; a run writes nothing under .git and registers no worktree.
+The script refuses a parent whose tracked files equal the working tree's: it
+would compare the code with itself.
 The last line of stdout is one JSON object with every row.
 """
 import argparse
 import contextlib
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -122,17 +125,17 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 @contextlib.contextmanager
-def parent_checkout(rev: str):
-    """A temporary detached worktree of rev, removed on exit."""
+def parent_checkout(rev: str, root: Path):
+    """The tracked files of rev in repository root, exported to a temporary directory removed on exit."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             cwd=root, check=True, capture_output=True).stdout
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     path = tmp / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(path), rev],
-                   cwd=ROOT, check=True, capture_output=True)
     try:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(path, filter="data")
         yield path
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                       cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -152,7 +155,7 @@ def main(argv=None) -> int:
                      "name the parent revision with --parent")
 
     pairs = []
-    with parent_checkout(args.parent) as parent:
+    with parent_checkout(args.parent, ROOT) as parent:
         for i, seed in enumerate(args.seeds):
             sides = [("parent", parent), ("change", ROOT)]
             if i % 2:

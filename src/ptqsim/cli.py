@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import detect_revivals, initial_state, propagate
-from .entanglement import concurrence_pure, eigenstate_concurrence_closed
+from .entanglement import eigenstate_concurrence_closed, eigenstate_concurrence_wootters
 from .ep import ep_curve, locate_ep
 from .errors import NumericalError, OmegaSingularError, ValidationError
 from .model import SystemParams
@@ -29,7 +29,6 @@ from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
     classify_phase,
     eigenvalues_closed_form,
-    eigenvectors_closed_form,
     spectrum_closed_form,
     spectrum_oracle,
 )
@@ -220,17 +219,9 @@ def cmd_ep_curve(args) -> int:
     return 0
 
 
-def _wootters_pair(params: SystemParams) -> tuple[float, float]:
-    """Wootters concurrences of Psi3 and Psi4 from one eigenvector solve.
-
-    The values and errors of eigenstate_concurrence_wootters(params, s), s = 3, 4.
-    """
-    vecs = eigenvectors_closed_form(params)
-    return concurrence_pure(vecs[2]), concurrence_pure(vecs[3])
-
-
 def _concurrence_row(params: SystemParams):
-    c3, c4 = _wootters_pair(params)
+    c3 = eigenstate_concurrence_wootters(params, 3)
+    c4 = eigenstate_concurrence_wootters(params, 4)
     cc3 = eigenstate_concurrence_closed(params, 3, check=False)
     cc4 = eigenstate_concurrence_closed(params, 4, check=False)
     return c3, c4, cc3, cc4
@@ -356,7 +347,8 @@ def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     rows = []
     for x in np.linspace(sweep[0], sweep[1], n):
         p = SystemParams(**{fix: fixed_value, axis: float(x)}, gamma=1.0)
-        rows.append([x, *_wootters_pair(p)])
+        rows.append([x, eigenstate_concurrence_wootters(p, 3),
+                     eigenstate_concurrence_wootters(p, 4)])
     header = [axis, "c_psi3", "c_psi4"]
     critical = {"j_c": point.j_c} if axis == "j" else {"omega_c": point.omega_c}
     desc = f"{fix}={_fmt(fixed_value)} gamma=1 {axis}={_fmt(sweep[0])}:{_fmt(sweep[1])} n={n}"

@@ -36,6 +36,14 @@ instance, never by equality: SystemParams(0.0, -0.0) equals SystemParams(0.0,
 0.0) but its E1 = -j has the other sign, and an equality-keyed cache would also
 keep every point alive.  Errors are not stored (a NonFiniteError raises again);
 eq, hash and repr read only the fields, so the store is invisible to them.
+
+The eigenpair is solved once the same way: the first _eigenpair call on an
+instance stores its (eigenvectors, H, max residual), and eigenvectors_closed_form,
+spectrum_closed_form (which gives the stored H to the oracle) and the
+concurrences built on them (Psi3 and Psi4 of one point) read it.  Callers get
+copies of the vectors; the stored arrays are read-only.  An OmegaSingularError
+or NearDefectiveError raises again on every call.  Explicit eigenvalues and the
+sweep batch (every sweep point is a new instance) bypass the store.
 """
 from __future__ import annotations
 
@@ -267,13 +275,36 @@ def eigenvectors_closed_form(
 ) -> np.ndarray:
     """Unit right eigenvectors as the rows of a (4, 4) array, phase-fixed; Psi1 is the singlet.
 
-    eigenvalues, when given, are the point's closed-form E1..E4, shape (4,).
-    A batch of one of _closed_form_eigenpairs: residuals ||Hv - Ev|| are
-    checked against RESIDUAL_TOL (relaxed to NEAR_EP_RESIDUAL_TOL when the
-    smallest eigenvalue gap is below NEAR_EP_GAP), each times _tolerance_scale.
+    eigenvalues, when given, are the point's closed-form E1..E4, shape (4,),
+    and the vectors are solved from them; without them they are a copy of
+    the instance's stored _eigenpair.  Either way a batch of one of
+    _closed_form_eigenpairs: residuals ||Hv - Ev|| are checked against
+    RESIDUAL_TOL (relaxed to NEAR_EP_RESIDUAL_TOL when the smallest
+    eigenvalue gap is below NEAR_EP_GAP), each times _tolerance_scale.
     """
-    values = None if eigenvalues is None else np.asarray(eigenvalues)[None]
-    return _closed_form_eigenpairs([params], values)[0][0]
+    if eigenvalues is None:
+        return _eigenpair(params)[0].copy()
+    return _closed_form_eigenpairs([params], np.asarray(eigenvalues)[None])[0][0]
+
+
+#: The private instance attribute under which _eigenpair keeps a point's eigenpair.
+_EIGENPAIR_KEY = "_ptqsim_eigenpair"
+
+
+def _eigenpair(params: SystemParams) -> tuple:
+    """(eigenvectors, H, max residual) of one point: read-only (4, 4) arrays and a float.
+
+    Solved once per SystemParams instance, stored as _eigenvalues stores its
+    tuple (see the module docstring); a raised error is not kept.
+    """
+    pair = getattr(params, _EIGENPAIR_KEY, None)
+    if pair is None:
+        vecs, h, residuals = _closed_form_eigenpairs([params])
+        vecs, h = vecs[0], h[0]
+        vecs.flags.writeable = h.flags.writeable = False
+        pair = vecs, h, float(residuals[0])
+        object.__setattr__(params, _EIGENPAIR_KEY, pair)
+    return pair
 
 
 def _require_omega(params: SystemParams):
@@ -536,12 +567,12 @@ def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
 def spectrum_closed_form(params: SystemParams) -> Spectrum:
     """Closed-form spectrum, cross-checked against the oracle multiset."""
     values = eigenvalues_closed_form(params)
-    vecs, h, residuals = _closed_form_eigenpairs([params], values[None])
-    oracle = eigensystem_oracle(h[0], deflate_root=-params.j)
+    vecs, h, residual = _eigenpair(params)
+    oracle = eigensystem_oracle(h, deflate_root=-params.j)
     dev = pairing_distance(values, oracle.eigenvalues)
     if dev > 1e-9 * _tolerance_scale(_rates([params]))[0]:
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
-    return Spectrum(values, vecs[0], Source.CLOSED_FORM, float(residuals[0]))
+    return Spectrum(values, vecs.copy(), Source.CLOSED_FORM, residual)
 
 
 def spectrum_oracle(params: SystemParams) -> Spectrum:

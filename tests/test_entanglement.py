@@ -13,6 +13,7 @@ from ptqsim import (
     locate_ep,
     scan_closed_form_discrepancies,
 )
+from ptqsim import spectrum
 from ptqsim.errors import DiscrepancyError, InvalidDensityError, NotNormalizedError
 
 SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2)
@@ -143,6 +144,33 @@ class TestClosedFormEigenstateConcurrence:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             eigenstate_concurrence_closed(SystemParams(2.0, 0.3, 1.0), 2)
+
+
+class TestOneEigenpairSolvePerPoint:
+    """Psi3 and Psi4 of one SystemParams instance come from one eigenpair solve."""
+
+    def test_scan_solves_each_point_once(self, count_calls):
+        solves = count_calls(spectrum, "_closed_form_eigenpairs")
+        points = [SystemParams(2.0, j, 1.0) for j in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        records = scan_closed_form_discrepancies(points)
+        assert len(records) == 10 and solves() == 5
+        fresh = scan_closed_form_discrepancies(
+            [SystemParams(p.omega, p.j, p.gamma) for p in points])
+        assert fresh == records and solves() == 10
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])  # the closed form agrees only at gamma = 0
+    def test_checked_closed_forms_solve_once(self, count_calls, gamma):
+        solves = count_calls(spectrum, "_closed_form_eigenpairs")
+        params = SystemParams(1.5, 0.4, gamma)
+        for s in (3, 4):
+            try:
+                value = eigenstate_concurrence_closed(params, s, check=True)
+            except DiscrepancyError as err:
+                assert gamma and err.wootters == eigenstate_concurrence_wootters(params, s)
+            else:
+                assert not gamma
+                assert value == pytest.approx(eigenstate_concurrence_wootters(params, s), abs=1e-6)
+        assert solves() == 1
 
 
 @given(st.integers(0, 2**32 - 1))

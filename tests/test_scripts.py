@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import parse_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +93,39 @@ def test_bench_pairs_summary():
     rate = bench_pairs.summarize(slower(0.1), {"rate": "higher"})[0]
     assert rate["bound"] is None and not rate["regressed"]
     assert "REGRESSED" not in bench_pairs.format_row(rate)
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_bench_pairs_exports_the_parent_without_a_worktree(tmp_path):
+    """The parent is a git archive export: nothing is written under .git; no benchmark runs."""
+    bench_pairs = _bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("parent\n")
+    (repo / "BENCHMARK.json").write_text('{"end_to_end": [], "run_seconds": 1}\n')
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("change\n")
+    git_files = sorted(p.relative_to(repo) for p in (repo / ".git").rglob("*"))
+
+    with bench_pairs.parent_checkout("HEAD", repo) as parent:
+        assert (parent / "perfbench" / "run.py").read_text() == "parent\n"
+        assert not (parent / ".git").exists()
+        assert _git(repo, "worktree", "list").count("\n") == 1
+    assert not parent.exists() and not parent.parent.exists()
+    assert sorted(p.relative_to(repo) for p in (repo / ".git").rglob("*")) == git_files
+
+    # a parent whose tracked files equal the working tree's is refused before any run
+    (repo / "perfbench" / "run.py").write_text("parent\n")
+    bench_pairs.ROOT = repo
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(["--workload", "spectra", "--seeds", "1"])
+    assert refused.value.code == 2
 
 
 def _readme_entry_points() -> list[str]:

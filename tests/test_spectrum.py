@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,6 +19,7 @@ from ptqsim import (
     build_hamiltonian,
     classify_phase,
     concurrence_mixed,
+    concurrence_pure,
     eigensystem_oracle,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
@@ -641,6 +644,139 @@ class TestEigenvalueMemo:
             assert classify_phase(p) == _classify_reference(p)
             assert _bits(eigenvalues_closed_form(p)).tolist() == want
             assert solves() - before == 2
+
+
+@pytest.fixture
+def pair_solves(count_calls):
+    """The number of closed-form eigenpair solves since the test started."""
+    return count_calls(spectrum, "_closed_form_eigenpairs")
+
+
+class TestEigenpairMemo:
+    """A SystemParams instance's eigenpair is solved once; the stored arrays never leak."""
+
+    def test_spectra_op_solves_once(self, pair_solves):
+        """The questions a spectra benchmark op asks of one point make one solve."""
+        points = _spectra_pool(200, 14)
+        refused = 0
+        for p in points:
+            try:
+                spectrum_closed_form(p)
+            except OmegaSingularError:
+                spectrum_oracle(p)
+            try:
+                for s in (3, 4):
+                    entanglement.eigenstate_concurrence_wootters(p, s)
+                    entanglement.eigenstate_concurrence_closed(p, s, check=False)
+            except OmegaSingularError:
+                refused += 1
+        assert refused == 10  # the omega = 0 points: refused, solved again, not stored
+        assert pair_solves() == len(points) + refused
+
+    def test_returned_arrays_are_copies(self, pair_solves):
+        p = SystemParams(1.7, 0.45, 1.0)
+        want = eigenvectors_closed_form(p)
+        spec = spectrum_closed_form(p)
+        assert spec.eigenvectors.tobytes() == want.tobytes()
+        for got in (eigenvectors_closed_form(p), spec.eigenvectors):
+            got[:] = 0
+            assert eigenvectors_closed_form(p).tobytes() == want.tobytes()
+            assert spectrum_closed_form(p).eigenvectors.tobytes() == want.tobytes()
+        assert entanglement.eigenstate_concurrence_wootters(p, 3) == concurrence_pure(want[2])
+        assert pair_solves() == 1
+
+    @pytest.mark.parametrize("params", [SystemParams(0.0, 0.3, 1.0), SystemParams(1e-7, 0.3, 1.0)],
+                             ids=["omega-singular", "near-defective"])
+    def test_errors_are_not_stored(self, pair_solves, params):
+        calls = [eigenvectors_closed_form, spectrum_closed_form,
+                 lambda p: entanglement.eigenstate_concurrence_wootters(p, 3)]
+        for k, call in enumerate(calls * 2, start=1):
+            with pytest.raises((OmegaSingularError, NearDefectiveError)) as err:
+                call(params)
+            assert isinstance(err.value, OmegaSingularError) == (params.omega == 0.0)
+            assert pair_solves() == k
+        assert spectrum._EIGENPAIR_KEY not in vars(params)
+        assert set(vars(params)) <= {"omega", "j", "gamma", spectrum._MEMO_KEY}
+
+    @pytest.mark.parametrize("omega", [2.0, -2.0])  # omega < 0 carries j's zero sign into H
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_equal_points_keep_their_own_signed_zeros(self, monkeypatch, omega, first):
+        given = []
+
+        def oracle(h, deflate_root=None):
+            given.append(h.tobytes())
+            return eigensystem_oracle(h, deflate_root)
+
+        monkeypatch.setattr(spectrum, "eigensystem_oracle", oracle)
+        points = [SystemParams(omega, j, 1.0) for j in (first, -first)]
+        assert points[0] == points[1]
+        hams = [build_hamiltonian(p).tobytes() for p in points]
+        assert (hams[0] == hams[1]) == (omega > 0)
+        for _ in range(2):  # solved, then from the store
+            for p, ham in zip(points, hams):
+                spec = spectrum_closed_form(p)
+                assert given.pop() == ham
+                assert _bits(spec.eigenvalues).tolist() == _bits(_eigenvalues_reference(p)).tolist()
+                assert math.copysign(1.0, spec.eigenvalues[0].real) == -math.copysign(1.0, p.j)
+
+    def test_eq_hash_repr_and_replace_ignore_the_store(self):
+        solved, fresh = SystemParams(2.0, 0.4, 1.0), SystemParams(2.0, 0.4, 1.0)
+        spectrum_closed_form(solved)
+        assert spectrum._EIGENPAIR_KEY in vars(solved) and not vars(fresh).keys() - {
+            "omega", "j", "gamma"}
+        assert solved == fresh and hash(solved) == hash(fresh)
+        assert repr(solved) == repr(fresh) == "SystemParams(omega=2.0, j=0.4, gamma=1.0)"
+        assert dataclasses.asdict(solved) == {"omega": 2.0, "j": 0.4, "gamma": 1.0}
+        for moved in (solved.replace(j=0.7), dataclasses.replace(solved, j=0.7)):
+            assert spectrum._EIGENPAIR_KEY not in vars(moved)
+            assert eigenvectors_closed_form(moved).tobytes() == _closed_form_eigenpairs(
+                [SystemParams(2.0, 0.7, 1.0)])[0][0].tobytes()
+
+    def test_threads_racing_on_one_instance_see_the_same_bits(self):
+        points = [SystemParams(om, 0.4, 1.0) for om in np.linspace(0.5, 2.5, 40).tolist()]
+        want = [_closed_form_eigenpairs([SystemParams(p.omega, p.j, p.gamma)])[0][0].tobytes()
+                for p in points]
+        got = {k: [] for k in range(len(points))}
+
+        def work():
+            for k, p in enumerate(points):
+                got[k].append(spectrum_closed_form(p).eigenvectors.tobytes())
+                got[k].append(eigenvectors_closed_form(p).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got[k] == [want[k]] * 12 for k in range(len(points)))
+
+    def test_stored_and_fresh_solves_are_bitwise_equal(self):
+        for p in _seeded_points(60) + _spectra_pool(60, 15):
+            if p.omega == 0.0:
+                continue
+            vecs, h, residuals = _closed_form_eigenpairs([SystemParams(p.omega, p.j, p.gamma)])
+            for _ in range(2):  # solved, then from the store
+                try:
+                    spec = spectrum_closed_form(p)
+                except NoConvergenceError:
+                    spec = None
+                got = eigenvectors_closed_form(p)
+                assert got.tobytes() == vecs[0].tobytes()
+                assert got.tobytes() == eigenvectors_closed_form(
+                    p, eigenvalues_closed_form(p)).tobytes()
+                if spec is not None:
+                    assert spec.eigenvectors.tobytes() == vecs[0].tobytes()
+                    assert _bits(spec.max_residual) == _bits(residuals[0])
+                stored_vecs, stored_h, stored_residual = spectrum._eigenpair(p)
+                assert stored_h.tobytes() == h[0].tobytes() == build_hamiltonian(p).tobytes()
+                assert not stored_vecs.flags.writeable and not stored_h.flags.writeable
+                assert _bits(stored_residual) == _bits(residuals[0])
 
 
 @given(params_st)
