@@ -6,7 +6,18 @@ follow), then a header row.  Complex numbers are exported as ``re_*`` /
 ``im_*`` column pairs; undefined values are left empty next to a ``flag``
 column.  JSON output is one object with ``params``, ``results`` and
 ``diagnostics`` keys.  Exit codes: 0 success, 2 validation/usage error,
-3 numerical failure.  Identical configurations produce byte-identical files.
+3 numerical failure; an --out that cannot be written (a missing directory, a
+directory) exits 2 and names the OSError.  Identical configurations produce
+byte-identical files.
+
+``--out PATH`` is rewritten in place: opened without truncation (created with
+mode 0o666 less the umask, as ``open(PATH, "w")`` creates it), written, then
+cut to the new length when it is a regular file, so ``/dev/null``, FIFOs and
+``/dev/stdout`` work too.  The bytes, inode, mode, symlink target and hard
+links come out as ``open(PATH, "w")`` leaves them.  Truncating a file to zero
+bytes first would make ext4 (with its default ``auto_da_alloc``) flush it to
+disk on close, which costs more than writing a small table; a run that rewrites
+one file per call, as a benchmark loop does, would pay that flush every time.
 """
 from __future__ import annotations
 
@@ -14,7 +25,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -68,11 +81,14 @@ def _jsonable(x):
 
 
 def _write(out_path: str, text: str):
+    """Write text to stdout ("-") or to out_path, rewritten in place (see the module docstring)."""
     if out_path == "-":
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()  # at the end of the new bytes: drops a longer file's stale tail
 
 
 def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict,
@@ -498,7 +514,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

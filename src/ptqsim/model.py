@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +59,24 @@ class SystemParams:
         return SystemParams(**data)
 
 
-def build_hamiltonian(params: SystemParams) -> np.ndarray:
-    """H = (omega*sx - i*gamma*sz)/2 per qubit + j*sz(x)sz as a literal 4x4 complex array.
+class _Point(NamedTuple):
+    """An unchecked (omega, j, gamma): the fields the per-point kernels read, without
+    SystemParams' validation, for points whose rates are already checked."""
 
-    The entries are the float operations the Kronecker-product form
+    omega: float
+    j: float
+    gamma: float
+
+
+def _hamiltonian_entries(om, j, g) -> tuple:
+    """H's distinct entries (d0r, d0i, d1r, d3r, d3i, u, v, w), elementwise in the rates.
+
+    They are the float operations the Kronecker-product form
     kron(s, 1) + kron(1, s) + j*kron(sz, sz) performs, reduced to what
     reaches H, so every bit agrees with it: the signed zeros, which take
     their signs from omega, j and gamma (gamma = -0.0 included), and the
-    halvings of subnormal rates.
+    halvings of subnormal rates.  om, j and g are floats or (n,) arrays.
     """
-    om, j, g = params.omega, params.j, params.gamma
     # zg, zj, t: signed zeros; ho ~ omega/2, hg ~ gamma/2; d*: diagonal; u, w: single
     # flips touching |00>, |11>; v: the (zero) |00>-|11> and |01>-|10> entries
     zg, zj = 0.0 * g, 0.0 * j
@@ -79,12 +88,39 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     u = (0.0 * om + zg + ho) - zj
     v = 0.0 * ho + zj
     w = (ho + t) + zj
-    return np.array([
-        [d0r, d0i, u, 0.0, u, 0.0, v, 0.0],
-        [u, 0.0, d1r, 0.0, v, 0.0, w, 0.0],
-        [u, 0.0, v, 0.0, d1r, 0.0, w, 0.0],
-        [v, 0.0, w, 0.0, w, 0.0, d3r, d3i],
-    ]).view(complex)
+    return d0r, d0i, d1r, d3r, d3i, u, v, w
+
+
+#: H's rows as (re, im) float pairs, each an index into (0.0, *_hamiltonian_entries).
+_LAYOUT = np.array([
+    [1, 2, 6, 0, 6, 0, 7, 0],
+    [6, 0, 3, 0, 7, 0, 8, 0],
+    [6, 0, 7, 0, 3, 0, 8, 0],
+    [7, 0, 8, 0, 8, 0, 4, 5],
+])
+
+
+def build_hamiltonian(params: SystemParams) -> np.ndarray:
+    """H = (omega*sx - i*gamma*sz)/2 per qubit + j*sz(x)sz as a 4x4 complex array.
+
+    Its entries are _hamiltonian_entries', bit for bit the Kronecker-product form's.
+    """
+    entries = _hamiltonian_entries(params.omega, params.j, params.gamma)
+    return np.array((0.0, *entries))[_LAYOUT].view(complex)
+
+
+def _hamiltonians(rates: np.ndarray) -> np.ndarray:
+    """H of each point of (3, n) rates as an (n, 4, 4) array, each build_hamiltonian's bits.
+
+    One point goes through build_hamiltonian: the batch's array operations
+    cost more than its Python floats at n = 1, and a per-point caller builds
+    H point by point.
+    """
+    n = rates.shape[1]
+    if n == 1:
+        return build_hamiltonian(_Point(*rates[:, 0].tolist()))[None]
+    entries = np.array((np.zeros(n), *_hamiltonian_entries(*rates)))
+    return np.ascontiguousarray(entries.T[:, _LAYOUT]).view(complex)
 
 
 def pt_residual_of_matrix(h: np.ndarray) -> float:

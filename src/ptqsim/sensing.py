@@ -9,11 +9,13 @@ the largest rate, when that is below 1) are refused as too close to an EP.
 qfi_from_states keeps the central-difference form (states phase-aligned by
 overlap) as an independent reference.
 
-The kernels work on a leading axis of points.  A sweep solves each point's
-eigenvalues once, refuses the points too close to an EP or at omega ~ 0,
-and passes the rest to one batched call: one closed-form eigenpair solve
-gives every Psi3, and one (psi, dpsi) batch gives the QFI, the coherence
-and its variance together.  qfi, sensitivity_variance and
+The kernels work on a leading axis of points, given as their (3, n) array of
+(omega, j, gamma) rates.  A sweep solves each grid point's eigenvalues once
+(the scalar closed-form kernel on a _Point record, its only per-point Python
+call), then works on the rate array: the finite-value check, the refusals
+(omega ~ 0, then too close to an EP) as masks, one closed-form eigenpair solve
+with one batched H for every Psi3, and one (psi, dpsi) batch for the QFI, the
+coherence and its variance together.  qfi, sensitivity_variance and
 coherence_expectation are batches of one of the same kernels, so a point
 gets the same bits either way.  Sweeps mark the phase transition with
 spectrum's one phase decision (max |Im E| against its threshold) on the
@@ -22,6 +24,7 @@ same closed-form eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,14 +36,17 @@ from .errors import (
     PtqsimError,
     ZeroSlopeError,
 )
-from .model import SIGMA_X1, SystemParams, _require_unit_rows, as_state
+from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
     _min_gap,
+    _omega_singular,
     _phase_probe,
     _rate_scale,
+    _rate_scales,
     _rates,
     _require_omega,
+    _solve_eigenvalues,
     eigenvalues_closed_form,
 )
 
@@ -113,38 +119,34 @@ def _coherence(psi: np.ndarray) -> np.ndarray:
     return value.real
 
 
-def _refusals(points: list[SystemParams], values: np.ndarray) -> list[PtqsimError | None]:
-    """Per point, the error that leaves Psi3's derivative undefined there, or None.
+def _clear_of_ep(gap, scale):
+    """The EP guard: the smallest eigenvalue gap reaches _EP_GUARD_GAP times the rate
+    scale (_rate_scale, so the guard shrinks with the rates below unit scale).
+
+    Elementwise; a NaN gap does not clear it.
+    """
+    return gap >= _EP_GUARD_GAP * scale
+
+
+def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The point's (3, 1) rates and (1, 4) closed-form E1..E4; raises its refusal, if any.
 
     OmegaSingularError comes ahead of EpTooCloseError: at omega ~ 0 the
     singlet and the symmetric sector share E = -j, so the gap guard would
-    name an EP that is not there.  The gap guard is in units of the largest
-    rate below unit scale.
+    name an EP that is not there.
     """
-    refusals = []
-    for p, gap in zip(points, _min_gap(values).tolist()):
-        threshold = _EP_GUARD_GAP * _rate_scale(p)
-        try:
-            _require_omega(p)
-            refusals.append(None if gap >= threshold else EpTooCloseError(
-                f"eigenvalue gap {gap:.3e} below {threshold:.0e}; "
-                "derivative ill-defined this close to the EP"))
-        except OmegaSingularError as exc:
-            refusals.append(exc)
-    return refusals
-
-
-def _guarded(params: SystemParams) -> np.ndarray:
-    """The point's closed-form E1..E4 as a (1, 4) batch; raises its refusal, if any."""
     values = eigenvalues_closed_form(params)[None]
-    refusal = _refusals([params], values)[0]
-    if refusal is not None:
-        raise refusal
-    return values
+    _require_omega(params)
+    gap, scale = float(_min_gap(values)[0]), _rate_scale(params)
+    if not _clear_of_ep(gap, scale):
+        raise EpTooCloseError(
+            f"eigenvalue gap {gap:.3e} below {_EP_GUARD_GAP * scale:.0e}; "
+            "derivative ill-defined this close to the EP")
+    return _rates([params]), values
 
 
 def _psi3_derivative(
-    points: list[SystemParams], kappa: str, values: np.ndarray
+    rates: np.ndarray, kappa: str, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi) rows: each point's unit Psi3 and its exact kappa-derivative, up to psi.
 
@@ -152,11 +154,11 @@ def _psi3_derivative(
     differentiating r2 = -d/omega and r1 = -2(j+E3)d/omega^2 - 1 with
     d = j - E3 + i*gamma gives du.  The normalization and phase fixing only
     add multiples of psi, which the QFI and the coherence slope ignore.
-    values are the points' closed-form E1..E4, shape (n, 4); no point may
-    have a refusal (_refusals).
+    rates are the points' (omega, j, gamma), shape (3, n), and values their
+    closed-form E1..E4, shape (n, 4); no point may have a refusal (_guarded).
     """
-    psi = _closed_form_eigenpairs(points, values)[0][:, 2]
-    om, j, g = _rates(points)
+    psi = _closed_form_eigenpairs(rates, values)[0][:, 2]
+    om, j, g = rates
     e = values[:, 2]
     r2, r1 = psi[:, 1] / psi[:, 0], psi[:, 3] / psi[:, 0]
     d = j - e + 1j * g
@@ -185,13 +187,13 @@ def _variance(m0, slope):
 
 
 def _sense_rows(
-    points: list[SystemParams], kappa: str, values: np.ndarray
+    rates: np.ndarray, kappa: str, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(qfi, m0 = <sigma_x^1>, d m0/d kappa) rows from one batch of (psi, dpsi).
 
     Raises what _closed_form_eigenpairs and _coherence raise.
     """
-    psi, dpsi = _psi3_derivative(points, kappa, values)
+    psi, dpsi = _psi3_derivative(rates, kappa, values)
     m0 = _coherence(psi)
     slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
     return _fisher(psi, dpsi), m0, slope
@@ -203,7 +205,8 @@ def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float]
     Raises the point's refusal (OmegaSingularError, then EpTooCloseError),
     then ZeroSlopeError when the coherence does not move with kappa.
     """
-    f, m0, slope = (float(a[0]) for a in _sense_rows([params], kappa, _guarded(params)))
+    rates, values = _guarded(params)
+    f, m0, slope = (float(a[0]) for a in _sense_rows(rates, kappa, values))
     if abs(slope) < _MIN_SLOPE:
         raise ZeroSlopeError(
             f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12; sensitivity undefined"
@@ -214,7 +217,8 @@ def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float]
 def qfi(params: SystemParams, kappa: str) -> float:
     """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
     _check_kappa(kappa)
-    return float(_fisher(*_psi3_derivative([params], kappa, _guarded(params)))[0])
+    rates, values = _guarded(params)
+    return float(_fisher(*_psi3_derivative(rates, kappa, values))[0])
 
 
 def sensitivity_variance(params: SystemParams, kappa: str) -> float:
@@ -246,44 +250,58 @@ def sensing_sweep(
         base = SystemParams(omega=fixed_value, j=0.0, gamma=gamma)
     else:
         base = SystemParams(omega=1.0, j=fixed_value, gamma=gamma)
-    grid = np.linspace(value_range[0], value_range[1], n).tolist()
+    grid = np.linspace(value_range[0], value_range[1], n)
+    xs = grid.tolist()
+    rate_lists = [[base.omega] * n, [base.j] * n, [base.gamma] * n]
+    rate_lists[("omega", "j").index(kappa)] = xs
+    finite = np.isfinite(grid)
+    first_bad = n if finite.all() else int(finite.argmin())
 
-    points, values, failure = [], [], None
-    for x in grid:
-        try:
-            p = base.replace(**{kappa: x})
-            values.append(eigenvalues_closed_form(p))
-        except (ValueError, NonFiniteError) as exc:
-            failure = exc  # raised after the points before it, as a per-point loop would
-            break
-        points.append(p)
-    values = np.array(values).reshape(-1, 4)
-    flags = [None if refusal is None else type(refusal).__name__.removesuffix("Error")
-             for refusal in _refusals(points, values)]
-    kept = np.flatnonzero([flag is None for flag in flags])
+    values, failure = [], None
+    try:
+        for point in islice(map(_Point, *rate_lists), first_bad):
+            values.append(_solve_eigenvalues(point))
+        if first_bad < n:
+            base.replace(**{kappa: xs[first_bad]})  # raises: SystemParams names the value
+    except (ValueError, NonFiniteError) as exc:
+        failure = exc  # raised after the points before it, as a per-point loop would
+    m = len(values)
+    rates = np.array(rate_lists)[:, :m]
+    values = np.array(values, dtype=complex).reshape(-1, 4)
+    scales = _rate_scales(rates)
+    singular = _omega_singular(rates[0])
+    too_close = ~singular & ~_clear_of_ep(_min_gap(values), scales)
+    flags = np.where(singular, _flag(OmegaSingularError),
+                     np.where(too_close, _flag(EpTooCloseError), None)).tolist()
+    kept = np.flatnonzero(~(singular | too_close))
     f = m0 = slope = np.empty(0)
     if len(kept):
-        f, m0, slope = _sense_rows_in_order([points[k] for k in kept], kappa, values[kept])
+        f, m0, slope = _sense_rows_in_order(rates[:, kept], kappa, values[kept])
     if failure is not None:
         raise failure
 
-    payload = [(float("nan"),) * 4] * len(points)
+    payload = [(float("nan"),) * 4] * m
     moves = np.abs(slope) >= _MIN_SLOPE
     f, m0, slope = f[moves], m0[moves], slope[moves]
     columns = (f, _variance(m0, slope), m0, 1.0 / np.sqrt(f))
     for k, row in zip(kept[moves].tolist(), zip(*(c.tolist() for c in columns))):
         payload[k] = row
     for k in kept[~moves].tolist():
-        flags[k] = "ZeroSlope"
-    broken = _phase_probe(values, np.array([_rate_scale(p) for p in points]))[1]
+        flags[k] = _flag(ZeroSlopeError)
+    broken = _phase_probe(values, scales)[1]
     for i in np.flatnonzero(broken[:-1] != broken[1:]).tolist():
         for k in (i, i + 1):
             if flags[k] is None:
                 flags[k] = "ep_bracket"
-    return [SensingPoint(kappa, x, *row, flag=flag) for x, row, flag in zip(grid, payload, flags)]
+    return [SensingPoint(kappa, x, *row, flag=flag) for x, row, flag in zip(xs, payload, flags)]
 
 
-def _sense_rows_in_order(points, kappa, values):
+def _flag(error: type[PtqsimError]) -> str:
+    """A sweep point's flag for the error it is refused with: the name without Error."""
+    return error.__name__.removesuffix("Error")
+
+
+def _sense_rows_in_order(rates, kappa, values):
     """_sense_rows of a sweep's unflagged points, raising what a per-point loop would.
 
     Each check names the first point it fails on, but two checks may fail on
@@ -291,8 +309,8 @@ def _sense_rows_in_order(points, kappa, values):
     failing point in grid order.  A point's bits do not depend on its batch.
     """
     try:
-        return _sense_rows(points, kappa, values)
+        return _sense_rows(rates, kappa, values)
     except PtqsimError:
-        for k in range(len(points)):
-            _sense_rows(points[k:k + 1], kappa, values[k:k + 1])
+        for k in range(len(values)):
+            _sense_rows(rates[:, k:k + 1], kappa, values[k:k + 1])
         raise

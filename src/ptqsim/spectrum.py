@@ -43,7 +43,9 @@ spectrum_closed_form (which gives the stored H to the oracle) and the
 concurrences built on them (Psi3 and Psi4 of one point) read it.  Callers get
 copies of the vectors; the stored arrays are read-only.  An OmegaSingularError
 or NearDefectiveError raises again on every call.  Explicit eigenvalues and the
-sweep batch (every sweep point is a new instance) bypass the store.
+sweep batch bypass the store: a sweep solves each point's eigenvalues once with
+_solve_eigenvalues on an unchecked _Point record, and its eigenpairs in one
+_closed_form_eigenpairs call on the (3, n) rate array.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ from .errors import (
     NonFiniteError,
     OmegaSingularError,
 )
-from .model import SystemParams, build_hamiltonian
+from .model import SystemParams, _hamiltonians, _Point, build_hamiltonian
 
 _W3 = complex(np.exp(2j * np.pi / 3))  # primitive cube root of unity
 _W3C = _W3.conjugate()
@@ -188,6 +190,11 @@ def _rate_scale(params: SystemParams) -> float:
     return min(1.0, max(abs(params.omega), abs(params.j), abs(params.gamma)))
 
 
+def _rate_scales(rates: np.ndarray) -> np.ndarray:
+    """_rate_scale of each point of (3, n) rates."""
+    return np.minimum(1.0, np.abs(rates).max(axis=0))
+
+
 def _tolerance_scale(rates: np.ndarray) -> np.ndarray:
     """max(1, max(|omega|, |j|, |gamma|)) of each point of (3, n) rates.
 
@@ -210,8 +217,9 @@ _MEMO_KEY = "_ptqsim_eigenvalues"
 def _eigenvalues(params: SystemParams) -> tuple:
     """Labeled eigenvalues (E1, E2, E3, E4) as Python scalars; E1 = -j exactly.
 
-    Solved once per SystemParams instance: the tuple is kept on the instance
-    (see the module docstring), and a raised error is not kept.  It is read
+    Solved once per SystemParams instance by _solve_eigenvalues: the tuple is
+    kept on the instance (see the module docstring), and a raised error is not
+    kept.  It is read
     with getattr and set with object.__setattr__, as the frozen dataclass's
     own __init__ sets its fields: touching params.__dict__ would make CPython
     build a dict for the instance and slow every later field read.
@@ -224,17 +232,18 @@ def _eigenvalues(params: SystemParams) -> tuple:
 
 
 def _solve_eigenvalues(params: SystemParams) -> tuple:
-    """The closed-form solve behind _eigenvalues.
+    """The closed-form solve behind _eigenvalues, of anything with omega, j and gamma.
 
-    The invariant z scales as the sixth power of the rates and underflows
-    below about 1e-52, so rates below 2**-150 are solved at unit scale, by
-    exact power-of-two scaling.
+    A sweep calls it on each _Point, which stores nothing.  The invariant z
+    scales as the sixth power of the rates and underflows below about 1e-52,
+    so rates below 2**-150 are solved at unit scale, by exact power-of-two
+    scaling.
     """
     j = params.j
     scale = _rate_scale(params)
     if 0 < scale < 2.0**-150:
         e = math.frexp(scale)[1]
-        unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
+        unit = _Point(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
         return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
                      for c in _solve_eigenvalues(unit))
     y, v, rotated = _branch_pair(params)
@@ -284,7 +293,7 @@ def eigenvectors_closed_form(
     """
     if eigenvalues is None:
         return _eigenpair(params)[0].copy()
-    return _closed_form_eigenpairs([params], np.asarray(eigenvalues)[None])[0][0]
+    return _closed_form_eigenpairs(_rates([params]), np.asarray(eigenvalues)[None])[0][0]
 
 
 #: The private instance attribute under which _eigenpair keeps a point's eigenpair.
@@ -295,11 +304,14 @@ def _eigenpair(params: SystemParams) -> tuple:
     """(eigenvectors, H, max residual) of one point: read-only (4, 4) arrays and a float.
 
     Solved once per SystemParams instance, stored as _eigenvalues stores its
-    tuple (see the module docstring); a raised error is not kept.
+    tuple (see the module docstring); a raised error is not kept.  The
+    eigenvalues are solved (or read from the store) first, so a point whose
+    cubic invariants overflow raises NonFiniteError ahead of an omega ~ 0 refusal.
     """
     pair = getattr(params, _EIGENPAIR_KEY, None)
     if pair is None:
-        vecs, h, residuals = _closed_form_eigenpairs([params])
+        values = np.array([_eigenvalues(params)], dtype=complex)
+        vecs, h, residuals = _closed_form_eigenpairs(_rates([params]), values)
         vecs, h = vecs[0], h[0]
         vecs.flags.writeable = h.flags.writeable = False
         pair = vecs, h, float(residuals[0])
@@ -307,9 +319,14 @@ def _eigenpair(params: SystemParams) -> tuple:
     return pair
 
 
+def _omega_singular(omega):
+    """The one omega ~ 0 decision, elementwise: the (r1, r2) coefficients divide by omega."""
+    return abs(omega) <= 1e-12
+
+
 def _require_omega(params: SystemParams):
-    """The one omega ~ 0 decision: the (r1, r2) coefficients divide by omega."""
-    if abs(params.omega) <= 1e-12:
+    """Raise OmegaSingularError where _omega_singular holds."""
+    if _omega_singular(params.omega):
         raise OmegaSingularError(
             f"eigenvector coefficients divide by omega (omega={params.omega}); "
             "use the oracle"
@@ -325,31 +342,30 @@ _SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
 _EYE = np.eye(4, dtype=complex)
 
 
-def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray | None = None):
+def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray):
     """(eigenvectors, H, residuals) of n points: shapes (n, 4, 4), (n, 4, 4) and (n,).
 
-    eigenvalues are the points' closed-form E1..E4, shape (n, 4); when None
-    they are solved here.  eigenvectors[i, k] is the unit right eigenvector of
-    eigenvalues[i, k] and residuals[i] the largest ||Hv - Ev|| of point i.
-    Raises OmegaSingularError, then NearDefectiveError, for the first point
-    that fails.  Every operation is elementwise or per point, so a point's
-    bits do not depend on the batch it is in.
+    rates are the points' (omega, j, gamma), shape (3, n), and eigenvalues
+    their closed-form E1..E4, shape (n, 4).  eigenvectors[i, k] is the unit
+    right eigenvector of eigenvalues[i, k] and residuals[i] the largest
+    ||Hv - Ev|| of point i.  Raises OmegaSingularError, then
+    NearDefectiveError, for the first point that fails.  Every operation is
+    elementwise or per point, so a point's bits do not depend on the batch it
+    is in.
     """
-    for p in points:
-        _require_omega(p)
-    if eigenvalues is None:
-        eigenvalues = np.array([_eigenvalues(p) for p in points], dtype=complex)
-    rates = _rates(points)
+    for i, omega in enumerate(rates[0].tolist()):  # cheaper than a mask at n = 1
+        if _omega_singular(omega):
+            _require_omega(_Point(*rates[:, i].tolist()))
     om, j, g = rates[..., None]
     r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[:, 1:])
     norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
-    vecs = np.empty((len(points), 4, 4), dtype=complex)
+    vecs = np.empty((len(eigenvalues), 4, 4), dtype=complex)
     vecs[:, 0] = _SINGLET
     vecs[:, 1:, 0] = norm
     vecs[:, 1:, 1] = vecs[:, 1:, 2] = norm * r2
     vecs[:, 1:, 3] = norm * r1
     vecs[:, 1:] = _phase_fix(vecs[:, 1:])
-    h = np.array([build_hamiltonian(p) for p in points])
+    h = _hamiltonians(rates)
     residuals = np.linalg.norm(
         vecs @ np.swapaxes(h, -1, -2) - eigenvalues[..., None] * vecs, axis=-1).max(axis=-1)
     unit = _tolerance_scale(rates)
@@ -359,10 +375,10 @@ def _closed_form_eigenpairs(points: list[SystemParams], eigenvalues: np.ndarray 
         failed = residuals > tol
         if failed.any():
             i = int(np.argmax(failed))
-            p = points[i]
+            omega, j, gamma = rates[:, i].tolist()
             raise NearDefectiveError(
                 f"eigenvector residual {residuals[i]:.3e} exceeds {tol[i]:.0e} at "
-                f"omega={p.omega}, j={p.j}, gamma={p.gamma} (min gap {gaps[i]:.3e})"
+                f"omega={omega}, j={j}, gamma={gamma} (min gap {gaps[i]:.3e})"
             )
     return vecs, h, residuals
 

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -394,6 +396,78 @@ class TestReproduce:
         for path in paths:
             assert invoke(capsys, "reproduce", "fig3b", "--out", path)[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+_QFI = ["qfi", "--omega", 2, "--j", 0.3]
+
+
+class TestOutFile:
+    """--out rewrites its target in place: what open(path, "w") leaves, without its truncate."""
+
+    @staticmethod
+    def _stdout_bytes(capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        return out.encode()
+
+    def test_shorter_output_leaves_no_stale_tail(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 100_000)
+        want = self._stdout_bytes(capsys, _QFI)
+        assert invoke(capsys, *_QFI, "--out", path)[0] == 0
+        assert path.read_bytes() == want
+
+    def test_symlink_keeps_the_link_and_rewrites_its_target(self, tmp_path, capsys):
+        target, link, hard = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "hard"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target.name)
+        os.link(target, hard)
+        inode = target.stat().st_ino
+        want = self._stdout_bytes(capsys, _QFI)
+        assert invoke(capsys, *_QFI, "--out", link)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == hard.read_bytes() == want
+        assert (target.stat().st_ino, target.stat().st_nlink) == (inode, 2)
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    def test_new_file_mode_is_open_w_under_the_umask(self, tmp_path, capsys, mask):
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        old = os.umask(mask)
+        try:
+            assert invoke(capsys, *_QFI, "--out", ours)[0] == 0
+            with open(theirs, "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(ours.stat().st_mode) == stat.S_IMODE(theirs.stat().st_mode)
+        assert stat.S_IMODE(ours.stat().st_mode) == 0o666 & ~mask
+
+    def test_existing_mode_is_kept(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x")
+        path.chmod(0o600)
+        assert invoke(capsys, *_QFI, "--out", path)[0] == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_dev_null(self, capsys):
+        assert invoke(capsys, *_QFI, "--out", os.devnull) == (0, "", "")
+
+    def test_dash_is_stdout(self, tmp_path, capsys):
+        """`--out -` prints the bytes the pinned file gets."""
+        argv, digest = _JSON_CASES["sense"]
+        out = self._stdout_bytes(capsys, argv + ["--format", "json", "--out", "-"])
+        assert hashlib.sha256(out).hexdigest() == digest
+        assert out == self._stdout_bytes(capsys, argv + ["--format", "json"])
+
+    @pytest.mark.parametrize("target, error", [("missing", "FileNotFoundError"),
+                                               ("directory", "IsADirectoryError")])
+    def test_unwritable_target_exits_2(self, tmp_path, capsys, target, error):
+        path = tmp_path / "no" / "such" / "x.json" if target == "missing" else tmp_path
+        code, out, err = invoke(capsys, *_QFI, "--out", path)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == error
+        assert str(path) in json.loads(err)["message"]
 
 
 class TestQfiCommand:

@@ -23,9 +23,10 @@ from ptqsim.errors import (
     OmegaSingularError,
     ZeroSlopeError,
 )
+from ptqsim import model, sensing
 from ptqsim.model import SIGMA_X1
 from ptqsim.sensing import _sense_point, _sense_rows
-from ptqsim.spectrum import _min_gap
+from ptqsim.spectrum import _min_gap, _rates
 
 SEED = 20260809
 
@@ -347,9 +348,9 @@ class TestBatchedSensing:
         values = np.array([eigenvalues_closed_form(p) for p in points])
         keep = np.flatnonzero(_min_gap(values) >= 1e-4)
         points, values = [points[k] for k in keep], values[keep]
-        batch = _sense_rows(points, kappa, values)
+        batch = _sense_rows(_rates(points), kappa, values)
         for i, p in enumerate(points):
-            one = _sense_rows([p], kappa, values[i:i + 1])
+            one = _sense_rows(_rates([p]), kappa, values[i:i + 1])
             assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
 
 
@@ -377,6 +378,32 @@ class TestSweepErrorOrder:
             sensing_sweep("j", 1e-11, (1e75, 1e20), 2, gamma=0.0)
         with pytest.raises(NearDefectiveError, match="j=1e\\+20"):
             sensing_sweep("j", 1e-11, (1e20, 1e75), 2, gamma=0.0)
+
+
+class TestArraySweep:
+    """A sweep's only per-point Python call is the scalar eigenvalue kernel."""
+
+    def test_one_batch_and_no_per_point_objects(self, count_calls):
+        builds = count_calls(model, "build_hamiltonian")
+        replaces = count_calls(SystemParams, "replace")
+        batches = count_calls(sensing, "_closed_form_eigenpairs")
+        solves = count_calls(sensing, "_solve_eigenvalues")
+        points = sensing_sweep("j", 2.0, (0.3, 0.9), 24)
+        assert [p.flag for p in points].count("ep_bracket") == 2
+        assert (builds(), replaces(), batches(), solves()) == (0, 0, 1, 24)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_range_leaving_the_float_range(self):
+        """linspace overflows to nan at the first point: SystemParams' own message names it."""
+        with pytest.raises(ValueError) as err:
+            sensing_sweep("omega", 0.3, (-1.7e308, 1.7e308), 5)
+        assert str(err.value) == "omega must be finite, got nan"
+
+    @pytest.mark.parametrize("kappa, fixed, fixed_name", [("j", np.inf, "omega"),
+                                                          ("omega", np.nan, "j")])
+    def test_non_finite_fixed_value(self, kappa, fixed, fixed_name):
+        with pytest.raises(ValueError, match=f"^{fixed_name} must be finite"):
+            sensing_sweep(kappa, fixed, (0.3, 0.9), 5)
 
 
 def test_sweep_does_not_depend_on_units():

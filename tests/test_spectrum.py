@@ -34,9 +34,9 @@ from ptqsim.errors import (
     NonFiniteError,
     OmegaSingularError,
 )
-from ptqsim import cli, entanglement, locate_ep, spectrum
+from ptqsim import cli, entanglement, locate_ep, sensing, spectrum
 from ptqsim.model import SIGMA_YY
-from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap
+from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap, _rates
 
 params_st = st.builds(
     SystemParams,
@@ -212,6 +212,12 @@ def _assert_same_vector(got, want):
     assert np.max(np.abs(got - want * phase / abs(phase))) <= 1e-14
 
 
+def _eigenpairs_of(points):
+    """_closed_form_eigenpairs of points, with the eigenvalues their instances solve."""
+    values = np.array([eigenvalues_closed_form(p) for p in points])
+    return _closed_form_eigenpairs(_rates(points), values)
+
+
 class TestBatchedEigenpairs:
     """_closed_form_eigenpairs on a leading axis of points against the per-point loop."""
 
@@ -221,7 +227,7 @@ class TestBatchedEigenpairs:
         values = np.array([eigenvalues_closed_form(p) for p in points])
         keep = _min_gap(values) >= 1e-4  # the points a sense sweep solves
         points = [p for p, k in zip(points, keep) if k]
-        vecs, h, residuals = _closed_form_eigenpairs(points, values[keep])
+        vecs, h, residuals = _closed_form_eigenpairs(_rates(points), values[keep])
         assert vecs.shape == h.shape == (len(points), 4, 4) and residuals.shape == (len(points),)
         for p, v, hp, res, e in zip(points, vecs, h, residuals, values[keep]):
             want, want_res = eigenpairs_reference(p, e)
@@ -235,9 +241,9 @@ class TestBatchedEigenpairs:
         values = np.array([eigenvalues_closed_form(p) for p in points])
         keep = _min_gap(values) >= 1e-4
         points, values = [p for p, k in zip(points, keep) if k], values[keep]
-        batch = _closed_form_eigenpairs(points, values)
+        batch = _closed_form_eigenpairs(_rates(points), values)
         for i, p in enumerate(points):
-            one = _closed_form_eigenpairs([p], values[i:i + 1])
+            one = _closed_form_eigenpairs(_rates([p]), values[i:i + 1])
             assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
         assert eigenvectors_closed_form(points[7]).tobytes() == batch[0][7].tobytes()
 
@@ -254,8 +260,20 @@ class TestBatchedEigenpairs:
         with pytest.raises(NearDefectiveError) as single:
             eigenvectors_closed_form(bad[0])
         with pytest.raises(NearDefectiveError) as batch:
-            _closed_form_eigenpairs([good] + bad)
+            _eigenpairs_of([good] + bad)
         assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("call", [
+    eigenvalues_closed_form, eigenvectors_closed_form, spectrum_closed_form,
+    lambda p: entanglement.eigenstate_concurrence_wootters(p, 3),
+    lambda p: sensing.qfi(p, "j"),
+], ids=["eigenvalues", "eigenvectors", "spectrum", "concurrence", "qfi"])
+def test_overflow_named_ahead_of_omega_singular(call):
+    """At omega = 0 with cubic invariants out of the float range, every closed-form
+    caller solves the eigenvalues first and names the overflow."""
+    with pytest.raises(NonFiniteError):
+        call(SystemParams(0.0, 0.3, 1e60))
 
 
 class TestToleranceScale:
@@ -276,7 +294,7 @@ class TestToleranceScale:
 
     def test_named_large_point_solves(self):
         params = SystemParams(2e8, 0.4e8, 1e8)  # residual 4.6e-7 = 2.3e-15 in rate units
-        vecs, h, residuals = _closed_form_eigenpairs([params])
+        vecs, h, residuals = _eigenpairs_of([params])
         assert residuals[0] < 1e-14 * 2e8
         assert spectrum_closed_form(params).max_residual == residuals[0]
 
@@ -294,9 +312,9 @@ class TestToleranceScale:
         j_c = locate_ep("omega", 2.0, (0.3, 0.9)).j_c
         near = SystemParams(2.0 * s, (j_c + 1e-10) * s, s)  # gap 1.9e-5 s
         far = SystemParams(2.0 * s, (j_c + 1e-6) * s, s)  # gap 1.9e-3 s
-        _closed_form_eigenpairs([near])
+        _eigenpairs_of([near])
         with pytest.raises(NearDefectiveError):
-            _closed_form_eigenpairs([far])
+            _eigenpairs_of([far])
 
 
 class TestOracle:
@@ -729,12 +747,12 @@ class TestEigenpairMemo:
         assert dataclasses.asdict(solved) == {"omega": 2.0, "j": 0.4, "gamma": 1.0}
         for moved in (solved.replace(j=0.7), dataclasses.replace(solved, j=0.7)):
             assert spectrum._EIGENPAIR_KEY not in vars(moved)
-            assert eigenvectors_closed_form(moved).tobytes() == _closed_form_eigenpairs(
+            assert eigenvectors_closed_form(moved).tobytes() == _eigenpairs_of(
                 [SystemParams(2.0, 0.7, 1.0)])[0][0].tobytes()
 
     def test_threads_racing_on_one_instance_see_the_same_bits(self):
         points = [SystemParams(om, 0.4, 1.0) for om in np.linspace(0.5, 2.5, 40).tolist()]
-        want = [_closed_form_eigenpairs([SystemParams(p.omega, p.j, p.gamma)])[0][0].tobytes()
+        want = [_eigenpairs_of([SystemParams(p.omega, p.j, p.gamma)])[0][0].tobytes()
                 for p in points]
         got = {k: [] for k in range(len(points))}
 
@@ -760,7 +778,7 @@ class TestEigenpairMemo:
         for p in _seeded_points(60) + _spectra_pool(60, 15):
             if p.omega == 0.0:
                 continue
-            vecs, h, residuals = _closed_form_eigenpairs([SystemParams(p.omega, p.j, p.gamma)])
+            vecs, h, residuals = _eigenpairs_of([SystemParams(p.omega, p.j, p.gamma)])
             for _ in range(2):  # solved, then from the store
                 try:
                     spec = spectrum_closed_form(p)
