@@ -5,10 +5,12 @@ Output contract: every CSV starts with the magic line ``# ptq-sim v1`` and a
 follow), then a header row.  Complex numbers are exported as ``re_*`` /
 ``im_*`` column pairs; undefined values are left empty next to a ``flag``
 column.  JSON output is one object with ``params``, ``results`` and
-``diagnostics`` keys.  Exit codes: 0 success, 2 validation/usage error,
-3 numerical failure; an --out that cannot be written (a missing directory, a
-directory) exits 2 and names the OSError.  Identical configurations produce
-byte-identical files.
+``diagnostics`` keys.  ``evolve`` and ``revivals`` take round(tmax/dt) steps;
+when those do not end at ``--tmax``, a ``t_end`` metadata key (a ``# t_end:``
+line, a ``diagnostics`` entry) names the time the run ended.  Exit codes: 0
+success, 2 validation/usage error, 3 numerical failure; an --out that cannot
+be written (a missing directory, a directory) exits 2 and names the OSError.
+Identical configurations produce byte-identical files.
 
 ``--out PATH`` is rewritten in place: opened without truncation (created with
 mode 0o666 less the umask, as ``open(PATH, "w")`` creates it), written, then
@@ -47,8 +49,6 @@ from .spectrum import (
 )
 
 MAGIC = "# ptq-sim v1"
-#: A whole CSV field that reads nan (a NaN float) or None (a missing flag or failure).
-_EMPTY_FIELD = re.compile(r"(?<![^,\n])(?:nan|None)(?![^,\n])")
 
 
 def _fmt(x) -> str:
@@ -61,6 +61,44 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.12g}"
     return str(x)
+
+
+def _field(x) -> str:
+    """The %-format that prints a present x as _fmt does (a NaN float is still a float)."""
+    if isinstance(x, (int, np.integer)):
+        return "%d"
+    if isinstance(x, (float, np.floating)):
+        return "%.12g"
+    return "%s"
+
+
+def _csv_body(rows: list[list] | np.ndarray) -> str:
+    """The data lines of a table, each cell as _fmt prints it, by one % over the flat cells.
+
+    Each column formats as its first cell that is not None does (a float array
+    as %.12g, an int array as %d).  A missing cell, None or a NaN float, gets
+    %s and "" in its row's own template.
+    """
+    if isinstance(rows, np.ndarray):
+        cells = rows.ravel().tolist()
+        floats = rows.dtype.kind == "f"
+        fields = ["%.12g" if floats else "%d"] * rows.shape[1]
+        gaps = np.flatnonzero(np.isnan(rows)).tolist() if floats else []
+    else:
+        cells = [v for row in rows for v in row]
+        fields = [_field(next((v for v in column if v is not None), None))
+                  for column in zip(*rows)]
+        gaps = [i for i, v in enumerate(cells)
+                if v is None or (isinstance(v, float) and math.isnan(v))]
+    width = len(fields)
+    templates = [",".join(fields)] * len(rows)
+    gap_fields = {}
+    for i in gaps:
+        cells[i] = ""
+        gap_fields.setdefault(i // width, fields.copy())[i % width] = "%s"
+    for r, row_fields in gap_fields.items():
+        templates[r] = ",".join(row_fields)
+    return "\n".join(templates) % tuple(cells)
 
 
 def _jsonable(x):
@@ -93,11 +131,10 @@ def _write(out_path: str, text: str):
 
 def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict,
           results: dict | None = None):
-    """Write one table as CSV, or as JSON {params, results, diagnostics}.
+    """Write one table as CSV (see _csv_body), or as JSON {params, results, diagnostics}.
 
     results, when given, is a point command's JSON object; its CSV is the table.
     """
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     if args.format == "json":
         if results is None:
             results = {"columns": header, "rows": rows}
@@ -109,13 +146,7 @@ def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarr
         lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(header))
     if len(rows):
-        # one template per table: each column formats as its first row's value does
-        template = ",".join(
-            "%d" if isinstance(v, (int, np.integer))
-            else "%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in rows[0])
-        body = "\n".join([template % tuple(row) for row in rows])
-        # a field reads nan only for a NaN float and None only for None: both print empty
-        lines.append(_EMPTY_FIELD.sub("", body) if "nan" in body or "None" in body else body)
+        lines.append(_csv_body(rows))
     _write(args.out, "\n".join(lines) + "\n")
 
 
@@ -265,23 +296,29 @@ def cmd_concurrence(args) -> int:
 
 
 def _trajectory(args):
-    """The evolve/revivals run and its params description."""
+    """The evolve/revivals run, its params description and its end-time metadata.
+
+    The run takes round(tmax/dt) steps, so it ends off --tmax when tmax is not a
+    whole number of steps; the metadata then names the real end as t_end.
+    """
     params = _params_from(args)
     traj = propagate(params, initial_state(args.theta), args.tmax, args.dt,
                      record_every=args.record_every)
-    return traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt)
+    t_end = float(traj.times[-1])
+    return (traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt),
+            {} if t_end == args.tmax else {"t_end": t_end})
 
 
 def cmd_evolve(args) -> int:
-    traj, desc = _trajectory(args)
+    traj, desc, meta = _trajectory(args)
     header = ["t", "concurrence", "coherence_x", "norm_log"]
     rows = np.column_stack((traj.times, traj.concurrence, traj.coherence_x, traj.norm_log))
-    _emit(args, desc, header, rows, {})
+    _emit(args, desc, header, rows, meta)
     return 0
 
 
 def cmd_revivals(args) -> int:
-    traj, desc = _trajectory(args)
+    traj, desc, end = _trajectory(args)
     revivals = detect_revivals(traj, envelope_window=args.envelope_window,
                                collapse_fraction=args.collapse_fraction)
     meta = {
@@ -289,6 +326,7 @@ def cmd_revivals(args) -> int:
         "first_revival": float(revivals[0]) if len(revivals) else None,
         "envelope_window": args.envelope_window,
         "collapse_fraction": args.collapse_fraction,
+        **end,
     }
     _emit(args, desc, ["revival_index", "revival_time"],
           [[k, t] for k, t in enumerate(revivals)], meta)

@@ -14,6 +14,10 @@ renormalized and its log-norm accumulated exactly as if every step were.  The
 recorded count is known before the first step, so recorded rows are written
 into preallocated arrays.
 
+The power chain calls the bound ``step.dot``: the zgemm of ``np.dot`` without
+its dispatch.  A chunk is renormalized by a product with the reciprocals of its
+norms, which has the quotient's bits.
+
 The envelope and the steady-state variation (forward-looking sliding maxima,
 and minima as maxima of the negated series) cost O(n) for any window: block
 prefix and suffix maxima (van Herk / Gil-Werman), exact because max is.
@@ -138,7 +142,11 @@ def propagate(
         norms = np.linalg.norm(block, axis=1)
         if not np.all(np.isfinite(norms)) or np.any(norms == 0):
             raise NonFiniteError(f"amplitudes left the finite range near t={done * dt}")
-        block /= norms[:, None]
+        # block /= norms[:, None] bit for bit: numpy's complex / real quotient (Smith's)
+        # is ((re + im*0) * s, (im - re*0) * s) with s = 1/n, which is (re*s, im*s)
+        # unless a part is -0; no part of block is, as the gemv's sums start at +0
+        parts = block.view(float)
+        parts *= (1.0 / norms)[:, None]
         logs = log_acc + np.log(norms)
         rec = slice(r, r + n_new)
         rec_idx[rec] = done + 1 + rows[:n_new]
@@ -170,12 +178,18 @@ def _coherence_x1(states: np.ndarray) -> np.ndarray:
 
 
 def _power_table(step: np.ndarray, n: int) -> np.ndarray:
-    """step**1 .. step**n as an (n, 4, 4) array, each power step @ (the previous one)."""
+    """step**1 .. step**n as an (n, 4, 4) array, each power step @ (the previous one).
+
+    The bound step.dot reaches the same zgemm as np.dot with neither its
+    __array_function__ dispatch nor its keyword parsing: most of a 4x4
+    product's cost is the call.
+    """
     powers = np.empty((n, 4, 4), dtype=complex)
-    views = list(powers)  # np.dot on 2-D views costs less per call than a matmul ufunc
+    views = list(powers)
     views[0][...] = step
+    dot = step.dot
     for prev, cur in zip(views, views[1:]):
-        np.dot(step, prev, out=cur)
+        dot(prev, cur)
     return powers
 
 

@@ -168,6 +168,28 @@ class TestEvolveCommand:
         assert header == ["t", "concurrence", "coherence_x", "norm_log"]
         assert column(cols, "t")[-1] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("command", ["evolve", "revivals"])
+    def test_off_grid_tmax_names_end_time(self, capsys, command):
+        """--tmax 0.0105 at --dt 0.01 is one step: the output names t = 0.01 as the end."""
+        argv = [command, "--omega", 2, "--j", 0.4, "--tmax", 0.0105, "--dt", 0.01]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        meta, _, cols = parse_csv(out)
+        assert meta["t_end"] == "0.01"
+        if command == "evolve":
+            assert cols["t"] == ["0", "0.01"]
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["t_end"] == 0.01
+
+    @pytest.mark.parametrize("command", ["evolve", "revivals"])
+    def test_on_grid_tmax_has_no_end_time(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--omega", 2, "--j", 0.4, "--tmax", 2,
+                              "--dt", 0.01, "--record-every", 3)
+        assert code == 0
+        meta, _, _ = parse_csv(out)
+        assert "t_end" not in meta
+
     def test_validation_error_exits_2(self, capsys):
         sweep = ["concurrence", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"]
         for argv in (
@@ -296,6 +318,58 @@ class TestCsvWriter:
     def test_zero_rows(self, capsys, rows):
         header = ["t", "a", "b"]
         assert self._emitted(capsys, header, rows, {"n": 0}) == self._per_value(header, [], {"n": 0})
+
+    def test_float_array_with_nan_rows(self, capsys):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-300, 300, (40, 4))
+        table[0, 2] = table[3] = table[17, 1] = table[39, [0, 3]] = np.nan
+        header = ["t", "a", "b", "c"]
+        rows = list(zip(*table.T))
+        assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_int_array_table(self, capsys, dtype):
+        table = (np.arange(24).reshape(8, 3) * 37 % 251).astype(dtype)
+        if dtype is np.int64:
+            table = table * -(10**15)
+        rows = list(zip(*table.T))
+        assert self._emitted(capsys, ["i", "j", "k"], table, {}) == \
+            self._per_value(["i", "j", "k"], rows, {})
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0.1, np.nan, -2.5]]),
+        [[np.int64(3), 1.0 / 3.0, None]],
+        [[None, np.nan, "NearDefective"]],
+    ], ids=["array", "list", "list-missing"])
+    def test_one_row_table(self, capsys, rows):
+        header = ["t", "a", "flag"]
+        want = self._per_value(header, [list(r) for r in rows], {})
+        assert self._emitted(capsys, header, rows, {}) == want
+
+    def test_first_row_missing_cells(self, capsys):
+        # column 3 is None first, then floats: it formats as its first present cell does
+        rows = [[np.nan, None, 1.5, None],
+                [0.25, "OmegaSingular", -1.0 / 3.0, 2.0 / 3.0],
+                [1e-300, None, np.nan, 0.1],
+                [np.float64(7.0), "EpTooClose", 1e300, None]]
+        header = ["omega", "failure", "a", "b"]
+        assert self._emitted(capsys, header, rows, {}) == self._per_value(header, rows, {})
+        table = np.array([[np.nan, np.nan], [1.0 / 7.0, -0.0]])
+        assert self._emitted(capsys, ["a", "b"], table, {}) == \
+            self._per_value(["a", "b"], list(zip(*table.T)), {})
+
+    def test_large_float_array(self, capsys):
+        rng = np.random.default_rng(6)
+        table = np.column_stack((
+            np.arange(25_000) * 0.002,
+            rng.random(25_000),
+            rng.standard_normal(25_000) * 10.0 ** rng.integers(-300, 300, 25_000),
+            rng.standard_normal(25_000).cumsum(),
+        ))
+        table[rng.integers(0, 25_000, 50), rng.integers(0, 4, 50)] = np.nan
+        header = ["t", "concurrence", "coherence_x", "norm_log"]
+        rows = list(zip(*table.T))
+        assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
 
 
 class TestJsonWriter:

@@ -133,6 +133,12 @@ class TestPropagate:
         (SystemParams(2.0, 0.4, 1.0), 0.5, 1e-3, 1),  # fewer steps than the cap: one chunk
         (SystemParams(2.0, 0.4, 0.0), 8.193, 1e-3, 1),  # gamma = 0: 4096-step chunks, every row
         (SystemParams(2.0, 0.4, 0.0), 8.193, 1e-3, 5),  # gamma = 0: 4096-step chunks, off grid
+        # omega = 0: H is diagonal and |01>, |11> stay exactly zero (signed zeros)
+        (SystemParams(0.0, 0.3, 1.0), 6.0, 1e-3, 1),
+        (SystemParams(0.0, 0.3, 0.0), 6.0, 1e-3, 7),
+        (SystemParams(0.0, 0.0, 0.0), 6.0, 1e-3, 1),  # H = 0
+        (SystemParams(-0.0, -0.2, 1.0), 6.0, 1e-3, 3),
+        (SystemParams(1.0, 0.0, 0.0), 6.0, 1e-3, 1),  # gamma = 0 and j = 0
     ])
     def test_recording_grid_matches_list_recorder_bitwise(self, params, t_max, dt, record_every):
         psi0 = initial_state(np.pi / 4)
@@ -142,6 +148,40 @@ class TestPropagate:
         for name, a, b in zip(("times", "states", "norm_log", "concurrence", "coherence_x"),
                               got, expected):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("psi0", [
+        initial_state(0.0),  # |10>
+        initial_state(np.pi),  # -|10> with a 1.2e-16 |00> part
+        np.array([complex(0.6, -0.0), complex(-0.0, 0.0), complex(-0.8, 0.0), -0j]),
+    ], ids=["theta0", "thetapi", "signed-zeros"])
+    @pytest.mark.parametrize("params", [
+        SystemParams(0.0, 0.3, 1.0),
+        SystemParams(0.0, 0.3, 0.0),
+        SystemParams(0.0, 0.0, 0.0),
+        SystemParams(-0.0, -0.2, 1.0),
+        SystemParams(1.0, 0.0, 0.0),
+        SystemParams(2.0, 0.7, 1.0),
+    ], ids=repr)
+    def test_zero_amplitudes_match_list_recorder_bitwise(self, params, psi0):
+        """Initial states with exactly zero parts, which stay zero where H is diagonal."""
+        traj = propagate(params, psi0, 6.0, 1e-3, record_every=3)
+        expected = _propagate_reference(params, psi0, 6.0, 1e-3, 3)
+        got = (traj.times, traj.states, traj.norm_log, traj.concurrence, traj.coherence_x)
+        for name, a, b in zip(("times", "states", "norm_log", "concurrence", "coherence_x"),
+                              got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_reciprocal_product_is_numpys_quotient(self):
+        """propagate's renormalization: the product's bits equal the quotient's with no -0 part."""
+        rng = np.random.default_rng(8)
+        block = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+        parts = block.view(float)
+        parts[::3] *= 10.0 ** rng.integers(-150, 150, (167, 8))  # squares stay finite
+        parts[::7, ::3] = 0.0
+        norms = np.linalg.norm(block, axis=1)
+        product = block.copy()
+        product.view(float)[...] *= (1.0 / norms)[:, None]
+        assert product.tobytes() == (block / norms[:, None]).tobytes()
 
 
     @seed(20261018)
