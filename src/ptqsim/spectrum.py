@@ -11,11 +11,15 @@ cube-root branch is fixed so that
 
 The closed form holds at every finite point, the third-order point
 x = z = 0 included (its cube-root pair is 0, a triple root).  An independent
-oracle path cross-checks every closed form: the characteristic polynomial by
-trace recursion, its roots from one companion-matrix eigvals call
-(_poly_roots, np.roots' bits without its per-call overhead), a Newton polish
-that skips roots whose p' is at rounding level relative to max|H|**3, and the
-null-space eigenvectors of every root group from one stacked SVD.
+oracle, eigensystem_oracle, runs in two stages.  Its eigenvalue stage
+(_oracle_roots) takes the characteristic polynomial by trace recursion, its
+roots from one companion-matrix eigvals call (_poly_roots, np.roots' bits
+without its per-call overhead) and a Newton polish that skips roots whose p'
+is at rounding level relative to max|H|**3.  Its vector stage takes the
+null-space eigenvectors of every root group from one stacked SVD and checks
+their residuals.  spectrum_closed_form cross-checks the closed form against
+the eigenvalue stage alone; eigensystem_oracle's docstring says why the vector
+stage's residual check adds nothing there.
 
 The scalar kernel _eigenvalues, which the phase label and the EP locator call
 once per point, runs in Python floats and complexes (no numpy scalars or
@@ -38,14 +42,15 @@ keep every point alive.  Errors are not stored (a NonFiniteError raises again);
 eq, hash and repr read only the fields, so the store is invisible to them.
 
 The eigenpair is solved once the same way: the first _eigenpair call on an
-instance stores its (eigenvectors, H, max residual), and eigenvectors_closed_form,
-spectrum_closed_form (which gives the stored H to the oracle) and the
-concurrences built on them (Psi3 and Psi4 of one point) read it.  Callers get
-copies of the vectors; the stored arrays are read-only.  An OmegaSingularError
-or NearDefectiveError raises again on every call.  Explicit eigenvalues and the
-sweep batch bypass the store: a sweep solves each point's eigenvalues once with
-_solve_eigenvalues on an unchecked _Point record, and its eigenpairs in one
-_closed_form_eigenpairs call on the (3, n) rate array.
+instance stores its (eigenvectors, H, max residual), and
+eigenvectors_closed_form, spectrum_closed_form (which gives the stored H to
+the oracle's eigenvalue stage) and the concurrences built on them (Psi3 and
+Psi4 of one point) read it.  Callers get copies of the vectors; the stored
+arrays are read-only.  An OmegaSingularError or NearDefectiveError raises
+again on every call.  Explicit eigenvalues and the sweep batch bypass the
+store: a sweep solves each point's eigenvalues once with _solve_eigenvalues on
+an unchecked _Point record, and its eigenpairs in one _closed_form_eigenpairs
+call on the (3, n) rate array.
 """
 from __future__ import annotations
 
@@ -394,11 +399,18 @@ def _min_gap(values: np.ndarray) -> np.ndarray:
 
 
 def _char_poly(h: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via the trace recursion."""
-    coeff = np.zeros(5, dtype=complex)
+    """Monic characteristic polynomial coefficients via the trace recursion.
+
+    M_1 = h and M_k = h (M_(k-1) + c_(k-1) I) with c_k = -tr(M_k) / k.  The
+    recursion's first product h (0 + 1 I) is h itself, so it starts from h.
+    c_1 keeps its division by 1: numpy divides a complex by an integer with
+    Smith's algorithm, (re + im*0)*1, which turns a -0 real part into +0.
+    """
+    coeff = np.empty(5, dtype=complex)
     coeff[0] = 1.0
-    m = np.zeros_like(h)
-    for k in range(1, 5):
+    m = h
+    coeff[1] = -m.trace() / 1
+    for k in range(2, 5):
         m = h @ (m + coeff[k - 1] * _EYE)
         coeff[k] = -m.trace() / k
     return coeff
@@ -424,29 +436,17 @@ def _poly_roots(p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def _horner(coeff: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval(coeff, x) without its wrapper: the same Horner steps from zeros."""
-    y = np.zeros(x.shape, dtype=x.dtype)
-    for c in coeff:
-        y = y * x + c
-    return y
+def _oracle_roots(h, deflate_root: complex | None = None) -> tuple:
+    """The oracle's eigenvalue stage: (h as a complex array, its four roots, scale).
 
-
-def eigensystem_oracle(
-    h: np.ndarray, deflate_root: complex | None = None
-) -> Spectrum:
-    """Independent eigensolve: characteristic quartic + SVD null spaces.
-
-    deflate_root, when given, is divided out synthetically before the
-    companion-matrix solve (used for the exactly known singlet root).  Two
-    Newton steps polish the other roots; a root whose |p'| is at or below
-    max(1e-30, 1e-12 * max|h|**3) is left as the companion solve gave it,
-    since a step there (a double root such as the singlet and E2 at
-    omega = 0) only amplifies rounding.  With scale = max(1, max|h|), roots
-    within 1e-9 * scale form one group, and one SVD of the stacked
-    (groups, 4, 4) array h - lam*I gives every group's null vectors.
-    Raises NoConvergenceError when residuals stay above tolerance; callers
-    may retry with a ~1e-8 perturbation of the matrix.
+    Checks h, solves its characteristic quartic (_char_poly) with one
+    companion-matrix eigvals call (_poly_roots), polishes the roots by Newton
+    and re-solves a close pair (_refine_close_pair); scale = max(1, max|h|).
+    deflate_root, when given, is roots[0], exactly: it is divided out
+    synthetically before the companion solve and never polished.  Each Newton
+    step evaluates p and p' in one Horner pass over a (5, 2, 1) stack of their
+    coefficients, p' padded by a leading zero, whose step 0*x + 0 gives the
+    +0 that np.polyval's zeros start gives.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
@@ -469,18 +469,52 @@ def eigensystem_oracle(
         roots[:] = _poly_roots(coeff)
 
     start = 0 if deflate_root is None else 1  # keep the exact root untouched
-    deriv = coeff[:-1] * _DERIVATIVE_WEIGHTS
+    stack = np.zeros((5, 2, 1), dtype=complex)
+    stack[:, 0, 0] = coeff
+    stack[1:, 1, 0] = coeff[:-1] * _DERIVATIVE_WEIGHTS
     # p' at a simple root grows as max|h|**3, below 1 too; at or below 1e-30 it
     # counts as zero at any scale (a product cannot raise OverflowError)
     guard = max(1e-30, 1e-12 * rate * rate * rate)
     x = roots[start:]
     for _ in range(2):  # Newton polish
-        dp = _horner(deriv, x)
+        y = np.zeros((2, len(x)), dtype=complex)
+        for c in stack:
+            y = y * x + c
+        p, dp = y
         ok = np.abs(dp) > guard
-        x = np.where(ok, x - _horner(coeff, x) / np.where(ok, dp, 1.0), x)
+        x = np.where(ok, x - p / np.where(ok, dp, 1.0), x)
     roots[start:] = x
-    roots = _refine_close_pair(coeff, roots, scale, start)
+    return h, _refine_close_pair(coeff, roots, scale, start), scale
 
+
+def eigensystem_oracle(
+    h: np.ndarray, deflate_root: complex | None = None
+) -> Spectrum:
+    """Independent eigensolve: characteristic quartic + SVD null spaces.
+
+    Two stages.  The eigenvalue stage, _oracle_roots, gives the four roots:
+    deflate_root, when given, is divided out synthetically before the
+    companion-matrix solve (used for the exactly known singlet root).  Two
+    Newton steps polish the other roots; a root whose |p'| is at or below
+    max(1e-30, 1e-12 * max|h|**3) is left as the companion solve gave it,
+    since a step there (a double root such as the singlet and E2 at
+    omega = 0) only amplifies rounding.  The vector stage, here: with
+    scale = max(1, max|h|), roots within 1e-9 * scale form one group, whose
+    lam is its mean (a one-root group's lam is the root itself, which np.mean
+    would round only in the sign of a zero part), and one SVD of the stacked
+    (groups, 4, 4) array h - lam*I gives every group's null vectors.  Raises
+    NoConvergenceError when a residual exceeds 1e-5 * scale; callers may
+    retry with a ~1e-8 perturbation of the matrix.
+
+    spectrum_closed_form runs the eigenvalue stage alone, since the residual
+    check adds nothing to its 1e-9 pairing.  For any z and unit eigenpair
+    (E, u) of h, sigma_min(h - z I) <= ||(h - z I) u|| = |z - E|.  So a root's
+    residual is at most its distance from the spectrum plus twice its group's
+    spread, below 1e-9 * scale, and a further null direction adds at most
+    1e-7 * scale: the 1e-5 * scale budget trips only where a root is already
+    far from every eigenvalue, where the pairing fails too.
+    """
+    h, roots, scale = _oracle_roots(h, deflate_root)
     values = roots.tolist()
     groups, lams, assigned = [], [], [False] * 4
     for k in range(4):
@@ -490,7 +524,7 @@ def eigensystem_oracle(
         for m in group:
             assigned[m] = True
         groups.append(group)
-        lams.append(roots[group].mean())
+        lams.append(roots[group].mean() if len(group) > 1 else values[k])
     _, sing, vh = np.linalg.svd(h - np.array(lams)[:, None, None] * _EYE)
     null = vh.conj()
     # a repeated eigenvalue may still span several null directions;
@@ -581,12 +615,17 @@ def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def spectrum_closed_form(params: SystemParams) -> Spectrum:
-    """Closed-form spectrum, cross-checked against the oracle multiset."""
+    """Closed-form spectrum, cross-checked against the oracle multiset.
+
+    The oracle's eigenvalue stage (_oracle_roots) alone gives the multiset: its
+    vector stage's residual check cannot fail where the roots pair with the
+    closed form (see eigensystem_oracle).  Raises NoConvergenceError when the
+    best pairing deviates by more than 1e-9 * max(1, |omega|, |j|, |gamma|).
+    """
     values = eigenvalues_closed_form(params)
     vecs, h, residual = _eigenpair(params)
-    oracle = eigensystem_oracle(h, deflate_root=-params.j)
-    dev = pairing_distance(values, oracle.eigenvalues)
-    if dev > 1e-9 * _tolerance_scale(_rates([params]))[0]:
+    dev = pairing_distance(values, _oracle_roots(h, deflate_root=-params.j)[1])
+    if dev > 1e-9 * max(1.0, abs(params.omega), abs(params.j), abs(params.gamma)):
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
     return Spectrum(values, vecs.copy(), Source.CLOSED_FORM, residual)
 

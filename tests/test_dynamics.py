@@ -22,6 +22,7 @@ from ptqsim.dynamics import (
     _coherence_x1,
     _power_table,
     _rk4_step_matrix,
+    _row_norms,
     _window_len,
     envelope_of_series,
     revival_times_of_series,
@@ -183,6 +184,20 @@ class TestPropagate:
         product.view(float)[...] *= (1.0 / norms)[:, None]
         assert product.tobytes() == (block / norms[:, None]).tobytes()
 
+    def test_row_norms_are_numpys_bitwise(self):
+        """propagate's chunk norms: np.linalg.norm's bits, on zero, subnormal and 1e+-150 rows."""
+        rng = np.random.default_rng(21)
+        tiny = np.nextafter(0.0, 1.0)
+        blocks = [np.array([[0j] * 4, [-0.0 + 0j, 0j, -0j, 0j], [tiny, 0j, 1j * tiny, 3 * tiny],
+                            [1e-160 + 2e-155j, 3e-310, 1e-150j, 1e-150],
+                            [1e150, 1e150j, -1e150, 1e-150]], dtype=complex)]
+        for n in rng.integers(1, 3001, 60).tolist():
+            block = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+            block *= 10.0 ** rng.uniform(-150, 150, (n, 1))
+            block.view(float)[::5, ::3] = 0.0
+            blocks.append(block)
+        for block in blocks:
+            assert _row_norms(block).tobytes() == np.linalg.norm(block, axis=1).tobytes()
 
     @seed(20261018)
     @settings(max_examples=200, deadline=None, database=None)

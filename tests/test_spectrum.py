@@ -33,6 +33,7 @@ from ptqsim.errors import (
     NoConvergenceError,
     NonFiniteError,
     OmegaSingularError,
+    PtqsimError,
 )
 from ptqsim import cli, entanglement, locate_ep, sensing, spectrum
 from ptqsim.model import SIGMA_YY
@@ -720,12 +721,13 @@ class TestEigenpairMemo:
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_equal_points_keep_their_own_signed_zeros(self, monkeypatch, omega, first):
         given = []
+        stage = spectrum._oracle_roots
 
-        def oracle(h, deflate_root=None):
+        def oracle_roots(h, deflate_root=None):
             given.append(h.tobytes())
-            return eigensystem_oracle(h, deflate_root)
+            return stage(h, deflate_root)
 
-        monkeypatch.setattr(spectrum, "eigensystem_oracle", oracle)
+        monkeypatch.setattr(spectrum, "_oracle_roots", oracle_roots)
         points = [SystemParams(omega, j, 1.0) for j in (first, -first)]
         assert points[0] == points[1]
         hams = [build_hamiltonian(p).tobytes() for p in points]
@@ -833,12 +835,12 @@ def test_gamma_zero_real_and_orthogonal():
 
 
 # The oracle-side kernels that eigensystem_oracle's stacked SVD, _poly_roots, the
-# inline Horner polish, the _PERMS table and concurrence_mixed's _poly_roots
-# replaced, verbatim but for module-qualified names: the reference they must
-# equal bit for bit wherever it answers.
+# one-pass Horner polish, the _PERMS table, concurrence_mixed's _poly_roots and
+# _char_poly's recursion from h replaced, verbatim but for module-qualified
+# names: the reference they must equal bit for bit wherever it answers.
 def _eigensystem_oracle_reference(h, deflate_root=None):
     h = np.asarray(h, dtype=complex)
-    coeff = spectrum._char_poly(h)
+    coeff = _char_poly_reference(h)
     if deflate_root is not None:
         reduced = np.zeros(4, dtype=complex)
         reduced[0] = coeff[0]
@@ -889,6 +891,16 @@ def _eigensystem_oracle_reference(h, deflate_root=None):
         source=spectrum.Source.ORACLE,
         max_residual=float(residuals.max()),
     )
+
+
+def _char_poly_reference(h):
+    coeff = np.zeros(5, dtype=complex)
+    coeff[0] = 1.0
+    m = np.zeros_like(h)
+    for k in range(1, 5):
+        m = h @ (m + coeff[k - 1] * np.eye(4, dtype=complex))
+        coeff[k] = -m.trace() / k
+    return coeff
 
 
 def _refine_close_pair_reference(coeff, roots, scale, start):
@@ -944,7 +956,7 @@ def _concurrence_mixed_reference(rho):
     rho = np.asarray(rho, dtype=complex)
     entanglement._validate_density(rho)
     flipped = SIGMA_YY @ rho.conj() @ SIGMA_YY
-    coeff = spectrum._char_poly(rho @ flipped)
+    coeff = _char_poly_reference(rho @ flipped)
     # Deflate exact-zero eigenvalues first (rank-deficient products are the
     # norm here, and companion solves lose half the digits on repeated zeros).
     degree = 4
@@ -1078,3 +1090,124 @@ class TestOracleKernelsBitwise:
                 inputs.append(rho / np.trace(rho).real)
         for rho in inputs:
             assert _bits(concurrence_mixed(rho)) == _bits(_concurrence_mixed_reference(rho))
+
+
+def _concurrence_products(rng):
+    """rho * (sy x sy) conj(rho) (sy x sy) of pure, rank-2 and diagonal density matrices."""
+    states = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    rhos = [np.outer(v, v.conj()) for v in states[:20]]
+    for a, b in zip(states[20:40], states[40:]):
+        rho = np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
+        rhos.append(rho / np.trace(rho).real)
+    for w in rng.random((20, 4)):
+        rhos.append(np.diag(w / w.sum()).astype(complex))
+    rhos += [np.eye(4, dtype=complex) / 4, np.diag([1.0, 0, 0, 0]).astype(complex)]
+    return [rho @ (SIGMA_YY @ rho.conj() @ SIGMA_YY) for rho in rhos]
+
+
+class TestCharPolyBitwise:
+    """_char_poly, which starts its recursion from h, equals the recursion from zeros."""
+
+    def test_hamiltonians(self):
+        points = [SystemParams(om, j, g) for om in (2.0, -2.0, 0.0, -0.0, 1e-9)
+                  for j in (0.0, -0.0, 0.4, -0.4) for g in (1.0, 0.0, -0.0)]
+        points += _spectra_pool(400, 16) + [SystemParams(1.0, 0.0, 1.0)]
+        hams = [build_hamiltonian(p) for p in points] + _SINGULAR
+        rng = np.random.default_rng(17)
+        for k in range(200):
+            h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h[rng.random((4, 4)) < 0.4] = -0.0 if k % 2 else 0.0
+            hams.append(h)
+        for h in hams:
+            assert (_bits(spectrum._char_poly(h)).tolist()
+                    == _bits(_char_poly_reference(h)).tolist())
+
+    def test_concurrence_products(self):
+        for product in _concurrence_products(np.random.default_rng(18)):
+            assert (_bits(spectrum._char_poly(product)).tolist()
+                    == _bits(_char_poly_reference(product)).tolist())
+
+
+def _spectrum_closed_form_reference(params):
+    """spectrum_closed_form as it was when it ran the full oracle, verbatim but for
+    module-qualified names."""
+    values = eigenvalues_closed_form(params)
+    vecs, h, residual = spectrum._eigenpair(params)
+    oracle = eigensystem_oracle(h, deflate_root=-params.j)
+    dev = pairing_distance(values, oracle.eigenvalues)
+    if dev > 1e-9 * spectrum._tolerance_scale(_rates([params]))[0]:
+        raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
+    return spectrum.Spectrum(values, vecs.copy(), Source.CLOSED_FORM, residual)
+
+
+def _cross_check_outcome(call, params):
+    """The bits of call(params)'s spectrum, or its error's class and message."""
+    try:
+        spec = call(SystemParams(params.omega, params.j, params.gamma))  # a fresh instance
+    except PtqsimError as err:
+        return type(err), str(err)
+    return (spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes(),
+            _bits(spec.max_residual), spec.source)
+
+
+def _near_ep_points():
+    """(omega, j_c + d) for d = +-1e-6 ... +-1e-14 on six omegas of the critical curve."""
+    points = []
+    for omega in (1.1, 1.3, 1.7, 2.0, 2.2, 2.4):
+        j_c = locate_ep("omega", omega, (1e-3, 2.0)).j_c
+        points += [SystemParams(omega, j_c + s * 10.0**-e, 1.0)
+                   for e in range(6, 15) for s in (1, -1)]
+    return points
+
+
+#: omega = 0 and omega = 1e-16 ... 1e-4 (half decades), both signs.
+_SMALL_OMEGAS = [s * w for w in [0.0] + (10.0 ** np.arange(-16, -3.5, 0.5)).tolist()
+                 for s in (1, -1)]
+
+
+class TestCrossCheckStage:
+    """spectrum_closed_form pairs the closed form with the oracle's eigenvalue stage alone."""
+
+    def test_one_call_runs_the_eigenvalue_stage_alone(self, count_calls):
+        stage = count_calls(spectrum, "_oracle_roots")
+        vectors = count_calls(spectrum, "eigensystem_oracle")
+        points = [SystemParams(1.7, 0.45, 1.0), SystemParams(2.0, 0.0, 0.0),
+                  SystemParams(1e-6, 1.1, 0.0)]  # the last one deviates
+        for k, p in enumerate(points, start=1):
+            try:
+                spectrum_closed_form(p)
+            except NoConvergenceError as err:
+                assert "deviates" in str(err) and p.omega == 1e-6
+            assert (stage(), vectors()) == (k, 0)
+        spectrum_oracle(points[0])
+        assert (stage(), vectors()) == (len(points) + 1, 1)
+
+    def test_outcome_matches_the_full_oracle_cross_check(self):
+        points = _spectra_pool(400, 19) + _spectra_pool(400, 20) + _near_ep_points()
+        points += [SystemParams(om, j, 1.0) for om in _SMALL_OMEGAS for j in (0.0, 0.3, 1.1)]
+        classes = set()
+        for p in points:
+            want = _cross_check_outcome(_spectrum_closed_form_reference, p)
+            assert _cross_check_outcome(spectrum_closed_form, p) == want, p
+            classes.add(want[0] if isinstance(want[0], type) else Source)
+        assert classes == {Source, OmegaSingularError, NearDefectiveError, NoConvergenceError}
+
+    def test_hermitian_small_omega_names_the_deviation(self):
+        """At gamma = 0 and omega ~ 1e-6..1e-4 the oracle's roots miss the spectrum: the
+        full oracle's residual check raised NoConvergenceError first, and the pairing
+        now raises it, naming a deviation that equals that residual to the digits shown."""
+        renamed = 0
+        for om in _SMALL_OMEGAS:
+            for j in (0.3, 1.1):
+                p = SystemParams(om, j, 0.0)
+                want = _cross_check_outcome(_spectrum_closed_form_reference, p)
+                got = _cross_check_outcome(spectrum_closed_form, p)
+                if want[0] is NoConvergenceError and want[1].startswith("oracle residual"):
+                    assert got[0] is NoConvergenceError, p
+                    assert got[1].startswith("closed form deviates from oracle by"), p
+                    assert got[1].split()[-1] == want[1].split()[2], p  # the same figure
+                    renamed += 1
+                else:
+                    assert got == want, p
+        assert renamed >= 10
