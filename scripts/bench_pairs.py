@@ -13,7 +13,10 @@ which the change is better, and whether the move is clear: at least 10 pairs,
 the change better in at least 9 of 10, the medians further apart than the
 parent's quartile spread, and no larger share of failed ops than the parent's.
 A metric whose change median is worse than the parent's by more than the
-metric's bound in BENCHMARK.json (a relative move) is marked regressed.
+metric's bound in BENCHMARK.json (a relative move) is marked regressed, and one
+whose parent quartile spread, relative to the parent median, is wider than that
+bound is marked unresolved, unless every change run reads better than every
+parent run: the runs cannot then tell a move within the bound from none.
 
 Usage (from the repository root):
 
@@ -72,7 +75,10 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     least 90% of them are wins, the medians differ by more than the parent's
     interquartile range and the change fails no larger share of its ops.  A
     metric with a bound ({name: relative move}) is regressed when the change
-    median is worse than the parent's by more than bound times the parent's.
+    median is worse than the parent's by more than bound times the parent's,
+    and unresolved when the parent's interquartile range is wider than bound
+    times the parent median, unless every change value is better than every
+    parent value.
     """
     bounds = bounds or {}
     failed = [_failed_share([p for p, _ in pairs]), _failed_share([c for _, c in pairs])]
@@ -85,6 +91,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = _quartiles(parent)
         bound = bounds.get(name)
+        separated = min(sign * c for c in change) > max(sign * p for p in parent)
         rows.append({
             "metric": name, "parent": p_med, "change": c_med,
             "relative": (c_med - p_med) / p_med if p_med else 0.0,
@@ -94,6 +101,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
                       and abs(c_med - p_med) > q3 - q1 and failed[1] <= failed[0]),
             "bound": bound,
             "regressed": bound is not None and sign * (p_med - c_med) > bound * abs(p_med),
+            "unresolved": bound is not None and q3 - q1 > bound * abs(p_med) and not separated,
         })
     return rows
 
@@ -104,7 +112,8 @@ def format_row(row: dict) -> str:
     return (f"{row['metric']:14s} {row['parent']:.4g} -> {row['change']:.4g} "
             f"({row['relative']:+.1%}) [{q1:.4g}, {q3:.4g}] "
             f"{row['wins']}/{row['pairs']}{bound}{'  clear' if row['clear'] else ''}"
-            f"{'  REGRESSED' if row['regressed'] else ''}")
+            f"{'  REGRESSED' if row['regressed'] else ''}"
+            f"{'  unresolved' if row['unresolved'] else ''}")
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: int) -> dict:

@@ -551,7 +551,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError:  # numpy cannot allocate, e.g. a sweep of a huge --n
+            size = "" if getattr(args, "n", None) is None else f" with --n {args.n}"
+            raise ValueError(f"{args.command}{size} does not fit in memory") from None
     except (ValidationError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -8,6 +8,8 @@ surfaced as data via DiscrepancyError / scan_closed_form_discrepancies.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DiscrepancyError, InvalidDensityError
@@ -25,11 +27,12 @@ from .spectrum import (
 def _validate_density(rho: np.ndarray):
     if rho.shape != (4, 4):
         raise InvalidDensityError(f"expected 4x4, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise InvalidDensityError("not Hermitian within 1e-10")
-    if abs(np.trace(rho) - 1) > 1e-10:
-        raise InvalidDensityError(f"trace {np.trace(rho)} != 1 within 1e-10")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+    trace = rho.trace()
+    if abs(trace - 1) > 1e-10:
+        raise InvalidDensityError(f"trace {trace} != 1 within 1e-10")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise InvalidDensityError("negative eigenvalue below -1e-10 floor")
 
 
@@ -41,7 +44,10 @@ def concurrence_mixed(rho) -> float:
     low end are exact-zero roots and are dropped, and the rest go to
     spectrum._poly_roots (np.roots' companion solve, without its per-call
     overhead).  Round-off negatives are clamped at zero before the square
-    roots.
+    roots.  The sort, clamp and square roots run on Python floats: math.sqrt
+    is correctly rounded, as np.sqrt is, and the order of equal values (a
+    -0 and a +0) only moves the sign of a zero, which the final clamp at 0
+    removes.
     """
     rho = np.asarray(rho, dtype=complex)
     _validate_density(rho)
@@ -52,12 +58,10 @@ def concurrence_mixed(rho) -> float:
     degree = 4
     while degree > 0 and abs(coeff[degree]) < 1e-12:
         degree -= 1
-    mu = np.zeros(4, dtype=complex)
-    if degree > 0:
-        mu[:degree] = _poly_roots(coeff[: degree + 1])
-    mu = np.clip(np.sort(mu.real)[::-1], 0.0, None)
-    roots = np.sqrt(mu)
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+    mu = _poly_roots(coeff[: degree + 1]).real.tolist() if degree else []
+    mu += [0.0] * (4 - degree)
+    r0, r1, r2, r3 = (math.sqrt(max(m, 0.0)) for m in sorted(mu, reverse=True))
+    return min(1.0, max(0.0, r0 - r1 - r2 - r3))
 
 
 def concurrence_pure(psi) -> float:

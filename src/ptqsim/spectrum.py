@@ -403,16 +403,23 @@ def _char_poly(h: np.ndarray) -> np.ndarray:
 
     M_1 = h and M_k = h (M_(k-1) + c_(k-1) I) with c_k = -tr(M_k) / k.  The
     recursion's first product h (0 + 1 I) is h itself, so it starts from h.
-    c_1 keeps its division by 1: numpy divides a complex by an integer with
-    Smith's algorithm, (re + im*0)*1, which turns a -0 real part into +0.
+    Each trace is taken in numpy scalars from the diagonal view, as
+    0j + ((d0 + d1) + (d2 + d3)): ndarray.trace of a complex 4x4 is a reduce
+    whose pairwise sum keeps one accumulator per part and entry, then adds
+    the total to the reduce's +0 start, which turns a -0 part into +0.
+    c_k keeps numpy's complex division by the integer k, Smith's algorithm
+    (re + im*0)*(1/k), which also turns a -0 real part into +0 at k = 1.
+    h is complex: a real h would take these sums in Python complexes.
     """
     coeff = np.empty(5, dtype=complex)
     coeff[0] = 1.0
     m = h
-    coeff[1] = -m.trace() / 1
-    for k in range(2, 5):
-        m = h @ (m + coeff[k - 1] * _EYE)
-        coeff[k] = -m.trace() / k
+    for k in range(1, 5):
+        if k > 1:
+            m = h @ (m + c * _EYE)
+        d = m.ravel()[::5]
+        t = 0j + ((d[0] + d[1]) + (d[2] + d[3]))
+        c = coeff[k] = -t / k
     return coeff
 
 
@@ -420,18 +427,24 @@ def _char_poly(h: np.ndarray) -> np.ndarray:
 _PERMS = np.array(list(permutations(range(4))))
 #: np.polyder's weights: the derivative of sum_k c[k] x**(4-k) is sum_k (4-k) c[k] x**(3-k).
 _DERIVATIVE_WEIGHTS = np.arange(4, 0, -1)
+#: The (p, p') Horner rows after the first step from zeros, 0*x + (1, 0) at a finite x.
+_HORNER_HEAD = np.array([[1.0], [0.0]], dtype=complex)
+#: np.roots' companion matrices before their first row is set, by degree.
+_COMPANIONS = {n: np.eye(n, k=-1, dtype=complex) for n in range(1, 5)}
 
 
 def _poly_roots(p: np.ndarray) -> np.ndarray:
-    """Roots of p[0] x**n + ... + p[n], with the bits of np.roots(p).
+    """Roots of p[0] x**n + ... + p[n], n <= 4, with the bits of np.roots(p).
 
     The companion matrix np.roots builds, solved by np.linalg.eigvals without
     np.roots' stripping and casting; a zero first or last coefficient goes to
-    np.roots, which strips it (a trailing zero is a root at 0).
+    np.roots, which strips it (a trailing zero is a root at 0).  The matrix
+    is a fresh copy of a stored template in p's dtype, so no call sees
+    another's first row, and the roots eigvals returns are a new array.
     """
     if p[0] == 0 or p[-1] == 0:
         return np.roots(p)
-    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+    companion = _COMPANIONS[len(p) - 1].astype(p.dtype)
     companion[0] = -p[1:] / p[0]
     return np.linalg.eigvals(companion)
 
@@ -444,9 +457,14 @@ def _oracle_roots(h, deflate_root: complex | None = None) -> tuple:
     and re-solves a close pair (_refine_close_pair); scale = max(1, max|h|).
     deflate_root, when given, is roots[0], exactly: it is divided out
     synthetically before the companion solve and never polished.  Each Newton
-    step evaluates p and p' in one Horner pass over a (5, 2, 1) stack of their
-    coefficients, p' padded by a leading zero, whose step 0*x + 0 gives the
-    +0 that np.polyval's zeros start gives.
+    step evaluates p and p' as np.polyval does, by Horner from zeros over
+    their coefficients, p' padded by a leading zero, in one pass over the
+    stacked (2, n) rows.  At a finite root the first step from zeros,
+    0*x + (1, 0), is always the rows (1+0j, +0+0j) (_HORNER_HEAD), so the pass
+    starts there and runs the other four steps.  The step x - p/p' is taken
+    with the two np.where masks only when some |p'| is at or below the guard;
+    a non-finite root makes its p' NaN, which fails the guard, so the masks
+    keep that root.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
@@ -469,20 +487,24 @@ def _oracle_roots(h, deflate_root: complex | None = None) -> tuple:
         roots[:] = _poly_roots(coeff)
 
     start = 0 if deflate_root is None else 1  # keep the exact root untouched
-    stack = np.zeros((5, 2, 1), dtype=complex)
-    stack[:, 0, 0] = coeff
-    stack[1:, 1, 0] = coeff[:-1] * _DERIVATIVE_WEIGHTS
+    steps = np.empty((4, 2, 1), dtype=complex)
+    steps[:, 0, 0] = coeff[1:]
+    steps[:, 1, 0] = coeff[:-1] * _DERIVATIVE_WEIGHTS
     # p' at a simple root grows as max|h|**3, below 1 too; at or below 1e-30 it
     # counts as zero at any scale (a product cannot raise OverflowError)
     guard = max(1e-30, 1e-12 * rate * rate * rate)
     x = roots[start:]
     for _ in range(2):  # Newton polish
-        y = np.zeros((2, len(x)), dtype=complex)
-        for c in stack:
-            y = y * x + c
+        y = _HORNER_HEAD * x + steps[0]
+        for c in steps[1:]:
+            y *= x
+            y += c
         p, dp = y
-        ok = np.abs(dp) > guard
-        x = np.where(ok, x - p / np.where(ok, dp, 1.0), x)
+        if np.abs(dp).min() > guard:
+            x = x - p / dp
+        else:
+            ok = np.abs(dp) > guard
+            x = np.where(ok, x - p / np.where(ok, dp, 1.0), x)
     roots[start:] = x
     return h, _refine_close_pair(coeff, roots, scale, start), scale
 

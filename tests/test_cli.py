@@ -705,6 +705,22 @@ def test_usage_error_is_one_json_line(capsys, argv):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sense", "--sweep-axis", "j", "--omega", 2, "--sweep-range", "0.3:0.9"],
+    ["concurrence", "--sweep-axis", "j", "--omega", 2, "--sweep-range", "0.3:0.9"],
+    ["ep-curve", "--sweep-range", "1:2"],
+], ids=["sense", "concurrence", "ep-curve"])
+def test_huge_n_is_one_json_line(capsys, argv):
+    """A grid of 10**15 points cannot be allocated (7 PiB is past the address space,
+    so nothing is allocated): exit 2 with one JSON line naming --n, no traceback."""
+    code, out, err = invoke(capsys, *argv, "--n", 10**15)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "--n 1000000000000000" in error["message"] and "memory" in error["message"]
+
+
 _EXTREMES = st.sampled_from(
     ["0", "-0.0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300"]
 )

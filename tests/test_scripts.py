@@ -93,6 +93,28 @@ def test_bench_pairs_summary():
     rate = bench_pairs.summarize(slower(0.1), {"rate": "higher"})[0]
     assert rate["bound"] is None and not rate["regressed"]
     assert "REGRESSED" not in bench_pairs.format_row(rate)
+    # a parent quartile spread wider than the bound leaves the metric unresolved
+    assert not any(row["unresolved"] for row in bench_pairs.summarize(pairs, directions, bounds))
+    spread = [60, 100, 140, 80, 120, 70, 130, 90, 110, 100]  # quartiles 82.5, 117.5
+
+    def sides(parent, change):
+        return [({"rate": p, "ms": 1 / p, **ops}, {"rate": c, "ms": 1 / c, **ops})
+                for p, c in zip(parent, change)]
+
+    rate, ms = bench_pairs.summarize(sides(spread, [p * 1.01 for p in spread]), directions, bounds)
+    assert rate["unresolved"] and ms["unresolved"] and not rate["regressed"]
+    assert bench_pairs.format_row(rate).endswith("  unresolved")
+    # ... unless every change run reads better than every parent run
+    rate, ms = bench_pairs.summarize(sides(spread, [p + 81 for p in spread]), directions, bounds)
+    assert not rate["unresolved"] and not ms["unresolved"]
+    assert "unresolved" not in bench_pairs.format_row(rate)
+    # one tie between the best parent and the worst change run is not separated
+    rate = bench_pairs.summarize(sides(spread, [p + 80 for p in spread]), directions, bounds)[0]
+    assert rate["unresolved"]
+    # a spread equal to the bound is resolved, and a metric without a bound is never unresolved
+    edge = [87.5, 87.5, 100, 112.5, 112.5]
+    assert not bench_pairs.summarize(sides(edge, edge), {"rate": "higher"}, bounds)[0]["unresolved"]
+    assert not bench_pairs.summarize(sides(spread, spread), {"rate": "higher"})[0]["unresolved"]
 
 
 def _git(repo, *args):

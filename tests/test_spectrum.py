@@ -1129,6 +1129,179 @@ class TestCharPolyBitwise:
                     == _bits(_char_poly_reference(product)).tolist())
 
 
+def _oracle_roots_reference(h, deflate_root=None):
+    """spectrum._oracle_roots as it was when its Newton polish ran all five Horner
+    steps from zeros and always took both np.where masks, verbatim but for
+    module-qualified names.  Its companion roots come from the live
+    spectrum._poly_roots, so a test can choose the roots the polish starts from."""
+    h = np.asarray(h, dtype=complex)
+    rate = float(np.abs(h).max())
+    scale = max(1.0, rate)
+    coeff = _char_poly_reference(h)
+    roots = np.empty(4, dtype=complex)
+    if deflate_root is not None:
+        reduced = np.zeros(4, dtype=complex)
+        reduced[0] = coeff[0]
+        for i in range(1, 4):
+            reduced[i] = coeff[i] + deflate_root * reduced[i - 1]
+        roots[0] = deflate_root
+        roots[1:] = spectrum._poly_roots(reduced)
+    else:
+        roots[:] = spectrum._poly_roots(coeff)
+    start = 0 if deflate_root is None else 1
+    stack = np.zeros((5, 2, 1), dtype=complex)
+    stack[:, 0, 0] = coeff
+    stack[1:, 1, 0] = coeff[:-1] * np.arange(4, 0, -1)
+    guard = max(1e-30, 1e-12 * rate * rate * rate)
+    x = roots[start:]
+    for _ in range(2):
+        y = np.zeros((2, len(x)), dtype=complex)
+        for c in stack:
+            y = y * x + c
+        p, dp = y
+        ok = np.abs(dp) > guard
+        x = np.where(ok, x - p / np.where(ok, dp, 1.0), x)
+    roots[start:] = x
+    return _refine_close_pair_reference(coeff, roots, scale, start)
+
+
+def _concurrence_tail_reference(mu):
+    """concurrence_mixed's numpy tail as it was, verbatim: mu are the four roots."""
+    mu = np.clip(np.sort(mu.real)[::-1], 0.0, None)
+    roots = np.sqrt(mu)
+    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+
+
+#: Parts that take every signed-zero rule: +-0, small, unit-scale and large values.
+_SIGNED_PARTS = [0.0, -0.0, 5e-324, -1e-300, 0.75, -1.25, 3e150, -1e300]
+
+
+def _with_diagonal(m, diagonal):
+    """m with its diagonal set part by part (a complex assignment would lose a -0 part)."""
+    m = m.copy()
+    view = m.view(float).reshape(4, 8)
+    for i, (re, im) in enumerate(diagonal):
+        view[i, 2 * i], view[i, 2 * i + 1] = re, im
+    return m
+
+
+class TestKernelPremises:
+    """Each shortcut in _char_poly, _poly_roots, the Newton polish and
+    concurrence_mixed against the numpy form it replaces, bit for bit."""
+
+    def test_trace_is_the_pairwise_sum_from_zero(self):
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        zeros = [(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        diagonals = [[zeros[(k >> (2 * i)) & 3] for i in range(4)] for k in range(256)]
+        for _ in range(3000):  # partly signed-zero diagonals at every scale
+            diagonals.append([tuple(rng.choice(_SIGNED_PARTS, 2)) for _ in range(4)])
+        for diagonal in diagonals:
+            m = _with_diagonal(base, diagonal)
+            d = m.ravel()[::5]
+            pairwise = 0j + ((d[0] + d[1]) + (d[2] + d[3]))
+            assert _bits([m.trace()]).tolist() == _bits([pairwise]).tolist(), diagonal
+            if max(abs(part) for entry in diagonal for part in entry) < 2:  # finite powers
+                assert (_bits(spectrum._char_poly(m)).tolist()
+                        == _bits(_char_poly_reference(m)).tolist())
+
+    def test_char_poly_on_signed_zero_diagonals(self):
+        hams = [build_hamiltonian(SystemParams(om, j, g)) for om in (1.3, 0.0, -0.0)
+                for j in (0.0, -0.0) for g in (0.0, -0.0)]
+        hams += [np.diag([complex(re, im)] * 4) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        rng = np.random.default_rng(22)
+        for h in hams:
+            for diagonal in ([(0.0, 0.0)] * 4, [(-0.0, -0.0)] * 4, [(-0.0, 0.0), (0.0, -0.0)] * 2):
+                for m in (h, _with_diagonal(h, diagonal),
+                          _with_diagonal(h + rng.standard_normal((4, 4)), diagonal)):
+                    assert (_bits(spectrum._char_poly(m)).tolist()
+                            == _bits(_char_poly_reference(m)).tolist())
+
+    def test_first_horner_step_is_the_head(self):
+        x = np.array([complex(re, im) for re in _SIGNED_PARTS for im in _SIGNED_PARTS])
+        first = np.zeros((2, len(x)), dtype=complex) * x + np.array([[1.0], [0.0]], dtype=complex)
+        head = np.broadcast_to(spectrum._HORNER_HEAD, first.shape).copy()
+        assert _bits(first).tolist() == _bits(head).tolist()
+
+    @pytest.mark.parametrize("deflate", [False, True])
+    def test_newton_from_signed_zero_roots(self, monkeypatch, deflate):
+        values = [complex(re, im) for re in (0.0, -0.0, 0.4, -1.1) for im in (0.0, -0.0, 0.9, -0.3)]
+        rng = np.random.default_rng(23)
+        hams = [build_hamiltonian(SystemParams(*p)) for p in
+                [(1.3, 0.4, 1.0), (0.0, 0.3, 1.0), (2.0, 0.0, 0.0), (1.0, 0.0, 1.0)]]
+        hams += [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+        for h in hams:
+            for _ in range(40):
+                start = np.array(rng.choice(values, 3 if deflate else 4))
+                monkeypatch.setattr(spectrum, "_poly_roots", lambda p, r=start: r.copy())
+                root = -0.3 if deflate else None
+                got = spectrum._oracle_roots(h, root)[1]
+                assert _bits(got).tolist() == _bits(_oracle_roots_reference(h, root)).tolist(), start
+
+    def test_written_roots_leave_the_next_call_unchanged(self):
+        rng = np.random.default_rng(24)
+        for degree in (4, 3, 2, 1, 3, 4):
+            p = np.concatenate([[1.0], rng.standard_normal(degree) + 1j * rng.standard_normal(degree)])
+            want = _bits(np.roots(p)).tolist()
+            first = spectrum._poly_roots(p)
+            assert _bits(first).tolist() == want
+            first[:] = np.nan + 1j  # a caller keeps and overwrites its roots
+            second = spectrum._poly_roots(p)
+            assert _bits(second).tolist() == want and not np.shares_memory(first, second)
+        for n, template in spectrum._COMPANIONS.items():
+            assert _bits(template).tolist() == _bits(np.eye(n, k=-1, dtype=complex)).tolist()
+
+    def test_concurrence_tail_on_chosen_roots(self, monkeypatch):
+        pool = [0.0, -0.0, -1e-12, 1e-12, 9.999999999999999e-13, 1.0000000000000002e-12,
+                -3e-17, 2e-20, 0.25, 0.49, 0.0625, 1.0, -0.25, 1e-300]
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+        rank2 = 0.5 * np.outer(bell, bell) + 0.5 * np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        rng = np.random.default_rng(25)
+        for rho in (np.eye(4, dtype=complex) / 4, rank2):
+            for _ in range(200):
+                mu = rng.choice(pool, 4) + 1j * rng.choice([0.0, -0.0, 1e-18], 4)
+                asked = []
+
+                def roots(p, mu=mu):
+                    asked.append(len(p) - 1)
+                    return mu[: len(p) - 1].copy()
+
+                monkeypatch.setattr(entanglement, "_poly_roots", roots)
+                got = concurrence_mixed(rho)
+                padded = np.concatenate([mu[: asked[0]], np.zeros(4 - asked[0], dtype=complex)])
+                assert _bits(got) == _bits(_concurrence_tail_reference(padded)), mu
+                assert type(got) is float
+        assert asked == [1]  # the rank-deficient product deflates three exact-zero roots
+
+    def test_concurrence_near_zero_and_near_the_threshold(self):
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+        inputs = []
+        for p in np.concatenate([np.linspace(0.3, 0.37, 71), [1 / 3, 0.0, 1.0]]):  # Werner
+            inputs.append(p * np.outer(bell, bell.conj()) + (1 - p) * np.eye(4) / 4)
+        for eps in np.logspace(-9, -3, 25):  # mu of order eps**2 around the 1e-12 cut
+            inputs.append((1 - eps) * np.outer(bell, bell.conj()) + eps * np.eye(4) / 4)
+            inputs.append(np.diag([1 - eps, eps, 0.0, 0.0]).astype(complex))
+        for rho in inputs:
+            assert _bits(concurrence_mixed(rho)) == _bits(_concurrence_mixed_reference(rho))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0), 1e200])
+    def test_concurrence_refuses_bad_input_as_before(self, bad):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[1, 2], rho[2, 1] = bad, np.conj(bad)
+        outcomes = []
+        for call in (concurrence_mixed, _concurrence_mixed_reference):
+            with pytest.raises(Exception) as err, np.errstate(all="ignore"):
+                call(rho)
+            outcomes.append((err.type, str(err.value)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_trace_message_is_unchanged(self):
+        rho = np.eye(4, dtype=complex) / 8
+        with pytest.raises(entanglement.InvalidDensityError) as err:
+            concurrence_mixed(rho)
+        assert str(err.value) == f"trace {np.trace(rho)} != 1 within 1e-10"
+
+
 def _spectrum_closed_form_reference(params):
     """spectrum_closed_form as it was when it ran the full oracle, verbatim but for
     module-qualified names."""
