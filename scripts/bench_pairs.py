@@ -22,13 +22,19 @@ Usage (from the repository root):
 
     python3 scripts/bench_pairs.py --workload spectra --seeds 401-410
     python3 scripts/bench_pairs.py --workload scan --seeds 1,2,3 --parent HEAD~1
+    python3 scripts/bench_pairs.py --workload sense,scan,spectra --seeds 1-3
+
+A comma-separated --workload runs the seeds on each workload in turn, one
+export of the parent serving them all, and prints each workload's summary
+block and JSON line as soon as its pairs are done.
 
 The parent revision (default HEAD: the comparison is then against uncommitted
 changes) is exported with `git archive` into a temporary directory, which is
 removed afterwards; a run writes nothing under .git and registers no worktree.
 The script refuses a parent whose tracked files equal the working tree's: it
 would compare the code with itself.
-The last line of stdout is one JSON object with every row.
+Each workload's summary ends in one line of stdout holding a JSON object with
+every row of that workload.
 """
 import argparse
 import contextlib
@@ -148,10 +154,23 @@ def parent_checkout(rev: str, root: Path):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+WORKLOADS = ("sense", "scan", "evolve", "spectra")
+
+
+def parse_workloads(text: str) -> list[str]:
+    """'sense,scan' -> ['sense', 'scan']; each name must be a benchmark workload."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown workload(s) {', '.join(map(repr, unknown))}: "
+                                         f"choose from {', '.join(WORKLOADS)}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True,
-                        choices=("sense", "scan", "evolve", "spectra"))
+    parser.add_argument("--workload", required=True, type=parse_workloads,
+                        help=f"one of {', '.join(WORKLOADS)}, or a comma-separated list")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seeds as a list of numbers and ranges, e.g. 401-410 or 1,2,5")
     parser.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
@@ -163,25 +182,27 @@ def main(argv=None) -> int:
         parser.error(f"the working tree's tracked files equal {args.parent}'s: "
                      "name the parent revision with --parent")
 
-    pairs = []
     with parent_checkout(args.parent, ROOT) as parent:
-        for i, seed in enumerate(args.seeds):
-            sides = [("parent", parent), ("change", ROOT)]
-            if i % 2:
-                sides.reverse()
-            got = {label: run_side(path, args.workload, seed, spec["run_seconds"])
-                   for label, path in sides}
-            pairs.append((got["parent"], got["change"]))
-            print(f"seed {seed} ({sides[0][0]} first): " + "  ".join(
-                f"{name} {got['parent'][name]:.4g}/{got['change'][name]:.4g}" for name in better),
-                flush=True)
-    rows = summarize(pairs, better, bounds)
-    print(f"{args.workload}, {len(pairs)} pairs: median parent -> change (move) "
-          "[parent quartiles] change-better pairs, regression bound")
-    for row in rows:
-        print("  " + format_row(row))
-    print("  failed ops: parent {:.2%}, change {:.2%}".format(*rows[0]["failed_share"]))
-    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "rows": rows}), flush=True)
+        for workload in args.workload:
+            pairs = []
+            for i, seed in enumerate(args.seeds):
+                sides = [("parent", parent), ("change", ROOT)]
+                if i % 2:
+                    sides.reverse()
+                got = {label: run_side(path, workload, seed, spec["run_seconds"])
+                       for label, path in sides}
+                pairs.append((got["parent"], got["change"]))
+                print(f"{workload} seed {seed} ({sides[0][0]} first): " + "  ".join(
+                    f"{name} {got['parent'][name]:.4g}/{got['change'][name]:.4g}"
+                    for name in better), flush=True)
+            rows = summarize(pairs, better, bounds)
+            print(f"{workload}, {len(pairs)} pairs: median parent -> change (move) "
+                  "[parent quartiles] change-better pairs, regression bound")
+            for row in rows:
+                print("  " + format_row(row))
+            print("  failed ops: parent {:.2%}, change {:.2%}".format(*rows[0]["failed_share"]))
+            print(json.dumps({"workload": workload, "seeds": args.seeds, "rows": rows}),
+                  flush=True)
     return 0
 
 

@@ -20,11 +20,21 @@ links come out as ``open(PATH, "w")`` leaves them.  Truncating a file to zero
 bytes first would make ext4 (with its default ``auto_da_alloc``) flush it to
 disk on close, which costs more than writing a small table; a run that rewrites
 one file per call, as a benchmark loop does, would pay that flush every time.
+
+A CSV table's data rows are formatted and written in blocks of ``_BLOCK_ROWS``
+rows, so a long ``evolve`` run never holds its whole table as text.  Column
+formats and the rows with missing cells are decided once for the whole table,
+and nothing is written before the run has finished, so a run that fails leaves
+``--out`` untouched.  ``evolve``, ``revivals`` and the fig4-fig6 presets run the
+integrator without keeping its states (see ``dynamics``): they print only the
+per-row observables.
 """
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +45,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import detect_revivals, initial_state, propagate
+from .dynamics import _integrate, detect_revivals, initial_state
 from .entanglement import eigenstate_concurrence_closed, eigenstate_concurrence_wootters
 from .ep import ep_curve, locate_ep
 from .errors import NumericalError, OmegaSingularError, ValidationError
@@ -72,33 +82,47 @@ def _field(x) -> str:
     return "%s"
 
 
-def _csv_body(rows: list[list] | np.ndarray) -> str:
-    """The data lines of a table, each cell as _fmt prints it, by one % over the flat cells.
+#: Data rows per formatted block: a CSV table is written one block at a time.
+_BLOCK_ROWS = 1024
 
-    Each column formats as its first cell that is not None does (a float array
-    as %.12g, an int array as %d).  A missing cell, None or a NaN float, gets
-    %s and "" in its row's own template.
+
+def _csv_blocks(rows: list[list] | np.ndarray):
+    """The data lines of a table, each cell as _fmt prints it, in blocks of _BLOCK_ROWS rows.
+
+    Each column formats as its first cell in the whole table that is not None
+    does (a float array as %.12g, an int array as %d).  A missing cell, None or
+    a NaN float, gets %s and "" in its row's own template.  Each block is one
+    % over its flat cells, its lines each ending in a newline.
     """
-    if isinstance(rows, np.ndarray):
-        cells = rows.ravel().tolist()
+    array = isinstance(rows, np.ndarray)
+    if array:
         floats = rows.dtype.kind == "f"
         fields = ["%.12g" if floats else "%d"] * rows.shape[1]
         gaps = np.flatnonzero(np.isnan(rows)).tolist() if floats else []
-    else:
-        cells = [v for row in rows for v in row]
+    else:  # a list table is small and already Python objects: flattened once
+        flat = [v for row in rows for v in row]
         fields = [_field(next((v for v in column if v is not None), None))
                   for column in zip(*rows)]
-        gaps = [i for i, v in enumerate(cells)
+        gaps = [i for i, v in enumerate(flat)
                 if v is None or (isinstance(v, float) and math.isnan(v))]
     width = len(fields)
-    templates = [",".join(fields)] * len(rows)
-    gap_fields = {}
+    line = ",".join(fields) + "\n"
+    gap_lines = {}
     for i in gaps:
-        cells[i] = ""
-        gap_fields.setdefault(i // width, fields.copy())[i % width] = "%s"
-    for r, row_fields in gap_fields.items():
-        templates[r] = ",".join(row_fields)
-    return "\n".join(templates) % tuple(cells)
+        gap_lines.setdefault(i // width, fields.copy())[i % width] = "%s"
+    for r, row_fields in gap_lines.items():
+        gap_lines[r] = ",".join(row_fields) + "\n"
+    g = 0  # gaps[g] is the first gap past the blocks already written
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(rows))
+        block = rows[lo:hi].ravel().tolist() if array else flat[lo * width:hi * width]
+        templates = [line] * (hi - lo)
+        end = bisect.bisect_left(gaps, hi * width, g)
+        for i in gaps[g:end]:
+            block[i - lo * width] = ""
+            templates[i // width - lo] = gap_lines[i // width]
+        g = end
+        yield "".join(templates) % tuple(block)
 
 
 def _jsonable(x):
@@ -118,20 +142,23 @@ def _jsonable(x):
     return x
 
 
-def _write(out_path: str, text: str):
-    """Write text to stdout ("-") or to out_path, rewritten in place (see the module docstring)."""
+def _write(out_path: str, parts):
+    """Write the strings of parts, in order, to stdout ("-") or to out_path, rewritten in
+    place (see the module docstring)."""
     if out_path == "-":
-        sys.stdout.write(text)
+        for text in parts:
+            sys.stdout.write(text)
         return
     with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        for text in parts:
+            fh.write(text.encode("utf-8"))
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()  # at the end of the new bytes: drops a longer file's stale tail
 
 
 def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict,
           results: dict | None = None):
-    """Write one table as CSV (see _csv_body), or as JSON {params, results, diagnostics}.
+    """Write one table as CSV (see _csv_blocks), or as JSON {params, results, diagnostics}.
 
     results, when given, is a point command's JSON object; its CSV is the table.
     """
@@ -139,15 +166,13 @@ def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarr
         if results is None:
             results = {"columns": header, "rows": rows}
         payload = {"params": params_desc, "results": results, "diagnostics": meta}
-        _write(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
+        _write(args.out, [json.dumps(_jsonable(payload), indent=2) + "\n"])
         return
     lines = [MAGIC, f"# params: {params_desc}"]
     for key, value in meta.items():
         lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(header))
-    if len(rows):
-        lines.append(_csv_body(rows))
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, itertools.chain(["\n".join(lines) + "\n"], _csv_blocks(rows)))
 
 
 def _params_from(args) -> SystemParams:
@@ -302,8 +327,8 @@ def _trajectory(args):
     whole number of steps; the metadata then names the real end as t_end.
     """
     params = _params_from(args)
-    traj = propagate(params, initial_state(args.theta), args.tmax, args.dt,
-                     record_every=args.record_every)
+    traj = _integrate(params, initial_state(args.theta), args.tmax, args.dt, args.record_every,
+                      keep_states=False)
     t_end = float(traj.times[-1])
     return (traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt),
             {} if t_end == args.tmax else {"t_end": t_end})
@@ -413,7 +438,8 @@ def _evolve_columns(args, desc: str, runs, t_max: float, dt: float, record_every
     """Concurrence of each (column, params, theta) run on their shared time grid."""
     header, series = ["t"], []
     for column, params, theta in runs:
-        traj = propagate(params, initial_state(theta), t_max, dt, record_every=record_every)
+        traj = _integrate(params, initial_state(theta), t_max, dt, record_every,
+                          keep_states=False)
         header.append(column)
         series.append(traj.concurrence)
     _emit(args, desc, header, np.column_stack((traj.times, *series)), {})

@@ -12,7 +12,10 @@ which starts the next: one matrix-vector product over the stacked powers per
 chunk, with the same bits as one product per power.  Every formed state is
 renormalized and its log-norm accumulated exactly as if every step were.  The
 recorded count is known before the first step, so recorded rows are written
-into preallocated arrays.
+into preallocated arrays, each chunk's rows reduced to their time, log-norm,
+concurrence and coherence as the chunk is formed.  Only ``propagate`` also
+keeps the recorded states (64 bytes a row); the CLI's evolve, revivals and
+figure presets run the same loop without them, holding 32 bytes a row.
 
 The power chain calls the bound ``step.dot``: the zgemm of ``np.dot`` without
 its dispatch.  A chunk's norms are np.linalg.norm's steps written out, and the
@@ -46,11 +49,12 @@ class Trajectory:
     """Normalized states and derived observables on a strictly increasing grid.
 
     norm_log accumulates the log of the norm growth the renormalization
-    discarded, so exp(norm_log) recovers the unnormalized magnitude.
+    discarded, so exp(norm_log) recovers the unnormalized magnitude.  states
+    is None only in the CLI's runs, which print observables alone.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     norm_log: np.ndarray
     concurrence: np.ndarray
     coherence_x: np.ndarray
@@ -91,6 +95,17 @@ def propagate(
     those states and each chunk's last one are computed, by one product of
     the chunk's stacked step powers with the state that starts it.
     """
+    return _integrate(params, psi0, t_max, dt, record_every, keep_states=True)
+
+
+def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every: int,
+               keep_states: bool) -> Trajectory:
+    """propagate's run; the recorded states are kept only with keep_states (else None).
+
+    Each chunk's recorded rows are reduced to their time, norm_log, concurrence
+    and coherence as the chunk is formed.  Both observables are elementwise, so
+    a chunk's values have the bits of one pass over every recorded state.
+    """
     psi0 = as_unit_state(psi0)
     if not (math.isfinite(t_max) and math.isfinite(dt)):
         raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
@@ -120,13 +135,19 @@ def propagate(
     # t=0, every record_every-th step, and the final step when off that grid
     n_rec = n_steps // record_every + 1 + (n_steps % record_every != 0)
     try:
-        rec_idx = np.zeros(n_rec, dtype=np.int64)
-        states = np.empty((n_rec, 4), dtype=complex)
+        # step indices, made times by one product with dt at the end
+        times = np.zeros(n_rec)
         norm_log = np.zeros(n_rec)
+        concurrence = np.empty(n_rec)
+        coherence = np.empty(n_rec)
+        states = np.empty((n_rec, 4), dtype=complex) if keep_states else None
     except MemoryError:
         raise ValueError(f"{n_rec} recorded states do not fit in memory "
                          f"(raise record_every)") from None
-    states[0] = psi0
+    concurrence[:1] = _concurrence_rows(psi0[None])
+    coherence[:1] = _coherence_x1(psi0[None])
+    if keep_states:
+        states[0] = psi0
     psi = psi0
     log_acc = 0.0
     done, r = 0, 1
@@ -150,22 +171,25 @@ def propagate(
         parts *= (1.0 / norms)[:, None]
         logs = log_acc + np.log(norms)
         rec = slice(r, r + n_new)
-        rec_idx[rec] = done + 1 + rows[:n_new]
-        states[rec] = block[:n_new]
+        new = block[:n_new]
+        times[rec] = done + 1 + rows[:n_new]
         norm_log[rec] = logs[:n_new]
+        concurrence[rec] = _concurrence_rows(new)
+        coherence[rec] = _coherence_x1(new)
+        if keep_states:
+            states[rec] = new
         r += n_new
         psi = block[-1]
         log_acc = logs[-1]
         done += k
 
-    times = rec_idx.astype(float) * dt
-    return Trajectory(
-        times,
-        states,
-        norm_log,
-        2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3]),
-        _coherence_x1(states),
-    )
+    times *= dt
+    return Trajectory(times, states, norm_log, concurrence, coherence)
+
+
+def _concurrence_rows(states: np.ndarray) -> np.ndarray:
+    """Concurrence of (n, 4) unit-state rows: 2 |psi1 psi2 - psi0 psi3|."""
+    return 2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3])
 
 
 def _coherence_x1(states: np.ndarray) -> np.ndarray:

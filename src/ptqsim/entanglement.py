@@ -27,6 +27,8 @@ from .spectrum import (
 def _validate_density(rho: np.ndarray):
     if rho.shape != (4, 4):
         raise InvalidDensityError(f"expected 4x4, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidDensityError("non-finite entry (NaN or inf)")
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise InvalidDensityError("not Hermitian within 1e-10")
     trace = rho.trace()

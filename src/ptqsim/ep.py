@@ -173,7 +173,11 @@ def ep_curve(
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    omegas = np.linspace(omega_range[0], omega_range[1], n_points)
+    try:
+        omegas = np.linspace(omega_range[0], omega_range[1], n_points)
+    except MemoryError:  # the message names the CLI flag too: ep-curve passes --n through
+        raise ValueError(
+            f"n_points = {n_points} omegas (--n {n_points}) do not fit in memory") from None
     entries: list[EpCurveEntry] = []
     for om in omegas:
         try:

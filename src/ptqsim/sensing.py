@@ -250,9 +250,12 @@ def sensing_sweep(
         base = SystemParams(omega=fixed_value, j=0.0, gamma=gamma)
     else:
         base = SystemParams(omega=1.0, j=fixed_value, gamma=gamma)
-    grid = np.linspace(value_range[0], value_range[1], n)
-    xs = grid.tolist()
-    rate_lists = [[base.omega] * n, [base.j] * n, [base.gamma] * n]
+    try:
+        grid = np.linspace(value_range[0], value_range[1], n)
+        xs = grid.tolist()
+        rate_lists = [[base.omega] * n, [base.j] * n, [base.gamma] * n]
+    except MemoryError:  # the message names the CLI flag too: sense passes --n through
+        raise ValueError(f"n = {n} sweep points (--n {n}) do not fit in memory") from None
     rate_lists[("omega", "j").index(kappa)] = xs
     finite = np.isfinite(grid)
     first_bad = n if finite.all() else int(finite.argmin())

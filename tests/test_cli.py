@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import column, parse_csv, run_cli
-from ptqsim import spectrum
-from ptqsim.cli import MAGIC, _emit, _fmt, _jsonable, main
+from ptqsim import SystemParams, detect_revivals, initial_state, propagate, spectrum
+from ptqsim.cli import _BLOCK_ROWS, MAGIC, _emit, _fmt, _jsonable, main
 
 
 def invoke(capsys, *args):
@@ -542,6 +543,119 @@ class TestOutFile:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == error
         assert str(path) in json.loads(err)["message"]
+
+
+def _run_reference(command, omega, j, gamma, theta, tmax, dt, record_every, fmt):
+    """evolve / revivals output built from the public propagate Trajectory, one _fmt per value.
+
+    revivals runs with --collapse-fraction 0.45 (see TestStreamedRuns._argv).
+    """
+    traj = propagate(SystemParams(omega, j, gamma), initial_state(theta), tmax, dt,
+                     record_every=record_every)
+    desc = (f"omega={_fmt(omega)} j={_fmt(j)} gamma={_fmt(gamma)} theta={_fmt(theta)} "
+            f"tmax={_fmt(tmax)} dt={_fmt(dt)}")
+    t_end = float(traj.times[-1])
+    end = {} if t_end == tmax else {"t_end": t_end}
+    if command == "evolve":
+        header, meta = ["t", "concurrence", "coherence_x", "norm_log"], end
+        rows = [list(r) for r in zip(traj.times.tolist(), traj.concurrence.tolist(),
+                                     traj.coherence_x.tolist(), traj.norm_log.tolist())]
+    else:
+        revivals = detect_revivals(traj, collapse_fraction=0.45)
+        header = ["revival_index", "revival_time"]
+        rows = [[k, t] for k, t in enumerate(revivals.tolist())]
+        meta = {"n_revivals": len(revivals),
+                "first_revival": revivals[0] if len(revivals) else None,
+                "envelope_window": 5.0, "collapse_fraction": 0.45, **end}
+    if fmt == "json":
+        payload = {"params": desc, "results": {"columns": header, "rows": rows},
+                   "diagnostics": meta}
+        return json.dumps(_jsonable(payload), indent=2) + "\n"
+    lines = [MAGIC, f"# params: {desc}"] + [f"# {k}: {_fmt(v)}" for k, v in meta.items()]
+    lines += [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: (omega, j, gamma, theta, tmax, dt, record_every) runs of the row-streaming path.  At
+#: dt = 0.01 and gamma = 1 a chunk is 500 steps.
+_STREAMED = {
+    # 100 steps: one chunk shorter than the chunk length
+    "one-short-chunk": (2.0, 0.4, 1.0, 1.5, 1.0, 0.01, 1),
+    # samples 700 steps apart, each in a later chunk, and the off-grid final step 3000
+    "record-past-chunk": (2.0, 0.7, 1.0, 0.9, 30.0, 0.01, 700),
+    # 123 steps end at 1.23, off --tmax (a t_end line) and off the 5-step record grid
+    "off-grid-end": (1.8, 0.3, 1.0, 2.2, 1.2345, 0.01, 5),
+    # 2.5 blocks of rows, and exactly two blocks
+    "several-blocks": (1.7, 0.336, 1.0, 1.5707963, 25.0 * _BLOCK_ROWS / 1000, 0.01, 1),
+    "two-full-blocks": (1.5, 0.01, 0.0, 0.7, (2 * _BLOCK_ROWS - 1) * 0.01, 0.01, 1),
+    # many collapses and revivals on 15 000 steps of a PT-symmetric run
+    "revivals": (1.7, 0.337, 1.0, 1.5707963, 300.0, 0.02, 1),
+}
+
+
+class TestStreamedRuns:
+    """evolve and revivals run the integrator without states and write CSV in row blocks:
+    their bytes equal tables built from propagate's Trajectory, one value at a time."""
+
+    @staticmethod
+    def _argv(command, case):
+        omega, j, gamma, theta, tmax, dt, record_every = _STREAMED[case]
+        detector = ["--collapse-fraction", 0.45] if command == "revivals" else []
+        return [command, "--omega", omega, "--j", j, "--gamma", gamma, "--theta", theta,
+                "--tmax", tmax, "--dt", dt, "--record-every", record_every, *detector]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["evolve", "revivals"])
+    @pytest.mark.parametrize("case", sorted(_STREAMED))
+    def test_stdout_equals_the_trajectory_table(self, capsys, case, command, fmt):
+        code, out, err = invoke(capsys, *self._argv(command, case), "--format", fmt,
+                                "--out", "-")
+        assert (code, err) == (0, "")
+        assert out == _run_reference(command, *_STREAMED[case], fmt)
+
+    def test_cases_reach_what_they_name(self, capsys):
+        lengths = {}
+        for case in _STREAMED:
+            _, out, _ = invoke(capsys, *self._argv("evolve", case))
+            meta, _, cols = parse_csv(out)
+            lengths[case] = (len(cols["t"]), "t_end" in meta)
+        assert lengths["one-short-chunk"] == (101, False)
+        assert lengths["record-past-chunk"] == (6, False)
+        assert lengths["off-grid-end"] == (26, True)
+        assert lengths["several-blocks"] == (25 * _BLOCK_ROWS // 10 + 1, False)
+        assert lengths["two-full-blocks"] == (2 * _BLOCK_ROWS, False)
+        _, out, _ = invoke(capsys, *self._argv("revivals", "revivals"))
+        assert int(parse_csv(out)[0]["n_revivals"]) >= 2
+
+    @pytest.mark.parametrize("command", ["evolve", "revivals"])
+    def test_longer_out_file_is_cut(self, tmp_path, capsys, command):
+        path = tmp_path / "run.csv"
+        want = _run_reference(command, *_STREAMED["several-blocks"], "csv").encode()
+        path.write_bytes(b"x" * (len(want) + 100_000))
+        assert invoke(capsys, *self._argv(command, "several-blocks"), "--out", path)[0] == 0
+        assert path.read_bytes() == want
+
+
+#: The peak bound of an evolve / revivals call: bytes per recorded row, plus a constant
+#: for the chunk's step powers and one write block.  Fixed before measuring; a run that
+#: keeps its states (64 bytes a row) and formats a whole table at once exceeds it.
+_BYTES_PER_ROW, _PEAK_CONSTANT = 100, 2 * 2**20
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["revivals", "--omega", 1.7, "--j", 0.3, "--tmax", 200, "--dt", 0.002], 100_001),
+    (["evolve", "--omega", 1.7, "--j", 0.3, "--tmax", 60, "--dt", 0.002], 30_001),
+], ids=["revivals", "evolve"])
+def test_peak_memory_per_recorded_row(tmp_path, argv, rows):
+    argv = [str(a) for a in argv] + ["--out", str(tmp_path / "run.csv")]
+    assert main(argv) == 0  # warm: the parser and numpy's first-call state are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BYTES_PER_ROW * rows + _PEAK_CONSTANT, f"{peak / rows:.0f} B/row"
 
 
 class TestQfiCommand:

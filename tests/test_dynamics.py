@@ -20,6 +20,8 @@ from ptqsim import (
 from ptqsim.dynamics import (
     STABILITY_LIMIT,
     _coherence_x1,
+    _concurrence_rows,
+    _integrate,
     _power_table,
     _rk4_step_matrix,
     _row_norms,
@@ -239,6 +241,40 @@ class TestPropagate:
         args = (SystemParams(2.0, 0.4, 1.0), KET_00, 0.1, 1e-3)
         got = propagate(*args, record_every=np.int64(7))
         assert got.states.tobytes() == propagate(*args, record_every=7).states.tobytes()
+
+
+class TestStatelessRun:
+    """The CLI's run keeps no states; its observables are propagate's, bit for bit."""
+
+    @pytest.mark.parametrize("params, t_max, dt, record_every", [
+        (SystemParams(2.0, 0.4, 1.0), 1.0, 1e-3, 7),  # off-grid final step
+        (SystemParams(2.0, 0.7, 1.0), 10.0, 1e-3, 1),  # 3 chunks, every row
+        (SystemParams(1.5, 0.01, 1.1), 30.0, 5e-3, 2000),  # chunks that record nothing
+        (SystemParams(0.0, 0.3, 1.0), 6.0, 1e-3, 3),  # signed zeros stay
+        (SystemParams(1.7, 0.337, 1.0), 50.0, 2e-3, 1),  # the benchmark's evolve grid
+    ])
+    def test_matches_propagate_bitwise(self, params, t_max, dt, record_every):
+        psi0 = initial_state(np.pi / 4)
+        want = propagate(params, psi0, t_max, dt, record_every=record_every)
+        got = _integrate(params, psi0, t_max, dt, record_every, keep_states=False)
+        assert got.states is None
+        for name in ("times", "norm_log", "concurrence", "coherence_x"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 64, 127, 1000,
+                                        2500, 4095, 4096])
+    def test_observables_per_chunk_keep_their_bits(self, length):
+        """Each chunk's rows reduced alone give the bits of one pass over all rows."""
+        rng = np.random.default_rng(20261019)
+        n = 100_003 if length >= 16 else 5_003
+        rows = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows[::97, rng.integers(0, 4)] = 0.0  # exact zero amplitudes, as at omega = 0
+        for reduce in (_concurrence_rows, _coherence_x1):
+            whole = reduce(rows)
+            chunked = np.concatenate([reduce(rows[lo:lo + length])
+                                      for lo in range(0, n, length)])
+            assert chunked.tobytes() == whole.tobytes(), reduce.__name__
 
 
 class TestCoherence:

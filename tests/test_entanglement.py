@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,19 @@ class TestConcurrenceMixed:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidDensityError):
             concurrence_mixed(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                     complex(np.inf, 0.0)])
+    @pytest.mark.parametrize("where", [(1, 2), (0, 0)], ids=["off-diagonal", "diagonal"])
+    def test_rejects_non_finite_entry_without_warning(self, bad, where):
+        """A NaN or inf entry is refused by name, before any arithmetic can warn on it."""
+        rho = np.eye(4, dtype=complex) / 4
+        rho[where] = bad
+        rho[where[::-1]] = np.conj(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDensityError, match="non-finite"):
+                concurrence_mixed(rho)
 
 
 class TestConcurrencePure:

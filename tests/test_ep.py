@@ -198,6 +198,11 @@ class TestEpCurve:
         with pytest.raises(EmptyCurveError):
             ep_curve((0.1, 0.2), 2, j_bracket=(1e-6, 0.05))
 
+    def test_unallocatable_n_names_n(self):
+        """10**15 omegas (7 PiB) are past the address space, so nothing is allocated."""
+        with pytest.raises(ValueError, match="n_points = 1000000000000000 .*memory"):
+            ep_curve((1.0, 2.0), 10**15)
+
     def test_failures_marked_not_dropped(self):
         # omega below gamma never leaves the broken phase: those points fail
         entries = ep_curve((0.5, 2.0), 4)

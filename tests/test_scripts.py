@@ -2,6 +2,7 @@
 import hashlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -148,6 +149,53 @@ def test_bench_pairs_exports_the_parent_without_a_worktree(tmp_path):
     with pytest.raises(SystemExit) as refused:
         bench_pairs.main(["--workload", "spectra", "--seeds", "1"])
     assert refused.value.code == 2
+
+
+def test_bench_pairs_runs_each_listed_workload(tmp_path, monkeypatch, capsys):
+    """A comma-separated --workload runs every seed on each workload in turn, one summary
+    block and one JSON line each; the benchmark itself is replaced by a stub."""
+    bench_pairs = _bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("parent\n")
+    (repo / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "rate", "better": "higher", "bound": 0.25}], '
+        '"run_seconds": 1}\n')
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("change\n")
+    calls = []
+
+    def run_side(checkout, workload, seed, seconds):
+        side = "change" if checkout == repo else "parent"
+        calls.append((workload, seed, side))
+        rate = {"sense": 100, "scan": 1000}[workload] + seed + (20 if side == "change" else 0)
+        return {"rate": rate, "failed": 0, "attempted": 10}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main(["--workload", "sense,scan", "--seeds", "1-3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    alternating = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [(w, seed, side) for w in ("sense", "scan")
+                     for seed, side in zip((1, 1, 2, 2, 3, 3), alternating)]
+    blocks = [k for k, line in enumerate(out) if " pairs: median parent -> change" in line]
+    assert [out[k].split(",")[0] for k in blocks] == ["sense", "scan"]
+    rows = [json.loads(line) for line in out if line.startswith("{")]
+    assert [(r["workload"], r["seeds"]) for r in rows] == [("sense", [1, 2, 3]),
+                                                           ("scan", [1, 2, 3])]
+    assert [r["rows"][0]["parent"] for r in rows] == [102, 1002]
+    assert [r["rows"][0]["change"] for r in rows] == [122, 1022]
+    # each JSON line closes its own workload's block
+    assert blocks[0] < out.index(json.dumps(rows[0])) < blocks[1] < out.index(json.dumps(rows[1]))
+    assert out[-1] == json.dumps(rows[1])
+    # an unknown name is a usage error before any run
+    calls.clear()
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(["--workload", "sense,bogus", "--seeds", "1"])
+    assert refused.value.code == 2 and calls == []
+    assert "'bogus'" in capsys.readouterr().err
 
 
 def _readme_entry_points() -> list[str]:

@@ -188,6 +188,11 @@ class TestSensingSweep:
         with pytest.raises(ValueError):
             sensing_sweep("j", 2.0, (0.3, 0.4), 1)
 
+    def test_unallocatable_n_names_n(self):
+        """10**15 points (7 PiB) are past the address space, so nothing is allocated."""
+        with pytest.raises(ValueError, match="n = 1000000000000000 .*memory"):
+            sensing_sweep("j", 2.0, (0.3, 0.9), 10**15)
+
     def test_point_at_ep_flagged_with_empty_payload(self):
         jc = locate_ep("omega", 2.000, (0.3, 0.9)).j_c
         points = sensing_sweep("j", 2.0, (jc - 1e-7, jc + 1e-7), 3)
