@@ -1,6 +1,9 @@
 """Two-qubit concurrence: general Wootters form, pure-state shortcut, and the
 radical-coefficient closed form for the symmetric-sector eigenstates.
 
+The Wootters form takes its lambdas as singular values (concurrence_mixed),
+not as square roots of a characteristic polynomial's roots.
+
 The closed form is kept verbatim for cross-checking but is *not*
 authoritative: it disagrees with the Wootters value away from the
 Hermitian limit (its second root is identically zero), so any mismatch is
@@ -8,23 +11,21 @@ surfaced as data via DiscrepancyError / scan_closed_form_discrepancies.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DiscrepancyError, InvalidDensityError
 from .model import SIGMA_YY, SystemParams, as_unit_state
 from .spectrum import (
-    _char_poly,
+    _EPS,
     _eigvec_coefficients,
-    _poly_roots,
     _require_omega,
     eigenvalues_closed_form,
     eigenvectors_closed_form,
 )
 
 
-def _validate_density(rho: np.ndarray):
+def _validate_density(rho: np.ndarray) -> tuple:
+    """Check rho and return its eigh decomposition (eigenvalues, eigenvectors as columns)."""
     if rho.shape != (4, 4):
         raise InvalidDensityError(f"expected 4x4, got {rho.shape}")
     if not np.isfinite(rho).all():
@@ -34,35 +35,28 @@ def _validate_density(rho: np.ndarray):
     trace = rho.trace()
     if abs(trace - 1) > 1e-10:
         raise InvalidDensityError(f"trace {trace} != 1 within 1e-10")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
+    weights, vecs = np.linalg.eigh(rho)
+    if weights[0] < -1e-10:
         raise InvalidDensityError("negative eigenvalue below -1e-10 floor")
+    return weights, vecs
 
 
 def concurrence_mixed(rho) -> float:
     """Wootters concurrence of a validated two-qubit density matrix.
 
-    Uses the characteristic-quartic oracle for the eigenvalues of
-    rho * (sy x sy) * conj(rho) * (sy x sy): coefficients below 1e-12 at the
-    low end are exact-zero roots and are dropped, and the rest go to
-    spectrum._poly_roots (np.roots' companion solve, without its per-call
-    overhead).  Round-off negatives are clamped at zero before the square
-    roots.  The sort, clamp and square roots run on Python floats: math.sqrt
-    is correctly rounded, as np.sqrt is, and the order of equal values (a
-    -0 and a +0) only moves the sign of a zero, which the final clamp at 0
-    removes.
+    With rho = W W^dagger, W = V sqrt(max(d, 0)) from rho's eigh, Wootters'
+    lambda_i (the square roots of the eigenvalues of rho (sy x sy) conj(rho)
+    (sy x sy)) are the singular values of tau = W^T (sy x sy) W.  No square
+    root of a rounding-level eigenvalue of rho rho~ is taken, so a
+    rank-deficient rho loses no digits; rho's own weights within 4 eps of zero
+    (relative to the largest) are set to zero, since eigh cannot tell them
+    from it.
     """
     rho = np.asarray(rho, dtype=complex)
-    _validate_density(rho)
-    flipped = SIGMA_YY @ rho.conj() @ SIGMA_YY
-    coeff = _char_poly(rho @ flipped)
-    # Deflate exact-zero eigenvalues first (rank-deficient products are the
-    # norm here, and companion solves lose half the digits on repeated zeros).
-    degree = 4
-    while degree > 0 and abs(coeff[degree]) < 1e-12:
-        degree -= 1
-    mu = _poly_roots(coeff[: degree + 1]).real.tolist() if degree else []
-    mu += [0.0] * (4 - degree)
-    r0, r1, r2, r3 = (math.sqrt(max(m, 0.0)) for m in sorted(mu, reverse=True))
+    weights, vecs = _validate_density(rho)
+    weights[weights <= 4 * _EPS * weights[-1]] = 0.0  # zero within eigh's rounding
+    w = vecs * np.sqrt(weights)
+    r0, r1, r2, r3 = np.linalg.svd(w.T @ SIGMA_YY @ w, compute_uv=False).tolist()
     return min(1.0, max(0.0, r0 - r1 - r2 - r3))
 
 

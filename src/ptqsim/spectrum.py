@@ -11,15 +11,9 @@ cube-root branch is fixed so that
 
 The closed form holds at every finite point, the third-order point
 x = z = 0 included (its cube-root pair is 0, a triple root).  An independent
-oracle, eigensystem_oracle, runs in two stages.  Its eigenvalue stage
-(_oracle_roots) takes the characteristic polynomial by trace recursion, its
-roots from one companion-matrix eigvals call (_poly_roots, np.roots' bits
-without its per-call overhead) and a Newton polish that skips roots whose p'
-is at rounding level relative to max|H|**3.  Its vector stage takes the
-null-space eigenvectors of every root group from one stacked SVD and checks
-their residuals.  spectrum_closed_form cross-checks the closed form against
-the eigenvalue stage alone; eigensystem_oracle's docstring says why the vector
-stage's residual check adds nothing there.
+oracle, eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H
+and merges roots that rounding split (_oracle_roots); spectrum_closed_form
+cross-checks the closed form against its roots.
 
 The scalar kernel _eigenvalues, which the phase label and the EP locator call
 once per point, runs in Python floats and complexes (no numpy scalars or
@@ -44,7 +38,7 @@ eq, hash and repr read only the fields, so the store is invisible to them.
 The eigenpair is solved once the same way: the first _eigenpair call on an
 instance stores its (eigenvectors, H, max residual), and
 eigenvectors_closed_form, spectrum_closed_form (which gives the stored H to
-the oracle's eigenvalue stage) and the concurrences built on them (Psi3 and
+the oracle, _oracle_roots) and the concurrences built on them (Psi3 and
 Psi4 of one point) read it.  Callers get copies of the vectors; the stored
 arrays are read-only.  An OmegaSingularError or NearDefectiveError raises
 again on every call.  Explicit eigenvalues and the sweep batch bypass the
@@ -344,7 +338,6 @@ def _rates(points: list[SystemParams]) -> np.ndarray:
 
 
 _SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
-_EYE = np.eye(4, dtype=complex)
 
 
 def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray):
@@ -398,73 +391,28 @@ def _min_gap(values: np.ndarray) -> np.ndarray:
     return np.abs(ends[..., :6] - ends[..., 6:]).min(axis=-1)
 
 
-def _char_poly(h: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via the trace recursion.
-
-    M_1 = h and M_k = h (M_(k-1) + c_(k-1) I) with c_k = -tr(M_k) / k.  The
-    recursion's first product h (0 + 1 I) is h itself, so it starts from h.
-    Each trace is taken in numpy scalars from the diagonal view, as
-    0j + ((d0 + d1) + (d2 + d3)): ndarray.trace of a complex 4x4 is a reduce
-    whose pairwise sum keeps one accumulator per part and entry, then adds
-    the total to the reduce's +0 start, which turns a -0 part into +0.
-    c_k keeps numpy's complex division by the integer k, Smith's algorithm
-    (re + im*0)*(1/k), which also turns a -0 real part into +0 at k = 1.
-    h is complex: a real h would take these sums in Python complexes.
-    """
-    coeff = np.empty(5, dtype=complex)
-    coeff[0] = 1.0
-    m = h
-    for k in range(1, 5):
-        if k > 1:
-            m = h @ (m + c * _EYE)
-        d = m.ravel()[::5]
-        t = 0j + ((d[0] + d[1]) + (d[2] + d[3]))
-        c = coeff[k] = -t / k
-    return coeff
-
-
 #: The 24 orderings of four labels, in itertools.permutations order.
 _PERMS = np.array(list(permutations(range(4))))
-#: np.polyder's weights: the derivative of sum_k c[k] x**(4-k) is sum_k (4-k) c[k] x**(3-k).
-_DERIVATIVE_WEIGHTS = np.arange(4, 0, -1)
-#: The (p, p') Horner rows after the first step from zeros, 0*x + (1, 0) at a finite x.
-_HORNER_HEAD = np.array([[1.0], [0.0]], dtype=complex)
-#: np.roots' companion matrices before their first row is set, by degree.
-_COMPANIONS = {n: np.eye(n, k=-1, dtype=complex) for n in range(1, 5)}
-
-
-def _poly_roots(p: np.ndarray) -> np.ndarray:
-    """Roots of p[0] x**n + ... + p[n], n <= 4, with the bits of np.roots(p).
-
-    The companion matrix np.roots builds, solved by np.linalg.eigvals without
-    np.roots' stripping and casting; a zero first or last coefficient goes to
-    np.roots, which strips it (a trailing zero is a root at 0).  The matrix
-    is a fresh copy of a stored template in p's dtype, so no call sees
-    another's first row, and the roots eigvals returns are a new array.
-    """
-    if p[0] == 0 or p[-1] == 0:
-        return np.roots(p)
-    companion = _COMPANIONS[len(p) - 1].astype(p.dtype)
-    companion[0] = -p[1:] / p[0]
-    return np.linalg.eigvals(companion)
+#: Two roots whose separation is within this many times the sum of their
+#: rounding errors are one root that rounding split.  On the critical curve
+#: (omega from 1.05 to 3) an exact double root splits by up to 3.0 such sums,
+#: and a pair at j_c +- 1e-14, which the closed form resolves, by at least 13.
+_CLUSTER_C = 6.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _oracle_roots(h, deflate_root: complex | None = None) -> tuple:
-    """The oracle's eigenvalue stage: (h as a complex array, its four roots, scale).
+    """The oracle's eigensolve: (h as a complex array, roots, unit eigenvectors as rows, scale).
 
-    Checks h, solves its characteristic quartic (_char_poly) with one
-    companion-matrix eigvals call (_poly_roots), polishes the roots by Newton
-    and re-solves a close pair (_refine_close_pair); scale = max(1, max|h|).
-    deflate_root, when given, is roots[0], exactly: it is divided out
-    synthetically before the companion solve and never polished.  Each Newton
-    step evaluates p and p' as np.polyval does, by Horner from zeros over
-    their coefficients, p' padded by a leading zero, in one pass over the
-    stacked (2, n) rows.  At a finite root the first step from zeros,
-    0*x + (1, 0), is always the rows (1+0j, +0+0j) (_HORNER_HEAD), so the pass
-    starts there and runs the other four steps.  The step x - p/p' is taken
-    with the two np.where masks only when some |p'| is at or below the guard;
-    a non-finite root makes its p' NaN, which fails the guard, so the masks
-    keep that root.
+    One LAPACK eig call (balancing, then Hessenberg QR: backward stable, and
+    sharing nothing with the radicals); scale = max(1, max|h|).  A root's
+    rounding error is eps * max|h| times its Petermann factor 1/|u^T u|, u its
+    unit vector (for a complex symmetric h, the eigenvalue's condition
+    number).  Roots within _CLUSTER_C times the sum of their errors are
+    replaced by their mean, which is well conditioned where the roots are
+    not: rounding splits an EP2 by ~sqrt(eps) and an EP3 by ~eps**(1/3).
+    deflate_root, when given, replaces its nearest root exactly and moves to
+    roots[0]; of exactly equal nearest roots, the later one.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
@@ -472,96 +420,47 @@ def _oracle_roots(h, deflate_root: complex | None = None) -> tuple:
     if not np.isfinite(h.view(float)).all():
         raise ValueError("matrix entries must be finite")
     rate = float(np.abs(h).max())
-    scale = max(1.0, rate)
-
-    coeff = _char_poly(h)
-    roots = np.empty(4, dtype=complex)
+    roots, vecs = np.linalg.eig(h)
+    vecs = vecs.T
+    values = roots.tolist()
+    dots = np.abs((vecs * vecs).sum(axis=1)).tolist()  # |u^T u|, 1 / Petermann factor
+    tol = _CLUSTER_C * _EPS * rate
+    done = [False] * 4
+    for k in range(4):
+        if done[k]:
+            continue
+        # |E_m - E_k| <= tol / dots[m] + tol / dots[k], without dividing by a zero dot
+        group = [m for m in range(k, 4) if not done[m] and abs(values[m] - values[k])
+                 * dots[m] * dots[k] <= tol * (dots[m] + dots[k])]
+        for m in group:
+            done[m] = True
+        if len(group) > 1:
+            roots[group] = roots[group].mean()
     if deflate_root is not None:
-        reduced = np.zeros(4, dtype=complex)
-        reduced[0] = coeff[0]
-        for i in range(1, 4):
-            reduced[i] = coeff[i] + deflate_root * reduced[i - 1]
+        k = 3 - int(np.abs(roots[::-1] - deflate_root).argmin())
+        order = [k] + [m for m in range(4) if m != k]
+        roots, vecs = roots[order], vecs[order]
         roots[0] = deflate_root
-        roots[1:] = _poly_roots(reduced)
-    else:
-        roots[:] = _poly_roots(coeff)
-
-    start = 0 if deflate_root is None else 1  # keep the exact root untouched
-    steps = np.empty((4, 2, 1), dtype=complex)
-    steps[:, 0, 0] = coeff[1:]
-    steps[:, 1, 0] = coeff[:-1] * _DERIVATIVE_WEIGHTS
-    # p' at a simple root grows as max|h|**3, below 1 too; at or below 1e-30 it
-    # counts as zero at any scale (a product cannot raise OverflowError)
-    guard = max(1e-30, 1e-12 * rate * rate * rate)
-    x = roots[start:]
-    for _ in range(2):  # Newton polish
-        y = _HORNER_HEAD * x + steps[0]
-        for c in steps[1:]:
-            y *= x
-            y += c
-        p, dp = y
-        if np.abs(dp).min() > guard:
-            x = x - p / dp
-        else:
-            ok = np.abs(dp) > guard
-            x = np.where(ok, x - p / np.where(ok, dp, 1.0), x)
-    roots[start:] = x
-    return h, _refine_close_pair(coeff, roots, scale, start), scale
+    return h, roots, vecs, max(1.0, rate)
 
 
 def eigensystem_oracle(
     h: np.ndarray, deflate_root: complex | None = None
 ) -> Spectrum:
-    """Independent eigensolve: characteristic quartic + SVD null spaces.
+    """Independent eigensolve: the roots of _oracle_roots and eig's vectors, phase-fixed.
 
-    Two stages.  The eigenvalue stage, _oracle_roots, gives the four roots:
-    deflate_root, when given, is divided out synthetically before the
-    companion-matrix solve (used for the exactly known singlet root).  Two
-    Newton steps polish the other roots; a root whose |p'| is at or below
-    max(1e-30, 1e-12 * max|h|**3) is left as the companion solve gave it,
-    since a step there (a double root such as the singlet and E2 at
-    omega = 0) only amplifies rounding.  The vector stage, here: with
-    scale = max(1, max|h|), roots within 1e-9 * scale form one group, whose
-    lam is its mean (a one-root group's lam is the root itself, which np.mean
-    would round only in the sign of a zero part), and one SVD of the stacked
-    (groups, 4, 4) array h - lam*I gives every group's null vectors.  Raises
-    NoConvergenceError when a residual exceeds 1e-5 * scale; callers may
-    retry with a ~1e-8 perturbation of the matrix.
-
-    spectrum_closed_form runs the eigenvalue stage alone, since the residual
-    check adds nothing to its 1e-9 pairing.  For any z and unit eigenpair
-    (E, u) of h, sigma_min(h - z I) <= ||(h - z I) u|| = |z - E|.  So a root's
-    residual is at most its distance from the spectrum plus twice its group's
-    spread, below 1e-9 * scale, and a further null direction adds at most
-    1e-7 * scale: the 1e-5 * scale budget trips only where a root is already
-    far from every eigenvalue, where the pairing fails too.
+    deflate_root, when given, is an exactly known root (the singlet's -j),
+    which replaces the nearest computed root and comes first.  Raises
+    NoConvergenceError when a residual ||h v - E v|| exceeds 1e-5 * scale,
+    scale = max(1, max|h|); callers may retry with a ~1e-8 perturbation of
+    the matrix.  A residual is eig's backward error plus the distance its root
+    moved (half a rounding cluster's spread, or the deflated root's shift), so
+    it trips only where deflate_root is not an eigenvalue of h.
+    spectrum_closed_form pairs the closed form with the roots alone.
     """
-    h, roots, scale = _oracle_roots(h, deflate_root)
-    values = roots.tolist()
-    groups, lams, assigned = [], [], [False] * 4
-    for k in range(4):
-        if assigned[k]:
-            continue
-        group = [m for m in range(4) if abs(values[m] - values[k]) <= 1e-9 * scale]
-        for m in group:
-            assigned[m] = True
-        groups.append(group)
-        lams.append(roots[group].mean() if len(group) > 1 else values[k])
-    _, sing, vh = np.linalg.svd(h - np.array(lams)[:, None, None] * _EYE)
-    null = vh.conj()
-    # a repeated eigenvalue may still span several null directions;
-    # hand out as many independent ones as are numerically null
-    null_dims = (sing <= 1e-7 * scale).sum(axis=1).tolist()
-    vecs = np.empty((4, 4), dtype=complex)
-    for g, group in enumerate(groups):  # a later group overrides a shared member
-        null_dim = max(1, null_dims[g])
-        for slot, m in enumerate(group):
-            vecs[m] = null[g, -1 - min(slot, null_dim - 1)]
+    h, roots, vecs, scale = _oracle_roots(h, deflate_root)
     vecs = _phase_fix(vecs)
-    diff = (h @ vecs[:, :, None])[..., 0] - roots[:, None] * vecs
-    # the per-row dots are the sum np.linalg.norm takes, so the residual keeps its bits
-    worst = float(np.sqrt(np.max([d.real.dot(d.real) + d.imag.dot(d.imag) for d in diff])))
-
+    worst = float(np.linalg.norm(vecs @ h.T - roots[:, None] * vecs, axis=1).max())
     if worst > 1e-5 * scale:
         raise NoConvergenceError(
             f"oracle residual {worst:.3e} above budget; matrix may be "
@@ -573,57 +472,6 @@ def eigensystem_oracle(
         source=Source.ORACLE,
         max_residual=worst,
     )
-
-
-def _refine_close_pair(
-    coeff: np.ndarray, roots: np.ndarray, scale: float, start: int
-) -> np.ndarray:
-    """Re-solve the closest root pair from a deflated quadratic.
-
-    Companion/Newton accuracy degrades to ~sqrt(eps) on (nearly) repeated
-    roots; dividing out the two well-separated roots and solving the
-    remaining quadratic in closed form restores full precision for the
-    cluster (the usual double-eigenvalue case, e.g. a coalescing pair).
-    roots[:start] are exact (start = 1 for the deflated root).  When the
-    exact root is in the pair it stays, and its partner is its reflection
-    through the pair's mean, so a near pair (the singlet and E2 at small
-    omega) is not merged.
-    """
-    values = roots.tolist()
-    pairs = [
-        (abs(values[i] - values[k]), i, k) for i in range(4) for k in range(i + 1, 4)
-    ]
-    gap, i, k = min(pairs, key=lambda t: t[0])
-    if gap > 1e-6 * scale:
-        return roots
-    others = [m for m in range(4) if m not in (i, k)]
-    if min(abs(values[m] - values[n]) for m in (i, k) for n in others) < 1e-3 * scale:
-        return roots  # three-way cluster: leave to the caller's tolerance
-    poly = coeff
-    for m in others:  # synthetic division by the accurate simple roots
-        out = np.empty(len(poly) - 1, dtype=complex)
-        out[0] = poly[0]
-        for q in range(1, len(out)):
-            out[q] = poly[q] + roots[m] * out[q - 1]
-        poly = out
-    b, c = poly[1], poly[2]
-    refined = roots.copy()
-    mean = -0.5 * b  # a Newton sum, fully conditioned
-    if i < start:
-        refined[k] = mean + (mean - roots[0])
-        return refined
-    disc_sq = b * b - 4.0 * c
-    if abs(disc_sq) <= 1e-12 * max(1.0, abs(b) ** 2, abs(c)):
-        # at coefficient noise level the pair is a genuine double root
-        refined[i] = refined[k] = mean
-        return refined
-    disc = np.sqrt(disc_sq)
-    if abs(-b + disc) < abs(-b - disc):
-        disc = -disc
-    r_big = 0.5 * (-b + disc)
-    r_small = c / r_big if r_big != 0 else 0.5 * (-b - disc)
-    refined[i], refined[k] = r_big, r_small
-    return refined
 
 
 def _pairing_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -639,10 +487,10 @@ def pairing_distance(a: np.ndarray, b: np.ndarray) -> float:
 def spectrum_closed_form(params: SystemParams) -> Spectrum:
     """Closed-form spectrum, cross-checked against the oracle multiset.
 
-    The oracle's eigenvalue stage (_oracle_roots) alone gives the multiset: its
-    vector stage's residual check cannot fail where the roots pair with the
-    closed form (see eigensystem_oracle).  Raises NoConvergenceError when the
-    best pairing deviates by more than 1e-9 * max(1, |omega|, |j|, |gamma|).
+    The oracle's roots (_oracle_roots) alone give the multiset: its residual
+    check cannot fail where the roots pair with the closed form (see
+    eigensystem_oracle).  Raises NoConvergenceError when the best pairing
+    deviates by more than 1e-9 * max(1, |omega|, |j|, |gamma|).
     """
     values = eigenvalues_closed_form(params)
     vecs, h, residual = _eigenpair(params)

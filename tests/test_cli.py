@@ -11,8 +11,17 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from conftest import column, parse_csv, run_cli
-from ptqsim import SystemParams, detect_revivals, initial_state, propagate, spectrum
+from ptqsim import (
+    SystemParams,
+    build_hamiltonian,
+    detect_revivals,
+    initial_state,
+    pairing_distance,
+    propagate,
+    spectrum,
+)
 from ptqsim.cli import _BLOCK_ROWS, MAGIC, _emit, _fmt, _jsonable, main
 
 
@@ -35,11 +44,23 @@ class TestSpectrumCommand:
         assert np.allclose(values, expected, atol=1e-9)
 
     def test_omega_zero_double_root_answers(self, capsys):
-        # E2 and the singlet are a double root -j: the oracle no longer polishes it away
+        # E2 and the singlet are a double root -j, which the oracle keeps
         code, out, err = invoke(capsys, "spectrum", "--omega", 0, "--j", 0.42)
         assert (code, err) == (0, "")
         values = [(e["re"], e["im"]) for e in json.loads(out)["results"]["eigenvalues"]]
         assert values == [(-0.42, 0.0), (-0.42, 0.0), (0.42, 1.0), (0.42, -1.0)]
+
+    @pytest.mark.parametrize("omega, j, gamma", [
+        (1e-5, 1.1, 0.0), (1e-5, 0.3, 0.0),  # a near-double root of a normal H
+        (2.0, 0.589979839785503, 1.0),  # j_c + 1e-14
+    ])
+    def test_answers_next_to_a_double_root(self, capsys, omega, j, gamma):
+        code, out, err = invoke(capsys, "spectrum", "--omega", omega, "--j", j, "--gamma", gamma)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        values = np.array([complex(e["re"], e["im"]) for e in results["eigenvalues"]])
+        reference = mp_reference.eigenvalues(build_hamiltonian(SystemParams(omega, j, gamma)))
+        assert pairing_distance(values, reference) <= 1e-9
 
     def test_next_to_third_order_point_closed_form(self, capsys):
         # the closed form agrees with the oracle within 1e-9 here too

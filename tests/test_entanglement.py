@@ -48,11 +48,12 @@ class TestConcurrenceMixed:
     def test_maximally_mixed(self):
         assert concurrence_mixed(np.eye(4, dtype=complex) / 4) == 0.0
 
-    @pytest.mark.parametrize("p,expected", [(0.8, 0.7), (0.5, 0.25), (0.2, 0.0)])
+    @pytest.mark.parametrize("p,expected", [(0.8, 0.7), (0.5, 0.25), (0.2, 0.0), (0.875, 0.8125),
+                                            (0.9, 0.85), (0.96, 0.94), (0.98, 0.97)])
     def test_werner_family(self, p, expected):
         # independent closed form: max(0, (3p-1)/2)
         rho = p * np.outer(SINGLET, SINGLET.conj()) + (1 - p) * np.eye(4) / 4
-        assert concurrence_mixed(rho) == pytest.approx(expected, abs=1e-8)
+        assert concurrence_mixed(rho) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4

@@ -27,6 +27,7 @@ from ptqsim import (
     spectrum_closed_form,
     spectrum_oracle,
 )
+import mp_reference
 from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
 from ptqsim.errors import (
     NearDefectiveError,
@@ -36,7 +37,6 @@ from ptqsim.errors import (
     PtqsimError,
 )
 from ptqsim import cli, entanglement, locate_ep, sensing, spectrum
-from ptqsim.model import SIGMA_YY
 from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap, _rates
 
 params_st = st.builds(
@@ -352,8 +352,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("band", [(-16, -12), (-12, -9), (-9, -6), None])
     def test_small_omega_answers(self, band):
-        """Below omega ~ 1e-6, E2 is within omega**2 of the deflated singlet root -j: a
-        double root of the quartic whose p' is at rounding level, left unpolished."""
+        """Below omega ~ 1e-6, E2 is within omega**2 of the deflated singlet root -j, and
+        the oracle keeps both."""
         rng = np.random.default_rng(20261018)
         for _ in range(60):
             omega = 0.0 if band is None else 10.0 ** rng.uniform(*band)
@@ -834,112 +834,8 @@ def test_gamma_zero_real_and_orthogonal():
         assert np.max(np.abs(gram - np.eye(4))) < 1e-9
 
 
-# The oracle-side kernels that eigensystem_oracle's stacked SVD, _poly_roots, the
-# one-pass Horner polish, the _PERMS table, concurrence_mixed's _poly_roots and
-# _char_poly's recursion from h replaced, verbatim but for module-qualified
-# names: the reference they must equal bit for bit wherever it answers.
-def _eigensystem_oracle_reference(h, deflate_root=None):
-    h = np.asarray(h, dtype=complex)
-    coeff = _char_poly_reference(h)
-    if deflate_root is not None:
-        reduced = np.zeros(4, dtype=complex)
-        reduced[0] = coeff[0]
-        for i in range(1, 4):
-            reduced[i] = coeff[i] + deflate_root * reduced[i - 1]
-        roots = np.concatenate([[complex(deflate_root)], np.roots(reduced)]).astype(complex)
-    else:
-        roots = np.roots(coeff).astype(complex)
-
-    deriv = np.polyder(coeff)
-    start = 0 if deflate_root is None else 1  # keep the exact root untouched
-    for _ in range(2):  # Newton polish
-        dp = np.polyval(deriv, roots[start:])
-        ok = np.abs(dp) > 1e-30
-        roots[start:] = np.where(
-            ok, roots[start:] - np.polyval(coeff, roots[start:]) / np.where(ok, dp, 1.0), roots[start:]
-        )
-
-    scale = max(1.0, float(np.max(np.abs(h))))
-    roots = _refine_close_pair_reference(coeff, roots, scale, start)
-
-    eye = np.eye(4, dtype=complex)
-    vecs = np.zeros((4, 4), dtype=complex)
-    assigned = np.zeros(4, dtype=bool)
-    for k in range(4):
-        if assigned[k]:
-            continue
-        group = [m for m in range(4) if abs(roots[m] - roots[k]) <= 1e-9 * scale]
-        lam = roots[group].mean()
-        _, sing, vh = np.linalg.svd(h - lam * eye)
-        # a repeated eigenvalue may still span several null directions;
-        # hand out as many independent ones as are numerically null
-        null_dim = max(1, int(np.sum(sing <= 1e-7 * scale)))
-        for slot, m in enumerate(group):
-            vecs[m] = vh[-1 - min(slot, null_dim - 1)].conj()
-            assigned[m] = True
-    vecs = spectrum._phase_fix(vecs)
-    residuals = np.array([np.linalg.norm(h @ vec - root * vec) for vec, root in zip(vecs, roots)])
-
-    if residuals.max() > 1e-5 * scale:
-        raise spectrum.NoConvergenceError(
-            f"oracle residual {residuals.max():.3e} above budget; matrix may be "
-            "defective - retry with a 1e-8 perturbation"
-        )
-    return spectrum.Spectrum(
-        eigenvalues=roots,
-        eigenvectors=vecs,
-        source=spectrum.Source.ORACLE,
-        max_residual=float(residuals.max()),
-    )
-
-
-def _char_poly_reference(h):
-    coeff = np.zeros(5, dtype=complex)
-    coeff[0] = 1.0
-    m = np.zeros_like(h)
-    for k in range(1, 5):
-        m = h @ (m + coeff[k - 1] * np.eye(4, dtype=complex))
-        coeff[k] = -m.trace() / k
-    return coeff
-
-
-def _refine_close_pair_reference(coeff, roots, scale, start):
-    pairs = [
-        (abs(roots[i] - roots[k]), i, k) for i in range(4) for k in range(i + 1, 4)
-    ]
-    gap, i, k = min(pairs, key=lambda t: t[0])
-    if gap > 1e-6 * scale:
-        return roots
-    others = [m for m in range(4) if m not in (i, k)]
-    if min(abs(roots[m] - roots[n]) for m in (i, k) for n in others) < 1e-3 * scale:
-        return roots  # three-way cluster: leave to the caller's tolerance
-    poly = coeff
-    for m in others:  # synthetic division by the accurate simple roots
-        out = np.empty(len(poly) - 1, dtype=complex)
-        out[0] = poly[0]
-        for q in range(1, len(out)):
-            out[q] = poly[q] + roots[m] * out[q - 1]
-        poly = out
-    b, c = poly[1], poly[2]
-    refined = roots.copy()
-    mean = -0.5 * b  # a Newton sum, fully conditioned
-    if i < start:
-        refined[k] = mean + (mean - roots[0])
-        return refined
-    disc_sq = b * b - 4.0 * c
-    if abs(disc_sq) <= 1e-12 * max(1.0, abs(b) ** 2, abs(c)):
-        # at coefficient noise level the pair is a genuine double root
-        refined[i] = refined[k] = mean
-        return refined
-    disc = np.sqrt(disc_sq)
-    if abs(-b + disc) < abs(-b - disc):
-        disc = -disc
-    r_big = 0.5 * (-b + disc)
-    r_small = c / r_big if r_big != 0 else 0.5 * (-b - disc)
-    refined[i], refined[k] = r_big, r_small
-    return refined
-
-
+# The kernels that pairing_distance's _PERMS table and spectrum_oracle's order
+# replaced, verbatim: the references they must equal bit for bit.
 def _pairing_distance_reference(a, b):
     return min(max(abs(a[list(p)] - b)) for p in permutations(range(4)))
 
@@ -950,24 +846,6 @@ def _oracle_order_reference(values, reference):
         permutations(range(4)),
         key=lambda p: max(abs(values[list(p)] - reference)),
     ))
-
-
-def _concurrence_mixed_reference(rho):
-    rho = np.asarray(rho, dtype=complex)
-    entanglement._validate_density(rho)
-    flipped = SIGMA_YY @ rho.conj() @ SIGMA_YY
-    coeff = _char_poly_reference(rho @ flipped)
-    # Deflate exact-zero eigenvalues first (rank-deficient products are the
-    # norm here, and companion solves lose half the digits on repeated zeros).
-    degree = 4
-    while degree > 0 and abs(coeff[degree]) < 1e-12:
-        degree -= 1
-    mu = np.zeros(4, dtype=complex)
-    if degree > 0:
-        mu[:degree] = np.roots(coeff[: degree + 1])
-    mu = np.clip(np.sort(mu.real)[::-1], 0.0, None)
-    roots = np.sqrt(mu)
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
 
 
 def _bits(x):
@@ -985,8 +863,7 @@ def _spectra_pool(n, seed):
     return points
 
 
-#: Matrices whose characteristic polynomial ends in an exact zero (H(1, 0, 1) is
-#: the fourfold zero eigenvalue, p = x**4): _poly_roots hands those to np.roots.
+#: Singular matrices: H(0, 0, 1) and the EP3 H(1, 0, 1), a fourfold zero eigenvalue.
 _SINGULAR = [np.diag([1.0, 2.0, 3.0, 0.0]).astype(complex),
              np.diag([0.5 + 1j, -0.5, 0.0, 0.5 - 1j]),
              np.diag([1j, 2.0, 0.0, -1j]),
@@ -994,306 +871,201 @@ _SINGULAR = [np.diag([1.0, 2.0, 3.0, 0.0]).astype(complex),
              build_hamiltonian(SystemParams(1.0, 0.0, 1.0))]
 
 
-class TestOracleKernelsBitwise:
-    """eigensystem_oracle, pairing_distance, spectrum_oracle's order and
-    concurrence_mixed equal the kernels they replaced bit for bit."""
+def _rate_unit(p):
+    return max(1.0, abs(p.omega), abs(p.j), abs(p.gamma))
 
-    def _assert_oracle_matches(self, h, deflate_root):
-        try:
-            want = _eigensystem_oracle_reference(h, deflate_root)
-        except NoConvergenceError:
-            return False
-        got = eigensystem_oracle(h, deflate_root)
-        assert (_bits(got.eigenvalues) == _bits(want.eigenvalues)).all(), h
-        assert (_bits(got.eigenvectors) == _bits(want.eigenvectors)).all(), h
-        assert _bits(got.max_residual) == _bits(want.max_residual), h
-        return True
+
+def _hamiltonian_error(p, spec):
+    """The oracle spectrum's pairing distance from H(p)'s 40-digit eigenvalues."""
+    return pairing_distance(spec.eigenvalues, mp_reference.hamiltonian_eigenvalues(
+        p.omega, p.j, p.gamma))
+
+
+def _no_root_merged(spec):
+    """Four distinct roots: on a matrix with simple, separated eigenvalues no cluster merged."""
+    return len(set(spec.eigenvalues.tolist())) == 4
+
+
+class TestOracleAccuracy:
+    """The LAPACK oracle against 40-digit eigenvalues (tests/mp_reference.py), on the
+    pools that pinned the bits of the characteristic-polynomial oracle it replaced.
+
+    The largest errors read here: 4.0e-15 of the rate unit max(1, |omega|,
+    |j|, |gamma|) on the Hamiltonian pools (fig2's (1.65, 0.3)), 7.0e-15 of s
+    on the small-rate Hamiltonians, 4.5e-15 of max|h| on the random matrices.
+    A double root that rounding split and the cluster rule left split would
+    read ~1e-8.
+    """
+
+    BOUND = 1e-13
 
     @pytest.mark.parametrize("seed", [301, 302, 303])
     def test_spectra_pools(self, seed):
-        answered = 0
         for p in _spectra_pool(400, seed):
-            h = build_hamiltonian(p)
-            if not self._assert_oracle_matches(h, -p.j):
-                continue
-            answered += 1
-            oracle = eigensystem_oracle(h, -p.j).eigenvalues
+            oracle = eigensystem_oracle(build_hamiltonian(p), -p.j)
+            assert _hamiltonian_error(p, oracle) <= self.BOUND * _rate_unit(p), p
             values = eigenvalues_closed_form(p)
-            got, want = pairing_distance(values, oracle), _pairing_distance_reference(values, oracle)
+            got = pairing_distance(values, oracle.eigenvalues)
+            want = _pairing_distance_reference(values, oracle.eigenvalues)
             assert type(got) is type(want) and _bits(got) == _bits(want), p
-            assert spectrum_oracle(p).eigenvalues.tobytes() == oracle[
-                _oracle_order_reference(oracle, values)].tobytes(), p
+            assert spectrum_oracle(p).eigenvalues.tobytes() == oracle.eigenvalues[
+                _oracle_order_reference(oracle.eigenvalues, values)].tobytes(), p
             if p.omega != 0.0:
                 psi3, psi4 = eigenvectors_closed_form(p, values)[2:]
                 rho = np.outer(psi3, psi3.conj()) + np.outer(psi4, psi4.conj())
-                for r in (rho / np.trace(rho).real, np.outer(psi3, psi3.conj())):
-                    assert _bits(concurrence_mixed(r)) == _bits(_concurrence_mixed_reference(r))
-        assert answered >= 370
+                trace = np.trace(rho).real
+                assert concurrence_mixed(rho / trace) == pytest.approx(
+                    mp_reference.concurrence([1 / trace] * 2, [psi3, psi4]),
+                    abs=TestConcurrenceAccuracy.BOUND), p
+                assert concurrence_mixed(np.outer(psi3, psi3.conj())) == pytest.approx(
+                    mp_reference.concurrence([1.0], [psi3]), abs=TestConcurrenceAccuracy.BOUND), p
 
-    def test_fig2_grid(self):
-        # every other point of the row-major 61 x 61 grid still visits every omega and j
-        for p in _fig2_grid()[::2]:
-            self._assert_oracle_matches(build_hamiltonian(p), -p.j)
+    def test_hamiltonian_grids(self):
+        """Every other point of the fig2 grid (the EP3 (1, 0, 1) among them), the
+        signed-zero corners and a spectra pool."""
+        points = _fig2_grid()[::2] + [SystemParams(om, j, g) for om in (2.0, -2.0, 0.0, -0.0, 1e-9)
+                                      for j in (0.0, -0.0, 0.4, -0.4) for g in (1.0, 0.0, -0.0)]
+        for p in points + _spectra_pool(400, 16):
+            oracle = eigensystem_oracle(build_hamiltonian(p), -p.j)
+            assert oracle.eigenvalues[0] == -p.j
+            assert _hamiltonian_error(p, oracle) <= self.BOUND * _rate_unit(p), p
 
-    def test_random_matrices_undeflated(self):
+    @staticmethod
+    def _assert_accurate(h, rel=1e-13):
+        """Within rel * max|h| of mpmath's eigenvalues."""
+        values = eigensystem_oracle(h).eigenvalues
+        assert pairing_distance(values, mp_reference.eigenvalues(h)) <= rel * np.abs(h).max(), h
+
+    def test_random_matrices(self):
+        """Every random matrix answers with four distinct roots; every tenth against 40 digits."""
         rng = np.random.default_rng(20261018)
         for k in range(600):
             h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h *= 10.0 ** rng.uniform(-3, 3) if k % 2 else 1.0
-            assert self._assert_oracle_matches(h, None)
+            oracle = eigensystem_oracle(h)
+            assert _no_root_merged(oracle) and oracle.max_residual <= 1e-13 * np.abs(h).max()
             values = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            oracle = eigensystem_oracle(h).eigenvalues
-            assert _bits(pairing_distance(values, oracle)) == _bits(
-                _pairing_distance_reference(values, oracle))
-
-    def test_small_rates(self):
-        # every rate below 1e-4: p' at a simple root is of order max|H|**3, far
-        # below one, and the polish must still run where the reference's ran
-        rng = np.random.default_rng(20261019)
-        for _ in range(300):
-            s = 10.0 ** rng.uniform(-8, -5)
-            h = s * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-            assert self._assert_oracle_matches(h, None)
-            p = SystemParams(s * 3.0 * rng.random(), s * 1.2 * rng.random(), s)
-            assert self._assert_oracle_matches(build_hamiltonian(p), -p.j)
-        # a near-double root at rates 1e-9 to 1e-7: |p'| falls below the
-        # reference's absolute 1e-30, which must still skip the polish there
-        for _ in range(100):
-            s, d = 10.0 ** rng.uniform(-9, -7), 10.0 ** rng.uniform(-9, -5)
-            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-            h = s * (q @ np.diag([1.0, 1.0 + d, 2.0 + 1j, -1.5]) @ q.conj().T)
-            assert self._assert_oracle_matches(h, None)
-
-    def test_singular_matrices_take_the_np_roots_branch(self):
-        for h in _SINGULAR:
-            coeff = spectrum._char_poly(h)
-            assert coeff[4] == 0
-            assert (_bits(spectrum._poly_roots(coeff)) == _bits(np.roots(coeff))).all()
-            assert self._assert_oracle_matches(h, None)
-        # the singlet root -j = -0.0 deflated at omega = j = 0 leaves x**3 + x
-        assert self._assert_oracle_matches(_SINGULAR[3], -0.0)
-        leading_zero = np.array([0j, 1, 2])
-        assert (_bits(spectrum._poly_roots(leading_zero)) == _bits(np.roots(leading_zero))).all()
-
-    def test_rank_deficient_concurrence(self):
-        rng = np.random.default_rng(11)
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
-        singlet = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
-        states = [bell, np.array([1, 0, 0, 0], dtype=complex), singlet]
-        states += [v / np.linalg.norm(v) for v in
-                   rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))]
-        inputs = [np.eye(4, dtype=complex) / 4]
-        for rank in (1, 2, 3):
-            for start in range(0, len(states) - rank, rank):
-                group = states[start:start + rank]
-                rho = sum(np.outer(v, v.conj()) for v in group)
-                inputs.append(rho / np.trace(rho).real)
-        for rho in inputs:
-            assert _bits(concurrence_mixed(rho)) == _bits(_concurrence_mixed_reference(rho))
-
-
-def _concurrence_products(rng):
-    """rho * (sy x sy) conj(rho) (sy x sy) of pure, rank-2 and diagonal density matrices."""
-    states = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
-    states /= np.linalg.norm(states, axis=1)[:, None]
-    rhos = [np.outer(v, v.conj()) for v in states[:20]]
-    for a, b in zip(states[20:40], states[40:]):
-        rho = np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
-        rhos.append(rho / np.trace(rho).real)
-    for w in rng.random((20, 4)):
-        rhos.append(np.diag(w / w.sum()).astype(complex))
-    rhos += [np.eye(4, dtype=complex) / 4, np.diag([1.0, 0, 0, 0]).astype(complex)]
-    return [rho @ (SIGMA_YY @ rho.conj() @ SIGMA_YY) for rho in rhos]
-
-
-class TestCharPolyBitwise:
-    """_char_poly, which starts its recursion from h, equals the recursion from zeros."""
-
-    def test_hamiltonians(self):
-        points = [SystemParams(om, j, g) for om in (2.0, -2.0, 0.0, -0.0, 1e-9)
-                  for j in (0.0, -0.0, 0.4, -0.4) for g in (1.0, 0.0, -0.0)]
-        points += _spectra_pool(400, 16) + [SystemParams(1.0, 0.0, 1.0)]
-        hams = [build_hamiltonian(p) for p in points] + _SINGULAR
-        rng = np.random.default_rng(17)
+            assert _bits(pairing_distance(values, oracle.eigenvalues)) == _bits(
+                _pairing_distance_reference(values, oracle.eigenvalues))
+            if k % 10 == 0:
+                self._assert_accurate(h)
+        rng = np.random.default_rng(17)  # a fraction of the entries signed zeros
         for k in range(200):
             h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h[rng.random((4, 4)) < 0.4] = -0.0 if k % 2 else 0.0
-            hams.append(h)
-        for h in hams:
-            assert (_bits(spectrum._char_poly(h)).tolist()
-                    == _bits(_char_poly_reference(h)).tolist())
+            if k % 10 == 0:
+                self._assert_accurate(h)
+            else:
+                eigensystem_oracle(h)
 
-    def test_concurrence_products(self):
-        for product in _concurrence_products(np.random.default_rng(18)):
-            assert (_bits(spectrum._char_poly(product)).tolist()
-                    == _bits(_char_poly_reference(product)).tolist())
+    def test_small_rates(self):
+        """Rates of 1e-8 to 1e-5, and near-double roots 1e-9 to 1e-5 apart (relative) at
+        rates of 1e-9 to 1e-7: the cluster rule scales with max|h|, so it resolves them."""
+        rng = np.random.default_rng(20261019)
+        for k in range(300):
+            s = 10.0 ** rng.uniform(-8, -5)
+            h = s * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            assert _no_root_merged(eigensystem_oracle(h))
+            if k % 10 == 0:
+                self._assert_accurate(h)
+            p = SystemParams(s * 3.0 * rng.random(), s * 1.2 * rng.random(), s)
+            oracle = eigensystem_oracle(build_hamiltonian(p), -p.j)
+            assert _hamiltonian_error(p, oracle) <= self.BOUND * s, p
+        for _ in range(100):
+            s, d = 10.0 ** rng.uniform(-9, -7), 10.0 ** rng.uniform(-9, -5)
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            exact = np.array([1.0, 1.0 + d, 2.0 + 1j, -1.5])
+            h = s * (q @ np.diag(exact) @ q.conj().T)  # normal: rounding moves each root by ~eps s
+            assert pairing_distance(eigensystem_oracle(h).eigenvalues, s * exact) <= 1e-14 * s
 
-
-def _oracle_roots_reference(h, deflate_root=None):
-    """spectrum._oracle_roots as it was when its Newton polish ran all five Horner
-    steps from zeros and always took both np.where masks, verbatim but for
-    module-qualified names.  Its companion roots come from the live
-    spectrum._poly_roots, so a test can choose the roots the polish starts from."""
-    h = np.asarray(h, dtype=complex)
-    rate = float(np.abs(h).max())
-    scale = max(1.0, rate)
-    coeff = _char_poly_reference(h)
-    roots = np.empty(4, dtype=complex)
-    if deflate_root is not None:
-        reduced = np.zeros(4, dtype=complex)
-        reduced[0] = coeff[0]
-        for i in range(1, 4):
-            reduced[i] = coeff[i] + deflate_root * reduced[i - 1]
-        roots[0] = deflate_root
-        roots[1:] = spectrum._poly_roots(reduced)
-    else:
-        roots[:] = spectrum._poly_roots(coeff)
-    start = 0 if deflate_root is None else 1
-    stack = np.zeros((5, 2, 1), dtype=complex)
-    stack[:, 0, 0] = coeff
-    stack[1:, 1, 0] = coeff[:-1] * np.arange(4, 0, -1)
-    guard = max(1e-30, 1e-12 * rate * rate * rate)
-    x = roots[start:]
-    for _ in range(2):
-        y = np.zeros((2, len(x)), dtype=complex)
-        for c in stack:
-            y = y * x + c
-        p, dp = y
-        ok = np.abs(dp) > guard
-        x = np.where(ok, x - p / np.where(ok, dp, 1.0), x)
-    roots[start:] = x
-    return _refine_close_pair_reference(coeff, roots, scale, start)
+    def test_singular_matrices(self):
+        for h in _SINGULAR[:3]:
+            assert pairing_distance(eigensystem_oracle(h).eigenvalues, np.diag(h)) == 0.0
+        for p in (SystemParams(0.0, 0.0, 1.0), SystemParams(1.0, 0.0, 1.0)):
+            assert _hamiltonian_error(p, eigensystem_oracle(build_hamiltonian(p))) <= 1e-15
+        # the singlet root -j = -0.0 deflated at omega = j = 0 keeps its sign
+        roots = eigensystem_oracle(_SINGULAR[3], -0.0).eigenvalues
+        assert roots[0] == 0 and math.copysign(1.0, roots[0].real) == -1.0
+        assert pairing_distance(roots, np.diag(_SINGULAR[3])) == 0.0
 
 
-def _concurrence_tail_reference(mu):
-    """concurrence_mixed's numpy tail as it was, verbatim: mu are the four roots."""
-    mu = np.clip(np.sort(mu.real)[::-1], 0.0, None)
-    roots = np.sqrt(mu)
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+_BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
 
 
-#: Parts that take every signed-zero rule: +-0, small, unit-scale and large values.
-_SIGNED_PARTS = [0.0, -0.0, 5e-324, -1e-300, 0.75, -1.25, 3e150, -1e300]
+def _concurrence_ensembles(rng):
+    """(weights, states) of pure, rank-2 and diagonal density matrices, the maximally
+    mixed state and |00><00|."""
+    states = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    ensembles = [([1.0], [v]) for v in states[:20]]
+    for a, b in zip(states[20:40], states[40:]):
+        ensembles.append(([1 / 1.5, 0.5 / 1.5], [a, b]))
+    basis = list(np.eye(4, dtype=complex))
+    for w in rng.random((20, 4)):
+        ensembles.append((w / w.sum(), basis))
+    return ensembles + [([0.25] * 4, basis), ([1.0], basis[:1])]
 
 
-def _with_diagonal(m, diagonal):
-    """m with its diagonal set part by part (a complex assignment would lose a -0 part)."""
-    m = m.copy()
-    view = m.view(float).reshape(4, 8)
-    for i, (re, im) in enumerate(diagonal):
-        view[i, 2 * i], view[i, 2 * i + 1] = re, im
-    return m
+def _density(weights, states):
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, states))
 
 
-class TestKernelPremises:
-    """Each shortcut in _char_poly, _poly_roots, the Newton polish and
-    concurrence_mixed against the numpy form it replaces, bit for bit."""
+class TestConcurrenceAccuracy:
+    """concurrence_mixed against Wootters' concurrence of the ensemble at 40 digits.
 
-    def test_trace_is_the_pairwise_sum_from_zero(self):
-        rng = np.random.default_rng(21)
-        base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        zeros = [(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
-        diagonals = [[zeros[(k >> (2 * i)) & 3] for i in range(4)] for k in range(256)]
-        for _ in range(3000):  # partly signed-zero diagonals at every scale
-            diagonals.append([tuple(rng.choice(_SIGNED_PARTS, 2)) for _ in range(4)])
-        for diagonal in diagonals:
-            m = _with_diagonal(base, diagonal)
-            d = m.ravel()[::5]
-            pairwise = 0j + ((d[0] + d[1]) + (d[2] + d[3]))
-            assert _bits([m.trace()]).tolist() == _bits([pairwise]).tolist(), diagonal
-            if max(abs(part) for entry in diagonal for part in entry) < 2:  # finite powers
-                assert (_bits(spectrum._char_poly(m)).tolist()
-                        == _bits(_char_poly_reference(m)).tolist())
+    The largest error on these pools and the spectra pools reads 1.2e-15 here.
+    """
 
-    def test_char_poly_on_signed_zero_diagonals(self):
-        hams = [build_hamiltonian(SystemParams(om, j, g)) for om in (1.3, 0.0, -0.0)
-                for j in (0.0, -0.0) for g in (0.0, -0.0)]
-        hams += [np.diag([complex(re, im)] * 4) for re in (0.0, -0.0) for im in (0.0, -0.0)]
-        rng = np.random.default_rng(22)
-        for h in hams:
-            for diagonal in ([(0.0, 0.0)] * 4, [(-0.0, -0.0)] * 4, [(-0.0, 0.0), (0.0, -0.0)] * 2):
-                for m in (h, _with_diagonal(h, diagonal),
-                          _with_diagonal(h + rng.standard_normal((4, 4)), diagonal)):
-                    assert (_bits(spectrum._char_poly(m)).tolist()
-                            == _bits(_char_poly_reference(m)).tolist())
+    BOUND = 1e-14
 
-    def test_first_horner_step_is_the_head(self):
-        x = np.array([complex(re, im) for re in _SIGNED_PARTS for im in _SIGNED_PARTS])
-        first = np.zeros((2, len(x)), dtype=complex) * x + np.array([[1.0], [0.0]], dtype=complex)
-        head = np.broadcast_to(spectrum._HORNER_HEAD, first.shape).copy()
-        assert _bits(first).tolist() == _bits(head).tolist()
+    def _assert_accurate(self, weights, states):
+        rho = _density(weights, states)
+        assert concurrence_mixed(rho) == pytest.approx(
+            mp_reference.concurrence(weights, states), abs=self.BOUND), (weights, states)
 
-    @pytest.mark.parametrize("deflate", [False, True])
-    def test_newton_from_signed_zero_roots(self, monkeypatch, deflate):
-        values = [complex(re, im) for re in (0.0, -0.0, 0.4, -1.1) for im in (0.0, -0.0, 0.9, -0.3)]
-        rng = np.random.default_rng(23)
-        hams = [build_hamiltonian(SystemParams(*p)) for p in
-                [(1.3, 0.4, 1.0), (0.0, 0.3, 1.0), (2.0, 0.0, 0.0), (1.0, 0.0, 1.0)]]
-        hams += [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
-        for h in hams:
-            for _ in range(40):
-                start = np.array(rng.choice(values, 3 if deflate else 4))
-                monkeypatch.setattr(spectrum, "_poly_roots", lambda p, r=start: r.copy())
-                root = -0.3 if deflate else None
-                got = spectrum._oracle_roots(h, root)[1]
-                assert _bits(got).tolist() == _bits(_oracle_roots_reference(h, root)).tolist(), start
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(11)
+        singlet = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
+        states = [_BELL, np.array([1, 0, 0, 0], dtype=complex), singlet]
+        states += [v / np.linalg.norm(v) for v in
+                   rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))]
+        self._assert_accurate([0.25] * 4, list(np.eye(4, dtype=complex)))
+        for rank in (1, 2, 3):
+            for start in range(0, len(states) - rank, rank):
+                group = states[start:start + rank]
+                trace = np.trace(_density([1.0] * rank, group)).real
+                self._assert_accurate([1 / trace] * rank, group)
 
-    def test_written_roots_leave_the_next_call_unchanged(self):
-        rng = np.random.default_rng(24)
-        for degree in (4, 3, 2, 1, 3, 4):
-            p = np.concatenate([[1.0], rng.standard_normal(degree) + 1j * rng.standard_normal(degree)])
-            want = _bits(np.roots(p)).tolist()
-            first = spectrum._poly_roots(p)
-            assert _bits(first).tolist() == want
-            first[:] = np.nan + 1j  # a caller keeps and overwrites its roots
-            second = spectrum._poly_roots(p)
-            assert _bits(second).tolist() == want and not np.shares_memory(first, second)
-        for n, template in spectrum._COMPANIONS.items():
-            assert _bits(template).tolist() == _bits(np.eye(n, k=-1, dtype=complex)).tolist()
+    def test_pure_mixed_and_diagonal(self):
+        for weights, states in _concurrence_ensembles(np.random.default_rng(18)):
+            self._assert_accurate(weights, states)
 
-    def test_concurrence_tail_on_chosen_roots(self, monkeypatch):
-        pool = [0.0, -0.0, -1e-12, 1e-12, 9.999999999999999e-13, 1.0000000000000002e-12,
-                -3e-17, 2e-20, 0.25, 0.49, 0.0625, 1.0, -0.25, 1e-300]
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
-        rank2 = 0.5 * np.outer(bell, bell) + 0.5 * np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        rng = np.random.default_rng(25)
-        for rho in (np.eye(4, dtype=complex) / 4, rank2):
-            for _ in range(200):
-                mu = rng.choice(pool, 4) + 1j * rng.choice([0.0, -0.0, 1e-18], 4)
-                asked = []
+    def test_near_zero_and_near_the_threshold(self):
+        """Werner states around p = 1/3, where C = max(0, (3p - 1)/2) leaves 0, and the
+        Bell state with eps of white noise, C = 1 - 3 eps/2, next to the diagonal
+        diag(1 - eps, eps, 0, 0), C = 0."""
+        bell = np.outer(_BELL, _BELL.conj())
+        for p in np.concatenate([np.linspace(0.3, 0.37, 71), [1 / 3, 0.0, 1.0]]):
+            rho = p * bell + (1 - p) * np.eye(4) / 4
+            assert concurrence_mixed(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2),
+                                                           abs=self.BOUND), p
+        for eps in np.logspace(-9, -3, 25):
+            rho = (1 - eps) * bell + eps * np.eye(4) / 4
+            assert concurrence_mixed(rho) == pytest.approx(1 - 1.5 * eps, abs=self.BOUND), eps
+            assert concurrence_mixed(np.diag([1 - eps, eps, 0.0, 0.0]).astype(complex)) == 0.0
 
-                def roots(p, mu=mu):
-                    asked.append(len(p) - 1)
-                    return mu[: len(p) - 1].copy()
-
-                monkeypatch.setattr(entanglement, "_poly_roots", roots)
-                got = concurrence_mixed(rho)
-                padded = np.concatenate([mu[: asked[0]], np.zeros(4 - asked[0], dtype=complex)])
-                assert _bits(got) == _bits(_concurrence_tail_reference(padded)), mu
-                assert type(got) is float
-        assert asked == [1]  # the rank-deficient product deflates three exact-zero roots
-
-    def test_concurrence_near_zero_and_near_the_threshold(self):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
-        inputs = []
-        for p in np.concatenate([np.linspace(0.3, 0.37, 71), [1 / 3, 0.0, 1.0]]):  # Werner
-            inputs.append(p * np.outer(bell, bell.conj()) + (1 - p) * np.eye(4) / 4)
-        for eps in np.logspace(-9, -3, 25):  # mu of order eps**2 around the 1e-12 cut
-            inputs.append((1 - eps) * np.outer(bell, bell.conj()) + eps * np.eye(4) / 4)
-            inputs.append(np.diag([1 - eps, eps, 0.0, 0.0]).astype(complex))
-        for rho in inputs:
-            assert _bits(concurrence_mixed(rho)) == _bits(_concurrence_mixed_reference(rho))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0), 1e200])
-    def test_concurrence_refuses_bad_input_as_before(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite entry (NaN or inf)"),
+        (np.inf, "non-finite entry (NaN or inf)"),
+        (complex(np.nan, 0.0), "non-finite entry (NaN or inf)"),
+        (1e200, "negative eigenvalue below -1e-10 floor"),
+    ])
+    def test_refuses_bad_input(self, bad, message):
         rho = np.eye(4, dtype=complex) / 4
         rho[1, 2], rho[2, 1] = bad, np.conj(bad)
-        outcomes = []
-        for call in (concurrence_mixed, _concurrence_mixed_reference):
-            with pytest.raises(Exception) as err, np.errstate(all="ignore"):
-                call(rho)
-            outcomes.append((err.type, str(err.value)))
-        assert outcomes[0] == outcomes[1]
+        with pytest.raises(entanglement.InvalidDensityError) as err:
+            concurrence_mixed(rho)
+        assert str(err.value) == message
 
     def test_trace_message_is_unchanged(self):
         rho = np.eye(4, dtype=complex) / 8
@@ -1340,18 +1112,15 @@ _SMALL_OMEGAS = [s * w for w in [0.0] + (10.0 ** np.arange(-16, -3.5, 0.5)).toli
 
 
 class TestCrossCheckStage:
-    """spectrum_closed_form pairs the closed form with the oracle's eigenvalue stage alone."""
+    """spectrum_closed_form pairs the closed form with the oracle's roots alone."""
 
     def test_one_call_runs_the_eigenvalue_stage_alone(self, count_calls):
         stage = count_calls(spectrum, "_oracle_roots")
         vectors = count_calls(spectrum, "eigensystem_oracle")
         points = [SystemParams(1.7, 0.45, 1.0), SystemParams(2.0, 0.0, 0.0),
-                  SystemParams(1e-6, 1.1, 0.0)]  # the last one deviates
+                  SystemParams(2.0, 0.589979839785503, 1.0)]  # j_c + 1e-14
         for k, p in enumerate(points, start=1):
-            try:
-                spectrum_closed_form(p)
-            except NoConvergenceError as err:
-                assert "deviates" in str(err) and p.omega == 1e-6
+            spectrum_closed_form(p)
             assert (stage(), vectors()) == (k, 0)
         spectrum_oracle(points[0])
         assert (stage(), vectors()) == (len(points) + 1, 1)
@@ -1366,21 +1135,33 @@ class TestCrossCheckStage:
             classes.add(want[0] if isinstance(want[0], type) else Source)
         assert classes == {Source, OmegaSingularError, NearDefectiveError, NoConvergenceError}
 
-    def test_hermitian_small_omega_names_the_deviation(self):
-        """At gamma = 0 and omega ~ 1e-6..1e-4 the oracle's roots miss the spectrum: the
-        full oracle's residual check raised NoConvergenceError first, and the pairing
-        now raises it, naming a deviation that equals that residual to the digits shown."""
-        renamed = 0
+    def test_hermitian_small_omega_answers(self):
+        """At gamma = 0 and omega ~ 1e-6..1e-4 the singlet and E2 are a near-double root
+        of a normal H, which eig resolves: the cross-check answers wherever the closed
+        form's eigenvectors do, within 1e-9 of the 40-digit spectrum."""
+        answered = 0
         for om in _SMALL_OMEGAS:
             for j in (0.3, 1.1):
                 p = SystemParams(om, j, 0.0)
-                want = _cross_check_outcome(_spectrum_closed_form_reference, p)
-                got = _cross_check_outcome(spectrum_closed_form, p)
-                if want[0] is NoConvergenceError and want[1].startswith("oracle residual"):
-                    assert got[0] is NoConvergenceError, p
-                    assert got[1].startswith("closed form deviates from oracle by"), p
-                    assert got[1].split()[-1] == want[1].split()[2], p  # the same figure
-                    renamed += 1
-                else:
-                    assert got == want, p
-        assert renamed >= 10
+                try:
+                    spec = spectrum_closed_form(p)
+                except (OmegaSingularError, NearDefectiveError):
+                    continue
+                reference = mp_reference.hamiltonian_eigenvalues(om, j, 0.0)
+                assert pairing_distance(spec.eigenvalues, reference) <= 1e-9 * _rate_unit(p), p
+                answered += 1
+        assert answered >= 40
+
+    def test_answers_at_an_exact_double_root(self):
+        """At a located j_c where the closed form's pair is an exact double root (z = 0),
+        eig splits it by ~1e-8 and the cluster rule merges it back, so the cross-check
+        answers.  Elsewhere on the curve the float j_c leaves z at rounding level and
+        the closed form's own pair is split by ~1e-8, which no eigensolver resolves to
+        1e-9: those points stay refused."""
+        double = 0
+        for omega in [1.1, 1.3, 1.7, 2.0, 2.2, 2.4] + np.linspace(1.05, 3.0, 40).tolist():
+            p = SystemParams(omega, locate_ep("omega", omega, (1e-3, 2.0)).j_c, 1.0)
+            if spectrum._cubic_data(p)[1] == 0:
+                assert spectrum_closed_form(p).source is Source.CLOSED_FORM, p
+                double += 1
+        assert double >= 15
