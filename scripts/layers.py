@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Layer times of the dynamics path: the step-power table, the integrator and the CSV writer.
+
+Usage (from the repository root):
+
+    python3 scripts/layers.py [--passes K]
+    python3 scripts/layers.py --against HEAD [--rounds R] [--passes K]
+
+The layers, each timed as the best of K passes (default 7), every pass on
+inputs built for it and not timed:
+
+- power_table_<n>, n = 1000, 2500, 4096: `dynamics._power_table` of the RK4
+  step matrix at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved
+  by 1e-9 per pass;
+- integrate_400000: a 400 000-step `dynamics._integrate` without states,
+  fig5a's j = 0.337 run (dt 5e-3, t_max 2000, every 4th step recorded), from a
+  theta moved per pass;
+- csv_blocks_30001: `cli._csv_blocks` of a 30 001 x 4 float table (the size of
+  the largest `evolve` table of the benchmark), joined into one string, with
+  fresh random values per pass.
+
+Each layer prints one JSON line, {"layer", "best_ms", "passes"}.
+
+--against REV exports REV's tracked files with `git archive` (as
+scripts/bench_pairs.py does), then runs this script R times (default 3) in a
+fresh process on each side's src, alternating which side goes first, and
+prints one JSON line per layer with both sides' per-round best times and
+their medians.
+"""
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+POWER_TABLE_SIZES = (1000, 2500, 4096)
+
+
+def _best_ms(make, run, passes: int) -> float:
+    """The least wall time of run(make(k)) over k < passes, in ms."""
+    best = float("inf")
+    for k in range(passes):
+        args = make(k)
+        start = time.perf_counter()
+        run(*args)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def measure(passes: int) -> list[dict]:
+    """One {"layer", "best_ms", "passes"} record per layer, from the ptqsim on sys.path."""
+    import numpy as np
+
+    from ptqsim.cli import _csv_blocks
+    from ptqsim.dynamics import _integrate, _power_table, _rk4_step_matrix, initial_state
+    from ptqsim.model import SystemParams, build_hamiltonian
+
+    def step(k):
+        return _rk4_step_matrix(build_hamiltonian(SystemParams(1.7, 0.337 + 1e-9 * k)), 2e-3)
+
+    layers = {f"power_table_{n}": (lambda k, n=n: (step(k), n), _power_table)
+              for n in POWER_TABLE_SIZES}
+    layers["integrate_400000"] = (
+        lambda k: (SystemParams(1.7, 0.337), initial_state(np.pi / 2 - 1e-9 * k),
+                   2000.0, 5e-3, 4, False),
+        _integrate)
+    rng = np.random.default_rng(2022)
+    layers["csv_blocks_30001"] = (lambda k: (rng.random((30_001, 4)),),
+                                  lambda rows: "".join(_csv_blocks(rows)))
+    return [{"layer": name, "best_ms": _best_ms(make, run, passes), "passes": passes}
+            for name, (make, run) in layers.items()]
+
+
+def _run_side(src: Path, passes: int) -> dict[str, float]:
+    """{layer: best_ms} of this script run in a fresh process on the ptqsim in src."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--src", str(src),
+         "--passes", str(passes)],
+        capture_output=True, text=True, check=True, timeout=600)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    return {r["layer"]: r["best_ms"] for r in records}
+
+
+def against(rev: str, rounds: int, passes: int) -> list[dict]:
+    """Per layer, REV's and this tree's per-round best times, sides alternating."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from bench_pairs import parent_checkout
+
+    times = {"parent": [], "change": []}
+    with parent_checkout(rev, ROOT) as parent:
+        for r in range(rounds):
+            sides = [("parent", parent / "src"), ("change", ROOT / "src")]
+            if r % 2:
+                sides.reverse()
+            for label, src in sides:
+                times[label].append(_run_side(src, passes))
+                print(f"round {r + 1} {label}: " + "  ".join(
+                    f"{k} {v:.3f}" for k, v in times[label][-1].items()), flush=True)
+    return [{"layer": layer, "parent_ms": [t[layer] for t in times["parent"]],
+             "change_ms": [t[layer] for t in times["change"]],
+             "parent_median": statistics.median(t[layer] for t in times["parent"]),
+             "change_median": statistics.median(t[layer] for t in times["change"])}
+            for layer in times["change"][0]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--passes", type=int, default=7, help="passes per layer (default 7)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also time REV's tracked files, in alternating processes")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="processes per side with --against (default 3)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory ptqsim is imported from (default: this tree's src)")
+    args = parser.parse_args(argv)
+    if args.passes < 1 or args.rounds < 1:
+        parser.error("--passes and --rounds must be at least 1")
+    if args.against:
+        records = against(args.against, args.rounds, args.passes)
+    else:
+        sys.path.insert(0, str(args.src))
+        records = measure(args.passes)
+    for record in records:
+        print(json.dumps(record), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

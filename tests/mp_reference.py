@@ -1,4 +1,4 @@
-"""40-digit references (mpmath) for the eigenvalues and the concurrence.
+"""40-digit references (mpmath) for the eigenvalues, the concurrence and matrix powers.
 
 Each function reads its float inputs as the exact binary numbers they are,
 works at DPS digits in a context of its own and rounds only its answer to a
@@ -69,3 +69,18 @@ def concurrence(weights, states) -> float:
         return float(_mp.sqrt(max(0, frob - 2 * det)))
     lam = sorted(_mp.svd_c(_mp.matrix(tau), compute_uv=False), reverse=True)
     return float(max(0, lam[0] - sum(lam[1:])))
+
+
+def matrix_powers(step, exponents) -> dict:
+    """{m: step**m} for each m in exponents, each rounded to complex128 once.
+
+    The powers are taken in increasing order, each from the previous one by
+    mpmath's binary powering of step.
+    """
+    p = _mp.matrix(np.asarray(step, dtype=complex).tolist())
+    acc, done, powers = _mp.eye(p.rows), 0, {}
+    for m in sorted(set(exponents)):
+        acc = p ** (m - done) * acc
+        done = m
+        powers[m] = np.array(acc.tolist(), dtype=complex)
+    return powers

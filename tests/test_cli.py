@@ -457,7 +457,7 @@ _JSON_CASES = {
                            "--sweep-range", "0.3:0.9", "--n", 7],
                           "d761ed05c9239bc54dcad0b404651c894d8f12df6a025af25ba9462770e9905e"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
-               "4764adc01b0b0727a68931b22d09c8b915063a84762c7db9e82a5349365ae29b"),
+               "05062c9b815cb7fcbe19985bb8bb8d6f4b8d0c0b8bdbd976e66d81a904854bd7"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
                   "--collapse-fraction", 0.45],
                  "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),

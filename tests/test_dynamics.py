@@ -1,5 +1,7 @@
+import math
 import warnings
 
+import mp_reference
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -221,16 +223,24 @@ class TestPropagate:
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("params, dt, n", [
-        (SystemParams(1.7, 0.337, 1.0), 2e-3, 2500),  # fig5-like chunk
+        (SystemParams(1.7, 0.337, 1.0), 2e-3, 2500),  # the benchmark's evolve chunk
+        (SystemParams(1.7, 0.336, 1.0), 5e-3, 1000),  # a fig5a chunk
         (SystemParams(2.0, 0.4, 0.0), 1e-3, 4096),  # Hermitian limit at the cap
     ])
-    def test_power_table_matches_matmul_chain_bitwise(self, params, dt, n):
+    def test_power_table_matches_40_digits(self, params, dt, n):
+        """Each sampled power is within 1e-15 (relative, largest entry) of the exact P**m.
+
+        The premise: the block heads are chained in an extended precision whose
+        rounding sits far below a double's.
+        """
+        assert np.finfo(np.longdouble).eps < 2.0**-60
         step = _rk4_step_matrix(build_hamiltonian(params), dt)
-        chain = np.empty((n, 4, 4), dtype=complex)
-        chain[0] = step
-        for m in range(1, n):
-            chain[m] = step @ chain[m - 1]
-        assert _power_table(step, n).tobytes() == chain.tobytes()
+        table = _power_table(step, n)
+        b = math.isqrt(n)
+        sampled = [1, 2, b - 1, b, b + 1, 2 * b + 3, n // 2, n - 1, n]
+        for m, want in mp_reference.matrix_powers(step, sampled).items():
+            err = np.abs(table[m - 1] - want).max() / np.abs(want).max()
+            assert err <= 1e-15, (m, err)
 
     @pytest.mark.parametrize("record_every", [2.5, 4.0, "3", None, 0, -2])
     def test_record_every_must_be_a_positive_integer(self, record_every):
@@ -308,15 +318,14 @@ class TestCoherence:
 def _propagate_reference(params, psi0, t_max, dt, record_every):
     """propagate's earlier recorder: a masked list of per-step views, then np.asarray.
 
-    Kept as the oracle of the preallocated recorder (validation omitted).
+    Kept as the oracle of the preallocated recorder (validation omitted); it
+    shares propagate's power table, which test_power_table_matches_40_digits
+    checks on its own.
     """
     n_steps = int(round(t_max / dt))
     step = _rk4_step_matrix(build_hamiltonian(params), dt)
     chunk = min(n_steps, max(1, round(min(5.0 / (dt * max(params.gamma, 1.0)), 4096))))
-    powers = np.empty((chunk, 4, 4), dtype=complex)
-    powers[0] = step
-    for m in range(1, chunk):
-        powers[m] = step @ powers[m - 1]
+    powers = _power_table(step, chunk)
     rec_idx, rec_states, rec_norm = [0], [psi0.copy()], [0.0]
     psi, log_acc, done = psi0.copy(), 0.0, 0
     while done < n_steps:

@@ -13,11 +13,11 @@ PINNED = {
     "fig2": "84106c3ae4647825c2d85cdba73e25e4a5a762a15c4750fe7b864ad7751b5554",
     "fig3a": "d158890d4061bb748c75d38f4b3e800ff06b7b85012718c1abc983d4b47c28c7",
     "fig3b": "410ae7869271cf89b43678ef4fa9908fbb05d495d0d13215190785c57e44e816",
-    "fig4": "00e5abb5f21e334aebb90efbb91dd4371e30ef4679b45231cd3198de1a211b99",
-    "fig5a": "84eea229cdadee7a88f444720240f044170b5f7655918abc05b87237e3bf41ac",
-    "fig5b": "5cf9d294c7ee185e7aeec7bef85b8e3289a4fee7f00d4da97d6d32177fc25c05",
-    "fig6a": "abc6e1368bc254e5a12b88c8963a617d432cc243f7e3c1a67348cbd8537e87ba",
-    "fig6b": "f951c479ac7a7036705da5e0b2d6d27fce8b30124ca83a654a7efd30a7ba0492",
+    "fig4": "9be934e669a051a7c8f3dd45fa6dbdcf9696a34741859124f1f4ee218620f698",
+    "fig5a": "ad0902164da378e9c2c8965e9dce6896bd8f8a1a7229e5a29983af1b393ab8f9",
+    "fig5b": "fd0f497769e93907fcd5ff9e28b1e08aa913fc97991d4bb879a42d16825dd3e2",
+    "fig6a": "ced0143d1ffffa1079646475c132d272774d244e4e9365c787d61f1fc37a18dd",
+    "fig6b": "1b6650cb48ebae211fe053b8c9c205cd14f5ad9e58eed65492a25d813828cbf6",
     "fig7a": "4579869158c895d8639b18099907f514f9368bb5980c75c9cd93ac37ac52a341",
     "fig7b": "48a3f94beee07e2b1b42d7551647f573f27524df509477f6f0cfbdd6c7323c92",
     "fig8a": "926caec2027fec39843551716da30e1d096861fc47f1fc12e177f367c3f5f6e6",

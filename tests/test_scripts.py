@@ -43,11 +43,16 @@ def test_phase_scan(tmp_path):
     assert "critical curve: 80/80 located" in proc.stdout
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name):
+    """scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 def test_bench_pairs_summary():
@@ -216,3 +221,82 @@ def test_readme_lists_every_public_function():
     functions = {name for name, obj in vars(ptqsim).items()
                  if not name.startswith("_") and inspect.isfunction(obj)}
     assert functions - set(listed) == set()
+
+
+def test_digit_audit_on_a_synthetic_diff(tmp_path, capsys):
+    """One field moved off the 40-digit reference in each file: the audit names both,
+    and which of them moved toward it."""
+    from ptqsim.cli import main
+
+    digit_audit = _script("digit_audit")
+    command = ["evolve", "--omega", "2", "--j", "0.4", "--tmax", "0.5", "--dt", "0.01",
+               "--record-every", "2"]
+    exact = tmp_path / "exact.json"
+    assert main(command + ["--format", "json", "--out", str(exact)]) == 0
+    payload = json.loads(exact.read_text())
+    assert len(payload["results"]["rows"]) == 26
+
+    def written(name, row, column, delta):
+        changed = json.loads(exact.read_text())
+        changed["results"]["rows"][row][column] += delta
+        path = tmp_path / name
+        path.write_text(json.dumps(changed))
+        return path
+
+    old = written("old.json", 5, 1, 1e-6)  # old concurrence off, new as computed
+    new = written("new.json", 9, 2, -2e-6)  # new coherence off, old as computed
+    lines = []
+    summaries = {s["column"]: s for s in digit_audit.audit(old, new, command, lines.append)}
+    assert [line.split(":")[0] for line in lines] == ["row 5 concurrence", "row 9 coherence_x"]
+    assert lines[0].endswith("toward") and lines[1].endswith("away")
+    conc, coh, norm = (summaries[c] for c in ("concurrence", "coherence_x", "norm_log"))
+    assert (conc["changed"], conc["toward"], coh["changed"], coh["toward"]) == (1, 1, 1, 0)
+    assert norm["changed"] == 0 and norm["new_max_all"] < 1e-15
+    assert abs(conc["old_max"] - 1e-6) < 1e-12 and conc["new_max"] < 1e-15
+    assert abs(coh["new_max"] - 2e-6) < 1e-12 and coh["old_max"] < 1e-15
+    assert conc["new_max_all"] < 1e-15 and abs(coh["new_max_all"] - 2e-6) < 1e-12
+    # the command line prints the same lines and one JSON summary per column
+    assert digit_audit.main([str(old), str(new), "--", *command]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == lines and [json.loads(line)["column"] for line in out[2:]] == [
+        "concurrence", "coherence_x", "norm_log"]
+    # a changed column without a reference, or a table of another run, is refused
+    with pytest.raises(SystemExit, match="column t changed"):
+        digit_audit.audit(old, written("t.json", 3, 0, 1.0), command, lines.append)
+    with pytest.raises(SystemExit, match="26 rows, but the command records 51"):
+        digit_audit.audit(old, new, command[:-2], lines.append)
+
+
+def _layer_records(stdout):
+    return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
+
+
+def test_layers_on_a_tiny_budget(tmp_path):
+    """One pass per layer; --against exports the committed tree and alternates the sides."""
+    layers = ["power_table_1000", "power_table_2500", "power_table_4096",
+              "integrate_400000", "csv_blocks_30001"]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],
+                          capture_output=True, text=True, timeout=300, check=True)
+    records = _layer_records(proc.stdout)
+    assert [r["layer"] for r in records] == layers
+    assert all(r["best_ms"] > 0 and r["passes"] == 1 for r in records)
+
+    repo = tmp_path / "repo"
+    for part in ("src/ptqsim/*.py", "scripts/layers.py", "scripts/bench_pairs.py"):
+        for path in ROOT.glob(part):
+            target = repo / path.relative_to(ROOT)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(path.read_bytes())
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "layers.py"), "--against",
+                           "HEAD", "--rounds", "2", "--passes", "1"],
+                          capture_output=True, text=True, timeout=300, check=True)
+    rounds = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("round")]
+    assert rounds == ["round 1 parent", "round 1 change", "round 2 change", "round 2 parent"]
+    records = _layer_records(proc.stdout)
+    assert [r["layer"] for r in records] == layers
+    for r in records:
+        assert len(r["parent_ms"]) == len(r["change_ms"]) == 2
+        assert r["change_median"] == sum(r["change_ms"]) / 2
