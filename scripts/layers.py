@@ -12,12 +12,19 @@ inputs built for it and not timed:
 - power_table_<n>, n = 1000, 2500, 4096: `dynamics._power_table` of the RK4
   step matrix at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved
   by 1e-9 per pass;
-- integrate_400000: a 400 000-step `dynamics._integrate` without states,
-  fig5a's j = 0.337 run (dt 5e-3, t_max 2000, every 4th step recorded), from a
-  theta moved per pass;
+- integrate_400000: a 400 000-step `dynamics._integrate` that keeps no
+  optional field (as the figure presets run it), fig5a's j = 0.337 run (dt
+  5e-3, t_max 2000, every 4th step recorded), from a theta moved per pass;
 - csv_blocks_30001: `cli._csv_blocks` of a 30 001 x 4 float table (the size of
-  the largest `evolve` table of the benchmark), joined into one string, with
-  fresh random values per pass.
+  the largest `evolve` table of the benchmark), with fresh uniform [0, 1) values
+  per pass;
+- csv_blocks_evolve_30001: the same for a table whose columns look like an
+  `evolve` table's: a t grid of step 0.002, a concurrence in [0, 1], a signed
+  coherence crossing zero (a few cells below 1e-4) and a growing norm_log, with
+  fresh phases per pass.
+
+A writer layer joins the blocks into the bytes the CLI writes (a block of text
+is encoded as the CLI encodes it).
 
 Each layer prints one JSON line, {"layer", "best_ms", "passes"}.
 
@@ -65,11 +72,21 @@ def measure(passes: int) -> list[dict]:
               for n in POWER_TABLE_SIZES}
     layers["integrate_400000"] = (
         lambda k: (SystemParams(1.7, 0.337), initial_state(np.pi / 2 - 1e-9 * k),
-                   2000.0, 5e-3, 4, False),
+                   2000.0, 5e-3, 4, ()),
         _integrate)
     rng = np.random.default_rng(2022)
-    layers["csv_blocks_30001"] = (lambda k: (rng.random((30_001, 4)),),
-                                  lambda rows: "".join(_csv_blocks(rows)))
+
+    def csv_bytes(rows):
+        return b"".join(b if isinstance(b, bytes) else b.encode() for b in _csv_blocks(rows))
+
+    def evolve_like(k):
+        t = np.arange(30_001) * 0.002
+        a, b, c = rng.random(3) * 2 * np.pi
+        return (np.column_stack((t, np.sin(1.3 * t + a) ** 2, np.cos(2.1 * t + b) * np.exp(-t / 40),
+                                 0.2 * t + 0.1 * np.sin(0.7 * t + c))),)
+
+    layers["csv_blocks_30001"] = (lambda k: (rng.random((30_001, 4)),), csv_bytes)
+    layers["csv_blocks_evolve_30001"] = (evolve_like, csv_bytes)
     return [{"layer": name, "best_ms": _best_ms(make, run, passes), "passes": passes}
             for name, (make, run) in layers.items()]
 

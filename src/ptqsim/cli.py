@@ -22,12 +22,19 @@ disk on close, which costs more than writing a small table; a run that rewrites
 one file per call, as a benchmark loop does, would pay that flush every time.
 
 A CSV table's data rows are formatted and written in blocks of ``_BLOCK_ROWS``
-rows, so a long ``evolve`` run never holds its whole table as text.  Column
-formats and the rows with missing cells are decided once for the whole table,
-and nothing is written before the run has finished, so a run that fails leaves
-``--out`` untouched.  ``evolve``, ``revivals`` and the fig4-fig6 presets run the
-integrator without keeping its states (see ``dynamics``): they print only the
-per-row observables.
+rows, so a long ``evolve`` run never holds its whole table as text; a JSON
+table held as an array writes its rows in the same blocks.  Column formats and
+the rows with missing cells are decided once for the whole table, and nothing
+is written before the run has finished, so a run that fails leaves ``--out``
+untouched.  ``evolve``, ``revivals`` and the fig4-fig6 presets run the
+integrator keeping only the fields they print (see ``dynamics``).
+
+A float array's cells are printed by ``floatcsv.float_lines``: numpy arithmetic
+gives each cell the bytes of ``'%.12g' % v`` where a short argument proves the
+12 digits and the notation (see that module), and every other cell (zeros,
+infinities, exponent notation, cells within 0.001 of a rounding tie) is printed
+by ``'%.12g' % v`` itself, so every output byte is what the per-cell format
+gives.
 """
 from __future__ import annotations
 
@@ -49,6 +56,7 @@ from .dynamics import _integrate, detect_revivals, initial_state
 from .entanglement import eigenstate_concurrence_closed, eigenstate_concurrence_wootters
 from .ep import ep_curve, locate_ep
 from .errors import NumericalError, OmegaSingularError, ValidationError
+from .floatcsv import float_lines
 from .model import SystemParams
 from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
@@ -87,18 +95,22 @@ _BLOCK_ROWS = 1024
 
 
 def _csv_blocks(rows: list[list] | np.ndarray):
-    """The data lines of a table, each cell as _fmt prints it, in blocks of _BLOCK_ROWS rows.
+    """The data lines of a table as bytes, each cell as _fmt prints it, in blocks of
+    _BLOCK_ROWS rows.
 
-    Each column formats as its first cell in the whole table that is not None
-    does (a float array as %.12g, an int array as %d).  A missing cell, None or
-    a NaN float, gets %s and "" in its row's own template.  Each block is one
-    % over its flat cells, its lines each ending in a newline.
+    A float array's blocks are floatcsv.float_lines.  Otherwise each column
+    formats as its first cell in the whole table that is not None does (an int
+    array as %d).  A missing cell, None or a NaN float, gets %s and "" in its
+    row's own template.  Each block is one % over its flat cells, its lines each
+    ending in a newline.
     """
     array = isinstance(rows, np.ndarray)
+    if array and rows.dtype.kind == "f":
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            yield float_lines(rows[lo:lo + _BLOCK_ROWS])
+        return
     if array:
-        floats = rows.dtype.kind == "f"
-        fields = ["%.12g" if floats else "%d"] * rows.shape[1]
-        gaps = np.flatnonzero(np.isnan(rows)).tolist() if floats else []
+        fields, gaps = ["%d"] * rows.shape[1], []
     else:  # a list table is small and already Python objects: flattened once
         flat = [v for row in rows for v in row]
         fields = [_field(next((v for v in column if v is not None), None))
@@ -122,7 +134,7 @@ def _csv_blocks(rows: list[list] | np.ndarray):
             block[i - lo * width] = ""
             templates[i // width - lo] = gap_lines[i // width]
         g = end
-        yield "".join(templates) % tuple(block)
+        yield ("".join(templates) % tuple(block)).encode()
 
 
 def _jsonable(x):
@@ -143,17 +155,43 @@ def _jsonable(x):
 
 
 def _write(out_path: str, parts):
-    """Write the strings of parts, in order, to stdout ("-") or to out_path, rewritten in
+    """Write the bytes of parts, in order, to stdout ("-") or to out_path, rewritten in
     place (see the module docstring)."""
     if out_path == "-":
-        for text in parts:
-            sys.stdout.write(text)
+        sys.stdout.flush()  # whatever was printed before goes first
+        stream = getattr(sys.stdout, "buffer", None)
+        for data in parts:
+            if stream is None:  # a text-only stdout
+                sys.stdout.write(data.decode())
+            else:
+                stream.write(data)
         return
     with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        for text in parts:
-            fh.write(text.encode("utf-8"))
+        for data in parts:
+            fh.write(data)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()  # at the end of the new bytes: drops a longer file's stale tail
+
+
+def _json_parts(payload: dict):
+    """json.dumps(_jsonable(payload), indent=2) and a newline, as bytes.
+
+    An array table's rows are dumped _BLOCK_ROWS at a time: each block's text as
+    a list of rows, moved from depth 1 to the rows' depth 3 (four more spaces a
+    line), between the text of the payload around them.
+    """
+    rows = payload["results"].get("rows")
+    if not isinstance(rows, np.ndarray) or not len(rows):
+        yield (json.dumps(_jsonable(payload), indent=2) + "\n").encode()
+        return
+    text = json.dumps(_jsonable({**payload, "results": {**payload["results"], "rows": None}}),
+                      indent=2)
+    head, tail = text.split('"rows": null', 1)
+    yield (head + '"rows": [\n').encode()
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = json.dumps(_jsonable(rows[lo:lo + _BLOCK_ROWS]), indent=2)[2:-2]
+        yield ((",\n" if lo else "") + "    " + block.replace("\n", "\n    ")).encode()
+    yield ("\n    ]" + tail + "\n").encode()
 
 
 def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict,
@@ -165,14 +203,14 @@ def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarr
     if args.format == "json":
         if results is None:
             results = {"columns": header, "rows": rows}
-        payload = {"params": params_desc, "results": results, "diagnostics": meta}
-        _write(args.out, [json.dumps(_jsonable(payload), indent=2) + "\n"])
+        _write(args.out, _json_parts({"params": params_desc, "results": results,
+                                      "diagnostics": meta}))
         return
     lines = [MAGIC, f"# params: {params_desc}"]
     for key, value in meta.items():
         lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(header))
-    _write(args.out, itertools.chain(["\n".join(lines) + "\n"], _csv_blocks(rows)))
+    _write(args.out, itertools.chain([("\n".join(lines) + "\n").encode()], _csv_blocks(rows)))
 
 
 def _params_from(args) -> SystemParams:
@@ -320,22 +358,23 @@ def cmd_concurrence(args) -> int:
     return 0
 
 
-def _trajectory(args):
-    """The evolve/revivals run, its params description and its end-time metadata.
+def _trajectory(args, keep):
+    """The evolve/revivals run keeping the fields in keep (see dynamics._integrate), its
+    params description and its end-time metadata.
 
     The run takes round(tmax/dt) steps, so it ends off --tmax when tmax is not a
     whole number of steps; the metadata then names the real end as t_end.
     """
     params = _params_from(args)
     traj = _integrate(params, initial_state(args.theta), args.tmax, args.dt, args.record_every,
-                      keep_states=False)
+                      keep)
     t_end = float(traj.times[-1])
     return (traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt),
             {} if t_end == args.tmax else {"t_end": t_end})
 
 
 def cmd_evolve(args) -> int:
-    traj, desc, meta = _trajectory(args)
+    traj, desc, meta = _trajectory(args, ("norm_log", "coherence_x"))
     header = ["t", "concurrence", "coherence_x", "norm_log"]
     rows = np.column_stack((traj.times, traj.concurrence, traj.coherence_x, traj.norm_log))
     _emit(args, desc, header, rows, meta)
@@ -343,7 +382,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_revivals(args) -> int:
-    traj, desc, end = _trajectory(args)
+    traj, desc, end = _trajectory(args, ())
     revivals = detect_revivals(traj, envelope_window=args.envelope_window,
                                collapse_fraction=args.collapse_fraction)
     meta = {
@@ -438,8 +477,7 @@ def _evolve_columns(args, desc: str, runs, t_max: float, dt: float, record_every
     """Concurrence of each (column, params, theta) run on their shared time grid."""
     header, series = ["t"], []
     for column, params, theta in runs:
-        traj = _integrate(params, initial_state(theta), t_max, dt, record_every,
-                          keep_states=False)
+        traj = _integrate(params, initial_state(theta), t_max, dt, record_every, ())
         header.append(column)
         series.append(traj.concurrence)
     _emit(args, desc, header, np.column_stack((traj.times, *series)), {})

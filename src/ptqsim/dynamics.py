@@ -13,9 +13,11 @@ chunk, with the same bits as one product per power.  Every formed state is
 renormalized and its log-norm accumulated exactly as if every step were.  The
 recorded count is known before the first step, so recorded rows are written
 into preallocated arrays, each chunk's rows reduced to their time, log-norm,
-concurrence and coherence as the chunk is formed.  Only ``propagate`` also
-keeps the recorded states (64 bytes a row); the CLI's evolve, revivals and
-figure presets run the same loop without them, holding 32 bytes a row.
+concurrence and coherence as the chunk is formed.  Only ``propagate`` keeps
+every field (the recorded states are 64 bytes a row); the CLI runs the same
+loop keeping the fields it prints: ``evolve`` its three observables (32 bytes a
+row with the times), ``revivals`` and the figure presets the concurrence alone
+(16 bytes a row).
 
 The table is two-level.  Its first b = isqrt(n) powers and the block heads
 P^b, P^2b, .. are chains of products in extended precision (np.clongdouble,
@@ -50,6 +52,8 @@ from .spectrum import eigensystem_oracle
 STABILITY_LIMIT = 0.1
 #: Step counts are int64 indices (np.arange); t_max/dt must stay below this.
 _MAX_STEPS = 2.0**63
+#: The Trajectory fields a run may leave out (None); times and concurrence are always kept.
+_FIELDS = ("states", "norm_log", "coherence_x")
 
 
 @dataclass(frozen=True)
@@ -57,15 +61,16 @@ class Trajectory:
     """Normalized states and derived observables on a strictly increasing grid.
 
     norm_log accumulates the log of the norm growth the renormalization
-    discarded, so exp(norm_log) recovers the unnormalized magnitude.  states
-    is None only in the CLI's runs, which print observables alone.
+    discarded, so exp(norm_log) recovers the unnormalized magnitude.  states,
+    norm_log and coherence_x are None only in the CLI's runs, which keep the
+    fields they print.
     """
 
     times: np.ndarray
     states: np.ndarray | None
-    norm_log: np.ndarray
+    norm_log: np.ndarray | None
     concurrence: np.ndarray
-    coherence_x: np.ndarray
+    coherence_x: np.ndarray | None
 
     def __len__(self):
         return len(self.times)
@@ -103,12 +108,12 @@ def propagate(
     those states and each chunk's last one are computed, by one product of
     the chunk's stacked step powers with the state that starts it.
     """
-    return _integrate(params, psi0, t_max, dt, record_every, keep_states=True)
+    return _integrate(params, psi0, t_max, dt, record_every, _FIELDS)
 
 
 def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every: int,
-               keep_states: bool) -> Trajectory:
-    """propagate's run; the recorded states are kept only with keep_states (else None).
+               keep) -> Trajectory:
+    """propagate's run, recording only the fields of _FIELDS that are in keep (else None).
 
     Each chunk's recorded rows are reduced to their time, norm_log, concurrence
     and coherence as the chunk is formed.  Both observables are elementwise, so
@@ -145,16 +150,17 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
     try:
         # step indices, made times by one product with dt at the end
         times = np.zeros(n_rec)
-        norm_log = np.zeros(n_rec)
         concurrence = np.empty(n_rec)
-        coherence = np.empty(n_rec)
-        states = np.empty((n_rec, 4), dtype=complex) if keep_states else None
+        norm_log = np.zeros(n_rec) if "norm_log" in keep else None
+        coherence = np.empty(n_rec) if "coherence_x" in keep else None
+        states = np.empty((n_rec, 4), dtype=complex) if "states" in keep else None
     except MemoryError:
         raise ValueError(f"{n_rec} recorded states do not fit in memory "
                          f"(raise record_every)") from None
     concurrence[:1] = _concurrence_rows(psi0[None])
-    coherence[:1] = _coherence_x1(psi0[None])
-    if keep_states:
+    if coherence is not None:
+        coherence[:1] = _coherence_x1(psi0[None])
+    if states is not None:
         states[0] = psi0
     psi = psi0
     log_acc = 0.0
@@ -181,10 +187,12 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
         rec = slice(r, r + n_new)
         new = block[:n_new]
         times[rec] = done + 1 + rows[:n_new]
-        norm_log[rec] = logs[:n_new]
         concurrence[rec] = _concurrence_rows(new)
-        coherence[rec] = _coherence_x1(new)
-        if keep_states:
+        if norm_log is not None:
+            norm_log[rec] = logs[:n_new]
+        if coherence is not None:
+            coherence[rec] = _coherence_x1(new)
+        if states is not None:
             states[rec] = new
         r += n_new
         psi = block[-1]

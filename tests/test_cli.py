@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import stat
@@ -393,6 +395,57 @@ class TestCsvWriter:
         rows = list(zip(*table.T))
         assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
 
+    # The float-array writer's hard cases: each table holds the cells and their negations.
+
+    @staticmethod
+    def _near(values, ulps=3):
+        """values and the doubles 1 .. ulps ulp below and above each."""
+        out = [values]
+        for direction in (-np.inf, np.inf):
+            step = values
+            for _ in range(ulps):
+                step = np.nextafter(step, direction)
+                out.append(step)
+        return np.concatenate(out)
+
+    def _assert_cells(self, capsys, cells):
+        cells = np.concatenate([cells, -cells])
+        table = np.resize(cells, (len(cells) // 3 + 1, 3))
+        header = ["t", "a", "b"]
+        assert self._emitted(capsys, header, table, {}) == \
+            self._per_value(header, list(zip(*table.T)), {})
+
+    def test_next_to_a_rounding_tie(self, capsys):
+        """(m + 1/2) 10**(x - 11): the 12-digit ties of every fixed-notation exponent."""
+        rng = np.random.default_rng(23)
+        x = np.repeat(np.arange(-4, 12), 40)
+        m = rng.integers(10**11, 10**12, len(x))
+        self._assert_cells(capsys, self._near((m + 0.5) * 10.0 ** (x - 11)))
+
+    def test_powers_of_ten_and_the_carry(self, capsys):
+        """10**j, and 999999999999.5 10**j, whose 12 digits carry to 10**(j + 12)."""
+        j = np.arange(-20.0, 25.0)
+        self._assert_cells(capsys, self._near(np.concatenate([10.0 ** j,
+                                                              999_999_999_999.5 * 10.0 ** j])))
+
+    def test_notation_edges(self, capsys):
+        """%g turns to exponent notation below 1e-4 and from 1e12 on, after rounding."""
+        edges = np.array([1e-5, 1e-4, 1e11, 1e12, 9.999999999995e-5, 9.9999999999949e-5,
+                          999_999_999_999.4, 999_999_999_999.6, 99_999_999_999.95])
+        self._assert_cells(capsys, self._near(edges))
+
+    def test_zeros_subnormals_and_non_finite(self, capsys):
+        self._assert_cells(capsys, np.array([0.0, 5e-324, 2.2250738585072014e-308,
+                                             2.225073858507201e-308, 1.7976931348623157e308,
+                                             np.nan, np.inf]))
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cells=st.lists(st.floats(), min_size=1, max_size=300))
+    def test_any_floats(self, capsys, cells):
+        self._assert_cells(capsys, np.array(cells))
+
 
 class TestJsonWriter:
     """_emit's JSON is the per-row _jsonable payload, byte for byte."""
@@ -422,9 +475,12 @@ class TestJsonWriter:
         assert self._emitted(capsys, header, rows, meta) == want
 
     def test_float_array_table(self, capsys):
+        """Rows written in blocks of _BLOCK_ROWS print as one dump of the whole table."""
         rng = np.random.default_rng(4)
-        table = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        n = 2 * _BLOCK_ROWS + 40
+        table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
         table[::7, 1] = np.nan
+        table[5, 2], table[_BLOCK_ROWS, 0] = np.inf, -np.inf
         want = self._per_row("p=1", ["t", "a", "b"], table, {})
         assert self._emitted(capsys, ["t", "a", "b"], table, {}) == want
 
@@ -554,6 +610,15 @@ class TestOutFile:
         out = self._stdout_bytes(capsys, argv + ["--format", "json", "--out", "-"])
         assert hashlib.sha256(out).hexdigest() == digest
         assert out == self._stdout_bytes(capsys, argv + ["--format", "json"])
+
+    def test_text_only_stdout(self, capsys):
+        """A stdout with no binary buffer (an io.StringIO) gets the same text."""
+        argv = ["evolve", "--omega", 2, "--j", 0.4, "--tmax", 0.1, "--dt", 0.01]
+        want = self._stdout_bytes(capsys, argv).decode()
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main([str(a) for a in argv]) == 0
+        assert text.getvalue() == want
 
     @pytest.mark.parametrize("target, error", [("missing", "FileNotFoundError"),
                                                ("directory", "IsADirectoryError")])

@@ -254,7 +254,7 @@ class TestPropagate:
 
 
 class TestStatelessRun:
-    """The CLI's run keeps no states; its observables are propagate's, bit for bit."""
+    """The CLI's runs keep only the fields they print; those are propagate's, bit for bit."""
 
     @pytest.mark.parametrize("params, t_max, dt, record_every", [
         (SystemParams(2.0, 0.4, 1.0), 1.0, 1e-3, 7),  # off-grid final step
@@ -266,10 +266,14 @@ class TestStatelessRun:
     def test_matches_propagate_bitwise(self, params, t_max, dt, record_every):
         psi0 = initial_state(np.pi / 4)
         want = propagate(params, psi0, t_max, dt, record_every=record_every)
-        got = _integrate(params, psi0, t_max, dt, record_every, keep_states=False)
-        assert got.states is None
-        for name in ("times", "norm_log", "concurrence", "coherence_x"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # evolve's fields, one field alone, and the fields of revivals and the presets
+        for keep in [("norm_log", "coherence_x"), ("coherence_x",), ()]:
+            got = _integrate(params, psi0, t_max, dt, record_every, keep)
+            for name in ("times", "concurrence", "states", "norm_log", "coherence_x"):
+                if name in ("times", "concurrence") or name in keep:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                else:
+                    assert getattr(got, name) is None, name
 
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 64, 127, 1000,
                                         2500, 4095, 4096])

@@ -274,7 +274,7 @@ def _layer_records(stdout):
 def test_layers_on_a_tiny_budget(tmp_path):
     """One pass per layer; --against exports the committed tree and alternates the sides."""
     layers = ["power_table_1000", "power_table_2500", "power_table_4096",
-              "integrate_400000", "csv_blocks_30001"]
+              "integrate_400000", "csv_blocks_30001", "csv_blocks_evolve_30001"]
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],
                           capture_output=True, text=True, timeout=300, check=True)
     records = _layer_records(proc.stdout)
