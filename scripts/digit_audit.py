@@ -5,10 +5,14 @@ Usage (from the repository root):
 
     python3 scripts/digit_audit.py OLD NEW -- reproduce fig5a
     python3 scripts/digit_audit.py old.json new.json -- evolve --omega 2 --j 0.4 --tmax 2 --dt 0.01
+    python3 scripts/digit_audit.py --against HEAD -- reproduce fig5a
 
 OLD and NEW are two outputs (CSV or --format json) of the ptq-sim command
 after "--": `evolve`, or `reproduce` of a dynamics preset (fig4 to fig6b).
-The command names the run exactly; it is parsed, not run.  The reference
+The command names the run exactly; it is parsed, not run.  With --against
+REV there are no files: REV's tracked files are exported with `git archive`
+(as scripts/bench_pairs.py does), and the command is run on REV's src for
+OLD and on this tree's src for NEW.  The reference
 of each row is the 40-digit state P^m psi0, with P the program's own RK4 step
 matrix (`dynamics._rk4_step_matrix`) and psi0 its initial state, both read as
 the exact binary numbers they are, propagated row by row and renormalized.
@@ -20,19 +24,24 @@ Every changed field gets one line: its row, column, old and new values,
 |old - ref|, |new - ref| and whether it moved toward the reference.  Each
 column then gets one JSON line: how many fields changed and moved toward the
 reference, the largest and median |old - ref| and |new - ref| over the
-changed fields, and the largest |new - ref| over all its fields.  A fig5a
+changed fields, and the largest |old - ref| and |new - ref| over all its
+fields.  A fig5a
 column of 100 001 rows takes about half a minute.
 """
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from ptqsim import cli  # noqa: E402
 from ptqsim.dynamics import _rk4_step_matrix, initial_state  # noqa: E402
@@ -128,37 +137,58 @@ def audit(old: Path, new: Path, command: list[str], emit=print) -> list[dict]:
         if (params, theta) not in refs:
             refs[params, theta] = reference(params, theta, dt, steps)
         ref = refs[params, theta][observable]
-        new_err = [float(abs(_mp.mpf(x) - r)) for x, r in zip(new_rows[:, c].tolist(), ref)]
+        old_all, new_all = ([float(abs(_mp.mpf(x) - r)) for x, r in zip(rows[:, c].tolist(), ref)]
+                            for rows in (old_rows, new_rows))
         changed = np.flatnonzero(old_rows[:, c] != new_rows[:, c]).tolist()
-        old_err, toward = [], 0
+        toward = 0
         for i in changed:
             a, b = float(old_rows[i, c]), float(new_rows[i, c])
-            old_err.append(float(abs(_mp.mpf(a) - ref[i])))
-            toward += new_err[i] < old_err[-1]
-            emit(f"row {i} {name}: {a!r} -> {b!r}  |old-ref| {old_err[-1]:.3g}  "
-                 f"|new-ref| {new_err[i]:.3g}  {'toward' if new_err[i] < old_err[-1] else 'away'}")
-        moved = [new_err[i] for i in changed]
+            toward += new_all[i] < old_all[i]
+            emit(f"row {i} {name}: {a!r} -> {b!r}  |old-ref| {old_all[i]:.3g}  "
+                 f"|new-ref| {new_all[i]:.3g}  {'toward' if new_all[i] < old_all[i] else 'away'}")
+        old_err, moved = [old_all[i] for i in changed], [new_all[i] for i in changed]
         summaries.append({
             "column": name, "rows": len(steps), "changed": len(changed), "toward": toward,
             "old_max": max(old_err, default=0.0), "new_max": max(moved, default=0.0),
             "old_median": statistics.median(old_err) if changed else 0.0,
             "new_median": statistics.median(moved) if changed else 0.0,
-            "new_max_all": max(new_err),
+            "old_max_all": max(old_all), "new_max_all": max(new_all),
         })
     return summaries
 
 
+def _run(src: Path, command: list[str], out: Path):
+    """The ptq-sim command run on the ptqsim in src, writing out."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-m", "ptqsim.cli", *command, "--out", str(out)],
+                   env=env, check=True, timeout=600)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path)
-    parser.add_argument("command", nargs=argparse.REMAINDER,
-                        help="-- then the ptq-sim argv that wrote both files")
-    args = parser.parse_args(argv)
-    command = args.command[1:] if args.command[:1] == ["--"] else args.command
+    parser.add_argument("--against", metavar="REV",
+                        help="run the command on REV's tracked files (OLD) and on this tree (NEW)")
+    parser.add_argument("files", nargs="*", type=Path, metavar="OLD NEW")
+    parser.epilog = "-- then the ptq-sim argv that wrote both files"
+    argv = sys.argv[1:] if argv is None else argv
+    cut = argv.index("--") if "--" in argv else len(argv)
+    args, command = parser.parse_args(argv[:cut]), argv[cut + 1:]
     if not command:
         parser.error("name the ptq-sim command after --")
-    for summary in audit(args.old, args.new, command):
+    if len(args.files) != (0 if args.against else 2):
+        parser.error("give OLD and NEW, or --against REV, not both")
+    if args.against:
+        sys.path.insert(0, str(ROOT / "scripts"))
+        from bench_pairs import parent_checkout
+
+        with parent_checkout(args.against, ROOT) as parent, tempfile.TemporaryDirectory() as tmp:
+            old, new = Path(tmp) / "old", Path(tmp) / "new"
+            _run(parent / "src", command, old)
+            _run(ROOT / "src", command, new)
+            summaries = audit(old, new, command)
+    else:
+        summaries = audit(*args.files, command)
+    for summary in summaries:
         print(json.dumps(summary))
     return 0
 

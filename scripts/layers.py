@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer times of the dynamics path: the step-power table, the integrator and the CSV writer.
+"""Layer times of the dynamics path: the step factors, one chunk, the integrator and the CSV writer.
 
 Usage (from the repository root):
 
@@ -9,9 +9,12 @@ Usage (from the repository root):
 The layers, each timed as the best of K passes (default 7), every pass on
 inputs built for it and not timed:
 
-- power_table_<n>, n = 1000, 2500, 4096: `dynamics._power_table` of the RK4
-  step matrix at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved
-  by 1e-9 per pass;
+- step_factors_<n>, n = 1000, 2500, 4096: `dynamics._step_factors` (the
+  per-run block heads and first block of step powers) of the RK4 step matrix
+  at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved by 1e-9 per
+  pass;
+- chunk_states_<n>: `dynamics._span`, the n states of one chunk from those
+  factors and a unit state moved per pass;
 - integrate_400000: a 400 000-step `dynamics._integrate` that keeps no
   optional field (as the figure presets run it), fig5a's j = 0.337 run (dt
   5e-3, t_max 2000, every 4th step recorded), from a theta moved per pass;
@@ -26,16 +29,20 @@ inputs built for it and not timed:
 A writer layer joins the blocks into the bytes the CLI writes (a block of text
 is encoded as the CLI encodes it).
 
-Each layer prints one JSON line, {"layer", "best_ms", "passes"}.
+Each layer prints one JSON line, {"layer", "best_ms", "passes"}.  A layer
+whose kernel the imported ptqsim lacks is left out.
 
 --against REV exports REV's tracked files with `git archive` (as
 scripts/bench_pairs.py does), then runs this script R times (default 3) in a
-fresh process on each side's src, alternating which side goes first, and
-prints one JSON line per layer with both sides' per-round best times and
-their medians.
+fresh process on each side's src, alternating which side goes first.  It
+prints one line per layer, the change/parent ratio of the medians with the
+range of the per-round ratios (or which side lacks the layer), then one JSON
+line per layer with both sides' per-round best times and their medians (null
+on a side that lacks it), the ratio and its range.
 """
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -43,7 +50,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-POWER_TABLE_SIZES = (1000, 2500, 4096)
+CHUNK_SIZES = (1000, 2500, 4096)
 
 
 def _best_ms(make, run, passes: int) -> float:
@@ -61,15 +68,23 @@ def measure(passes: int) -> list[dict]:
     """One {"layer", "best_ms", "passes"} record per layer, from the ptqsim on sys.path."""
     import numpy as np
 
+    from ptqsim import dynamics
     from ptqsim.cli import _csv_blocks
-    from ptqsim.dynamics import _integrate, _power_table, _rk4_step_matrix, initial_state
+    from ptqsim.dynamics import _integrate, _rk4_step_matrix, initial_state
     from ptqsim.model import SystemParams, build_hamiltonian
 
     def step(k):
         return _rk4_step_matrix(build_hamiltonian(SystemParams(1.7, 0.337 + 1e-9 * k)), 2e-3)
 
-    layers = {f"power_table_{n}": (lambda k, n=n: (step(k), n), _power_table)
-              for n in POWER_TABLE_SIZES}
+    layers = {}
+    factors, span = (getattr(dynamics, name, None) for name in ("_step_factors", "_span"))
+    if factors and span:
+        for n in CHUNK_SIZES:
+            layers[f"step_factors_{n}"] = (lambda k, n=n: (step(k), n), factors)
+            layers[f"chunk_states_{n}"] = (
+                lambda k, n=n: (initial_state(np.pi / 2 - 1e-9 * k), *factors(step(k), n)[:2],
+                                -(-n // math.isqrt(n))),
+                span)
     layers["integrate_400000"] = (
         lambda k: (SystemParams(1.7, 0.337), initial_state(np.pi / 2 - 1e-9 * k),
                    2000.0, 5e-3, 4, ()),
@@ -101,8 +116,17 @@ def _run_side(src: Path, passes: int) -> dict[str, float]:
     return {r["layer"]: r["best_ms"] for r in records}
 
 
+def _ratio(parent: list | None, change: list | None) -> tuple:
+    """The change/parent ratio of the medians and the range of the per-round ratios."""
+    if not parent or not change:
+        return None, None
+    rounds = [c / p for p, c in zip(parent, change)]
+    return statistics.median(change) / statistics.median(parent), [min(rounds), max(rounds)]
+
+
 def against(rev: str, rounds: int, passes: int) -> list[dict]:
-    """Per layer, REV's and this tree's per-round best times, sides alternating."""
+    """Per layer, REV's and this tree's per-round best times, sides alternating (None on a
+    side that lacks the layer), with the change/parent ratio of their medians."""
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from bench_pairs import parent_checkout
 
@@ -116,11 +140,20 @@ def against(rev: str, rounds: int, passes: int) -> list[dict]:
                 times[label].append(_run_side(src, passes))
                 print(f"round {r + 1} {label}: " + "  ".join(
                     f"{k} {v:.3f}" for k, v in times[label][-1].items()), flush=True)
-    return [{"layer": layer, "parent_ms": [t[layer] for t in times["parent"]],
-             "change_ms": [t[layer] for t in times["change"]],
-             "parent_median": statistics.median(t[layer] for t in times["parent"]),
-             "change_median": statistics.median(t[layer] for t in times["change"])}
-            for layer in times["change"][0]]
+    layers = list(dict.fromkeys([*times["change"][0], *times["parent"][0]]))
+    records = []
+    for layer in layers:
+        side = {label: [t[layer] for t in runs] if layer in runs[0] else None
+                for label, runs in times.items()}
+        ratio, spread = _ratio(side["parent"], side["change"])
+        records.append({"layer": layer, "parent_ms": side["parent"], "change_ms": side["change"],
+                        **{f"{label}_median": ms and statistics.median(ms)
+                           for label, ms in side.items()},
+                        "ratio": ratio, "ratio_range": spread})
+        absent = [label for label, ms in side.items() if ms is None]
+        print(f"{layer}: " + (f"absent on the {' and '.join(absent)} side" if absent else
+                              f"change/parent {ratio:.3f} [{spread[0]:.3f}, {spread[1]:.3f}]"))
+    return records
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,8 @@ when those do not end at ``--tmax``, a ``t_end`` metadata key (a ``# t_end:``
 line, a ``diagnostics`` entry) names the time the run ended.  Exit codes: 0
 success, 2 validation/usage error, 3 numerical failure; an --out that cannot
 be written (a missing directory, a directory) exits 2 and names the OSError.
+A reader that closes stdout before the end (``| head``) ends the run with exit
+0 and nothing on stderr: the rest of the output goes to os.devnull.
 Identical configurations produce byte-identical files.
 
 ``--out PATH`` is rewritten in place: opened without truncation (created with
@@ -94,21 +96,28 @@ def _field(x) -> str:
 _BLOCK_ROWS = 1024
 
 
-def _csv_blocks(rows: list[list] | np.ndarray):
+def _blocks(columns: tuple):
+    """Equal-length columns as (rows, columns) arrays of up to _BLOCK_ROWS rows."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
+
+
+def _csv_blocks(rows: list[list] | np.ndarray | tuple):
     """The data lines of a table as bytes, each cell as _fmt prints it, in blocks of
     _BLOCK_ROWS rows.
 
-    A float array's blocks are floatcsv.float_lines.  Otherwise each column
-    formats as its first cell in the whole table that is not None does (an int
-    array as %d).  A missing cell, None or a NaN float, gets %s and "" in its
-    row's own template.  Each block is one % over its flat cells, its lines each
-    ending in a newline.
+    A float array's blocks, or a tuple of float columns stacked a block at a time,
+    are floatcsv.float_lines.  Otherwise each column formats as its first cell
+    in the whole table that is not None does (an int array as %d).  A missing
+    cell, None or a NaN float, gets %s and "" in its row's own template.  Each
+    block is one % over its flat cells, its lines each ending in a newline.
     """
-    array = isinstance(rows, np.ndarray)
-    if array and rows.dtype.kind == "f":
-        for lo in range(0, len(rows), _BLOCK_ROWS):
-            yield float_lines(rows[lo:lo + _BLOCK_ROWS])
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        rows = tuple(rows.T)
+    if isinstance(rows, tuple):
+        yield from map(float_lines, _blocks(rows))
         return
+    array = isinstance(rows, np.ndarray)
     if array:
         fields, gaps = ["%d"] * rows.shape[1], []
     else:  # a list table is small and already Python objects: flattened once
@@ -158,13 +167,16 @@ def _write(out_path: str, parts):
     """Write the bytes of parts, in order, to stdout ("-") or to out_path, rewritten in
     place (see the module docstring)."""
     if out_path == "-":
-        sys.stdout.flush()  # whatever was printed before goes first
         stream = getattr(sys.stdout, "buffer", None)
-        for data in parts:
-            if stream is None:  # a text-only stdout
-                sys.stdout.write(data.decode())
-            else:
-                stream.write(data)
+        try:
+            sys.stdout.flush()  # whatever was printed before goes first
+            for data in parts:
+                if stream is None:  # a text-only stdout
+                    sys.stdout.write(data.decode())
+                else:
+                    stream.write(data)
+        except BrokenPipeError:  # the reader closed stdout: the rest and the exit flush go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         for data in parts:
@@ -176,26 +188,27 @@ def _write(out_path: str, parts):
 def _json_parts(payload: dict):
     """json.dumps(_jsonable(payload), indent=2) and a newline, as bytes.
 
-    An array table's rows are dumped _BLOCK_ROWS at a time: each block's text as
-    a list of rows, moved from depth 1 to the rows' depth 3 (four more spaces a
-    line), between the text of the payload around them.
+    An array table's rows, or a tuple of columns', are dumped _BLOCK_ROWS at a time:
+    each block's text as a list of rows, moved from depth 1 to the rows' depth 3
+    (four more spaces a line), between the text of the payload around them.
     """
     rows = payload["results"].get("rows")
-    if not isinstance(rows, np.ndarray) or not len(rows):
+    if not isinstance(rows, (np.ndarray, tuple)):
         yield (json.dumps(_jsonable(payload), indent=2) + "\n").encode()
         return
     text = json.dumps(_jsonable({**payload, "results": {**payload["results"], "rows": None}}),
                       indent=2)
     head, tail = text.split('"rows": null', 1)
-    yield (head + '"rows": [\n').encode()
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = json.dumps(_jsonable(rows[lo:lo + _BLOCK_ROWS]), indent=2)[2:-2]
-        yield ((",\n" if lo else "") + "    " + block.replace("\n", "\n    ")).encode()
-    yield ("\n    ]" + tail + "\n").encode()
+    columns = rows if isinstance(rows, tuple) else tuple(rows.T)
+    yield (head + '"rows": [').encode()
+    for i, block in enumerate(_blocks(columns)):
+        lines = json.dumps(_jsonable(block), indent=2)[2:-2]
+        yield ((",\n" if i else "\n") + "    " + lines.replace("\n", "\n    ")).encode()
+    yield (("\n    ]" if len(columns[0]) else "]") + tail + "\n").encode()
 
 
-def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray, meta: dict,
-          results: dict | None = None):
+def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray | tuple,
+          meta: dict, results: dict | None = None):
     """Write one table as CSV (see _csv_blocks), or as JSON {params, results, diagnostics}.
 
     results, when given, is a point command's JSON object; its CSV is the table.
@@ -376,8 +389,8 @@ def _trajectory(args, keep):
 def cmd_evolve(args) -> int:
     traj, desc, meta = _trajectory(args, ("norm_log", "coherence_x"))
     header = ["t", "concurrence", "coherence_x", "norm_log"]
-    rows = np.column_stack((traj.times, traj.concurrence, traj.coherence_x, traj.norm_log))
-    _emit(args, desc, header, rows, meta)
+    _emit(args, desc, header, (traj.times, traj.concurrence, traj.coherence_x, traj.norm_log),
+          meta)
     return 0
 
 
@@ -480,7 +493,7 @@ def _evolve_columns(args, desc: str, runs, t_max: float, dt: float, record_every
         traj = _integrate(params, initial_state(theta), t_max, dt, record_every, ())
         header.append(column)
         series.append(traj.concurrence)
-    _emit(args, desc, header, np.column_stack((traj.times, *series)), {})
+    _emit(args, desc, header, (traj.times, *series), {})
 
 
 def _preset_sense(args, kappa, fixed_value, rng, n):

@@ -3,34 +3,28 @@ collapse/revival detection, and the passive gain/loss rescaling map.
 
 The integrator is the classical fixed-step 4th-order scheme; for a
 time-independent generator its one-step map P is the quartic Taylor matrix of
-exp(-iH dt), so steps are applied from a precomputed power table
-P, P^2, .., P^n in chunks: the state m steps into a chunk is P^m times the
-state that starts it.  Chunk length n is capped so unnormalized growth stays
-within exp(5) between renormalizations.  Only
-the states a trajectory records are formed, plus each chunk's last state,
-which starts the next: one matrix-vector product over the stacked powers per
-chunk, with the same bits as one product per power.  Every formed state is
-renormalized and its log-norm accumulated exactly as if every step were.  The
-recorded count is known before the first step, so recorded rows are written
-into preallocated arrays, each chunk's rows reduced to their time, log-norm,
-concurrence and coherence as the chunk is formed.  Only ``propagate`` keeps
-every field (the recorded states are 64 bytes a row); the CLI runs the same
-loop keeping the fields it prints: ``evolve`` its three observables (32 bytes a
-row with the times), ``revivals`` and the figure presets the concurrence alone
-(16 bytes a row).
+exp(-iH dt), so steps are applied in chunks: the state m steps into a chunk is
+P^m times the state that starts it.  Chunk length n is capped so unnormalized
+growth stays within exp(5) between renormalizations.  The recorded count is
+known before the first step, so recorded rows are written into preallocated
+arrays.  Only ``propagate`` keeps every field (the recorded states are 64 bytes
+a row); the CLI runs the same loop keeping the fields it prints: ``evolve`` its
+three observables (32 bytes a row with the times), ``revivals`` and the figure
+presets the concurrence alone (16 bytes a row).
 
-The table is two-level.  Its first b = isqrt(n) powers and the block heads
-P^b, P^2b, .. are chains of products in extended precision (np.clongdouble,
-whose 64-bit significand keeps a chain of a hundred products well inside one
-double rounding), and each later block is one complex128 gemm of the first
-block with its head: P^r P^kb = P^(kb + r).  A power is then two factors
-rounded once each and one double product, within 5e-16 (relative) of the
-exact power, where a double chain's rounding grows with m (to 7e-15 at
-n = 2500); and the table costs about 3 sqrt(n) calls instead of n - 1.  The
-products are bound ``ndarray.dot`` calls, which skip np.matmul's ufunc
-dispatch.  A chunk's norms are np.linalg.norm's steps written out, and the
-chunk is renormalized by a product with their reciprocals, which has the
-quotient's bits.
+A chunk's states come from two small factor sets, built once per run in blocks
+of b = isqrt(n): the first block P .. P^b and the block heads P^b, P^2b, ..,
+chains of products in extended precision (np.clongdouble, whose 64-bit
+significand keeps a chain of a hundred products well inside one double
+rounding), each rounded to complex128 once.  Per chunk, one matrix-vector
+product of the stacked heads gives the head states P^(qb) psi, and one gemm of
+the head states with the first block gives every state of the chunk in step
+order, P^(s + 1) P^(qb) psi; each is within 5e-16 (relative) of the exact
+P^m psi.  The rows a chunk records are reduced unnormalized: their squared
+norms, log-norms, and the concurrence and coherence over the squared norm.
+Only the kept states are renormalized; the state that starts the next chunk is
+P^n times this chunk's start in extended precision, renormalized, so rounding
+does not accumulate from chunk to chunk.
 
 The envelope and the steady-state variation (forward-looking sliding maxima,
 and minima as maxima of the negated series) cost O(n) for any window: block
@@ -38,6 +32,7 @@ prefix and suffix maxima (van Herk / Gil-Werman), exact because max is.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,6 +47,8 @@ from .spectrum import eigensystem_oracle
 STABILITY_LIMIT = 0.1
 #: Step counts are int64 indices (np.arange); t_max/dt must stay below this.
 _MAX_STEPS = 2.0**63
+#: OpenBLAS threads a complex gemm of m n k >= 65536 (16 a state), costing several times more.
+_GEMM_STATES = 4096
 #: The Trajectory fields a run may leave out (None); times and concurrence are always kept.
 _FIELDS = ("states", "norm_log", "coherence_x")
 
@@ -104,9 +101,7 @@ def propagate(
 ) -> Trajectory:
     """Integrate d(psi)/dt = -iH psi, renormalizing every step.
 
-    Records every record_every-th step (plus t=0 and the final step); only
-    those states and each chunk's last one are computed, by one product of
-    the chunk's stacked step powers with the state that starts it.
+    Records every record_every-th step (plus t=0 and the final step).
     """
     return _integrate(params, psi0, t_max, dt, record_every, _FIELDS)
 
@@ -115,9 +110,8 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
                keep) -> Trajectory:
     """propagate's run, recording only the fields of _FIELDS that are in keep (else None).
 
-    Each chunk's recorded rows are reduced to their time, norm_log, concurrence
-    and coherence as the chunk is formed.  Both observables are elementwise, so
-    a chunk's values have the bits of one pass over every recorded state.
+    Every reduction of a chunk's rows is per row, so a chunk's values have the
+    bits of one pass over every recorded row.
     """
     psi0 = as_unit_state(psi0)
     if not (math.isfinite(t_max) and math.isfinite(dt)):
@@ -140,16 +134,17 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
         )
 
     n_steps = int(round(t_max / dt))
+    record_every = min(record_every, n_steps + 1)  # any longer period records 0 and the end
     # Growth within a chunk stays below exp(~5).  The cap applies before
     # rounding, where 5/dt overflows to inf for subnormal dt.
     chunk = min(n_steps, max(1, round(min(5.0 / (dt * max(params.gamma, 1.0)), 4096))))
-    powers = _power_table(_rk4_step_matrix(h, dt), chunk)
+    heads, first, whole = _step_factors(_rk4_step_matrix(h, dt), chunk)
+    b = first.shape[1] // 4
 
     # t=0, every record_every-th step, and the final step when off that grid
     n_rec = n_steps // record_every + 1 + (n_steps % record_every != 0)
     try:
-        # step indices, made times by one product with dt at the end
-        times = np.zeros(n_rec)
+        times = np.arange(n_rec, dtype=float)
         concurrence = np.empty(n_rec)
         norm_log = np.zeros(n_rec) if "norm_log" in keep else None
         coherence = np.empty(n_rec) if "coherence_x" in keep else None
@@ -157,98 +152,89 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
     except MemoryError:
         raise ValueError(f"{n_rec} recorded states do not fit in memory "
                          f"(raise record_every)") from None
-    concurrence[:1] = _concurrence_rows(psi0[None])
-    if coherence is not None:
-        coherence[:1] = _coherence_x1(psi0[None])
+    times *= record_every
+    times[-1] = n_steps
+    times *= dt
+    _observe(psi0[None], np.ones(1), concurrence[:1], None if coherence is None else coherence[:1])
     if states is not None:
         states[0] = psi0
-    psi = psi0
-    log_acc = 0.0
+    psi, carry, log_acc = psi0, psi0.astype(np.clongdouble), 0.0
     done, r = 0, 1
-    while done < n_steps:
-        k = min(chunk, n_steps - done)
-        rows = np.arange((-(done + 1)) % record_every, k, record_every)
-        if not len(rows) or rows[-1] != k - 1:
-            rows = np.append(rows, k - 1)
-        # the last row starts the next chunk; it is recorded when on the grid or final
-        n_new = len(rows) - (done + k < n_steps and (done + k) % record_every != 0)
-        # one gemv over the stacked powers: the same bits as a (4, 4) @ (4,) product each
-        mats = powers[:k] if len(rows) == k else powers[rows]
-        block = (mats.reshape(-1, 4) @ psi).reshape(-1, 4)
-        norms = _row_norms(block)
-        if not np.all(np.isfinite(norms)) or np.any(norms == 0):
-            raise NonFiniteError(f"amplitudes left the finite range near t={done * dt}")
-        # block /= norms[:, None] bit for bit: numpy's complex / real quotient (Smith's)
-        # is ((re + im*0) * s, (im - re*0) * s) with s = 1/n, which is (re*s, im*s)
-        # unless a part is -0; no part of block is, as the gemv's sums start at +0
-        parts = block.view(float)
-        parts *= (1.0 / norms)[:, None]
-        logs = log_acc + np.log(norms)
-        rec = slice(r, r + n_new)
-        new = block[:n_new]
-        times[rec] = done + 1 + rows[:n_new]
-        concurrence[rec] = _concurrence_rows(new)
-        if norm_log is not None:
-            norm_log[rec] = logs[:n_new]
-        if coherence is not None:
-            coherence[rec] = _coherence_x1(new)
-        if states is not None:
-            states[rec] = new
-        r += n_new
-        psi = block[-1]
-        log_acc = logs[-1]
-        done += k
+    with np.errstate(divide="ignore"):  # a zero norm is caught as a non-finite log
+        while done < n_steps:
+            k = min(chunk, n_steps - done)
+            rows = _picks((-(done + 1)) % record_every, k, record_every)
+            span = _span(psi, heads, first, -(-k // b))
+            new = span[:k] if rows is None else span[rows]
+            parts = new.view(float)
+            sq = np.einsum("ij,ij->i", parts, parts)
+            logs = 0.5 * np.log(sq) + log_acc
+            if not math.isfinite(logs.sum()):
+                raise NonFiniteError(f"amplitudes left the finite range near t={done * dt}")
+            # the last row starts the next chunk; it is recorded when on the grid or final
+            n_new = len(new) - (done + k < n_steps and (done + k) % record_every != 0)
+            rec = slice(r, r + n_new)
+            _observe(new[:n_new], sq[:n_new], concurrence[rec],
+                     None if coherence is None else coherence[rec])
+            if norm_log is not None:
+                norm_log[rec] = logs[:n_new]
+            if states is not None:
+                np.divide(parts[:n_new], np.sqrt(sq[:n_new])[:, None], out=states[rec].view(float))
+            r += n_new
+            # the next chunk starts from P^chunk times this one's start, in extended precision
+            carry = whole.dot(carry) / math.sqrt(sq[-1])
+            psi = carry.astype(complex)
+            log_acc = logs[-1]
+            done += k
 
-    times *= dt
     return Trajectory(times, states, norm_log, concurrence, coherence)
 
 
-def _concurrence_rows(states: np.ndarray) -> np.ndarray:
-    """Concurrence of (n, 4) unit-state rows: 2 |psi1 psi2 - psi0 psi3|."""
-    return 2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3])
+@functools.lru_cache(maxsize=64)
+def _picks(start: int, k: int, every: int) -> np.ndarray | None:
+    """The rows of a k-step chunk that are reduced: start, start + every, .., and the
+    last, which starts the next chunk; None when that is every row."""
+    rows = np.arange(start, k, every)
+    if not len(rows) or rows[-1] != k - 1:
+        rows = np.append(rows, k - 1)
+    return None if len(rows) == k else rows
 
 
-def _coherence_x1(states: np.ndarray) -> np.ndarray:
-    """<sigma_x^1> of (n, 4) unit-state rows: 2 Re(conj(psi0) psi2 + conj(psi1) psi3).
-
-    The same bits as the row sum of conj(psi) * (psi @ SIGMA_X1), whose four
-    terms are these two twice; + 0.0 gives an underflowed -0 the sum's sign.
-    """
-    half = states[:, 0].conj() * states[:, 2] + states[:, 1].conj() * states[:, 3]
-    return 2.0 * half.real + 0.0
-
-
-def _row_norms(block: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(block, axis=1) of (n, 4) complex rows, bit for bit, without its wrapper.
-
-    norm squares by (conj(x) * x).real and sums each row by add.reduce, which
-    adds a row of four left to right; the order s0 + ((s1 + s2) + s3) differs.
-    """
-    sq = (block.conj() * block).real
-    return np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+def _span(psi: np.ndarray, heads: np.ndarray, first: np.ndarray, nq: int) -> np.ndarray:
+    """The nq * b states after psi, from _step_factors' heads and first block: row q*b + s
+    is P^(s + 1) P^(qb) psi, in step order."""
+    starts = np.empty((nq, 4), dtype=complex)
+    starts[0] = psi
+    heads[:4 * (nq - 1)].dot(psi, starts[1:].reshape(-1))
+    span = np.empty((nq, first.shape[1]), dtype=complex)
+    per = -(-_GEMM_STATES // (first.shape[1] // 4)) - 1
+    for lo in range(0, nq, per):
+        starts[lo:lo + per].dot(first, span[lo:lo + per])
+    return span.reshape(-1, 4)
 
 
-def _power_table(step: np.ndarray, n: int) -> np.ndarray:
-    """step**1 .. step**n as an (n, 4, 4) array, in blocks of b = isqrt(n) powers.
+def _observe(rows: np.ndarray, sq: np.ndarray, concurrence: np.ndarray, coherence):
+    """The concurrence and <sigma_x^1> of (n, 4) rows of squared norms sq, into concurrence
+    and coherence (which may be None): of a unit state 2 |psi1 psi2 - psi0 psi3| and
+    2 Re(conj(psi0) psi2 + conj(psi1) psi3), the float view's first four parts dotted with
+    its last four."""
+    half = 0.5 * sq
+    np.divide(np.abs(rows[:, 1] * rows[:, 2] - rows[:, 0] * rows[:, 3]), half, out=concurrence)
+    if coherence is not None:
+        parts = rows.view(float)
+        np.divide(np.einsum("ij,ij->i", parts[:, :4], parts[:, 4:]), half, out=coherence)
 
-    The first block P .. P^b and the block heads P^b, P^2b, .. are chains of
-    4x4 products in extended precision (np.clongdouble), each power rounded to
-    complex128 once.  Block k is then P^r @ P^kb = P^(kb + r) for r = 1 .. b:
-    one complex128 gemm of the stacked first block with the rounded head.  So
-    each power carries the rounding of one double product of two factors
-    rounded once, not the m - 1 roundings of a double chain, for about
-    3 sqrt(n) calls instead of n - 1.
-    """
+
+def _step_factors(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The heads P^b, P^2b, .. < P^n of step P stacked as a (4 (ceil(n/b) - 1), 4) matrix,
+    its first block P .. P^b as M[i, 4r + c] = P^(r+1)[c, i] (b = isqrt(n)), each chained
+    in extended precision and rounded once, and P^n in extended precision."""
     b = math.isqrt(n)
     first = _chain(step.astype(np.clongdouble), b)
-    heads = _chain(first[-1], -(-n // b) - 1).astype(complex)
-    powers = np.empty((n, 4, 4), dtype=complex)
-    powers[:b] = first
-    rows = powers[:b].reshape(-1, 4)
-    for k, head in enumerate(heads, 1):
-        lo, hi = k * b, min(n, (k + 1) * b)
-        rows[:4 * (hi - lo)].dot(head, powers[lo:hi].reshape(-1, 4))
-    return powers
+    heads = _chain(first[-1], -(-n // b) - 1)
+    whole = first[n - len(heads) * b - 1].dot(heads[-1]) if len(heads) else first[0]
+    return (heads.astype(complex).reshape(-1, 4),
+            first.astype(complex).transpose(2, 0, 1).reshape(4, 4 * b), whole)
 
 
 def _chain(factor: np.ndarray, count: int) -> np.ndarray:

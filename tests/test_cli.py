@@ -5,6 +5,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -484,6 +486,22 @@ class TestJsonWriter:
         want = self._per_row("p=1", ["t", "a", "b"], table, {})
         assert self._emitted(capsys, ["t", "a", "b"], table, {}) == want
 
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 40])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_print_as_their_stacked_table(self, capsys, fmt, n):
+        """A tuple of columns, stacked a block at a time, prints the stacked table's bytes."""
+        rng = np.random.default_rng(n)
+        columns = tuple(rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n)))
+        columns[1][::7] = np.nan
+        if n > _BLOCK_ROWS:
+            columns[2][5], columns[0][_BLOCK_ROWS] = np.inf, -np.inf
+            columns[0][_BLOCK_ROWS - 1], columns[2][-1] = np.nan, -np.inf
+        args = argparse.Namespace(format=fmt, out="-")
+        _emit(args, "p=1", ["t", "a", "b"], columns, {"k": 1})
+        got = capsys.readouterr().out
+        _emit(args, "p=1", ["t", "a", "b"], np.column_stack(columns), {"k": 1})
+        assert got == capsys.readouterr().out
+
     def test_point_object(self, capsys):
         results = {"qfi": np.float64(2.5), "nested": {"v": np.array([1 + 2j, np.nan])},
                    "eigenvalues": [{"re": 0.5, "im": np.nan}]}
@@ -513,7 +531,7 @@ _JSON_CASES = {
                            "--sweep-range", "0.3:0.9", "--n", 7],
                           "d761ed05c9239bc54dcad0b404651c894d8f12df6a025af25ba9462770e9905e"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
-               "05062c9b815cb7fcbe19985bb8bb8d6f4b8d0c0b8bdbd976e66d81a904854bd7"),
+               "c0862ffce7395562ef6356898f636ae6cedf970529f441cfb2ebfd8ff87db5e5"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
                   "--collapse-fraction", 0.45],
                  "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),
@@ -742,6 +760,27 @@ def test_peak_memory_per_recorded_row(tmp_path, argv, rows):
     finally:
         tracemalloc.stop()
     assert peak <= _BYTES_PER_ROW * rows + _PEAK_CONSTANT, f"{peak / rows:.0f} B/row"
+
+
+def test_record_every_past_a_64_bit_integer(capsys):
+    """--record-every longer than the run, even past int64, records t=0 and the end."""
+    code, out, err = invoke(capsys, "evolve", "--omega", 2, "--j", 0.4, "--tmax", 1, "--dt", 0.01,
+                            "--record-every", 10**20)
+    assert (code, err) == (0, "") and parse_csv(out)[2]["t"] == ["0", "1"]
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    """A reader that closes stdout after three lines is not a usage error: exit 0 and an empty
+    stderr, the rest of the table going nowhere (it is longer than a pipe buffer)."""
+    proc = subprocess.Popen([sys.executable, "-m", "ptqsim.cli", "evolve", "--omega", "2",
+                             "--j", "0.4", "--tmax", "30", "--dt", "0.01"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert lines[0] == (MAGIC + "\n").encode() and lines[2].startswith(b"t,concurrence")
 
 
 class TestQfiCommand:

@@ -21,20 +21,18 @@ from ptqsim import (
 )
 from ptqsim.dynamics import (
     STABILITY_LIMIT,
-    _coherence_x1,
-    _concurrence_rows,
     _integrate,
-    _power_table,
+    _observe,
     _rk4_step_matrix,
-    _row_norms,
+    _span,
+    _step_factors,
     _window_len,
     envelope_of_series,
     revival_times_of_series,
     steady_state_of_series,
 )
 from ptqsim.errors import NotNormalizedError, StepTooLargeError
-from ptqsim.model import SIGMA_X1, build_hamiltonian
-from ptqsim.sensing import _rowdot
+from ptqsim.model import build_hamiltonian
 
 KET_00 = initial_state(np.pi / 2)
 
@@ -176,33 +174,6 @@ class TestPropagate:
                               got, expected):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    def test_reciprocal_product_is_numpys_quotient(self):
-        """propagate's renormalization: the product's bits equal the quotient's with no -0 part."""
-        rng = np.random.default_rng(8)
-        block = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
-        parts = block.view(float)
-        parts[::3] *= 10.0 ** rng.integers(-150, 150, (167, 8))  # squares stay finite
-        parts[::7, ::3] = 0.0
-        norms = np.linalg.norm(block, axis=1)
-        product = block.copy()
-        product.view(float)[...] *= (1.0 / norms)[:, None]
-        assert product.tobytes() == (block / norms[:, None]).tobytes()
-
-    def test_row_norms_are_numpys_bitwise(self):
-        """propagate's chunk norms: np.linalg.norm's bits, on zero, subnormal and 1e+-150 rows."""
-        rng = np.random.default_rng(21)
-        tiny = np.nextafter(0.0, 1.0)
-        blocks = [np.array([[0j] * 4, [-0.0 + 0j, 0j, -0j, 0j], [tiny, 0j, 1j * tiny, 3 * tiny],
-                            [1e-160 + 2e-155j, 3e-310, 1e-150j, 1e-150],
-                            [1e150, 1e150j, -1e150, 1e-150]], dtype=complex)]
-        for n in rng.integers(1, 3001, 60).tolist():
-            block = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-            block *= 10.0 ** rng.uniform(-150, 150, (n, 1))
-            block.view(float)[::5, ::3] = 0.0
-            blocks.append(block)
-        for block in blocks:
-            assert _row_norms(block).tobytes() == np.linalg.norm(block, axis=1).tobytes()
-
     @seed(20261018)
     @settings(max_examples=200, deadline=None, database=None)
     @given(omega=st.floats(0.2, 2.5), j=st.floats(0.0, 1.2),
@@ -227,25 +198,45 @@ class TestPropagate:
         (SystemParams(1.7, 0.336, 1.0), 5e-3, 1000),  # a fig5a chunk
         (SystemParams(2.0, 0.4, 0.0), 1e-3, 4096),  # Hermitian limit at the cap
     ])
-    def test_power_table_matches_40_digits(self, params, dt, n):
-        """Each sampled power is within 1e-15 (relative, largest entry) of the exact P**m.
+    def test_chunk_states_match_40_digits(self, params, dt, n):
+        """Each sampled state of one chunk is within 1e-15 (relative, largest part) of the
+        exact P**m psi, and P**n in extended precision within an ulp of the exact P**n.
 
-        The premise: the block heads are chained in an extended precision whose
-        rounding sits far below a double's.
+        The premise: the factors are chained in an extended precision whose
+        rounding sits far below a double's, so a state carries the roundings of
+        two factors and two products.  The power table this replaced read at
+        most 2.8e-16 on these samples, and these states 2.4e-16.
         """
         assert np.finfo(np.longdouble).eps < 2.0**-60
         step = _rk4_step_matrix(build_hamiltonian(params), dt)
-        table = _power_table(step, n)
+        heads, first, whole = _step_factors(step, n)
         b = math.isqrt(n)
+        assert first.shape == (4, 4 * b) and heads.shape == (4 * (-(-n // b) - 1), 4)
+        psi = initial_state(np.pi / 4)
+        states = _span(psi, heads, first, -(-n // b))
         sampled = [1, 2, b - 1, b, b + 1, 2 * b + 3, n // 2, n - 1, n]
-        for m, want in mp_reference.matrix_powers(step, sampled).items():
-            err = np.abs(table[m - 1] - want).max() / np.abs(want).max()
+        powers = mp_reference.matrix_powers(step, sampled)
+        for m, power in powers.items():
+            want = power @ psi
+            err = np.abs(states[m - 1] - want).max() / np.abs(want).max()
             assert err <= 1e-15, (m, err)
+        # the extended-precision P**n that starts each next chunk rounds to the exact one
+        err = np.abs(whole.astype(complex) - powers[n]).max() / np.abs(powers[n]).max()
+        assert err <= np.finfo(float).eps, err
 
     @pytest.mark.parametrize("record_every", [2.5, 4.0, "3", None, 0, -2])
     def test_record_every_must_be_a_positive_integer(self, record_every):
         with pytest.raises(ValueError, match="record_every"):
             propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 0.1, 1e-3, record_every=record_every)
+
+    def test_record_every_past_a_64_bit_integer(self):
+        """A period longer than the run records t=0 and the final step, however long it is."""
+        args = (SystemParams(2.0, 0.4, 1.0), KET_00, 1.0, 1e-3)
+        want = propagate(*args, record_every=1001)
+        for every in (10**9, 2**63, 10**30):
+            got = propagate(*args, record_every=every)
+            assert got.times.tobytes() == want.times.tobytes() == np.array([0.0, 1.0]).tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
 
     def test_numpy_integer_record_every(self):
         args = (SystemParams(2.0, 0.4, 1.0), KET_00, 0.1, 1e-3)
@@ -282,78 +273,92 @@ class TestStatelessRun:
         rng = np.random.default_rng(20261019)
         n = 100_003 if length >= 16 else 5_003
         rows = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows *= np.exp(rng.uniform(-5, 5, (n, 1)))  # a chunk's growth
         rows[::97, rng.integers(0, 4)] = 0.0  # exact zero amplitudes, as at omega = 0
-        for reduce in (_concurrence_rows, _coherence_x1):
-            whole = reduce(rows)
-            chunked = np.concatenate([reduce(rows[lo:lo + length])
-                                      for lo in range(0, n, length)])
-            assert chunked.tobytes() == whole.tobytes(), reduce.__name__
+        sq = np.einsum("ij,ij->i", rows.view(float), rows.view(float))
+        whole = np.empty((2, n))
+        _observe(rows, sq, *whole)
+        chunked = np.empty((2, n))
+        for lo in range(0, n, length):
+            part = rows[lo:lo + length].view(float)
+            assert np.einsum("ij,ij->i", part, part).tobytes() == sq[lo:lo + length].tobytes()
+            _observe(rows[lo:lo + length], sq[lo:lo + length], *chunked[:, lo:lo + length])
+        assert chunked.tobytes() == whole.tobytes()
 
 
-class TestCoherence:
-    """coherence_x is 2 Re(conj(psi0) psi2 + conj(psi1) psi3), the row sum's two halves."""
+class TestObservables:
+    """A row's concurrence and coherence_x over its squared norm, against long double."""
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150])
-    def test_matches_row_sum_bitwise(self, scale):
-        rng = np.random.default_rng(20261018)
-        rows = scale * (rng.normal(size=(200_000, 4)) + 1j * rng.normal(size=(200_000, 4)))
-        want = _rowdot(rows, rows @ SIGMA_X1).real
-        assert _coherence_x1(rows).tobytes() == want.tobytes()
+    def test_error_bound(self):
+        """Both are 2 x / s, s the sum of the eight squared parts (error <= 8u s), and
+        |x| <= s / 2.  To first order in u = eps / 2:
 
-    def test_error_bound_and_no_worse_than_einsum(self):
-        """Four products and three sums over terms of total size <= 1 err by <= 1.5 eps.
+        - coherence_x: x is four products and three sums, erring by <= 4u s / 2;
+          with the quotient's u, the result errs by <= 4u + 9u = 13u;
+        - concurrence: x = |psi1 psi2 - psi0 psi3|, each part two complex products
+          and a difference, erring by <= 3u sqrt(2) s / 2; with |.|'s u and the
+          quotient's u, the result errs by <= 3 sqrt(2) u + 10u < 15u.
 
-        Row by row either form can be the closer one; the two-term form's worst
-        case is the smaller.
+        The renormalize-then-unit-row pipeline this replaced read 4.5u for the
+        coherence and 5.3u for the concurrence on these rows; the quotients read
+        3.2u and 4.3u.
         """
         rng = np.random.default_rng(20261019)
         rows = rng.normal(size=(200_000, 4)) + 1j * rng.normal(size=(200_000, 4))
+        rows *= np.exp(rng.uniform(-5, 5, (200_000, 1)))  # a chunk's growth
         traj = propagate(SystemParams(1.7, 0.337, 1.0), initial_state(0.3), 40.0, 2e-3)
-        rows = np.vstack((rows / np.linalg.norm(rows, axis=1)[:, None], traj.states))
+        rows = np.vstack((rows, traj.states))
         wide = rows.astype(np.clongdouble)
-        exact = 2 * (wide[:, 0].conj() * wide[:, 2] + wide[:, 1].conj() * wide[:, 3]).real
-        err = np.abs(_coherence_x1(rows) - exact).astype(float)
-        einsum = np.einsum("ti,ij,tj->t", rows.conj(), SIGMA_X1, rows).real
-        assert err.max() <= 1.5 * np.finfo(float).eps
-        assert err.max() <= np.abs(einsum - exact).astype(float).max()
+        sq_wide = (np.abs(wide) ** 2).sum(axis=1)
+        coherence = 2 * (wide[:, 0].conj() * wide[:, 2] + wide[:, 1].conj() * wide[:, 3]).real
+        concurrence = 2 * np.abs(wide[:, 1] * wide[:, 2] - wide[:, 0] * wide[:, 3])
+        got = np.empty((2, len(rows)))
+        _observe(rows, np.einsum("ij,ij->i", rows.view(float), rows.view(float)), *got)
+        u = np.finfo(float).eps / 2
+        assert np.abs(got[1] - coherence / sq_wide).astype(float).max() <= 13 * u
+        assert np.abs(got[0] - concurrence / sq_wide).astype(float).max() <= 15 * u
 
 
 def _propagate_reference(params, psi0, t_max, dt, record_every):
-    """propagate's earlier recorder: a masked list of per-step views, then np.asarray.
+    """propagate's record grid as a list recorder: every step of each chunk formed and
+    reduced, then a mask of the recorded ones, then np.asarray.
 
-    Kept as the oracle of the preallocated recorder (validation omitted); it
-    shares propagate's power table, which test_power_table_matches_40_digits
-    checks on its own.
+    Kept as the oracle of the recorder's rows, chunk ends and final step
+    (validation omitted).  It shares propagate's step factors and chunk
+    product, which test_chunk_states_match_40_digits checks on its own, and
+    writes out the same formulas on the unnormalized rows and the same
+    extended-precision start of each next chunk.
     """
     n_steps = int(round(t_max / dt))
     step = _rk4_step_matrix(build_hamiltonian(params), dt)
     chunk = min(n_steps, max(1, round(min(5.0 / (dt * max(params.gamma, 1.0)), 4096))))
-    powers = _power_table(step, chunk)
+    heads, first, whole = _step_factors(step, chunk)
+    b = first.shape[1] // 4
     rec_idx, rec_states, rec_norm = [0], [psi0.copy()], [0.0]
-    psi, log_acc, done = psi0.copy(), 0.0, 0
+    f0 = psi0.view(float)
+    rec_conc = [2.0 * abs(psi0[1] * psi0[2] - psi0[0] * psi0[3])]
+    rec_coh = [2.0 * np.einsum("j,j->", f0[:4], f0[4:])]
+    psi, carry, log_acc, done = psi0.copy(), psi0.astype(np.clongdouble), 0.0, 0
     while done < n_steps:
         k = min(chunk, n_steps - done)
-        block = powers[:k] @ psi
-        norms = np.linalg.norm(block, axis=1)
-        block /= norms[:, None]
-        logs = log_acc + np.log(norms)
+        block = _span(psi, heads, first, -(-k // b))[:k]
+        parts = block.view(float)
+        sq = np.einsum("ij,ij->i", parts, parts)
+        logs = 0.5 * np.log(sq) + log_acc
         steps = np.arange(done + 1, done + k + 1)
         mask = (steps % record_every == 0) | (steps == n_steps)
         if mask.any():
+            rows, half = block[mask], 0.5 * sq[mask]
             rec_idx.extend(steps[mask].tolist())
-            rec_states.extend(block[mask])
+            rec_states.extend((rows.view(float) / np.sqrt(sq[mask])[:, None]).view(complex))
             rec_norm.extend(logs[mask].tolist())
-        psi, log_acc = block[-1], logs[-1]
+            rec_conc.extend(np.abs(rows[:, 1] * rows[:, 2] - rows[:, 0] * rows[:, 3]) / half)
+            rec_coh.extend(np.einsum("ij,ij->i", parts[mask, :4], parts[mask, 4:]) / half)
+        carry = whole @ carry / math.sqrt(sq[-1])
+        psi, log_acc = carry.astype(complex), logs[-1]
         done += k
-    states = np.asarray(rec_states)
-    return (
-        np.asarray(rec_idx, dtype=float) * dt,
-        states,
-        np.asarray(rec_norm),
-        2.0 * np.abs(states[:, 1] * states[:, 2] - states[:, 0] * states[:, 3]),
-        _rowdot(states, states @ SIGMA_X1).real,
-    )
+    return (np.asarray(rec_idx, dtype=float) * dt, np.asarray(rec_states), np.asarray(rec_norm),
+            np.asarray(rec_conc), np.asarray(rec_coh))
 
 
 class TestSteadyState:

@@ -267,22 +267,13 @@ def test_digit_audit_on_a_synthetic_diff(tmp_path, capsys):
         digit_audit.audit(old, new, command[:-2], lines.append)
 
 
-def _layer_records(stdout):
+def _json_lines(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
 
 
-def test_layers_on_a_tiny_budget(tmp_path):
-    """One pass per layer; --against exports the committed tree and alternates the sides."""
-    layers = ["power_table_1000", "power_table_2500", "power_table_4096",
-              "integrate_400000", "csv_blocks_30001", "csv_blocks_evolve_30001"]
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],
-                          capture_output=True, text=True, timeout=300, check=True)
-    records = _layer_records(proc.stdout)
-    assert [r["layer"] for r in records] == layers
-    assert all(r["best_ms"] > 0 and r["passes"] == 1 for r in records)
-
-    repo = tmp_path / "repo"
-    for part in ("src/ptqsim/*.py", "scripts/layers.py", "scripts/bench_pairs.py"):
+def _repo_copy(repo, parts):
+    """A git repository at repo holding this tree's files matching parts, committed."""
+    for part in parts:
         for path in ROOT.glob(part):
             target = repo / path.relative_to(ROOT)
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -290,13 +281,72 @@ def test_layers_on_a_tiny_budget(tmp_path):
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "parent")
+
+
+def test_layers_on_a_tiny_budget(tmp_path):
+    """One pass per layer; --against exports the committed tree and alternates the sides,
+    and a layer whose kernel one side lacks prints as absent."""
+    layers = ["step_factors_1000", "chunk_states_1000", "step_factors_2500", "chunk_states_2500",
+              "step_factors_4096", "chunk_states_4096", "integrate_400000", "csv_blocks_30001",
+              "csv_blocks_evolve_30001"]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],
+                          capture_output=True, text=True, timeout=300, check=True)
+    records = _json_lines(proc.stdout)
+    assert [r["layer"] for r in records] == layers
+    assert all(r["best_ms"] > 0 and r["passes"] == 1 for r in records)
+
+    # the parent names the chunk kernel otherwise: its chunk layers are absent
+    repo = tmp_path / "repo"
+    _repo_copy(repo, ("src/ptqsim/*.py", "scripts/layers.py", "scripts/bench_pairs.py"))
+    dynamics = repo / "src" / "ptqsim" / "dynamics.py"
+    text = dynamics.read_text()
+    assert "def _span(" in text
+    dynamics.write_text(text.replace("_span(", "_chunk_span("))
+    _git(repo, "commit", "-q", "-am", "parent without _span")
+    dynamics.write_text(text)
     proc = subprocess.run([sys.executable, str(repo / "scripts" / "layers.py"), "--against",
                            "HEAD", "--rounds", "2", "--passes", "1"],
                           capture_output=True, text=True, timeout=300, check=True)
     rounds = [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("round")]
     assert rounds == ["round 1 parent", "round 1 change", "round 2 change", "round 2 parent"]
-    records = _layer_records(proc.stdout)
-    assert [r["layer"] for r in records] == layers
+    lines = {line.split(":")[0]: line for line in proc.stdout.splitlines()
+             if line.split(":")[0] in layers}
+    records = _json_lines(proc.stdout)
+    assert [r["layer"] for r in records] == list(lines) == layers
     for r in records:
-        assert len(r["parent_ms"]) == len(r["change_ms"]) == 2
-        assert r["change_median"] == sum(r["change_ms"]) / 2
+        assert len(r["change_ms"]) == 2 and r["change_median"] == sum(r["change_ms"]) / 2
+        if r["layer"].startswith(("step_factors", "chunk_states")):
+            assert r["parent_ms"] is r["parent_median"] is r["ratio"] is r["ratio_range"] is None
+            assert lines[r["layer"]].endswith("absent on the parent side")
+        else:
+            assert len(r["parent_ms"]) == 2
+            rounds = [c / p for p, c in zip(r["parent_ms"], r["change_ms"])]
+            assert r["ratio"] == r["change_median"] / r["parent_median"]
+            assert r["ratio_range"] == [min(rounds), max(rounds)]
+            assert f"change/parent {r['ratio']:.3f}" in lines[r["layer"]]
+
+
+def test_digit_audit_against_a_revision(tmp_path):
+    """--against REV runs the command on REV's tree and on this one: here REV starts the run
+    from a theta 1e-9 off, so its fields are off the reference and each moves toward it."""
+    repo = tmp_path / "repo"
+    _repo_copy(repo, ("src/ptqsim/*.py", "scripts/digit_audit.py", "scripts/bench_pairs.py"))
+    dynamics = repo / "src" / "ptqsim" / "dynamics.py"
+    text = dynamics.read_text()
+    dynamics.write_text(text + "\n_exact_initial_state = initial_state\n\n\n"
+                        "def initial_state(theta_init):\n"
+                        "    return _exact_initial_state(theta_init + 1e-9)\n")
+    _git(repo, "commit", "-q", "-am", "parent off by 1e-9 in theta")
+    dynamics.write_text(text)
+    command = ["evolve", "--omega", "2", "--j", "0.4", "--theta", "0.7", "--tmax", "0.5",
+               "--dt", "0.01", "--record-every", "2", "--format", "json"]
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "digit_audit.py"), "--against",
+                           "HEAD", "--", *command],
+                          capture_output=True, text=True, timeout=300, check=True)
+    summaries = {s["column"]: s for s in _json_lines(proc.stdout)}
+    assert list(summaries) == ["concurrence", "coherence_x", "norm_log"]
+    for name, s in summaries.items():  # every row but t=0's concurrence and log-norm, both 0
+        assert s["rows"] == 26 and s["changed"] == s["toward"] == 25 + (name == "coherence_x")
+        assert 1e-11 < s["old_max_all"] < 1e-8 and s["new_max_all"] < 1e-15
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("row ")]
+    assert lines and all(line.endswith("toward") for line in lines)
