@@ -1,35 +1,48 @@
 #!/usr/bin/env python3
-"""Audit the fields that differ between two outputs of one dynamics run against 40 digits.
+"""Audit the fields that differ between two outputs of one ptq-sim command against 40 digits.
 
 Usage (from the repository root):
 
     python3 scripts/digit_audit.py OLD NEW -- reproduce fig5a
     python3 scripts/digit_audit.py old.json new.json -- evolve --omega 2 --j 0.4 --tmax 2 --dt 0.01
-    python3 scripts/digit_audit.py --against HEAD -- reproduce fig5a
+    python3 scripts/digit_audit.py --against HEAD -- reproduce fig7a
+    python3 scripts/digit_audit.py --against HEAD -- qfi --omega 2 --j 0.4 --sweep-axis j
 
 OLD and NEW are two outputs (CSV or --format json) of the ptq-sim command
-after "--": `evolve`, or `reproduce` of a dynamics preset (fig4 to fig6b).
-The command names the run exactly; it is parsed, not run.  With --against
-REV there are no files: REV's tracked files are exported with `git archive`
-(as scripts/bench_pairs.py does), and the command is run on REV's src for
-OLD and on this tree's src for NEW.  The reference
-of each row is the 40-digit state P^m psi0, with P the program's own RK4 step
-matrix (`dynamics._rk4_step_matrix`) and psi0 its initial state, both read as
-the exact binary numbers they are, propagated row by row and renormalized.
-From it come the concurrence, the coherence <sigma_x^1> and the log-norm
-log ||P^m psi0||: the exact values of the scheme the program integrates, so
-a distance to them is rounding alone.
+after "--".  The command names the run exactly; it is parsed, not run.  With
+--against REV there are no files: REV's tracked files are exported with `git
+archive` (as scripts/bench_pairs.py does), and the command is run on REV's
+src for OLD and on this tree's src for NEW.  The commands and their
+references:
+
+- `evolve`, or `reproduce` of a dynamics preset (fig4 to fig6b): each row's
+  40-digit state P^m psi0, with P the program's own RK4 step matrix
+  (`dynamics._rk4_step_matrix`) and psi0 its initial state, both read as the
+  exact binary numbers they are, propagated row by row and renormalized.
+  From it come the concurrence, the coherence <sigma_x^1> and the log-norm
+  log ||P^m psi0||: the exact values of the scheme the program integrates, so
+  a distance to them is rounding alone.  A fig5a column of 100 001 rows takes
+  about half a minute.
+- `sense`, `qfi`, or `reproduce` of a sensing preset (fig7a to fig8b): Psi3's
+  QFI, coherence and coherence slope by a 40-digit central difference
+  (tests/mp_reference.py), and from them variance_sq, inv_variance_sq and
+  cr_bound.  Flagged rows have no reference.
+- `concurrence` (a point or a sweep): Psi3's and Psi4's concurrences of the
+  40-digit null vectors, and the largest distance to the radical form's
+  cells, which have no reference of their own.
+- `spectrum`: the 40-digit eigenvalues and null vectors, each vector's phase
+  aligned to the audited one's; max_residual's reference is 0.
 
 Every changed field gets one line: its row, column, old and new values,
 |old - ref|, |new - ref| and whether it moved toward the reference.  Each
 column then gets one JSON line: how many fields changed and moved toward the
 reference, the largest and median |old - ref| and |new - ref| over the
 changed fields, and the largest |old - ref| and |new - ref| over all its
-fields.  A fig5a
-column of 100 001 rows takes about half a minute.
+fields.  A changed field without a reference stops the audit.
 """
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -45,46 +58,75 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ptqsim import cli  # noqa: E402
 from ptqsim.dynamics import _rk4_step_matrix, initial_state  # noqa: E402
-from ptqsim.model import build_hamiltonian  # noqa: E402
+from ptqsim.model import SystemParams, build_hamiltonian  # noqa: E402
+from ptqsim.spectrum import eigenvalues_closed_form  # noqa: E402
 
 _mp = mpmath.MPContext()
 _mp.dps = 40
 
 
+def _leaves(prefix: str, value) -> list:
+    """(name, number) of each numeric leaf of a JSON value, named by its path."""
+    if isinstance(value, dict):
+        return [leaf for k, v in value.items() for leaf in _leaves(f"{prefix}{k}.", v)]
+    if isinstance(value, list):
+        return [leaf for k, v in enumerate(value) for leaf in _leaves(f"{prefix}{k}.", v)]
+    if value is None or isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [(prefix[:-1], math.nan if value is None else float(value))]
+    return []
+
+
 def read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    """The header and the float rows of a CSV (after its # lines) or JSON table."""
+    """The header and the float rows of a CSV (after its # lines) or JSON table; a JSON
+    point object is one row of its numeric leaves, named by their paths (`eigenvectors.1.2.re`).
+    Empty cells and nulls read as NaN, and text columns are dropped."""
     text = path.read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         results = json.loads(text)["results"]
-        return results["columns"], np.array(results["rows"], dtype=float)
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return lines[0].split(","), np.array(rows, dtype=float)
+        if "rows" not in results:
+            names, values = zip(*_leaves("", results))
+            return list(names), np.array([values], dtype=float)
+        header, rows = results["columns"], results["rows"]
+    else:
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    keep = [c for c, name in enumerate(header) if name != "flag"]
+    cells = [[math.nan if row[c] in ("", None) else float(row[c]) for c in keep] for row in rows]
+    return [header[c] for c in keep], np.array(cells, dtype=float).reshape(len(rows), len(keep))
+
+
+#: The preset runners whose arguments name a run: dynamics, sensing and fig3's sweeps.
+_RUNNERS = ("_evolve_columns", "_preset_sense", "_preset_fig3")
+
+
+def _captured(args) -> tuple:
+    """(runner, its arguments) of a preset, captured where it would run, or (None, ())."""
+    if cli.PRESETS[args.preset] is cli._preset_fig2:
+        return None, ()
+    captured, originals = [], {name: getattr(cli, name) for name in _RUNNERS}
+    for name in _RUNNERS:
+        setattr(cli, name, lambda _args, *rest, name=name: captured.append((name, rest)))
+    try:
+        cli.PRESETS[args.preset](args)
+    finally:
+        for name, runner in originals.items():
+            setattr(cli, name, runner)
+    return captured[0]
 
 
 def runs_of(command: list[str]) -> tuple[dict, list[int], float]:
-    """({column: (params, theta, observable)}, recorded step counts, dt) of a ptq-sim argv."""
+    """({column: (params, theta, observable)}, recorded step counts, dt) of a dynamics argv."""
     args = cli.build_parser().parse_args(command)
     if args.command == "evolve":
         params = cli._params_from(args)
         columns = {name: (params, args.theta, name)
                    for name in ("concurrence", "coherence_x", "norm_log")}
         grid = (args.tmax, args.dt, args.record_every)
-    elif args.command == "reproduce":
-        # the preset's runs, captured where it would integrate them
-        captured = []
-        run_columns = cli._evolve_columns
-        cli._evolve_columns = lambda _args, _desc, runs, *grid: captured.append((runs, grid))
-        try:
-            cli.PRESETS[args.preset](args)
-        finally:
-            cli._evolve_columns = run_columns
-        if not captured:
-            raise SystemExit(f"preset {args.preset} is not a dynamics run")
-        runs, grid = captured[0]
+    elif args.command == "reproduce" and _captured(args)[0] == "_evolve_columns":
+        _desc, runs, *grid = _captured(args)[1]
         columns = {name: (params, theta, "concurrence") for name, params, theta in runs}
     else:
-        raise SystemExit(f"not a dynamics command: {args.command}")
+        raise SystemExit(f"not a dynamics command: {' '.join(command)}")
     t_max, dt, every = grid
     n_steps = int(round(t_max / dt))
     steps = list(range(0, n_steps + 1, every))
@@ -117,29 +159,145 @@ def reference(params, theta: float, dt: float, steps: list[int]) -> dict:
     return out
 
 
+def _dynamics_references(command: list[str], header: list[str], rows: np.ndarray) -> dict:
+    columns, steps, dt = runs_of(command)
+    if len(steps) != len(rows):
+        raise SystemExit(f"{len(rows)} rows, but the command records {len(steps)}")
+    refs, out = {}, {}
+    for name in header:
+        if name in columns:
+            params, theta, observable = columns[name]
+            if (params, theta) not in refs:
+                refs[params, theta] = reference(params, theta, dt, steps)
+            out[name] = refs[params, theta][observable]
+    return out
+
+
+def _mp_reference():
+    """tests/mp_reference.py: the 40-digit eigenvectors and sensing references."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import mp_reference
+
+    return mp_reference
+
+
+def _point(fixed: str, fixed_value: float, axis: str, x: float, gamma: float) -> SystemParams:
+    return SystemParams(**{fixed: fixed_value, axis: x}, gamma=gamma)
+
+
+def _sensing_reference(params: SystemParams, kappa: str) -> dict:
+    f, m0, slope = _mp_reference().psi3_sensing_mp(
+        params.omega, params.j, params.gamma, kappa, eigenvalues_closed_form(params)[2])
+    variance = (1 - m0 * m0) / (slope * slope)
+    return {"qfi": f, "coherence": m0, "variance_sq": variance,
+            "inv_variance_sq": 1 / variance, "cr_bound": 1 / _mp.sqrt(f)}
+
+
+def _sector_reference(params: SystemParams) -> list:
+    return _mp_reference().sector_states(params.omega, params.j, params.gamma,
+                                         eigenvalues_closed_form(params))
+
+
+def _concurrence_reference(params: SystemParams, closed: tuple) -> dict:
+    """Psi3's and Psi4's 40-digit concurrences, and their largest distance to closed."""
+    c3, c4 = (_mp_reference().pure_concurrence(v) for v in _sector_reference(params)[1:])
+    gaps = [abs(c - cc) for c, cc in zip((c3, c4), closed) if not math.isnan(cc)]
+    return {"c_psi3": c3, "c_psi4": c4, "max": max(gaps) if len(gaps) == 2 else None}
+
+
+def _spectrum_reference(params: SystemParams, header: list[str], row: np.ndarray) -> dict:
+    """{field: reference} of a spectrum point: each vector's phase aligned to row's."""
+    values = eigenvalues_closed_form(params)
+    roots = _mp_reference().hamiltonian_eigenvalues(params.omega, params.j, params.gamma)
+    near = [min(roots, key=lambda r, v=v: abs(r - v)) for v in values]
+    r2 = 1 / _mp.sqrt(2)
+    states = [[0, -r2, r2, 0]] + _sector_reference(params)
+    field = dict(zip(header, row.tolist()))
+    out = {"max_residual": 0, "max_imag": max(abs(r.imag) for r in near)}
+    for k, state in enumerate(states):
+        got = [_mp.mpc(field[f"eigenvectors.{k}.{i}.re"], field[f"eigenvectors.{k}.{i}.im"])
+               for i in range(4)]
+        overlap = _mp.fsum(_mp.conj(s) * g for s, g in zip(state, got))
+        phase = overlap / abs(overlap)
+        for i, amplitude in enumerate(state):
+            out[f"eigenvectors.{k}.{i}.re"] = _mp.re(amplitude * phase)
+            out[f"eigenvectors.{k}.{i}.im"] = _mp.im(amplitude * phase)
+        out[f"eigenvalues.{k}.re"], out[f"eigenvalues.{k}.im"] = near[k].real, near[k].imag
+    return out
+
+
+def _grid(rows: np.ndarray, value_range, n: int) -> list[float]:
+    """The sweep's grid as the program builds it (a CSV prints it to 12 digits only)."""
+    if len(rows) != n:
+        raise SystemExit(f"{len(rows)} rows, but the command sweeps {n} points")
+    return np.linspace(value_range[0], value_range[1], n).tolist()
+
+
+def references(command: list[str], header: list[str], rows: np.ndarray) -> dict:
+    """{column: [reference per row, None where there is none]} of one side's table."""
+    args = cli.build_parser().parse_args(command)
+    point = cli._params_from(args) if hasattr(args, "omega") else None
+    sweep = None
+    if args.command == "sense":
+        fixed = args.omega if args.sweep_axis == "j" else args.j
+        sweep = (args.sweep_axis, fixed, args.sweep_range, args.n, args.gamma)
+    elif args.command == "reproduce" and _captured(args)[0] == "_preset_sense":
+        sweep = (*_captured(args)[1], 1.0)
+    if sweep is not None:
+        kappa, fixed, value_range, n, gamma = sweep
+        other = "omega" if kappa == "j" else "j"
+        out = {name: [] for name in header[1:]}
+        for x, row in zip(_grid(rows, value_range, n), rows):
+            ref = None if math.isnan(row[1]) else _sensing_reference(
+                _point(other, fixed, kappa, x, gamma), kappa)
+            for name in out:
+                out[name].append(ref and ref[name])
+        return out
+    if args.command == "qfi":
+        ref = _sensing_reference(point, args.sweep_axis or "omega")
+        return {name: [ref[name]] for name in header}
+    if args.command == "concurrence":
+        if args.sweep_axis is None:
+            points, closed = [point], ["closed_form.c_psi3", "closed_form.c_psi4"]
+        else:
+            points = [point.replace(**{args.sweep_axis: x})
+                      for x in _grid(rows, args.sweep_range, args.n)]
+            closed = ["c_closed_psi3", "c_closed_psi4"]
+        refs = [_concurrence_reference(p, tuple(row[[header.index(c) for c in closed]]))
+                for p, row in zip(points, rows)]
+        return {name: [ref[key] for ref in refs] for name, key in (
+            ("c_psi3", "c_psi3"), ("c_psi4", "c_psi4"), ("max_closed_form_discrepancy", "max"))}
+    if args.command == "spectrum":
+        ref = _spectrum_reference(point, header, rows[0])
+        return {name: [ref[name]] for name in header if name in ref}
+    return _dynamics_references(command, header, rows)
+
+
 def audit(old: Path, new: Path, command: list[str], emit=print) -> list[dict]:
     """Emit one line per changed field and return one summary per audited column."""
     header, old_rows = read_table(old)
     new_header, new_rows = read_table(new)
     if new_header != header or new_rows.shape != old_rows.shape:
         raise SystemExit("the two tables differ in shape or header")
-    columns, steps, dt = runs_of(command)
-    if len(steps) != len(old_rows):
-        raise SystemExit(f"{len(old_rows)} rows, but the command records {len(steps)}")
-    refs = {}
+    old_refs = references(command, header, old_rows)
+    new_refs = references(command, header, new_rows)
     summaries = []
     for c, name in enumerate(header):
-        if name not in columns:
-            if not np.array_equal(old_rows[:, c], new_rows[:, c]):
+        same = (old_rows[:, c] == new_rows[:, c]) | (np.isnan(old_rows[:, c])
+                                                     & np.isnan(new_rows[:, c]))
+        if name not in old_refs:
+            if not same.all():
                 raise SystemExit(f"column {name} changed and has no reference")
             continue
-        params, theta, observable = columns[name]
-        if (params, theta) not in refs:
-            refs[params, theta] = reference(params, theta, dt, steps)
-        ref = refs[params, theta][observable]
-        old_all, new_all = ([float(abs(_mp.mpf(x) - r)) for x, r in zip(rows[:, c].tolist(), ref)]
-                            for rows in (old_rows, new_rows))
-        changed = np.flatnonzero(old_rows[:, c] != new_rows[:, c]).tolist()
+
+        def errors(rows, refs):
+            return [0.0 if r is None else float(abs(_mp.mpf(x) - r))
+                    for x, r in zip(rows[:, c].tolist(), refs[name])]
+
+        old_all, new_all = errors(old_rows, old_refs), errors(new_rows, new_refs)
+        changed = np.flatnonzero(~same).tolist()
+        if any(old_refs[name][i] is None or new_refs[name][i] is None for i in changed):
+            raise SystemExit(f"column {name} changed where it has no reference")
         toward = 0
         for i in changed:
             a, b = float(old_rows[i, c]), float(new_rows[i, c])
@@ -148,7 +306,7 @@ def audit(old: Path, new: Path, command: list[str], emit=print) -> list[dict]:
                  f"|new-ref| {new_all[i]:.3g}  {'toward' if new_all[i] < old_all[i] else 'away'}")
         old_err, moved = [old_all[i] for i in changed], [new_all[i] for i in changed]
         summaries.append({
-            "column": name, "rows": len(steps), "changed": len(changed), "toward": toward,
+            "column": name, "rows": len(old_rows), "changed": len(changed), "toward": toward,
             "old_max": max(old_err, default=0.0), "new_max": max(moved, default=0.0),
             "old_median": statistics.median(old_err) if changed else 0.0,
             "new_median": statistics.median(moved) if changed else 0.0,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Layer times of the dynamics path: the step factors, one chunk, the integrator and the CSV writer.
+"""Layer times: the eigenpair and sensing kernels, the spectrum, the integrator and the CSV writer.
 
 Usage (from the repository root):
 
@@ -9,6 +9,15 @@ Usage (from the repository root):
 The layers, each timed as the best of K passes (default 7), every pass on
 inputs built for it and not timed:
 
+- eigenpairs_<n>, n = 1, 24, 601: `spectrum._closed_form_eigenpairs` of n
+  points of fig7a's sweep (omega from 1.4 to 2.0, gamma = 1) at j = 0.3 moved
+  by 1e-9 per pass, their eigenvalues solved beforehand;
+- sense_rows_<n>, n = 24, 601: `sensing._sense_rows` with kappa = omega on the
+  same points, less those the EP guard refuses;
+- sensing_sweep_601: `sensing.sensing_sweep` of fig7a, its fixed j moved by
+  1e-9 per pass;
+- spectrum_closed_form_1: `spectrum_closed_form` of a fresh SystemParams(1.7,
+  0.3 + 1e-9 k), which solves it and cross-checks it against the oracle;
 - step_factors_<n>, n = 1000, 2500, 4096: `dynamics._step_factors` (the
   per-run block heads and first block of step powers) of the RK4 step matrix
   at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved by 1e-9 per
@@ -68,15 +77,35 @@ def measure(passes: int) -> list[dict]:
     """One {"layer", "best_ms", "passes"} record per layer, from the ptqsim on sys.path."""
     import numpy as np
 
-    from ptqsim import dynamics
+    from ptqsim import dynamics, sensing, spectrum
     from ptqsim.cli import _csv_blocks
     from ptqsim.dynamics import _integrate, _rk4_step_matrix, initial_state
-    from ptqsim.model import SystemParams, build_hamiltonian
+    from ptqsim.model import SystemParams, _Point, build_hamiltonian
+
+    def fig7a(n, k, guarded=False):
+        """(rates, eigenvalues) of n points of fig7a's omega sweep at j = 0.3 + 1e-9 k."""
+        rates = np.array([np.linspace(1.4, 2.0, n), np.full(n, 0.3 + 1e-9 * k), np.ones(n)])
+        values = np.array([spectrum._solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()])
+        if guarded:  # the sector gap, or every gap where the tree predates it
+            gap = getattr(spectrum, "_sector_gap", None) or spectrum._min_gap
+            keep = gap(values) >= 1e-4
+            rates, values = rates[:, keep], values[keep]
+        return rates, values
 
     def step(k):
         return _rk4_step_matrix(build_hamiltonian(SystemParams(1.7, 0.337 + 1e-9 * k)), 2e-3)
 
     layers = {}
+    for n in (1, 24, 601):
+        layers[f"eigenpairs_{n}"] = (lambda k, n=n: fig7a(n, k), spectrum._closed_form_eigenpairs)
+    for n in (24, 601):
+        layers[f"sense_rows_{n}"] = (lambda k, n=n: (*fig7a(n, k, True), "omega"),
+                                     lambda rates, values, kappa: sensing._sense_rows(
+                                         rates, kappa, values))
+    layers["sensing_sweep_601"] = (lambda k: ("omega", 0.3 + 1e-9 * k, (1.4, 2.0), 601),
+                                   sensing.sensing_sweep)
+    layers["spectrum_closed_form_1"] = (lambda k: (SystemParams(1.7, 0.3 + 1e-9 * k),),
+                                        spectrum.spectrum_closed_form)
     factors, span = (getattr(dynamics, name, None) for name in ("_step_factors", "_span"))
     if factors and span:
         for n in CHUNK_SIZES:

@@ -59,13 +59,14 @@ from .entanglement import eigenstate_concurrence_closed, eigenstate_concurrence_
 from .ep import ep_curve, locate_ep
 from .errors import NumericalError, OmegaSingularError, ValidationError
 from .floatcsv import float_lines
-from .model import SystemParams
+from .model import SystemParams, _Point
 from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
+    _closed_form_eigenpairs,
+    _solve_eigenvalues,
     classify_phase,
     eigenvalues_closed_form,
     spectrum_closed_form,
-    spectrum_oracle,
 )
 
 MAGIC = "# ptq-sim v1"
@@ -266,10 +267,7 @@ def _require_sweep(args):
 
 def cmd_spectrum(args) -> int:
     params = _params_from(args)
-    try:
-        spec = spectrum_closed_form(params)
-    except OmegaSingularError:
-        spec = spectrum_oracle(params)
+    spec = spectrum_closed_form(params)
     label = classify_phase(params)
     results = {
         "eigenvalues": [
@@ -343,10 +341,14 @@ def cmd_ep_curve(args) -> int:
 
 
 def _concurrence_row(params: SystemParams):
+    """Psi3's and Psi4's concurrences, then the radical form's: NaN where it refuses omega ~ 0."""
     c3 = eigenstate_concurrence_wootters(params, 3)
     c4 = eigenstate_concurrence_wootters(params, 4)
-    cc3 = eigenstate_concurrence_closed(params, 3, check=False)
-    cc4 = eigenstate_concurrence_closed(params, 4, check=False)
+    try:
+        cc3 = eigenstate_concurrence_closed(params, 3, check=False)
+        cc4 = eigenstate_concurrence_closed(params, 4, check=False)
+    except OmegaSingularError:
+        cc3 = cc4 = float("nan")
     return c3, c4, cc3, cc4
 
 
@@ -419,7 +421,7 @@ def cmd_qfi(args) -> int:
         "qfi": f,
         "cr_bound": 1.0 / math.sqrt(f),
         "variance_sq": var,
-        "inv_variance_sq": 1.0 / var,
+        "inv_variance_sq": 1.0 / var if var else float("nan"),
         "coherence": coh,
     }
     header = list(results)
@@ -475,15 +477,16 @@ def _preset_fig2(args):
 def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     fix = "omega" if axis == "j" else "j"
     point = locate_ep(fix, fixed_value, sweep)
-    rows = []
-    for x in np.linspace(sweep[0], sweep[1], n):
-        p = SystemParams(**{fix: fixed_value, axis: float(x)}, gamma=1.0)
-        rows.append([x, eigenstate_concurrence_wootters(p, 3),
-                     eigenstate_concurrence_wootters(p, 4)])
+    xs = np.linspace(sweep[0], sweep[1], n)
+    rates = np.ones((3, n))  # (omega, j, gamma = 1)
+    rates[int(axis == "j")], rates[int(fix == "j")] = xs, fixed_value
+    values = np.array([_solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()])
+    v = _closed_form_eigenpairs(rates, values)[0][:, 2:]  # Psi3, Psi4: concurrence_pure's rows
+    c = np.minimum(1.0, 2.0 * abs(v[..., 1] * v[..., 2] - v[..., 0] * v[..., 3]))
     header = [axis, "c_psi3", "c_psi4"]
     critical = {"j_c": point.j_c} if axis == "j" else {"omega_c": point.omega_c}
     desc = f"{fix}={_fmt(fixed_value)} gamma=1 {axis}={_fmt(sweep[0])}:{_fmt(sweep[1])} n={n}"
-    _emit(args, desc, header, rows, critical)
+    _emit(args, desc, header, (xs, c[:, 0], c[:, 1]), critical)
 
 
 def _evolve_columns(args, desc: str, runs, t_max: float, dt: float, record_every: int):

@@ -13,15 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DiscrepancyError, InvalidDensityError
+from .errors import DiscrepancyError, InvalidDensityError, OmegaSingularError
 from .model import SIGMA_YY, SystemParams, as_unit_state
-from .spectrum import (
-    _EPS,
-    _eigvec_coefficients,
-    _require_omega,
-    eigenvalues_closed_form,
-    eigenvectors_closed_form,
-)
+from .spectrum import _EPS, eigenvalues_closed_form, eigenvectors_closed_form
 
 
 def _validate_density(rho: np.ndarray) -> tuple:
@@ -67,11 +61,18 @@ def concurrence_pure(psi) -> float:
 
 
 def _radical_coefficients(params: SystemParams, s: int):
+    """(r1, r2, |N|^2) of the paper's radical form N(1, r2, r2, r1) of eigenstate s in {3, 4}:
+    r2 = -d/omega, r1 = -2(j + E)d/omega^2 - 1, d = j - E + i*gamma; |omega| <= 1e-12 raises
+    OmegaSingularError."""
     if s not in (3, 4):
         raise ValueError(f"s must be 3 or 4, got {s}")
-    _require_omega(params)
+    omega, j = params.omega, params.j
+    if abs(omega) <= 1e-12:
+        raise OmegaSingularError(
+            f"the radical coefficients divide by omega (omega={omega})")
     e = eigenvalues_closed_form(params)[s - 1]
-    r1, r2 = _eigvec_coefficients(params.omega, params.j, params.gamma, e)
+    d = j - e + 1j * params.gamma
+    r1, r2 = -2 * (j + e) * d / omega**2 - 1, -d / omega
     n2 = 1.0 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)  # |N|^2
     return r1, r2, n2
 

@@ -19,8 +19,7 @@ from .errors import (
 )
 from .model import SystemParams
 from .spectrum import (
-    _eigvec_coefficients,
-    _phase_fix,
+    _closed_form_eigenpairs,
     _probe_point,
     auxiliary_quantities,
     eigenvalues_closed_form,
@@ -193,15 +192,11 @@ def ep_curve(
 
 
 def coalesced_eigenvector(ep: EpPoint) -> np.ndarray:
-    """The single eigenvector both branches collapse onto at the EP.
-
-    Built from the degenerate eigenvalue; the quadratic coefficient sits on
-    |11> and the unit amplitude on |00> in the fixed basis.
-    """
+    """The single eigenvector both branches collapse onto at the EP: the sector block less
+    the degenerate eigenvalue keeps rank 2 there (spectrum._sector_eigenvectors)."""
     _check_point_or_raise(ep)
-    r1, r2 = _eigvec_coefficients(ep.omega_c, ep.j_c, ep.gamma, ep.e_degenerate)
-    vec = np.array([1, r2, r2, r1], dtype=complex)
-    return _phase_fix(vec / np.linalg.norm(vec))
+    rates = np.array([[ep.omega_c], [ep.j_c], [ep.gamma]])
+    return _closed_form_eigenpairs(rates, np.full((1, 4), ep.e_degenerate))[0][0, 2]
 
 
 def _check_point_or_raise(point: EpPoint):

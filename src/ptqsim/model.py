@@ -109,20 +109,6 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     return np.array((0.0, *entries))[_LAYOUT].view(complex)
 
 
-def _hamiltonians(rates: np.ndarray) -> np.ndarray:
-    """H of each point of (3, n) rates as an (n, 4, 4) array, each build_hamiltonian's bits.
-
-    One point goes through build_hamiltonian: the batch's array operations
-    cost more than its Python floats at n = 1, and a per-point caller builds
-    H point by point.
-    """
-    n = rates.shape[1]
-    if n == 1:
-        return build_hamiltonian(_Point(*rates[:, 0].tolist()))[None]
-    entries = np.array((np.zeros(n), *_hamiltonian_entries(*rates)))
-    return np.ascontiguousarray(entries.T[:, _LAYOUT]).view(complex)
-
-
 def pt_residual_of_matrix(h: np.ndarray) -> float:
     """Max-entry magnitude of P*conj(H)*P - H for an arbitrary 4x4 matrix."""
     h = np.asarray(h, dtype=complex)

@@ -1,20 +1,20 @@
 """Parameter sensing on the third eigenstate: quantum Fisher information and
 the single-qubit coherence error-propagation sensitivity.
 
-Both use the closed-form derivative of Psi3 = N(1, r2, r2, r1): r1 and r2
-are explicit in E3, and dE3 is first-order perturbation theory for the
-complex-symmetric H, so no step size enters and the Hermitian limit gives
-an exact zero.  Points whose smallest eigenvalue gap is below 1e-4 (times
-the largest rate, when that is below 1) are refused as too close to an EP.
+Both use the exact derivative of Psi3 from first-order perturbation theory in
+the exchange-symmetric sector (_psi3_derivative): no step size enters, and the
+Hermitian limit gives an exact zero.  Points whose smallest sector gap is below
+1e-4 (times the largest rate, when that is below 1) are refused as too close to
+an EP; the singlet never couples to Psi3, so its crossings are not.
 qfi_from_states keeps the central-difference form (states phase-aligned by
 overlap) as an independent reference.
 
 The kernels work on a leading axis of points, given as their (3, n) array of
 (omega, j, gamma) rates.  A sweep solves each grid point's eigenvalues once
 (the scalar closed-form kernel on a _Point record, its only per-point Python
-call), then works on the rate array: the finite-value check, the refusals
-(omega ~ 0, then too close to an EP) as masks, one closed-form eigenpair solve
-with one batched H for every Psi3, and one (psi, dpsi) batch for the QFI, the
+call), then works on the rate array: the finite-value check, the refusal
+(too close to an EP) as a mask, one closed-form eigenpair solve for every
+point's sector vectors, and one (psi, dpsi) batch for the QFI, the
 coherence and its variance together.  qfi, sensitivity_variance and
 coherence_expectation are batches of one of the same kernels, so a point
 gets the same bits either way.  Sweeps mark the phase transition with
@@ -28,31 +28,25 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    EpTooCloseError,
-    NonFiniteError,
-    NumericalError,
-    OmegaSingularError,
-    PtqsimError,
-    ZeroSlopeError,
-)
+from .errors import EpTooCloseError, NonFiniteError, NumericalError, PtqsimError, ZeroSlopeError
 from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
-    _min_gap,
-    _omega_singular,
     _phase_probe,
     _rate_scale,
     _rate_scales,
     _rates,
-    _require_omega,
+    _sector_gap,
     _solve_eigenvalues,
     eigenvalues_closed_form,
 )
 
 KAPPAS = ("j", "omega")
-#: Smallest eigenvalue gap at which the derivative of Psi3 is still computed.
+#: Smallest symmetric-sector gap at which the derivative of Psi3 is still computed.
 _EP_GUARD_GAP = 1e-4
+#: dH/d kappa: sigma_z (x) sigma_z for j, (sigma_x (x) 1 + 1 (x) sigma_x)/2 for omega.
+_DH = {"j": np.diag([1.0, -1.0, -1.0, 1.0]),
+       "omega": np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]) / 2}
 #: Smallest |d<sigma_x^1>/d kappa| at which the coherence variance is defined.
 _MIN_SLOPE = 1e-12
 
@@ -120,24 +114,17 @@ def _coherence(psi: np.ndarray) -> np.ndarray:
 
 
 def _clear_of_ep(gap, scale):
-    """The EP guard: the smallest eigenvalue gap reaches _EP_GUARD_GAP times the rate
-    scale (_rate_scale, so the guard shrinks with the rates below unit scale).
-
-    Elementwise; a NaN gap does not clear it.
+    """The EP guard: the smallest symmetric-sector gap reaches _EP_GUARD_GAP times the
+    rate scale (_rate_scale), elementwise; neither a NaN gap nor a zero one (H = 0) clears it.
     """
-    return gap >= _EP_GUARD_GAP * scale
+    return (gap > 0) & (gap >= _EP_GUARD_GAP * scale)
 
 
 def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """The point's (3, 1) rates and (1, 4) closed-form E1..E4; raises its refusal, if any.
-
-    OmegaSingularError comes ahead of EpTooCloseError: at omega ~ 0 the
-    singlet and the symmetric sector share E = -j, so the gap guard would
-    name an EP that is not there.
-    """
+    """The point's (3, 1) rates and (1, 4) closed-form E1..E4; raises EpTooCloseError
+    where the EP guard refuses it."""
     values = eigenvalues_closed_form(params)[None]
-    _require_omega(params)
-    gap, scale = float(_min_gap(values)[0]), _rate_scale(params)
+    gap, scale = float(_sector_gap(values)[0]), _rate_scale(params)
     if not _clear_of_ep(gap, scale):
         raise EpTooCloseError(
             f"eigenvalue gap {gap:.3e} below {_EP_GUARD_GAP * scale:.0e}; "
@@ -148,37 +135,23 @@ def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 def _psi3_derivative(
     rates: np.ndarray, kappa: str, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi) rows: each point's unit Psi3 and its exact kappa-derivative, up to psi.
+    """(psi, dpsi) rows: each point's unit Psi3 and its exact kappa-derivative, less its part
+    along psi, of (3, n) rates and (n, 4) closed-form E1..E4 that the EP guard clears.
 
-    H is complex symmetric, so dE3 = u^T dH u / u^T u for u = (1, r2, r2, r1);
-    differentiating r2 = -d/omega and r1 = -2(j+E3)d/omega^2 - 1 with
-    d = j - E3 + i*gamma gives du.  The normalization and phase fixing only
-    add multiples of psi, which the QFI and the coherence slope ignore.
-    rates are the points' (omega, j, gamma), shape (3, n), and values their
-    closed-form E1..E4, shape (n, 4); no point may have a refusal (_guarded).
+    H is complex symmetric, so its eigenvectors u_k are orthogonal in u^T v, and
+    dpsi = sum_{k = 2, 4} (u_k^T dH psi) / ((E3 - E_k) u_k^T u_k) u_k; dH keeps the
+    exchange symmetry, so the singlet does not enter.  The QFI and the coherence
+    slope ignore multiples of psi (normalization, phase); the part along psi is
+    removed before the QFI subtracts it, since next to an EP it outgrows the rest.
     """
-    psi = _closed_form_eigenpairs(rates, values)[0][:, 2]
-    om, j, g = rates
-    e = values[:, 2]
-    r2, r1 = psi[:, 1] / psi[:, 0], psi[:, 3] / psi[:, 0]
-    d = j - e + 1j * g
-    utu = 1 + 2 * r2 * r2 + r1 * r1
-    if kappa == "j":
-        de = (1 - 2 * r2 * r2 + r1 * r1) / utu
-        dr2 = -(1 - de) / om
-        dr1 = -2 * ((1 + de) * d + (j + e) * (1 - de)) / om**2
-    else:
-        de = 2 * r2 * (1 + r1) / utu
-        dr2 = (de + d / om) / om
-        dr1 = -2 * (de * d - (j + e) * de) / om**2 + 4 * (j + e) * d / om**3
-    du = np.zeros_like(psi)
-    du[:, 1] = du[:, 2] = dr2
-    du[:, 3] = dr1
-    return psi, psi[:, :1] * du
-
-
-def _fisher(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    return 4.0 * (_rowdot(dpsi, dpsi).real - abs(_rowdot(psi, dpsi)) ** 2)
+    vecs = _closed_form_eigenpairs(rates, values)[0]
+    psi, u = vecs[:, 2], vecs[:, 1::2]
+    coupling = (u * (psi @ _DH[kappa])[:, None]).sum(axis=-1)
+    with np.errstate(all="ignore"):  # rates near the float range's ends: checked by _sense_rows
+        weight = coupling / ((values[:, 2:3] - values[:, 1::2]) * (u * u).sum(axis=-1))
+        dpsi = (weight[..., None] * u).sum(axis=1)
+        dpsi -= _rowdot(psi, dpsi)[:, None] * psi
+    return psi, dpsi
 
 
 def _variance(m0, slope):
@@ -191,19 +164,27 @@ def _sense_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(qfi, m0 = <sigma_x^1>, d m0/d kappa) rows from one batch of (psi, dpsi).
 
-    Raises what _closed_form_eigenpairs and _coherence raise.
+    Raises what _closed_form_eigenpairs and _coherence raise, then NonFiniteError for
+    the first point whose QFI or slope leaves the float range (the QFI grows as 1/rate^2).
     """
     psi, dpsi = _psi3_derivative(rates, kappa, values)
     m0 = _coherence(psi)
-    slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
-    return _fisher(psi, dpsi), m0, slope
+    with np.errstate(all="ignore"):
+        slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
+        f = 4.0 * (_rowdot(dpsi, dpsi).real - abs(_rowdot(psi, dpsi)) ** 2)
+    finite = np.isfinite(f) & np.isfinite(slope)
+    if not finite.all():
+        omega, j, gamma = rates[:, np.argmin(finite)].tolist()
+        raise NonFiniteError(f"QFI of Psi3 leaves the float range at omega={omega}, j={j}, "
+                             f"gamma={gamma}")
+    return f, m0, slope
 
 
 def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float]:
     """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2): a batch of one of _sense_rows.
 
-    Raises the point's refusal (OmegaSingularError, then EpTooCloseError),
-    then ZeroSlopeError when the coherence does not move with kappa.
+    Raises the point's refusal (EpTooCloseError), then what _sense_rows raises, then
+    ZeroSlopeError when the coherence does not move with kappa.
     """
     rates, values = _guarded(params)
     f, m0, slope = (float(a[0]) for a in _sense_rows(rates, kappa, values))
@@ -218,7 +199,7 @@ def qfi(params: SystemParams, kappa: str) -> float:
     """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
     _check_kappa(kappa)
     rates, values = _guarded(params)
-    return float(_fisher(*_psi3_derivative(rates, kappa, values))[0])
+    return float(_sense_rows(rates, kappa, values)[0][0])
 
 
 def sensitivity_variance(params: SystemParams, kappa: str) -> float:
@@ -272,11 +253,9 @@ def sensing_sweep(
     rates = np.array(rate_lists)[:, :m]
     values = np.array(values, dtype=complex).reshape(-1, 4)
     scales = _rate_scales(rates)
-    singular = _omega_singular(rates[0])
-    too_close = ~singular & ~_clear_of_ep(_min_gap(values), scales)
-    flags = np.where(singular, _flag(OmegaSingularError),
-                     np.where(too_close, _flag(EpTooCloseError), None)).tolist()
-    kept = np.flatnonzero(~(singular | too_close))
+    too_close = ~_clear_of_ep(_sector_gap(values), scales)
+    flags = np.where(too_close, _flag(EpTooCloseError), None).tolist()
+    kept = np.flatnonzero(~too_close)
     f = m0 = slope = np.empty(0)
     if len(kept):
         f, m0, slope = _sense_rows_in_order(rates[:, kept], kappa, values[kept])

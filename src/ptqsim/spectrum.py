@@ -36,18 +36,17 @@ keep every point alive.  Errors are not stored (a NonFiniteError raises again);
 eq, hash and repr read only the fields, so the store is invisible to them.
 
 The eigenpair is solved once the same way: the first _eigenpair call on an
-instance stores its (eigenvectors, H, max residual), and
-eigenvectors_closed_form, spectrum_closed_form (which gives the stored H to
-the oracle, _oracle_roots) and the concurrences built on them (Psi3 and
-Psi4 of one point) read it.  Callers get copies of the vectors; the stored
-arrays are read-only.  An OmegaSingularError or NearDefectiveError raises
-again on every call.  Explicit eigenvalues and the sweep batch bypass the
-store: a sweep solves each point's eigenvalues once with _solve_eigenvalues on
-an unchecked _Point record, and its eigenpairs in one _closed_form_eigenpairs
-call on the (3, n) rate array.
+instance stores its (eigenvectors, max residual), and eigenvectors_closed_form,
+spectrum_closed_form and the concurrences built on them (Psi3 and Psi4 of one
+point) read it.  Callers get copies of the vectors; the stored array is
+read-only.  A NearDefectiveError raises again on every call.  Explicit
+eigenvalues and the sweep batch bypass the store: a sweep solves each point's
+eigenvalues once with _solve_eigenvalues on an unchecked _Point record, and its
+eigenpairs in one _closed_form_eigenpairs call on the (3, n) rate array.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,21 +54,17 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import (
-    NearDefectiveError,
-    NoConvergenceError,
-    NonFiniteError,
-    OmegaSingularError,
-)
-from .model import SystemParams, _hamiltonians, _Point, build_hamiltonian
+from .errors import NearDefectiveError, NoConvergenceError, NonFiniteError
+from .model import SystemParams, _Point, build_hamiltonian
 
 _W3 = complex(np.exp(2j * np.pi / 3))  # primitive cube root of unity
 _W3C = _W3.conjugate()
 _SQ27 = 3.0 * math.sqrt(3.0)
 
 #: Residual tolerance for eigenpairs, relaxed near a coalescence where
-#: eigenvector conditioning diverges.  All three are in units of the largest
-#: rate above unit scale (_tolerance_scale).
+#: eigenvector conditioning diverges.  All three are in units of
+#: max(1, |omega|, |j|, |gamma|): eigenvalues, gaps and the rounding error of
+#: ||Hv - Ev|| grow with the largest rate above unit scale.
 RESIDUAL_TOL = 1e-9
 NEAR_EP_GAP = 1e-4
 NEAR_EP_RESIDUAL_TOL = 1e-6
@@ -194,16 +189,6 @@ def _rate_scales(rates: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.abs(rates).max(axis=0))
 
 
-def _tolerance_scale(rates: np.ndarray) -> np.ndarray:
-    """max(1, max(|omega|, |j|, |gamma|)) of each point of (3, n) rates.
-
-    Eigenvalues, gaps and the rounding error of ||Hv - Ev|| grow with the
-    largest rate, so a residual or gap tolerance times this factor holds at
-    any scale above 1; below unit scale the tolerances stay as they are.
-    """
-    return np.maximum(1.0, np.abs(rates).max(axis=0))
-
-
 def _third(c: complex) -> complex:
     """c / 3 rounded as numpy's complex128 division rounds it: Smith's algorithm times 1/3."""
     return complex((c.real + c.imag * 0.0) * (1 / 3), (c.imag - c.real * 0.0) * (1 / 3))
@@ -259,23 +244,16 @@ def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     """Make each vector's largest-magnitude amplitude real-positive (last axis).
 
-    Magnitude ties resolve toward the higher index, which keeps the
-    canonical singlet sign pattern (0, -1, 1, 0)/sqrt(2).
+    Magnitudes within 4 ulp of the largest tie, and a tie resolves toward the higher
+    index, which keeps the canonical singlet sign pattern (0, -1, 1, 0)/sqrt(2).
     """
     m = vecs.shape[-1]
     rows = vecs.reshape(-1, m)
-    pivot = rows[np.arange(len(rows)), m - 1 - np.abs(rows[:, ::-1]).argmax(axis=1)]
-    return vecs * (np.abs(pivot) / pivot).reshape(vecs.shape[:-1] + (1,))
-
-
-def _eigvec_coefficients(omega, j, gamma, e):
-    """(r1, r2) of the symmetric-sector eigenvector N(1, r2, r2, r1) of eigenvalue e.
-
-    The unit amplitude sits on |00> and the quadratic coefficient r1 on |11>.
-    Elementwise, so the arguments may be broadcastable arrays.
-    """
-    d = j - e + 1j * gamma
-    return -2 * (j + e) * d / omega**2 - 1, -d / omega
+    mags = np.abs(rows)
+    top = mags.max(axis=1, keepdims=True)
+    k = m - 1 - (mags[:, ::-1] >= top - 4 * np.spacing(top)).argmax(axis=1)
+    index = np.arange(len(rows)), k
+    return vecs * (mags[index] / rows[index]).reshape(vecs.shape[:-1] + (1,))
 
 
 def eigenvectors_closed_form(
@@ -283,12 +261,8 @@ def eigenvectors_closed_form(
 ) -> np.ndarray:
     """Unit right eigenvectors as the rows of a (4, 4) array, phase-fixed; Psi1 is the singlet.
 
-    eigenvalues, when given, are the point's closed-form E1..E4, shape (4,),
-    and the vectors are solved from them; without them they are a copy of
-    the instance's stored _eigenpair.  Either way a batch of one of
-    _closed_form_eigenpairs: residuals ||Hv - Ev|| are checked against
-    RESIDUAL_TOL (relaxed to NEAR_EP_RESIDUAL_TOL when the smallest
-    eigenvalue gap is below NEAR_EP_GAP), each times _tolerance_scale.
+    A batch of one of _closed_form_eigenpairs: solved from eigenvalues, the point's
+    closed-form E1..E4 of shape (4,), when given, else a copy of its stored _eigenpair.
     """
     if eigenvalues is None:
         return _eigenpair(params)[0].copy()
@@ -300,36 +274,18 @@ _EIGENPAIR_KEY = "_ptqsim_eigenpair"
 
 
 def _eigenpair(params: SystemParams) -> tuple:
-    """(eigenvectors, H, max residual) of one point: read-only (4, 4) arrays and a float.
-
-    Solved once per SystemParams instance, stored as _eigenvalues stores its
-    tuple (see the module docstring); a raised error is not kept.  The
-    eigenvalues are solved (or read from the store) first, so a point whose
-    cubic invariants overflow raises NonFiniteError ahead of an omega ~ 0 refusal.
-    """
+    """(eigenvectors, max residual) of one point: a read-only (4, 4) array and a float,
+    stored once per SystemParams instance as _eigenvalues stores its tuple (see the module
+    docstring); a raised error is not kept."""
     pair = getattr(params, _EIGENPAIR_KEY, None)
     if pair is None:
         values = np.array([_eigenvalues(params)], dtype=complex)
-        vecs, h, residuals = _closed_form_eigenpairs(_rates([params]), values)
-        vecs, h = vecs[0], h[0]
-        vecs.flags.writeable = h.flags.writeable = False
-        pair = vecs, h, float(residuals[0])
+        vecs, residuals = _closed_form_eigenpairs(_rates([params]), values)
+        vecs = vecs[0]
+        vecs.flags.writeable = False
+        pair = vecs, float(residuals[0])
         object.__setattr__(params, _EIGENPAIR_KEY, pair)
     return pair
-
-
-def _omega_singular(omega):
-    """The one omega ~ 0 decision, elementwise: the (r1, r2) coefficients divide by omega."""
-    return abs(omega) <= 1e-12
-
-
-def _require_omega(params: SystemParams):
-    """Raise OmegaSingularError where _omega_singular holds."""
-    if _omega_singular(params.omega):
-        raise OmegaSingularError(
-            f"eigenvector coefficients divide by omega (omega={params.omega}); "
-            "use the oracle"
-        )
 
 
 def _rates(points: list[SystemParams]) -> np.ndarray:
@@ -338,37 +294,104 @@ def _rates(points: list[SystemParams]) -> np.ndarray:
 
 
 _SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
+_R2 = math.sqrt(0.5)
+#: (omega, j, gamma) . _TEMPLATE = (j + i*gamma, -j, j - i*gamma, a, -a), a = omega/sqrt(2):
+#: the sector block B's diagonal and off-diagonal.  F = (d0, d1, d2, a, -a) of a root E is
+#: the template less (E, E, E, 0, 0), and adj(B - E)'s entries (A00, A11, A22, A01, A02,
+#: A12) = (d1 d2 - a^2, d0 d2, d0 d1 - a^2, -a d2, a^2, -a d0) are F[_LEFT] * F[_RIGHT]
+#: less a^2 on A00 and A22; _ADJ_ROWS[m] holds row m's positions among them.
+_TEMPLATE = np.array([[0, 0, 0, _R2, -_R2], [1, -1, 1, 0, 0], [1j, 0, -1j, 0, 0]])
+_LEFT, _RIGHT = [1, 0, 0, 4, 3, 4], [2, 2, 1, 2, 3, 0]
+_ADJ_ROWS = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+#: The sector vectors of E2, E3 and E4 where the adjugate vanishes (a row shorter than
+#: _SMALL_ROW): B - E of rank 1, at omega ~ 0 and gamma = 0 (E3 = E4 a double root).
+_UNDETERMINED, _SMALL_ROW = np.eye(3, dtype=complex)[[1, 0, 2]], 2.0**-400
+#: u[..., _EMBED] * _EMBED_SCALE is u on |00>, |01>, |10>, |11> (_WEIGHTS: squared), kept
+#: out of BLAS, whose gemm past m*n*k = 65 536 threads and runs several times slower.
+_EMBED, _EMBED_SCALE = [0, 1, 1, 2], np.array([1.0, _R2, _R2, 1.0])
+_WEIGHTS = np.array([1.0, 0.5, 1.0])
+_TINY_RATE, _HUGE_RATE = 2.0**-150, 2.0**150  # a point's largest rate outside: at unit scale
+
+
+def _sector_eigenvectors(rates: np.ndarray, e: np.ndarray):
+    """(u, ||(B - E) u||) of the exchange-symmetric block at its roots e: (n, 3, 3), (n, 3).
+
+    rates are n points' (omega, j, gamma), shape (3, n), and e their (E2, E3, E4), shape
+    (n, 3).  On (|00>, T = (|01> + |10>)/sqrt(2), |11>) H is B = [[j + i*gamma, a, 0],
+    [a, -j, a], [0, a, j - i*gamma]].  Each row of adj(B - E) is a bilinear cross product
+    of two rows of B - E, and at a root of rank 2 row m is c u_m u (Kopp, Int. J. Mod.
+    Phys. C 19, 523 (2008)): u is the row of the largest |A_mm|, normalized, and nothing
+    is divided.  E4 takes row 2 on the tie |A00| = |A22| of gamma = 0, so the double root
+    of omega = gamma = 0 gets |00> and |11>, as _UNDETERMINED does.  The phase is fixed as
+    _phase_fix fixes it in the basis |00>..|11>, with |u_m|^2 read off the diagonal: in the
+    PT-symmetric phase A22 = conj(A00) bit for bit, so |u0| = |u2| tie exactly and go to
+    |11>.  Where the chosen amplitude is below a quarter of its row's norm (near rank 1),
+    the row's own magnitudes pick the pivot.
+    """
+    n = len(e)
+    f = np.empty((n, 3, 5), dtype=complex)
+    f[...] = (rates.T[..., None] * _TEMPLATE).sum(axis=1)[:, None]
+    f[..., :3] -= e[..., None]
+    a = rates[0, :, None] * _R2
+    adj = f.take(_LEFT, axis=-1) * f.take(_RIGHT, axis=-1)
+    adj[..., :3:2] -= (a * a)[..., None]
+    diagonal = abs(adj[..., :3])
+    m = diagonal.argmax(axis=-1)
+    m[:, 2] = 2 - diagonal[:, 2, ::-1].argmax(axis=-1)
+    u = adj.reshape(-1).take(_ADJ_ROWS.take(m, 0) + 6 * _starts(n)[..., None])
+    mags = abs(u)
+    norm = np.sqrt(np.square(mags).sum(axis=-1))
+    if norm.min() < _SMALL_ROW:
+        small = norm < _SMALL_ROW
+        u[small] = np.broadcast_to(_UNDETERMINED, u.shape)[small]
+        mags[small] = diagonal[small] = u[small].real
+        norm[small] = 1.0
+    neighbours = u.take([1, 0, 1], axis=-1)  # of each amplitude in the tridiagonal B
+    neighbours[..., 1] += u[..., 2]
+    r = f[..., :3] * u + a[..., None] * neighbours
+    k = 2 - (diagonal * _WEIGHTS)[..., ::-1].argmax(axis=-1) + 3 * _starts(n)
+    pivots = mags.take(k)
+    if (pivots < 0.25 * norm).any():  # near rank 1 a row leaves the diagonal's pattern
+        k = 2 - (mags * _WEIGHTS)[..., ::-1].argmax(axis=-1) + 3 * _starts(n)
+        pivots = mags.take(k)
+    u *= (u.take(k).conj() / (pivots * norm))[..., None]
+    return u, np.sqrt(np.square(abs(r)).sum(axis=-1)) / norm
+
+
+@functools.lru_cache(maxsize=8)
+def _starts(n: int) -> np.ndarray:
+    """The (n, 3) root indices 0, 1, ..., 3n - 1 (read-only): flat offsets of each root's row."""
+    starts = np.arange(3 * n).reshape(n, 3)
+    starts.flags.writeable = False
+    return starts
 
 
 def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray):
-    """(eigenvectors, H, residuals) of n points: shapes (n, 4, 4), (n, 4, 4) and (n,).
+    """(eigenvectors, residuals) of n points' (3, n) rates and (n, 4) closed-form E1..E4.
 
-    rates are the points' (omega, j, gamma), shape (3, n), and eigenvalues
-    their closed-form E1..E4, shape (n, 4).  eigenvectors[i, k] is the unit
-    right eigenvector of eigenvalues[i, k] and residuals[i] the largest
-    ||Hv - Ev|| of point i.  Raises OmegaSingularError, then
-    NearDefectiveError, for the first point that fails.  Every operation is
-    elementwise or per point, so a point's bits do not depend on the batch it
-    is in.
+    eigenvectors[i, k], shape (n, 4, 4), is the unit, phase-fixed eigenvector of E_k (the
+    singlet, then _sector_eigenvectors') and residuals[i] the largest ||Hv - Ev||; the first
+    point above its tolerance raises NearDefectiveError.  A point whose largest rate is
+    outside [2**-150, 2**150] is solved at unit scale (exact power-of-two scaling).
+    Elementwise, so a point's bits do not depend on its batch.
     """
-    for i, omega in enumerate(rates[0].tolist()):  # cheaper than a mask at n = 1
-        if _omega_singular(omega):
-            _require_omega(_Point(*rates[:, i].tolist()))
-    om, j, g = rates[..., None]
-    r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[:, 1:])
-    norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
+    top = np.abs(rates).max(axis=0)
+    scaled, e = rates, eigenvalues[:, 1:]
+    rescale = top.min() < _TINY_RATE or top.max() > _HUGE_RATE
+    if rescale:
+        shift = np.where((top < _TINY_RATE) | (top > _HUGE_RATE), -np.frexp(top)[1], 0)
+        scaled = np.ldexp(rates, shift)
+        e = np.ldexp(e.view(float), shift[:, None]).view(complex)
+    u, residuals = _sector_eigenvectors(scaled, e)
+    residuals = residuals.max(axis=-1)
+    if rescale:
+        residuals = np.ldexp(residuals, -shift)
     vecs = np.empty((len(eigenvalues), 4, 4), dtype=complex)
     vecs[:, 0] = _SINGLET
-    vecs[:, 1:, 0] = norm
-    vecs[:, 1:, 1] = vecs[:, 1:, 2] = norm * r2
-    vecs[:, 1:, 3] = norm * r1
-    vecs[:, 1:] = _phase_fix(vecs[:, 1:])
-    h = _hamiltonians(rates)
-    residuals = np.linalg.norm(
-        vecs @ np.swapaxes(h, -1, -2) - eigenvalues[..., None] * vecs, axis=-1).max(axis=-1)
-    unit = _tolerance_scale(rates)
-    if (residuals > RESIDUAL_TOL * unit).any():  # no tolerance is below RESIDUAL_TOL
-        gaps = _min_gap(eigenvalues)
+    vecs[:, 1:] = u.take(_EMBED, axis=-1) * _EMBED_SCALE
+    if residuals.max() > RESIDUAL_TOL:  # every tolerance is RESIDUAL_TOL or more
+        unit = np.maximum(1.0, top)
+        gaps = _sector_gap(eigenvalues)
         tol = np.where(gaps < NEAR_EP_GAP * unit, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL) * unit
         failed = residuals > tol
         if failed.any():
@@ -376,19 +399,15 @@ def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray):
             omega, j, gamma = rates[:, i].tolist()
             raise NearDefectiveError(
                 f"eigenvector residual {residuals[i]:.3e} exceeds {tol[i]:.0e} at "
-                f"omega={omega}, j={j}, gamma={gamma} (min gap {gaps[i]:.3e})"
+                f"omega={omega}, j={j}, gamma={gamma} (min sector gap {gaps[i]:.3e})"
             )
-    return vecs, h, residuals
+    return vecs, residuals
 
 
-#: The six index pairs (i, k), i < k, of four eigenvalues: the i's, then the k's.
-_PAIRS = np.concatenate(np.triu_indices(4, 1))
-
-
-def _min_gap(values: np.ndarray) -> np.ndarray:
-    """Smallest |E_i - E_k| over the last axis of (..., 4) eigenvalues."""
-    ends = values[..., _PAIRS]
-    return np.abs(ends[..., :6] - ends[..., 6:]).min(axis=-1)
+def _sector_gap(values: np.ndarray) -> np.ndarray:
+    """Smallest |E_i - E_k| among E2, E3 and E4 over the last axis of (..., 4) eigenvalues:
+    the singlet E1 never couples to the sector, so its crossings are no EPs."""
+    return np.abs(values[..., [1, 1, 2]] - values[..., [2, 3, 3]]).min(axis=-1)
 
 
 #: The 24 orderings of four labels, in itertools.permutations order.
@@ -493,8 +512,8 @@ def spectrum_closed_form(params: SystemParams) -> Spectrum:
     deviates by more than 1e-9 * max(1, |omega|, |j|, |gamma|).
     """
     values = eigenvalues_closed_form(params)
-    vecs, h, residual = _eigenpair(params)
-    dev = pairing_distance(values, _oracle_roots(h, deflate_root=-params.j)[1])
+    vecs, residual = _eigenpair(params)
+    dev = pairing_distance(values, _oracle_roots(build_hamiltonian(params), -params.j)[1])
     if dev > 1e-9 * max(1.0, abs(params.omega), abs(params.j), abs(params.gamma)):
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
     return Spectrum(values, vecs.copy(), Source.CLOSED_FORM, residual)

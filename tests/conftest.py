@@ -66,31 +66,20 @@ def column(columns, name):
     return np.array([float(v) if v else np.nan for v in columns[name]])
 
 
-def phase_fix_reference(vec):
-    """The one-vector phase fix the last-axis _phase_fix replaced."""
-    mags = np.abs(vec)
-    k = len(vec) - 1 - int(np.argmax(mags[::-1]))
-    return vec * (mags[k] / vec[k])
+def min_gap(values) -> float:
+    """Smallest |E_i - E_k| over all four eigenvalues: the phase label's NEAR_EP gap."""
+    return min(abs(values[i] - values[k]) for i in range(4) for k in range(i + 1, 4))
 
 
-def eigenpairs_reference(params, eigenvalues):
-    """(vectors, max residual) of one point by the per-point loop the batched
-    _closed_form_eigenpairs replaced; its omega and residual checks are omitted.
-    """
-    from ptqsim.model import build_hamiltonian
-    from ptqsim.spectrum import _eigvec_coefficients
+def sector_gap(values) -> float:
+    """Smallest |E_i - E_k| among E2, E3 and E4: the gap the EP guard reads."""
+    return min(abs(values[1] - values[2]), abs(values[1] - values[3]), abs(values[2] - values[3]))
 
-    om, j, g = params.omega, params.j, params.gamma
-    vecs = np.zeros((4, 4), dtype=complex)
-    vecs[0] = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
-    for k in (1, 2, 3):
-        r1, r2 = _eigvec_coefficients(om, j, g, eigenvalues[k])
-        norm = (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2) ** -0.5
-        vecs[k] = phase_fix_reference(norm * np.array([1, r2, r2, r1]))
-    h = build_hamiltonian(params)
-    residual = max(
-        float(np.linalg.norm(h @ vecs[k] - eigenvalues[k] * vecs[k])) for k in range(4))
-    return vecs, residual
+
+def vector_error(got, want) -> float:
+    """max|got - want * phase|, want's global phase aligned to got's."""
+    overlap = np.vdot(want, got)
+    return float(np.max(np.abs(got - want * overlap / abs(overlap))))
 
 
 def fig_sweep_points(kappa, fixed_value, value_range, n):

@@ -16,16 +16,18 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import mp_reference
-from conftest import column, parse_csv, run_cli
+from conftest import column, parse_csv, run_cli, vector_error
 from ptqsim import (
     SystemParams,
     build_hamiltonian,
+    cli,
     detect_revivals,
     initial_state,
     pairing_distance,
     propagate,
     spectrum,
 )
+from ptqsim import eigenvalues_closed_form as ptqsim_eigenvalues
 from ptqsim.cli import _BLOCK_ROWS, MAGIC, _emit, _fmt, _jsonable, main
 
 
@@ -48,11 +50,31 @@ class TestSpectrumCommand:
         assert np.allclose(values, expected, atol=1e-9)
 
     def test_omega_zero_double_root_answers(self, capsys):
-        # E2 and the singlet are a double root -j, which the oracle keeps
+        """E2 and the singlet are a double root -j: the closed form answers, its E1 = -j
+        exactly and every root within 1e-15 of the 40-digit one (E2 is 1 ulp off)."""
         code, out, err = invoke(capsys, "spectrum", "--omega", 0, "--j", 0.42)
         assert (code, err) == (0, "")
-        values = [(e["re"], e["im"]) for e in json.loads(out)["results"]["eigenvalues"]]
-        assert values == [(-0.42, 0.0), (-0.42, 0.0), (0.42, 1.0), (0.42, -1.0)]
+        results = json.loads(out)["results"]
+        values = np.array([complex(e["re"], e["im"]) for e in results["eigenvalues"]])
+        assert results["source"] == "closed-form" and values[0] == -0.42
+        reference = mp_reference.hamiltonian_eigenvalues(0.0, 0.42, 1.0)
+        assert pairing_distance(values, reference) <= 1e-15
+
+    def test_omega_zero_vectors_are_the_diagonal_basis(self, capsys):
+        """At omega = 0 the closed form reports E1 the singlet and E2 the state T =
+        (|01> + |10>)/sqrt(2) (the oracle, which answered here before, gave |10> and |01>),
+        then |00> and |11>: each within 1e-15 of the 40-digit null vector."""
+        code, out, err = invoke(capsys, "spectrum", "--omega", 0, "--j", 0.3)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["source"] == "closed-form"
+        values = np.array([complex(e["re"], e["im"]) for e in results["eigenvalues"]])
+        vecs = np.array([[complex(c["re"], c["im"]) for c in v] for v in results["eigenvectors"]])
+        r2 = np.sqrt(0.5)
+        assert np.max(np.abs(vecs[0] - [0, -r2, r2, 0])) <= 1.2e-16
+        want = mp_reference.sector_eigenvectors(0.0, 0.3, 1.0, values)
+        assert max(vector_error(got, ref) for got, ref in zip(vecs[1:], want)) <= 1e-15
+        assert np.max(np.abs(vecs[1] - [0, r2, r2, 0])) <= 1e-16
 
     @pytest.mark.parametrize("omega, j, gamma", [
         (1e-5, 1.1, 0.0), (1e-5, 0.3, 0.0),  # a near-double root of a normal H
@@ -81,7 +103,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("omega", [-2, 1e-3, -1e-3])
     def test_negative_and_small_omega_closed_form(self, capsys, omega):
-        # only |omega| <= 1e-12 is singular; at 1e-3 E2 sits 4.4e-7 from the singlet
+        # at 1e-3 E2 sits 4.4e-7 from the singlet, which does not couple to it
         code, out, _ = invoke(capsys, "spectrum", "--omega", omega, "--j", 0.4)
         assert code == 0
         assert json.loads(out)["results"]["source"] == "closed-form"
@@ -166,20 +188,48 @@ class TestConcurrenceCommand:
         c3 = column(cols, "c_psi3")
         assert np.all(np.diff(c3) < 0)  # falls with j below the critical point
 
-    @pytest.mark.parametrize("argv, n, probes", [
-        (["concurrence", "--omega", 2.0, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
-          "--n", 7], 7, 0),
-        (["reproduce", "fig3a"], 121, 3),
-        (["reproduce", "fig3b"], 201, 4),
-    ])
-    def test_one_eigenpair_solve_per_point(self, capsys, count_calls, argv, n, probes):
+    def test_one_eigenpair_solve_per_point(self, capsys, count_calls):
         """Psi3 and Psi4 come from one eigenvector solve; every eigenvalue solve is one point's."""
         eigenpairs = count_calls(spectrum, "_closed_form_eigenpairs")
         solves = count_calls(spectrum, "_solve_eigenvalues")
+        argv = ["concurrence", "--omega", 2.0, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
+                "--n", 7]
         assert invoke(capsys, *argv)[0] == 0
-        assert eigenpairs() == n
-        # the swept points, plus the bracket ends and root probes of fig3's locate_ep
-        assert solves() == n + probes
+        assert (eigenpairs(), solves()) == (7, 7)
+
+    @pytest.mark.parametrize("preset, n, probes", [("fig3a", 121, 3), ("fig3b", 201, 4)])
+    def test_fig3_solves_its_grid_in_one_batch(self, capsys, count_calls, preset, n, probes):
+        """One eigenpair batch over the rate array; one eigenvalue solve per grid point,
+        besides the bracket ends and root probes of the preset's locate_ep."""
+        batches, grid = (count_calls(cli, name)
+                         for name in ("_closed_form_eigenpairs", "_solve_eigenvalues"))
+        pairs, probe = (count_calls(spectrum, name)
+                        for name in ("_closed_form_eigenpairs", "_solve_eigenvalues"))
+        assert invoke(capsys, "reproduce", preset)[0] == 0
+        assert (batches(), grid(), pairs(), probe()) == (1, n, 0, probes)
+
+    def test_omega_zero_answers(self, capsys):
+        """H is diagonal: Psi3 = |00> and Psi4 = |11> are product states, and the radical
+        form, which divides by omega, leaves its cells empty (JSON null)."""
+        code, out, err = invoke(capsys, "concurrence", "--omega", 0, "--j", 0.3)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert (results["c_psi3"], results["c_psi4"]) == (0.0, 0.0)
+        assert results["closed_form"] == {"c_psi3": None, "c_psi4": None}
+        assert results["max_closed_form_discrepancy"] is None
+        code, out, _ = invoke(capsys, "concurrence", "--omega", 0, "--j", 0.3, "--format", "csv")
+        assert out.splitlines()[-1] == "0,0,,"
+
+    def test_small_omega_answers(self, capsys):
+        """omega = 1e-5: Psi3's and Psi4's concurrences within 1e-15 of the 40-digit
+        vectors' (they are 2.2e-11)."""
+        code, out, err = invoke(capsys, "concurrence", "--omega", 1e-5, "--j", 0.3)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        values = SystemParams(1e-5, 0.3, 1.0)
+        want = mp_reference.sector_eigenvectors(1e-5, 0.3, 1.0, ptqsim_eigenvalues(values))
+        for key, vec in (("c_psi3", want[1]), ("c_psi4", want[2])):
+            assert abs(results[key] - mp_reference.concurrence([1.0], [vec])) <= 1e-15
 
 
 class TestEvolveCommand:
@@ -514,11 +564,11 @@ class TestJsonWriter:
 #: reach the PT-broken phase or an EP carry the exact cube-root pair's digits.
 _JSON_CASES = {
     "spectrum": (["spectrum", "--omega", 2, "--j", 0.4],
-                 "04008b7f1402c88353a47b964c5eaf8b62f455faed98cb9da73fb755b11621a5"),
+                 "1594cfe5f2eea0c1196519b9e6e59cd653520a96cc9f95399f14e0e24c568cd5"),
     "spectrum-broken": (["spectrum", "--omega", 1.7, "--j", 0.45],
-                        "8333e749061f96adae3c4d93087ac8b1bcbd19db8af1636cee5e74999f6259b1"),
+                        "8ff37f49619c9d54682587d51eb2d6abf0d41c11c318109504334ccb8a018a0c"),
     "spectrum-omega0": (["spectrum", "--omega", 0, "--j", 0.3],
-                        "75f3116632d2090d41d16779c619315716fcaa689c3c500c24741b0fe80befd1"),
+                        "6fc4ac5ee476dd9d5d916665dcc87f3d8c997ae13501c4b668b4c8f8ad068494"),
     "ep-locate": (["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"],
                   "9c969676d43f96fc9d0fdbd1e45d9ac7c5b40b2f99a048786e4bb74d514ea33f"),
     "ep-locate-j": (["ep-locate", "--j", 0.3, "--sweep-axis", "omega", "--sweep-range", "1.2:2.2"],
@@ -526,20 +576,20 @@ _JSON_CASES = {
     "ep-curve": (["ep-curve", "--sweep-range", "0.5:2.5", "--n", 9],
                  "000d38a2300b2436b3960c62819243eaafc91553440a3a52677dd614b193335b"),
     "concurrence": (["concurrence", "--omega", 2, "--j", 0.4],
-                    "fc71cfd03e3c2e671e6eba5da32a8f6f8bfbd9f3d6e3f0551f76b2bf5e59cc48"),
+                    "1662f9b330fc8554cbb14290325272af67674f01f30735981ea1e9f17ce4c7f6"),
     "concurrence-sweep": (["concurrence", "--omega", 2, "--sweep-axis", "j",
                            "--sweep-range", "0.3:0.9", "--n", 7],
-                          "d761ed05c9239bc54dcad0b404651c894d8f12df6a025af25ba9462770e9905e"),
+                          "563ed61b012e87a53a874e64e20596b565ce1cc451dcf3b0a7a3646057c3487c"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
                "c0862ffce7395562ef6356898f636ae6cedf970529f441cfb2ebfd8ff87db5e5"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
                   "--collapse-fraction", 0.45],
                  "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),
     "qfi": (["qfi", "--omega", 2, "--j", 0.4, "--sweep-axis", "j"],
-            "e0e5536a22d1c6a720785dcb4e7ad44b2ee8a2562f2619e887ec08930bc0c796"),
+            "e5ec7b13fe36fd979603b99f2ee13eaafe91341c0b3bb3550edaf704956cf2ae"),
     "sense": (["sense", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
                "--n", 13],
-              "5ad680c1937d3f0707590f51cda58a762884d868c321ee4bf63b8b68466d339f"),
+              "709567fc5cf3be34bca7d776046caa1d941eb7dfd0eb49406a1ecc35696db1ab"),
 }
 
 
@@ -805,6 +855,20 @@ class TestQfiCommand:
         for key in ("qfi", "variance_sq"):
             assert results[-2][key] == pytest.approx(results[2][key], rel=1e-12)
         assert results[-2]["coherence"] == pytest.approx(-results[2]["coherence"], rel=1e-12)
+
+    @pytest.mark.parametrize("omega, j, kappa", [(1e-5, 0.3, "omega"), (1e-5, 0.3, "j"),
+                                                 (2.0, 0.0, "omega"), (2.0, 0.0, "j")])
+    def test_singlet_crossings_answer(self, capsys, omega, j, kappa):
+        """At omega ~ 0 and on the line j = 0 the singlet meets a sector root, which is
+        no EP: the point answers, within the 40-digit central difference's bounds."""
+        code, out, err = invoke(capsys, "qfi", "--omega", omega, "--j", j, "--sweep-axis", kappa)
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        p = SystemParams(omega, j, 1.0)
+        f, m0, slope = mp_reference.psi3_sensing(omega, j, 1.0, kappa, ptqsim_eigenvalues(p)[2])
+        assert results["qfi"] == pytest.approx(f, rel=1e-13)
+        assert results["coherence"] == pytest.approx(m0, abs=1e-14)
+        assert results["variance_sq"] == pytest.approx((1 - m0 * m0) / slope**2, rel=1e-11)
 
     def test_hermitian_limit_exits_3(self, capsys):
         """gamma = 0: Psi3 does not move with j, so the coherence slope is zero."""

@@ -18,10 +18,10 @@ PINNED = {
     "fig5b": "5ecb18e0d7afc09732231ed457daf88cdf36f05530044f19dcfd89d798bf3c11",
     "fig6a": "3ea21e24dc1f4fe92564ee2f16f6c89a2b48ab816a5c8227fe3443d8554673af",
     "fig6b": "f37c367fc01aac6bddaa198642d4e9516138fd7c16e3bfc8178a6435028261f1",
-    "fig7a": "4579869158c895d8639b18099907f514f9368bb5980c75c9cd93ac37ac52a341",
-    "fig7b": "48a3f94beee07e2b1b42d7551647f573f27524df509477f6f0cfbdd6c7323c92",
-    "fig8a": "926caec2027fec39843551716da30e1d096861fc47f1fc12e177f367c3f5f6e6",
-    "fig8b": "db36b2d74bc6d887ed2a94f27dc8bca07f7f66e70956af3eb91ccf4a7c64c20a",
+    "fig7a": "8b11668a73fb7a9d898239dcf2d2a0ca69b0709729f8ac133787f910071a533b",
+    "fig7b": "e3a0f61c3eb09b0a787f81d957356e11f09838060a3b916e774d99c269b73870",
+    "fig8a": "163b6a5bf8cd1513a985965d5c005c35650e5e00aa9a62a6edd9122e6c0373f8",
+    "fig8b": "b3c6eb073d49ea0dd8d78150870e5a4d3ea413322e966fae83808f93c7725c52",
 }
 
 

@@ -267,6 +267,54 @@ def test_digit_audit_on_a_synthetic_diff(tmp_path, capsys):
         digit_audit.audit(old, new, command[:-2], lines.append)
 
 
+def test_digit_audit_on_a_synthetic_sensing_diff(tmp_path):
+    """A sense table and a qfi point: one field moved off the 40-digit reference in each
+    file; the audit names both, which of them moved toward it, and the flagged rows'
+    empty cells need no reference."""
+    from ptqsim.cli import main
+
+    digit_audit = _script("digit_audit")
+    command = ["sense", "--omega", "2", "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
+               "--n", "5"]
+    exact = tmp_path / "exact.json"
+    assert main(command + ["--format", "json", "--out", str(exact)]) == 0
+
+    def written(name, row, column, factor):
+        changed = json.loads(exact.read_text())
+        changed["results"]["rows"][row][column] *= factor
+        path = tmp_path / name
+        path.write_text(json.dumps(changed))
+        return path
+
+    old = written("old.json", 1, 1, 1 + 1e-9)  # old qfi off, new as computed
+    new = written("new.json", 3, 4, 1 - 2e-9)  # new coherence off, old as computed
+    lines = []
+    summaries = {s["column"]: s for s in digit_audit.audit(old, new, command, lines.append)}
+    assert [line.split(":")[0] for line in lines] == ["row 1 qfi", "row 3 coherence"]
+    assert lines[0].endswith("toward") and lines[1].endswith("away")
+    assert list(summaries) == ["qfi", "variance_sq", "inv_variance_sq", "coherence", "cr_bound"]
+    qfi, coherence = summaries["qfi"], summaries["coherence"]
+    assert (qfi["changed"], qfi["toward"]) == (1, 1)
+    assert (coherence["changed"], coherence["toward"]) == (1, 0)
+    assert qfi["old_max"] > 1e-10 and qfi["new_max"] < 1e-13 and coherence["new_max"] > 1e-10
+    assert summaries["qfi"]["new_max_all"] < 1e-12 and summaries["cr_bound"]["new_max_all"] < 1e-14
+    with pytest.raises(SystemExit, match="column j changed"):
+        digit_audit.audit(old, written("j.json", 2, 0, 1.5), command, lines.append)
+    with pytest.raises(SystemExit, match="5 rows, but the command sweeps 7 points"):
+        digit_audit.audit(old, new, command[:-1] + ["7"], lines.append)
+
+    point = ["qfi", "--omega", "2", "--j", "0.45", "--sweep-axis", "j"]
+    exact = tmp_path / "point.json"
+    assert main(point + ["--out", str(exact)]) == 0
+    moved = json.loads(exact.read_text())
+    moved["results"]["variance_sq"] *= 1 + 1e-9
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps(moved))
+    summaries = {s["column"]: s for s in digit_audit.audit(off, exact, point, lines.append)}
+    assert summaries["variance_sq"]["toward"] == 1 and summaries["qfi"]["changed"] == 0
+    assert all(s["new_max_all"] < 1e-14 for s in summaries.values())
+
+
 def _json_lines(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
 
@@ -286,7 +334,9 @@ def _repo_copy(repo, parts):
 def test_layers_on_a_tiny_budget(tmp_path):
     """One pass per layer; --against exports the committed tree and alternates the sides,
     and a layer whose kernel one side lacks prints as absent."""
-    layers = ["step_factors_1000", "chunk_states_1000", "step_factors_2500", "chunk_states_2500",
+    layers = ["eigenpairs_1", "eigenpairs_24", "eigenpairs_601", "sense_rows_24",
+              "sense_rows_601", "sensing_sweep_601", "spectrum_closed_form_1",
+              "step_factors_1000", "chunk_states_1000", "step_factors_2500", "chunk_states_2500",
               "step_factors_4096", "chunk_states_4096", "integrate_400000", "csv_blocks_30001",
               "csv_blocks_evolve_30001"]
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],

@@ -14,19 +14,18 @@ from ptqsim import (
     sensing_sweep,
     sensitivity_variance,
 )
-from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
+import mp_reference
+from conftest import FIG_SWEEPS, fig_sweep_points, min_gap, sector_gap
 from ptqsim.errors import (
     EpTooCloseError,
     NearDefectiveError,
     NonFiniteError,
     NotNormalizedError,
-    OmegaSingularError,
     ZeroSlopeError,
 )
 from ptqsim import model, sensing
-from ptqsim.model import SIGMA_X1
 from ptqsim.sensing import _sense_point, _sense_rows
-from ptqsim.spectrum import _min_gap, _rates
+from ptqsim.spectrum import _rates, _sector_gap
 
 SEED = 20260809
 
@@ -89,7 +88,7 @@ class TestQfi:
             params = SystemParams(
                 rng.uniform(0.3, 3.0), rng.uniform(0.05, 1.2), rng.uniform(0.0, 1.5)
             )
-            if _min_gap(eigenvalues_closed_form(params)) <= 1e-2:
+            if min_gap(eigenvalues_closed_form(params)) <= 1e-2:
                 continue
             for kappa in ("j", "omega"):
                 x0 = getattr(params, kappa)
@@ -125,16 +124,35 @@ class TestQfi:
         """At gamma = 0 Psi3 = (|11> - |00>)/sqrt(2) for every j and omega."""
         assert abs(qfi(SystemParams(2.0, 0.4, 0.0), kappa)) <= 1e-20
 
-    def test_omega_singular_named_ahead_of_gap_guard(self):
-        """At omega ~ 0 the singlet meets the symmetric sector; no EP is there."""
-        with pytest.raises(OmegaSingularError):
-            _sense_point(SystemParams(1e-13, 0.3, 1.0), "j")
+    @pytest.mark.parametrize("omega", [1e-13, 1e-5, 0.0])
+    @pytest.mark.parametrize("kappa", ["j", "omega"])
+    def test_omega_near_zero_answers(self, omega, kappa):
+        """At omega ~ 0 the singlet meets the symmetric sector, which is no EP: the point
+        answers within the bounds TestBatchedSensing holds (sector gap ~ 2)."""
+        params = SystemParams(omega, 0.3, 1.0)
+        f, m0, slope = _reference(params, kappa)
+        if abs(slope) < 1e-12:  # omega = 0: Psi3 = |00> whatever j is
+            with pytest.raises(ZeroSlopeError):
+                _sense_point(params, kappa)
+            assert abs(qfi(params, kappa) - f) <= 1e-14
+            return
+        got = _sense_point(params, kappa)
+        assert got[0] == pytest.approx(f, rel=1e-13, abs=1e-14)
+        assert got[1] == pytest.approx(m0, abs=1e-14)
+        assert got[2] == pytest.approx((1 - m0 * m0) / slope**2, rel=1e-11)
 
-    def test_label_crossing_refused(self):
-        """A crossing of non-coalescing labels is refused like an EP."""
+    @pytest.mark.parametrize("kappa", ["j", "omega"])
+    @pytest.mark.parametrize("omega, gamma", [(1.0, 0.0), (2.0, 0.0), (2.0, 1.0)])
+    def test_singlet_crossing_answers(self, kappa, omega, gamma):
+        """On the line j = 0 the singlet E1 = 0 meets a sector root, which is no EP."""
+        params = SystemParams(omega, 0.0, gamma)
+        f = qfi(params, kappa)
+        assert f == pytest.approx(_reference(params, kappa)[0], rel=1e-13, abs=1e-14)
+
+    def test_third_order_point_refused(self):
         for kappa in ("j", "omega"):
             with pytest.raises(EpTooCloseError):
-                qfi(SystemParams(1.0, 0.0, 0.0), kappa)
+                qfi(SystemParams(1.0, 0.0, 1.0), kappa)
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
@@ -214,7 +232,7 @@ def _per_point_sweep(kappa, fixed_value, value_range, n, gamma):
         try:
             rows.append([qfi(p, kappa), sensitivity_variance(p, kappa),
                          coherence_expectation(eigenvectors_closed_form(p)[2]), None])
-        except (EpTooCloseError, ZeroSlopeError, OmegaSingularError) as exc:
+        except (EpTooCloseError, ZeroSlopeError) as exc:
             rows.append([None, None, None, type(exc).__name__.removesuffix("Error")])
     for i in range(n - 1):
         if broken[i] != broken[i + 1]:
@@ -235,12 +253,11 @@ _JC_OMEGA2 = 0.5899798397854931  # locate_ep("omega", 2.0, (0.3, 0.9)).j_c
         ("omega", 0.3, (1.4, 2.0), 37, 1.0, {"ep_bracket"}),
         # Hermitian limit: the coherence does not move
         ("j", 2.0, (0.3, 0.9), 13, 0.0, {"ZeroSlope"}),
-        # omega = 0 is OmegaSingular ahead of the gap guard (the singlet and
-        # (|01>+|10>)/sqrt2 coincide there, which is no EP); at j = 0 every
-        # other point has a zero gap, and the gap guard refuses omega = gamma,
-        # the triple point
-        ("omega", 0.3, (0.0, 2.0), 21, 1.0, {"OmegaSingular", "ep_bracket"}),
-        ("omega", 0.0, (0.0, 2.0), 5, 1.0, {"OmegaSingular", "EpTooClose"}),
+        # omega = 0 answers (the singlet meets T = (|01>+|10>)/sqrt2 there, which
+        # is no EP); at j = 0 the singlet meets a sector root at every point, and
+        # the gap guard refuses omega = gamma, the triple point, alone
+        ("omega", 0.3, (0.0, 2.0), 21, 1.0, {None, "ep_bracket"}),
+        ("omega", 0.0, (0.0, 2.0), 5, 1.0, {None, "EpTooClose"}),
     ],
 )
 def test_sweep_matches_per_point_calls_bitwise(kappa, fixed_value, value_range, n, gamma,
@@ -269,81 +286,61 @@ def test_monotone_approach_both_sides():
         assert values[0] < values[1] < values[2]
 
 
-def _psi3_derivative_reference(params, kappa, values):
-    """The per-point (psi, dpsi) the batched _psi3_derivative replaced; guards omitted."""
-    psi = eigenpairs_reference(params, values)[0][2]
-    om, j, e = params.omega, params.j, values[2]
-    r2, r1 = psi[1] / psi[0], psi[3] / psi[0]
-    d = j - e + 1j * params.gamma
-    utu = 1 + 2 * r2 * r2 + r1 * r1
-    if kappa == "j":
-        de = (1 - 2 * r2 * r2 + r1 * r1) / utu
-        dr2 = -(1 - de) / om
-        dr1 = -2 * ((1 + de) * d + (j + e) * (1 - de)) / om**2
-    else:
-        de = 2 * r2 * (1 + r1) / utu
-        dr2 = (de + d / om) / om
-        dr1 = -2 * (de * d - (j + e) * de) / om**2 + 4 * (j + e) * d / om**3
-    return psi, psi[0] * np.array([0, dr2, dr2, dr1])
+def _reference(params, kappa):
+    """(QFI, <sigma_x^1>, slope) of Psi3 from the 40-digit central difference."""
+    e3 = eigenvalues_closed_form(params)[2]
+    return mp_reference.psi3_sensing(params.omega, params.j, params.gamma, kappa, e3)
 
 
-def _sense_reference(params, kappa, values):
-    """(qfi, coherence, variance, flag) of one point by the per-point sense path."""
-    if params.omega <= 1e-12:
-        return None, None, None, "OmegaSingular"
-    if _min_gap(values) < 1e-4:
-        return None, None, None, "EpTooClose"
-    psi, dpsi = _psi3_derivative_reference(params, kappa, values)
-    m0 = np.vdot(psi, SIGMA_X1 @ psi).real
-    slope = 2.0 * np.vdot(dpsi, SIGMA_X1 @ psi - m0 * psi).real
-    if abs(slope) < 1e-12:
-        return None, None, None, "ZeroSlope"
-    f = 4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
-    return f, m0, (1.0 - m0 * m0) / (slope * slope), None
+def _assert_near_reference(got, want, gap, where):
+    """got = (QFI, <sigma_x^1>, variance) within the bounds the derivative's conditioning
+    sets: the QFI to 1e-13/gap relative, the slope to 1e-12 (1 + |slope|)/gap, the
+    coherence to 1e-14 (gap in units of the largest rate above 1).  The largest
+    errors read on the fig7a-fig8b sweeps and the seeded pool were 1.6e-14/gap, 7.9e-14
+    (1 + |slope|)/gap and 2.0e-15."""
+    f, m0, slope = want
+    assert abs(got[0] - f) <= 1e-13 / gap * f, (where, got, want)
+    assert abs(got[1] - m0) <= 1e-14, (where, got, want)
+    slack = 1e-12 * (1 + abs(slope)) / gap / abs(slope)
+    assert abs(got[2] / ((1 - m0 * m0) / slope**2) - 1) <= 3 * slack + 1e-13, (where, got, want)
 
 
 class TestBatchedSensing:
-    """The batched derivative and sensing rows against the per-point path they replaced."""
+    """The batched sensing rows against 40-digit central differences (tests/mp_reference.py)."""
 
     @pytest.mark.parametrize("sweep", FIG_SWEEPS)
-    def test_fig_sweeps_match_per_point_reference(self, sweep):
+    def test_fig_sweeps_match_40_digit_reference(self, sweep):
         kappa = sweep[0]
         points = fig_sweep_points(*sweep)
         values = [eigenvalues_closed_form(p) for p in points]
         broken = [classify_phase(p).phase is Phase.PT_BROKEN for p in points]
-        expected = [list(_sense_reference(p, kappa, v)) for p, v in zip(points, values)]
+        expected = [None if sector_gap(v) >= 1e-4 else "EpTooClose" for v in values]
         for i in range(len(points) - 1):
             if broken[i] != broken[i + 1]:
                 for k in (i, i + 1):
-                    if expected[k][3] is None:
-                        expected[k][3] = "ep_bracket"
+                    if expected[k] is None:
+                        expected[k] = "ep_bracket"
         got = sensing_sweep(*sweep)
-        assert [p.flag for p in got] == [row[3] for row in expected]
-        for point, v, (f, m0, var, _) in zip(got, values, expected):
-            if f is not None and _min_gap(v) >= 1e-3:
-                assert point.qfi == pytest.approx(f, rel=1e-11)
-                assert point.variance_sq == pytest.approx(var, rel=1e-11)
-                assert point.coherence == pytest.approx(m0, rel=1e-11, abs=1e-14)
+        assert [p.flag for p in got] == expected
+        for p, point, v in zip(points, got, values):
+            if point.flag in (None, "ep_bracket") and sector_gap(v) >= 1e-3:
+                _assert_near_reference((point.qfi, point.coherence, point.variance_sq),
+                                       _reference(p, kappa), sector_gap(v), p)
 
-    def test_seeded_points_match_per_point_reference(self):
+    def test_seeded_points_match_40_digit_reference(self):
         rng = np.random.default_rng(SEED)
         checked = 0
         while checked < 100:
             params = SystemParams(rng.uniform(0.3, 3.0) * rng.choice([-1, 1]),
                                   rng.uniform(0.05, 1.2), rng.uniform(0.05, 1.5))
             values = eigenvalues_closed_form(params)
-            if _min_gap(values) < 1e-3:
+            if min_gap(values) < 1e-3:
                 continue
+            unit = max(1.0, abs(params.omega), params.j, params.gamma)
             for kappa in ("j", "omega"):
-                f, m0, var, flag = _sense_reference(params.replace(omega=abs(params.omega)),
-                                                    kappa, values)
-                assert flag is None
                 got = _sense_point(params, kappa)
-                # U = sz(x)sz maps H(|omega|) to H(-|omega|) and flips <sigma_x^1>
-                sign = np.sign(params.omega)
-                assert got[0] == pytest.approx(f, rel=1e-11)
-                assert got[1] == pytest.approx(sign * m0, rel=1e-11, abs=1e-14)
-                assert got[2] == pytest.approx(var, rel=1e-11)
+                _assert_near_reference(got, _reference(params, kappa),
+                                       sector_gap(values) / unit, params)
                 assert qfi(params, kappa) == got[0]
             checked += 1
 
@@ -351,7 +348,7 @@ class TestBatchedSensing:
     def test_a_row_does_not_depend_on_its_batch(self, kappa):
         points = fig_sweep_points(*FIG_SWEEPS[0])
         values = np.array([eigenvalues_closed_form(p) for p in points])
-        keep = np.flatnonzero(_min_gap(values) >= 1e-4)
+        keep = np.flatnonzero(_sector_gap(values) >= 1e-4)
         points, values = [points[k] for k in keep], values[keep]
         batch = _sense_rows(_rates(points), kappa, values)
         for i, p in enumerate(points):
@@ -370,19 +367,31 @@ class TestSweepErrorOrder:
             sensing_sweep("j", 2.0, (0.3, 1e200), 3)
         assert str(sweep.value) == str(point.value)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_near_defective_ahead_of_non_finite(self):
-        with pytest.raises(NearDefectiveError, match="j=1e\\+20"):
-            sensing_sweep("j", 1e-11, (1e20, 1e200), 2, gamma=0.0)
+    @staticmethod
+    def _moved_root(monkeypatch, omega):
+        """Move E3 of the sweep points at omega by 1e-6: their residual is then about that."""
+        solve = sensing._solve_eigenvalues
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_coherence_error_ahead_of_later_near_defective(self):
-        """Point 0's state overflows to NaN (its residual is NaN, so it passes the
-        residual check) and point 1 is near-defective: point 0's error comes first."""
-        with pytest.raises(NotNormalizedError):
-            sensing_sweep("j", 1e-11, (1e75, 1e20), 2, gamma=0.0)
-        with pytest.raises(NearDefectiveError, match="j=1e\\+20"):
-            sensing_sweep("j", 1e-11, (1e20, 1e75), 2, gamma=0.0)
+        def moved(point):
+            e1, e2, e3, e4 = solve(point)
+            return (e1, e2, e3 + 1e-6, e4) if point.omega == omega else (e1, e2, e3, e4)
+
+        monkeypatch.setattr(sensing, "_solve_eigenvalues", moved)
+
+    def test_near_defective_ahead_of_non_finite(self, monkeypatch):
+        self._moved_root(monkeypatch, 2.0)
+        with pytest.raises(NearDefectiveError, match="j=0.5,"):
+            sensing_sweep("j", 2.0, (0.5, 1e200), 2)
+
+    def test_non_finite_qfi_ahead_of_later_near_defective(self, monkeypatch):
+        """Point 0's QFI overflows (rates of 1e-160: it grows as their inverse square)
+        and point 1 is near-defective: the batch fails on point 1 first, and the
+        points replayed one at a time name point 0's error."""
+        self._moved_root(monkeypatch, 2.0)
+        with pytest.raises(NonFiniteError, match="omega=1e-160,"):
+            sensing_sweep("omega", 1e-160, (1e-160, 2.0), 2, gamma=1e-160)
+        with pytest.raises(NearDefectiveError, match="omega=2.0,"):
+            sensing_sweep("omega", 1e-160, (2.0, 1e-160), 2, gamma=1e-160)
 
 
 class TestArraySweep:

@@ -28,7 +28,7 @@ from ptqsim import (
     spectrum_oracle,
 )
 import mp_reference
-from conftest import FIG_SWEEPS, eigenpairs_reference, fig_sweep_points
+from conftest import FIG_SWEEPS, fig_sweep_points, min_gap, sector_gap, vector_error
 from ptqsim.errors import (
     NearDefectiveError,
     NoConvergenceError,
@@ -37,7 +37,7 @@ from ptqsim.errors import (
     PtqsimError,
 )
 from ptqsim import cli, entanglement, locate_ep, sensing, spectrum
-from ptqsim.spectrum import _closed_form_eigenpairs, _min_gap, _rates
+from ptqsim.spectrum import _closed_form_eigenpairs, _rates, _sector_gap
 
 params_st = st.builds(
     SystemParams,
@@ -184,9 +184,24 @@ class TestClosedFormEigenvectors:
         # phase fixing makes the real case exactly real
         assert np.max(np.abs(vecs.imag)) < 1e-9
 
-    def test_omega_singular(self):
-        with pytest.raises(OmegaSingularError):
-            eigenvectors_closed_form(SystemParams(0.0, 0.3, 1.0))
+    def test_omega_zero_is_diagonal(self):
+        """At omega = 0 H is diagonal: the singlet, T = (|01> + |10>)/sqrt(2), |00> and |11>
+        (E2 = -j, E3 = j + i gamma, E4 = j - i gamma), from the closed form itself."""
+        vecs = eigenvectors_closed_form(SystemParams(0.0, 0.3, 1.0))
+        r2 = math.sqrt(0.5)
+        want = np.array([[0, -r2, r2, 0], [0, r2, r2, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+        assert np.max(np.abs(vecs - want)) <= 1.2e-16
+
+    def test_phase_fix_ties_within_four_ulp_go_high(self):
+        """|v3| = |v0| (1 - 2 ulp) ties with |v0|, and the tie goes to index 3; 8 ulp apart
+        they do not tie.  In the PT-symmetric phase |v0| = |v3| exactly, so rounding
+        alone would otherwise pick the pivot."""
+        below = np.nextafter(np.nextafter(0.6, 0.0), 0.0)
+        fixed = spectrum._phase_fix(np.array([-0.6, 0.1, 0.2j, 1j * below]))
+        assert fixed[3] == below and fixed[0] == 0.6j
+        apart = 0.6 - 8 * np.spacing(0.6)
+        fixed = spectrum._phase_fix(np.array([-0.6, 0.1, 0.2j, 1j * apart]))
+        assert fixed[0] == 0.6 and fixed[3] == -1j * apart
 
     def test_phase_convention(self):
         vecs = eigenvectors_closed_form(SystemParams(2.0, 0.7, 1.0))
@@ -202,17 +217,6 @@ def _seeded_points(n, seed=20261018):
                          rng.uniform(0.0, 1.5)) for _ in range(n)]
 
 
-def _assert_same_vector(got, want):
-    """Within 1e-14; where two amplitudes tie in magnitude to rounding (|r1| = 1 in
-    the unbroken phase), the phase fix may pivot on either, so up to that phase."""
-    if np.max(np.abs(got - want)) <= 1e-14:
-        return
-    second, first = np.sort(np.abs(want))[-2:]
-    assert first - second <= 4e-16
-    phase = np.vdot(want, got)
-    assert np.max(np.abs(got - want * phase / abs(phase))) <= 1e-14
-
-
 def _eigenpairs_of(points):
     """_closed_form_eigenpairs of points, with the eigenvalues their instances solve."""
     values = np.array([eigenvalues_closed_form(p) for p in points])
@@ -223,24 +227,27 @@ class TestBatchedEigenpairs:
     """_closed_form_eigenpairs on a leading axis of points against the per-point loop."""
 
     @pytest.mark.parametrize("sweep", FIG_SWEEPS + ["seeded"])
-    def test_matches_per_point_reference(self, sweep):
+    def test_matches_40_digit_reference(self, sweep):
+        """Each sector vector within 1e-14 of the 40-digit null vector (tests/mp_reference.py)
+        once their phases are aligned; the residual is ||Hv - Ev|| of the 4x4 H."""
         points = _seeded_points(400) if sweep == "seeded" else fig_sweep_points(*sweep)
         values = np.array([eigenvalues_closed_form(p) for p in points])
-        keep = _min_gap(values) >= 1e-4  # the points a sense sweep solves
+        keep = _sector_gap(values) >= 1e-4  # the points a sense sweep solves
         points = [p for p, k in zip(points, keep) if k]
-        vecs, h, residuals = _closed_form_eigenpairs(_rates(points), values[keep])
-        assert vecs.shape == h.shape == (len(points), 4, 4) and residuals.shape == (len(points),)
-        for p, v, hp, res, e in zip(points, vecs, h, residuals, values[keep]):
-            want, want_res = eigenpairs_reference(p, e)
-            for got_k, want_k in zip(v, want):
-                _assert_same_vector(got_k, want_k)
-            assert hp.tobytes() == build_hamiltonian(p).tobytes()
-            assert res == pytest.approx(want_res, rel=0.5, abs=1e-15)
+        vecs, residuals = _closed_form_eigenpairs(_rates(points), values[keep])
+        assert vecs.shape == (len(points), 4, 4) and residuals.shape == (len(points),)
+        for p, v, res, e in zip(points, vecs, residuals, values[keep]):
+            want = mp_reference.sector_eigenvectors(p.omega, p.j, p.gamma, e)
+            errors = [vector_error(got, ref) for got, ref in zip(v[1:], want)]
+            assert max(errors) <= 1e-14, (p, errors)
+            h = build_hamiltonian(p)
+            assert res == pytest.approx(max(np.linalg.norm(h @ v[k] - e[k] * v[k])
+                                            for k in range(4)), rel=0.5, abs=1e-15), p
 
     def test_a_point_does_not_depend_on_its_batch(self):
         points = fig_sweep_points(*FIG_SWEEPS[0]) + _seeded_points(50)
         values = np.array([eigenvalues_closed_form(p) for p in points])
-        keep = _min_gap(values) >= 1e-4
+        keep = _sector_gap(values) >= 1e-4
         points, values = [p for p, k in zip(points, keep) if k], values[keep]
         batch = _closed_form_eigenpairs(_rates(points), values)
         for i, p in enumerate(points):
@@ -248,21 +255,42 @@ class TestBatchedEigenpairs:
             assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
         assert eigenvectors_closed_form(points[7]).tobytes() == batch[0][7].tobytes()
 
-    def test_min_gap_on_last_axis(self):
+    def test_sector_gap_on_last_axis(self):
         values = np.array([eigenvalues_closed_form(p) for p in _seeded_points(20)])
-        gaps = _min_gap(values.reshape(4, 5, 4))
+        gaps = _sector_gap(values.reshape(4, 5, 4))
         assert gaps.shape == (4, 5)
-        assert gaps.reshape(-1).tolist() == [_min_gap(v) for v in values]
+        assert gaps.reshape(-1).tolist() == [sector_gap(v) for v in values]
 
     def test_near_defective_names_first_failing_point(self):
-        # at omega << gamma the coefficients divide a 1e-15 gap by omega
-        good, bad = SystemParams(2.0, 0.4, 1.0), [SystemParams(1e-7, 0.3, 1.0),
-                                                   SystemParams(1e-6, 0.3, 1.0)]
+        """A root 1e-6 off leaves a residual of about that size: the first such point of
+        a batch is named, as a batch of one names it."""
+        points = [SystemParams(2.0, 0.4, 1.0), SystemParams(1.7, 0.3, 1.0),
+                  SystemParams(1.5, 0.2, 1.0)]
+        values = np.array([eigenvalues_closed_form(p) for p in points])
+        values[1:, 2] += 1e-6
         with pytest.raises(NearDefectiveError) as single:
-            eigenvectors_closed_form(bad[0])
+            eigenvectors_closed_form(points[1], values[1])
         with pytest.raises(NearDefectiveError) as batch:
-            _eigenpairs_of([good] + bad)
+            _closed_form_eigenpairs(_rates(points), values)
         assert str(batch.value) == str(single.value)
+        assert "omega=1.7, j=0.3," in str(batch.value)
+
+    @pytest.mark.parametrize("band", [(0.0, 0.0), (1e-16, 1e-12), (1e-12, 1e-9), (1e-9, 1e-6),
+                                      (1e-6, 1e-4)])
+    def test_small_omega_answers(self, band):
+        """The omega ~ 0 refusal table's draws (gamma = 1, j uniform in [0.01, 1.2], omega
+        log-uniform in the band, 300 seeded draws): no point is refused, and every
+        sector vector is within 1e-14 of the 40-digit one."""
+        rng = np.random.default_rng(20260809)
+        lo, hi = band
+        for _ in range(300):
+            om = 0.0 if hi == 0 else math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            p = SystemParams(om, rng.uniform(0.01, 1.2), 1.0)
+            values = eigenvalues_closed_form(p)
+            want = mp_reference.sector_eigenvectors(p.omega, p.j, p.gamma, values)
+            errors = [vector_error(got, ref)
+                      for got, ref in zip(eigenvectors_closed_form(p)[1:], want)]
+            assert max(errors) <= 1e-14, (p, errors)
 
 
 @pytest.mark.parametrize("call", [
@@ -295,7 +323,7 @@ class TestToleranceScale:
 
     def test_named_large_point_solves(self):
         params = SystemParams(2e8, 0.4e8, 1e8)  # residual 4.6e-7 = 2.3e-15 in rate units
-        vecs, h, residuals = _eigenpairs_of([params])
+        vecs, residuals = _eigenpairs_of([params])
         assert residuals[0] < 1e-14 * 2e8
         assert spectrum_closed_form(params).max_residual == residuals[0]
 
@@ -474,7 +502,7 @@ def _classify_reference(params):
     max_imag, broken = spectrum._phase_probe(values, scale)
     if broken:
         return PhaseLabel(Phase.PT_BROKEN, float(max_imag))
-    if _min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP * scale:
+    if min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP * scale:
         return PhaseLabel(Phase.NEAR_EP, float(max_imag))
     return PhaseLabel(Phase.PT_SYMMETRIC, float(max_imag))
 
@@ -571,7 +599,7 @@ class TestScalarBatchPhaseAgreement:
         values = np.array([eigenvalues_closed_form(p) for p in points])
         scales = np.array([spectrum._rate_scale(p) for p in points])
         max_imag, broken = spectrum._phase_probe(values, scales)
-        near = ~broken & spectrum._near_ep(_min_gap(values), scales)
+        near = ~broken & spectrum._near_ep(np.array([min_gap(v) for v in values]), scales)
         labels = [classify_phase(p) for p in points]
         assert [lab.phase is Phase.PT_BROKEN for lab in labels] == broken.tolist()
         assert [lab.phase is Phase.NEAR_EP for lab in labels] == near.tolist()
@@ -679,18 +707,15 @@ class TestEigenpairMemo:
         points = _spectra_pool(200, 14)
         refused = 0
         for p in points:
-            try:
-                spectrum_closed_form(p)
-            except OmegaSingularError:
-                spectrum_oracle(p)
+            spectrum_closed_form(p)
             try:
                 for s in (3, 4):
                     entanglement.eigenstate_concurrence_wootters(p, s)
                     entanglement.eigenstate_concurrence_closed(p, s, check=False)
             except OmegaSingularError:
                 refused += 1
-        assert refused == 10  # the omega = 0 points: refused, solved again, not stored
-        assert pair_solves() == len(points) + refused
+        assert refused == 10  # the omega = 0 points: the radical form divides by omega
+        assert pair_solves() == len(points)
 
     def test_returned_arrays_are_copies(self, pair_solves):
         p = SystemParams(1.7, 0.45, 1.0)
@@ -704,15 +729,16 @@ class TestEigenpairMemo:
         assert entanglement.eigenstate_concurrence_wootters(p, 3) == concurrence_pure(want[2])
         assert pair_solves() == 1
 
-    @pytest.mark.parametrize("params", [SystemParams(0.0, 0.3, 1.0), SystemParams(1e-7, 0.3, 1.0)],
-                             ids=["omega-singular", "near-defective"])
-    def test_errors_are_not_stored(self, pair_solves, params):
+    def test_errors_are_not_stored(self, pair_solves, monkeypatch):
+        """With every residual tolerance at 0 the point is near-defective on each call."""
+        monkeypatch.setattr(spectrum, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(spectrum, "NEAR_EP_RESIDUAL_TOL", 0.0)
+        params = SystemParams(1.7, 0.3, 1.0)
         calls = [eigenvectors_closed_form, spectrum_closed_form,
                  lambda p: entanglement.eigenstate_concurrence_wootters(p, 3)]
         for k, call in enumerate(calls * 2, start=1):
-            with pytest.raises((OmegaSingularError, NearDefectiveError)) as err:
+            with pytest.raises(NearDefectiveError):
                 call(params)
-            assert isinstance(err.value, OmegaSingularError) == (params.omega == 0.0)
             assert pair_solves() == k
         assert spectrum._EIGENPAIR_KEY not in vars(params)
         assert set(vars(params)) <= {"omega", "j", "gamma", spectrum._MEMO_KEY}
@@ -778,9 +804,7 @@ class TestEigenpairMemo:
 
     def test_stored_and_fresh_solves_are_bitwise_equal(self):
         for p in _seeded_points(60) + _spectra_pool(60, 15):
-            if p.omega == 0.0:
-                continue
-            vecs, h, residuals = _eigenpairs_of([SystemParams(p.omega, p.j, p.gamma)])
+            vecs, residuals = _eigenpairs_of([SystemParams(p.omega, p.j, p.gamma)])
             for _ in range(2):  # solved, then from the store
                 try:
                     spec = spectrum_closed_form(p)
@@ -793,9 +817,9 @@ class TestEigenpairMemo:
                 if spec is not None:
                     assert spec.eigenvectors.tobytes() == vecs[0].tobytes()
                     assert _bits(spec.max_residual) == _bits(residuals[0])
-                stored_vecs, stored_h, stored_residual = spectrum._eigenpair(p)
-                assert stored_h.tobytes() == h[0].tobytes() == build_hamiltonian(p).tobytes()
-                assert not stored_vecs.flags.writeable and not stored_h.flags.writeable
+                stored_vecs, stored_residual = spectrum._eigenpair(p)
+                assert stored_vecs.tobytes() == vecs[0].tobytes()
+                assert not stored_vecs.flags.writeable
                 assert _bits(stored_residual) == _bits(residuals[0])
 
 
@@ -1078,10 +1102,10 @@ def _spectrum_closed_form_reference(params):
     """spectrum_closed_form as it was when it ran the full oracle, verbatim but for
     module-qualified names."""
     values = eigenvalues_closed_form(params)
-    vecs, h, residual = spectrum._eigenpair(params)
-    oracle = eigensystem_oracle(h, deflate_root=-params.j)
+    vecs, residual = spectrum._eigenpair(params)
+    oracle = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
     dev = pairing_distance(values, oracle.eigenvalues)
-    if dev > 1e-9 * spectrum._tolerance_scale(_rates([params]))[0]:
+    if dev > 1e-9 * _rate_unit(params):
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
     return spectrum.Spectrum(values, vecs.copy(), Source.CLOSED_FORM, residual)
 
@@ -1133,24 +1157,18 @@ class TestCrossCheckStage:
             want = _cross_check_outcome(_spectrum_closed_form_reference, p)
             assert _cross_check_outcome(spectrum_closed_form, p) == want, p
             classes.add(want[0] if isinstance(want[0], type) else Source)
-        assert classes == {Source, OmegaSingularError, NearDefectiveError, NoConvergenceError}
+        assert classes == {Source, NoConvergenceError}  # near-EP points refuse; omega ~ 0 answers
 
     def test_hermitian_small_omega_answers(self):
-        """At gamma = 0 and omega ~ 1e-6..1e-4 the singlet and E2 are a near-double root
-        of a normal H, which eig resolves: the cross-check answers wherever the closed
-        form's eigenvectors do, within 1e-9 of the 40-digit spectrum."""
-        answered = 0
+        """At gamma = 0 and omega from 0 to 1e-4 the singlet and E2 are a near-double root
+        of a normal H, which eig resolves: the cross-check answers at every point, within
+        1e-9 of the 40-digit spectrum."""
         for om in _SMALL_OMEGAS:
             for j in (0.3, 1.1):
                 p = SystemParams(om, j, 0.0)
-                try:
-                    spec = spectrum_closed_form(p)
-                except (OmegaSingularError, NearDefectiveError):
-                    continue
+                spec = spectrum_closed_form(p)
                 reference = mp_reference.hamiltonian_eigenvalues(om, j, 0.0)
                 assert pairing_distance(spec.eigenvalues, reference) <= 1e-9 * _rate_unit(p), p
-                answered += 1
-        assert answered >= 40
 
     def test_answers_at_an_exact_double_root(self):
         """At a located j_c where the closed form's pair is an exact double root (z = 0),
