@@ -18,6 +18,13 @@ inputs built for it and not timed:
   1e-9 per pass;
 - spectrum_closed_form_1: `spectrum_closed_form` of a fresh SystemParams(1.7,
   0.3 + 1e-9 k), which solves it and cross-checks it against the oracle;
+- solve_200, solve_200_tiny, solve_200_huge: `eigenvalues_closed_form` of 200 fresh
+  SystemParams of fig7a's sweep at j = 0.3 + 1e-9 k, with every rate times 1,
+  2**-600 and 2**600: the scalar solve in the unit-scale window and through the
+  scale boundary both ways;
+- eigenpair_1, eigenpair_1_tiny, eigenpair_1_huge: `eigenvectors_closed_form` of
+  fig7a's first point at the same three scales, its eigenvalues solved beforehand:
+  the one-point eigenpair kernel with and without the boundary's rescaling;
 - step_factors_<n>, n = 1000, 2500, 4096: `dynamics._step_factors` (the
   per-run block heads and first block of step powers) of the RK4 step matrix
   at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved by 1e-9 per
@@ -39,7 +46,8 @@ A writer layer joins the blocks into the bytes the CLI writes (a block of text
 is encoded as the CLI encodes it).
 
 Each layer prints one JSON line, {"layer", "best_ms", "passes"}.  A layer
-whose kernel the imported ptqsim lacks is left out.
+whose kernel the imported ptqsim lacks, or refuses the layer's inputs, is left
+out.
 
 --against REV exports REV's tracked files with `git archive` (as
 scripts/bench_pairs.py does), then runs this script R times (default 3) in a
@@ -79,6 +87,7 @@ def measure(passes: int) -> list[dict]:
 
     from ptqsim import dynamics, sensing, spectrum
     from ptqsim.cli import _csv_blocks
+    from ptqsim.errors import PtqsimError
     from ptqsim.dynamics import _integrate, _rk4_step_matrix, initial_state
     from ptqsim.model import SystemParams, _Point, build_hamiltonian
 
@@ -106,6 +115,22 @@ def measure(passes: int) -> list[dict]:
                                    sensing.sensing_sweep)
     layers["spectrum_closed_form_1"] = (lambda k: (SystemParams(1.7, 0.3 + 1e-9 * k),),
                                         spectrum.spectrum_closed_form)
+
+    def fig7a_points(n, k, s):
+        """n fresh SystemParams of fig7a's sweep at j = 0.3 + 1e-9 k, every rate times s."""
+        return [SystemParams(om * s, (0.3 + 1e-9 * k) * s, s)
+                for om in np.linspace(1.4, 2.0, n).tolist()]
+
+    def with_values(k, s):
+        (point,) = fig7a_points(1, k, s)
+        return point, spectrum.eigenvalues_closed_form(point)
+
+    for suffix, s in (("", 1.0), ("_tiny", 2.0**-600), ("_huge", 2.0**600)):
+        layers[f"solve_200{suffix}"] = (
+            lambda k, s=s: (fig7a_points(200, k, s),),
+            lambda points: [spectrum.eigenvalues_closed_form(p) for p in points])
+        layers[f"eigenpair_1{suffix}"] = (lambda k, s=s: with_values(k, s),
+                                          spectrum.eigenvectors_closed_form)
     factors, span = (getattr(dynamics, name, None) for name in ("_step_factors", "_span"))
     if factors and span:
         for n in CHUNK_SIZES:
@@ -131,8 +156,14 @@ def measure(passes: int) -> list[dict]:
 
     layers["csv_blocks_30001"] = (lambda k: (rng.random((30_001, 4)),), csv_bytes)
     layers["csv_blocks_evolve_30001"] = (evolve_like, csv_bytes)
-    return [{"layer": name, "best_ms": _best_ms(make, run, passes), "passes": passes}
-            for name, (make, run) in layers.items()]
+    records = []
+    for name, (make, run) in layers.items():
+        try:
+            run(*make(0))
+        except PtqsimError:  # a tree that refuses the layer's inputs lacks the layer
+            continue
+        records.append({"layer": name, "best_ms": _best_ms(make, run, passes), "passes": passes})
+    return records
 
 
 def _run_side(src: Path, passes: int) -> dict[str, float]:

@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .dynamics import (
     Trajectory,
     detect_revivals,
-    detect_steady_state,
     dominant_eigenvector,
     exact_state,
     initial_state,
-    passive_pt_map,
     propagate,
 )
 from .entanglement import (
@@ -26,7 +24,6 @@ from .entanglement import (
 )
 from .ep import EpCurveEntry, EpPoint, coalesced_eigenvector, ep_curve, ep_residual, locate_ep
 from .model import (
-    BASIS_LABELS,
     PARITY,
     SIGMA_X,
     SIGMA_Y,
@@ -34,8 +31,6 @@ from .model import (
     SIGMA_Z,
     SystemParams,
     build_hamiltonian,
-    pt_residual_of_matrix,
-    pt_symmetry_residual,
 )
 from .sensing import (
     SensingPoint,

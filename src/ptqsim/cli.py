@@ -415,11 +415,11 @@ def cmd_revivals(args) -> int:
 def cmd_qfi(args) -> int:
     params = _params_from(args)
     kappa = args.sweep_axis or "omega"
-    f, coh, var = _sense_point(params, kappa)
+    f, coh, var, cr = _sense_point(params, kappa)
     results = {
         "kappa": kappa,
         "qfi": f,
-        "cr_bound": 1.0 / math.sqrt(f),
+        "cr_bound": cr,
         "variance_sq": var,
         "inv_variance_sq": 1.0 / var if var else float("nan"),
         "coherence": coh,
@@ -478,7 +478,7 @@ def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     fix = "omega" if axis == "j" else "j"
     point = locate_ep(fix, fixed_value, sweep)
     xs = np.linspace(sweep[0], sweep[1], n)
-    rates = np.ones((3, n))  # (omega, j, gamma = 1)
+    rates = np.ones((3, n))  # (omega, j, gamma = 1): every rate below 4, at unit scale
     rates[int(axis == "j")], rates[int(fix == "j")] = xs, fixed_value
     values = np.array([_solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()])
     v = _closed_form_eigenpairs(rates, values)[0][:, 2:]  # Psi3, Psi4: concurrence_pure's rows

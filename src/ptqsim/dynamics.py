@@ -1,5 +1,5 @@
 """Non-unitary time evolution with per-step renormalization, steady-state and
-collapse/revival detection, and the passive gain/loss rescaling map.
+collapse/revival detection.
 
 The integrator is the classical fixed-step 4th-order scheme; for a
 time-independent generator its one-step map P is the quartic Taylor matrix of
@@ -310,11 +310,6 @@ def steady_state_of_series(times, values, window: float, tol: float):
     return float(times[start]), float(values[start:].mean())
 
 
-def detect_steady_state(traj: Trajectory, window: float, tol: float):
-    """Steady concurrence of a trajectory; None when oscillations persist."""
-    return steady_state_of_series(traj.times, traj.concurrence, window, tol)
-
-
 def envelope_of_series(times, values, window: float) -> np.ndarray:
     """Sliding-window maxima (forward-looking, end-padded with the final value)."""
     times = np.asarray(times, dtype=float)
@@ -351,15 +346,3 @@ def detect_revivals(
     return revival_times_of_series(
         traj.times, traj.concurrence, envelope_window, collapse_fraction
     )
-
-
-def passive_pt_map(rho_eff, gamma: float, t: float) -> np.ndarray:
-    """Rescale a pure-loss evolved matrix onto the balanced gain/loss picture.
-
-    Returns exp(2*gamma*t) * rho_eff; generally not trace-one, the caller
-    renormalizes.
-    """
-    if t < 0 or gamma < 0:
-        raise ValueError("require t >= 0 and gamma >= 0")
-    rho_eff = np.asarray(rho_eff, dtype=complex)
-    return np.exp(2.0 * gamma * t) * rho_eff

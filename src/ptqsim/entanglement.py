@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DiscrepancyError, InvalidDensityError, OmegaSingularError
 from .model import SIGMA_YY, SystemParams, as_unit_state
-from .spectrum import _EPS, eigenvalues_closed_form, eigenvectors_closed_form
+from .spectrum import _EPS, _eigenvalues, _unit_point, eigenvectors_closed_form
 
 
 def _validate_density(rho: np.ndarray) -> tuple:
@@ -62,16 +62,17 @@ def concurrence_pure(psi) -> float:
 
 def _radical_coefficients(params: SystemParams, s: int):
     """(r1, r2, |N|^2) of the paper's radical form N(1, r2, r2, r1) of eigenstate s in {3, 4}:
-    r2 = -d/omega, r1 = -2(j + E)d/omega^2 - 1, d = j - E + i*gamma; |omega| <= 1e-12 raises
-    OmegaSingularError."""
+    r2 = -d/omega, r1 = -2(j + E)d/omega^2 - 1, d = j - E + i*gamma, all scale-free and taken
+    at unit scale (spectrum._unit_point), where |omega| <= 1e-12 raises OmegaSingularError."""
     if s not in (3, 4):
         raise ValueError(f"s must be 3 or 4, got {s}")
-    omega, j = params.omega, params.j
+    unit = _unit_point(params)[1]
+    omega, j = unit.omega, unit.j
     if abs(omega) <= 1e-12:
         raise OmegaSingularError(
-            f"the radical coefficients divide by omega (omega={omega})")
-    e = eigenvalues_closed_form(params)[s - 1]
-    d = j - e + 1j * params.gamma
+            f"the radical coefficients divide by omega (omega={params.omega})")
+    e = np.complex128(_eigenvalues(params)[1][s - 1])
+    d = j - e + 1j * unit.gamma
     r1, r2 = -2 * (j + e) * d / omega**2 - 1, -d / omega
     n2 = 1.0 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)  # |N|^2
     return r1, r2, n2

@@ -3,6 +3,7 @@
 E3 and E4 coalesce where the cubic invariant z, a quadratic in j**2, vanishes:
 the locator evaluates that root in closed form.  The phase label only checks the
 bracket and picks the unbroken side; the radical's residuals certify the point.
+Each step runs at unit scale (spectrum._unit_point).
 """
 from __future__ import annotations
 
@@ -17,12 +18,15 @@ from .errors import (
     NotAtEpError,
     NotConvergedError,
 )
-from .model import SystemParams
+from .model import SystemParams, _Point
 from .spectrum import (
+    _at_rates,
     _closed_form_eigenpairs,
+    _eigenvalues,
     _probe_point,
+    _rates,
+    _unit_point,
     auxiliary_quantities,
-    eigenvalues_closed_form,
 )
 
 
@@ -57,10 +61,13 @@ class EpCurveEntry:
 
 
 def ep_residual(params: SystemParams) -> tuple[float, float]:
-    """Certificate pair (residual_theta, residual_x); both vanish exactly at EPs."""
-    aux = auxiliary_quantities(params)
+    """Certificate pair (residual_theta, residual_x); both vanish exactly at EPs.
+
+    Taken at unit scale (_unit_point); residual_x maps back by 4**E."""
+    e, unit = _unit_point(params)
+    aux = auxiliary_quantities(unit)
     res_theta = aux.theta_y - (np.pi / 3) * np.round(aux.theta_y / (np.pi / 3))
-    return float(res_theta), float(aux.x - aux.r**2)
+    return float(res_theta), float(_at_rates(aux.x - aux.r**2, 2 * e, params, "residual_x"))
 
 
 def _critical_square(fix: str, value: float, gamma: float) -> float:
@@ -97,6 +104,7 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
     other way round).  NoSignChangeError unless the bracket ends lie in different
     phases and the root whose sign fits the bracket lies in it.  A root probed
     broken steps toward the unbroken end, 1, 3, 7, ... ulp; `gap` is the last probe's.
+    The root is solved at the unit scale of (value, gamma), the point certified at its own.
     """
     if fix not in ("omega", "j"):
         raise ValueError(f"fix must be 'omega' or 'j', got {fix!r}")
@@ -106,38 +114,45 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
 
     def probe(x):
-        """(point, its eigenvalues, PT-broken) at swept = x."""
+        """(point, its E, its unit-scale eigenvalues, PT-broken) at swept = x."""
         found = SystemParams(**{fix: value, swept: x}, gamma=gamma)
-        values, _, _, broken = _probe_point(found)
-        return found, values, broken
+        e, values, _, broken = _probe_point(found)
+        return found, e, values, broken
 
-    broken_lo = probe(lo)[2]
-    if broken_lo == probe(hi)[2]:
+    broken_lo = probe(lo)[3]
+    if broken_lo == probe(hi)[3]:
         raise NoSignChangeError(f"both bracket ends are in the same phase at "
                                 f"{fix}={value} (broken={broken_lo})")
-    square = _critical_square(fix, value, gamma)
-    root = math.sqrt(square) if square >= 0 else math.nan
+    e, unit = _unit_point(_Point(value, 0.0, gamma))  # the fixed rates' scale
+    square = _critical_square(fix, unit.omega, unit.gamma)
+    root = math.ldexp(math.sqrt(square), e) if square >= 0 else math.nan
     inside = [x for x in (root, -root) if lo <= x <= hi]
     if not inside:
         raise NoSignChangeError(f"the critical {swept} +-{root} at {fix}={value} "
                                 f"lies outside the bracket {lo}:{hi}")
     x, unbroken = inside[0], (hi if broken_lo else lo)
     while True:
-        found, values, broken = probe(x)
+        found, e, values, broken = probe(x)
         if not broken or x == unbroken:
             break
         x = float(np.clip(np.nextafter(2 * x - inside[0], unbroken), lo, hi))
-    res_theta, res_x = ep_residual(found)
-    point = EpPoint(
-        j_c=found.j, omega_c=found.omega, gamma=found.gamma,
-        residual_theta=res_theta, residual_x=res_x,
-        gap=float(abs(values[2] - values[3])), e_degenerate=complex(0.5 * (values[2] + values[3])),
-    )
+    unit = _unit_point(found)[1]
+    point = EpPoint(unit.j, unit.omega, unit.gamma, *ep_residual(unit),
+                    abs(values[2] - values[3]), 0.5 * (values[2] + values[3]))
     _check_point(point)
-    return point
+    return _at_scale(point, found, e)
+
+
+def _at_scale(point: EpPoint, params, e: int) -> EpPoint:
+    """point at params' rates, its gap and e_degenerate times 2**e and residual_x times 4**e."""
+    return EpPoint(params.j, params.omega, params.gamma, point.residual_theta,
+                   float(_at_rates(point.residual_x, 2 * e, params, "residual_x")),
+                   float(_at_rates(point.gap, e, params, "the gap")),
+                   complex(_at_rates(point.e_degenerate, e, params, "e_degenerate")))
 
 
 def _check_point(point: EpPoint):
+    """The EP certificate of a point at unit scale."""
     if (
         abs(point.residual_theta) > 1e-6
         or abs(point.residual_x) > 1e-6
@@ -151,9 +166,9 @@ def _check_point(point: EpPoint):
 
 
 def ep_order_is_two(point: EpPoint) -> bool:
-    """Exactly one coalescing pair (E3, E4); every other pair stays more than 1e-3 apart."""
-    values = eigenvalues_closed_form(point.params())
-    e1, e2, e3, e4 = values
+    """Exactly one coalescing pair (E3, E4); every other pair stays more than 1e-3 apart
+    (at unit scale)."""
+    e1, e2, e3, e4 = _eigenvalues(point.params())[1]
     others = [abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4)]
     return abs(e3 - e4) <= 1e-6 and min(others) > 1e-3
 
@@ -193,14 +208,12 @@ def ep_curve(
 
 def coalesced_eigenvector(ep: EpPoint) -> np.ndarray:
     """The single eigenvector both branches collapse onto at the EP: the sector block less
-    the degenerate eigenvalue keeps rank 2 there (spectrum._sector_eigenvectors)."""
-    _check_point_or_raise(ep)
-    rates = np.array([[ep.omega_c], [ep.j_c], [ep.gamma]])
-    return _closed_form_eigenpairs(rates, np.full((1, 4), ep.e_degenerate))[0][0, 2]
-
-
-def _check_point_or_raise(point: EpPoint):
+    the degenerate eigenvalue keeps rank 2 there (spectrum._sector_eigenvectors).  The
+    point is certified and solved at unit scale; NotAtEpError where it fails."""
+    e, unit = _unit_point(ep.params())
+    point = _at_scale(ep, unit, -e)
     try:
         _check_point(point)
     except NotConvergedError as exc:
         raise NotAtEpError(str(exc)) from None
+    return _closed_form_eigenpairs(_rates([unit]), np.full((1, 4), point.e_degenerate), e)[0][0, 2]

@@ -64,7 +64,7 @@ class EmptyCurveError(NumericalError):
 
 
 class NonFiniteError(NumericalError):
-    """Values left the finite float range (propagated amplitudes, cubic invariants)."""
+    """Values left the finite float range (propagated amplitudes, rate-valued outputs)."""
 
 
 class EpTooCloseError(NumericalError):

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import NotNormalizedError
 
-BASIS_LABELS = ("00", "01", "10", "11")
 _NORM_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -25,8 +24,6 @@ SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 PARITY = np.kron(SIGMA_X, SIGMA_X)
 SIGMA_X1 = np.kron(SIGMA_X, IDENTITY_2)
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
-# Permutation exchanging the two qubit labels (basis index 1 <-> 2).
-EXCHANGE = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 @dataclass(frozen=True)
@@ -107,23 +104,6 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     """
     entries = _hamiltonian_entries(params.omega, params.j, params.gamma)
     return np.array((0.0, *entries))[_LAYOUT].view(complex)
-
-
-def pt_residual_of_matrix(h: np.ndarray) -> float:
-    """Max-entry magnitude of P*conj(H)*P - H for an arbitrary 4x4 matrix."""
-    h = np.asarray(h, dtype=complex)
-    return float(np.max(np.abs(PARITY @ h.conj() @ PARITY - h)))
-
-
-def pt_symmetry_residual(params: SystemParams) -> float:
-    """Defect of the combined parity/conjugation symmetry; zero for the model."""
-    return pt_residual_of_matrix(build_hamiltonian(params))
-
-
-def exchange_residual(params: SystemParams) -> float:
-    """Defect of qubit-exchange symmetry; zero for identical qubits."""
-    h = build_hamiltonian(params)
-    return float(np.max(np.abs(EXCHANGE @ h @ EXCHANGE - h)))
 
 
 def as_state(vec) -> np.ndarray:

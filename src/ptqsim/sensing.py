@@ -3,16 +3,19 @@ the single-qubit coherence error-propagation sensitivity.
 
 Both use the exact derivative of Psi3 from first-order perturbation theory in
 the exchange-symmetric sector (_psi3_derivative): no step size enters, and the
-Hermitian limit gives an exact zero.  Points whose smallest sector gap is below
-1e-4 (times the largest rate, when that is below 1) are refused as too close to
-an EP; the singlet never couples to Psi3, so its crossings are not.
+Hermitian limit gives an exact zero.  Every point is solved and decided at unit
+scale (spectrum._unit_point): points whose smallest sector gap is below 1e-4
+there are refused as too close to an EP (the singlet never couples to Psi3, so
+its crossings are not), a coherence slope below 1e-12 there counts as zero, and
+the outputs map back by ldexp: the QFI by 4**-E, the variance by 4**E and the
+Cramer-Rao bound by 2**E.
 qfi_from_states keeps the central-difference form (states phase-aligned by
 overlap) as an independent reference.
 
 The kernels work on a leading axis of points, given as their (3, n) array of
 (omega, j, gamma) rates.  A sweep solves each grid point's eigenvalues once
 (the scalar closed-form kernel on a _Point record, its only per-point Python
-call), then works on the rate array: the finite-value check, the refusal
+call), then works on the unit-scale rate array: the finite-value check, the refusal
 (too close to an EP) as a mask, one closed-form eigenpair solve for every
 point's sector vectors, and one (psi, dpsi) batch for the QFI, the
 coherence and its variance together.  qfi, sensitivity_variance and
@@ -23,8 +26,8 @@ same closed-form eigenvalues.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -32,22 +35,22 @@ from .errors import EpTooCloseError, NonFiniteError, NumericalError, PtqsimError
 from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
+    _eigenvalues,
     _phase_probe,
-    _rate_scale,
-    _rate_scales,
     _rates,
     _sector_gap,
     _solve_eigenvalues,
-    eigenvalues_closed_form,
+    _unit_point,
+    _unit_rates,
 )
 
 KAPPAS = ("j", "omega")
-#: Smallest symmetric-sector gap at which the derivative of Psi3 is still computed.
+#: Smallest unit-scale symmetric-sector gap at which the derivative of Psi3 is still computed.
 _EP_GUARD_GAP = 1e-4
 #: dH/d kappa: sigma_z (x) sigma_z for j, (sigma_x (x) 1 + 1 (x) sigma_x)/2 for omega.
 _DH = {"j": np.diag([1.0, -1.0, -1.0, 1.0]),
        "omega": np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]) / 2}
-#: Smallest |d<sigma_x^1>/d kappa| at which the coherence variance is defined.
+#: Smallest unit-scale |d<sigma_x^1>/d kappa| at which the coherence variance is defined.
 _MIN_SLOPE = 1e-12
 
 
@@ -113,30 +116,31 @@ def _coherence(psi: np.ndarray) -> np.ndarray:
     return value.real
 
 
-def _clear_of_ep(gap, scale):
-    """The EP guard: the smallest symmetric-sector gap reaches _EP_GUARD_GAP times the
-    rate scale (_rate_scale), elementwise; neither a NaN gap nor a zero one (H = 0) clears it.
-    """
-    return (gap > 0) & (gap >= _EP_GUARD_GAP * scale)
+def _clear_of_ep(gap):
+    """The EP guard: the smallest unit-scale symmetric-sector gap reaches _EP_GUARD_GAP,
+    elementwise; a NaN gap does not clear it."""
+    return gap >= _EP_GUARD_GAP
 
 
-def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """The point's (3, 1) rates and (1, 4) closed-form E1..E4; raises EpTooCloseError
-    where the EP guard refuses it."""
-    values = eigenvalues_closed_form(params)[None]
-    gap, scale = float(_sector_gap(values)[0]), _rate_scale(params)
-    if not _clear_of_ep(gap, scale):
+def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The point's unit-scale (3, 1) rates, (1, 4) E1..E4 and (1,) exponent E (_unit_point);
+    raises EpTooCloseError where the EP guard refuses it."""
+    e, values = _eigenvalues(params)
+    values = np.array([values], dtype=complex)
+    gap = float(_sector_gap(values)[0])
+    if not _clear_of_ep(gap):
         raise EpTooCloseError(
-            f"eigenvalue gap {gap:.3e} below {_EP_GUARD_GAP * scale:.0e}; "
+            f"eigenvalue gap {math.ldexp(gap, e):.3e} below {math.ldexp(_EP_GUARD_GAP, e):.0e}; "
             "derivative ill-defined this close to the EP")
-    return _rates([params]), values
+    return _rates([_unit_point(params)[1]]), values, np.array([e])
 
 
 def _psi3_derivative(
-    rates: np.ndarray, kappa: str, values: np.ndarray
+    rates: np.ndarray, kappa: str, values: np.ndarray, exps=0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi) rows: each point's unit Psi3 and its exact kappa-derivative, less its part
-    along psi, of (3, n) rates and (n, 4) closed-form E1..E4 that the EP guard clears.
+    along psi, of unit-scale (3, n) rates and (n, 4) E1..E4 that the EP guard clears
+    (exps, the points' exponents E, name a near-defective point's rates).
 
     H is complex symmetric, so its eigenvectors u_k are orthogonal in u^T v, and
     dpsi = sum_{k = 2, 4} (u_k^T dH psi) / ((E3 - E_k) u_k^T u_k) u_k; dH keeps the
@@ -144,62 +148,63 @@ def _psi3_derivative(
     slope ignore multiples of psi (normalization, phase); the part along psi is
     removed before the QFI subtracts it, since next to an EP it outgrows the rest.
     """
-    vecs = _closed_form_eigenpairs(rates, values)[0]
+    vecs = _closed_form_eigenpairs(rates, values, exps)[0]
     psi, u = vecs[:, 2], vecs[:, 1::2]
     coupling = (u * (psi @ _DH[kappa])[:, None]).sum(axis=-1)
-    with np.errstate(all="ignore"):  # rates near the float range's ends: checked by _sense_rows
-        weight = coupling / ((values[:, 2:3] - values[:, 1::2]) * (u * u).sum(axis=-1))
-        dpsi = (weight[..., None] * u).sum(axis=1)
-        dpsi -= _rowdot(psi, dpsi)[:, None] * psi
+    weight = coupling / ((values[:, 2:3] - values[:, 1::2]) * (u * u).sum(axis=-1))
+    dpsi = (weight[..., None] * u).sum(axis=1)
+    dpsi -= _rowdot(psi, dpsi)[:, None] * psi
     return psi, dpsi
 
 
-def _variance(m0, slope):
-    """Error-propagation variance (1 - m0^2) / slope^2 of the coherence."""
-    return (1.0 - m0 * m0) / (slope * slope)
+def _sense_rows(rates: np.ndarray, kappa: str, values: np.ndarray, exps=0) -> tuple:
+    """(qfi, m0 = <sigma_x^1>, unit-scale slope d m0/d kappa, variance, CR bound) rows from
+    one batch of (psi, dpsi) at unit-scale (3, n) rates and (n, 4) E1..E4, mapped back by
+    the points' exponents exps (an int or an (n,) array).
 
-
-def _sense_rows(
-    rates: np.ndarray, kappa: str, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(qfi, m0 = <sigma_x^1>, d m0/d kappa) rows from one batch of (psi, dpsi).
-
-    Raises what _closed_form_eigenpairs and _coherence raise, then NonFiniteError for
-    the first point whose QFI or slope leaves the float range (the QFI grows as 1/rate^2).
+    The variance (1 - m0^2)/slope^2 is defined where the slope reaches _MIN_SLOPE.  Raises
+    what _closed_form_eigenpairs and _coherence raise, then NonFiniteError for the first
+    point whose QFI, or whose defined variance, leaves the float range (the QFI grows as
+    1/rate^2 and the variance as rate^2).
     """
-    psi, dpsi = _psi3_derivative(rates, kappa, values)
+    psi, dpsi = _psi3_derivative(rates, kappa, values, exps)
     m0 = _coherence(psi)
-    with np.errstate(all="ignore"):
-        slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
-        f = 4.0 * (_rowdot(dpsi, dpsi).real - abs(_rowdot(psi, dpsi)) ** 2)
-    finite = np.isfinite(f) & np.isfinite(slope)
+    slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
+    f = 4.0 * (_rowdot(dpsi, dpsi).real - abs(_rowdot(psi, dpsi)) ** 2)
+    with np.errstate(all="ignore"):  # a zero slope's variance, and the float range's ends
+        variance = np.ldexp((1.0 - m0 * m0) / (slope * slope), 2 * exps)
+        cr = np.ldexp(1.0 / np.sqrt(f), exps)
+        f = np.ldexp(f, -2 * exps)
+    finite = np.isfinite(f) & (np.isfinite(variance) | (np.abs(slope) < _MIN_SLOPE))
     if not finite.all():
-        omega, j, gamma = rates[:, np.argmin(finite)].tolist()
-        raise NonFiniteError(f"QFI of Psi3 leaves the float range at omega={omega}, j={j}, "
-                             f"gamma={gamma}")
-    return f, m0, slope
+        i = int(np.argmin(finite))
+        omega, j, gamma = np.ldexp(rates[:, i], np.broadcast_to(exps, finite.shape)[i]).tolist()
+        raise NonFiniteError(f"QFI of Psi3 or its variance leaves the float range at "
+                             f"omega={omega}, j={j}, gamma={gamma}")
+    return f, m0, slope, variance, cr
 
 
-def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float]:
-    """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2): a batch of one of _sense_rows.
+def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float, float]:
+    """(qfi, m0 = <sigma_x^1>, variance (1 - m0^2)/slope^2, CR bound): a batch of one of
+    _sense_rows.
 
     Raises the point's refusal (EpTooCloseError), then what _sense_rows raises, then
     ZeroSlopeError when the coherence does not move with kappa.
     """
-    rates, values = _guarded(params)
-    f, m0, slope = (float(a[0]) for a in _sense_rows(rates, kappa, values))
+    rates, values, exps = _guarded(params)
+    f, m0, slope, variance, cr = (float(a[0]) for a in _sense_rows(rates, kappa, values, exps))
     if abs(slope) < _MIN_SLOPE:
         raise ZeroSlopeError(
-            f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12; sensitivity undefined"
-        )
-    return f, m0, _variance(m0, slope)
+            f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12 at unit scale; "
+            "sensitivity undefined")
+    return f, m0, variance, cr
 
 
 def qfi(params: SystemParams, kappa: str) -> float:
     """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
     _check_kappa(kappa)
-    rates, values = _guarded(params)
-    return float(_sense_rows(rates, kappa, values)[0][0])
+    rates, values, exps = _guarded(params)
+    return float(_sense_rows(rates, kappa, values, exps)[0][0])
 
 
 def sensitivity_variance(params: SystemParams, kappa: str) -> float:
@@ -239,38 +244,28 @@ def sensing_sweep(
         raise ValueError(f"n = {n} sweep points (--n {n}) do not fit in memory") from None
     rate_lists[("omega", "j").index(kappa)] = xs
     finite = np.isfinite(grid)
-    first_bad = n if finite.all() else int(finite.argmin())
-
-    values, failure = [], None
-    try:
-        for point in islice(map(_Point, *rate_lists), first_bad):
-            values.append(_solve_eigenvalues(point))
-        if first_bad < n:
-            base.replace(**{kappa: xs[first_bad]})  # raises: SystemParams names the value
-    except (ValueError, NonFiniteError) as exc:
-        failure = exc  # raised after the points before it, as a per-point loop would
-    m = len(values)
-    rates = np.array(rate_lists)[:, :m]
-    values = np.array(values, dtype=complex).reshape(-1, 4)
-    scales = _rate_scales(rates)
-    too_close = ~_clear_of_ep(_sector_gap(values), scales)
+    m = n if finite.all() else int(finite.argmin())
+    rates, exps = _unit_rates(np.array(rate_lists)[:, :m])
+    values = np.array([_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())],
+                      dtype=complex).reshape(-1, 4)
+    too_close = ~_clear_of_ep(_sector_gap(values))
     flags = np.where(too_close, _flag(EpTooCloseError), None).tolist()
     kept = np.flatnonzero(~too_close)
-    f = m0 = slope = np.empty(0)
+    columns, slope = np.empty((4, 0)), np.empty(0)
     if len(kept):
-        f, m0, slope = _sense_rows_in_order(rates[:, kept], kappa, values[kept])
-    if failure is not None:
-        raise failure
+        f, m0, slope, variance, cr = _sense_rows_in_order(
+            rates[:, kept], kappa, values[kept], exps[kept])
+        columns = f, variance, m0, cr
+    if m < n:  # raised after the points before it, as a per-point loop would
+        base.replace(**{kappa: xs[m]})  # raises: SystemParams names the value
 
     payload = [(float("nan"),) * 4] * m
     moves = np.abs(slope) >= _MIN_SLOPE
-    f, m0, slope = f[moves], m0[moves], slope[moves]
-    columns = (f, _variance(m0, slope), m0, 1.0 / np.sqrt(f))
-    for k, row in zip(kept[moves].tolist(), zip(*(c.tolist() for c in columns))):
+    for k, row in zip(kept[moves].tolist(), zip(*(c[moves].tolist() for c in columns))):
         payload[k] = row
     for k in kept[~moves].tolist():
         flags[k] = _flag(ZeroSlopeError)
-    broken = _phase_probe(values, scales)[1]
+    broken = _phase_probe(values)[1]
     for i in np.flatnonzero(broken[:-1] != broken[1:]).tolist():
         for k in (i, i + 1):
             if flags[k] is None:
@@ -283,7 +278,7 @@ def _flag(error: type[PtqsimError]) -> str:
     return error.__name__.removesuffix("Error")
 
 
-def _sense_rows_in_order(rates, kappa, values):
+def _sense_rows_in_order(rates, kappa, values, exps):
     """_sense_rows of a sweep's unflagged points, raising what a per-point loop would.
 
     Each check names the first point it fails on, but two checks may fail on
@@ -291,8 +286,8 @@ def _sense_rows_in_order(rates, kappa, values):
     failing point in grid order.  A point's bits do not depend on its batch.
     """
     try:
-        return _sense_rows(rates, kappa, values)
+        return _sense_rows(rates, kappa, values, exps)
     except PtqsimError:
         for k in range(len(values)):
-            _sense_rows(rates[:, k:k + 1], kappa, values[k:k + 1])
+            _sense_rows(rates[:, k:k + 1], kappa, values[k:k + 1], exps[k:k + 1])
         raise

@@ -15,8 +15,15 @@ oracle, eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H
 and merges roots that rounding split (_oracle_roots); spectrum_closed_form
 cross-checks the closed form against its roots.
 
-The scalar kernel _eigenvalues, which the phase label and the EP locator call
-once per point, runs in Python floats and complexes (no numpy scalars or
+The spectrum scales exactly with the rates, so every kernel solves at one unit
+scale: _unit_point takes a point to its rates times 2**-E, E the even exponent
+that puts the largest rate in [1, 4) (0 where H = 0), every decision and
+tolerance applies there, and _at_rates maps the outputs back by ldexp (only an
+output that leaves the float range is refused).  A point in the window (every
+preset point) passes unchanged, and rates times 4**k give outputs times 4**k.
+
+The scalar kernel _solve_eigenvalues, which the phase label and the EP locator
+call once per point, runs in Python floats and complexes (no numpy scalars or
 arrays) and gives the bits of the numpy-scalar form that tests keep as its
 reference.  The cube roots stay np.cbrt: math.cbrt differs in the last bit.
 numpy divides a complex128 by 3 with Smith's algorithm, which multiplies by
@@ -26,14 +33,16 @@ unity, a numpy scalar there) and E2 on the z < 0 branch where the root was
 rotated by it.  Every other E2 is a true division there as here.
 
 A point is solved once: the first _eigenvalues call on a SystemParams instance
-stores its (E1, E2, E3, E4) tuple in that instance's attributes, and later calls
-on it (the phase label, eigenvalues_closed_form, the eigenpair batch, the EP
-probes) return the stored tuple.  The instance is frozen, so the tuple cannot
-go stale, and replace() builds a new instance.  The store is keyed by the
-instance, never by equality: SystemParams(0.0, -0.0) equals SystemParams(0.0,
-0.0) but its E1 = -j has the other sign, and an equality-keyed cache would also
-keep every point alive.  Errors are not stored (a NonFiniteError raises again);
-eq, hash and repr read only the fields, so the store is invisible to them.
+stores its exponent E and unit-scale (E1, E2, E3, E4) tuple in that instance's
+attributes, and later calls on it (the phase label, eigenvalues_closed_form,
+the eigenpair batch, the EP probes) return the stored pair.  The instance is
+frozen, so the pair cannot go stale, and replace() builds a new instance.  The
+store is keyed by the instance, never by equality: SystemParams(0.0, -0.0)
+equals SystemParams(0.0, 0.0) but its E1 = -j has the other sign, and an
+equality-keyed cache would also keep every point alive.  The unit-scale solve
+never fails, so every point is stored; an output that overflows when mapped
+back raises NonFiniteError again on every call.  eq, hash and repr read only
+the fields, so the store is invisible to them.
 
 The eigenpair is solved once the same way: the first _eigenpair call on an
 instance stores its (eigenvectors, max residual), and eigenvectors_closed_form,
@@ -41,8 +50,9 @@ spectrum_closed_form and the concurrences built on them (Psi3 and Psi4 of one
 point) read it.  Callers get copies of the vectors; the stored array is
 read-only.  A NearDefectiveError raises again on every call.  Explicit
 eigenvalues and the sweep batch bypass the store: a sweep solves each point's
-eigenvalues once with _solve_eigenvalues on an unchecked _Point record, and its
-eigenpairs in one _closed_form_eigenpairs call on the (3, n) rate array.
+eigenvalues once with _solve_eigenvalues on an unchecked unit-scale _Point record
+(_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on the
+(3, n) unit-scale rate array.
 """
 from __future__ import annotations
 
@@ -62,15 +72,15 @@ _W3C = _W3.conjugate()
 _SQ27 = 3.0 * math.sqrt(3.0)
 
 #: Residual tolerance for eigenpairs, relaxed near a coalescence where
-#: eigenvector conditioning diverges.  All three are in units of
-#: max(1, |omega|, |j|, |gamma|): eigenvalues, gaps and the rounding error of
-#: ||Hv - Ev|| grow with the largest rate above unit scale.
+#: eigenvector conditioning diverges.  All three apply at unit scale
+#: (_unit_point), in units of the largest rate there, max(|omega|, |j|, |gamma|)
+#: in [1, 4): eigenvalues, gaps and the rounding error of ||Hv - Ev|| grow with it.
 RESIDUAL_TOL = 1e-9
 NEAR_EP_GAP = 1e-4
 NEAR_EP_RESIDUAL_TOL = 1e-6
-#: max|Im E| above which a spectrum is labeled PT-broken.
+#: Unit-scale max|Im E| above which a spectrum is labeled PT-broken.
 _PHASE_TOL = 1e-8
-#: Smallest gap at or below which a real spectrum is labeled NEAR_EP.
+#: Unit-scale smallest gap at or below which a real spectrum is labeled NEAR_EP.
 _NEAR_EP_LABEL_GAP = 1e-6
 
 
@@ -113,36 +123,65 @@ class Spectrum:
 
 
 def _cubic_data(params: SystemParams):
-    """(x, z, a) with a the real part of the cubed radical.
+    """(x, z, a) with a the real part of the cubed radical, of a point at unit scale
+    (_unit_point), where none of them leaves the float range."""
+    om2, j, g2 = params.omega**2, params.j, params.gamma**2
+    x = 4 * j * j + 3 * om2 - 3 * g2
+    z = 16 * j**4 * g2 + j * j * (8 * g2 * g2 + 20 * g2 * om2 - om2 * om2) + (g2 - om2) ** 3
+    a = -8 * j**3 - 9 * j * (om2 + 2 * g2)
+    return x, z, a
 
-    Raises NonFiniteError when they leave the float range (float powers
-    raise OverflowError, products silently become inf).
-    """
-    try:
-        om2, j, g2 = params.omega**2, params.j, params.gamma**2
-        x = 4 * j * j + 3 * om2 - 3 * g2
-        z = 16 * j**4 * g2 + j * j * (8 * g2 * g2 + 20 * g2 * om2 - om2 * om2) + (g2 - om2) ** 3
-        a = -8 * j**3 - 9 * j * (om2 + 2 * g2)
-        if math.isfinite(x) and math.isfinite(z) and math.isfinite(a):
-            return x, z, a
-    except OverflowError:
-        pass
-    raise NonFiniteError(
-        f"cubic invariants overflow at omega={params.omega}, j={params.j}, "
-        f"gamma={params.gamma}"
-    )
+
+def _unit_point(params) -> tuple:
+    """(E, the point at its rates times 2**-E), E the even exponent that puts the largest
+    rate in [1, 4) (0 where H = 0): the one scale boundary.  A point in the window is
+    returned as it is."""
+    omega, j, gamma = params.omega, params.j, params.gamma
+    top = max(abs(omega), abs(j), abs(gamma))
+    if 1.0 <= top < 4.0 or not top:
+        return 0, params
+    e = (math.frexp(top)[1] - 1) & -2
+    return e, _Point(math.ldexp(omega, -e), math.ldexp(j, -e), math.ldexp(gamma, -e))
+
+
+def _unit_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rates times 2**-E, E) of n points' (3, n) rates, each point's E as _unit_point's."""
+    top = np.abs(rates).max(axis=0)
+    exps = np.where(top > 0, (np.frexp(top)[1] - 1) & -2, 0)
+    return np.ldexp(rates, -exps), exps
+
+
+def _at_rates(value, e: int, params, name: str):
+    """A unit-scale output (a float, complex or array) times 2**e: exact, by ldexp, unless it
+    leaves the float range, which raises NonFiniteError naming params' rates."""
+    if not e:
+        return value
+    value = np.array(value)
+    with np.errstate(over="ignore"):
+        if value.dtype.kind == "c":
+            value.real, value.imag = np.ldexp(value.real, e), np.ldexp(value.imag, e)
+        else:
+            value = np.ldexp(value, e)
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"{name} out of the float range at omega={params.omega}, "
+                             f"j={params.j}, gamma={params.gamma}")
+    return value
 
 
 def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
     """Cubic invariants with the principal-branch cube root.
 
     For z < 0 the square root is taken as +i*sqrt(|z|) and y is the
-    principal cube root of the resulting complex radicand.
+    principal cube root of the resulting complex radicand.  Solved at unit
+    scale (_unit_point): x maps back by 4**E, z by 64**E, y and r by 2**E.
     """
-    x, z, a = _cubic_data(params)
-    radicand = a + _SQ27 * np.sqrt(complex(z))
-    y = radicand ** (1.0 / 3.0)
-    return Auxiliaries(x=x, z=z, y=y, r=abs(y), theta_y=float(np.angle(y)))
+    e, unit = _unit_point(params)
+    x, z, a = _cubic_data(unit)
+    y = (a + _SQ27 * np.sqrt(complex(z))) ** (1.0 / 3.0)
+    theta_y = float(np.angle(y))
+    x, z, y, r = (_at_rates(v, k * e, params, "cubic invariants")
+                  for v, k in ((x, 2), (z, 6), (y, 1), (abs(y), 1)))
+    return Auxiliaries(x=float(x), z=float(z), y=np.complex128(y), r=float(r), theta_y=theta_y)
 
 
 def _branch_pair(params: SystemParams):
@@ -150,9 +189,9 @@ def _branch_pair(params: SystemParams):
     whether y was rotated by the cube root of unity.
 
     z >= 0: both radicands a +- sqrt(27z) are real, and the one whose terms
-    have opposite signs cancels; its root is taken as x over the other's,
-    since x^3 = a^2 - 27z = (a + sqrt(27z))(a - sqrt(27z)).  At a = 0 neither
-    cancels and both real cube roots are used.
+    have opposite signs cancels; only the other's cube root is taken, and the
+    cancelling one's is x over it, since x^3 = a^2 - 27z = (a + sqrt(27z))(a -
+    sqrt(27z)).  At a = 0 neither cancels and both real cube roots are taken.
     z < 0: |y|^2 = x there, so v is exactly conj(y); the principal root is
     rotated onto the continuation of the negative-real branch when the
     radicand has negative real part.
@@ -160,11 +199,14 @@ def _branch_pair(params: SystemParams):
     x, z, a = _cubic_data(params)
     if z >= 0:
         s = _SQ27 * math.sqrt(z)
-        y, v = np.cbrt(a + s), np.cbrt(a - s)
         if a < 0:
+            v = np.cbrt(a - s)
             y = x / v
         elif a > 0:
+            y = np.cbrt(a + s)
             v = x / y
+        else:
+            y, v = np.cbrt(a + s), np.cbrt(a - s)
         return complex(y), complex(v), False
     radicand = complex(a, _SQ27 * math.sqrt(-z))
     y = radicand ** (1.0 / 3.0)
@@ -174,62 +216,37 @@ def _branch_pair(params: SystemParams):
     return y, y.conjugate(), rotated
 
 
-def _rate_scale(params: SystemParams) -> float:
-    """min(1, max(|omega|, |j|, |gamma|)): the unit that absolute thresholds shrink with.
-
-    Every rate-valued quantity (eigenvalues, gaps, max|Im E|) is proportional to
-    the largest rate, so a threshold times this factor labels a point the same at
-    any scale below 1; at and above unit scale the thresholds stay as they are.
-    """
-    return min(1.0, max(abs(params.omega), abs(params.j), abs(params.gamma)))
-
-
-def _rate_scales(rates: np.ndarray) -> np.ndarray:
-    """_rate_scale of each point of (3, n) rates."""
-    return np.minimum(1.0, np.abs(rates).max(axis=0))
-
-
 def _third(c: complex) -> complex:
     """c / 3 rounded as numpy's complex128 division rounds it: Smith's algorithm times 1/3."""
     return complex((c.real + c.imag * 0.0) * (1 / 3), (c.imag - c.real * 0.0) * (1 / 3))
 
 
-#: The private instance attribute under which _eigenvalues keeps a point's tuple.
+#: The private instance attribute under which _eigenvalues keeps a point's solve.
 _MEMO_KEY = "_ptqsim_eigenvalues"
 
 
 def _eigenvalues(params: SystemParams) -> tuple:
-    """Labeled eigenvalues (E1, E2, E3, E4) as Python scalars; E1 = -j exactly.
+    """(E, labeled eigenvalues (E1, E2, E3, E4) at unit scale as Python scalars): the
+    point's _unit_point exponent and _solve_eigenvalues of its unit-scale rates.
 
-    Solved once per SystemParams instance by _solve_eigenvalues: the tuple is
-    kept on the instance (see the module docstring), and a raised error is not
-    kept.  It is read
-    with getattr and set with object.__setattr__, as the frozen dataclass's
-    own __init__ sets its fields: touching params.__dict__ would make CPython
-    build a dict for the instance and slow every later field read.
+    Solved once per SystemParams instance: the pair is kept on the instance (see
+    the module docstring).  It is read with getattr and set with
+    object.__setattr__, as the frozen dataclass's own __init__ sets its fields:
+    touching params.__dict__ would make CPython build a dict for the instance
+    and slow every later field read.
     """
-    values = getattr(params, _MEMO_KEY, None)
-    if values is None:
-        values = _solve_eigenvalues(params)
-        object.__setattr__(params, _MEMO_KEY, values)
-    return values
+    solved = getattr(params, _MEMO_KEY, None)
+    if solved is None:
+        e, unit = _unit_point(params)
+        solved = e, _solve_eigenvalues(unit)
+        object.__setattr__(params, _MEMO_KEY, solved)
+    return solved
 
 
-def _solve_eigenvalues(params: SystemParams) -> tuple:
-    """The closed-form solve behind _eigenvalues, of anything with omega, j and gamma.
-
-    A sweep calls it on each _Point, which stores nothing.  The invariant z
-    scales as the sixth power of the rates and underflows below about 1e-52,
-    so rates below 2**-150 are solved at unit scale, by exact power-of-two
-    scaling.
-    """
+def _solve_eigenvalues(params) -> tuple:
+    """The closed-form (E1, E2, E3, E4), E1 = -j exactly, of anything with omega, j and
+    gamma at unit scale (_unit_point): a sweep calls it on each point's _Point."""
     j = params.j
-    scale = _rate_scale(params)
-    if 0 < scale < 2.0**-150:
-        e = math.frexp(scale)[1]
-        unit = _Point(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
-        return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
-                     for c in _solve_eigenvalues(unit))
     y, v, rotated = _branch_pair(params)
     sum2 = j + v + y
     return (-j, _third(sum2) if rotated else sum2 / 3.0,
@@ -237,8 +254,10 @@ def _solve_eigenvalues(params: SystemParams) -> tuple:
 
 
 def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
-    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair."""
-    return np.array(_eigenvalues(params), dtype=complex)
+    """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
+    Solved at unit scale and mapped back by 2**E (_at_rates)."""
+    e, values = _eigenvalues(params)
+    return _at_rates(np.array(values, dtype=complex), e, params, "eigenvalues")
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -262,11 +281,14 @@ def eigenvectors_closed_form(
     """Unit right eigenvectors as the rows of a (4, 4) array, phase-fixed; Psi1 is the singlet.
 
     A batch of one of _closed_form_eigenpairs: solved from eigenvalues, the point's
-    closed-form E1..E4 of shape (4,), when given, else a copy of its stored _eigenpair.
+    closed-form E1..E4 of shape (4,), when given (taken to unit scale with the rates),
+    else a copy of its stored _eigenpair.
     """
     if eigenvalues is None:
         return _eigenpair(params)[0].copy()
-    return _closed_form_eigenpairs(_rates([params]), np.asarray(eigenvalues)[None])[0][0]
+    e, unit = _unit_point(params)
+    values = _at_rates(np.asarray(eigenvalues), -e, params, "eigenvalues")
+    return _closed_form_eigenpairs(_rates([unit]), values[None], e)[0][0]
 
 
 #: The private instance attribute under which _eigenpair keeps a point's eigenpair.
@@ -279,11 +301,12 @@ def _eigenpair(params: SystemParams) -> tuple:
     docstring); a raised error is not kept."""
     pair = getattr(params, _EIGENPAIR_KEY, None)
     if pair is None:
-        values = np.array([_eigenvalues(params)], dtype=complex)
-        vecs, residuals = _closed_form_eigenpairs(_rates([params]), values)
+        e, values = _eigenvalues(params)
+        vecs, residuals = _closed_form_eigenpairs(
+            _rates([_unit_point(params)[1]]), np.array([values], dtype=complex), e)
         vecs = vecs[0]
         vecs.flags.writeable = False
-        pair = vecs, float(residuals[0])
+        pair = vecs, math.ldexp(float(residuals[0]), e)
         object.__setattr__(params, _EIGENPAIR_KEY, pair)
     return pair
 
@@ -310,7 +333,6 @@ _UNDETERMINED, _SMALL_ROW = np.eye(3, dtype=complex)[[1, 0, 2]], 2.0**-400
 #: out of BLAS, whose gemm past m*n*k = 65 536 threads and runs several times slower.
 _EMBED, _EMBED_SCALE = [0, 1, 1, 2], np.array([1.0, _R2, _R2, 1.0])
 _WEIGHTS = np.array([1.0, 0.5, 1.0])
-_TINY_RATE, _HUGE_RATE = 2.0**-150, 2.0**150  # a point's largest rate outside: at unit scale
 
 
 def _sector_eigenvectors(rates: np.ndarray, e: np.ndarray):
@@ -366,40 +388,34 @@ def _starts(n: int) -> np.ndarray:
     return starts
 
 
-def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray):
-    """(eigenvectors, residuals) of n points' (3, n) rates and (n, 4) closed-form E1..E4.
+def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray, exps=0):
+    """(eigenvectors, residuals) of n points' unit-scale (3, n) rates and (n, 4) E1..E4.
 
     eigenvectors[i, k], shape (n, 4, 4), is the unit, phase-fixed eigenvector of E_k (the
-    singlet, then _sector_eigenvectors') and residuals[i] the largest ||Hv - Ev||; the first
-    point above its tolerance raises NearDefectiveError.  A point whose largest rate is
-    outside [2**-150, 2**150] is solved at unit scale (exact power-of-two scaling).
+    singlet, then _sector_eigenvectors') and residuals[i] the largest ||Hv - Ev|| at unit
+    scale; the first point above its tolerance raises NearDefectiveError, which names the
+    point's rates and residual times 2**exps (the points' E: an int or an (n,) array).
     Elementwise, so a point's bits do not depend on its batch.
     """
-    top = np.abs(rates).max(axis=0)
-    scaled, e = rates, eigenvalues[:, 1:]
-    rescale = top.min() < _TINY_RATE or top.max() > _HUGE_RATE
-    if rescale:
-        shift = np.where((top < _TINY_RATE) | (top > _HUGE_RATE), -np.frexp(top)[1], 0)
-        scaled = np.ldexp(rates, shift)
-        e = np.ldexp(e.view(float), shift[:, None]).view(complex)
-    u, residuals = _sector_eigenvectors(scaled, e)
+    u, residuals = _sector_eigenvectors(rates, eigenvalues[:, 1:])
     residuals = residuals.max(axis=-1)
-    if rescale:
-        residuals = np.ldexp(residuals, -shift)
     vecs = np.empty((len(eigenvalues), 4, 4), dtype=complex)
     vecs[:, 0] = _SINGLET
     vecs[:, 1:] = u.take(_EMBED, axis=-1) * _EMBED_SCALE
     if residuals.max() > RESIDUAL_TOL:  # every tolerance is RESIDUAL_TOL or more
-        unit = np.maximum(1.0, top)
+        top = np.abs(rates).max(axis=0)  # in [1, 4): the tolerances' unit
         gaps = _sector_gap(eigenvalues)
-        tol = np.where(gaps < NEAR_EP_GAP * unit, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL) * unit
+        tol = np.where(gaps < NEAR_EP_GAP * top, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL) * top
         failed = residuals > tol
         if failed.any():
             i = int(np.argmax(failed))
-            omega, j, gamma = rates[:, i].tolist()
+            with np.errstate(over="ignore"):
+                residual, bound, gap, omega, j, gamma = np.ldexp(
+                    [residuals[i], tol[i], gaps[i], *rates[:, i]],
+                    np.broadcast_to(exps, failed.shape)[i]).tolist()
             raise NearDefectiveError(
-                f"eigenvector residual {residuals[i]:.3e} exceeds {tol[i]:.0e} at "
-                f"omega={omega}, j={j}, gamma={gamma} (min sector gap {gaps[i]:.3e})"
+                f"eigenvector residual {residual:.3e} exceeds {bound:.0e} at "
+                f"omega={omega}, j={j}, gamma={gamma} (min sector gap {gap:.3e})"
             )
     return vecs, residuals
 
@@ -508,13 +524,16 @@ def spectrum_closed_form(params: SystemParams) -> Spectrum:
 
     The oracle's roots (_oracle_roots) alone give the multiset: its residual
     check cannot fail where the roots pair with the closed form (see
-    eigensystem_oracle).  Raises NoConvergenceError when the best pairing
-    deviates by more than 1e-9 * max(1, |omega|, |j|, |gamma|).
+    eigensystem_oracle).  Both sides are taken at unit scale (_unit_point), where
+    NoConvergenceError is raised when the best pairing deviates by more than
+    1e-9 * max(|omega|, |j|, |gamma|).
     """
     values = eigenvalues_closed_form(params)
     vecs, residual = _eigenpair(params)
-    dev = pairing_distance(values, _oracle_roots(build_hamiltonian(params), -params.j)[1])
-    if dev > 1e-9 * max(1.0, abs(params.omega), abs(params.j), abs(params.gamma)):
+    e, unit = _unit_point(params)
+    solved = np.array(_eigenvalues(params)[1], dtype=complex)
+    dev = pairing_distance(solved, _oracle_roots(build_hamiltonian(unit), -unit.j)[1])
+    if dev > 1e-9 * max(1.0, abs(unit.omega), abs(unit.j), abs(unit.gamma)):
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
     return Spectrum(values, vecs.copy(), Source.CLOSED_FORM, residual)
 
@@ -532,49 +551,43 @@ def spectrum_oracle(params: SystemParams) -> Spectrum:
     )
 
 
-def _broken(max_imag, scale):
-    """PT-broken: max|Im E| above _PHASE_TOL times the rate scale - the one broken decision.
+def _broken(max_imag):
+    """PT-broken: a unit-scale max|Im E| above _PHASE_TOL - the one broken decision.
 
-    Elementwise, so max_imag and scale may be floats or arrays.
+    Elementwise, so max_imag may be a float or an array.
     """
-    return max_imag > _PHASE_TOL * scale
+    return max_imag > _PHASE_TOL
 
 
-def _near_ep(gap, scale):
-    """A real spectrum's smallest gap at or below _NEAR_EP_LABEL_GAP times the rate scale."""
-    return gap <= _NEAR_EP_LABEL_GAP * scale
-
-
-def _phase_probe(values: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
-    """(max|Im E|, PT-broken) of closed-form E1..E4 on the last axis.
-
-    scale is each point's _rate_scale: below unit rate scale the threshold
-    shrinks with the rates, so the label does not depend on their units.
-    """
+def _phase_probe(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max|Im E|, PT-broken) of unit-scale closed-form E1..E4 on the last axis."""
     max_imag = np.abs(values.imag).max(axis=-1)
-    return max_imag, _broken(max_imag, scale)
+    return max_imag, _broken(max_imag)
 
 
 def _probe_point(params: SystemParams):
-    """(E1..E4, rate scale, max|Im E|, PT-broken) of one point: _phase_probe in Python scalars."""
-    values, scale = _eigenvalues(params), _rate_scale(params)
+    """(E, unit-scale E1..E4, their max|Im E|, PT-broken) of one point: _phase_probe in
+    Python scalars, on _eigenvalues' stored solve."""
+    e, values = _eigenvalues(params)
     _, e2, e3, e4 = values  # E1 = -j is real
     max_imag = max(abs(e2.imag), abs(e3.imag), abs(e4.imag))
-    return values, scale, max_imag, _broken(max_imag, scale)
+    return e, values, max_imag, _broken(max_imag)
 
 
 def classify_phase(params: SystemParams) -> PhaseLabel:
     """Phase from max |Im E|; NEAR_EP when a real spectrum's smallest gap is <= 1e-6.
 
-    Both thresholds are in units of the largest rate below unit scale.  Real
-    crossings that are not coalescences (e.g. j = 0, where the singlet meets a
-    symmetric-sector root) also report NEAR_EP.
+    Both are decided at unit scale (_unit_point), so the label does not depend on
+    the rates' units; max_imag is mapped back.  Real crossings that are not
+    coalescences (e.g. j = 0, where the singlet meets a symmetric-sector root)
+    also report NEAR_EP.
     """
-    values, scale, max_imag, broken = _probe_point(params)
+    e, values, max_imag, broken = _probe_point(params)
+    max_imag = float(_at_rates(max_imag, e, params, "max|Im E|"))
     if broken:
         return PhaseLabel(Phase.PT_BROKEN, max_imag)
     e1, e2, e3, e4 = values
     gap = min(abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4), abs(e3 - e4))
-    if _near_ep(gap, scale):
+    if gap <= _NEAR_EP_LABEL_GAP:
         return PhaseLabel(Phase.NEAR_EP, max_imag)
     return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)

@@ -28,16 +28,25 @@ def eigenvalues(h) -> np.ndarray:
 
 
 def _sector_roots(om, jj, g) -> list:
-    """The exchange-symmetric sector's three roots (j + t)/3 at DPS digits, of mp rates."""
-    x = 4 * jj * jj + 3 * om * om - 3 * g * g
-    a = -8 * jj**3 - 9 * jj * (om * om + 2 * g * g)
-    s = _mp.sqrt(_mp.mpc(a * a - x**3))
-    cube = a + s if abs(a + s) >= abs(a - s) else a - s
-    roots = [0, 0, 0]
-    if cube != 0:
-        u = _mp.root(cube, 3)
-        roots = [u + x / u, u * _TURN + x / (u * _TURN), u / _TURN + x * _TURN / u]
-    return [(jj + t) / 3 for t in roots]
+    """The exchange-symmetric sector's three roots (j + t)/3 at DPS digits, of mp rates.
+
+    Cardano places a double root only to about half its working digits, so
+    two roots that rounding would merge (j and sqrt(j^2 + omega^2) at gamma =
+    0 and omega << j) are taken at 2 DPS digits and polished there by two
+    Newton steps (_newton), then rounded to DPS digits.
+    """
+    with _mp.workdps(2 * DPS):
+        x = 4 * jj * jj + 3 * om * om - 3 * g * g
+        a = -8 * jj**3 - 9 * jj * (om * om + 2 * g * g)
+        s = _mp.sqrt(_mp.mpc(a * a - x**3))
+        cube = a + s if abs(a + s) >= abs(a - s) else a - s
+        roots = [0, 0, 0]
+        if cube != 0:
+            u = _mp.root(cube, 3)
+            roots = [u + x / u, u * _TURN + x / (u * _TURN), u / _TURN + x * _TURN / u]
+        block = _block(om, jj, g)
+        roots = [_newton(block, _newton(block, (jj + t) / 3)) for t in roots]
+    return [+r for r in roots]
 
 
 def hamiltonian_eigenvalues(omega: float, j: float, gamma: float) -> np.ndarray:
@@ -119,12 +128,13 @@ def pure_concurrence(v):
 
 
 def _newton(block, e):
-    """One Newton step on det(B - e) from e: from within 1e-20 of a simple root, to DPS digits."""
+    """One Newton step on det(B - e) from e: from within 1e-20 of a simple root, to DPS
+    digits (at the working precision); e itself where the slope vanishes (a multiple root)."""
     b0, b1, b2, a = block
     d0, d1, d2, a2 = b0 - e, b1 - e, b2 - e, a * a
     det = d0 * (d1 * d2 - a2) - a2 * d2
     slope = -(d1 * d2 - a2) - d0 * (d1 + d2) + a2
-    return e - det / slope
+    return e - det / slope if slope else e
 
 
 def _coherence(u):

@@ -117,7 +117,9 @@ class TestSpectrumCommand:
         assert meta["phase"] == "pt-symmetric"
 
     def test_overflow_exits_3(self, capsys):
-        code, out, err = invoke(capsys, "spectrum", "--omega", "1e200", "--j", "1e200")
+        """E4 = sqrt(j^2 + omega^2) = 2.1e308 leaves the float range."""
+        code, out, err = invoke(capsys, "spectrum", "--omega", "1.5e308", "--j", "1.5e308",
+                                "--gamma", "0")
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1

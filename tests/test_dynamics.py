@@ -12,11 +12,9 @@ from ptqsim import (
     SystemParams,
     concurrence_pure,
     detect_revivals,
-    detect_steady_state,
     dominant_eigenvector,
     exact_state,
     initial_state,
-    passive_pt_map,
     propagate,
 )
 from ptqsim.dynamics import (
@@ -370,7 +368,7 @@ class TestSteadyState:
     def test_broken_phase_value_and_dominant_match(self):
         params = SystemParams(2.0, 0.7, 1.0)
         traj = propagate(params, KET_00, 40.0, 1e-3, record_every=10)
-        result = detect_steady_state(traj, window=5.0, tol=0.01)
+        result = steady_state_of_series(traj.times, traj.concurrence, 5.0, 0.01)
         assert result is not None
         t_ss, c_ss = result
         assert 0.45 <= c_ss <= 0.55
@@ -379,12 +377,12 @@ class TestSteadyState:
 
     def test_symmetric_phase_never_settles(self):
         traj = propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 40.0, 1e-3, record_every=10)
-        assert detect_steady_state(traj, window=5.0, tol=0.01) is None
+        assert steady_state_of_series(traj.times, traj.concurrence, 5.0, 0.01) is None
 
     def test_window_validation(self):
         traj = propagate(SystemParams(2.0, 0.4, 1.0), KET_00, 1.0, 1e-3, record_every=10)
         with pytest.raises(ValueError):
-            detect_steady_state(traj, window=5.0, tol=0.01)
+            steady_state_of_series(traj.times, traj.concurrence, 5.0, 0.01)
 
     @pytest.mark.parametrize("n", [3, 10, 97, 10**5])
     def test_matches_sliding_window_bitwise(self, n):
@@ -560,22 +558,3 @@ def _autocorrelation_period(times, values, min_lag):
     candidates = np.arange(max(1, k0 - window), min(n - 1, k0 + window + 1))
     mismatch = [np.max(np.abs(values[k:] - values[: n - k])) for k in candidates]
     return lags[candidates[int(np.argmin(mismatch))]]
-
-
-class TestPassiveMap:
-    def test_zero_time_is_identity(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        assert np.allclose(passive_pt_map(rho, 1.0, 0.0), rho)
-
-    def test_zero_gamma_is_identity(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        assert np.allclose(passive_pt_map(rho, 0.0, 3.7), rho)
-
-    def test_trace_scaling(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        mapped = passive_pt_map(rho, 1.0, 0.5)
-        assert np.trace(mapped).real == pytest.approx(np.e)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            passive_pt_map(np.eye(4) / 4, 1.0, -1.0)

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from ptqsim import (
     locate_ep,
     scan_closed_form_discrepancies,
 )
-from ptqsim import spectrum
+import mp_reference
+from ptqsim import build_hamiltonian, spectrum
 from ptqsim.errors import DiscrepancyError, InvalidDensityError, NotNormalizedError
 
 SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2)
@@ -215,3 +217,29 @@ def test_bounds_and_projector_consistency(seed):
     c = concurrence_pure(psi)
     assert 0.0 <= c <= 1.0
     assert concurrence_mixed(np.outer(psi, psi.conj())) == pytest.approx(c, abs=1e-10)
+
+
+def test_reference_resolves_a_split_double_root():
+    """At (1e-10, 0.3, 0) the sector roots j and sqrt(j^2 + omega^2) differ by 1.7e-20.
+    The 40-digit reference's roots match an 80-digit mp.eig of H (Hermitian there, so
+    well conditioned) within 1e-38, and its sector states' concurrences are those of
+    that eig's vectors: 1 - 5.6e-20 (E2 and the root above j) and 1 (E = j)."""
+    rates = (1e-10, 0.3, 0.0)
+    ctx = mpmath.MPContext()
+    ctx.dps = 80
+    roots, vecs = ctx.eig(ctx.matrix(build_hamiltonian(SystemParams(*rates)).tolist()))
+    want_roots, want_defects = [], []
+    for k in range(4):
+        v = [vecs[i, k] for i in range(4)]
+        if abs(v[1] - v[2]) < 1e-30:  # a sector vector, not the singlet (0, -1, 1, 0)/sqrt(2)
+            want_roots.append(roots[k])
+            want_defects.append(1 - 2 * abs(v[1] * v[2] - v[0] * v[3]) / ctx.fsum(
+                abs(x) ** 2 for x in v))
+    got = mp_reference._sector_roots(*(mp_reference._mp.mpf(r) for r in rates))
+    assert all(min(abs(root - r) for r in want_roots) < 1e-38 for root in got)
+    values = spectrum.eigenvalues_closed_form(SystemParams(*rates))
+    defects = sorted(1 - mp_reference.pure_concurrence(v)
+                     for v in mp_reference.sector_states(*rates, values))
+    assert abs(defects[0]) < 1e-38 and defects[1] == pytest.approx(5.5556e-20, rel=1e-4)
+    assert [float(d) for d in defects] == pytest.approx(
+        sorted(float(d) for d in want_defects), rel=1e-15, abs=1e-38)

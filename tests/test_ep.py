@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,15 @@ class TestCoalescedEigenvector:
             assert abs(np.vdot(vec, vecs[2])) >= 0.999
             assert abs(np.vdot(vec, vecs[3])) >= 0.999
             assert abs(np.vdot(vecs[2], vecs[3])) >= 0.999
+
+    @pytest.mark.parametrize("k", [-300, 200])
+    def test_any_scale(self, point, k):
+        """The located point at rates times 4**k has the same coalesced vector, bit for bit."""
+        scaled = locate_ep("omega", math.ldexp(2.0, 2 * k), (math.ldexp(0.3, 2 * k),
+                                                            math.ldexp(0.9, 2 * k)),
+                           gamma=math.ldexp(1.0, 2 * k))
+        assert scaled.j_c == math.ldexp(point.j_c, 2 * k)
+        assert coalesced_eigenvector(scaled).tobytes() == coalesced_eigenvector(point).tobytes()
 
     def test_not_at_ep(self):
         fake = EpPoint(

@@ -360,12 +360,17 @@ class TestSweepErrorOrder:
     """An error the sweep does not flag is the first one in grid order."""
 
     def test_non_finite_after_a_good_point(self):
-        x = float(np.linspace(0.3, 1e200, 3)[1])
+        """The QFI grows as the rates' inverse square: at rates of 2**-510 it fits at
+        j = 0.4 and 0.49 (in units of gamma) and leaves the float range at 0.58, where
+        the sweep names the point as qfi does."""
+        s = 2.0**-510
         with pytest.raises(NonFiniteError) as point:
-            eigenvalues_closed_form(SystemParams(2.0, x, 1.0))
+            qfi(SystemParams(2 * s, 0.58 * s, s), "j")
         with pytest.raises(NonFiniteError) as sweep:
-            sensing_sweep("j", 2.0, (0.3, 1e200), 3)
+            sensing_sweep("j", 2 * s, (0.4 * s, 0.58 * s), 3, gamma=s)
         assert str(sweep.value) == str(point.value)
+        good = qfi(SystemParams(2 * s, 0.49 * s, s), "j")
+        assert good == np.ldexp(qfi(SystemParams(2.0, 0.49, 1.0), "j"), 1020)
 
     @staticmethod
     def _moved_root(monkeypatch, omega):
@@ -421,7 +426,7 @@ class TestArraySweep:
 
 
 def test_sweep_does_not_depend_on_units():
-    """Below unit rate scale the gap guard and the phase threshold shrink with the rates."""
+    """The gap guard and the phase threshold apply at unit scale, whatever the rates' units."""
     s = 2.0**-30
     unit = sensing_sweep("j", 2.0, (0.3, 0.9), 7)
     small = sensing_sweep("j", 2 * s, (0.3 * s, 0.9 * s), 7, gamma=s)
@@ -436,8 +441,8 @@ def test_sweep_does_not_depend_on_units():
 def test_negative_omega_mirrors_positive(kappa, omega, j):
     """U = sz(x)sz maps H(omega) to H(-omega): the same QFI and variance, and the
     coherence changes sign."""
-    f, m0, var = _sense_point(SystemParams(omega, j, 1.0), kappa)
-    f_neg, m0_neg, var_neg = _sense_point(SystemParams(-omega, j, 1.0), kappa)
+    f, m0, var, _ = _sense_point(SystemParams(omega, j, 1.0), kappa)
+    f_neg, m0_neg, var_neg, _ = _sense_point(SystemParams(-omega, j, 1.0), kappa)
     assert f_neg == pytest.approx(f, rel=1e-12)
     assert var_neg == pytest.approx(var, rel=1e-12)
     assert m0_neg == pytest.approx(-m0, rel=1e-12)

@@ -36,7 +36,7 @@ from ptqsim.errors import (
     OmegaSingularError,
     PtqsimError,
 )
-from ptqsim import cli, entanglement, locate_ep, sensing, spectrum
+from ptqsim import cli, entanglement, locate_ep, spectrum
 from ptqsim.spectrum import _closed_form_eigenpairs, _rates, _sector_gap
 
 params_st = st.builds(
@@ -71,6 +71,23 @@ class TestAuxiliaries:
         # inside the unbroken phase x - r^2 vanishes identically
         aux = auxiliary_quantities(SystemParams(2.0, 0.589, 1.0))
         assert abs(aux.x - aux.r**2) < 1e-10
+
+    @pytest.mark.parametrize("k", [-250, -40, 40, 100])
+    def test_powers_of_four(self, k):
+        """At rates times 4**k, x scales by 16**k, z by 4096**k, y and r by 4**k, bit for
+        bit (z underflows at 4**-250); z (a sixth power of the rates) is refused where it
+        overflows."""
+        unit = auxiliary_quantities(SystemParams(1.7, 0.45, 1.0))
+        params = SystemParams(*(math.ldexp(r, 2 * k) for r in (1.7, 0.45, 1.0)))
+        if 12 * k > 1000:
+            with pytest.raises(NonFiniteError):
+                auxiliary_quantities(params)
+            return
+        aux = auxiliary_quantities(params)
+        assert (aux.x, aux.z, aux.r, aux.theta_y) == (
+            math.ldexp(unit.x, 4 * k), math.ldexp(unit.z, 12 * k), math.ldexp(unit.r, 2 * k),
+            unit.theta_y)
+        assert aux.y == complex(math.ldexp(unit.y.real, 2 * k), math.ldexp(unit.y.imag, 2 * k))
 
 
 class TestClosedFormEigenvalues:
@@ -218,9 +235,12 @@ def _seeded_points(n, seed=20261018):
 
 
 def _eigenpairs_of(points):
-    """_closed_form_eigenpairs of points, with the eigenvalues their instances solve."""
-    values = np.array([eigenvalues_closed_form(p) for p in points])
-    return _closed_form_eigenpairs(_rates(points), values)
+    """_closed_form_eigenpairs of points at unit scale, with the eigenvalues their instances
+    solve; the residuals mapped back."""
+    rates, exps = spectrum._unit_rates(_rates(points))
+    values = np.array([spectrum._eigenvalues(p)[1] for p in points])
+    vecs, residuals = _closed_form_eigenpairs(rates, values, exps)
+    return vecs, np.ldexp(residuals, exps)
 
 
 class TestBatchedEigenpairs:
@@ -293,20 +313,26 @@ class TestBatchedEigenpairs:
             assert max(errors) <= 1e-14, (p, errors)
 
 
-@pytest.mark.parametrize("call", [
-    eigenvalues_closed_form, eigenvectors_closed_form, spectrum_closed_form,
-    lambda p: entanglement.eigenstate_concurrence_wootters(p, 3),
-    lambda p: sensing.qfi(p, "j"),
-], ids=["eigenvalues", "eigenvectors", "spectrum", "concurrence", "qfi"])
-def test_overflow_named_ahead_of_omega_singular(call):
-    """At omega = 0 with cubic invariants out of the float range, every closed-form
-    caller solves the eigenvalues first and names the overflow."""
-    with pytest.raises(NonFiniteError):
-        call(SystemParams(0.0, 0.3, 1e60))
+@pytest.mark.parametrize("call, overflows", [
+    (eigenvalues_closed_form, True), (spectrum_closed_form, True),
+    (eigenvectors_closed_form, False),
+    (lambda p: entanglement.eigenstate_concurrence_wootters(p, 3), False),
+], ids=["eigenvalues", "spectrum", "eigenvectors", "concurrence"])
+def test_only_outputs_that_overflow_refuse(call, overflows):
+    """At (1.5e308, 1.5e308, 0) E4 = sqrt(j^2 + omega^2) leaves the float range: the
+    eigenvalues are refused, and the scale-free vectors and concurrences equal the
+    unit-scale point's bit for bit."""
+    params = SystemParams(1.5e308, 1.5e308, 0.0)
+    if overflows:
+        with pytest.raises(NonFiniteError):
+            call(params)
+    else:
+        unit = SystemParams(*spectrum._unit_point(params)[1])
+        assert np.array(call(params)).tobytes() == np.array(call(unit)).tobytes()
 
 
 class TestToleranceScale:
-    """Residual and gap tolerances are in units of the largest rate above 1.
+    """Residual and gap tolerances are in units of the largest rate, at any scale.
 
     Every rate scales the eigenvalues, the gaps and the rounding error of
     ||Hv - Ev||, so a point and the same point at s times the rates get the
@@ -445,7 +471,7 @@ class TestClassifyPhase:
         ((2.0, 0.4, 1.0), Phase.PT_SYMMETRIC),
     ])
     def test_label_does_not_depend_on_units(self, shape, expected, scale):
-        """max|Im E| and the gaps scale with the rates, and so do the thresholds below 1."""
+        """max|Im E| and the gaps scale with the rates; the thresholds apply at unit scale."""
         params = SystemParams(*(r * scale for r in shape))
         assert classify_phase(params).phase is expected
         assert classify_phase(SystemParams(*shape)).phase is expected
@@ -456,7 +482,8 @@ class TestClassifyPhase:
 
 
 # The numpy-scalar kernel the Python-scalar _eigenvalues replaced, verbatim but for
-# module-qualified names: the reference it must equal bit for bit.
+# module-qualified names and the unit-scale boundary written out: the reference it must
+# equal bit for bit.
 _REF_W3 = np.exp(2j * np.pi / 3)
 _REF_W3C = _REF_W3.conjugate()
 _REF_SQ27 = 3.0 * np.sqrt(3.0)
@@ -481,35 +508,46 @@ def _branch_pair_reference(params):
     return y, v
 
 
-def _eigenvalues_reference(params):
-    j = params.j
-    scale = spectrum._rate_scale(params)
-    if 0 < scale < 2.0**-150:
-        e = math.frexp(scale)[1]
-        unit = SystemParams(*(math.ldexp(r, -e) for r in (params.omega, j, params.gamma)))
-        values = _eigenvalues_reference(unit)
-        values.real, values.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
-        return values
-    y, v = _branch_pair_reference(params)
+def _unit_reference(params):
+    """(E, params times 2**-E), E even with the largest rate times 2**-E in [1, 4); E = 0
+    where every rate is zero."""
+    top = max(abs(params.omega), abs(params.j), abs(params.gamma))
+    e = math.frexp(top)[1] - 1 if top else 0
+    e -= e % 2
+    return e, SystemParams(*(math.ldexp(r, -e) for r in (params.omega, params.j, params.gamma)))
+
+
+def _unit_eigenvalues_reference(params):
+    """The numpy-scalar kernel's E1..E4 of params' unit-scale point, and its exponent E."""
+    e, unit = _unit_reference(params)
+    j = unit.j
+    y, v = _branch_pair_reference(unit)
     e2 = (j + v + y) / 3.0
     e3 = (j + _REF_W3C * v + _REF_W3 * y) / 3.0
     e4 = (j + _REF_W3 * v + _REF_W3C * y) / 3.0
-    return np.array([-j, e2, e3, e4], dtype=complex)
+    return np.array([-j, e2, e3, e4], dtype=complex), e
+
+
+def _eigenvalues_reference(params):
+    values, e = _unit_eigenvalues_reference(params)
+    values.real, values.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
+    return values
 
 
 def _classify_reference(params):
-    values, scale = _eigenvalues_reference(params), spectrum._rate_scale(params)
-    max_imag, broken = spectrum._phase_probe(values, scale)
+    values, e = _unit_eigenvalues_reference(params)
+    max_imag, broken = spectrum._phase_probe(values)
+    max_imag = math.ldexp(float(max_imag), e)
     if broken:
-        return PhaseLabel(Phase.PT_BROKEN, float(max_imag))
-    if min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP * scale:
-        return PhaseLabel(Phase.NEAR_EP, float(max_imag))
-    return PhaseLabel(Phase.PT_SYMMETRIC, float(max_imag))
+        return PhaseLabel(Phase.PT_BROKEN, max_imag)
+    if min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP:
+        return PhaseLabel(Phase.NEAR_EP, max_imag)
+    return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)
 
 
 #: Points at the kernel's branch edges: a = 0 (j = +-0); z = 0 (omega = gamma = 0,
 #: the origin, the EP3); z < 0 with the root rotated (a < 0) and not (a >= 0);
-#: omega = 0, gamma = 0, signed zeros; rates below 2**-150; near-EP points.
+#: omega = 0, gamma = 0, signed zeros; rates outside [1, 4); near-EP points.
 _EDGE_POINTS = [
     (2.0, 0.0, 1.0), (2.0, -0.0, 1.0), (0.5, 0.0, 1.0), (0.5, -0.0, 1.0),
     (0.0, 0.7, 0.0), (0.0, -0.7, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, 0.0),
@@ -579,11 +617,11 @@ class TestScalarKernelBitwise:
         """The fixed list exercises both radicand signs, the rotation and the rescale."""
         seen = set()
         for r in _EDGE_POINTS:
-            p = SystemParams(*r)
+            e, p = spectrum._unit_point(SystemParams(*r))
             x, z, a = spectrum._cubic_data(p)
             rotated = spectrum._branch_pair(p)[2]
             seen.add(("z>0" if z > 0 else "z=0" if z == 0 else "z<0", rotated, a == 0))
-            seen.add(("rescaled", 0 < spectrum._rate_scale(p) < 2.0**-150))
+            seen.add(("rescaled", e != 0))
         assert {("z<0", True, False), ("z<0", False, False), ("z<0", False, True),
                 ("z>0", False, True), ("z>0", False, False), ("z=0", False, False),
                 ("z=0", False, True), ("rescaled", True)} <= seen
@@ -596,14 +634,15 @@ class TestScalarBatchPhaseAgreement:
         crossings = [SystemParams(om, sign * d, 1.0) for om in (1.5, 2.0, 3.0)
                      for sign in (1, -1) for d in (0.0, 1e-7, 3e-7, 3.75e-7, 4e-7, 1e-6)]
         points = _fig2_grid() + crossings + _seeded_points(2000) + _seeded_edge_draw(2000, 7)
-        values = np.array([eigenvalues_closed_form(p) for p in points])
-        scales = np.array([spectrum._rate_scale(p) for p in points])
-        max_imag, broken = spectrum._phase_probe(values, scales)
-        near = ~broken & spectrum._near_ep(np.array([min_gap(v) for v in values]), scales)
+        exps, values = zip(*(spectrum._eigenvalues(p) for p in points))
+        values = np.array(values)
+        max_imag, broken = spectrum._phase_probe(values)
+        near = ~broken & (np.array([min_gap(v) for v in values]) <= spectrum._NEAR_EP_LABEL_GAP)
         labels = [classify_phase(p) for p in points]
         assert [lab.phase is Phase.PT_BROKEN for lab in labels] == broken.tolist()
         assert [lab.phase is Phase.NEAR_EP for lab in labels] == near.tolist()
-        assert np.array([lab.max_imag for lab in labels]).tobytes() == max_imag.tobytes()
+        assert np.array([lab.max_imag for lab in labels]).tobytes() == np.ldexp(
+            max_imag, exps).tobytes()
         # both sides of each threshold are reached, the j = 0 crossings among them
         assert broken.any() and not broken.all() and 0 < near.sum() < (~broken).sum()
         crossing_near = [classify_phase(p).phase is Phase.NEAR_EP for p in crossings]
@@ -669,28 +708,28 @@ class TestEigenvalueMemo:
         with pytest.raises(dataclasses.FrozenInstanceError):
             solved.j = 0.7
 
-    def test_errors_are_not_stored(self, solves):
-        p = SystemParams(1e200, 1e200, 1.0)
-        for k in range(1, 4):
+    def test_overflow_raises_from_the_store(self, solves):
+        """E4 = sqrt(j^2 + omega^2) leaves the float range: the unit-scale solve is stored
+        and the mapped eigenvalues raise on every call; the label, which needs no
+        eigenvalue, answers."""
+        p = SystemParams(1.5e308, 1.5e308, 0.0)
+        for _ in range(3):
             with pytest.raises(NonFiniteError):
-                classify_phase(p)
-            assert solves() == k
-        with pytest.raises(NonFiniteError):
-            eigenvalues_closed_form(p)
-        assert solves() == 4 and spectrum._MEMO_KEY not in vars(p)
+                eigenvalues_closed_form(p)
+        assert classify_phase(p) == PhaseLabel(Phase.PT_SYMMETRIC, 0.0)
+        assert solves() == 1 and spectrum._MEMO_KEY in vars(p)
 
-    def test_tiny_rates_stay_bitwise(self, solves):
-        points = [SystemParams(*r) for r in _EDGE_POINTS if 0 < spectrum._rate_scale(
-            SystemParams(*r)) < 2.0**-150]
-        assert len(points) >= 4
+    def test_rates_outside_the_window_stay_bitwise(self, solves):
+        points = [SystemParams(*r) for r in _EDGE_POINTS]
+        points = [p for p in points if spectrum._unit_point(p)[0]]
+        assert len(points) >= 8
         for p in points:
             want = _bits(_eigenvalues_reference(p)).tolist()
             before = solves()
             assert _bits(eigenvalues_closed_form(p)).tolist() == want
-            assert solves() - before == 2  # the point and its fresh unit-scale instance
             assert classify_phase(p) == _classify_reference(p)
             assert _bits(eigenvalues_closed_form(p)).tolist() == want
-            assert solves() - before == 2
+            assert solves() - before == 1
 
 
 @pytest.fixture
