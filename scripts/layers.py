@@ -25,6 +25,13 @@ inputs built for it and not timed:
 - eigenpair_1, eigenpair_1_tiny, eigenpair_1_huge: `eigenvectors_closed_form` of
   fig7a's first point at the same three scales, its eigenvalues solved beforehand:
   the one-point eigenpair kernel with and without the boundary's rescaling;
+- classify_200: `classify_phase` of solve_200's fresh points, which solves them;
+- locate_ep_1: `locate_ep("omega", 2 + 1e-9 k, (1e-9, 2.5))`;
+- z_sign_200: `spectrum._z_sign`, the filtered sign of z, of 200 fig7a points at
+  j = 0.3 + 1e-9 k, their float z solved beforehand (every one outside the filter's
+  bound);
+- exact_z_sign_at_j_c: `spectrum._exact_z_sign`, the exact integer sign of z,
+  at locate_ep_1's located point;
 - step_factors_<n>, n = 1000, 2500, 4096: `dynamics._step_factors` (the
   per-run block heads and first block of step powers) of the RK4 step matrix
   at (omega, j, gamma) = (1.7, 0.337, 1), dt = 2e-3, with j moved by 1e-9 per
@@ -85,7 +92,7 @@ def measure(passes: int) -> list[dict]:
     """One {"layer", "best_ms", "passes"} record per layer, from the ptqsim on sys.path."""
     import numpy as np
 
-    from ptqsim import dynamics, sensing, spectrum
+    from ptqsim import dynamics, locate_ep, sensing, spectrum
     from ptqsim.cli import _csv_blocks
     from ptqsim.errors import PtqsimError
     from ptqsim.dynamics import _integrate, _rk4_step_matrix, initial_state
@@ -94,7 +101,9 @@ def measure(passes: int) -> list[dict]:
     def fig7a(n, k, guarded=False):
         """(rates, eigenvalues) of n points of fig7a's omega sweep at j = 0.3 + 1e-9 k."""
         rates = np.array([np.linspace(1.4, 2.0, n), np.full(n, 0.3 + 1e-9 * k), np.ones(n)])
-        values = np.array([spectrum._solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()])
+        solved = [spectrum._solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()]
+        # (values, z) per point, or the values alone where the tree predates z
+        values = np.array([s[0] if len(s) == 2 else s for s in solved])
         if guarded:  # the sector gap, or every gap where the tree predates it
             gap = getattr(spectrum, "_sector_gap", None) or spectrum._min_gap
             keep = gap(values) >= 1e-4
@@ -131,6 +140,19 @@ def measure(passes: int) -> list[dict]:
             lambda points: [spectrum.eigenvalues_closed_form(p) for p in points])
         layers[f"eigenpair_1{suffix}"] = (lambda k, s=s: with_values(k, s),
                                           spectrum.eigenvectors_closed_form)
+    layers["classify_200"] = (lambda k: (fig7a_points(200, k, 1.0),),
+                              lambda points: [spectrum.classify_phase(p) for p in points])
+    layers["locate_ep_1"] = (lambda k: ("omega", 2.0 + 1e-9 * k, (1e-9, 2.5)), locate_ep)
+    z_sign, exact_z_sign = (getattr(spectrum, name, None) for name in ("_z_sign", "_exact_z_sign"))
+    if z_sign and exact_z_sign:
+        def solved_points(k):
+            """((float z, point) of 200 fig7a points,): z_sign's arguments, solved."""
+            points = [_Point(*p) for p in fig7a(200, k)[0].T.tolist()]
+            return ([(spectrum._solve_eigenvalues(p)[1], p) for p in points],)
+
+        layers["z_sign_200"] = (solved_points, lambda pairs: [z_sign(p, z) for z, p in pairs])
+        layers["exact_z_sign_at_j_c"] = (
+            lambda k: (locate_ep("omega", 2.0 + 1e-9 * k, (1e-9, 2.5)).params(),), exact_z_sign)
     factors, span = (getattr(dynamics, name, None) for name in ("_step_factors", "_span"))
     if factors and span:
         for n in CHUNK_SIZES:

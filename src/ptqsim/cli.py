@@ -480,7 +480,7 @@ def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     xs = np.linspace(sweep[0], sweep[1], n)
     rates = np.ones((3, n))  # (omega, j, gamma = 1): every rate below 4, at unit scale
     rates[int(axis == "j")], rates[int(fix == "j")] = xs, fixed_value
-    values = np.array([_solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()])
+    values = np.array([_solve_eigenvalues(_Point(*r))[0] for r in rates.T.tolist()])
     v = _closed_form_eigenpairs(rates, values)[0][:, 2:]  # Psi3, Psi4: concurrence_pure's rows
     c = np.minimum(1.0, 2.0 * abs(v[..., 1] * v[..., 2] - v[..., 0] * v[..., 3]))
     header = [axis, "c_psi3", "c_psi4"]

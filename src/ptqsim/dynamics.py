@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StepTooLargeError
 from .model import SystemParams, as_state, as_unit_state, build_hamiltonian
-from .spectrum import eigensystem_oracle
+from .spectrum import _unit_point, eigensystem_oracle
 
 #: dt * (max row sum of |H|) must stay below this for the fixed-step scheme.
 STABILITY_LIMIT = 0.1
@@ -125,12 +125,14 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
     if not isinstance(record_every, numbers.Integral) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
 
-    h = build_hamiltonian(params)
-    row_sum = float(np.max(np.abs(h).sum(axis=1)))
-    if dt * row_sum > STABILITY_LIMIT:
+    e, unit = _unit_point(params)  # ||H|| (largest row sum of |H|) may overflow at the rates
+    row_sum = float(np.max(np.abs(build_hamiltonian(unit)).sum(axis=1)))
+    with np.errstate(over="ignore"):
+        dt_norm = float(np.ldexp(dt, e)) * row_sum
+    if dt_norm > STABILITY_LIMIT:
         raise StepTooLargeError(
-            f"dt*||H|| = {dt * row_sum:.3f} exceeds {STABILITY_LIMIT} "
-            f"(use dt <= {STABILITY_LIMIT / row_sum:.2e})"
+            f"dt*||H|| = {dt_norm:.3f} exceeds {STABILITY_LIMIT} "
+            f"(use dt <= {math.ldexp(STABILITY_LIMIT / row_sum, -e):.2e})"
         )
 
     n_steps = int(round(t_max / dt))
@@ -138,7 +140,7 @@ def _integrate(params: SystemParams, psi0, t_max: float, dt: float, record_every
     # Growth within a chunk stays below exp(~5).  The cap applies before
     # rounding, where 5/dt overflows to inf for subnormal dt.
     chunk = min(n_steps, max(1, round(min(5.0 / (dt * max(params.gamma, 1.0)), 4096))))
-    heads, first, whole = _step_factors(_rk4_step_matrix(h, dt), chunk)
+    heads, first, whole = _step_factors(_rk4_step_matrix(build_hamiltonian(params), dt), chunk)
     b = first.shape[1] // 4
 
     # t=0, every record_every-th step, and the final step when off that grid

@@ -1,38 +1,35 @@
 """Exceptional-point location, the critical curve, and the coalesced eigenvector.
 
-E3 and E4 coalesce where the cubic invariant z, a quadratic in j**2, vanishes:
-the locator evaluates that root in closed form.  The phase label only checks the
-bracket and picks the unbroken side; the radical's residuals certify the point.
-Each step runs at unit scale (spectrum._unit_point).
+E3 and E4 coalesce where the cubic invariant z, a quadratic in j**2, vanishes.  Every
+decision is an exact sign (spectrum._z_sign): the bracket's phases, the located float
+(z <= 0 there, z > 0 at its neighbour toward the broken end), the certificate (that
+sign change) and the order (the EP3 iff x = z = 0).  Residuals, gap and degenerate
+eigenvalue are reported values, taken at unit scale (spectrum._unit_point).
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyCurveError,
-    NoSignChangeError,
-    NotAtEpError,
-    NotConvergedError,
-)
+from .errors import EmptyCurveError, NoSignChangeError, NotAtEpError
 from .model import SystemParams, _Point
 from .spectrum import (
     _at_rates,
     _closed_form_eigenpairs,
     _eigenvalues,
-    _probe_point,
     _rates,
     _unit_point,
+    _z_sign,
     auxiliary_quantities,
 )
 
 
 @dataclass(frozen=True)
 class EpPoint:
-    """A located critical pair with its certificate residuals.
+    """A located critical pair with its residuals.
 
     residual_theta folds the principal-branch phase of the cubic radical
     onto its nearest coalescence ray (multiples of pi/3); together with
@@ -98,13 +95,12 @@ def _critical_square(fix: str, value: float, gamma: float) -> float:
 
 def locate_ep(fix: str, value: float, bracket: tuple[float, float],
               gamma: float = 1.0) -> EpPoint:
-    """The root of z = 0 on the swept axis inside `bracket`, in closed form.
+    """The float in `bracket` on the unbroken side of the exact flip of z's sign.
 
     fix="omega" holds omega at `value` and sweeps j over `bracket` (fix="j" the
     other way round).  NoSignChangeError unless the bracket ends lie in different
-    phases and the root whose sign fits the bracket lies in it.  A root probed
-    broken steps toward the unbroken end, 1, 3, 7, ... ulp; `gap` is the last probe's.
-    The root is solved at the unit scale of (value, gamma), the point certified at its own.
+    phases.  The search (_flip) starts from the closed-form root of z = 0, solved at
+    the unit scale of (value, gamma).
     """
     if fix not in ("omega", "j"):
         raise ValueError(f"fix must be 'omega' or 'j', got {fix!r}")
@@ -113,64 +109,65 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
 
-    def probe(x):
-        """(point, its E, its unit-scale eigenvalues, PT-broken) at swept = x."""
-        found = SystemParams(**{fix: value, swept: x}, gamma=gamma)
-        e, values, _, broken = _probe_point(found)
-        return found, e, values, broken
+    def at(x, point=SystemParams):  # a _Point for the probes between checked ends
+        return point(**{fix: value, swept: x}, gamma=gamma)
 
-    broken_lo = probe(lo)[3]
-    if broken_lo == probe(hi)[3]:
+    broken_lo = _z_sign(at(lo)) > 0
+    if broken_lo == (_z_sign(at(hi)) > 0):
         raise NoSignChangeError(f"both bracket ends are in the same phase at "
                                 f"{fix}={value} (broken={broken_lo})")
     e, unit = _unit_point(_Point(value, 0.0, gamma))  # the fixed rates' scale
-    square = _critical_square(fix, unit.omega, unit.gamma)
-    root = math.ldexp(math.sqrt(square), e) if square >= 0 else math.nan
-    inside = [x for x in (root, -root) if lo <= x <= hi]
-    if not inside:
-        raise NoSignChangeError(f"the critical {swept} +-{root} at {fix}={value} "
-                                f"lies outside the bracket {lo}:{hi}")
-    x, unbroken = inside[0], (hi if broken_lo else lo)
-    while True:
-        found, e, values, broken = probe(x)
-        if not broken or x == unbroken:
-            break
-        x = float(np.clip(np.nextafter(2 * x - inside[0], unbroken), lo, hi))
-    unit = _unit_point(found)[1]
-    point = EpPoint(unit.j, unit.omega, unit.gamma, *ep_residual(unit),
-                    abs(values[2] - values[3]), 0.5 * (values[2] + values[3]))
-    _check_point(point)
-    return _at_scale(point, found, e)
+    root = math.ldexp(math.sqrt(max(_critical_square(fix, unit.omega, unit.gamma), 0.0)), e)
+    root = math.copysign(root, lo if abs(lo) > abs(hi) else hi)  # the end past +-root
+    unbroken, broken = (hi, lo) if broken_lo else (lo, hi)
+    k = _flip(lambda n: _z_sign(at(_float(n), _Point)) > 0, _ordinal(unbroken),
+              _ordinal(broken), _ordinal(min(max(root, lo), hi)))
+    found = at(_float(k))
+    e, (_, _, e3, e4), _ = _eigenvalues(found)
+    return EpPoint(found.j, found.omega, found.gamma, *ep_residual(found),
+                   _at_rates(abs(e3 - e4), e, found, "the gap"),
+                   _at_rates(0.5 * (e3 + e4), e, found, "e_degenerate"))
 
 
-def _at_scale(point: EpPoint, params, e: int) -> EpPoint:
-    """point at params' rates, its gap and e_degenerate times 2**e and residual_x times 4**e."""
-    return EpPoint(params.j, params.omega, params.gamma, point.residual_theta,
-                   float(_at_rates(point.residual_x, 2 * e, params, "residual_x")),
-                   float(_at_rates(point.gap, e, params, "the gap")),
-                   complex(_at_rates(point.e_degenerate, e, params, "e_degenerate")))
+def _flip(broken, u: int, b: int, t: int) -> int:
+    """The ordinal next to a flip of broken, of broken(u) False and broken(b) True: from t,
+    steps of 1, 2, 4, ... toward it until one crosses it, then bisection."""
+    step = 1 if u < b else -1
+    while abs(b - u) > 1:
+        if not min(u, b) < t < max(u, b):  # a step crossed the flip: bisect from here on
+            t, step = (u + b) // 2, 0
+        if broken(t):
+            b, t = t, t - step
+        else:
+            u, t = t, t + step
+        step *= 2
+    return u
 
 
-def _check_point(point: EpPoint):
-    """The EP certificate of a point at unit scale."""
-    if (
-        abs(point.residual_theta) > 1e-6
-        or abs(point.residual_x) > 1e-6
-        or point.gap > 1e-6
-        or abs(point.e_degenerate.imag) > 1e-8
-    ):
-        raise NotConvergedError(
-            f"EP certificate failed: residual_theta={point.residual_theta:.3e}, "
-            f"residual_x={point.residual_x:.3e}, gap={point.gap:.3e}"
-        )
+def _ordinal(x: float) -> int:
+    """The float x as an integer that counts floats in order (0.0 and -0.0 are 0)."""
+    n = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return n if n < 1 << 63 else (1 << 63) - n
+
+
+def _float(k: int) -> float:
+    """The float of ordinal k (_ordinal); 0 is 0.0."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else (1 << 63) - k))[0]
+
+
+def _at_flip(params) -> bool:
+    """The EP certificate: z <= 0 exactly at params, and z > 0 at a float neighbour of its
+    omega or its j."""
+    omega, j, gamma = params.omega, params.j, params.gamma
+    neighbours = [_Point(math.nextafter(omega, to), j, gamma) for to in (-math.inf, math.inf)]
+    neighbours += [_Point(omega, math.nextafter(j, to), gamma) for to in (-math.inf, math.inf)]
+    return _z_sign(params) <= 0 and any(_z_sign(p) > 0 for p in neighbours)
 
 
 def ep_order_is_two(point: EpPoint) -> bool:
-    """Exactly one coalescing pair (E3, E4); every other pair stays more than 1e-3 apart
-    (at unit scale)."""
-    e1, e2, e3, e4 = _eigenvalues(point.params())[1]
-    others = [abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4)]
-    return abs(e3 - e4) <= 1e-6 and min(others) > 1e-3
+    """Order two at every EP but the EP3, where x = z = 0 exactly: x = 0 with j != 0 gives
+    z > 0, and at j = 0, z = (gamma^2 - omega^2)^3."""
+    return point.j_c != 0 or _z_sign(point.params()) != 0
 
 
 def ep_curve(
@@ -197,7 +194,7 @@ def ep_curve(
         try:
             point = locate_ep("omega", float(om), j_bracket, gamma=gamma)
             entries.append(EpCurveEntry(float(om), point))
-        except (NoSignChangeError, NotConvergedError) as exc:
+        except NoSignChangeError as exc:
             entries.append(EpCurveEntry(float(om), None, failure=type(exc).__name__))
     if all(entry.point is None for entry in entries):
         raise EmptyCurveError(
@@ -208,12 +205,13 @@ def ep_curve(
 
 def coalesced_eigenvector(ep: EpPoint) -> np.ndarray:
     """The single eigenvector both branches collapse onto at the EP: the sector block less
-    the degenerate eigenvalue keeps rank 2 there (spectrum._sector_eigenvectors).  The
-    point is certified and solved at unit scale; NotAtEpError where it fails."""
-    e, unit = _unit_point(ep.params())
-    point = _at_scale(ep, unit, -e)
-    try:
-        _check_point(point)
-    except NotConvergedError as exc:
-        raise NotAtEpError(str(exc)) from None
-    return _closed_form_eigenpairs(_rates([unit]), np.full((1, 4), point.e_degenerate), e)[0][0, 2]
+    the degenerate eigenvalue keeps rank 2 there (spectrum._sector_eigenvectors).
+    NotAtEpError unless the point carries the EP certificate (_at_flip); solved at unit
+    scale."""
+    params = ep.params()
+    if not _at_flip(params):
+        raise NotAtEpError(f"z changes sign at no float neighbour of omega={ep.omega_c}, "
+                           f"j={ep.j_c} (gamma={ep.gamma})")
+    e, unit = _unit_point(params)
+    degenerate = _at_rates(complex(ep.e_degenerate), -e, params, "e_degenerate")
+    return _closed_form_eigenpairs(_rates([unit]), np.full((1, 4), degenerate), e)[0][0, 2]

@@ -35,7 +35,7 @@ class OmegaSingularError(ValidationError):
 
 
 class NotAtEpError(ValidationError):
-    """Supplied point does not satisfy the exceptional-point residuals."""
+    """Supplied point is not at an exact sign change of z (the EP certificate)."""
 
 
 class DegenerateCubicError(NumericalError):
@@ -53,10 +53,6 @@ class NoConvergenceError(NumericalError):
 
 class NoSignChangeError(NumericalError):
     """The bracket ends lie in the same phase, or the critical point lies outside it."""
-
-
-class NotConvergedError(NumericalError):
-    """A located critical point fails its certificate (residuals or gap above tolerance)."""
 
 
 class EmptyCurveError(NumericalError):

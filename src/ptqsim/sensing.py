@@ -21,8 +21,8 @@ point's sector vectors, and one (psi, dpsi) batch for the QFI, the
 coherence and its variance together.  qfi, sensitivity_variance and
 coherence_expectation are batches of one of the same kernels, so a point
 gets the same bits either way.  Sweeps mark the phase transition with
-spectrum's one phase decision (max |Im E| against its threshold) on the
-same closed-form eigenvalues.
+spectrum's one phase decision, the exact sign of z (_z_sign), on the float z
+that each point's eigenvalue solve evaluates.
 """
 from __future__ import annotations
 
@@ -36,12 +36,12 @@ from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
     _eigenvalues,
-    _phase_probe,
     _rates,
     _sector_gap,
     _solve_eigenvalues,
     _unit_point,
     _unit_rates,
+    _z_sign,
 )
 
 KAPPAS = ("j", "omega")
@@ -125,7 +125,7 @@ def _clear_of_ep(gap):
 def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The point's unit-scale (3, 1) rates, (1, 4) E1..E4 and (1,) exponent E (_unit_point);
     raises EpTooCloseError where the EP guard refuses it."""
-    e, values = _eigenvalues(params)
+    e, values, _ = _eigenvalues(params)
     values = np.array([values], dtype=complex)
     gap = float(_sector_gap(values)[0])
     if not _clear_of_ep(gap):
@@ -246,8 +246,8 @@ def sensing_sweep(
     finite = np.isfinite(grid)
     m = n if finite.all() else int(finite.argmin())
     rates, exps = _unit_rates(np.array(rate_lists)[:, :m])
-    values = np.array([_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())],
-                      dtype=complex).reshape(-1, 4)
+    solved = [_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())]
+    values = np.array([v for v, _ in solved], dtype=complex).reshape(-1, 4)
     too_close = ~_clear_of_ep(_sector_gap(values))
     flags = np.where(too_close, _flag(EpTooCloseError), None).tolist()
     kept = np.flatnonzero(~too_close)
@@ -265,7 +265,8 @@ def sensing_sweep(
         payload[k] = row
     for k in kept[~moves].tolist():
         flags[k] = _flag(ZeroSlopeError)
-    broken = _phase_probe(values)[1]
+    points = map(_Point, *(r[:m] for r in rate_lists))  # the rates themselves, for _z_sign
+    broken = np.array([_z_sign(point, z) > 0 for point, (_, z) in zip(points, solved)])
     for i in np.flatnonzero(broken[:-1] != broken[1:]).tolist():
         for k in (i, i + 1):
             if flags[k] is None:

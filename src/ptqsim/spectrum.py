@@ -15,6 +15,10 @@ oracle, eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H
 and merges roots that rounding split (_oracle_roots); spectrum_closed_form
 cross-checks the closed form against its roots.
 
+The phase is the exact sign of z (_z_sign): the cubic's discriminant is -4z, so
+z > 0 is PT-broken, z < 0 PT-symmetric and z = 0 an EP.  The solve's float z
+decides outside a static error bound, the rates' exact rationals inside it.
+
 The spectrum scales exactly with the rates, so every kernel solves at one unit
 scale: _unit_point takes a point to its rates times 2**-E, E the even exponent
 that puts the largest rate in [1, 4) (0 where H = 0), every decision and
@@ -22,8 +26,8 @@ tolerance applies there, and _at_rates maps the outputs back by ldexp (only an
 output that leaves the float range is refused).  A point in the window (every
 preset point) passes unchanged, and rates times 4**k give outputs times 4**k.
 
-The scalar kernel _solve_eigenvalues, which the phase label and the EP locator
-call once per point, runs in Python floats and complexes (no numpy scalars or
+The scalar kernel _solve_eigenvalues, which the phase label and the sweeps call
+once per point, runs in Python floats and complexes (no numpy scalars or
 arrays) and gives the bits of the numpy-scalar form that tests keep as its
 reference.  The cube roots stay np.cbrt: math.cbrt differs in the last bit.
 numpy divides a complex128 by 3 with Smith's algorithm, which multiplies by
@@ -33,11 +37,10 @@ unity, a numpy scalar there) and E2 on the z < 0 branch where the root was
 rotated by it.  Every other E2 is a true division there as here.
 
 A point is solved once: the first _eigenvalues call on a SystemParams instance
-stores its exponent E and unit-scale (E1, E2, E3, E4) tuple in that instance's
-attributes, and later calls on it (the phase label, eigenvalues_closed_form,
-the eigenpair batch, the EP probes) return the stored pair.  The instance is
-frozen, so the pair cannot go stale, and replace() builds a new instance.  The
-store is keyed by the instance, never by equality: SystemParams(0.0, -0.0)
+stores its exponent E, unit-scale (E1, E2, E3, E4) and float z in that instance's
+attributes, and later calls on it return them.  The instance is frozen, so they
+cannot go stale, and replace() builds a new instance.  The store is keyed by the
+instance, never by equality: SystemParams(0.0, -0.0)
 equals SystemParams(0.0, 0.0) but its E1 = -j has the other sign, and an
 equality-keyed cache would also keep every point alive.  The unit-scale solve
 never fails, so every point is stored; an output that overflows when mapped
@@ -50,9 +53,9 @@ spectrum_closed_form and the concurrences built on them (Psi3 and Psi4 of one
 point) read it.  Callers get copies of the vectors; the stored array is
 read-only.  A NearDefectiveError raises again on every call.  Explicit
 eigenvalues and the sweep batch bypass the store: a sweep solves each point's
-eigenvalues once with _solve_eigenvalues on an unchecked unit-scale _Point record
-(_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on the
-(3, n) unit-scale rate array.
+eigenvalues and z once with _solve_eigenvalues on an unchecked unit-scale _Point
+record (_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on
+the (3, n) unit-scale rate array.
 """
 from __future__ import annotations
 
@@ -78,8 +81,6 @@ _SQ27 = 3.0 * math.sqrt(3.0)
 RESIDUAL_TOL = 1e-9
 NEAR_EP_GAP = 1e-4
 NEAR_EP_RESIDUAL_TOL = 1e-6
-#: Unit-scale max|Im E| above which a spectrum is labeled PT-broken.
-_PHASE_TOL = 1e-8
 #: Unit-scale smallest gap at or below which a real spectrum is labeled NEAR_EP.
 _NEAR_EP_LABEL_GAP = 1e-6
 
@@ -124,12 +125,35 @@ class Spectrum:
 
 def _cubic_data(params: SystemParams):
     """(x, z, a) with a the real part of the cubed radical, of a point at unit scale
-    (_unit_point), where none of them leaves the float range."""
+    (_unit_point), where none of them leaves the float range; of integer rates, exactly."""
     om2, j, g2 = params.omega**2, params.j, params.gamma**2
     x = 4 * j * j + 3 * om2 - 3 * g2
     z = 16 * j**4 * g2 + j * j * (8 * g2 * g2 + 20 * g2 * om2 - om2 * om2) + (g2 - om2) ** 3
     a = -8 * j**3 - 9 * j * (om2 + 2 * g2)
     return x, z, a
+
+
+#: A static bound on the float z's rounding error at unit scale: each term sees at most 12
+#: roundings (16 with a margin; a libm pow counts two) and the terms sum below 53 * 4**6.
+_Z_ERROR = 16 * 2.0**-53 * 53 * 4.0**6
+
+
+def _z_sign(params, z: float | None = None) -> int:
+    """The one phase decision, the exact sign of z at params (+1 broken, -1 symmetric, 0 an EP):
+    the float z at unit scale (given, or evaluated) decides outside _Z_ERROR, params' rates
+    exactly inside it (a filtered predicate, Shewchuk, Discrete Comput. Geom. 18, 305 (1997))."""
+    if z is None:
+        z = _cubic_data(_unit_point(params)[1])[1]
+    return (1 if z > 0 else -1) if abs(z) > _Z_ERROR else _exact_z_sign(params)
+
+
+def _exact_z_sign(params) -> int:
+    """The sign of z at params in Python integers: z, homogeneous of degree 6, keeps its
+    sign when every rate is multiplied by the largest denominator (a power of two)."""
+    ratios = [r.as_integer_ratio() for r in (params.omega, params.j, params.gamma)]
+    d = max(den for _, den in ratios)
+    z = _cubic_data(_Point(*(num * (d // den) for num, den in ratios)))[1]
+    return (z > 0) - (z < 0)
 
 
 def _unit_point(params) -> tuple:
@@ -152,20 +176,17 @@ def _unit_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _at_rates(value, e: int, params, name: str):
-    """A unit-scale output (a float, complex or array) times 2**e: exact, by ldexp, unless it
-    leaves the float range, which raises NonFiniteError naming params' rates."""
+    """A unit-scale float or complex times 2**e: exact, by math.ldexp, unless it leaves the
+    float range, which raises NonFiniteError naming params' rates."""
     if not e:
         return value
-    value = np.array(value)
-    with np.errstate(over="ignore"):
-        if value.dtype.kind == "c":
-            value.real, value.imag = np.ldexp(value.real, e), np.ldexp(value.imag, e)
-        else:
-            value = np.ldexp(value, e)
-    if not np.isfinite(value).all():
+    try:
+        if isinstance(value, complex):
+            return complex(math.ldexp(value.real, e), math.ldexp(value.imag, e))
+        return math.ldexp(value, e)
+    except OverflowError:
         raise NonFiniteError(f"{name} out of the float range at omega={params.omega}, "
-                             f"j={params.j}, gamma={params.gamma}")
-    return value
+                             f"j={params.j}, gamma={params.gamma}") from None
 
 
 def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
@@ -185,8 +206,8 @@ def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
 
 
 def _branch_pair(params: SystemParams):
-    """Cube-root pair (y, v) with y*v = x, on the label-continuous branch, and
-    whether y was rotated by the cube root of unity.
+    """Cube-root pair (y, v) with y*v = x, on the label-continuous branch, whether y
+    was rotated by the cube root of unity, and the float z (for _z_sign).
 
     z >= 0: both radicands a +- sqrt(27z) are real, and the one whose terms
     have opposite signs cancels; only the other's cube root is taken, and the
@@ -207,13 +228,13 @@ def _branch_pair(params: SystemParams):
             v = x / y
         else:
             y, v = np.cbrt(a + s), np.cbrt(a - s)
-        return complex(y), complex(v), False
+        return complex(y), complex(v), False, z
     radicand = complex(a, _SQ27 * math.sqrt(-z))
     y = radicand ** (1.0 / 3.0)
     rotated = radicand.real < 0
     if rotated:
         y = y * _W3
-    return y, y.conjugate(), rotated
+    return y, y.conjugate(), rotated, z
 
 
 def _third(c: complex) -> complex:
@@ -226,10 +247,10 @@ _MEMO_KEY = "_ptqsim_eigenvalues"
 
 
 def _eigenvalues(params: SystemParams) -> tuple:
-    """(E, labeled eigenvalues (E1, E2, E3, E4) at unit scale as Python scalars): the
-    point's _unit_point exponent and _solve_eigenvalues of its unit-scale rates.
+    """(E, labeled eigenvalues (E1, E2, E3, E4) at unit scale as Python scalars, float z):
+    the point's _unit_point exponent and _solve_eigenvalues of its unit-scale rates.
 
-    Solved once per SystemParams instance: the pair is kept on the instance (see
+    Solved once per SystemParams instance: the triple is kept on the instance (see
     the module docstring).  It is read with getattr and set with
     object.__setattr__, as the frozen dataclass's own __init__ sets its fields:
     touching params.__dict__ would make CPython build a dict for the instance
@@ -238,26 +259,29 @@ def _eigenvalues(params: SystemParams) -> tuple:
     solved = getattr(params, _MEMO_KEY, None)
     if solved is None:
         e, unit = _unit_point(params)
-        solved = e, _solve_eigenvalues(unit)
+        values, z = _solve_eigenvalues(unit)
+        solved = e, values, z
         object.__setattr__(params, _MEMO_KEY, solved)
     return solved
 
 
 def _solve_eigenvalues(params) -> tuple:
-    """The closed-form (E1, E2, E3, E4), E1 = -j exactly, of anything with omega, j and
-    gamma at unit scale (_unit_point): a sweep calls it on each point's _Point."""
+    """(the closed-form (E1, E2, E3, E4), E1 = -j exactly; the float z) of anything with
+    omega, j and gamma at unit scale (_unit_point): a sweep calls it on each point's _Point."""
     j = params.j
-    y, v, rotated = _branch_pair(params)
+    y, v, rotated, z = _branch_pair(params)
     sum2 = j + v + y
     return (-j, _third(sum2) if rotated else sum2 / 3.0,
-            _third(j + _W3C * v + _W3 * y), _third(j + _W3 * v + _W3C * y))
+            _third(j + _W3C * v + _W3 * y), _third(j + _W3 * v + _W3C * y)), z
 
 
 def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
     Solved at unit scale and mapped back by 2**E (_at_rates)."""
-    e, values = _eigenvalues(params)
-    return _at_rates(np.array(values, dtype=complex), e, params, "eigenvalues")
+    e, values, _ = _eigenvalues(params)
+    if e:
+        values = [_at_rates(v, e, params, "eigenvalues") for v in values]
+    return np.array(values, dtype=complex)
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -287,8 +311,8 @@ def eigenvectors_closed_form(
     if eigenvalues is None:
         return _eigenpair(params)[0].copy()
     e, unit = _unit_point(params)
-    values = _at_rates(np.asarray(eigenvalues), -e, params, "eigenvalues")
-    return _closed_form_eigenpairs(_rates([unit]), values[None], e)[0][0]
+    values = [_at_rates(complex(v), -e, params, "eigenvalues") for v in eigenvalues]
+    return _closed_form_eigenpairs(_rates([unit]), np.array([values]), e)[0][0]
 
 
 #: The private instance attribute under which _eigenpair keeps a point's eigenpair.
@@ -301,7 +325,7 @@ def _eigenpair(params: SystemParams) -> tuple:
     docstring); a raised error is not kept."""
     pair = getattr(params, _EIGENPAIR_KEY, None)
     if pair is None:
-        e, values = _eigenvalues(params)
+        e, values, _ = _eigenvalues(params)
         vecs, residuals = _closed_form_eigenpairs(
             _rates([_unit_point(params)[1]]), np.array([values], dtype=complex), e)
         vecs = vecs[0]
@@ -539,54 +563,30 @@ def spectrum_closed_form(params: SystemParams) -> Spectrum:
 
 
 def spectrum_oracle(params: SystemParams) -> Spectrum:
-    """Oracle spectrum with labels aligned to the closed-form convention."""
-    spec = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
-    reference = eigenvalues_closed_form(params)
+    """Oracle spectrum with labels aligned to the closed-form convention, solved at unit
+    scale; the roots and the residual map back by 2**E (_at_rates)."""
+    e, unit = _unit_point(params)
+    spec = eigensystem_oracle(build_hamiltonian(unit), deflate_root=-unit.j)
+    reference = np.array(_eigenvalues(params)[1])
     order = _PERMS[_pairing_deviations(spec.eigenvalues, reference).argmin()]
-    return Spectrum(
-        spec.eigenvalues[order],
-        spec.eigenvectors[order],
-        Source.ORACLE,
-        spec.max_residual,
-    )
-
-
-def _broken(max_imag):
-    """PT-broken: a unit-scale max|Im E| above _PHASE_TOL - the one broken decision.
-
-    Elementwise, so max_imag may be a float or an array.
-    """
-    return max_imag > _PHASE_TOL
-
-
-def _phase_probe(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max|Im E|, PT-broken) of unit-scale closed-form E1..E4 on the last axis."""
-    max_imag = np.abs(values.imag).max(axis=-1)
-    return max_imag, _broken(max_imag)
-
-
-def _probe_point(params: SystemParams):
-    """(E, unit-scale E1..E4, their max|Im E|, PT-broken) of one point: _phase_probe in
-    Python scalars, on _eigenvalues' stored solve."""
-    e, values = _eigenvalues(params)
-    _, e2, e3, e4 = values  # E1 = -j is real
-    max_imag = max(abs(e2.imag), abs(e3.imag), abs(e4.imag))
-    return e, values, max_imag, _broken(max_imag)
+    roots = [_at_rates(v, e, params, "eigenvalues") for v in spec.eigenvalues[order].tolist()]
+    return Spectrum(np.array(roots), spec.eigenvectors[order], Source.ORACLE,
+                    _at_rates(spec.max_residual, e, params, "the oracle residual"))
 
 
 def classify_phase(params: SystemParams) -> PhaseLabel:
-    """Phase from max |Im E|; NEAR_EP when a real spectrum's smallest gap is <= 1e-6.
+    """PT_BROKEN where z > 0 exactly (_z_sign); otherwise NEAR_EP when the smallest gap is
+    <= 1e-6, else PT_SYMMETRIC.
 
-    Both are decided at unit scale (_unit_point), so the label does not depend on
-    the rates' units; max_imag is mapped back.  Real crossings that are not
-    coalescences (e.g. j = 0, where the singlet meets a symmetric-sector root)
-    also report NEAR_EP.
+    The gap is taken at unit scale (_unit_point), so the label does not depend on the
+    rates' units; max_imag is a reported value, mapped back.  Real crossings that are
+    not coalescences (e.g. j = 0, where the singlet meets a symmetric-sector root) also
+    report NEAR_EP.
     """
-    e, values, max_imag, broken = _probe_point(params)
-    max_imag = float(_at_rates(max_imag, e, params, "max|Im E|"))
-    if broken:
+    e, (e1, e2, e3, e4), z = _eigenvalues(params)
+    max_imag = _at_rates(max(abs(e2.imag), abs(e3.imag), abs(e4.imag)), e, params, "max|Im E|")
+    if _z_sign(params, z) > 0:
         return PhaseLabel(Phase.PT_BROKEN, max_imag)
-    e1, e2, e3, e4 = values
     gap = min(abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4), abs(e3 - e4))
     if gap <= _NEAR_EP_LABEL_GAP:
         return PhaseLabel(Phase.NEAR_EP, max_imag)

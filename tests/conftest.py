@@ -2,6 +2,7 @@
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def parse_csv(text):
 def column(columns, name):
     """Numeric column as float array; empty fields become NaN."""
     return np.array([float(v) if v else np.nan for v in columns[name]])
+
+
+def exact_z(omega, j, gamma) -> Fraction:
+    """The cubic invariant z of the rates taken as exact rationals: > 0 PT-broken, < 0
+    PT-symmetric, 0 an EP."""
+    om2, jj, g2 = (Fraction(r) ** 2 for r in (omega, j, gamma))
+    return 16 * jj * jj * g2 + jj * (8 * g2 * g2 + 20 * g2 * om2 - om2 * om2) + (g2 - om2) ** 3
 
 
 def min_gap(values) -> float:

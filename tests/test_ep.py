@@ -1,8 +1,10 @@
+import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from conftest import exact_z
 
 from ptqsim import (
     Phase,
@@ -132,23 +134,35 @@ class TestLocateEp:
     @pytest.mark.parametrize("fix, low, high, bracket", [
         ("omega", 1.0005, 3.0, (1e-9, 2.5)),
         ("j", 0.01, 1.5, (1.0, 5.0)),
+        ("omega", 1.05, 3.0, (1e-9, 2.5)),
     ])
     def test_seeded_roots_match_both_oracles(self, fix, low, high, bracket):
-        """Within 1e-12 of the label bisection, and z (in exact rationals)
-        changes sign within 2 ulp of the root."""
-        def z(omega, j):
-            om2, jj = Fraction(omega) ** 2, Fraction(j) ** 2
-            return 16 * jj * jj + jj * (8 + 20 * om2 - om2 * om2) + (1 - om2) ** 3
-
+        """The label bisection's float, at the flip of z in exact rationals with no ulp of
+        slack: z <= 0 there and z > 0 at the next float toward the broken end (the
+        max|Im E| label's walk missed that float by 1-3 ulp at 171 of 300 omega in
+        [1.05, 3])."""
         rng = np.random.default_rng(20261018)
-        for value in np.concatenate([[low, high], rng.uniform(low, high, 40)]):
-            point = locate_ep(fix, float(value), bracket)
-            x = point.j_c if fix == "omega" else point.omega_c
-            oracle = bisect_phase_label(fix, float(value), bracket)
-            assert x == pytest.approx(oracle, rel=1e-12, abs=0.0), value
-            ends = [x - 2 * np.spacing(x), x + 2 * np.spacing(x)]
-            signs = [z(*((value, e) if fix == "omega" else (e, value))) > 0 for e in ends]
-            assert signs[0] != signs[1], value
+        for value in np.concatenate([[low, high], rng.uniform(low, high, 300)]).tolist():
+            point = locate_ep(fix, value, bracket)
+            if fix == "omega":
+                x, broken_end, z = point.j_c, math.inf, lambda s: exact_z(value, s, 1.0)
+            else:
+                x, broken_end, z = point.omega_c, -math.inf, lambda s: exact_z(s, value, 1.0)
+            assert x == bisect_phase_label(fix, value, bracket), value
+            assert z(x) <= 0 < z(math.nextafter(x, broken_end)), value
+
+    def test_no_refusal_next_to_the_ep3(self):
+        """1 500 seeded draws with omega/gamma - 1 log-uniform in [1e-6, 10]: each answers
+        at the flip.  The absolute certificate refused 86 of them, all with omega/gamma - 1
+        near 1e-6 to 1e-5, where residual_theta reaches ~2e-6."""
+        rng = np.random.default_rng(20261020)
+        gammas = rng.uniform(0.5, 2.0, 1500).tolist()
+        ratios = (1 + 10.0 ** rng.uniform(-6, 1, 1500)).tolist()
+        for gamma, ratio in zip(gammas, ratios):
+            omega = gamma * ratio
+            j_c = locate_ep("omega", omega, (1e-12 * gamma, 40.0 * gamma), gamma=gamma).j_c
+            assert exact_z(omega, j_c, gamma) <= 0 < exact_z(
+                omega, math.nextafter(j_c, math.inf), gamma), (omega, gamma)
 
     @pytest.mark.parametrize("fix, value, bracket, expected", [
         ("omega", -2.0, (0.3, 0.9), 0.5899798397854931),
@@ -176,9 +190,9 @@ class TestLocateEp:
             locate_ep("omega", 2.0, (0.3, 0.9), gamma=0.0)
 
     def test_root_outside_bracket_refused(self):
-        # both ends differ in phase by the label, whose 1e-8 threshold biases
-        # it above the closed-form root; the root itself lies below lo
-        with pytest.raises(NoSignChangeError):
+        # lo lies just above j_c = 6.086059771519353e-06, so both ends are broken by the
+        # exact sign of z (a max|Im E| > 1e-8 label called lo unbroken: 7.1e-9 there)
+        with pytest.raises(NoSignChangeError, match="same phase"):
             locate_ep("omega", 1.0005, (6.086059771521042e-06, 2.5))
 
 
@@ -287,3 +301,11 @@ class TestCoalescedEigenvector:
         )
         with pytest.raises(NotAtEpError):
             coalesced_eigenvector(fake)
+
+    def test_certificate_is_the_exact_flip(self, point):
+        """The located point passes; one float past it, in the broken phase, and 1e-12
+        short of it, where z stays negative at every float neighbour, fail."""
+        coalesced_eigenvector(point)
+        for j in (math.nextafter(point.j_c, math.inf), point.j_c - 1e-12):
+            with pytest.raises(NotAtEpError):
+                coalesced_eigenvector(dataclasses.replace(point, j_c=j))

@@ -337,7 +337,8 @@ def test_layers_on_a_tiny_budget(tmp_path):
     layers = ["eigenpairs_1", "eigenpairs_24", "eigenpairs_601", "sense_rows_24",
               "sense_rows_601", "sensing_sweep_601", "spectrum_closed_form_1",
               "solve_200", "eigenpair_1", "solve_200_tiny", "eigenpair_1_tiny", "solve_200_huge",
-              "eigenpair_1_huge", "step_factors_1000", "chunk_states_1000", "step_factors_2500", "chunk_states_2500",
+              "eigenpair_1_huge", "classify_200", "locate_ep_1", "z_sign_200",
+              "exact_z_sign_at_j_c", "step_factors_1000", "chunk_states_1000", "step_factors_2500", "chunk_states_2500",
               "step_factors_4096", "chunk_states_4096", "integrate_400000", "csv_blocks_30001",
               "csv_blocks_evolve_30001"]
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],

@@ -378,8 +378,8 @@ class TestSweepErrorOrder:
         solve = sensing._solve_eigenvalues
 
         def moved(point):
-            e1, e2, e3, e4 = solve(point)
-            return (e1, e2, e3 + 1e-6, e4) if point.omega == omega else (e1, e2, e3, e4)
+            (e1, e2, e3, e4), z = solve(point)
+            return (e1, e2, e3 + 1e-6 if point.omega == omega else e3, e4), z
 
         monkeypatch.setattr(sensing, "_solve_eigenvalues", moved)
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,7 +29,7 @@ from ptqsim import (
     spectrum_oracle,
 )
 import mp_reference
-from conftest import FIG_SWEEPS, fig_sweep_points, min_gap, sector_gap, vector_error
+from conftest import FIG_SWEEPS, exact_z, fig_sweep_points, min_gap, sector_gap, vector_error
 from ptqsim.errors import (
     NearDefectiveError,
     NoConvergenceError,
@@ -447,6 +448,30 @@ class TestSpectrumTypes:
         assert np.max(np.abs(oracle.eigenvalues - closed.eigenvalues)) < 1e-9
         assert abs(oracle.eigenvalues[0] + params.j) < 1e-10
 
+    def test_oracle_answers_at_far_rates(self):
+        """Solved at unit scale: no overflow in eig, and the roots are the closed form's."""
+        params = SystemParams(2e200, 4e199, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = spectrum_oracle(params)
+        closed = eigenvalues_closed_form(params)
+        assert np.abs(oracle.eigenvalues - closed).max() <= 1e-9 * 2e200
+
+    @pytest.mark.parametrize("k", [-250, -100, 100, 250])
+    def test_oracle_scales_bit_for_bit(self, k):
+        """Rates times 4**k give the roots and the residual times 4**k and the same vectors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in _spectra_pool(100, 20261020):
+                base = spectrum_oracle(p)
+                scaled = spectrum_oracle(SystemParams(
+                    *(math.ldexp(r, 2 * k) for r in (p.omega, p.j, p.gamma))))
+                want = base.eigenvalues.copy()
+                want.real, want.imag = np.ldexp(want.real, 2 * k), np.ldexp(want.imag, 2 * k)
+                assert scaled.eigenvalues.tobytes() == want.tobytes(), p
+                assert scaled.eigenvectors.tobytes() == base.eigenvectors.tobytes(), p
+                assert scaled.max_residual == math.ldexp(base.max_residual, 2 * k), p
+
 
 class TestClassifyPhase:
     @pytest.mark.parametrize(
@@ -535,10 +560,13 @@ def _eigenvalues_reference(params):
 
 
 def _classify_reference(params):
+    """PT_BROKEN where z > 0, else the gap rule on the reference's eigenvalues; max_imag
+    from them too.  The sign of z is the float z's where |z| > 1e-6 at unit scale, far
+    above its rounding error (below 3e-10 there), else that of exact rationals."""
     values, e = _unit_eigenvalues_reference(params)
-    max_imag, broken = spectrum._phase_probe(values)
-    max_imag = math.ldexp(float(max_imag), e)
-    if broken:
+    max_imag = math.ldexp(float(np.abs(values.imag).max()), e)
+    z = spectrum._cubic_data(_unit_reference(params)[1])[1]
+    if (z > 0 if abs(z) > 1e-6 else exact_z(params.omega, params.j, params.gamma) > 0):
         return PhaseLabel(Phase.PT_BROKEN, max_imag)
     if min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP:
         return PhaseLabel(Phase.NEAR_EP, max_imag)
@@ -627,23 +655,66 @@ class TestScalarKernelBitwise:
                 ("z=0", False, True), ("rescaled", True)} <= seen
 
 
+def _near_curve_points(n=300, ulps=10, seed=20261020):
+    """n seeded omega in [1.05, 3] (gamma = 1), each with the 2 ulps + 1 floats j around
+    its located j_c."""
+    points = []
+    for omega in np.random.default_rng(seed).uniform(1.05, 3.0, n).tolist():
+        j = locate_ep("omega", omega, (1e-9, 2.5)).j_c
+        for _ in range(ulps):
+            j = math.nextafter(j, 0.0)
+        for _ in range(2 * ulps + 1):
+            points.append((omega, j, 1.0))
+            j = math.nextafter(j, math.inf)
+    return points
+
+
+class TestExactPhase:
+    """The phase is the exact sign of z, and the float filter never contradicts it."""
+
+    @pytest.mark.parametrize("k", [0, -125, 125])
+    @pytest.mark.parametrize("pool", ["near_curve", "fig2"])
+    def test_label_is_the_exact_sign(self, pool, k):
+        rates = _near_curve_points() if pool == "near_curve" else [
+            (p.omega, p.j, p.gamma) for p in _fig2_grid()]
+        broken = 0
+        for r in rates:
+            p = SystemParams(*(math.ldexp(x, 2 * k) for x in r))
+            z = exact_z(*r)
+            sign = (z > 0) - (z < 0)
+            assert spectrum._z_sign(p, spectrum._eigenvalues(p)[2]) == sign, r
+            phase = classify_phase(p).phase
+            assert (phase is Phase.PT_BROKEN) == (sign > 0), r
+            broken += sign > 0
+        assert 0 < broken < len(rates)
+
+    def test_filter_decides_off_the_curve(self, count_calls):
+        """The fig2 box's cells and a phase_scan column leave the float z outside its
+        bound: one exact evaluation, at the EP3 (omega, j) = (1, 0), where z = 0."""
+        exact = count_calls(spectrum, "_exact_z_sign")
+        for p in _fig2_grid() + [SystemParams(2.0, j, 1.0) for j in np.linspace(0, 1.2, 97)]:
+            classify_phase(p)
+        assert exact() == 1
+
+
 class TestScalarBatchPhaseAgreement:
-    """classify_phase's decisions equal the batch path's on the same eigenvalues."""
+    """classify_phase's decisions equal the sweep path's: each point's solve gives the
+    float z, and _z_sign decides on it."""
 
     def test_same_decisions(self):
         crossings = [SystemParams(om, sign * d, 1.0) for om in (1.5, 2.0, 3.0)
                      for sign in (1, -1) for d in (0.0, 1e-7, 3e-7, 3.75e-7, 4e-7, 1e-6)]
         points = _fig2_grid() + crossings + _seeded_points(2000) + _seeded_edge_draw(2000, 7)
-        exps, values = zip(*(spectrum._eigenvalues(p) for p in points))
+        exps, values, zs = zip(*(spectrum._eigenvalues(p) for p in points))
         values = np.array(values)
-        max_imag, broken = spectrum._phase_probe(values)
+        broken = np.array([spectrum._z_sign(p, z) > 0 for z, p in zip(zs, points)])
         near = ~broken & (np.array([min_gap(v) for v in values]) <= spectrum._NEAR_EP_LABEL_GAP)
         labels = [classify_phase(p) for p in points]
         assert [lab.phase is Phase.PT_BROKEN for lab in labels] == broken.tolist()
         assert [lab.phase is Phase.NEAR_EP for lab in labels] == near.tolist()
         assert np.array([lab.max_imag for lab in labels]).tobytes() == np.ldexp(
-            max_imag, exps).tobytes()
-        # both sides of each threshold are reached, the j = 0 crossings among them
+            np.abs(values.imag).max(axis=1), exps).tobytes()
+        # both sides of each decision are reached, the j = 0 crossings among them
         assert broken.any() and not broken.all() and 0 < near.sum() < (~broken).sum()
         crossing_near = [classify_phase(p).phase is Phase.NEAR_EP for p in crossings]
         assert any(crossing_near) and not all(crossing_near)
@@ -1210,15 +1281,18 @@ class TestCrossCheckStage:
                 assert pairing_distance(spec.eigenvalues, reference) <= 1e-9 * _rate_unit(p), p
 
     def test_answers_at_an_exact_double_root(self):
-        """At a located j_c where the closed form's pair is an exact double root (z = 0),
-        eig splits it by ~1e-8 and the cluster rule merges it back, so the cross-check
-        answers.  Elsewhere on the curve the float j_c leaves z at rounding level and
-        the closed form's own pair is split by ~1e-8, which no eigensolver resolves to
-        1e-9: those points stay refused."""
+        """At either float of the flip, a located j_c or its broken-side neighbour, where
+        the closed form's pair is an exact double root (float z = 0), eig splits it by
+        ~1e-8 and the cluster rule merges it back, so the cross-check answers.  Elsewhere
+        on the curve the float j_c leaves z at rounding level and the closed form's own
+        pair is split by ~1e-8, which no eigensolver resolves to 1e-9: those points stay
+        refused."""
         double = 0
         for omega in [1.1, 1.3, 1.7, 2.0, 2.2, 2.4] + np.linspace(1.05, 3.0, 40).tolist():
-            p = SystemParams(omega, locate_ep("omega", omega, (1e-3, 2.0)).j_c, 1.0)
-            if spectrum._cubic_data(p)[1] == 0:
-                assert spectrum_closed_form(p).source is Source.CLOSED_FORM, p
-                double += 1
+            j_c = locate_ep("omega", omega, (1e-3, 2.0)).j_c
+            for j in (j_c, math.nextafter(j_c, math.inf)):
+                p = SystemParams(omega, j, 1.0)
+                if spectrum._cubic_data(p)[1] == 0:
+                    assert spectrum_closed_form(p).source is Source.CLOSED_FORM, p
+                    double += 1
         assert double >= 15
