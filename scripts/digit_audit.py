@@ -27,11 +27,17 @@ references:
   QFI, coherence and coherence slope by a 40-digit central difference
   (tests/mp_reference.py), and from them variance_sq, inv_variance_sq and
   cr_bound.  Flagged rows have no reference.
-- `concurrence` (a point or a sweep): Psi3's and Psi4's concurrences of the
-  40-digit null vectors, and the largest distance to the radical form's
-  cells, which have no reference of their own.
+- `concurrence` (a point or a sweep), or `reproduce fig3a`/`fig3b`: Psi3's and
+  Psi4's concurrences of the 40-digit null vectors; the paper's radical form
+  (`eigenstate_concurrence_closed`) evaluated at 40 digits at the 40-digit
+  roots; and the largest distance between the two.
+- `reproduce fig2`: each cell's 40-digit E3 and E4, the roots nearest the
+  closed form's.
 - `spectrum`: the 40-digit eigenvalues and null vectors, each vector's phase
   aligned to the audited one's; max_residual's reference is 0.
+- `ep-locate` and `ep-curve`: at each located point (located again by this
+  tree, whose j_c is the exact flip of z's sign), the gap and the mean of the
+  two 40-digit sector roots nearest each other.
 
 Every changed field gets one line: its row, column, old and new values,
 |old - ref|, |new - ref| and whether it moved toward the reference.  Each
@@ -56,10 +62,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ptqsim import cli  # noqa: E402
+from ptqsim import cli, ep_curve, locate_ep  # noqa: E402
 from ptqsim.dynamics import _rk4_step_matrix, initial_state  # noqa: E402
 from ptqsim.model import SystemParams, build_hamiltonian  # noqa: E402
-from ptqsim.spectrum import eigenvalues_closed_form  # noqa: E402
+from ptqsim.spectrum import _eigenvalues, _unit_point, eigenvalues_closed_form  # noqa: E402
 
 _mp = mpmath.MPContext()
 _mp.dps = 40
@@ -90,7 +96,7 @@ def read_table(path: Path) -> tuple[list[str], np.ndarray]:
     else:
         lines = [line for line in text.splitlines() if not line.startswith("#")]
         header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
-    keep = [c for c, name in enumerate(header) if name != "flag"]
+    keep = [c for c, name in enumerate(header) if name not in ("flag", "failure")]
     cells = [[math.nan if row[c] in ("", None) else float(row[c]) for c in keep] for row in rows]
     return [header[c] for c in keep], np.array(cells, dtype=float).reshape(len(rows), len(keep))
 
@@ -100,9 +106,16 @@ _RUNNERS = ("_evolve_columns", "_preset_sense", "_preset_fig3")
 
 
 def _captured(args) -> tuple:
-    """(runner, its arguments) of a preset, captured where it would run, or (None, ())."""
+    """(runner, its arguments) of a preset, captured where it would run; fig2's are the
+    (omega, j) of its cells, from the rows it would write."""
     if cli.PRESETS[args.preset] is cli._preset_fig2:
-        return None, ()
+        emit, rows = cli._emit, []
+        cli._emit = lambda _args, _desc, _header, table, _meta: rows.extend(table)
+        try:
+            cli._preset_fig2(args)
+        finally:
+            cli._emit = emit
+        return "_preset_fig2", [(float(r[0]), float(r[1])) for r in rows]
     captured, originals = [], {name: getattr(cli, name) for name in _RUNNERS}
     for name in _RUNNERS:
         setattr(cli, name, lambda _args, *rest, name=name: captured.append((name, rest)))
@@ -194,15 +207,36 @@ def _sensing_reference(params: SystemParams, kappa: str) -> dict:
 
 
 def _sector_reference(params: SystemParams) -> list:
-    return _mp_reference().sector_states(params.omega, params.j, params.gamma,
-                                         eigenvalues_closed_form(params))
+    """Psi2..Psi4 at 40 digits, of the unit-scale point (they are scale-free), paired with
+    the closed form's roots by their deltas E - j, which resolve roots that round to one E."""
+    unit = _unit_point(params)[1]
+    return _mp_reference().sector_states(unit.omega, unit.j, unit.gamma, _eigenvalues(params)[1])
 
 
-def _concurrence_reference(params: SystemParams, closed: tuple) -> dict:
-    """Psi3's and Psi4's 40-digit concurrences, and their largest distance to closed."""
+def _radical_concurrence(omega, j, gamma, e):
+    """The radical form of eigenstate_concurrence_closed at 40 digits, at the root e."""
+    d = j - e + _mp.mpc(0, gamma)
+    r1, r2 = -2 * (j + e) * d / omega**2 - 1, -d / omega
+    n2 = 1 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)
+    a = 2 * r1.real - 2 * abs(r2) ** 2
+    common = (2 * r1.real) ** 2 - 2 * a * abs(r2) ** 2 - 4 * abs(r2) ** 2 * r1.real
+    lam1, lam2 = (n2**2 * (common + sign * a * a) / 2 for sign in (1, -1))
+    return _mp.sqrt(max(lam1, 0)) - _mp.sqrt(max(lam2, 0))
+
+
+def _concurrence_reference(params: SystemParams) -> dict:
+    """Psi3's and Psi4's 40-digit concurrences, the radical form's (none where it refuses
+    omega ~ 0), and the largest distance between them."""
     c3, c4 = (_mp_reference().pure_concurrence(v) for v in _sector_reference(params)[1:])
-    gaps = [abs(c - cc) for c, cc in zip((c3, c4), closed) if not math.isnan(cc)]
-    return {"c_psi3": c3, "c_psi4": c4, "max": max(gaps) if len(gaps) == 2 else None}
+    out = {"c_psi3": c3, "c_psi4": c4, "closed3": None, "closed4": None, "max": None}
+    unit = _unit_point(params)[1]
+    if abs(unit.omega) > 1e-12:
+        rates = (unit.omega, unit.j, unit.gamma)
+        roots = _mp_reference().paired_roots(*rates, _eigenvalues(params)[1])
+        rates = [_mp.mpf(r) for r in rates]
+        out["closed3"], out["closed4"] = (_radical_concurrence(*rates, e) for e in roots[1:])
+        out["max"] = max(abs(c3 - out["closed3"]), abs(c4 - out["closed4"]))
+    return out
 
 
 def _spectrum_reference(params: SystemParams, header: list[str], row: np.ndarray) -> dict:
@@ -224,6 +258,18 @@ def _spectrum_reference(params: SystemParams, header: list[str], row: np.ndarray
             out[f"eigenvectors.{k}.{i}.im"] = _mp.im(amplitude * phase)
         out[f"eigenvalues.{k}.re"], out[f"eigenvalues.{k}.im"] = near[k].real, near[k].imag
     return out
+
+
+def _pair_reference(point) -> dict | None:
+    """The 40-digit gap and degenerate eigenvalue of a located EpPoint (None for none): the
+    two sector roots nearest each other, the pair that coalesces there."""
+    if point is None:
+        return None
+    roots = _mp_reference().hamiltonian_eigenvalues(point.omega_c, point.j_c, point.gamma)[1:]
+    r3, r4 = min(((a, b) for k, a in enumerate(roots) for b in roots[k + 1:]),
+                 key=lambda pair: abs(pair[0] - pair[1]))
+    mean = (r3 + r4) / 2
+    return {"gap": abs(r3 - r4), "re_e_degenerate": mean.real, "im_e_degenerate": mean.imag}
 
 
 def _grid(rows: np.ndarray, value_range, n: int) -> list[float]:
@@ -256,6 +302,23 @@ def references(command: list[str], header: list[str], rows: np.ndarray) -> dict:
     if args.command == "qfi":
         ref = _sensing_reference(point, args.sweep_axis or "omega")
         return {name: [ref[name]] for name in header}
+    if args.command == "reproduce" and _captured(args)[0] == "_preset_fig2":
+        out = {name: [] for name in ("re_e3", "im_e3", "re_e4", "im_e4")}
+        for omega, j in _captured(args)[1]:
+            params = SystemParams(omega, j, 1.0)
+            roots = _mp_reference().hamiltonian_eigenvalues(omega, j, 1.0)
+            for k, v in ((3, eigenvalues_closed_form(params)[2]),
+                         (4, eigenvalues_closed_form(params)[3])):
+                near = min(roots, key=lambda r: abs(r - v))
+                out[f"re_e{k}"].append(near.real)
+                out[f"im_e{k}"].append(near.imag)
+        return out
+    if args.command == "reproduce" and _captured(args)[0] == "_preset_fig3":
+        axis, fixed_value, value_range, n = _captured(args)[1]
+        fix = "omega" if axis == "j" else "j"
+        refs = [_concurrence_reference(_point(fix, fixed_value, axis, x, 1.0))
+                for x in _grid(rows, value_range, n)]
+        return {name: [ref[name] for ref in refs] for name in ("c_psi3", "c_psi4")}
     if args.command == "concurrence":
         if args.sweep_axis is None:
             points, closed = [point], ["closed_form.c_psi3", "closed_form.c_psi4"]
@@ -263,10 +326,19 @@ def references(command: list[str], header: list[str], rows: np.ndarray) -> dict:
             points = [point.replace(**{args.sweep_axis: x})
                       for x in _grid(rows, args.sweep_range, args.n)]
             closed = ["c_closed_psi3", "c_closed_psi4"]
-        refs = [_concurrence_reference(p, tuple(row[[header.index(c) for c in closed]]))
-                for p, row in zip(points, rows)]
+        refs = [_concurrence_reference(p) for p in points]
         return {name: [ref[key] for ref in refs] for name, key in (
-            ("c_psi3", "c_psi3"), ("c_psi4", "c_psi4"), ("max_closed_form_discrepancy", "max"))}
+            ("c_psi3", "c_psi3"), ("c_psi4", "c_psi4"), (closed[0], "closed3"),
+            (closed[1], "closed4"), ("max_closed_form_discrepancy", "max"))}
+    if args.command in ("ep-locate", "ep-curve"):
+        if args.command == "ep-locate":
+            fix, value = ("omega", args.omega) if args.sweep_axis == "j" else ("j", args.j)
+            points = [locate_ep(fix, value, args.sweep_range, gamma=args.gamma)]
+        else:
+            points = [e.point for e in ep_curve(args.sweep_range, args.n, gamma=args.gamma)]
+        refs = [_pair_reference(p) for p in points]
+        return {name: [ref and ref[name] for ref in refs]
+                for name in ("gap", "re_e_degenerate", "im_e_degenerate")}
     if args.command == "spectrum":
         ref = _spectrum_reference(point, header, rows[0])
         return {name: [ref[name]] for name in header if name in ref}

@@ -11,7 +11,9 @@ inputs built for it and not timed:
 
 - eigenpairs_<n>, n = 1, 24, 601: `spectrum._closed_form_eigenpairs` of n
   points of fig7a's sweep (omega from 1.4 to 2.0, gamma = 1) at j = 0.3 moved
-  by 1e-9 per pass, their eigenvalues solved beforehand;
+  by 1e-9 per pass, their roots solved beforehand (in the form the tree's
+  `_solve_eigenvalues` returns and its kernels take: the deltas E - j of
+  E2..E4, or E1..E4 where the tree predates them);
 - sense_rows_<n>, n = 24, 601: `sensing._sense_rows` with kappa = omega on the
   same points, less those the EP guard refuses;
 - sensing_sweep_601: `sensing.sensing_sweep` of fig7a, its fixed j moved by
@@ -20,12 +22,13 @@ inputs built for it and not timed:
   0.3 + 1e-9 k), which solves it and cross-checks it against the oracle;
 - solve_200, solve_200_tiny, solve_200_huge: `eigenvalues_closed_form` of 200 fresh
   SystemParams of fig7a's sweep at j = 0.3 + 1e-9 k, with every rate times 1,
-  2**-600 and 2**600: the scalar solve in the unit-scale window and through the
-  scale boundary both ways;
+  2**-600 and 2**600: the scalar solve (the real delta cubic, then E = j + delta)
+  in the unit-scale window and through the scale boundary both ways;
 - eigenpair_1, eigenpair_1_tiny, eigenpair_1_huge: `eigenvectors_closed_form` of
   fig7a's first point at the same three scales, its eigenvalues solved beforehand:
   the one-point eigenpair kernel with and without the boundary's rescaling;
-- classify_200: `classify_phase` of solve_200's fresh points, which solves them;
+- classify_200: `classify_phase` of solve_200's fresh points, which solves them and
+  reads the gaps off the deltas;
 - locate_ep_1: `locate_ep("omega", 2 + 1e-9 k, (1e-9, 2.5))`;
 - z_sign_200: `spectrum._z_sign`, the filtered sign of z, of 200 fig7a points at
   j = 0.3 + 1e-9 k, their float z solved beforehand (every one outside the filter's
@@ -99,11 +102,12 @@ def measure(passes: int) -> list[dict]:
     from ptqsim.model import SystemParams, _Point, build_hamiltonian
 
     def fig7a(n, k, guarded=False):
-        """(rates, eigenvalues) of n points of fig7a's omega sweep at j = 0.3 + 1e-9 k."""
+        """(rates, roots) of n points of fig7a's omega sweep at j = 0.3 + 1e-9 k."""
         rates = np.array([np.linspace(1.4, 2.0, n), np.full(n, 0.3 + 1e-9 * k), np.ones(n)])
         solved = [spectrum._solve_eigenvalues(_Point(*r)) for r in rates.T.tolist()]
-        # (values, z) per point, or the values alone where the tree predates z
-        values = np.array([s[0] if len(s) == 2 else s for s in solved])
+        # (roots, z) per point: the deltas of E2..E4, or E1..E4 where the tree predates them;
+        # the roots alone where the tree predates z.  Each side's kernels take its own form.
+        values = np.array([s[0] if len(s) == 2 else s for s in solved], dtype=complex)
         if guarded:  # the sector gap, or every gap where the tree predates it
             gap = getattr(spectrum, "_sector_gap", None) or spectrum._min_gap
             keep = gap(values) >= 1e-4

@@ -231,10 +231,16 @@ def _params_from(args) -> SystemParams:
     return SystemParams(omega=args.omega, j=args.j, gamma=args.gamma)
 
 
+def _exact(x) -> str:
+    """x as _fmt prints it where that reads back as x, else the float's shortest repr."""
+    text = _fmt(x)
+    exact = not isinstance(x, float) or text and float(text).hex() == x.hex()
+    return text if exact else repr(float(x))
+
+
 def _params_desc(params: SystemParams, **extra) -> str:
-    parts = [f"omega={_fmt(params.omega)}", f"j={_fmt(params.j)}", f"gamma={_fmt(params.gamma)}"]
-    parts += [f"{k}={_fmt(v)}" for k, v in extra.items()]
-    return " ".join(parts)
+    pairs = {"omega": params.omega, "j": params.j, "gamma": params.gamma, **extra}
+    return " ".join(f"{k}={_exact(v)}" for k, v in pairs.items())
 
 
 def _sweep_range(text: str) -> tuple[float, float]:
@@ -281,12 +287,8 @@ def cmd_spectrum(args) -> int:
         "max_imag": label.max_imag,
     }
     header = ["label", "re_e", "im_e"] + [f"{p}_v{i}" for i in range(4) for p in ("re", "im")]
-    rows = []
-    for k in range(4):
-        row = [f"E{k+1}", spec.eigenvalues[k].real, spec.eigenvalues[k].imag]
-        for i in range(4):
-            row += [spec.eigenvectors[k][i].real, spec.eigenvectors[k][i].imag]
-        rows.append(row)
+    rows = [[f"E{k+1}", e.real, e.imag, *np.stack([v.real, v.imag], axis=-1).ravel().tolist()]
+            for k, (e, v) in enumerate(zip(spec.eigenvalues, spec.eigenvectors))]
     meta = {"source": spec.source.value, "phase": label.phase.value,
             "max_residual": spec.max_residual}
     _emit(args, _params_desc(params), header, rows, meta, results)
@@ -384,7 +386,8 @@ def _trajectory(args, keep):
     traj = _integrate(params, initial_state(args.theta), args.tmax, args.dt, args.record_every,
                       keep)
     t_end = float(traj.times[-1])
-    return (traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt),
+    return (traj, _params_desc(params, theta=args.theta, tmax=args.tmax, dt=args.dt,
+                               record_every=args.record_every),
             {} if t_end == args.tmax else {"t_end": t_end})
 
 
@@ -480,8 +483,8 @@ def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     xs = np.linspace(sweep[0], sweep[1], n)
     rates = np.ones((3, n))  # (omega, j, gamma = 1): every rate below 4, at unit scale
     rates[int(axis == "j")], rates[int(fix == "j")] = xs, fixed_value
-    values = np.array([_solve_eigenvalues(_Point(*r))[0] for r in rates.T.tolist()])
-    v = _closed_form_eigenpairs(rates, values)[0][:, 2:]  # Psi3, Psi4: concurrence_pure's rows
+    deltas = np.array([_solve_eigenvalues(_Point(*r))[0] for r in rates.T.tolist()], dtype=complex)
+    v = _closed_form_eigenpairs(rates, deltas)[0][:, 2:]  # Psi3, Psi4: concurrence_pure's rows
     c = np.minimum(1.0, 2.0 * abs(v[..., 1] * v[..., 2] - v[..., 0] * v[..., 3]))
     header = [axis, "c_psi3", "c_psi4"]
     critical = {"j_c": point.j_c} if axis == "j" else {"omega_c": point.omega_c}

@@ -62,8 +62,8 @@ def concurrence_pure(psi) -> float:
 
 def _radical_coefficients(params: SystemParams, s: int):
     """(r1, r2, |N|^2) of the paper's radical form N(1, r2, r2, r1) of eigenstate s in {3, 4}:
-    r2 = -d/omega, r1 = -2(j + E)d/omega^2 - 1, d = j - E + i*gamma, all scale-free and taken
-    at unit scale (spectrum._unit_point), where |omega| <= 1e-12 raises OmegaSingularError."""
+    r2 = -d/omega, r1 = -2(2j + delta)d/omega^2 - 1, d = i*gamma - delta (delta = E - j), at
+    unit scale (spectrum._unit_point), where |omega| <= 1e-12 raises OmegaSingularError."""
     if s not in (3, 4):
         raise ValueError(f"s must be 3 or 4, got {s}")
     unit = _unit_point(params)[1]
@@ -71,9 +71,9 @@ def _radical_coefficients(params: SystemParams, s: int):
     if abs(omega) <= 1e-12:
         raise OmegaSingularError(
             f"the radical coefficients divide by omega (omega={params.omega})")
-    e = np.complex128(_eigenvalues(params)[1][s - 1])
-    d = j - e + 1j * unit.gamma
-    r1, r2 = -2 * (j + e) * d / omega**2 - 1, -d / omega
+    delta = np.complex128(_eigenvalues(params)[1][s - 2])
+    d = 1j * unit.gamma - delta
+    r1, r2 = -2 * (2 * j + delta) * d / omega**2 - 1, -d / omega
     n2 = 1.0 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)  # |N|^2
     return r1, r2, n2
 

@@ -123,10 +123,11 @@ def locate_ep(fix: str, value: float, bracket: tuple[float, float],
     k = _flip(lambda n: _z_sign(at(_float(n), _Point)) > 0, _ordinal(unbroken),
               _ordinal(broken), _ordinal(min(max(root, lo), hi)))
     found = at(_float(k))
-    e, (_, _, e3, e4), _ = _eigenvalues(found)
+    e, (_, d3, d4), _ = _eigenvalues(found)
+    degenerate = complex(math.ldexp(found.j, -e) + 0.5 * (d3 + d4))  # j + the pair's mean delta
     return EpPoint(found.j, found.omega, found.gamma, *ep_residual(found),
-                   _at_rates(abs(e3 - e4), e, found, "the gap"),
-                   _at_rates(0.5 * (e3 + e4), e, found, "e_degenerate"))
+                   _at_rates(abs(d3 - d4), e, found, "the gap"),
+                   _at_rates(degenerate, e, found, "e_degenerate"))
 
 
 def _flip(broken, u: int, b: int, t: int) -> int:
@@ -205,13 +206,13 @@ def ep_curve(
 
 def coalesced_eigenvector(ep: EpPoint) -> np.ndarray:
     """The single eigenvector both branches collapse onto at the EP: the sector block less
-    the degenerate eigenvalue keeps rank 2 there (spectrum._sector_eigenvectors).
-    NotAtEpError unless the point carries the EP certificate (_at_flip); solved at unit
-    scale."""
+    the degenerate eigenvalue, j plus the mean of the pair's deltas, keeps rank 2 there
+    (spectrum._sector_eigenvectors).  NotAtEpError unless the point carries the EP
+    certificate (_at_flip); solved at unit scale."""
     params = ep.params()
     if not _at_flip(params):
         raise NotAtEpError(f"z changes sign at no float neighbour of omega={ep.omega_c}, "
                            f"j={ep.j_c} (gamma={ep.gamma})")
-    e, unit = _unit_point(params)
-    degenerate = _at_rates(complex(ep.e_degenerate), -e, params, "e_degenerate")
-    return _closed_form_eigenpairs(_rates([unit]), np.full((1, 4), degenerate), e)[0][0, 2]
+    e, (_, d3, d4), _ = _eigenvalues(params)
+    degenerate = np.full((1, 3), 0.5 * (d3 + d4), dtype=complex)
+    return _closed_form_eigenpairs(_rates([_unit_point(params)[1]]), degenerate, e)[0][0, 2]

@@ -12,17 +12,16 @@ Cramer-Rao bound by 2**E.
 qfi_from_states keeps the central-difference form (states phase-aligned by
 overlap) as an independent reference.
 
-The kernels work on a leading axis of points, given as their (3, n) array of
-(omega, j, gamma) rates.  A sweep solves each grid point's eigenvalues once
-(the scalar closed-form kernel on a _Point record, its only per-point Python
-call), then works on the unit-scale rate array: the finite-value check, the refusal
-(too close to an EP) as a mask, one closed-form eigenpair solve for every
-point's sector vectors, and one (psi, dpsi) batch for the QFI, the
-coherence and its variance together.  qfi, sensitivity_variance and
-coherence_expectation are batches of one of the same kernels, so a point
-gets the same bits either way.  Sweeps mark the phase transition with
-spectrum's one phase decision, the exact sign of z (_z_sign), on the float z
-that each point's eigenvalue solve evaluates.
+The kernels work on a leading axis of points, given as their (3, n) array of (omega, j,
+gamma) rates and (n, 3) deltas E - j of E2..E4.  A sweep solves each grid point's deltas
+once (the scalar closed-form kernel on a _Point record, its only per-point Python call),
+then works on the unit-scale rate array: the finite-value check, the refusal (too close
+to an EP) as a mask, one closed-form eigenpair solve for every point's sector vectors,
+and one (psi, dpsi) batch for the QFI, the coherence and its variance together.  qfi,
+sensitivity_variance and coherence_expectation are batches of one of the same kernels,
+so a point gets the same bits either way.  Sweeps mark the phase transition with
+spectrum's one phase decision, the exact sign of z (_z_sign), on the float z that each
+point's solve evaluates (its rates are rebuilt only inside the filter's bound).
 """
 from __future__ import annotations
 
@@ -35,8 +34,8 @@ from .errors import EpTooCloseError, NonFiniteError, NumericalError, PtqsimError
 from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
-    _eigenvalues,
     _rates,
+    _eigenvalues,
     _sector_gap,
     _solve_eigenvalues,
     _unit_point,
@@ -123,23 +122,23 @@ def _clear_of_ep(gap):
 
 
 def _guarded(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The point's unit-scale (3, 1) rates, (1, 4) E1..E4 and (1,) exponent E (_unit_point);
+    """The point's unit-scale (3, 1) rates, (1, 3) deltas and (1,) exponent E (_unit_point);
     raises EpTooCloseError where the EP guard refuses it."""
-    e, values, _ = _eigenvalues(params)
-    values = np.array([values], dtype=complex)
-    gap = float(_sector_gap(values)[0])
+    e, deltas, _ = _eigenvalues(params)
+    deltas = np.array([deltas], dtype=complex)
+    gap = float(_sector_gap(deltas)[0])
     if not _clear_of_ep(gap):
         raise EpTooCloseError(
             f"eigenvalue gap {math.ldexp(gap, e):.3e} below {math.ldexp(_EP_GUARD_GAP, e):.0e}; "
             "derivative ill-defined this close to the EP")
-    return _rates([_unit_point(params)[1]]), values, np.array([e])
+    return _rates([_unit_point(params)[1]]), deltas, np.array([e])
 
 
 def _psi3_derivative(
-    rates: np.ndarray, kappa: str, values: np.ndarray, exps=0
+    rates: np.ndarray, kappa: str, deltas: np.ndarray, exps=0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi) rows: each point's unit Psi3 and its exact kappa-derivative, less its part
-    along psi, of unit-scale (3, n) rates and (n, 4) E1..E4 that the EP guard clears
+    along psi, of unit-scale (3, n) rates and (n, 3) deltas that the EP guard clears
     (exps, the points' exponents E, name a near-defective point's rates).
 
     H is complex symmetric, so its eigenvectors u_k are orthogonal in u^T v, and
@@ -148,18 +147,18 @@ def _psi3_derivative(
     slope ignore multiples of psi (normalization, phase); the part along psi is
     removed before the QFI subtracts it, since next to an EP it outgrows the rest.
     """
-    vecs = _closed_form_eigenpairs(rates, values, exps)[0]
+    vecs = _closed_form_eigenpairs(rates, deltas, exps)[0]
     psi, u = vecs[:, 2], vecs[:, 1::2]
     coupling = (u * (psi @ _DH[kappa])[:, None]).sum(axis=-1)
-    weight = coupling / ((values[:, 2:3] - values[:, 1::2]) * (u * u).sum(axis=-1))
+    weight = coupling / ((deltas[:, 1:2] - deltas[:, ::2]) * (u * u).sum(axis=-1))
     dpsi = (weight[..., None] * u).sum(axis=1)
     dpsi -= _rowdot(psi, dpsi)[:, None] * psi
     return psi, dpsi
 
 
-def _sense_rows(rates: np.ndarray, kappa: str, values: np.ndarray, exps=0) -> tuple:
+def _sense_rows(rates: np.ndarray, kappa: str, deltas: np.ndarray, exps=0) -> tuple:
     """(qfi, m0 = <sigma_x^1>, unit-scale slope d m0/d kappa, variance, CR bound) rows from
-    one batch of (psi, dpsi) at unit-scale (3, n) rates and (n, 4) E1..E4, mapped back by
+    one batch of (psi, dpsi) at unit-scale (3, n) rates and (n, 3) deltas, mapped back by
     the points' exponents exps (an int or an (n,) array).
 
     The variance (1 - m0^2)/slope^2 is defined where the slope reaches _MIN_SLOPE.  Raises
@@ -167,7 +166,7 @@ def _sense_rows(rates: np.ndarray, kappa: str, values: np.ndarray, exps=0) -> tu
     point whose QFI, or whose defined variance, leaves the float range (the QFI grows as
     1/rate^2 and the variance as rate^2).
     """
-    psi, dpsi = _psi3_derivative(rates, kappa, values, exps)
+    psi, dpsi = _psi3_derivative(rates, kappa, deltas, exps)
     m0 = _coherence(psi)
     slope = 2.0 * _rowdot(dpsi, psi @ SIGMA_X1 - m0[:, None] * psi).real
     f = 4.0 * (_rowdot(dpsi, dpsi).real - abs(_rowdot(psi, dpsi)) ** 2)
@@ -191,8 +190,8 @@ def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float,
     Raises the point's refusal (EpTooCloseError), then what _sense_rows raises, then
     ZeroSlopeError when the coherence does not move with kappa.
     """
-    rates, values, exps = _guarded(params)
-    f, m0, slope, variance, cr = (float(a[0]) for a in _sense_rows(rates, kappa, values, exps))
+    rates, deltas, exps = _guarded(params)
+    f, m0, slope, variance, cr = (float(a[0]) for a in _sense_rows(rates, kappa, deltas, exps))
     if abs(slope) < _MIN_SLOPE:
         raise ZeroSlopeError(
             f"|d<sigma_x^1>/d{kappa}| = {abs(slope):.3e} < 1e-12 at unit scale; "
@@ -203,8 +202,8 @@ def _sense_point(params: SystemParams, kappa: str) -> tuple[float, float, float,
 def qfi(params: SystemParams, kappa: str) -> float:
     """Fisher information of eigenstate 3 w.r.t. kappa in {"j", "omega"}."""
     _check_kappa(kappa)
-    rates, values, exps = _guarded(params)
-    return float(_sense_rows(rates, kappa, values, exps)[0][0])
+    rates, deltas, exps = _guarded(params)
+    return float(_sense_rows(rates, kappa, deltas, exps)[0][0])
 
 
 def sensitivity_variance(params: SystemParams, kappa: str) -> float:
@@ -247,14 +246,14 @@ def sensing_sweep(
     m = n if finite.all() else int(finite.argmin())
     rates, exps = _unit_rates(np.array(rate_lists)[:, :m])
     solved = [_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())]
-    values = np.array([v for v, _ in solved], dtype=complex).reshape(-1, 4)
-    too_close = ~_clear_of_ep(_sector_gap(values))
+    deltas = np.array([d for d, _ in solved], dtype=complex).reshape(-1, 3)
+    too_close = ~_clear_of_ep(_sector_gap(deltas))
     flags = np.where(too_close, _flag(EpTooCloseError), None).tolist()
     kept = np.flatnonzero(~too_close)
     columns, slope = np.empty((4, 0)), np.empty(0)
     if len(kept):
         f, m0, slope, variance, cr = _sense_rows_in_order(
-            rates[:, kept], kappa, values[kept], exps[kept])
+            rates[:, kept], kappa, deltas[kept], exps[kept])
         columns = f, variance, m0, cr
     if m < n:  # raised after the points before it, as a per-point loop would
         base.replace(**{kappa: xs[m]})  # raises: SystemParams names the value
@@ -265,8 +264,9 @@ def sensing_sweep(
         payload[k] = row
     for k in kept[~moves].tolist():
         flags[k] = _flag(ZeroSlopeError)
-    points = map(_Point, *(r[:m] for r in rate_lists))  # the rates themselves, for _z_sign
-    broken = np.array([_z_sign(point, z) > 0 for point, (_, z) in zip(points, solved)])
+    omegas, js, gammas = rate_lists  # the rates themselves, for _z_sign inside its bound
+    broken = np.array([_z_sign(lambda k=k: _Point(omegas[k], js[k], gammas[k]), z) > 0
+                       for k, (_, z) in enumerate(solved)])
     for i in np.flatnonzero(broken[:-1] != broken[1:]).tolist():
         for k in (i, i + 1):
             if flags[k] is None:
@@ -279,7 +279,7 @@ def _flag(error: type[PtqsimError]) -> str:
     return error.__name__.removesuffix("Error")
 
 
-def _sense_rows_in_order(rates, kappa, values, exps):
+def _sense_rows_in_order(rates, kappa, deltas, exps):
     """_sense_rows of a sweep's unflagged points, raising what a per-point loop would.
 
     Each check names the first point it fails on, but two checks may fail on
@@ -287,8 +287,8 @@ def _sense_rows_in_order(rates, kappa, values, exps):
     failing point in grid order.  A point's bits do not depend on its batch.
     """
     try:
-        return _sense_rows(rates, kappa, values, exps)
+        return _sense_rows(rates, kappa, deltas, exps)
     except PtqsimError:
-        for k in range(len(values)):
-            _sense_rows(rates[:, k:k + 1], kappa, values[k:k + 1], exps[k:k + 1])
+        for k in range(len(deltas)):
+            _sense_rows(rates[:, k:k + 1], kappa, deltas[k:k + 1], exps[k:k + 1])
         raise

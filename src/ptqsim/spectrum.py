@@ -1,19 +1,26 @@
 """Eigensystem of the two-qubit Hamiltonian: closed forms and an oracle.
 
-The characteristic quartic factors into the exact singlet root E1 = -j and
-a cubic for the exchange-symmetric sector, solved here in radicals.  The
-cube-root branch is fixed so that
-
-* labels E3/E4 always name the pair that coalesces on the critical curve
-  (E2 stays separated), continuously across the phase transition;
-* eigenvalues are produced as exact conjugate pairs / exact reals, so the
-  unbroken phase has max|Im E| == 0 in floating point.
-
-The closed form holds at every finite point, the third-order point
-x = z = 0 included (its cube-root pair is 0, a triple root).  An independent
-oracle, eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H
-and merges roots that rounding split (_oracle_roots); spectrum_closed_form
-cross-checks the closed form against its roots.
+The characteristic quartic factors into the exact singlet root E1 = -j and a cubic for the
+exchange-symmetric sector, whose roots have one format, delta = E - j: the roots of
+    P(delta) = det(j + delta - B) = delta^3 + 2j delta^2 + (gamma^2 - omega^2) delta + 2j gamma^2,
+solved in real floats by _solve_eigenvalues (Python scalars: the phase label and the sweeps
+call it once per point).  delta2, the root that stays separated, comes from Cardano's real
+cube root (z >= 0) or its trigonometric form (z < 0), then one Newton step on P.  The pair
+follows from Vieta, each part from the form that does not cancel: p = delta3 delta4 =
+-2j gamma^2 / delta2, s = delta3 + delta4 = -2j - delta2 or (gamma^2 - omega^2 - p) / delta2,
+and the half-split sqrt|s^2/4 - p| or sqrt|z| / |P'(delta2)| (the discriminant is -4z and
+P'(delta2) = (delta2 - delta3)(delta2 - delta4); this form keeps the split next to the
+curve).  So E3/E4 always name the pair that coalesces on the critical curve: real where
+z <= 0 (the larger-magnitude member s/2 +- the half-split, the other p over it, E3 <= E4),
+exact conjugates s/2 +- i half-split where z > 0 (E3 with Im > 0), so the unbroken phase has
+max|Im E| == 0; the third-order point x = z = 0 gives the triple root.  The vectors read
+delta too (d0 = i gamma - delta, d1 = -2j - delta, d2 = -i gamma - delta), so no j - E
+cancels: where omega, gamma << j, E3 and E4 round to j while their deltas resolve the pair
+(at gamma = 0, delta3 = 0 exactly and delta4 = omega^2 / (j + sqrt(j^2 + omega^2))).
+E = j + delta is formed only where an eigenvalue is output.  An independent oracle,
+eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H and merges roots that
+rounding split (_oracle_roots); spectrum_closed_form cross-checks the closed form against
+its roots.
 
 The phase is the exact sign of z (_z_sign): the cubic's discriminant is -4z, so
 z > 0 is PT-broken, z < 0 PT-symmetric and z = 0 an EP.  The solve's float z
@@ -26,36 +33,24 @@ tolerance applies there, and _at_rates maps the outputs back by ldexp (only an
 output that leaves the float range is refused).  A point in the window (every
 preset point) passes unchanged, and rates times 4**k give outputs times 4**k.
 
-The scalar kernel _solve_eigenvalues, which the phase label and the sweeps call
-once per point, runs in Python floats and complexes (no numpy scalars or
-arrays) and gives the bits of the numpy-scalar form that tests keep as its
-reference.  The cube roots stay np.cbrt: math.cbrt differs in the last bit.
-numpy divides a complex128 by 3 with Smith's algorithm, which multiplies by
-1/3, while Python divides truly; _third rounds as numpy does wherever that
-form divided a numpy complex: E3 and E4 (their terms carry the cube root of
-unity, a numpy scalar there) and E2 on the z < 0 branch where the root was
-rotated by it.  Every other E2 is a true division there as here.
+A point is solved once: the first _eigenvalues call on a SystemParams instance stores its
+exponent E, unit-scale (delta2, delta3, delta4) and float z in that instance's attributes,
+and later calls on it return them.  The instance is frozen, so they cannot go stale, and
+replace() builds a new instance.  The store is keyed by the instance, never by equality:
+SystemParams(0.0, -0.0) equals SystemParams(0.0, 0.0) but its E1 = -j has the other sign,
+and an equality-keyed cache would also keep every point alive.  The unit-scale solve never
+fails, so every point is stored; an output that overflows when mapped back raises
+NonFiniteError again on every call.  eq, hash and repr read only the fields, so the store
+is invisible to them.
 
-A point is solved once: the first _eigenvalues call on a SystemParams instance
-stores its exponent E, unit-scale (E1, E2, E3, E4) and float z in that instance's
-attributes, and later calls on it return them.  The instance is frozen, so they
-cannot go stale, and replace() builds a new instance.  The store is keyed by the
-instance, never by equality: SystemParams(0.0, -0.0)
-equals SystemParams(0.0, 0.0) but its E1 = -j has the other sign, and an
-equality-keyed cache would also keep every point alive.  The unit-scale solve
-never fails, so every point is stored; an output that overflows when mapped
-back raises NonFiniteError again on every call.  eq, hash and repr read only
-the fields, so the store is invisible to them.
-
-The eigenpair is solved once the same way: the first _eigenpair call on an
-instance stores its (eigenvectors, max residual), and eigenvectors_closed_form,
-spectrum_closed_form and the concurrences built on them (Psi3 and Psi4 of one
-point) read it.  Callers get copies of the vectors; the stored array is
-read-only.  A NearDefectiveError raises again on every call.  Explicit
-eigenvalues and the sweep batch bypass the store: a sweep solves each point's
-eigenvalues and z once with _solve_eigenvalues on an unchecked unit-scale _Point
-record (_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on
-the (3, n) unit-scale rate array.
+The eigenpair is solved once the same way: the first _eigenpair call on an instance stores
+its (eigenvectors, max residual), and eigenvectors_closed_form, spectrum_closed_form and
+the concurrences built on them (Psi3 and Psi4 of one point) read it.  Callers get copies of
+the vectors; the stored array is read-only.  A NearDefectiveError raises again on every
+call.  Explicit eigenvalues and the sweep batch bypass the store: a sweep solves each
+point's deltas and z once with _solve_eigenvalues on an unchecked unit-scale _Point record
+(_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on the (3, n)
+unit-scale rate array and (n, 3) deltas.
 """
 from __future__ import annotations
 
@@ -70,8 +65,6 @@ import numpy as np
 from .errors import NearDefectiveError, NoConvergenceError, NonFiniteError
 from .model import SystemParams, _Point, build_hamiltonian
 
-_W3 = complex(np.exp(2j * np.pi / 3))  # primitive cube root of unity
-_W3C = _W3.conjugate()
 _SQ27 = 3.0 * math.sqrt(3.0)
 
 #: Residual tolerance for eigenpairs, relaxed near a coalescence where
@@ -141,10 +134,13 @@ _Z_ERROR = 16 * 2.0**-53 * 53 * 4.0**6
 def _z_sign(params, z: float | None = None) -> int:
     """The one phase decision, the exact sign of z at params (+1 broken, -1 symmetric, 0 an EP):
     the float z at unit scale (given, or evaluated) decides outside _Z_ERROR, params' rates
-    exactly inside it (a filtered predicate, Shewchuk, Discrete Comput. Geom. 18, 305 (1997))."""
+    exactly inside it (a filtered predicate, Shewchuk, Discrete Comput. Geom. 18, 305 (1997)).
+    With z given, params may be a function that builds the point, called only inside it."""
     if z is None:
         z = _cubic_data(_unit_point(params)[1])[1]
-    return (1 if z > 0 else -1) if abs(z) > _Z_ERROR else _exact_z_sign(params)
+    if abs(z) > _Z_ERROR:
+        return 1 if z > 0 else -1
+    return _exact_z_sign(params() if callable(params) else params)
 
 
 def _exact_z_sign(params) -> int:
@@ -205,80 +201,73 @@ def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
     return Auxiliaries(x=float(x), z=float(z), y=np.complex128(y), r=float(r), theta_y=theta_y)
 
 
-def _branch_pair(params: SystemParams):
-    """Cube-root pair (y, v) with y*v = x, on the label-continuous branch, whether y
-    was rotated by the cube root of unity, and the float z (for _z_sign).
-
-    z >= 0: both radicands a +- sqrt(27z) are real, and the one whose terms
-    have opposite signs cancels; only the other's cube root is taken, and the
-    cancelling one's is x over it, since x^3 = a^2 - 27z = (a + sqrt(27z))(a -
-    sqrt(27z)).  At a = 0 neither cancels and both real cube roots are taken.
-    z < 0: |y|^2 = x there, so v is exactly conj(y); the principal root is
-    rotated onto the continuation of the negative-real branch when the
-    radicand has negative real part.
-    """
-    x, z, a = _cubic_data(params)
-    if z >= 0:
-        s = _SQ27 * math.sqrt(z)
-        if a < 0:
-            v = np.cbrt(a - s)
-            y = x / v
-        elif a > 0:
-            y = np.cbrt(a + s)
-            v = x / y
-        else:
-            y, v = np.cbrt(a + s), np.cbrt(a - s)
-        return complex(y), complex(v), False, z
-    radicand = complex(a, _SQ27 * math.sqrt(-z))
-    y = radicand ** (1.0 / 3.0)
-    rotated = radicand.real < 0
-    if rotated:
-        y = y * _W3
-    return y, y.conjugate(), rotated, z
-
-
-def _third(c: complex) -> complex:
-    """c / 3 rounded as numpy's complex128 division rounds it: Smith's algorithm times 1/3."""
-    return complex((c.real + c.imag * 0.0) * (1 / 3), (c.imag - c.real * 0.0) * (1 / 3))
-
-
 #: The private instance attribute under which _eigenvalues keeps a point's solve.
 _MEMO_KEY = "_ptqsim_eigenvalues"
 
 
 def _eigenvalues(params: SystemParams) -> tuple:
-    """(E, labeled eigenvalues (E1, E2, E3, E4) at unit scale as Python scalars, float z):
-    the point's _unit_point exponent and _solve_eigenvalues of its unit-scale rates.
+    """(E, (delta2, delta3, delta4), z): the point's _unit_point exponent and _solve_eigenvalues
+    of its unit-scale rates, solved once per SystemParams instance (see the module docstring).
 
-    Solved once per SystemParams instance: the triple is kept on the instance (see
-    the module docstring).  It is read with getattr and set with
-    object.__setattr__, as the frozen dataclass's own __init__ sets its fields:
-    touching params.__dict__ would make CPython build a dict for the instance
-    and slow every later field read.
+    The triple is read with getattr and set with object.__setattr__, as the frozen
+    dataclass's own __init__ sets its fields: touching params.__dict__ would make CPython
+    build a dict for the instance and slow every later field read.
     """
     solved = getattr(params, _MEMO_KEY, None)
     if solved is None:
         e, unit = _unit_point(params)
-        values, z = _solve_eigenvalues(unit)
-        solved = e, values, z
+        solved = e, *_solve_eigenvalues(unit)
         object.__setattr__(params, _MEMO_KEY, solved)
     return solved
 
 
 def _solve_eigenvalues(params) -> tuple:
-    """(the closed-form (E1, E2, E3, E4), E1 = -j exactly; the float z) of anything with
-    omega, j and gamma at unit scale (_unit_point): a sweep calls it on each point's _Point."""
-    j = params.j
-    y, v, rotated, z = _branch_pair(params)
-    sum2 = j + v + y
-    return (-j, _third(sum2) if rotated else sum2 / 3.0,
-            _third(j + _W3C * v + _W3 * y), _third(j + _W3 * v + _W3C * y)), z
+    """((delta2, delta3, delta4), z): E2..E4 as delta = E - j (see the module docstring), and
+    the float z (for _z_sign), of anything with omega, j and gamma at unit scale
+    (_unit_point): a sweep calls it on each point's _Point.  The pair is complex where z > 0."""
+    j, g2, om2 = params.j, params.gamma**2, params.omega**2
+    x, z, a = _cubic_data(params)
+    t = 0.0  # t = 3 delta2 + 2j solves t^3 - 3x t = 2a
+    if z < 0:  # 2 sqrt(x) cos(theta/3) with a's sign (z < 0 needs omega^2 > gamma^2: x >= 0)
+        t = (-2.0 if a < 0 else 2.0) * math.sqrt(x) * math.cos(
+            math.atan2(_SQ27 * math.sqrt(-z), abs(a)) / 3.0)
+    elif a:  # y + v, y^3 = a +- sqrt(27z) the radicand that does not cancel, v = x/y:
+        y = math.cbrt(a + math.copysign(_SQ27 * math.sqrt(z), a))
+        v = x / y
+        t = 2.0 * a / (y * y - x + v * v)  # 2a / (y^2 - yv + v^2), where no term cancels
+    c = g2 - om2
+    d2 = (t - 2.0 * j) / 3.0
+    slope = (3.0 * d2 + 4.0 * j) * d2 + c
+    if slope:  # one Newton step on P
+        d2 -= (((d2 + 2.0 * j) * d2 + c) * d2 + 2.0 * j * g2) / slope
+        slope = (3.0 * d2 + 4.0 * j) * d2 + c
+    p, s = c, -2.0 * j  # where delta2 = 0, P = delta (delta^2 + 2j delta + c)
+    if d2:
+        p = -2.0 * j * g2 / d2
+        s, rest = s - d2, c - p
+        if (2.0 * abs(j) + abs(d2)) * abs(rest) > (g2 + om2 + abs(p)) * abs(s):
+            s = rest / d2
+    q = 0.25 * s * s - p  # +-half^2, whose terms cancel next to the curve: z's form holds there
+    cancels = abs(q) < 0.5 * (0.25 * s * s + abs(p)) and slope
+    half = math.sqrt(abs(z)) / abs(slope) if cancels else math.sqrt(abs(q))
+    if z > 0:
+        return (d2, complex(0.5 * s, half), complex(0.5 * s, -half)), z
+    big = 0.5 * s + math.copysign(half, s)
+    other = p / big if big else 0.0
+    return ((d2, big, other) if big <= other else (d2, other, big)), z
+
+
+def _unit_eigenvalues(params: SystemParams) -> tuple:
+    """(E, the point's (E1, E2, E3, E4) at unit scale): E1 = -j, E_k = j + delta_k."""
+    e, (d2, d3, d4), _ = _eigenvalues(params)
+    j = math.ldexp(params.j, -e)
+    return e, (-j, j + d2, j + d3, j + d4)
 
 
 def eigenvalues_closed_form(params: SystemParams) -> np.ndarray:
     """Labeled eigenvalues (E1..E4); E1 = -j exactly, (E3, E4) the coalescing pair.
     Solved at unit scale and mapped back by 2**E (_at_rates)."""
-    e, values, _ = _eigenvalues(params)
+    e, values = _unit_eigenvalues(params)
     if e:
         values = [_at_rates(v, e, params, "eigenvalues") for v in values]
     return np.array(values, dtype=complex)
@@ -305,14 +294,15 @@ def eigenvectors_closed_form(
     """Unit right eigenvectors as the rows of a (4, 4) array, phase-fixed; Psi1 is the singlet.
 
     A batch of one of _closed_form_eigenpairs: solved from eigenvalues, the point's
-    closed-form E1..E4 of shape (4,), when given (taken to unit scale with the rates),
-    else a copy of its stored _eigenpair.
+    closed-form E1..E4 of shape (4,), when given (taken to unit scale with the rates, and
+    to delta = E - j for E2..E4: the one place a delta is formed from an E), else a copy
+    of its stored _eigenpair.
     """
     if eigenvalues is None:
         return _eigenpair(params)[0].copy()
     e, unit = _unit_point(params)
-    values = [_at_rates(complex(v), -e, params, "eigenvalues") for v in eigenvalues]
-    return _closed_form_eigenpairs(_rates([unit]), np.array([values]), e)[0][0]
+    deltas = [_at_rates(complex(v), -e, params, "eigenvalues") - unit.j for v in eigenvalues[1:]]
+    return _closed_form_eigenpairs(_rates([unit]), np.array([deltas]), e)[0][0]
 
 
 #: The private instance attribute under which _eigenpair keeps a point's eigenpair.
@@ -321,13 +311,13 @@ _EIGENPAIR_KEY = "_ptqsim_eigenpair"
 
 def _eigenpair(params: SystemParams) -> tuple:
     """(eigenvectors, max residual) of one point: a read-only (4, 4) array and a float,
-    stored once per SystemParams instance as _eigenvalues stores its tuple (see the module
+    stored once per SystemParams instance as _eigenvalues stores its triple (see the module
     docstring); a raised error is not kept."""
     pair = getattr(params, _EIGENPAIR_KEY, None)
     if pair is None:
-        e, values, _ = _eigenvalues(params)
+        e, deltas, _ = _eigenvalues(params)
         vecs, residuals = _closed_form_eigenpairs(
-            _rates([_unit_point(params)[1]]), np.array([values], dtype=complex), e)
+            _rates([_unit_point(params)[1]]), np.array([deltas], dtype=complex), e)
         vecs = vecs[0]
         vecs.flags.writeable = False
         pair = vecs, math.ldexp(float(residuals[0]), e)
@@ -342,16 +332,16 @@ def _rates(points: list[SystemParams]) -> np.ndarray:
 
 _SINGLET = np.array([0, -1, 1, 0], dtype=complex) / np.sqrt(2.0)
 _R2 = math.sqrt(0.5)
-#: (omega, j, gamma) . _TEMPLATE = (j + i*gamma, -j, j - i*gamma, a, -a), a = omega/sqrt(2):
-#: the sector block B's diagonal and off-diagonal.  F = (d0, d1, d2, a, -a) of a root E is
-#: the template less (E, E, E, 0, 0), and adj(B - E)'s entries (A00, A11, A22, A01, A02,
-#: A12) = (d1 d2 - a^2, d0 d2, d0 d1 - a^2, -a d2, a^2, -a d0) are F[_LEFT] * F[_RIGHT]
-#: less a^2 on A00 and A22; _ADJ_ROWS[m] holds row m's positions among them.
-_TEMPLATE = np.array([[0, 0, 0, _R2, -_R2], [1, -1, 1, 0, 0], [1j, 0, -1j, 0, 0]])
+#: (omega, j, gamma) . _TEMPLATE = (i*gamma, -2j, -i*gamma, a, -a), a = omega/sqrt(2): B - j's
+#: diagonal and off-diagonal, B the sector block.  F = (d0, d1, d2, a, -a) of a root j + delta
+#: is the template less (delta, delta, delta, 0, 0), and adj(B - E)'s entries (A00, A11, A22,
+#: A01, A02, A12) = (d1 d2 - a^2, d0 d2, d0 d1 - a^2, -a d2, a^2, -a d0) are F[_LEFT] *
+#: F[_RIGHT] less a^2 on A00 and A22; _ADJ_ROWS[m] holds row m's positions among them.
+_TEMPLATE = np.array([[0, 0, 0, _R2, -_R2], [0, -2, 0, 0, 0], [1j, 0, -1j, 0, 0]])
 _LEFT, _RIGHT = [1, 0, 0, 4, 3, 4], [2, 2, 1, 2, 3, 0]
 _ADJ_ROWS = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 #: The sector vectors of E2, E3 and E4 where the adjugate vanishes (a row shorter than
-#: _SMALL_ROW): B - E of rank 1, at omega ~ 0 and gamma = 0 (E3 = E4 a double root).
+#: _SMALL_ROW): B - E of rank 1, at omega ~ 0 and gamma = 0 where delta3 = delta4 = 0.
 _UNDETERMINED, _SMALL_ROW = np.eye(3, dtype=complex)[[1, 0, 2]], 2.0**-400
 #: u[..., _EMBED] * _EMBED_SCALE is u on |00>, |01>, |10>, |11> (_WEIGHTS: squared), kept
 #: out of BLAS, whose gemm past m*n*k = 65 536 threads and runs several times slower.
@@ -359,25 +349,25 @@ _EMBED, _EMBED_SCALE = [0, 1, 1, 2], np.array([1.0, _R2, _R2, 1.0])
 _WEIGHTS = np.array([1.0, 0.5, 1.0])
 
 
-def _sector_eigenvectors(rates: np.ndarray, e: np.ndarray):
-    """(u, ||(B - E) u||) of the exchange-symmetric block at its roots e: (n, 3, 3), (n, 3).
+def _sector_eigenvectors(rates: np.ndarray, deltas: np.ndarray):
+    """(u, ||(B - E) u||), shapes (n, 3, 3) and (n, 3), of the sector block at E = j + deltas.
 
-    rates are n points' (omega, j, gamma), shape (3, n), and e their (E2, E3, E4), shape
-    (n, 3).  On (|00>, T = (|01> + |10>)/sqrt(2), |11>) H is B = [[j + i*gamma, a, 0],
-    [a, -j, a], [0, a, j - i*gamma]].  Each row of adj(B - E) is a bilinear cross product
-    of two rows of B - E, and at a root of rank 2 row m is c u_m u (Kopp, Int. J. Mod.
-    Phys. C 19, 523 (2008)): u is the row of the largest |A_mm|, normalized, and nothing
-    is divided.  E4 takes row 2 on the tie |A00| = |A22| of gamma = 0, so the double root
-    of omega = gamma = 0 gets |00> and |11>, as _UNDETERMINED does.  The phase is fixed as
-    _phase_fix fixes it in the basis |00>..|11>, with |u_m|^2 read off the diagonal: in the
-    PT-symmetric phase A22 = conj(A00) bit for bit, so |u0| = |u2| tie exactly and go to
-    |11>.  Where the chosen amplitude is below a quarter of its row's norm (near rank 1),
-    the row's own magnitudes pick the pivot.
+    rates are n points' (omega, j, gamma), shape (3, n), and deltas their (delta2, delta3,
+    delta4), shape (n, 3).  On (|00>, T = (|01> + |10>)/sqrt(2), |11>) H is B = [[j +
+    i*gamma, a, 0], [a, -j, a], [0, a, j - i*gamma]].  Each row of adj(B - E) is a bilinear
+    cross product of two rows of B - E, and at a root of rank 2 row m is c u_m u (Kopp,
+    Int. J. Mod. Phys. C 19, 523 (2008)): u is the row of the largest |A_mm|, normalized,
+    and nothing is divided.  E4 takes row 2 on the tie |A00| = |A22| of gamma = 0, so the
+    double root of omega = gamma = 0 gets |00> and |11>, as _UNDETERMINED does.  The phase
+    is fixed as _phase_fix fixes it in the basis |00>..|11>, with |u_m|^2 read off the
+    diagonal: in the PT-symmetric phase A22 = conj(A00) bit for bit, so |u0| = |u2| tie
+    exactly and go to |11>.  Where the chosen amplitude is below a quarter of its row's
+    norm (near rank 1), the row's own magnitudes pick the pivot.
     """
-    n = len(e)
+    n = len(deltas)
     f = np.empty((n, 3, 5), dtype=complex)
     f[...] = (rates.T[..., None] * _TEMPLATE).sum(axis=1)[:, None]
-    f[..., :3] -= e[..., None]
+    f[..., :3] -= deltas[..., None]
     a = rates[0, :, None] * _R2
     adj = f.take(_LEFT, axis=-1) * f.take(_RIGHT, axis=-1)
     adj[..., :3:2] -= (a * a)[..., None]
@@ -412,8 +402,8 @@ def _starts(n: int) -> np.ndarray:
     return starts
 
 
-def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray, exps=0):
-    """(eigenvectors, residuals) of n points' unit-scale (3, n) rates and (n, 4) E1..E4.
+def _closed_form_eigenpairs(rates: np.ndarray, deltas: np.ndarray, exps=0):
+    """(eigenvectors, residuals) of n points' unit-scale (3, n) rates and (n, 3) deltas.
 
     eigenvectors[i, k], shape (n, 4, 4), is the unit, phase-fixed eigenvector of E_k (the
     singlet, then _sector_eigenvectors') and residuals[i] the largest ||Hv - Ev|| at unit
@@ -421,14 +411,14 @@ def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray, exps=0):
     point's rates and residual times 2**exps (the points' E: an int or an (n,) array).
     Elementwise, so a point's bits do not depend on its batch.
     """
-    u, residuals = _sector_eigenvectors(rates, eigenvalues[:, 1:])
+    u, residuals = _sector_eigenvectors(rates, deltas)
     residuals = residuals.max(axis=-1)
-    vecs = np.empty((len(eigenvalues), 4, 4), dtype=complex)
+    vecs = np.empty((len(deltas), 4, 4), dtype=complex)
     vecs[:, 0] = _SINGLET
     vecs[:, 1:] = u.take(_EMBED, axis=-1) * _EMBED_SCALE
     if residuals.max() > RESIDUAL_TOL:  # every tolerance is RESIDUAL_TOL or more
         top = np.abs(rates).max(axis=0)  # in [1, 4): the tolerances' unit
-        gaps = _sector_gap(eigenvalues)
+        gaps = _sector_gap(deltas)
         tol = np.where(gaps < NEAR_EP_GAP * top, NEAR_EP_RESIDUAL_TOL, RESIDUAL_TOL) * top
         failed = residuals > tol
         if failed.any():
@@ -444,10 +434,10 @@ def _closed_form_eigenpairs(rates: np.ndarray, eigenvalues: np.ndarray, exps=0):
     return vecs, residuals
 
 
-def _sector_gap(values: np.ndarray) -> np.ndarray:
-    """Smallest |E_i - E_k| among E2, E3 and E4 over the last axis of (..., 4) eigenvalues:
+def _sector_gap(deltas: np.ndarray) -> np.ndarray:
+    """Smallest |E_i - E_k| among E2, E3 and E4, read off the last axis of (..., 3) deltas:
     the singlet E1 never couples to the sector, so its crossings are no EPs."""
-    return np.abs(values[..., [1, 1, 2]] - values[..., [2, 3, 3]]).min(axis=-1)
+    return np.abs(deltas[..., [0, 0, 1]] - deltas[..., [1, 2, 2]]).min(axis=-1)
 
 
 #: The 24 orderings of four labels, in itertools.permutations order.
@@ -555,7 +545,7 @@ def spectrum_closed_form(params: SystemParams) -> Spectrum:
     values = eigenvalues_closed_form(params)
     vecs, residual = _eigenpair(params)
     e, unit = _unit_point(params)
-    solved = np.array(_eigenvalues(params)[1], dtype=complex)
+    solved = np.array(_unit_eigenvalues(params)[1], dtype=complex)
     dev = pairing_distance(solved, _oracle_roots(build_hamiltonian(unit), -unit.j)[1])
     if dev > 1e-9 * max(1.0, abs(unit.omega), abs(unit.j), abs(unit.gamma)):
         raise NoConvergenceError(f"closed form deviates from oracle by {dev:.3e}")
@@ -567,7 +557,7 @@ def spectrum_oracle(params: SystemParams) -> Spectrum:
     scale; the roots and the residual map back by 2**E (_at_rates)."""
     e, unit = _unit_point(params)
     spec = eigensystem_oracle(build_hamiltonian(unit), deflate_root=-unit.j)
-    reference = np.array(_eigenvalues(params)[1])
+    reference = np.array(_unit_eigenvalues(params)[1])
     order = _PERMS[_pairing_deviations(spec.eigenvalues, reference).argmin()]
     roots = [_at_rates(v, e, params, "eigenvalues") for v in spec.eigenvalues[order].tolist()]
     return Spectrum(np.array(roots), spec.eigenvectors[order], Source.ORACLE,
@@ -583,11 +573,12 @@ def classify_phase(params: SystemParams) -> PhaseLabel:
     not coalescences (e.g. j = 0, where the singlet meets a symmetric-sector root) also
     report NEAR_EP.
     """
-    e, (e1, e2, e3, e4), z = _eigenvalues(params)
-    max_imag = _at_rates(max(abs(e2.imag), abs(e3.imag), abs(e4.imag)), e, params, "max|Im E|")
+    e, (d2, d3, d4), z = _eigenvalues(params)
+    max_imag = _at_rates(abs(d3.imag), e, params, "max|Im E|")  # delta2 is real, d4 = conj(d3)
     if _z_sign(params, z) > 0:
         return PhaseLabel(Phase.PT_BROKEN, max_imag)
-    gap = min(abs(e1 - e2), abs(e1 - e3), abs(e1 - e4), abs(e2 - e3), abs(e2 - e4), abs(e3 - e4))
+    d1 = -math.ldexp(params.j, 1 - e)  # E1 = -j: delta1 = -2j
+    gap = min(abs(d1 - d2), abs(d1 - d3), abs(d1 - d4), abs(d2 - d3), abs(d2 - d4), abs(d3 - d4))
     if gap <= _NEAR_EP_LABEL_GAP:
         return PhaseLabel(Phase.NEAR_EP, max_imag)
     return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)

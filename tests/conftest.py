@@ -80,8 +80,9 @@ def min_gap(values) -> float:
 
 
 def sector_gap(values) -> float:
-    """Smallest |E_i - E_k| among E2, E3 and E4: the gap the EP guard reads."""
-    return min(abs(values[1] - values[2]), abs(values[1] - values[3]), abs(values[2] - values[3]))
+    """Smallest |E_i - E_k| among E2..E4, the last three of E1..E4 or of their deltas E - j."""
+    e2, e3, e4 = values[-3:]
+    return min(abs(e2 - e3), abs(e2 - e4), abs(e3 - e4))
 
 
 def vector_error(got, want) -> float:

@@ -107,14 +107,21 @@ def _paired(roots, values):
     return [roots[k] for k in order]
 
 
-def sector_states(omega: float, j: float, gamma: float, values) -> list:
-    """Psi2, Psi3 and Psi4 at DPS digits: for each of the closed-form roots values[1:],
-    the unit null vector of the sector block at the DPS-digit root paired with it
-    (global phase arbitrary), as a list of four mp amplitudes."""
+def paired_roots(omega: float, j: float, gamma: float, values) -> list:
+    """The DPS-digit sector roots paired with the closed-form ones, E1..E4 or the deltas E - j
+    of E2..E4 (which resolve roots that round to one float E: gamma = 0, small omega)."""
     om, jj, g = _mp.mpf(omega), _mp.mpf(j), _mp.mpf(gamma)
-    roots = _paired(_sector_roots(om, jj, g), [complex(v) for v in values[1:]])
-    block = _block(om, jj, g)
-    return [_full(_null_vector(block, e)[0]) for e in roots]
+    shift = jj if len(values) == 3 else 0
+    roots = _paired([r - shift for r in _sector_roots(om, jj, g)],
+                    [complex(v) for v in values[-3:]])
+    return [r + shift for r in roots]
+
+
+def sector_states(omega: float, j: float, gamma: float, values) -> list:
+    """Psi2, Psi3 and Psi4 at DPS digits: the unit null vector of the sector block at each
+    of paired_roots (global phase arbitrary), as a list of four mp amplitudes."""
+    block = _block(_mp.mpf(omega), _mp.mpf(j), _mp.mpf(gamma))
+    return [_full(_null_vector(block, e)[0]) for e in paired_roots(omega, j, gamma, values)]
 
 
 def sector_eigenvectors(omega: float, j: float, gamma: float, values) -> np.ndarray:

@@ -61,6 +61,16 @@ class TestSpectrumCommand:
         reference = mp_reference.hamiltonian_eigenvalues(0.0, 0.42, 1.0)
         assert pairing_distance(values, reference) <= 1e-15
 
+    @pytest.mark.parametrize("rates, label, want", [
+        ("2 0 1", "E4", 0.0), ("2 0 1", "E3", -math.sqrt(3.0)), ("1e-5 1.1 0", "E3", 1.1)])
+    def test_roots_that_the_deltas_make_exact(self, capsys, rates, label, want):
+        """A root that is j (delta = 0: E4 at j = 0, E3 at gamma = 0) or -sqrt(3) (j = 0,
+        omega^2 - gamma^2 = 3) prints correctly rounded."""
+        omega, j, gamma = rates.split()
+        code, out, _ = invoke(capsys, "spectrum", "--omega", omega, "--j", j, "--gamma", gamma)
+        values = {v["label"]: v for v in json.loads(out)["results"]["eigenvalues"]}
+        assert code == 0 and (values[label]["re"], values[label]["im"]) == (want, 0.0)
+
     def test_omega_zero_vectors_are_the_diagonal_basis(self, capsys):
         """At omega = 0 the closed form reports E1 the singlet and E2 the state T =
         (|01> + |10>)/sqrt(2) (the oracle, which answered here before, gave |10> and |01>),
@@ -199,6 +209,13 @@ class TestConcurrenceCommand:
         assert header == ["j", "c_psi3", "c_psi4", "c_closed_psi3", "c_closed_psi4"]
         c3 = column(cols, "c_psi3")
         assert np.all(np.diff(c3) < 0)  # falls with j below the critical point
+
+    def test_hermitian_small_omega_is_maximally_entangled(self, capsys):
+        """At gamma = 0 and omega = 1e-10, Psi3 and Psi4 are (|00> -+ |11>)/sqrt(2) up to
+        O(omega/j), though E3 = j and E4 = sqrt(j^2 + omega^2) round to one float."""
+        code, out, _ = invoke(capsys, "concurrence", "--omega", 1e-10, "--j", 0.3, "--gamma", 0)
+        results = json.loads(out)["results"]
+        assert code == 0 and max(abs(results[c] - 1) for c in ("c_psi3", "c_psi4")) <= 1e-15
 
     def test_one_eigenpair_solve_per_point(self, capsys, count_calls):
         """Psi3 and Psi4 come from one eigenvector solve; every eigenvalue solve is one point's."""
@@ -593,37 +610,52 @@ class TestJsonWriter:
 
 
 #: sha256 of every subcommand's --format json output.  All twelve equal the
-#: per-row JSON writer's output on the same numbers; the points and sweeps that
-#: reach the PT-broken phase or an EP carry the exact cube-root pair's digits.
+#: per-row JSON writer's output on the same numbers; the spectral ones carry the
+#: digits of the real delta = E - j solve, and the params lines name the runs exactly.
 _JSON_CASES = {
     "spectrum": (["spectrum", "--omega", 2, "--j", 0.4],
-                 "1594cfe5f2eea0c1196519b9e6e59cd653520a96cc9f95399f14e0e24c568cd5"),
+                 "f2e459f745685e7d9bda1c9e6a43944a1035f7e4a466c2fe782e8356b092c93b"),
     "spectrum-broken": (["spectrum", "--omega", 1.7, "--j", 0.45],
-                        "8ff37f49619c9d54682587d51eb2d6abf0d41c11c318109504334ccb8a018a0c"),
+                        "7295a1143aa2efa928b84dc20797932764ac6311c28ce073114ee718c350c8d3"),
     "spectrum-omega0": (["spectrum", "--omega", 0, "--j", 0.3],
-                        "6fc4ac5ee476dd9d5d916665dcc87f3d8c997ae13501c4b668b4c8f8ad068494"),
+                        "8bca010f47d69b84faabab50e555a189f41b393d4a977786206ab43ec1614e4a"),
     "ep-locate": (["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"],
-                  "9c969676d43f96fc9d0fdbd1e45d9ac7c5b40b2f99a048786e4bb74d514ea33f"),
+                  "6518229d758b49b42efb24ba302e921844e7cd95029ee16e8d6caa93e9155a37"),
     "ep-locate-j": (["ep-locate", "--j", 0.3, "--sweep-axis", "omega", "--sweep-range", "1.2:2.2"],
-                    "fab41d5302ca066f207a8a08a02b6944aee02e775f5dc523bf55df8cec015073"),
+                    "1dedfb6a777e3587a85836bf7c5138399f81ced935a0ad0a48b7a2349893aec9"),
     "ep-curve": (["ep-curve", "--sweep-range", "0.5:2.5", "--n", 9],
-                 "7bb52d3a971d60fa22ee49ea207cf10712dda91850b4c22232083f463d7f725c"),
+                 "434bec54af13fac7198a7a4d3c81ada1c15c9725806a73fef661d5f7edec1914"),
     "concurrence": (["concurrence", "--omega", 2, "--j", 0.4],
-                    "1662f9b330fc8554cbb14290325272af67674f01f30735981ea1e9f17ce4c7f6"),
+                    "ce47b7032d7d1e2bc6dc7130e86e790f1aca873a212df2197f5747e36d91b8f9"),
     "concurrence-sweep": (["concurrence", "--omega", 2, "--sweep-axis", "j",
                            "--sweep-range", "0.3:0.9", "--n", 7],
-                          "563ed61b012e87a53a874e64e20596b565ce1cc451dcf3b0a7a3646057c3487c"),
+                          "9455d549e0d3eb8f0fa7537b6256c5a1e2655ac9d42b1edc8da99a70b24231c9"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
-               "c0862ffce7395562ef6356898f636ae6cedf970529f441cfb2ebfd8ff87db5e5"),
+               "ebaafb64777fbe295b277ba36e06319701f75a69af148db74387675f7d4e2503"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
                   "--collapse-fraction", 0.45],
-                 "0bedec01be610fc83f17cd77ff2a67513306535d2dadda39649a7e07156529c3"),
+                 "ed1be79cd9481bfde7eb5333df624bee27f25b051a765406f707dc1b24872c38"),
     "qfi": (["qfi", "--omega", 2, "--j", 0.4, "--sweep-axis", "j"],
-            "e5ec7b13fe36fd979603b99f2ee13eaafe91341c0b3bb3550edaf704956cf2ae"),
+            "e59b3f925489e7ff34e774e0566141e29a1ee599c65a52f375f59c14a810158e"),
     "sense": (["sense", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
                "--n", 13],
-              "709567fc5cf3be34bca7d776046caa1d941eb7dfd0eb49406a1ecc35696db1ab"),
+              "6d3c54141d28c828d701832ee306cbca4188ce134a110761722aad7054163946"),
 }
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --omega 2 --j 0.589979839785503", "qfi --omega 2 --j 0.4 --gamma 0.3333333333333333",
+    "evolve --omega 2 --j 0.4 --tmax 0.5 --dt 0.01 --record-every 3",
+    "revivals --omega 1.7 --j 0.337 --tmax 20 --dt 0.02 --record-every 2"])
+def test_params_line_repeats_the_run(argv, tmp_path):
+    """Each name=value pair of the params line, read back as its flag, repeats the run: the
+    same bytes (theta's default pi/2, record_every and j_c + 1e-14 included)."""
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(argv.split() + ["--format", "json", "--out", str(first)]) == 0
+    pairs = [pair.split("=") for pair in json.loads(first.read_text())["params"].split()]
+    flags = [part for name, value in pairs for part in ("--" + name.replace("_", "-"), value)]
+    assert main([argv.split()[0], *flags, "--format", "json", "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(_JSON_CASES))
@@ -739,8 +771,8 @@ def _run_reference(command, omega, j, gamma, theta, tmax, dt, record_every, fmt)
     """
     traj = propagate(SystemParams(omega, j, gamma), initial_state(theta), tmax, dt,
                      record_every=record_every)
-    desc = (f"omega={_fmt(omega)} j={_fmt(j)} gamma={_fmt(gamma)} theta={_fmt(theta)} "
-            f"tmax={_fmt(tmax)} dt={_fmt(dt)}")
+    desc = cli._params_desc(SystemParams(omega, j, gamma), theta=float(theta), tmax=float(tmax),
+                            dt=float(dt), record_every=record_every)
     t_end = float(traj.times[-1])
     end = {} if t_end == tmax else {"t_end": t_end}
     if command == "evolve":

@@ -331,6 +331,21 @@ def _repo_copy(repo, parts):
     _git(repo, "commit", "-q", "-m", "parent")
 
 
+#: The parent of test_layers_on_a_tiny_budget renames its kernels, and under their names
+#: gives a solve of E1..E4 and kernels that take them, as a tree before the deltas E - j had.
+_RENAMED = {"_solve_eigenvalues": "_solve_deltas", "_closed_form_eigenpairs": "_delta_pairs",
+            "_sector_gap": "_delta_gap", "_sense_rows": "_delta_rows", "_span(": "_chunk_span("}
+_E_FORM = {"spectrum.py": """
+def _solve_eigenvalues(params):
+    (d2, d3, d4), z = _solve_deltas(params)
+    return (-params.j, params.j + d2, params.j + d3, params.j + d4), z
+_closed_form_eigenpairs = lambda rates, e, *k: _delta_pairs(rates, e[:, 1:] - rates[1:2].T, *k)
+_sector_gap = lambda values: _delta_gap(values[..., 1:])
+""", "sensing.py": """
+_sense_rows = lambda rates, kappa, e, *k: _delta_rows(rates, kappa, e[:, 1:] - rates[1:2].T, *k)
+"""}
+
+
 def test_layers_on_a_tiny_budget(tmp_path):
     """One pass per layer; --against exports the committed tree and alternates the sides,
     and a layer whose kernel one side lacks prints as absent."""
@@ -347,15 +362,18 @@ def test_layers_on_a_tiny_budget(tmp_path):
     assert [r["layer"] for r in records] == layers
     assert all(r["best_ms"] > 0 and r["passes"] == 1 for r in records)
 
-    # the parent names the chunk kernel otherwise: its chunk layers are absent
+    # the parent names the chunk kernel otherwise (its chunk layers are absent), and its solve
+    # returns E1..E4, which its eigenpair and sensing kernels take (_E_FORM)
     repo = tmp_path / "repo"
     _repo_copy(repo, ("src/ptqsim/*.py", "scripts/layers.py", "scripts/bench_pairs.py"))
-    dynamics = repo / "src" / "ptqsim" / "dynamics.py"
-    text = dynamics.read_text()
-    assert "def _span(" in text
-    dynamics.write_text(text.replace("_span(", "_chunk_span("))
-    _git(repo, "commit", "-q", "-am", "parent without _span")
-    dynamics.write_text(text)
+    texts = {path: path.read_text() for path in (repo / "src" / "ptqsim").glob("*.py")}
+    for path, text in texts.items():
+        for name, other in _RENAMED.items():
+            text = text.replace(name, other)
+        path.write_text(text + _E_FORM.get(path.name, ""))
+    _git(repo, "commit", "-q", "-am", "parent without _span, its solve in E")
+    for path, text in texts.items():
+        path.write_text(text)
     proc = subprocess.run([sys.executable, str(repo / "scripts" / "layers.py"), "--against",
                            "HEAD", "--rounds", "2", "--passes", "1"],
                           capture_output=True, text=True, timeout=300, check=True)

@@ -23,7 +23,7 @@ from ptqsim.errors import (
     NotNormalizedError,
     ZeroSlopeError,
 )
-from ptqsim import model, sensing
+from ptqsim import locate_ep, model, sensing, spectrum
 from ptqsim.sensing import _sense_point, _sense_rows
 from ptqsim.spectrum import _rates, _sector_gap
 
@@ -346,13 +346,13 @@ class TestBatchedSensing:
 
     @pytest.mark.parametrize("kappa", ["j", "omega"])
     def test_a_row_does_not_depend_on_its_batch(self, kappa):
-        points = fig_sweep_points(*FIG_SWEEPS[0])
-        values = np.array([eigenvalues_closed_form(p) for p in points])
-        keep = np.flatnonzero(_sector_gap(values) >= 1e-4)
-        points, values = [points[k] for k in keep], values[keep]
-        batch = _sense_rows(_rates(points), kappa, values)
+        points = fig_sweep_points(*FIG_SWEEPS[0])  # at unit scale
+        deltas = np.array([spectrum._eigenvalues(p)[1] for p in points], dtype=complex)
+        keep = np.flatnonzero(_sector_gap(deltas) >= 1e-4)
+        points, deltas = [points[k] for k in keep], deltas[keep]
+        batch = _sense_rows(_rates(points), kappa, deltas)
         for i, p in enumerate(points):
-            one = _sense_rows(_rates([p]), kappa, values[i:i + 1])
+            one = _sense_rows(_rates([p]), kappa, deltas[i:i + 1])
             assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
 
 
@@ -378,8 +378,8 @@ class TestSweepErrorOrder:
         solve = sensing._solve_eigenvalues
 
         def moved(point):
-            (e1, e2, e3, e4), z = solve(point)
-            return (e1, e2, e3 + 1e-6 if point.omega == omega else e3, e4), z
+            (d2, d3, d4), z = solve(point)
+            return (d2, d3 + 1e-6 if point.omega == omega else d3, d4), z
 
         monkeypatch.setattr(sensing, "_solve_eigenvalues", moved)
 
@@ -410,6 +410,15 @@ class TestArraySweep:
         points = sensing_sweep("j", 2.0, (0.3, 0.9), 24)
         assert [p.flag for p in points].count("ep_bracket") == 2
         assert (builds(), replaces(), batches(), solves()) == (0, 0, 1, 24)
+
+    def test_rates_are_built_only_inside_the_sign_bound(self, count_calls):
+        """fig7a's sweep builds a _Point per solve and none for the phase (every float z lies
+        outside _z_sign's bound); a grid point at the exact flip j_c gets one for its sign."""
+        built, solves = count_calls(sensing, "_Point"), count_calls(sensing, "_solve_eigenvalues")
+        sensing_sweep("omega", 0.3, (1.4, 2.0), 601)
+        assert built() == solves() == 601
+        sensing_sweep("j", 2.0, (locate_ep("omega", 2.0, (0.3, 0.9)).j_c, 0.9), 5)
+        assert (built(), solves()) == (601 + 5 + 1, 601 + 5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_range_leaving_the_float_range(self):

@@ -121,64 +121,19 @@ class TestClosedFormEigenvalues:
         assert not np.any(values.imag)
         assert eigenvalues_closed_form(SystemParams(0.0, 0.0, 0.0)).tolist() == [0, 0, 0, 0]
 
-    def test_verify_against_oracle(self):
-        params = SystemParams(2.0, 0.55, 1.0)
-        values = eigenvalues_closed_form(params)
-        oracle = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
-        assert pairing_distance(values, oracle.eigenvalues) <= 1e-9
-
-
-def _newton_steps(params: SystemParams, scale: float = 1.0) -> list:
-    """|p/p'|/3 at each of E2..E4 over max(scale, |E|), in exact rationals.
-
-    t = 3E - j solves p(t) = t^3 - 3x t - 2a, with x and a exact in the float
-    rates, so the Newton step bounds E's distance to the nearest true root.
-    A root where p' = 0 exactly gives None, and must be exactly 0 and a root.
-    """
-    om, j, g = (Fraction(r) for r in (params.omega, params.j, params.gamma))
-    x = 4 * j * j + 3 * om * om - 3 * g * g
-    a = -8 * j**3 - 9 * j * (om * om + 2 * g * g)
-    steps = []
-    for e in eigenvalues_closed_form(params)[1:]:
-        er, ei = Fraction(e.real), Fraction(e.imag)
-        tr, ti = 3 * er - j, 3 * ei
-        ur, ui = tr * tr - ti * ti - x, 2 * tr * ti  # t^2 - x = p'/3
-        pr = tr * (ur - 2 * x) - ti * ui - 2 * a
-        pi = ti * (ur - 2 * x) + tr * ui
-        dp2 = 9 * (ur * ur + ui * ui)
-        if dp2 == 0:
-            assert e == 0 and pr == pi == 0, (params, e)
-            steps.append(None)
-            continue
-        # the ratio stays a Fraction until it is dimensionless: at 1e-200 rates |p|^2 underflows
-        ratio = (pr * pr + pi * pi) / (9 * dp2 * max(Fraction(scale) ** 2, er * er + ei * ei))
-        steps.append(math.sqrt(ratio))
-    return steps
-
 
 class TestClosedFormAccuracy:
-    """Every closed-form eigenvalue lies within 4e-15 max(1, |E|) of a true root (rate units)."""
+    """Next to the EP3 (j < 0 makes a > 0) and at tiny rates, every closed-form eigenvalue
+    lies within 4e-15 of its label's 40-digit root at unit scale (_labeled); the fig2 box
+    and the seeded pools are TestScalarKernelAccuracy's."""
 
-    BOUND = 4e-15
-
-    def test_fig2_grid(self):
-        steps = [
-            s for om in np.linspace(0.0, 3.0, 61) for j in np.linspace(0.0, 1.2, 61)
-            for s in _newton_steps(SystemParams(float(om), float(j), 1.0))
-        ]
-        assert steps.count(None) == 3  # the triple root at (omega, j) = (gamma, 0)
-        assert max(s for s in steps if s is not None) <= self.BOUND
-
-    @pytest.mark.parametrize("sign", [1, -1])  # j < 0 makes a > 0: the other radicand cancels
-    @pytest.mark.parametrize("k", range(2, 11))
-    def test_next_to_third_order_point(self, k, sign):
-        assert max(_newton_steps(SystemParams(1.0, sign * 10.0**-k, 1.0))) <= self.BOUND
-
-    @pytest.mark.parametrize("scale", [1e-13, 1e-60, 1e-110, 1e-200])
-    @pytest.mark.parametrize("shape", [(2.0, 0.4, 1.0), (0.5, 0.3, 1.0)])
-    def test_tiny_rates(self, shape, scale):
-        params = SystemParams(*(r * scale for r in shape))
-        assert max(_newton_steps(params, scale)) <= self.BOUND
+    @pytest.mark.parametrize("params", [
+        *(SystemParams(1.0, sign * 10.0**-k, 1.0) for k in range(2, 11) for sign in (1, -1)),
+        *(SystemParams(*(r * scale for r in shape)) for shape in ((2.0, 0.4, 1.0),
+          (0.5, 0.3, 1.0)) for scale in (1e-13, 1e-60, 1e-110, 1e-200))], ids=repr)
+    def test_next_to_third_order_point_and_tiny_rates(self, params):
+        got, want, _ = _labeled(params)
+        assert np.abs(got - want).max() <= 4e-15
 
 
 class TestClosedFormEigenvectors:
@@ -204,11 +159,14 @@ class TestClosedFormEigenvectors:
 
     def test_omega_zero_is_diagonal(self):
         """At omega = 0 H is diagonal: the singlet, T = (|01> + |10>)/sqrt(2), |00> and |11>
-        (E2 = -j, E3 = j + i gamma, E4 = j - i gamma), from the closed form itself."""
-        vecs = eigenvectors_closed_form(SystemParams(0.0, 0.3, 1.0))
+        (E2 = -j, E3 = j + i gamma, E4 = j - i gamma), from the closed form itself: the
+        eigenvalues exactly, and each amplitude within an ulp of 1 (the normalization's)."""
+        params = SystemParams(0.0, 0.3, 1.0)
+        assert eigenvalues_closed_form(params).tolist() == [-0.3, -0.3, 0.3 + 1j, 0.3 - 1j]
+        vecs = eigenvectors_closed_form(params)
         r2 = math.sqrt(0.5)
         want = np.array([[0, -r2, r2, 0], [0, r2, r2, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-        assert np.max(np.abs(vecs - want)) <= 1.2e-16
+        assert np.max(np.abs(vecs - want)) <= 2.3e-16
 
     def test_phase_fix_ties_within_four_ulp_go_high(self):
         """|v3| = |v0| (1 - 2 ulp) ties with |v0|, and the tie goes to index 3; 8 ulp apart
@@ -235,13 +193,22 @@ def _seeded_points(n, seed=20261018):
                          rng.uniform(0.0, 1.5)) for _ in range(n)]
 
 
+def _deltas_of(points):
+    """The (n, 3) unit-scale deltas of E2..E4 that the points' instances solve."""
+    return np.array([spectrum._eigenvalues(p)[1] for p in points], dtype=complex)
+
+
 def _eigenpairs_of(points):
-    """_closed_form_eigenpairs of points at unit scale, with the eigenvalues their instances
+    """_closed_form_eigenpairs of points at unit scale, with the deltas their instances
     solve; the residuals mapped back."""
     rates, exps = spectrum._unit_rates(_rates(points))
-    values = np.array([spectrum._eigenvalues(p)[1] for p in points])
-    vecs, residuals = _closed_form_eigenpairs(rates, values, exps)
+    vecs, residuals = _closed_form_eigenpairs(rates, _deltas_of(points), exps)
     return vecs, np.ldexp(residuals, exps)
+
+
+def _guarded_points(points):
+    """The points a sense sweep solves: those whose unit-scale sector gap reaches 1e-4."""
+    return [p for p, k in zip(points, _sector_gap(_deltas_of(points)) >= 1e-4) if k]
 
 
 class TestBatchedEigenpairs:
@@ -251,13 +218,12 @@ class TestBatchedEigenpairs:
     def test_matches_40_digit_reference(self, sweep):
         """Each sector vector within 1e-14 of the 40-digit null vector (tests/mp_reference.py)
         once their phases are aligned; the residual is ||Hv - Ev|| of the 4x4 H."""
-        points = _seeded_points(400) if sweep == "seeded" else fig_sweep_points(*sweep)
-        values = np.array([eigenvalues_closed_form(p) for p in points])
-        keep = _sector_gap(values) >= 1e-4  # the points a sense sweep solves
-        points = [p for p, k in zip(points, keep) if k]
-        vecs, residuals = _closed_form_eigenpairs(_rates(points), values[keep])
+        points = _guarded_points(
+            _seeded_points(400) if sweep == "seeded" else fig_sweep_points(*sweep))
+        vecs, residuals = _eigenpairs_of(points)
         assert vecs.shape == (len(points), 4, 4) and residuals.shape == (len(points),)
-        for p, v, res, e in zip(points, vecs, residuals, values[keep]):
+        for p, v, res in zip(points, vecs, residuals):
+            e = eigenvalues_closed_form(p)
             want = mp_reference.sector_eigenvectors(p.omega, p.j, p.gamma, e)
             errors = [vector_error(got, ref) for got, ref in zip(v[1:], want)]
             assert max(errors) <= 1e-14, (p, errors)
@@ -266,33 +232,33 @@ class TestBatchedEigenpairs:
                                             for k in range(4)), rel=0.5, abs=1e-15), p
 
     def test_a_point_does_not_depend_on_its_batch(self):
-        points = fig_sweep_points(*FIG_SWEEPS[0]) + _seeded_points(50)
-        values = np.array([eigenvalues_closed_form(p) for p in points])
-        keep = _sector_gap(values) >= 1e-4
-        points, values = [p for p, k in zip(points, keep) if k], values[keep]
-        batch = _closed_form_eigenpairs(_rates(points), values)
+        points = _guarded_points(fig_sweep_points(*FIG_SWEEPS[0]) + _seeded_points(50))
+        (rates, exps), deltas = spectrum._unit_rates(_rates(points)), _deltas_of(points)
+        batch = _closed_form_eigenpairs(rates, deltas, exps)
         for i, p in enumerate(points):
-            one = _closed_form_eigenpairs(_rates([p]), values[i:i + 1])
+            one = _closed_form_eigenpairs(rates[:, i:i + 1], deltas[i:i + 1], exps[i:i + 1])
             assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(batch, one))
         assert eigenvectors_closed_form(points[7]).tobytes() == batch[0][7].tobytes()
 
     def test_sector_gap_on_last_axis(self):
-        values = np.array([eigenvalues_closed_form(p) for p in _seeded_points(20)])
-        gaps = _sector_gap(values.reshape(4, 5, 4))
+        deltas = _deltas_of(_seeded_points(20))
+        gaps = _sector_gap(deltas.reshape(4, 5, 3))
         assert gaps.shape == (4, 5)
-        assert gaps.reshape(-1).tolist() == [sector_gap(v) for v in values]
+        assert gaps.reshape(-1).tolist() == [sector_gap(d) for d in deltas]
 
     def test_near_defective_names_first_failing_point(self):
         """A root 1e-6 off leaves a residual of about that size: the first such point of
         a batch is named, as a batch of one names it."""
         points = [SystemParams(2.0, 0.4, 1.0), SystemParams(1.7, 0.3, 1.0),
                   SystemParams(1.5, 0.2, 1.0)]
-        values = np.array([eigenvalues_closed_form(p) for p in points])
-        values[1:, 2] += 1e-6
+        values = eigenvalues_closed_form(points[1])
+        values[2] += 1e-6
+        deltas = _deltas_of(points)
+        deltas[1:, 1] += 1e-6
         with pytest.raises(NearDefectiveError) as single:
-            eigenvectors_closed_form(points[1], values[1])
+            eigenvectors_closed_form(points[1], values)
         with pytest.raises(NearDefectiveError) as batch:
-            _closed_form_eigenpairs(_rates(points), values)
+            _closed_form_eigenpairs(_rates(points), deltas)
         assert str(batch.value) == str(single.value)
         assert "omega=1.7, j=0.3," in str(batch.value)
 
@@ -312,6 +278,26 @@ class TestBatchedEigenpairs:
             errors = [vector_error(got, ref)
                       for got, ref in zip(eigenvectors_closed_form(p)[1:], want)]
             assert max(errors) <= 1e-14, (p, errors)
+
+    def test_hermitian_limit_against_40_digits(self):
+        """At gamma = 0 every eigenvalue is real, and each sector vector and Psi3's and Psi4's
+        concurrences lie within 1e-14 of the 40-digit ones (paired by delta; those of the
+        unit-scale point, as the vectors are scale-free): on 25 draws with omega in [0.3, 3],
+        and on 300 with omega log-uniform in 1e-12..1e-4, where the pair's roots j and
+        sqrt(j^2 + omega^2) round to one float and their deltas 0 and omega^2 / (j +
+        sqrt(j^2 + omega^2)) do not."""
+        rng = np.random.default_rng(20261021)
+        omegas = [*rng.uniform(0.3, 3.0, 25), *np.exp(rng.uniform(-12, -4, 300) * math.log(10))]
+        for om, j in zip(omegas, rng.uniform(0.01, 1.2, 325).tolist()):
+            p = SystemParams(float(om), j, 0.0)
+            assert not eigenvalues_closed_form(p).imag.any()
+            unit = spectrum._unit_point(p)[1]
+            want = mp_reference.sector_states(unit.omega, unit.j, 0.0, spectrum._eigenvalues(p)[1])
+            got = eigenvectors_closed_form(p)[1:]
+            assert max(vector_error(v, np.array([complex(x) for x in w]))
+                       for v, w in zip(got, want)) <= 1e-14, p
+            assert max(abs(concurrence_pure(v) - float(mp_reference.pure_concurrence(w)))
+                       for v, w in zip(got[1:], want[1:])) <= 1e-14, p
 
 
 @pytest.mark.parametrize("call, overflows", [
@@ -501,76 +487,40 @@ class TestClassifyPhase:
         assert classify_phase(params).phase is expected
         assert classify_phase(SystemParams(*shape)).phase is expected
 
+    def test_crossing_at_j_zero_is_near_ep_only_inside_the_gap(self):
+        """At j = 0 the singlet crosses a sector root, |E1 - E_k| = 2|j| omega^2 / (omega^2 -
+        gamma^2) + O(j^2): NEAR_EP where that is at most 1e-6 (unit scale), else not."""
+        labels = {d: {classify_phase(SystemParams(om, s * d, 1.0)).phase for om in (1.5, 2.0, 3.0)
+                      for s in (1, -1)} for d in (0.0, 1e-7, 2.5e-7, 5e-7, 1e-6)}
+        assert labels == {0.0: {Phase.NEAR_EP}, 1e-7: {Phase.NEAR_EP}, 2.5e-7: {Phase.NEAR_EP},
+                          5e-7: {Phase.PT_SYMMETRIC}, 1e-6: {Phase.PT_SYMMETRIC}}
+
     def test_max_imag_reported(self):
         label = classify_phase(SystemParams(0.0, 0.5, 1.0))
         assert label.max_imag == pytest.approx(1.0)
 
 
-# The numpy-scalar kernel the Python-scalar _eigenvalues replaced, verbatim but for
-# module-qualified names and the unit-scale boundary written out: the reference it must
-# equal bit for bit.
-_REF_W3 = np.exp(2j * np.pi / 3)
-_REF_W3C = _REF_W3.conjugate()
-_REF_SQ27 = 3.0 * np.sqrt(3.0)
+def _fresh(params):
+    """A fresh instance of params' rates: its solve is not in params' store."""
+    return SystemParams(params.omega, params.j, params.gamma)
 
 
-def _branch_pair_reference(params):
-    x, z, a = spectrum._cubic_data(params)
-    if z >= 0:
-        s = _REF_SQ27 * math.sqrt(z)
-        y, v = np.cbrt(a + s), np.cbrt(a - s)
-        if a < 0:
-            y = x / v
-        elif a > 0:
-            v = x / y
-        y, v = complex(y), complex(v)
+def _labeled(params):
+    """(the closed-form E1..E4 at unit scale, the 40-digit ones labeled as the closed form
+    labels them, whether z > 0 exactly): E2 is the real root where z > 0 (E3 the one of
+    positive imaginary part), else the largest where j <= 0 and the smallest where j > 0,
+    and E3 <= E4."""
+    e, unit = spectrum._unit_point(params)
+    got = eigenvalues_closed_form(params)
+    roots = mp_reference.hamiltonian_eigenvalues(unit.omega, unit.j, unit.gamma).tolist()
+    broken = exact_z(unit.omega, unit.j, unit.gamma) > 0
+    if broken:
+        e2, e3, e4 = sorted(roots[1:], key=lambda r: abs(r.imag))
+        want = [roots[0], e2, *sorted([e3, e4], key=lambda r: -r.imag)]
     else:
-        radicand = complex(a, _REF_SQ27 * math.sqrt(-z))
-        y = radicand ** (1.0 / 3.0)
-        if radicand.real < 0:
-            y = y * _REF_W3
-        v = y.conjugate()
-    return y, v
-
-
-def _unit_reference(params):
-    """(E, params times 2**-E), E even with the largest rate times 2**-E in [1, 4); E = 0
-    where every rate is zero."""
-    top = max(abs(params.omega), abs(params.j), abs(params.gamma))
-    e = math.frexp(top)[1] - 1 if top else 0
-    e -= e % 2
-    return e, SystemParams(*(math.ldexp(r, -e) for r in (params.omega, params.j, params.gamma)))
-
-
-def _unit_eigenvalues_reference(params):
-    """The numpy-scalar kernel's E1..E4 of params' unit-scale point, and its exponent E."""
-    e, unit = _unit_reference(params)
-    j = unit.j
-    y, v = _branch_pair_reference(unit)
-    e2 = (j + v + y) / 3.0
-    e3 = (j + _REF_W3C * v + _REF_W3 * y) / 3.0
-    e4 = (j + _REF_W3 * v + _REF_W3C * y) / 3.0
-    return np.array([-j, e2, e3, e4], dtype=complex), e
-
-
-def _eigenvalues_reference(params):
-    values, e = _unit_eigenvalues_reference(params)
-    values.real, values.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
-    return values
-
-
-def _classify_reference(params):
-    """PT_BROKEN where z > 0, else the gap rule on the reference's eigenvalues; max_imag
-    from them too.  The sign of z is the float z's where |z| > 1e-6 at unit scale, far
-    above its rounding error (below 3e-10 there), else that of exact rationals."""
-    values, e = _unit_eigenvalues_reference(params)
-    max_imag = math.ldexp(float(np.abs(values.imag).max()), e)
-    z = spectrum._cubic_data(_unit_reference(params)[1])[1]
-    if (z > 0 if abs(z) > 1e-6 else exact_z(params.omega, params.j, params.gamma) > 0):
-        return PhaseLabel(Phase.PT_BROKEN, max_imag)
-    if min_gap(values) <= spectrum._NEAR_EP_LABEL_GAP:
-        return PhaseLabel(Phase.NEAR_EP, max_imag)
-    return PhaseLabel(Phase.PT_SYMMETRIC, max_imag)
+        low, mid, high = sorted(roots[1:], key=lambda r: r.real)
+        want = [roots[0], *((high, low, mid) if unit.j <= 0 else (low, mid, high))]
+    return np.ldexp(got.real, -e) + 1j * np.ldexp(got.imag, -e), np.array(want), broken
 
 
 #: Points at the kernel's branch edges: a = 0 (j = +-0); z = 0 (omega = gamma = 0,
@@ -595,6 +545,10 @@ def _seeded_edge_draw(n, seed):
     """n points over every regime of the kernel: a broad box, the critical band, rates
     from 1e-200 to 1e40, signed-zero and dyadic grids, and the EP3's neighbourhood."""
     rng = np.random.default_rng(seed)
+
+    def choice(values):  # rng.choice's draw, without its per-call cost
+        return values[rng.integers(len(values))]
+
     points = []
     for k in range(n):
         kind = k % 5
@@ -606,13 +560,13 @@ def _seeded_edge_draw(n, seed):
             s = 10.0 ** rng.uniform(-200, 40)
             rates = rng.uniform(-3, 3) * s, rng.uniform(-1.5, 1.5) * s, rng.uniform(0, 2) * s
         elif kind == 3:
-            rates = (rng.choice([0.0, -0.0, 1.0, -2.0, 0.5]),
-                     rng.choice([0.0, -0.0, 0.3, -0.3, 0.5899798397854931]),
-                     rng.choice([0.0, 1.0, 0.5]))
+            rates = (choice([0.0, -0.0, 1.0, -2.0, 0.5]),
+                     choice([0.0, -0.0, 0.3, -0.3, 0.5899798397854931]),
+                     choice([0.0, 1.0, 0.5]))
         else:
             g = rng.uniform(0, 2)
-            rates = (g * (1 + rng.choice([0, 1e-8, -1e-8, 1e-15])),
-                     rng.choice([0.0, -0.0, 1e-9, -1e-9]), g)
+            rates = (g * (1 + choice([0.0, 1e-8, -1e-8, 1e-15])),
+                     choice([0.0, -0.0, 1e-9, -1e-9]), g)
         points.append(SystemParams(*(float(r) for r in rates)))
     return points
 
@@ -622,37 +576,48 @@ def _fig2_grid():
             for om in np.linspace(0.0, 3.0, 61) for j in np.linspace(0.0, 1.2, 61)]
 
 
-class TestScalarKernelBitwise:
-    """eigenvalues_closed_form and classify_phase equal the numpy-scalar kernel bit for bit."""
+class TestScalarKernelAccuracy:
+    """eigenvalues_closed_form and classify_phase against the 40-digit spectrum.
+
+    Each label's error is |E_k - R_k| at unit scale (_labeled), so a swapped label reads as
+    the pair's split.  The bounds are the median and the largest error of the
+    complex-branch kernel that this solve replaced, on the same pools: next to the curve
+    (the edge pool's j_c points) a double root is split by ~sqrt(eps) in both.  The seeded
+    pool is every 100th of the 50 000 draws.
+    """
+
+    BOUNDS = {"edges": (4.5e-16, 9.3e-11), "fig2": (4.6e-16, 3.2e-15),
+              "seeded": (6.7e-16, 3.9e-15)}
 
     @pytest.mark.parametrize("source", ["edges", "fig2", "seeded"])
-    def test_matches_numpy_scalar_reference(self, source):
+    def test_labels_and_digits(self, source):
         points = {"edges": lambda: [SystemParams(*r) for r in _EDGE_POINTS],
                   "fig2": _fig2_grid,
-                  "seeded": lambda: _seeded_edge_draw(50_000, 20261018)}[source]()
-        got = np.array([eigenvalues_closed_form(p) for p in points])
-        want = np.array([_eigenvalues_reference(p) for p in points])
-        assert got.dtype == np.complex128
-        mismatch = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
-        assert not len(mismatch), [points[i] for i in mismatch[:5]]
-        for p in points:
-            label, ref = classify_phase(p), _classify_reference(p)
-            assert label.phase is ref.phase, p
-            assert np.float64(label.max_imag).view(np.uint64) == np.float64(
-                ref.max_imag).view(np.uint64), p
+                  "seeded": lambda: _seeded_edge_draw(50_000, 20261018)[::100]}[source]()
+        got, want, broken = map(np.array, zip(*map(_labeled, points)))
+        errors = np.abs(got - want).max(axis=1)
+        median, largest = self.BOUNDS[source]
+        assert np.median(errors) <= median and errors.max() <= largest
+        near = ~broken & (np.array([min_gap(w) for w in want]) <= spectrum._NEAR_EP_LABEL_GAP)
+        labels = [classify_phase(p) for p in points]
+        assert [lab.phase is Phase.PT_BROKEN for lab in labels] == broken.tolist()
+        assert [lab.phase is Phase.NEAR_EP for lab in labels] == near.tolist()
+        assert [lab.max_imag for lab in labels] == [
+            np.abs(eigenvalues_closed_form(p).imag).max() for p in points]
 
     def test_edges_reach_every_branch(self):
-        """The fixed list exercises both radicand signs, the rotation and the rescale."""
+        """The fixed list exercises both forms of delta2 (the real cube root where z >= 0,
+        the trigonometric form where z < 0) with both signs of a and a = 0, delta2 = 0,
+        and the rescale."""
         seen = set()
         for r in _EDGE_POINTS:
             e, p = spectrum._unit_point(SystemParams(*r))
             x, z, a = spectrum._cubic_data(p)
-            rotated = spectrum._branch_pair(p)[2]
-            seen.add(("z>0" if z > 0 else "z=0" if z == 0 else "z<0", rotated, a == 0))
+            seen.add(("z>0" if z > 0 else "z=0" if z == 0 else "z<0", (a > 0) - (a < 0)))
+            seen.add(("delta2 = 0", spectrum._solve_eigenvalues(p)[0][0] == 0))
             seen.add(("rescaled", e != 0))
-        assert {("z<0", True, False), ("z<0", False, False), ("z<0", False, True),
-                ("z>0", False, True), ("z>0", False, False), ("z=0", False, False),
-                ("z=0", False, True), ("rescaled", True)} <= seen
+        assert {("z<0", -1), ("z<0", 1), ("z<0", 0), ("z>0", 0), ("z>0", -1), ("z>0", 1),
+                ("z=0", -1), ("z=0", 0), ("delta2 = 0", True), ("rescaled", True)} <= seen
 
 
 def _near_curve_points(n=300, ulps=10, seed=20261020):
@@ -697,29 +662,6 @@ class TestExactPhase:
         assert exact() == 1
 
 
-class TestScalarBatchPhaseAgreement:
-    """classify_phase's decisions equal the sweep path's: each point's solve gives the
-    float z, and _z_sign decides on it."""
-
-    def test_same_decisions(self):
-        crossings = [SystemParams(om, sign * d, 1.0) for om in (1.5, 2.0, 3.0)
-                     for sign in (1, -1) for d in (0.0, 1e-7, 3e-7, 3.75e-7, 4e-7, 1e-6)]
-        points = _fig2_grid() + crossings + _seeded_points(2000) + _seeded_edge_draw(2000, 7)
-        exps, values, zs = zip(*(spectrum._eigenvalues(p) for p in points))
-        values = np.array(values)
-        broken = np.array([spectrum._z_sign(p, z) > 0 for z, p in zip(zs, points)])
-        near = ~broken & (np.array([min_gap(v) for v in values]) <= spectrum._NEAR_EP_LABEL_GAP)
-        labels = [classify_phase(p) for p in points]
-        assert [lab.phase is Phase.PT_BROKEN for lab in labels] == broken.tolist()
-        assert [lab.phase is Phase.NEAR_EP for lab in labels] == near.tolist()
-        assert np.array([lab.max_imag for lab in labels]).tobytes() == np.ldexp(
-            np.abs(values.imag).max(axis=1), exps).tobytes()
-        # both sides of each decision are reached, the j = 0 crossings among them
-        assert broken.any() and not broken.all() and 0 < near.sum() < (~broken).sum()
-        crossing_near = [classify_phase(p).phase is Phase.NEAR_EP for p in crossings]
-        assert any(crossing_near) and not all(crossing_near)
-
-
 @pytest.fixture
 def solves(count_calls):
     """The number of closed-form eigenvalue solves since the test started."""
@@ -734,11 +676,12 @@ class TestEigenvalueMemo:
         label = classify_phase(p)
         values = eigenvalues_closed_form(p)
         assert solves() == 1
-        assert label == _classify_reference(p)
-        assert _bits(values).tolist() == _bits(_eigenvalues_reference(p)).tolist()
+        fresh = _fresh(p)
+        assert label == classify_phase(fresh)
+        assert _bits(values).tolist() == _bits(eigenvalues_closed_form(fresh)).tolist()
         eigenvectors_closed_form(p)
         classify_phase(p)
-        assert solves() == 1
+        assert solves() == 2
 
     def test_spectrum_command_solves_once(self, solves, tmp_path):
         for argv in (["--omega", "2", "--j", "0.4"], ["--omega", "0", "--j", "0.3"]):
@@ -775,7 +718,7 @@ class TestEigenvalueMemo:
         for moved in (solved.replace(j=0.7), dataclasses.replace(solved, j=0.7)):
             assert spectrum._MEMO_KEY not in vars(moved)
             assert _bits(eigenvalues_closed_form(moved)).tolist() == _bits(
-                _eigenvalues_reference(SystemParams(2.0, 0.7, 1.0))).tolist()
+                eigenvalues_closed_form(SystemParams(2.0, 0.7, 1.0))).tolist()
         with pytest.raises(dataclasses.FrozenInstanceError):
             solved.j = 0.7
 
@@ -795,10 +738,11 @@ class TestEigenvalueMemo:
         points = [p for p in points if spectrum._unit_point(p)[0]]
         assert len(points) >= 8
         for p in points:
-            want = _bits(_eigenvalues_reference(p)).tolist()
+            fresh = _fresh(p)
+            want, label = _bits(eigenvalues_closed_form(fresh)).tolist(), classify_phase(fresh)
             before = solves()
             assert _bits(eigenvalues_closed_form(p)).tolist() == want
-            assert classify_phase(p) == _classify_reference(p)
+            assert classify_phase(p) == label
             assert _bits(eigenvalues_closed_form(p)).tolist() == want
             assert solves() - before == 1
 
@@ -872,7 +816,8 @@ class TestEigenpairMemo:
             for p, ham in zip(points, hams):
                 spec = spectrum_closed_form(p)
                 assert given.pop() == ham
-                assert _bits(spec.eigenvalues).tolist() == _bits(_eigenvalues_reference(p)).tolist()
+                assert _bits(spec.eigenvalues).tolist() == _bits(
+                    eigenvalues_closed_form(_fresh(p))).tolist()
                 assert math.copysign(1.0, spec.eigenvalues[0].real) == -math.copysign(1.0, p.j)
 
     def test_eq_hash_repr_and_replace_ignore_the_store(self):
@@ -922,8 +867,9 @@ class TestEigenpairMemo:
                     spec = None
                 got = eigenvectors_closed_form(p)
                 assert got.tobytes() == vecs[0].tobytes()
-                assert got.tobytes() == eigenvectors_closed_form(
-                    p, eigenvalues_closed_form(p)).tobytes()
+                # from E, delta = E - j carries E's rounding
+                assert np.abs(got - eigenvectors_closed_form(
+                    p, eigenvalues_closed_form(p))).max() <= 1e-14
                 if spec is not None:
                     assert spec.eigenvectors.tobytes() == vecs[0].tobytes()
                     assert _bits(spec.max_residual) == _bits(residuals[0])
@@ -946,26 +892,6 @@ def test_conjugate_pair_symmetry(params):
 def test_eigenvalue_sum_is_trace(params):
     values = eigenvalues_closed_form(params)
     assert abs(values.sum()) < 1e-10
-
-
-def test_random_sweep_closed_vs_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        params = SystemParams(rng.uniform(0.1, 3.0), rng.uniform(0.0, 1.2), 1.0)
-        values = eigenvalues_closed_form(params)
-        spec = eigensystem_oracle(build_hamiltonian(params), deflate_root=-params.j)
-        assert pairing_distance(values, spec.eigenvalues) < 1e-9
-
-
-def test_gamma_zero_real_and_orthogonal():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        params = SystemParams(rng.uniform(0.3, 3.0), rng.uniform(0.05, 1.2), 0.0)
-        values = eigenvalues_closed_form(params)
-        assert np.max(np.abs(values.imag)) < 1e-10
-        vecs = eigenvectors_closed_form(params, values)
-        gram = vecs @ vecs.conj().T
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-9
 
 
 # The kernels that pairing_distance's _PERMS table and spectrum_oracle's order
