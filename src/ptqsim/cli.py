@@ -234,8 +234,7 @@ def _params_from(args) -> SystemParams:
 def _exact(x) -> str:
     """x as _fmt prints it where that reads back as x, else the float's shortest repr."""
     text = _fmt(x)
-    exact = not isinstance(x, float) or text and float(text).hex() == x.hex()
-    return text if exact else repr(float(x))
+    return repr(float(x)) if isinstance(x, float) and float(text) != x else text
 
 
 def _params_desc(params: SystemParams, **extra) -> str:
@@ -287,8 +286,12 @@ def cmd_spectrum(args) -> int:
         "max_imag": label.max_imag,
     }
     header = ["label", "re_e", "im_e"] + [f"{p}_v{i}" for i in range(4) for p in ("re", "im")]
-    rows = [[f"E{k+1}", e.real, e.imag, *np.stack([v.real, v.imag], axis=-1).ravel().tolist()]
-            for k, (e, v) in enumerate(zip(spec.eigenvalues, spec.eigenvectors))]
+    rows = []
+    for k in range(4):
+        row = [f"E{k+1}", spec.eigenvalues[k].real, spec.eigenvalues[k].imag]
+        for i in range(4):
+            row += [spec.eigenvectors[k][i].real, spec.eigenvectors[k][i].imag]
+        rows.append(row)
     meta = {"source": spec.source.value, "phase": label.phase.value,
             "max_residual": spec.max_residual}
     _emit(args, _params_desc(params), header, rows, meta, results)

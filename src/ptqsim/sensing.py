@@ -12,16 +12,17 @@ Cramer-Rao bound by 2**E.
 qfi_from_states keeps the central-difference form (states phase-aligned by
 overlap) as an independent reference.
 
-The kernels work on a leading axis of points, given as their (3, n) array of (omega, j,
-gamma) rates and (n, 3) deltas E - j of E2..E4.  A sweep solves each grid point's deltas
-once (the scalar closed-form kernel on a _Point record, its only per-point Python call),
-then works on the unit-scale rate array: the finite-value check, the refusal (too close
-to an EP) as a mask, one closed-form eigenpair solve for every point's sector vectors,
-and one (psi, dpsi) batch for the QFI, the coherence and its variance together.  qfi,
-sensitivity_variance and coherence_expectation are batches of one of the same kernels,
-so a point gets the same bits either way.  Sweeps mark the phase transition with
-spectrum's one phase decision, the exact sign of z (_z_sign), on the float z that each
-point's solve evaluates (its rates are rebuilt only inside the filter's bound).
+The kernels work on a leading axis of points, given as their (3, n) array of
+(omega, j, gamma) rates and (n, 3) deltas.  A sweep solves each grid point's deltas once
+(the scalar closed-form kernel on a _Point record, its only per-point Python
+call), then works on the unit-scale rate array: the finite-value check, the refusal
+(too close to an EP) as a mask, one closed-form eigenpair solve for every
+point's sector vectors, and one (psi, dpsi) batch for the QFI, the
+coherence and its variance together.  qfi, sensitivity_variance and
+coherence_expectation are batches of one of the same kernels, so a point
+gets the same bits either way.  Sweeps mark the phase transition with
+spectrum's one phase decision, the exact sign of z (_z_sign), on the float z
+that each point's solve evaluates (its rates are rebuilt only inside the filter's bound).
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .errors import EpTooCloseError, NonFiniteError, NumericalError, PtqsimError
 from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
-    _rates,
     _eigenvalues,
+    _rates,
     _sector_gap,
     _solve_eigenvalues,
     _unit_point,

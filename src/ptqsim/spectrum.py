@@ -1,26 +1,24 @@
 """Eigensystem of the two-qubit Hamiltonian: closed forms and an oracle.
 
-The characteristic quartic factors into the exact singlet root E1 = -j and a cubic for the
-exchange-symmetric sector, whose roots have one format, delta = E - j: the roots of
-    P(delta) = det(j + delta - B) = delta^3 + 2j delta^2 + (gamma^2 - omega^2) delta + 2j gamma^2,
-solved in real floats by _solve_eigenvalues (Python scalars: the phase label and the sweeps
-call it once per point).  delta2, the root that stays separated, comes from Cardano's real
-cube root (z >= 0) or its trigonometric form (z < 0), then one Newton step on P.  The pair
-follows from Vieta, each part from the form that does not cancel: p = delta3 delta4 =
--2j gamma^2 / delta2, s = delta3 + delta4 = -2j - delta2 or (gamma^2 - omega^2 - p) / delta2,
-and the half-split sqrt|s^2/4 - p| or sqrt|z| / |P'(delta2)| (the discriminant is -4z and
-P'(delta2) = (delta2 - delta3)(delta2 - delta4); this form keeps the split next to the
-curve).  So E3/E4 always name the pair that coalesces on the critical curve: real where
-z <= 0 (the larger-magnitude member s/2 +- the half-split, the other p over it, E3 <= E4),
-exact conjugates s/2 +- i half-split where z > 0 (E3 with Im > 0), so the unbroken phase has
-max|Im E| == 0; the third-order point x = z = 0 gives the triple root.  The vectors read
-delta too (d0 = i gamma - delta, d1 = -2j - delta, d2 = -i gamma - delta), so no j - E
-cancels: where omega, gamma << j, E3 and E4 round to j while their deltas resolve the pair
-(at gamma = 0, delta3 = 0 exactly and delta4 = omega^2 / (j + sqrt(j^2 + omega^2))).
-E = j + delta is formed only where an eigenvalue is output.  An independent oracle,
-eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H and merges roots that
-rounding split (_oracle_roots); spectrum_closed_form cross-checks the closed form against
-its roots.
+The characteristic quartic factors into the exact singlet root E1 = -j and
+a cubic for the exchange-symmetric sector, whose roots have one format here,
+delta = E - j, solved in real floats by _solve_eigenvalues (which says how).
+The labels are fixed so that
+
+* labels E3/E4 always name the pair that coalesces on the critical curve
+  (E2 stays separated), continuously across the phase transition;
+* eigenvalues are produced as exact conjugate pairs / exact reals, so the
+  unbroken phase has max|Im E| == 0 in floating point.
+
+The vectors read delta too, so no j - E cancels: where omega, gamma << j, E3
+and E4 round to j while their deltas resolve the pair.  E = j + delta is
+formed only where an eigenvalue is output.
+
+The closed form holds at every finite point, the third-order point
+x = z = 0 included (a triple root).  An independent
+oracle, eigensystem_oracle, takes the eigenpairs from one LAPACK eig call of H
+and merges roots that rounding split (_oracle_roots); spectrum_closed_form
+cross-checks the closed form against its roots.
 
 The phase is the exact sign of z (_z_sign): the cubic's discriminant is -4z, so
 z > 0 is PT-broken, z < 0 PT-symmetric and z = 0 an EP.  The solve's float z
@@ -33,24 +31,26 @@ tolerance applies there, and _at_rates maps the outputs back by ldexp (only an
 output that leaves the float range is refused).  A point in the window (every
 preset point) passes unchanged, and rates times 4**k give outputs times 4**k.
 
-A point is solved once: the first _eigenvalues call on a SystemParams instance stores its
-exponent E, unit-scale (delta2, delta3, delta4) and float z in that instance's attributes,
-and later calls on it return them.  The instance is frozen, so they cannot go stale, and
-replace() builds a new instance.  The store is keyed by the instance, never by equality:
-SystemParams(0.0, -0.0) equals SystemParams(0.0, 0.0) but its E1 = -j has the other sign,
-and an equality-keyed cache would also keep every point alive.  The unit-scale solve never
-fails, so every point is stored; an output that overflows when mapped back raises
-NonFiniteError again on every call.  eq, hash and repr read only the fields, so the store
-is invisible to them.
+A point is solved once: the first _eigenvalues call on a SystemParams instance
+stores its exponent E, unit-scale (delta2, delta3, delta4) and float z in that
+instance's attributes, and later calls on it return them.  The instance is frozen, so they
+cannot go stale, and replace() builds a new instance.  The store is keyed by the
+instance, never by equality: SystemParams(0.0, -0.0)
+equals SystemParams(0.0, 0.0) but its E1 = -j has the other sign, and an
+equality-keyed cache would also keep every point alive.  The unit-scale solve
+never fails, so every point is stored; an output that overflows when mapped
+back raises NonFiniteError again on every call.  eq, hash and repr read only
+the fields, so the store is invisible to them.
 
-The eigenpair is solved once the same way: the first _eigenpair call on an instance stores
-its (eigenvectors, max residual), and eigenvectors_closed_form, spectrum_closed_form and
-the concurrences built on them (Psi3 and Psi4 of one point) read it.  Callers get copies of
-the vectors; the stored array is read-only.  A NearDefectiveError raises again on every
-call.  Explicit eigenvalues and the sweep batch bypass the store: a sweep solves each
-point's deltas and z once with _solve_eigenvalues on an unchecked unit-scale _Point record
-(_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on the (3, n)
-unit-scale rate array and (n, 3) deltas.
+The eigenpair is solved once the same way: the first _eigenpair call on an
+instance stores its (eigenvectors, max residual), and eigenvectors_closed_form,
+spectrum_closed_form and the concurrences built on them (Psi3 and Psi4 of one
+point) read it.  Callers get copies of the vectors; the stored array is
+read-only.  A NearDefectiveError raises again on every call.  Explicit
+eigenvalues and the sweep batch bypass the store: a sweep solves each point's
+deltas and z once with _solve_eigenvalues on an unchecked unit-scale _Point
+record (_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on
+the (3, n) unit-scale rate array and (n, 3) deltas.
 """
 from __future__ import annotations
 
@@ -206,25 +206,30 @@ _MEMO_KEY = "_ptqsim_eigenvalues"
 
 
 def _eigenvalues(params: SystemParams) -> tuple:
-    """(E, (delta2, delta3, delta4), z): the point's _unit_point exponent and _solve_eigenvalues
-    of its unit-scale rates, solved once per SystemParams instance (see the module docstring).
+    """(E, unit-scale (delta2, delta3, delta4) as Python scalars, float z):
+    the point's _unit_point exponent and _solve_eigenvalues of its unit-scale rates.
 
-    The triple is read with getattr and set with object.__setattr__, as the frozen
-    dataclass's own __init__ sets its fields: touching params.__dict__ would make CPython
-    build a dict for the instance and slow every later field read.
+    Solved once per SystemParams instance: the triple is kept on the instance (see
+    the module docstring).  It is read with getattr and set with
+    object.__setattr__, as the frozen dataclass's own __init__ sets its fields:
+    touching params.__dict__ would make CPython build a dict for the instance
+    and slow every later field read.
     """
     solved = getattr(params, _MEMO_KEY, None)
     if solved is None:
         e, unit = _unit_point(params)
-        solved = e, *_solve_eigenvalues(unit)
+        deltas, z = _solve_eigenvalues(unit)
+        solved = e, deltas, z
         object.__setattr__(params, _MEMO_KEY, solved)
     return solved
 
 
 def _solve_eigenvalues(params) -> tuple:
-    """((delta2, delta3, delta4), z): E2..E4 as delta = E - j (see the module docstring), and
-    the float z (for _z_sign), of anything with omega, j and gamma at unit scale
-    (_unit_point): a sweep calls it on each point's _Point.  The pair is complex where z > 0."""
+    """((delta2, delta3, delta4), z) of anything with omega, j and gamma at unit scale
+    (_unit_point), a sweep's _Point included: E2..E4 as delta = E - j, the roots of
+    P(delta) = delta^3 + 2j delta^2 + (gamma^2 - omega^2) delta + 2j gamma^2, and the float z
+    (for _z_sign).  delta2 stays separated; the pair, from Vieta's product p and sum s, is
+    real where z <= 0 (E3 <= E4) and exact conjugates where z > 0 (E3 with Im > 0)."""
     j, g2, om2 = params.j, params.gamma**2, params.omega**2
     x, z, a = _cubic_data(params)
     t = 0.0  # t = 3 delta2 + 2j solves t^3 - 3x t = 2a
@@ -350,19 +355,19 @@ _WEIGHTS = np.array([1.0, 0.5, 1.0])
 
 
 def _sector_eigenvectors(rates: np.ndarray, deltas: np.ndarray):
-    """(u, ||(B - E) u||), shapes (n, 3, 3) and (n, 3), of the sector block at E = j + deltas.
+    """(u, ||(B - E) u||) of the exchange-symmetric block at E = j + deltas: (n, 3, 3), (n, 3).
 
-    rates are n points' (omega, j, gamma), shape (3, n), and deltas their (delta2, delta3,
-    delta4), shape (n, 3).  On (|00>, T = (|01> + |10>)/sqrt(2), |11>) H is B = [[j +
-    i*gamma, a, 0], [a, -j, a], [0, a, j - i*gamma]].  Each row of adj(B - E) is a bilinear
-    cross product of two rows of B - E, and at a root of rank 2 row m is c u_m u (Kopp,
-    Int. J. Mod. Phys. C 19, 523 (2008)): u is the row of the largest |A_mm|, normalized,
-    and nothing is divided.  E4 takes row 2 on the tie |A00| = |A22| of gamma = 0, so the
-    double root of omega = gamma = 0 gets |00> and |11>, as _UNDETERMINED does.  The phase
-    is fixed as _phase_fix fixes it in the basis |00>..|11>, with |u_m|^2 read off the
-    diagonal: in the PT-symmetric phase A22 = conj(A00) bit for bit, so |u0| = |u2| tie
-    exactly and go to |11>.  Where the chosen amplitude is below a quarter of its row's
-    norm (near rank 1), the row's own magnitudes pick the pivot.
+    rates are n points' (omega, j, gamma), shape (3, n), and deltas their E2..E4 - j, shape
+    (n, 3).  On (|00>, T = (|01> + |10>)/sqrt(2), |11>) H is B = [[j + i*gamma, a, 0],
+    [a, -j, a], [0, a, j - i*gamma]].  Each row of adj(B - E) is a bilinear cross product
+    of two rows of B - E, and at a root of rank 2 row m is c u_m u (Kopp, Int. J. Mod.
+    Phys. C 19, 523 (2008)): u is the row of the largest |A_mm|, normalized, and nothing
+    is divided.  E4 takes row 2 on the tie |A00| = |A22| of gamma = 0, so the double root
+    of omega = gamma = 0 gets |00> and |11>, as _UNDETERMINED does.  The phase is fixed as
+    _phase_fix fixes it in the basis |00>..|11>, with |u_m|^2 read off the diagonal: in the
+    PT-symmetric phase A22 = conj(A00) bit for bit, so |u0| = |u2| tie exactly and go to
+    |11>.  Where the chosen amplitude is below a quarter of its row's norm (near rank 1),
+    the row's own magnitudes pick the pivot.
     """
     n = len(deltas)
     f = np.empty((n, 3, 5), dtype=complex)
@@ -391,6 +396,7 @@ def _sector_eigenvectors(rates: np.ndarray, deltas: np.ndarray):
         k = 2 - (mags * _WEIGHTS)[..., ::-1].argmax(axis=-1) + 3 * _starts(n)
         pivots = mags.take(k)
     u *= (u.take(k).conj() / (pivots * norm))[..., None]
+    np.put(u, k, pivots / norm)  # real, and 1 where u has one nonzero amplitude
     return u, np.sqrt(np.square(abs(r)).sum(axis=-1)) / norm
 
 

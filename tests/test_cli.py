@@ -614,11 +614,11 @@ class TestJsonWriter:
 #: digits of the real delta = E - j solve, and the params lines name the runs exactly.
 _JSON_CASES = {
     "spectrum": (["spectrum", "--omega", 2, "--j", 0.4],
-                 "f2e459f745685e7d9bda1c9e6a43944a1035f7e4a466c2fe782e8356b092c93b"),
+                 "afa1198a53f29049c59b364de54dac3d0c74409542730c3ff49b2179764bd52c"),
     "spectrum-broken": (["spectrum", "--omega", 1.7, "--j", 0.45],
-                        "7295a1143aa2efa928b84dc20797932764ac6311c28ce073114ee718c350c8d3"),
+                        "4862e6537d3e1979d5ca8e3a6af59bba95bc3cf801701354e69e89808c3ac4a8"),
     "spectrum-omega0": (["spectrum", "--omega", 0, "--j", 0.3],
-                        "8bca010f47d69b84faabab50e555a189f41b393d4a977786206ab43ec1614e4a"),
+                        "603cedefb35801d5c381d0632576450ae3c2a0ded81119647266141e95c84ba5"),
     "ep-locate": (["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"],
                   "6518229d758b49b42efb24ba302e921844e7cd95029ee16e8d6caa93e9155a37"),
     "ep-locate-j": (["ep-locate", "--j", 0.3, "--sweep-axis", "omega", "--sweep-range", "1.2:2.2"],
@@ -629,7 +629,7 @@ _JSON_CASES = {
                     "ce47b7032d7d1e2bc6dc7130e86e790f1aca873a212df2197f5747e36d91b8f9"),
     "concurrence-sweep": (["concurrence", "--omega", 2, "--sweep-axis", "j",
                            "--sweep-range", "0.3:0.9", "--n", 7],
-                          "9455d549e0d3eb8f0fa7537b6256c5a1e2655ac9d42b1edc8da99a70b24231c9"),
+                          "f44c6b95d788bdb8bd4217a81203f0273af536ab8e0d29df31311a2c6174d609"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
                "ebaafb64777fbe295b277ba36e06319701f75a69af148db74387675f7d4e2503"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
@@ -639,7 +639,7 @@ _JSON_CASES = {
             "e59b3f925489e7ff34e774e0566141e29a1ee599c65a52f375f59c14a810158e"),
     "sense": (["sense", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
                "--n", 13],
-              "6d3c54141d28c828d701832ee306cbca4188ce134a110761722aad7054163946"),
+              "cd40e5272ccbf6a1617b24a5d8ea59b602558c2e76cd05484a2d06f03deb9167"),
 }
 
 

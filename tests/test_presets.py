@@ -18,10 +18,10 @@ PINNED = {
     "fig5b": "5ecb18e0d7afc09732231ed457daf88cdf36f05530044f19dcfd89d798bf3c11",
     "fig6a": "3ea21e24dc1f4fe92564ee2f16f6c89a2b48ab816a5c8227fe3443d8554673af",
     "fig6b": "f37c367fc01aac6bddaa198642d4e9516138fd7c16e3bfc8178a6435028261f1",
-    "fig7a": "ebceaf4a92162a4d7ce027d91ef39eafddfcabda3ade2f8278c6112e76292c25",
-    "fig7b": "ff127f6acdca1befd2ad9e4f152ac37e0980cd507bdeb3fc8aaa5f667e737b7d",
-    "fig8a": "adfbde11356a05812f890c48f8e3b81e3d2f2ee64ef7a307f72b63a4033c5f15",
-    "fig8b": "48d64921b405f8a0c9171caae925d1cc7f03156a6b05ab02f95f31fff4b162d3",
+    "fig7a": "3608674a40234062cb4fd91e2bd03462b02182207be5dd628a405914cada579d",
+    "fig7b": "983f113378f019ea8fdef0d685a02491fc2b1ff3dfe1af23a37f0e2ead5d3f16",
+    "fig8a": "85332fa91233ade5ec02911d33eafe6fd8c5e9d2ce726366fb639ed68ab63f41",
+    "fig8b": "9bca675a9f535a9411b593db4042f644f9d01d76fb2807efc244f49919ca9694",
 }
 
 

@@ -159,14 +159,14 @@ class TestClosedFormEigenvectors:
 
     def test_omega_zero_is_diagonal(self):
         """At omega = 0 H is diagonal: the singlet, T = (|01> + |10>)/sqrt(2), |00> and |11>
-        (E2 = -j, E3 = j + i gamma, E4 = j - i gamma), from the closed form itself: the
-        eigenvalues exactly, and each amplitude within an ulp of 1 (the normalization's)."""
+        (E2 = -j, E3 = j + i gamma, E4 = j - i gamma), from the closed form itself, the
+        eigenvalues exactly."""
         params = SystemParams(0.0, 0.3, 1.0)
         assert eigenvalues_closed_form(params).tolist() == [-0.3, -0.3, 0.3 + 1j, 0.3 - 1j]
         vecs = eigenvectors_closed_form(params)
         r2 = math.sqrt(0.5)
         want = np.array([[0, -r2, r2, 0], [0, r2, r2, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-        assert np.max(np.abs(vecs - want)) <= 2.3e-16
+        assert np.max(np.abs(vecs - want)) <= 1.2e-16
 
     def test_phase_fix_ties_within_four_ulp_go_high(self):
         """|v3| = |v0| (1 - 2 ulp) ties with |v0|, and the tie goes to index 3; 8 ulp apart
@@ -283,19 +283,22 @@ class TestBatchedEigenpairs:
         """At gamma = 0 every eigenvalue is real, and each sector vector and Psi3's and Psi4's
         concurrences lie within 1e-14 of the 40-digit ones (paired by delta; those of the
         unit-scale point, as the vectors are scale-free): on 25 draws with omega in [0.3, 3],
-        and on 300 with omega log-uniform in 1e-12..1e-4, where the pair's roots j and
+        where the vectors solved from the given eigenvalues (delta = E - j) hold the same
+        bound, and on 300 with omega log-uniform in 1e-12..1e-4, where the pair's roots j and
         sqrt(j^2 + omega^2) round to one float and their deltas 0 and omega^2 / (j +
         sqrt(j^2 + omega^2)) do not."""
         rng = np.random.default_rng(20261021)
         omegas = [*rng.uniform(0.3, 3.0, 25), *np.exp(rng.uniform(-12, -4, 300) * math.log(10))]
-        for om, j in zip(omegas, rng.uniform(0.01, 1.2, 325).tolist()):
+        for k, (om, j) in enumerate(zip(omegas, rng.uniform(0.01, 1.2, 325).tolist())):
             p = SystemParams(float(om), j, 0.0)
             assert not eigenvalues_closed_form(p).imag.any()
             unit = spectrum._unit_point(p)[1]
             want = mp_reference.sector_states(unit.omega, unit.j, 0.0, spectrum._eigenvalues(p)[1])
             got = eigenvectors_closed_form(p)[1:]
-            assert max(vector_error(v, np.array([complex(x) for x in w]))
-                       for v, w in zip(got, want)) <= 1e-14, p
+            given = [eigenvectors_closed_form(p, eigenvalues_closed_form(p))[1:]] if k < 25 else []
+            for vecs in [got, *given]:
+                assert max(vector_error(v, np.array([complex(x) for x in w]))
+                           for v, w in zip(vecs, want)) <= 1e-14, p
             assert max(abs(concurrence_pure(v) - float(mp_reference.pure_concurrence(w)))
                        for v, w in zip(got[1:], want[1:])) <= 1e-14, p
 
@@ -583,7 +586,9 @@ class TestScalarKernelAccuracy:
     the pair's split.  The bounds are the median and the largest error of the
     complex-branch kernel that this solve replaced, on the same pools: next to the curve
     (the edge pool's j_c points) a double root is split by ~sqrt(eps) in both.  The seeded
-    pool is every 100th of the 50 000 draws.
+    pool is every 100th of the 50 000 draws.  The edge point (2, 3.75e-7, 1) sits 2e-20
+    above the 1e-6 NEAR_EP rule (its 50-digit gap is 1.0000000000000209e-6), so a change of
+    the kernel's last bits there is expected to flip its label.
     """
 
     BOUNDS = {"edges": (4.5e-16, 9.3e-11), "fig2": (4.6e-16, 3.2e-15),
