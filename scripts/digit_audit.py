@@ -37,7 +37,8 @@ references:
   aligned to the audited one's; max_residual's reference is 0.
 - `ep-locate` and `ep-curve`: at each located point (located again by this
   tree, whose j_c is the exact flip of z's sign), the gap and the mean of the
-  two 40-digit sector roots nearest each other.
+  two 40-digit sector roots nearest each other, and the residuals' principal
+  cube root definition at 50 digits (`mp_reference.principal_residuals`).
 
 Every changed field gets one line: its row, column, old and new values,
 |old - ref|, |new - ref| and whether it moved toward the reference.  Each
@@ -65,7 +66,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from ptqsim import cli, ep_curve, locate_ep  # noqa: E402
 from ptqsim.dynamics import _rk4_step_matrix, initial_state  # noqa: E402
 from ptqsim.model import SystemParams, build_hamiltonian  # noqa: E402
-from ptqsim.spectrum import _eigenvalues, _unit_point, eigenvalues_closed_form  # noqa: E402
+from ptqsim.spectrum import (  # noqa: E402
+    _eigenvalues,
+    _linspace,
+    _unit_point,
+    eigenvalues_closed_form,
+)
 
 _mp = mpmath.MPContext()
 _mp.dps = 40
@@ -262,21 +268,25 @@ def _spectrum_reference(params: SystemParams, header: list[str], row: np.ndarray
 
 def _pair_reference(point) -> dict | None:
     """The 40-digit gap and degenerate eigenvalue of a located EpPoint (None for none): the
-    two sector roots nearest each other, the pair that coalesces there."""
+    two sector roots nearest each other, the pair that coalesces there; and its 50-digit
+    principal-root residuals."""
     if point is None:
         return None
-    roots = _mp_reference().hamiltonian_eigenvalues(point.omega_c, point.j_c, point.gamma)[1:]
+    rates = point.omega_c, point.j_c, point.gamma
+    roots = _mp_reference().hamiltonian_eigenvalues(*rates)[1:]
     r3, r4 = min(((a, b) for k, a in enumerate(roots) for b in roots[k + 1:]),
                  key=lambda pair: abs(pair[0] - pair[1]))
     mean = (r3 + r4) / 2
-    return {"gap": abs(r3 - r4), "re_e_degenerate": mean.real, "im_e_degenerate": mean.imag}
+    theta, x = _mp_reference().principal_residuals(*rates)
+    return {"gap": abs(r3 - r4), "re_e_degenerate": mean.real, "im_e_degenerate": mean.imag,
+            "residual_theta": theta, "residual_x": x}
 
 
 def _grid(rows: np.ndarray, value_range, n: int) -> list[float]:
     """The sweep's grid as the program builds it (a CSV prints it to 12 digits only)."""
     if len(rows) != n:
         raise SystemExit(f"{len(rows)} rows, but the command sweeps {n} points")
-    return np.linspace(value_range[0], value_range[1], n).tolist()
+    return _linspace(value_range[0], value_range[1], n).tolist()
 
 
 def references(command: list[str], header: list[str], rows: np.ndarray) -> dict:
@@ -337,8 +347,8 @@ def references(command: list[str], header: list[str], rows: np.ndarray) -> dict:
         else:
             points = [e.point for e in ep_curve(args.sweep_range, args.n, gamma=args.gamma)]
         refs = [_pair_reference(p) for p in points]
-        return {name: [ref and ref[name] for ref in refs]
-                for name in ("gap", "re_e_degenerate", "im_e_degenerate")}
+        return {name: [ref and ref[name] for ref in refs] for name in (
+            "residual_theta", "residual_x", "gap", "re_e_degenerate", "im_e_degenerate")}
     if args.command == "spectrum":
         ref = _spectrum_reference(point, header, rows[0])
         return {name: [ref[name]] for name in header if name in ref}

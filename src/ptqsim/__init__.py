@@ -41,12 +41,10 @@ from .sensing import (
     sensitivity_variance,
 )
 from .spectrum import (
-    Auxiliaries,
     Phase,
     PhaseLabel,
     Source,
     Spectrum,
-    auxiliary_quantities,
     classify_phase,
     eigensystem_oracle,
     eigenvalues_closed_form,

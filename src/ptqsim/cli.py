@@ -55,7 +55,11 @@ import numpy as np
 
 from . import __version__
 from .dynamics import _integrate, detect_revivals, initial_state
-from .entanglement import eigenstate_concurrence_closed, eigenstate_concurrence_wootters
+from .entanglement import (
+    _pure_concurrence,
+    eigenstate_concurrence_closed,
+    eigenstate_concurrence_wootters,
+)
 from .ep import ep_curve, locate_ep
 from .errors import NumericalError, OmegaSingularError, ValidationError
 from .floatcsv import float_lines
@@ -63,6 +67,7 @@ from .model import SystemParams, _Point
 from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
     _closed_form_eigenpairs,
+    _linspace,
     _solve_eigenvalues,
     classify_phase,
     eigenvalues_closed_form,
@@ -232,14 +237,21 @@ def _params_from(args) -> SystemParams:
 
 
 def _exact(x) -> str:
-    """x as _fmt prints it where that reads back as x, else the float's shortest repr."""
+    """x as _fmt prints it where that reads back as x, else the float's shortest repr; a
+    range (lo, hi) as lo:hi."""
+    if isinstance(x, tuple):
+        return ":".join(map(_exact, x))
     text = _fmt(x)
     return repr(float(x)) if isinstance(x, float) and float(text) != x else text
 
 
-def _params_desc(params: SystemParams, **extra) -> str:
-    pairs = {"omega": params.omega, "j": params.j, "gamma": params.gamma, **extra}
+def _desc(**pairs) -> str:
+    """A params line: its key=value pairs in order, each value as _exact prints it."""
     return " ".join(f"{k}={_exact(v)}" for k, v in pairs.items())
+
+
+def _params_desc(params: SystemParams, **extra) -> str:
+    return _desc(omega=params.omega, j=params.j, gamma=params.gamma, **extra)
 
 
 def _sweep_range(text: str) -> tuple[float, float]:
@@ -313,16 +325,11 @@ def _ep_point_payload(point):
 
 def cmd_ep_locate(args) -> int:
     _require_range(args)
-    if args.sweep_axis == "j":
-        fix, fixed_value = "omega", args.omega
-    else:
-        fix, fixed_value = "j", args.j
+    fix, fixed_value = ("omega", args.omega) if args.sweep_axis == "j" else ("j", args.j)
     point = locate_ep(fix, fixed_value, args.sweep_range, gamma=args.gamma)
     payload = _ep_point_payload(point)
-    header = list(payload)
-    desc = f"fix={fix} value={_fmt(fixed_value)} gamma={_fmt(args.gamma)} " \
-           f"bracket={_fmt(args.sweep_range[0])}:{_fmt(args.sweep_range[1])}"
-    _emit(args, desc, header, [list(payload.values())], {}, payload)
+    desc = _desc(fix=fix, value=fixed_value, gamma=args.gamma, bracket=args.sweep_range)
+    _emit(args, desc, list(payload), [list(payload.values())], {}, payload)
     return 0
 
 
@@ -339,8 +346,7 @@ def cmd_ep_curve(args) -> int:
             p = entry.point
             rows.append([entry.omega, p.j_c, p.residual_theta, p.residual_x, p.gap,
                          p.e_degenerate.real, p.e_degenerate.imag, None])
-    desc = f"gamma={_fmt(args.gamma)} omega_range=" \
-           f"{_fmt(args.sweep_range[0])}:{_fmt(args.sweep_range[1])} n={args.n}"
+    desc = _desc(gamma=args.gamma, omega_range=args.sweep_range, n=args.n)
     _emit(args, desc, header, rows, {"n_failed": sum(r[-1] is not None for r in rows)})
     return 0
 
@@ -368,13 +374,11 @@ def cmd_concurrence(args) -> int:
         _emit(args, _params_desc(params), header, [[c3, c4, cc3, cc4]], {}, results)
         return 0
     _require_sweep(args)
-    grid = np.linspace(args.sweep_range[0], args.sweep_range[1], args.n)
-    rows = []
-    for x in grid:
-        p = params.replace(**{args.sweep_axis: float(x)})
-        rows.append([float(x), *_concurrence_row(p)])
+    grid = _linspace(args.sweep_range[0], args.sweep_range[1], args.n).tolist()
+    rows = [[x, *_concurrence_row(params.replace(**{args.sweep_axis: x}))] for x in grid]
     header = [args.sweep_axis, "c_psi3", "c_psi4", "c_closed_psi3", "c_closed_psi4"]
-    _emit(args, _params_desc(params, sweep=args.sweep_axis), header, rows, {})
+    _emit(args, _params_desc(params, sweep=args.sweep_axis, range=args.sweep_range, n=args.n),
+          header, rows, {})
     return 0
 
 
@@ -446,8 +450,7 @@ def _sense_table(kappa: str, fixed_value: float, rng: tuple, n: int, gamma: floa
         for p in points
     ]
     fixed_name = "omega" if kappa == "j" else "j"
-    desc = f"kappa={kappa} {fixed_name}={_fmt(fixed_value)} gamma={_fmt(gamma)} " \
-           f"range={_fmt(rng[0])}:{_fmt(rng[1])} n={n}"
+    desc = _desc(kappa=kappa, **{fixed_name: fixed_value}, gamma=gamma, range=tuple(rng), n=n)
     return desc, header, rows, points
 
 
@@ -487,11 +490,10 @@ def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     rates = np.ones((3, n))  # (omega, j, gamma = 1): every rate below 4, at unit scale
     rates[int(axis == "j")], rates[int(fix == "j")] = xs, fixed_value
     deltas = np.array([_solve_eigenvalues(_Point(*r))[0] for r in rates.T.tolist()], dtype=complex)
-    v = _closed_form_eigenpairs(rates, deltas)[0][:, 2:]  # Psi3, Psi4: concurrence_pure's rows
-    c = np.minimum(1.0, 2.0 * abs(v[..., 1] * v[..., 2] - v[..., 0] * v[..., 3]))
+    c = _pure_concurrence(_closed_form_eigenpairs(rates, deltas)[0][:, 2:])  # Psi3, Psi4
     header = [axis, "c_psi3", "c_psi4"]
     critical = {"j_c": point.j_c} if axis == "j" else {"omega_c": point.omega_c}
-    desc = f"{fix}={_fmt(fixed_value)} gamma=1 {axis}={_fmt(sweep[0])}:{_fmt(sweep[1])} n={n}"
+    desc = _desc(**{fix: fixed_value}, gamma=1, **{axis: sweep}, n=n)
     _emit(args, desc, header, (xs, c[:, 0], c[:, 1]), critical)
 
 

@@ -54,10 +54,17 @@ def concurrence_mixed(rho) -> float:
     return min(1.0, max(0.0, r0 - r1 - r2 - r3))
 
 
+def _pure_concurrence(v):
+    """2 |v1 v2 - v0 v3|, capped at 1, of unit states on v's last axis; a (4,) state's is a
+    numpy scalar, capped by min (a ufunc call would cost more than the rest)."""
+    t = v.T
+    c = 2.0 * abs(t[1] * t[2] - t[0] * t[3])
+    return np.minimum(1.0, c.T) if c.ndim else min(1.0, c)
+
+
 def concurrence_pure(psi) -> float:
     """Concurrence of a unit state via the spin-flip overlap |<psi|sy x sy|psi*>|."""
-    psi = as_unit_state(psi)
-    return float(min(1.0, 2.0 * abs(psi[1] * psi[2] - psi[0] * psi[3])))
+    return float(_pure_concurrence(as_unit_state(psi)))
 
 
 def _radical_coefficients(params: SystemParams, s: int):

@@ -3,8 +3,9 @@
 E3 and E4 coalesce where the cubic invariant z, a quadratic in j**2, vanishes.  Every
 decision is an exact sign (spectrum._z_sign): the bracket's phases, the located float
 (z <= 0 there, z > 0 at its neighbour toward the broken end), the certificate (that
-sign change) and the order (the EP3 iff x = z = 0).  Residuals, gap and degenerate
-eigenvalue are reported values, taken at unit scale (spectrum._unit_point).
+sign change) and the order (the EP3 iff x = z = 0).  Residuals (from the real x, z and a,
+see ep_residual), gap and degenerate eigenvalue are reported values, taken at unit scale
+(spectrum._unit_point).
 """
 from __future__ import annotations
 
@@ -17,13 +18,15 @@ import numpy as np
 from .errors import EmptyCurveError, NoSignChangeError, NotAtEpError
 from .model import SystemParams, _Point
 from .spectrum import (
+    _SQ27,
     _at_rates,
     _closed_form_eigenpairs,
+    _cubic_data,
     _eigenvalues,
+    _linspace,
     _rates,
     _unit_point,
     _z_sign,
-    auxiliary_quantities,
 )
 
 
@@ -31,9 +34,9 @@ from .spectrum import (
 class EpPoint:
     """A located critical pair with its residuals.
 
-    residual_theta folds the principal-branch phase of the cubic radical
-    onto its nearest coalescence ray (multiples of pi/3); together with
-    residual_x = x - r**2 it vanishes exactly at an EP.
+    With y the principal cube root of the cubic radical a + sqrt(27 z), residual_theta
+    folds y's phase onto its nearest coalescence ray (multiples of pi/3); together with
+    residual_x = x - |y|**2 it vanishes exactly at an EP.
     """
 
     j_c: float
@@ -58,13 +61,21 @@ class EpCurveEntry:
 
 
 def ep_residual(params: SystemParams) -> tuple[float, float]:
-    """Certificate pair (residual_theta, residual_x); both vanish exactly at EPs.
+    """Certificate pair (residual_theta, residual_x) (EpPoint); both vanish exactly at EPs.
 
-    Taken at unit scale (_unit_point); residual_x maps back by 4**E."""
+    From the real (x, z, a) at unit scale (_unit_point), 27z = a^2 - x^3.  Where z <= 0,
+    |y|^2 = x, and y's phase lies atan2(sqrt(-27z), |a|)/3 from its ray, with a's sign.
+    Where z > 0, y is real or on the pi/3 ray and |y|^2 is w = cbrt(|a| + sqrt(27z))^2 for
+    a >= 0, x^2/w for a < 0: the cancelling a + sqrt(27z) is never formed.  residual_x maps
+    back by 4**E; neither residual is -0.0."""
     e, unit = _unit_point(params)
-    aux = auxiliary_quantities(unit)
-    res_theta = aux.theta_y - (np.pi / 3) * np.round(aux.theta_y / (np.pi / 3))
-    return float(res_theta), float(_at_rates(aux.x - aux.r**2, 2 * e, params, "residual_x"))
+    x, z, a = _cubic_data(unit)
+    if z <= 0:
+        theta = math.atan2(_SQ27 * math.sqrt(abs(z)), abs(a)) / 3.0
+        return (0.0 - theta if a < 0 else theta), 0.0
+    w = math.cbrt(abs(a) + _SQ27 * math.sqrt(z)) ** 2
+    res_x = _at_rates(x - w if a >= 0 else x - x * x / w, 2 * e, params, "residual_x")
+    return 0.0, res_x + 0.0  # + 0.0: an underflow's -0.0 reads 0.0
 
 
 def _critical_square(fix: str, value: float, gamma: float) -> float:
@@ -186,7 +197,7 @@ def ep_curve(
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     try:
-        omegas = np.linspace(omega_range[0], omega_range[1], n_points)
+        omegas = _linspace(omega_range[0], omega_range[1], n_points)
     except MemoryError:  # the message names the CLI flag too: ep-curve passes --n through
         raise ValueError(
             f"n_points = {n_points} omegas (--n {n_points}) do not fit in memory") from None

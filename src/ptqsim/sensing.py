@@ -36,6 +36,7 @@ from .model import SIGMA_X1, SystemParams, _Point, _require_unit_rows, as_state
 from .spectrum import (
     _closed_form_eigenpairs,
     _eigenvalues,
+    _linspace,
     _rates,
     _sector_gap,
     _solve_eigenvalues,
@@ -232,20 +233,16 @@ def sensing_sweep(
     _check_kappa(kappa)
     if n < 2:
         raise ValueError("n must be >= 2")
-    if kappa == "j":
-        base = SystemParams(omega=fixed_value, j=0.0, gamma=gamma)
-    else:
-        base = SystemParams(omega=1.0, j=fixed_value, gamma=gamma)
+    fixed = "omega" if kappa == "j" else "j"
+    for end in value_range:  # SystemParams names a non-finite rate before any point is solved
+        base = SystemParams(**{fixed: fixed_value, kappa: float(end)}, gamma=gamma)
     try:
-        grid = np.linspace(value_range[0], value_range[1], n)
-        xs = grid.tolist()
+        xs = _linspace(value_range[0], value_range[1], n).tolist()
         rate_lists = [[base.omega] * n, [base.j] * n, [base.gamma] * n]
     except MemoryError:  # the message names the CLI flag too: sense passes --n through
         raise ValueError(f"n = {n} sweep points (--n {n}) do not fit in memory") from None
     rate_lists[("omega", "j").index(kappa)] = xs
-    finite = np.isfinite(grid)
-    m = n if finite.all() else int(finite.argmin())
-    rates, exps = _unit_rates(np.array(rate_lists)[:, :m])
+    rates, exps = _unit_rates(np.array(rate_lists))
     solved = [_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())]
     deltas = np.array([d for d, _ in solved], dtype=complex).reshape(-1, 3)
     too_close = ~_clear_of_ep(_sector_gap(deltas))
@@ -256,10 +253,7 @@ def sensing_sweep(
         f, m0, slope, variance, cr = _sense_rows_in_order(
             rates[:, kept], kappa, deltas[kept], exps[kept])
         columns = f, variance, m0, cr
-    if m < n:  # raised after the points before it, as a per-point loop would
-        base.replace(**{kappa: xs[m]})  # raises: SystemParams names the value
-
-    payload = [(float("nan"),) * 4] * m
+    payload = [(float("nan"),) * 4] * n
     moves = np.abs(slope) >= _MIN_SLOPE
     for k, row in zip(kept[moves].tolist(), zip(*(c[moves].tolist() for c in columns))):
         payload[k] = row

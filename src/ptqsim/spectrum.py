@@ -90,17 +90,6 @@ class Phase(Enum):
 
 
 @dataclass(frozen=True)
-class Auxiliaries:
-    """Cubic invariants (x, z) and the principal cube root y = r*exp(i*theta_y)."""
-
-    x: float
-    z: float
-    y: complex
-    r: float
-    theta_y: float
-
-
-@dataclass(frozen=True)
 class PhaseLabel:
     phase: Phase
     max_imag: float
@@ -171,6 +160,18 @@ def _unit_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(rates, -exps), exps
 
 
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), also where hi - lo overflows: there taken at the ends' unit
+    scale (_unit_point's E) and mapped back by ldexp, exactly (both ends exceed 2**1022).
+    Elsewhere no rescale: it would round away an end far below the other's scale."""
+    lo, hi = float(lo), float(hi)
+    top = max(abs(lo), abs(hi))
+    if math.isfinite(hi - lo) or not math.isfinite(top):
+        return np.linspace(lo, hi, n)
+    e = (math.frexp(top)[1] - 1) & -2
+    return np.ldexp(np.linspace(math.ldexp(lo, -e), math.ldexp(hi, -e), n), e)
+
+
 def _at_rates(value, e: int, params, name: str):
     """A unit-scale float or complex times 2**e: exact, by math.ldexp, unless it leaves the
     float range, which raises NonFiniteError naming params' rates."""
@@ -183,22 +184,6 @@ def _at_rates(value, e: int, params, name: str):
     except OverflowError:
         raise NonFiniteError(f"{name} out of the float range at omega={params.omega}, "
                              f"j={params.j}, gamma={params.gamma}") from None
-
-
-def auxiliary_quantities(params: SystemParams) -> Auxiliaries:
-    """Cubic invariants with the principal-branch cube root.
-
-    For z < 0 the square root is taken as +i*sqrt(|z|) and y is the
-    principal cube root of the resulting complex radicand.  Solved at unit
-    scale (_unit_point): x maps back by 4**E, z by 64**E, y and r by 2**E.
-    """
-    e, unit = _unit_point(params)
-    x, z, a = _cubic_data(unit)
-    y = (a + _SQ27 * np.sqrt(complex(z))) ** (1.0 / 3.0)
-    theta_y = float(np.angle(y))
-    x, z, y, r = (_at_rates(v, k * e, params, "cubic invariants")
-                  for v, k in ((x, 2), (z, 6), (y, 1), (abs(y), 1)))
-    return Auxiliaries(x=float(x), z=float(z), y=np.complex128(y), r=float(r), theta_y=theta_y)
 
 
 #: The private instance attribute under which _eigenvalues keeps a point's solve.

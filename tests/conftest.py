@@ -100,6 +100,14 @@ def fig_sweep_points(kappa, fixed_value, value_range, n):
             for x in np.linspace(value_range[0], value_range[1], n).tolist()]
 
 
+def fig2_grid():
+    """The fig2 preset's 61 x 61 cells (gamma = 1)."""
+    from ptqsim import SystemParams
+
+    return [SystemParams(float(om), float(j), 1.0)
+            for om in np.linspace(0.0, 3.0, 61) for j in np.linspace(0.0, 1.2, 61)]
+
+
 #: The fig7a, fig7b and fig8b sweeps as (kappa, fixed value, range, n); fig8a is
 #: fig7a on 200 points.
 FIG_SWEEPS = [("omega", 0.3, (1.4, 2.0), 601), ("j", 2.0, (0.3, 0.9), 601),

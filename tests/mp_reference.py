@@ -62,6 +62,21 @@ def hamiltonian_eigenvalues(omega: float, j: float, gamma: float) -> np.ndarray:
     return np.array([complex(-jj)] + [complex(r) for r in roots])
 
 
+
+def principal_residuals(omega: float, j: float, gamma: float) -> tuple:
+    """ep_residual's (residual_theta, residual_x) at 50 digits, from their definition: y is
+    the principal cube root of a + sqrt(a^2 - x^3) (= a + sqrt(27 z), the principal square
+    root), residual_theta its phase less the nearest multiple of pi/3 and residual_x
+    x - |y|^2, with x and a as in hamiltonian_eigenvalues."""
+    with _mp.workdps(50):
+        om, jj, g = _mp.mpf(omega), _mp.mpf(j), _mp.mpf(gamma)
+        x = 4 * jj * jj + 3 * om * om - 3 * g * g
+        a = -8 * jj**3 - 9 * jj * (om * om + 2 * g * g)
+        y = _mp.root(a + _mp.sqrt(_mp.mpc(a * a - x**3)), 3)
+        third = _mp.pi / 3
+        theta = _mp.arg(y) if y else _mp.mpf(0)
+        return +(theta - third * _mp.nint(theta / third)), +(x - abs(y) ** 2)
+
 _SQRT2 = _mp.sqrt(2)
 _STEP = _mp.mpf(10) ** -20  # psi3_sensing's central-difference step, per unit rate
 

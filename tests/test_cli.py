@@ -620,16 +620,16 @@ _JSON_CASES = {
     "spectrum-omega0": (["spectrum", "--omega", 0, "--j", 0.3],
                         "603cedefb35801d5c381d0632576450ae3c2a0ded81119647266141e95c84ba5"),
     "ep-locate": (["ep-locate", "--omega", 2, "--sweep-axis", "j", "--sweep-range", "0.3:0.9"],
-                  "6518229d758b49b42efb24ba302e921844e7cd95029ee16e8d6caa93e9155a37"),
+                  "d22d68b9d0a6cb3a15aa9a739a62f8ad9b21054ee5cd493630267f6780b447f0"),
     "ep-locate-j": (["ep-locate", "--j", 0.3, "--sweep-axis", "omega", "--sweep-range", "1.2:2.2"],
-                    "1dedfb6a777e3587a85836bf7c5138399f81ced935a0ad0a48b7a2349893aec9"),
+                    "d6f56ad531e540fb679035799c22fee84f92e28cda20d7591e16b6edb2fc3cde"),
     "ep-curve": (["ep-curve", "--sweep-range", "0.5:2.5", "--n", 9],
-                 "434bec54af13fac7198a7a4d3c81ada1c15c9725806a73fef661d5f7edec1914"),
+                 "afe22356ce6292460a0f2499a1c3eecb8e38c619eb1c8a9fa697ad4ac8ae80e7"),
     "concurrence": (["concurrence", "--omega", 2, "--j", 0.4],
                     "ce47b7032d7d1e2bc6dc7130e86e790f1aca873a212df2197f5747e36d91b8f9"),
     "concurrence-sweep": (["concurrence", "--omega", 2, "--sweep-axis", "j",
                            "--sweep-range", "0.3:0.9", "--n", 7],
-                          "f44c6b95d788bdb8bd4217a81203f0273af536ab8e0d29df31311a2c6174d609"),
+                          "1dacf444b810a426402a296868a381838de57dc2a226a9aeeccb977b9df29a46"),
     "evolve": (["evolve", "--omega", 2, "--j", 0.4, "--tmax", 2, "--dt", 0.01],
                "ebaafb64777fbe295b277ba36e06319701f75a69af148db74387675f7d4e2503"),
     "revivals": (["revivals", "--omega", 1.7, "--j", 0.337, "--tmax", 300, "--dt", 0.02,
@@ -656,6 +656,48 @@ def test_params_line_repeats_the_run(argv, tmp_path):
     flags = [part for name, value in pairs for part in ("--" + name.replace("_", "-"), value)]
     assert main([argv.split()[0], *flags, "--format", "json", "--out", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("sense --omega 2.000000000000001 --sweep-axis j --sweep-range 0.3:0.589979839785503 --n 3",
+     "kappa=j omega=2.000000000000001 gamma=1 range=0.3:0.589979839785503 n=3"),
+    ("ep-locate --omega 2.000000000000001 --sweep-axis j --sweep-range 0.30000000000000004:0.9",
+     "fix=omega value=2.000000000000001 gamma=1 bracket=0.30000000000000004:0.9"),
+    ("ep-curve --gamma 1.0000000000000002 --sweep-range 1.6:2.000000000000001 --n 3",
+     "gamma=1.0000000000000002 omega_range=1.6:2.000000000000001 n=3"),
+    ("concurrence --omega 2.000000000000001 --sweep-axis j --sweep-range 0.3:0.589979839785503"
+     " --n 3", "omega=2.000000000000001 j=0 gamma=1 sweep=j range=0.3:0.589979839785503 n=3"),
+], ids=["sense", "ep-locate", "ep-curve", "concurrence"])
+def test_range_params_lines_read_back_the_argv(argv, line, tmp_path):
+    """The range commands' params lines keep their keys and print every value of the run,
+    its range and n included, so that it reads back as the argv's float."""
+    out = tmp_path / "out.json"
+    assert main(argv.split() + ["--format", "json", "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params == line
+    floats = {float(v) for arg in argv.split() if arg[:1].isdigit() for v in arg.split(":")}
+    printed = {float(v) for pair in params.split() for v in pair.split("=")[1].split(":")
+               if v[:1].isdigit()}
+    assert floats <= printed
+
+
+@pytest.mark.parametrize("argv", [
+    "concurrence --omega 2 --sweep-axis omega --sweep-range -1e308:1e308 --n 3",
+    "sense --omega 2 --sweep-axis j --sweep-range -1e308:1e308 --n 3",
+    "sense --j 0.4 --sweep-axis omega --sweep-range -1e308:1e308 --n 3",
+    "ep-curve --sweep-range -1e308:1e308 --n 3",
+], ids=["concurrence", "sense-j", "sense-omega", "ep-curve"])
+def test_sweep_range_whose_width_overflows(argv):
+    """hi - lo overflows, the grid -1e308, 0, 1e308 does not: each command answers (exit 0)
+    or names a numerical failure in one JSON line (exit 3), with nothing else on stderr."""
+    proc = run_cli(argv.split())
+    assert proc.returncode in (0, 3), proc.stderr
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+        assert "-1e+308" in proc.stdout and "1e+308" in proc.stdout
+    else:
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == "EmptyCurveError"
 
 
 @pytest.mark.parametrize("name", sorted(_JSON_CASES))

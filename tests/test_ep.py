@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exact_z
+import mp_reference
+from conftest import exact_z, fig2_grid
 
 from ptqsim import (
     Phase,
     SystemParams,
-    auxiliary_quantities,
     build_hamiltonian,
     classify_phase,
     coalesced_eigenvector,
@@ -24,8 +24,10 @@ from ptqsim.ep import EpPoint, ep_order_is_two
 from ptqsim.errors import (
     EmptyCurveError,
     NoSignChangeError,
+    NonFiniteError,
     NotAtEpError,
 )
+from ptqsim.spectrum import _cubic_data, _unit_point
 
 
 def bisect_phase_label(fix, value, bracket, gamma=1.0):
@@ -50,22 +52,108 @@ def bisect_phase_label(fix, value, bracket, gamma=1.0):
             hi = mid
 
 
+def _unit_z(params) -> float:
+    """The float z that ep_residual reads, at unit scale."""
+    return _cubic_data(_unit_point(params)[1])[1]
+
+
+def _seeded_rates(n, seed):
+    """n points of a broad box, the critical band and rates from 1e-200 to 1e40."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        if k % 3 == 0:
+            rates = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5), rng.uniform(0, 2)
+        elif k % 3 == 1:
+            rates = rng.uniform(1.05, 3.0), rng.uniform(0.0, 1.5), 1.0
+        else:
+            s = 10.0 ** rng.uniform(-200, 40)
+            rates = rng.uniform(-3, 3) * s, rng.uniform(-1.5, 1.5) * s, rng.uniform(0, 2) * s
+        points.append(SystemParams(*(float(r) for r in rates)))
+    return points
+
+
 class TestEpResidual:
     def test_decoupled_not_an_ep(self):
-        res_theta, _ = ep_residual(SystemParams(2.0, 0.0, 1.0))
+        """x = 9, z = -27: y = 3 exp(i pi/6), so |y|^2 = x."""
+        res_theta, res_x = ep_residual(SystemParams(2.0, 0.0, 1.0))
         assert res_theta == pytest.approx(np.pi / 6)
+        assert res_x == 0.0
 
     def test_free_limit_not_an_ep(self):
+        """x = -3, z = 1: y = sqrt(3), so residual_x = -3 - 3."""
         res_theta, res_x = ep_residual(SystemParams(0.0, 0.0, 1.0))
         assert res_theta == 0.0
         assert res_x == pytest.approx(-6.0)
+
+    def test_third_order_point_has_no_negative_zero(self):
+        """At the EP3 x = z = a = 0: both residuals are +0.0 (a CSV prints -0.0 as -0)."""
+        for value in ep_residual(SystemParams(1.0, 0.0, 1.0)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_near_critical_point(self):
         # the 3-digit critical pair sits ~1e-3 inside the unbroken phase,
         # where the phase residual is 0.016 and the radial residual exactly 0
         res_theta, res_x = ep_residual(SystemParams(2.000, 0.589, 1.0))
-        assert abs(res_x) < 1e-10
+        assert res_x == 0.0
         assert 0.01 < abs(res_theta) < 0.02
+
+    @pytest.mark.parametrize("pool", ["fig2", "seeded"])
+    def test_each_residual_vanishes_on_its_side(self, pool):
+        """residual_x is 0.0 wherever the float z <= 0 (|y|^2 = x there), residual_theta
+        wherever z > 0 (y's phase is 0 or pi/3 there); neither is ever -0.0, not even where
+        a negative residual_x underflows on the way back to the rates."""
+        points = fig2_grid() if pool == "fig2" else _seeded_rates(3000, 20261022)
+        sides = set()
+        for p in points:
+            res_theta, res_x = ep_residual(p)
+            broken = _unit_z(p) > 0
+            sides.add(broken)
+            assert (res_theta if broken else res_x) == 0.0, p
+            assert all(v or math.copysign(1.0, v) == 1.0 for v in (res_theta, res_x)), p
+        assert sides == {False, True}
+
+    #: The parent kernel's (complex principal cube root) largest residual_theta error and
+    #: median and largest residual_x error on the same pool.
+    BOUNDS = {"theta": 7.0e-16, "x": (1.8e-15, 2.0e-12)}
+
+    def test_off_the_curve_against_50_digits(self):
+        """The fig2 box's points with |z| >= 1e-6 against the principal-root residuals at
+        50 digits (mp_reference.principal_residuals)."""
+        theta_errors, x_errors = [], []
+        for p in fig2_grid():
+            if abs(exact_z(p.omega, p.j, p.gamma)) < 1e-6:
+                continue
+            want = mp_reference.principal_residuals(p.omega, p.j, p.gamma)
+            got = ep_residual(p)
+            theta_errors.append(float(abs(got[0] - want[0])))
+            x_errors.append(float(abs(got[1] - want[1])))
+        assert len(x_errors) == 3720
+        assert max(theta_errors) <= self.BOUNDS["theta"]
+        median, largest = self.BOUNDS["x"]
+        assert np.median(x_errors) <= median and max(x_errors) <= largest
+
+    @pytest.mark.parametrize("k", [-250, -40, 40, 100, 260])
+    def test_powers_of_four(self, k):
+        """At rates times 4**k, residual_x scales by 16**k bit for bit and residual_theta
+        is the same; a residual_x past the float range is refused."""
+        unit = ep_residual(SystemParams(1.7, 0.45, 1.0))
+        params = SystemParams(*(math.ldexp(r, 2 * k) for r in (1.7, 0.45, 1.0)))
+        if k == 260:
+            with pytest.raises(NonFiniteError, match="residual_x"):
+                ep_residual(params)
+            return
+        assert ep_residual(params) == (unit[0], math.ldexp(unit[1], 4 * k))
+        unbroken = SystemParams(*(math.ldexp(r, 2 * k) for r in (2.0, 0.4, 1.0)))
+        assert ep_residual(unbroken) == (ep_residual(SystemParams(2.0, 0.4, 1.0))[0], 0.0)
+
+    def test_located_points_are_certified(self):
+        """400 seeded omega in [1.05, 3]: both residuals of every located point are within
+        1e-6 of 0."""
+        rng = np.random.default_rng(20261022)
+        for omega in rng.uniform(1.05, 3.0, 400).tolist():
+            point = locate_ep("omega", omega, (1e-9, 2.5))
+            assert max(abs(point.residual_theta), abs(point.residual_x)) <= 1e-6, omega
 
 
 class TestLocateEp:
@@ -108,14 +196,15 @@ class TestLocateEp:
             locate_ep("theta", 2.000, (0.1, 0.2))
 
     def test_agrees_with_radical_zero(self):
-        """The located point is the zero of the radical discriminant."""
+        """The located point is the zero of the radical discriminant, bisected on the
+        exact z."""
         point = locate_ep("omega", 2.000, (0.3, 0.9))
         lo, hi = 0.3, 0.9
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 break
-            if auxiliary_quantities(SystemParams(2.0, mid, 1.0)).z < 0:
+            if exact_z(2.0, mid, 1.0) < 0:
                 lo = mid
             else:
                 hi = mid

@@ -315,6 +315,36 @@ def test_digit_audit_on_a_synthetic_sensing_diff(tmp_path):
     assert all(s["new_max_all"] < 1e-14 for s in summaries.values())
 
 
+def test_digit_audit_on_a_synthetic_residual_diff(tmp_path):
+    """An ep-curve table: old residual_x and new residual_theta moved off the 50-digit
+    principal-root residuals; the audit names both and which of them moved toward them."""
+    from ptqsim.cli import main
+
+    digit_audit = _script("digit_audit")
+    command = ["ep-curve", "--sweep-range", "1.6:2", "--n", "3"]
+    exact = tmp_path / "exact.json"
+    assert main(command + ["--format", "json", "--out", str(exact)]) == 0
+    header = json.loads(exact.read_text())["results"]["columns"]
+
+    def written(name, row, column, delta):
+        changed = json.loads(exact.read_text())
+        changed["results"]["rows"][row][header.index(column)] += delta
+        path = tmp_path / name
+        path.write_text(json.dumps(changed))
+        return path
+
+    old = written("old.json", 0, "residual_x", 1e-6)  # old residual_x off, new as computed
+    new = written("new.json", 2, "residual_theta", 1e-6)  # new residual_theta off
+    lines = []
+    summaries = {s["column"]: s for s in digit_audit.audit(old, new, command, lines.append)}
+    assert [line.split(":")[0] for line in lines] == ["row 2 residual_theta", "row 0 residual_x"]
+    assert lines[0].endswith("away") and lines[1].endswith("toward")
+    theta, x = summaries["residual_theta"], summaries["residual_x"]
+    assert (theta["changed"], theta["toward"], x["changed"], x["toward"]) == (1, 0, 1, 1)
+    assert abs(x["old_max"] - 1e-6) < 1e-12 and x["new_max_all"] < 1e-14
+    assert theta["new_max"] > 9e-7 and theta["old_max_all"] < 1e-8
+
+
 def _json_lines(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
 

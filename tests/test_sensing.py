@@ -420,12 +420,21 @@ class TestArraySweep:
         sensing_sweep("j", 2.0, (locate_ep("omega", 2.0, (0.3, 0.9)).j_c, 0.9), 5)
         assert (built(), solves()) == (601 + 5 + 1, 601 + 5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_range_leaving_the_float_range(self):
-        """linspace overflows to nan at the first point: SystemParams' own message names it."""
-        with pytest.raises(ValueError) as err:
-            sensing_sweep("omega", 0.3, (-1.7e308, 1.7e308), 5)
-        assert str(err.value) == "omega must be finite, got nan"
+        """hi - lo overflows, but the grid does not: it is np.linspace's at a quarter of the
+        ends, times 4, and every point answers (their slopes are zero at unit scale)."""
+        points = sensing_sweep("omega", 0.3, (-1.7e308, 1.7e308), 5)
+        values = [p.value for p in points]
+        assert values == (4 * np.linspace(-1.7e308 / 4, 1.7e308 / 4, 5)).tolist()
+        assert values[::2] == [-1.7e308, 0.0, 1.7e308]
+        assert [p.flag for p in points] == ["ZeroSlope"] * 2 + ["ep_bracket"] + ["ZeroSlope"] * 2
+
+    @pytest.mark.parametrize("end", [np.inf, -np.inf, np.nan])
+    def test_non_finite_end_is_refused_before_any_solve(self, end, count_calls):
+        solves = count_calls(sensing, "_solve_eigenvalues")
+        with pytest.raises(ValueError, match=f"^j must be finite, got {end!r}$"):
+            sensing_sweep("j", 2.0, (0.3, end), 5)
+        assert solves() == 0
 
     @pytest.mark.parametrize("kappa, fixed, fixed_name", [("j", np.inf, "omega"),
                                                           ("omega", np.nan, "j")])

@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import warnings
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -16,7 +15,6 @@ from ptqsim import (
     PhaseLabel,
     Source,
     SystemParams,
-    auxiliary_quantities,
     build_hamiltonian,
     classify_phase,
     concurrence_mixed,
@@ -29,7 +27,8 @@ from ptqsim import (
     spectrum_oracle,
 )
 import mp_reference
-from conftest import FIG_SWEEPS, exact_z, fig_sweep_points, min_gap, sector_gap, vector_error
+from conftest import (FIG_SWEEPS, exact_z, fig2_grid, fig_sweep_points, min_gap, sector_gap,
+                      vector_error)
 from ptqsim.errors import (
     NearDefectiveError,
     NoConvergenceError,
@@ -46,49 +45,6 @@ params_st = st.builds(
     j=st.floats(0.0, 1.2),
     gamma=st.just(1.0),
 )
-
-
-class TestAuxiliaries:
-    def test_free_limit(self):
-        aux = auxiliary_quantities(SystemParams(0.0, 0.0, 1.0))
-        assert aux.x == pytest.approx(-3.0)
-        assert aux.z == pytest.approx(1.0)
-        assert aux.y == pytest.approx(np.sqrt(3.0))
-        assert aux.theta_y == 0.0
-
-    def test_decoupled_qubits(self):
-        aux = auxiliary_quantities(SystemParams(2.0, 0.0, 1.0))
-        assert aux.x == pytest.approx(9.0)
-        assert aux.z == pytest.approx(-27.0)
-        assert aux.r == pytest.approx(3.0)
-        assert aux.theta_y == pytest.approx(np.pi / 6)
-        assert aux.y == pytest.approx(3.0 * np.exp(1j * np.pi / 6))
-
-    def test_polar_consistency(self):
-        aux = auxiliary_quantities(SystemParams(1.7, 0.45, 1.0))
-        assert aux.y == pytest.approx(aux.r * np.exp(1j * aux.theta_y), abs=1e-12)
-
-    def test_unbroken_phase_locks_x_to_r_squared(self):
-        # inside the unbroken phase x - r^2 vanishes identically
-        aux = auxiliary_quantities(SystemParams(2.0, 0.589, 1.0))
-        assert abs(aux.x - aux.r**2) < 1e-10
-
-    @pytest.mark.parametrize("k", [-250, -40, 40, 100])
-    def test_powers_of_four(self, k):
-        """At rates times 4**k, x scales by 16**k, z by 4096**k, y and r by 4**k, bit for
-        bit (z underflows at 4**-250); z (a sixth power of the rates) is refused where it
-        overflows."""
-        unit = auxiliary_quantities(SystemParams(1.7, 0.45, 1.0))
-        params = SystemParams(*(math.ldexp(r, 2 * k) for r in (1.7, 0.45, 1.0)))
-        if 12 * k > 1000:
-            with pytest.raises(NonFiniteError):
-                auxiliary_quantities(params)
-            return
-        aux = auxiliary_quantities(params)
-        assert (aux.x, aux.z, aux.r, aux.theta_y) == (
-            math.ldexp(unit.x, 4 * k), math.ldexp(unit.z, 12 * k), math.ldexp(unit.r, 2 * k),
-            unit.theta_y)
-        assert aux.y == complex(math.ldexp(unit.y.real, 2 * k), math.ldexp(unit.y.imag, 2 * k))
 
 
 class TestClosedFormEigenvalues:
@@ -574,11 +530,6 @@ def _seeded_edge_draw(n, seed):
     return points
 
 
-def _fig2_grid():
-    return [SystemParams(float(om), float(j), 1.0)
-            for om in np.linspace(0.0, 3.0, 61) for j in np.linspace(0.0, 1.2, 61)]
-
-
 class TestScalarKernelAccuracy:
     """eigenvalues_closed_form and classify_phase against the 40-digit spectrum.
 
@@ -597,7 +548,7 @@ class TestScalarKernelAccuracy:
     @pytest.mark.parametrize("source", ["edges", "fig2", "seeded"])
     def test_labels_and_digits(self, source):
         points = {"edges": lambda: [SystemParams(*r) for r in _EDGE_POINTS],
-                  "fig2": _fig2_grid,
+                  "fig2": fig2_grid,
                   "seeded": lambda: _seeded_edge_draw(50_000, 20261018)[::100]}[source]()
         got, want, broken = map(np.array, zip(*map(_labeled, points)))
         errors = np.abs(got - want).max(axis=1)
@@ -646,7 +597,7 @@ class TestExactPhase:
     @pytest.mark.parametrize("pool", ["near_curve", "fig2"])
     def test_label_is_the_exact_sign(self, pool, k):
         rates = _near_curve_points() if pool == "near_curve" else [
-            (p.omega, p.j, p.gamma) for p in _fig2_grid()]
+            (p.omega, p.j, p.gamma) for p in fig2_grid()]
         broken = 0
         for r in rates:
             p = SystemParams(*(math.ldexp(x, 2 * k) for x in r))
@@ -662,7 +613,7 @@ class TestExactPhase:
         """The fig2 box's cells and a phase_scan column leave the float z outside its
         bound: one exact evaluation, at the EP3 (omega, j) = (1, 0), where z = 0."""
         exact = count_calls(spectrum, "_exact_z_sign")
-        for p in _fig2_grid() + [SystemParams(2.0, j, 1.0) for j in np.linspace(0, 1.2, 97)]:
+        for p in fig2_grid() + [SystemParams(2.0, j, 1.0) for j in np.linspace(0, 1.2, 97)]:
             classify_phase(p)
         assert exact() == 1
 
@@ -988,7 +939,7 @@ class TestOracleAccuracy:
     def test_hamiltonian_grids(self):
         """Every other point of the fig2 grid (the EP3 (1, 0, 1) among them), the
         signed-zero corners and a spectra pool."""
-        points = _fig2_grid()[::2] + [SystemParams(om, j, g) for om in (2.0, -2.0, 0.0, -0.0, 1e-9)
+        points = fig2_grid()[::2] + [SystemParams(om, j, g) for om in (2.0, -2.0, 0.0, -0.0, 1e-9)
                                       for j in (0.0, -0.0, 0.4, -0.4) for g in (1.0, 0.0, -0.0)]
         for p in points + _spectra_pool(400, 16):
             oracle = eigensystem_oracle(build_hamiltonian(p), -p.j)
