@@ -113,15 +113,16 @@ _RUNNERS = ("_evolve_columns", "_preset_sense", "_preset_fig3")
 
 def _captured(args) -> tuple:
     """(runner, its arguments) of a preset, captured where it would run; fig2's are the
-    (omega, j) of its cells, from the rows it would write."""
+    (omega, j) of its cells in row order, from the first two of the columns it would write."""
     if cli.PRESETS[args.preset] is cli._preset_fig2:
-        emit, rows = cli._emit, []
-        cli._emit = lambda _args, _desc, _header, table, _meta: rows.extend(table)
+        emit, cells = cli._emit, []
+        cli._emit = lambda _args, _desc, _header, columns, _meta: cells.extend(
+            zip(*columns[:2]))
         try:
             cli._preset_fig2(args)
         finally:
             cli._emit = emit
-        return "_preset_fig2", [(float(r[0]), float(r[1])) for r in rows]
+        return "_preset_fig2", [(float(omega), float(j)) for omega, j in cells]
     captured, originals = [], {name: getattr(cli, name) for name in _RUNNERS}
     for name in _RUNNERS:
         setattr(cli, name, lambda _args, *rest, name=name: captured.append((name, rest)))

@@ -44,13 +44,17 @@ inputs built for it and not timed:
 - integrate_400000: a 400 000-step `dynamics._integrate` that keeps no
   optional field (as the figure presets run it), fig5a's j = 0.337 run (dt
   5e-3, t_max 2000, every 4th step recorded), from a theta moved per pass;
-- csv_blocks_30001: `cli._csv_blocks` of a 30 001 x 4 float table (the size of
-  the largest `evolve` table of the benchmark), with fresh uniform [0, 1) values
-  per pass;
-- csv_blocks_evolve_30001: the same for a table whose columns look like an
-  `evolve` table's: a t grid of step 0.002, a concurrence in [0, 1], a signed
-  coherence crossing zero (a few cells below 1e-4) and a growing norm_log, with
-  fresh phases per pass.
+- csv_blocks_30001: `cli._csv_blocks` of a tuple of 4 float columns of 30 001
+  rows (the size of the largest `evolve` table of the benchmark), with fresh
+  uniform [0, 1) values per pass;
+- csv_blocks_evolve_30001: the same for columns that look like an `evolve`
+  table's: a t grid of step 0.002, a concurrence in [0, 1], a signed coherence
+  crossing zero (a few cells below 1e-4) and a growing norm_log, with fresh
+  phases per pass;
+- fig2_preset: `cli.main` of `reproduce fig2` (61 x 61 eigenvalue cells) to
+  os.devnull;
+- concurrence_sweep_601: `cli.main` of a 601-point `concurrence` sweep (omega =
+  2 + 1e-9 k, j from 0.3 to 0.9, JSON) to os.devnull.
 
 A writer layer joins the blocks into the bytes the CLI writes (a block of text
 is encoded as the CLI encodes it).
@@ -70,6 +74,7 @@ on a side that lacks it), the ratio and its range.
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -96,7 +101,7 @@ def measure(passes: int) -> list[dict]:
     import numpy as np
 
     from ptqsim import dynamics, locate_ep, sensing, spectrum
-    from ptqsim.cli import _csv_blocks
+    from ptqsim.cli import _csv_blocks, main
     from ptqsim.errors import PtqsimError
     from ptqsim.dynamics import _integrate, _rk4_step_matrix, initial_state
     from ptqsim.model import SystemParams, _Point, build_hamiltonian
@@ -177,11 +182,20 @@ def measure(passes: int) -> list[dict]:
     def evolve_like(k):
         t = np.arange(30_001) * 0.002
         a, b, c = rng.random(3) * 2 * np.pi
-        return (np.column_stack((t, np.sin(1.3 * t + a) ** 2, np.cos(2.1 * t + b) * np.exp(-t / 40),
-                                 0.2 * t + 0.1 * np.sin(0.7 * t + c))),)
+        return ((t, np.sin(1.3 * t + a) ** 2, np.cos(2.1 * t + b) * np.exp(-t / 40),
+                 0.2 * t + 0.1 * np.sin(0.7 * t + c)),)
 
-    layers["csv_blocks_30001"] = (lambda k: (rng.random((30_001, 4)),), csv_bytes)
+    layers["csv_blocks_30001"] = (lambda k: (tuple(rng.random((4, 30_001))),), csv_bytes)
     layers["csv_blocks_evolve_30001"] = (evolve_like, csv_bytes)
+
+    def to_devnull(argv):
+        main([*argv, "--out", os.devnull])
+
+    layers["fig2_preset"] = (lambda k: (["reproduce", "fig2"],), to_devnull)
+    layers["concurrence_sweep_601"] = (
+        lambda k: (["concurrence", "--omega", repr(2.0 + 1e-9 * k), "--sweep-axis", "j",
+                    "--sweep-range", "0.3:0.9", "--n", "601"],),
+        to_devnull)
     records = []
     for name, (make, run) in layers.items():
         try:

@@ -23,15 +23,18 @@ bytes first would make ext4 (with its default ``auto_da_alloc``) flush it to
 disk on close, which costs more than writing a small table; a run that rewrites
 one file per call, as a benchmark loop does, would pay that flush every time.
 
-A CSV table's data rows are formatted and written in blocks of ``_BLOCK_ROWS``
-rows, so a long ``evolve`` run never holds its whole table as text; a JSON
-table held as an array writes its rows in the same blocks.  Column formats and
-the rows with missing cells are decided once for the whole table, and nothing
-is written before the run has finished, so a run that fails leaves ``--out``
-untouched.  ``evolve``, ``revivals`` and the fig4-fig6 presets run the
-integrator keeping only the fields they print (see ``dynamics``).
+A table is a list of rows (a point's, and the tables with text or int cells:
+``spectrum``, ``ep-curve``, ``sense`` and ``revivals``) or a tuple of
+equal-length float columns (fig2, fig3, the ``concurrence`` sweep and the
+dynamics runs).  A CSV table's data rows are formatted and written in blocks
+of ``_BLOCK_ROWS`` rows, so a long ``evolve`` run never holds its whole table
+as text; a JSON table of columns writes its rows in the same blocks.  Column
+formats and the rows with missing cells are decided once for the whole table,
+and nothing is written before the run has finished, so a run that fails leaves
+``--out`` untouched.  ``evolve``, ``revivals`` and the fig4-fig6 presets run
+the integrator keeping only the fields they print (see ``dynamics``).
 
-A float array's cells are printed by ``floatcsv.float_lines``: numpy arithmetic
+A float column's cells are printed by ``floatcsv.float_lines``: numpy arithmetic
 gives each cell the bytes of ``'%.12g' % v`` where a short argument proves the
 12 digits and the notation (see that module), and every other cell (zeros,
 infinities, exponent notation, cells within 0.001 of a rounding tie) is printed
@@ -55,22 +58,18 @@ import numpy as np
 
 from . import __version__
 from .dynamics import _integrate, detect_revivals, initial_state
-from .entanglement import (
-    _pure_concurrence,
-    eigenstate_concurrence_closed,
-    eigenstate_concurrence_wootters,
-)
+from .entanglement import _pure_concurrence, _radical_concurrence
 from .ep import ep_curve, locate_ep
-from .errors import NumericalError, OmegaSingularError, ValidationError
+from .errors import NumericalError, ValidationError
 from .floatcsv import float_lines
 from .model import SystemParams, _Point
 from .sensing import _sense_point, sensing_sweep
 from .spectrum import (
     _closed_form_eigenpairs,
     _linspace,
-    _solve_eigenvalues,
+    _rates,
+    _solve_grid,
     classify_phase,
-    eigenvalues_closed_form,
     spectrum_closed_form,
 )
 
@@ -108,30 +107,22 @@ def _blocks(columns: tuple):
         yield np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
 
 
-def _csv_blocks(rows: list[list] | np.ndarray | tuple):
+def _csv_blocks(rows: list[list] | tuple):
     """The data lines of a table as bytes, each cell as _fmt prints it, in blocks of
     _BLOCK_ROWS rows.
 
-    A float array's blocks, or a tuple of float columns stacked a block at a time,
-    are floatcsv.float_lines.  Otherwise each column formats as its first cell
-    in the whole table that is not None does (an int array as %d).  A missing
-    cell, None or a NaN float, gets %s and "" in its row's own template.  Each
-    block is one % over its flat cells, its lines each ending in a newline.
+    A tuple of float columns, stacked a block at a time, is floatcsv.float_lines.
+    In a list of rows each column formats as its first cell in the whole table
+    that is not None does.  A missing cell, None or a NaN float, gets %s and ""
+    in its row's own template.  Each block is one % over its flat cells, its
+    lines each ending in a newline.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        rows = tuple(rows.T)
     if isinstance(rows, tuple):
         yield from map(float_lines, _blocks(rows))
         return
-    array = isinstance(rows, np.ndarray)
-    if array:
-        fields, gaps = ["%d"] * rows.shape[1], []
-    else:  # a list table is small and already Python objects: flattened once
-        flat = [v for row in rows for v in row]
-        fields = [_field(next((v for v in column if v is not None), None))
-                  for column in zip(*rows)]
-        gaps = [i for i, v in enumerate(flat)
-                if v is None or (isinstance(v, float) and math.isnan(v))]
+    flat = [v for row in rows for v in row]  # a list table is small: flattened once
+    fields = [_field(next((v for v in column if v is not None), None)) for column in zip(*rows)]
+    gaps = [i for i, v in enumerate(flat) if v is None or (isinstance(v, float) and math.isnan(v))]
     width = len(fields)
     line = ",".join(fields) + "\n"
     gap_lines = {}
@@ -142,7 +133,7 @@ def _csv_blocks(rows: list[list] | np.ndarray | tuple):
     g = 0  # gaps[g] is the first gap past the blocks already written
     for lo in range(0, len(rows), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(rows))
-        block = rows[lo:hi].ravel().tolist() if array else flat[lo * width:hi * width]
+        block = flat[lo * width:hi * width]
         templates = [line] * (hi - lo)
         end = bisect.bisect_left(gaps, hi * width, g)
         for i in gaps[g:end]:
@@ -194,18 +185,17 @@ def _write(out_path: str, parts):
 def _json_parts(payload: dict):
     """json.dumps(_jsonable(payload), indent=2) and a newline, as bytes.
 
-    An array table's rows, or a tuple of columns', are dumped _BLOCK_ROWS at a time:
-    each block's text as a list of rows, moved from depth 1 to the rows' depth 3
-    (four more spaces a line), between the text of the payload around them.
+    The rows of a tuple of columns are dumped _BLOCK_ROWS at a time: each block's text
+    as a list of rows, moved from depth 1 to the rows' depth 3 (four more spaces a
+    line), between the text of the payload around them.
     """
-    rows = payload["results"].get("rows")
-    if not isinstance(rows, (np.ndarray, tuple)):
+    columns = payload["results"].get("rows")
+    if not isinstance(columns, tuple):
         yield (json.dumps(_jsonable(payload), indent=2) + "\n").encode()
         return
     text = json.dumps(_jsonable({**payload, "results": {**payload["results"], "rows": None}}),
                       indent=2)
     head, tail = text.split('"rows": null', 1)
-    columns = rows if isinstance(rows, tuple) else tuple(rows.T)
     yield (head + '"rows": [').encode()
     for i, block in enumerate(_blocks(columns)):
         lines = json.dumps(_jsonable(block), indent=2)[2:-2]
@@ -213,7 +203,7 @@ def _json_parts(payload: dict):
     yield (("\n    ]" if len(columns[0]) else "]") + tail + "\n").encode()
 
 
-def _emit(args, params_desc: str, header: list[str], rows: list[list] | np.ndarray | tuple,
+def _emit(args, params_desc: str, header: list[str], rows: list[list] | tuple,
           meta: dict, results: dict | None = None):
     """Write one table as CSV (see _csv_blocks), or as JSON {params, results, diagnostics}.
 
@@ -351,22 +341,20 @@ def cmd_ep_curve(args) -> int:
     return 0
 
 
-def _concurrence_row(params: SystemParams):
-    """Psi3's and Psi4's concurrences, then the radical form's: NaN where it refuses omega ~ 0."""
-    c3 = eigenstate_concurrence_wootters(params, 3)
-    c4 = eigenstate_concurrence_wootters(params, 4)
-    try:
-        cc3 = eigenstate_concurrence_closed(params, 3, check=False)
-        cc4 = eigenstate_concurrence_closed(params, 4, check=False)
-    except OmegaSingularError:
-        cc3 = cc4 = float("nan")
-    return c3, c4, cc3, cc4
+def _concurrences(rates: np.ndarray) -> tuple:
+    """Psi3's and Psi4's concurrence columns at n points' (3, n) rates, then the radical
+    form's (_radical_concurrence): NaN where it refuses omega ~ 0."""
+    unit, exps, deltas, _ = _solve_grid(rates)
+    c = _pure_concurrence(_closed_form_eigenpairs(unit, deltas, exps)[0][:, 2:])
+    closed = [[_radical_concurrence(point, d) for d in pair]
+              for point, pair in zip(map(_Point, *unit.tolist()), deltas[:, 1:].tolist())]
+    return (*c.T, *np.array(closed).T)
 
 
 def cmd_concurrence(args) -> int:
     params = _params_from(args)
     if args.sweep_axis is None:
-        c3, c4, cc3, cc4 = _concurrence_row(params)
+        c3, c4, cc3, cc4 = (float(c[0]) for c in _concurrences(_rates([params])))
         results = {"c_psi3": c3, "c_psi4": c4,
                    "closed_form": {"c_psi3": cc3, "c_psi4": cc4},
                    "max_closed_form_discrepancy": max(abs(c3 - cc3), abs(c4 - cc4))}
@@ -374,11 +362,12 @@ def cmd_concurrence(args) -> int:
         _emit(args, _params_desc(params), header, [[c3, c4, cc3, cc4]], {}, results)
         return 0
     _require_sweep(args)
-    grid = _linspace(args.sweep_range[0], args.sweep_range[1], args.n).tolist()
-    rows = [[x, *_concurrence_row(params.replace(**{args.sweep_axis: x}))] for x in grid]
+    axis = ("omega", "j").index(args.sweep_axis)
+    rates = np.repeat(_rates([params]), args.n, axis=1)
+    rates[axis] = _linspace(*args.sweep_range, args.n)
     header = [args.sweep_axis, "c_psi3", "c_psi4", "c_closed_psi3", "c_closed_psi4"]
     _emit(args, _params_desc(params, sweep=args.sweep_axis, range=args.sweep_range, n=args.n),
-          header, rows, {})
+          header, (rates[axis], *_concurrences(rates)), {})
     return 0
 
 
@@ -471,16 +460,13 @@ def cmd_sense(args) -> int:
 
 
 def _preset_fig2(args):
-    omegas = np.linspace(0.0, 3.0, 61)
-    js = np.linspace(0.0, 1.2, 61)
-    rows = []
-    for om in omegas:
-        for j in js:
-            values = eigenvalues_closed_form(SystemParams(omega=float(om), j=float(j), gamma=1.0))
-            rows.append([om, j, values[2].real, values[2].imag,
-                         values[3].real, values[3].imag])
+    omegas, js = np.linspace(0.0, 3.0, 61), np.linspace(0.0, 1.2, 61)
+    rates = np.array([np.repeat(omegas, 61), np.tile(js, 61), np.ones(61 * 61)])
+    deltas = _solve_grid(rates)[2]  # every rate below 4: at unit scale
+    e3, e4 = rates[1] + deltas[:, 1:].T  # E = j + delta
     header = ["omega", "j", "re_e3", "im_e3", "re_e4", "im_e4"]
-    _emit(args, "gamma=1 omega=0:3 j=0:1.2 grid=61x61", header, rows, {})
+    _emit(args, "gamma=1 omega=0:3 j=0:1.2 grid=61x61", header,
+          (rates[0], rates[1], e3.real, e3.imag, e4.real, e4.imag), {})
 
 
 def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
@@ -489,8 +475,7 @@ def _preset_fig3(args, axis: str, fixed_value: float, sweep: tuple, n: int):
     xs = np.linspace(sweep[0], sweep[1], n)
     rates = np.ones((3, n))  # (omega, j, gamma = 1): every rate below 4, at unit scale
     rates[int(axis == "j")], rates[int(fix == "j")] = xs, fixed_value
-    deltas = np.array([_solve_eigenvalues(_Point(*r))[0] for r in rates.T.tolist()], dtype=complex)
-    c = _pure_concurrence(_closed_form_eigenpairs(rates, deltas)[0][:, 2:])  # Psi3, Psi4
+    c = _pure_concurrence(_closed_form_eigenpairs(rates, _solve_grid(rates)[2])[0][:, 2:])
     header = [axis, "c_psi3", "c_psi4"]
     critical = {"j_c": point.j_c} if axis == "j" else {"omega_c": point.omega_c}
     desc = _desc(**{fix: fixed_value}, gamma=1, **{axis: sweep}, n=n)

@@ -11,6 +11,8 @@ surfaced as data via DiscrepancyError / scan_closed_form_discrepancies.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DiscrepancyError, InvalidDensityError, OmegaSingularError
@@ -67,40 +69,42 @@ def concurrence_pure(psi) -> float:
     return float(_pure_concurrence(as_unit_state(psi)))
 
 
-def _radical_coefficients(params: SystemParams, s: int):
-    """(r1, r2, |N|^2) of the paper's radical form N(1, r2, r2, r1) of eigenstate s in {3, 4}:
-    r2 = -d/omega, r1 = -2(2j + delta)d/omega^2 - 1, d = i*gamma - delta (delta = E - j), at
-    unit scale (spectrum._unit_point), where |omega| <= 1e-12 raises OmegaSingularError."""
-    if s not in (3, 4):
-        raise ValueError(f"s must be 3 or 4, got {s}")
-    unit = _unit_point(params)[1]
+def _radical_concurrence(unit, delta) -> float:
+    """The radical form's concurrence of the sector eigenstate at root j + delta of a point
+    at unit scale (spectrum._unit_point): N(1, r2, r2, r1) with r2 = -d/omega and
+    r1 = -2(2j + delta)d/omega^2 - 1, d = i*gamma - delta; NaN where |omega| <= 1e-12, which
+    the coefficients divide by."""
     omega, j = unit.omega, unit.j
     if abs(omega) <= 1e-12:
-        raise OmegaSingularError(
-            f"the radical coefficients divide by omega (omega={params.omega})")
-    delta = np.complex128(_eigenvalues(params)[1][s - 2])
+        return float("nan")
+    delta = np.complex128(delta)
     d = 1j * unit.gamma - delta
     r1, r2 = -2 * (2 * j + delta) * d / omega**2 - 1, -d / omega
     n2 = 1.0 / (1 + abs(r1) ** 2 + 2 * abs(r2) ** 2)  # |N|^2
-    return r1, r2, n2
-
-
-def eigenstate_concurrence_closed(
-    params: SystemParams, s: int, check: bool = True
-) -> float:
-    """Closed-form concurrence of eigenstate s in {3, 4} from the R coefficients.
-
-    check=True compares against concurrence_pure of the same eigenvector and
-    raises DiscrepancyError beyond 1e-6 - the Wootters path is authoritative,
-    mismatches are reported, never silently overridden.
-    """
-    r1, r2, n2 = _radical_coefficients(params, s)
     a = 2 * r1.real - 2 * abs(r2) ** 2
     b = -a
     common = (2 * r1.real) ** 2 + 2 * b * abs(r2) ** 2 - 4 * abs(r2) ** 2 * r1.real
     lam1 = 0.5 * n2**2 * (common + a * a)
     lam2 = 0.5 * n2**2 * (common - a * a)
-    value = float(np.sqrt(max(lam1, 0.0)) - np.sqrt(max(lam2, 0.0)))
+    return float(np.sqrt(max(lam1, 0.0)) - np.sqrt(max(lam2, 0.0)))
+
+
+def eigenstate_concurrence_closed(
+    params: SystemParams, s: int, check: bool = True
+) -> float:
+    """Closed-form concurrence of eigenstate s in {3, 4} from the R coefficients
+    (_radical_concurrence); raises OmegaSingularError where it divides by omega ~ 0.
+
+    check=True compares against concurrence_pure of the same eigenvector and
+    raises DiscrepancyError beyond 1e-6 - the Wootters path is authoritative,
+    mismatches are reported, never silently overridden.
+    """
+    if s not in (3, 4):
+        raise ValueError(f"s must be 3 or 4, got {s}")
+    value = _radical_concurrence(_unit_point(params)[1], _eigenvalues(params)[1][s - 2])
+    if math.isnan(value):
+        raise OmegaSingularError(
+            f"the radical coefficients divide by omega (omega={params.omega})")
     if check:
         reference = eigenstate_concurrence_wootters(params, s)
         if abs(value - reference) > 1e-6:

@@ -66,13 +66,13 @@ class _Point(NamedTuple):
 
 
 def _hamiltonian_entries(om, j, g) -> tuple:
-    """H's distinct entries (d0r, d0i, d1r, d3r, d3i, u, v, w), elementwise in the rates.
+    """H's distinct entries (d0r, d0i, d1r, d3r, d3i, u, v, w) of the float rates.
 
     They are the float operations the Kronecker-product form
     kron(s, 1) + kron(1, s) + j*kron(sz, sz) performs, reduced to what
     reaches H, so every bit agrees with it: the signed zeros, which take
     their signs from omega, j and gamma (gamma = -0.0 included), and the
-    halvings of subnormal rates.  om, j and g are floats or (n,) arrays.
+    halvings of subnormal rates.
     """
     # zg, zj, t: signed zeros; ho ~ omega/2, hg ~ gamma/2; d*: diagonal; u, w: single
     # flips touching |00>, |11>; v: the (zero) |00>-|11> and |01>-|10> entries

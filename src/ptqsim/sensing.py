@@ -14,13 +14,12 @@ overlap) as an independent reference.
 
 The kernels work on a leading axis of points, given as their (3, n) array of
 (omega, j, gamma) rates and (n, 3) deltas.  A sweep solves each grid point's deltas once
-(the scalar closed-form kernel on a _Point record, its only per-point Python
-call), then works on the unit-scale rate array: the finite-value check, the refusal
-(too close to an EP) as a mask, one closed-form eigenpair solve for every
-point's sector vectors, and one (psi, dpsi) batch for the QFI, the
-coherence and its variance together.  qfi, sensitivity_variance and
-coherence_expectation are batches of one of the same kernels, so a point
-gets the same bits either way.  Sweeps mark the phase transition with
+with spectrum._solve_grid (the scalar closed-form kernel on a _Point record, its only
+per-point Python call), then works on the unit-scale rate array: the finite-value check,
+the refusal (too close to an EP) as a mask, one closed-form eigenpair solve for every
+point's sector vectors, and one (psi, dpsi) batch for the QFI, the coherence and its
+variance together.  qfi, sensitivity_variance and coherence_expectation are
+batches of one of the same kernels, so a point gets the same bits either way.  Sweeps mark the phase transition with
 spectrum's one phase decision, the exact sign of z (_z_sign), on the float z
 that each point's solve evaluates (its rates are rebuilt only inside the filter's bound).
 """
@@ -39,9 +38,8 @@ from .spectrum import (
     _linspace,
     _rates,
     _sector_gap,
-    _solve_eigenvalues,
+    _solve_grid,
     _unit_point,
-    _unit_rates,
     _z_sign,
 )
 
@@ -242,9 +240,7 @@ def sensing_sweep(
     except MemoryError:  # the message names the CLI flag too: sense passes --n through
         raise ValueError(f"n = {n} sweep points (--n {n}) do not fit in memory") from None
     rate_lists[("omega", "j").index(kappa)] = xs
-    rates, exps = _unit_rates(np.array(rate_lists))
-    solved = [_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())]
-    deltas = np.array([d for d, _ in solved], dtype=complex).reshape(-1, 3)
+    rates, exps, deltas, zs = _solve_grid(np.array(rate_lists))
     too_close = ~_clear_of_ep(_sector_gap(deltas))
     flags = np.where(too_close, _flag(EpTooCloseError), None).tolist()
     kept = np.flatnonzero(~too_close)
@@ -261,7 +257,7 @@ def sensing_sweep(
         flags[k] = _flag(ZeroSlopeError)
     omegas, js, gammas = rate_lists  # the rates themselves, for _z_sign inside its bound
     broken = np.array([_z_sign(lambda k=k: _Point(omegas[k], js[k], gammas[k]), z) > 0
-                       for k, (_, z) in enumerate(solved)])
+                       for k, z in enumerate(zs)])
     for i in np.flatnonzero(broken[:-1] != broken[1:]).tolist():
         for k in (i, i + 1):
             if flags[k] is None:

@@ -47,10 +47,10 @@ instance stores its (eigenvectors, max residual), and eigenvectors_closed_form,
 spectrum_closed_form and the concurrences built on them (Psi3 and Psi4 of one
 point) read it.  Callers get copies of the vectors; the stored array is
 read-only.  A NearDefectiveError raises again on every call.  Explicit
-eigenvalues and the sweep batch bypass the store: a sweep solves each point's
-deltas and z once with _solve_eigenvalues on an unchecked unit-scale _Point
-record (_unit_rates), and its eigenpairs in one _closed_form_eigenpairs call on
-the (3, n) unit-scale rate array and (n, 3) deltas.
+eigenvalues and the grids bypass the store: every sweep (sensing_sweep, and the
+CLI's fig2, fig3 and concurrence command) solves its grid with _solve_grid, each
+point's deltas and z once, and its eigenpairs, where it needs them, in one
+_closed_form_eigenpairs call on the (3, n) unit-scale rate array and (n, 3) deltas.
 """
 from __future__ import annotations
 
@@ -153,11 +153,16 @@ def _unit_point(params) -> tuple:
     return e, _Point(math.ldexp(omega, -e), math.ldexp(j, -e), math.ldexp(gamma, -e))
 
 
-def _unit_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rates times 2**-E, E) of n points' (3, n) rates, each point's E as _unit_point's."""
+def _solve_grid(rates: np.ndarray) -> tuple:
+    """(unit-scale (3, n) rates, (n,) exponents E, (n, 3) deltas, n float zs) of n points'
+    (3, n) rates, the one grid solve: each point taken to its rates times 2**-E (E as
+    _unit_point's) and solved once by _solve_eigenvalues on an unchecked _Point record."""
     top = np.abs(rates).max(axis=0)
     exps = np.where(top > 0, (np.frexp(top)[1] - 1) & -2, 0)
-    return np.ldexp(rates, -exps), exps
+    rates = np.ldexp(rates, -exps)
+    solved = [_solve_eigenvalues(point) for point in map(_Point, *rates.tolist())]
+    deltas = np.array([d for d, _ in solved], dtype=complex).reshape(-1, 3)
+    return rates, exps, deltas, [z for _, z in solved]
 
 
 def _linspace(lo: float, hi: float, n: int) -> np.ndarray:

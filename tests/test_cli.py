@@ -218,24 +218,53 @@ class TestConcurrenceCommand:
         assert code == 0 and max(abs(results[c] - 1) for c in ("c_psi3", "c_psi4")) <= 1e-15
 
     def test_one_eigenpair_solve_per_point(self, capsys, count_calls):
-        """Psi3 and Psi4 come from one eigenvector solve; every eigenvalue solve is one point's."""
-        eigenpairs = count_calls(spectrum, "_closed_form_eigenpairs")
+        """Psi3 and Psi4 of every point come from one eigenvector batch; every eigenvalue
+        solve is one point's, and no point builds a SystemParams."""
+        batches, pairs = count_calls(cli, "_closed_form_eigenpairs"), count_calls(
+            spectrum, "_closed_form_eigenpairs")
         solves = count_calls(spectrum, "_solve_eigenvalues")
+        built = count_calls(SystemParams, "__post_init__")
         argv = ["concurrence", "--omega", 2.0, "--sweep-axis", "j", "--sweep-range", "0.3:0.9",
                 "--n", 7]
         assert invoke(capsys, *argv)[0] == 0
-        assert (eigenpairs(), solves()) == (7, 7)
+        assert (batches(), pairs(), solves(), built()) == (1, 0, 7, 1)  # 1: the argv's point
+
+    @pytest.mark.parametrize("axis, fixed, sweep", [("j", ("--omega", 2.0), "0.3:0.9"),
+                                                    ("omega", ("--j", 0.3), "-0.5:2.5")],
+                             ids=["j", "omega"])
+    def test_sweep_rows_are_the_point_commands(self, capsys, axis, fixed, sweep):
+        """Each JSON row of a sweep is, bit for bit, the point command's JSON at its rates
+        (omega = 0 included, where the radical form's cells are null)."""
+        argv = ["concurrence", *fixed, "--sweep-axis", axis, "--sweep-range", sweep, "--n", 7,
+                "--format", "json"]
+        code, out, _ = invoke(capsys, *argv)
+        rows = json.loads(out)["results"]["rows"]
+        assert code == 0 and len(rows) == 7
+        assert any(row[3:] == [None, None] for row in rows) == (axis == "omega")
+        for x, *cells in rows:
+            code, out, _ = invoke(capsys, "concurrence", *fixed, f"--{axis}", repr(x))
+            results = json.loads(out)["results"]
+            closed = results["closed_form"]
+            assert code == 0
+            assert cells == [results["c_psi3"], results["c_psi4"], closed["c_psi3"],
+                             closed["c_psi4"]]
 
     @pytest.mark.parametrize("preset, n", [("fig3a", 121), ("fig3b", 201)])
     def test_fig3_solves_its_grid_in_one_batch(self, capsys, count_calls, preset, n):
         """One eigenpair batch over the rate array; one eigenvalue solve per grid point,
         besides the located point of the preset's locate_ep, whose probes read z alone."""
-        batches, grid = (count_calls(cli, name)
-                         for name in ("_closed_form_eigenpairs", "_solve_eigenvalues"))
-        pairs, probe = (count_calls(spectrum, name)
-                        for name in ("_closed_form_eigenpairs", "_solve_eigenvalues"))
+        batches, pairs = count_calls(cli, "_closed_form_eigenpairs"), count_calls(
+            spectrum, "_closed_form_eigenpairs")
+        solves = count_calls(spectrum, "_solve_eigenvalues")
         assert invoke(capsys, "reproduce", preset)[0] == 0
-        assert (batches(), grid(), pairs(), probe()) == (1, n, 0, 1)
+        assert (batches(), pairs(), solves()) == (1, 0, n + 1)
+
+    def test_fig2_solves_its_grid_without_params(self, capsys, count_calls):
+        """fig2's 61 x 61 cells: one eigenvalue solve each, and no SystemParams."""
+        solves = count_calls(spectrum, "_solve_eigenvalues")
+        built = count_calls(SystemParams, "__post_init__")
+        assert invoke(capsys, "reproduce", "fig2")[0] == 0
+        assert (solves(), built()) == (61 * 61, 0)
 
     def test_omega_zero_answers(self, capsys):
         """H is diagonal: Psi3 = |00> and Psi4 = |11> are product states, and the radical
@@ -438,9 +467,10 @@ class TestCsvWriter:
         ])
         header = ["t", "a", "b"]
         rows = list(zip(*table.T))
-        assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
+        assert self._emitted(capsys, header, tuple(table.T), {}) == \
+            self._per_value(header, rows, {})
 
-    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    @pytest.mark.parametrize("rows", [[], tuple(np.empty((3, 0)))], ids=["list", "columns"])
     def test_zero_rows(self, capsys, rows):
         header = ["t", "a", "b"]
         assert self._emitted(capsys, header, rows, {"n": 0}) == self._per_value(header, [], {"n": 0})
@@ -451,7 +481,8 @@ class TestCsvWriter:
         table[0, 2] = table[3] = table[17, 1] = table[39, [0, 3]] = np.nan
         header = ["t", "a", "b", "c"]
         rows = list(zip(*table.T))
-        assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
+        assert self._emitted(capsys, header, tuple(table.T), {}) == \
+            self._per_value(header, rows, {})
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
     def test_int_array_table(self, capsys, dtype):
@@ -459,17 +490,17 @@ class TestCsvWriter:
         if dtype is np.int64:
             table = table * -(10**15)
         rows = list(zip(*table.T))
-        assert self._emitted(capsys, ["i", "j", "k"], table, {}) == \
+        assert self._emitted(capsys, ["i", "j", "k"], rows, {}) == \
             self._per_value(["i", "j", "k"], rows, {})
 
     @pytest.mark.parametrize("rows", [
-        np.array([[0.1, np.nan, -2.5]]),
+        tuple(np.array([[0.1], [np.nan], [-2.5]])),
         [[np.int64(3), 1.0 / 3.0, None]],
         [[None, np.nan, "NearDefective"]],
-    ], ids=["array", "list", "list-missing"])
+    ], ids=["columns", "list", "list-missing"])
     def test_one_row_table(self, capsys, rows):
         header = ["t", "a", "flag"]
-        want = self._per_value(header, [list(r) for r in rows], {})
+        want = self._per_value(header, list(zip(*rows)) if isinstance(rows, tuple) else rows, {})
         assert self._emitted(capsys, header, rows, {}) == want
 
     def test_first_row_missing_cells(self, capsys):
@@ -481,7 +512,7 @@ class TestCsvWriter:
         header = ["omega", "failure", "a", "b"]
         assert self._emitted(capsys, header, rows, {}) == self._per_value(header, rows, {})
         table = np.array([[np.nan, np.nan], [1.0 / 7.0, -0.0]])
-        assert self._emitted(capsys, ["a", "b"], table, {}) == \
+        assert self._emitted(capsys, ["a", "b"], tuple(table.T), {}) == \
             self._per_value(["a", "b"], list(zip(*table.T)), {})
 
     def test_large_float_array(self, capsys):
@@ -495,9 +526,10 @@ class TestCsvWriter:
         table[rng.integers(0, 25_000, 50), rng.integers(0, 4, 50)] = np.nan
         header = ["t", "concurrence", "coherence_x", "norm_log"]
         rows = list(zip(*table.T))
-        assert self._emitted(capsys, header, table, {}) == self._per_value(header, rows, {})
+        assert self._emitted(capsys, header, tuple(table.T), {}) == \
+            self._per_value(header, rows, {})
 
-    # The float-array writer's hard cases: each table holds the cells and their negations.
+    # The float-column writer's hard cases: each table holds the cells and their negations.
 
     @staticmethod
     def _near(values, ulps=3):
@@ -514,7 +546,7 @@ class TestCsvWriter:
         cells = np.concatenate([cells, -cells])
         table = np.resize(cells, (len(cells) // 3 + 1, 3))
         header = ["t", "a", "b"]
-        assert self._emitted(capsys, header, table, {}) == \
+        assert self._emitted(capsys, header, tuple(table.T), {}) == \
             self._per_value(header, list(zip(*table.T)), {})
 
     def test_next_to_a_rounding_tie(self, capsys):
@@ -584,12 +616,12 @@ class TestJsonWriter:
         table[::7, 1] = np.nan
         table[5, 2], table[_BLOCK_ROWS, 0] = np.inf, -np.inf
         want = self._per_row("p=1", ["t", "a", "b"], table, {})
-        assert self._emitted(capsys, ["t", "a", "b"], table, {}) == want
+        assert self._emitted(capsys, ["t", "a", "b"], tuple(table.T), {}) == want
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 40])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_columns_print_as_their_stacked_table(self, capsys, fmt, n):
-        """A tuple of columns, stacked a block at a time, prints the stacked table's bytes."""
+        """A tuple of columns, stacked a block at a time, prints its rows' bytes."""
         rng = np.random.default_rng(n)
         columns = tuple(rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n)))
         columns[1][::7] = np.nan
@@ -599,7 +631,7 @@ class TestJsonWriter:
         args = argparse.Namespace(format=fmt, out="-")
         _emit(args, "p=1", ["t", "a", "b"], columns, {"k": 1})
         got = capsys.readouterr().out
-        _emit(args, "p=1", ["t", "a", "b"], np.column_stack(columns), {"k": 1})
+        _emit(args, "p=1", ["t", "a", "b"], list(zip(*columns)), {"k": 1})
         assert got == capsys.readouterr().out
 
     def test_point_object(self, capsys):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import parse_csv
 
@@ -345,6 +346,18 @@ def test_digit_audit_on_a_synthetic_residual_diff(tmp_path):
     assert theta["new_max"] > 9e-7 and theta["old_max_all"] < 1e-8
 
 
+def test_digit_audit_captures_the_fig2_cells(count_calls):
+    """_captured reads fig2's (omega, j) cells off its columns, in row order, with no 40-digit
+    work: omega outer, j inner, 61 values each."""
+    digit_audit = _script("digit_audit")
+    references = count_calls(digit_audit, "_mp_reference")
+    args = digit_audit.cli.build_parser().parse_args(["reproduce", "fig2"])
+    runner, cells = digit_audit._captured(args)
+    omegas, js = np.linspace(0.0, 3.0, 61).tolist(), np.linspace(0.0, 1.2, 61).tolist()
+    assert runner == "_preset_fig2" and references() == 0
+    assert cells == [(omega, j) for omega in omegas for j in js]
+
+
 def _json_lines(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
 
@@ -385,7 +398,7 @@ def test_layers_on_a_tiny_budget(tmp_path):
               "eigenpair_1_huge", "classify_200", "locate_ep_1", "z_sign_200",
               "exact_z_sign_at_j_c", "step_factors_1000", "chunk_states_1000", "step_factors_2500", "chunk_states_2500",
               "step_factors_4096", "chunk_states_4096", "integrate_400000", "csv_blocks_30001",
-              "csv_blocks_evolve_30001"]
+              "csv_blocks_evolve_30001", "fig2_preset", "concurrence_sweep_601"]
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "layers.py"), "--passes", "1"],
                           capture_output=True, text=True, timeout=300, check=True)
     records = _json_lines(proc.stdout)

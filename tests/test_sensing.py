@@ -375,13 +375,13 @@ class TestSweepErrorOrder:
     @staticmethod
     def _moved_root(monkeypatch, omega):
         """Move E3 of the sweep points at omega by 1e-6: their residual is then about that."""
-        solve = sensing._solve_eigenvalues
+        solve = spectrum._solve_eigenvalues
 
         def moved(point):
             (d2, d3, d4), z = solve(point)
             return (d2, d3 + 1e-6 if point.omega == omega else d3, d4), z
 
-        monkeypatch.setattr(sensing, "_solve_eigenvalues", moved)
+        monkeypatch.setattr(spectrum, "_solve_eigenvalues", moved)
 
     def test_near_defective_ahead_of_non_finite(self, monkeypatch):
         self._moved_root(monkeypatch, 2.0)
@@ -406,19 +406,22 @@ class TestArraySweep:
         builds = count_calls(model, "build_hamiltonian")
         replaces = count_calls(SystemParams, "replace")
         batches = count_calls(sensing, "_closed_form_eigenpairs")
-        solves = count_calls(sensing, "_solve_eigenvalues")
+        solves = count_calls(spectrum, "_solve_eigenvalues")
         points = sensing_sweep("j", 2.0, (0.3, 0.9), 24)
         assert [p.flag for p in points].count("ep_bracket") == 2
         assert (builds(), replaces(), batches(), solves()) == (0, 0, 1, 24)
 
     def test_rates_are_built_only_inside_the_sign_bound(self, count_calls):
-        """fig7a's sweep builds a _Point per solve and none for the phase (every float z lies
-        outside _z_sign's bound); a grid point at the exact flip j_c gets one for its sign."""
-        built, solves = count_calls(sensing, "_Point"), count_calls(sensing, "_solve_eigenvalues")
+        """fig7a's sweep builds a _Point per solve (spectrum._solve_grid's) and none for the
+        phase (every float z lies outside _z_sign's bound); a grid point at the exact flip j_c
+        gets one for its sign (the sweep's), which _exact_z_sign reads (one more)."""
+        j_c = locate_ep("omega", 2.0, (0.3, 0.9)).j_c
+        grid, phase = count_calls(spectrum, "_Point"), count_calls(sensing, "_Point")
+        solves = count_calls(spectrum, "_solve_eigenvalues")
         sensing_sweep("omega", 0.3, (1.4, 2.0), 601)
-        assert built() == solves() == 601
-        sensing_sweep("j", 2.0, (locate_ep("omega", 2.0, (0.3, 0.9)).j_c, 0.9), 5)
-        assert (built(), solves()) == (601 + 5 + 1, 601 + 5)
+        assert (grid(), phase(), solves()) == (601, 0, 601)
+        sensing_sweep("j", 2.0, (j_c, 0.9), 5)
+        assert (grid(), phase(), solves()) == (601 + 5 + 1, 1, 601 + 5)
 
     def test_range_leaving_the_float_range(self):
         """hi - lo overflows, but the grid does not: it is np.linspace's at a quarter of the
@@ -431,7 +434,7 @@ class TestArraySweep:
 
     @pytest.mark.parametrize("end", [np.inf, -np.inf, np.nan])
     def test_non_finite_end_is_refused_before_any_solve(self, end, count_calls):
-        solves = count_calls(sensing, "_solve_eigenvalues")
+        solves = count_calls(spectrum, "_solve_eigenvalues")
         with pytest.raises(ValueError, match=f"^j must be finite, got {end!r}$"):
             sensing_sweep("j", 2.0, (0.3, end), 5)
         assert solves() == 0

@@ -155,10 +155,10 @@ def _deltas_of(points):
 
 
 def _eigenpairs_of(points):
-    """_closed_form_eigenpairs of points at unit scale, with the deltas their instances
-    solve; the residuals mapped back."""
-    rates, exps = spectrum._unit_rates(_rates(points))
-    vecs, residuals = _closed_form_eigenpairs(rates, _deltas_of(points), exps)
+    """_closed_form_eigenpairs of points at unit scale, with the deltas of their grid solve;
+    the residuals mapped back."""
+    rates, exps, deltas, _ = spectrum._solve_grid(_rates(points))
+    vecs, residuals = _closed_form_eigenpairs(rates, deltas, exps)
     return vecs, np.ldexp(residuals, exps)
 
 
@@ -189,7 +189,7 @@ class TestBatchedEigenpairs:
 
     def test_a_point_does_not_depend_on_its_batch(self):
         points = _guarded_points(fig_sweep_points(*FIG_SWEEPS[0]) + _seeded_points(50))
-        (rates, exps), deltas = spectrum._unit_rates(_rates(points)), _deltas_of(points)
+        rates, exps, deltas, _ = spectrum._solve_grid(_rates(points))
         batch = _closed_form_eigenpairs(rates, deltas, exps)
         for i, p in enumerate(points):
             one = _closed_form_eigenpairs(rates[:, i:i + 1], deltas[i:i + 1], exps[i:i + 1])
